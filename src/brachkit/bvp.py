@@ -16,10 +16,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
+from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, _rhs_factory,
                        initial_velocity, integrate_brachistochrone)
-from .errors import BrachkitError, NoConvergence, ZeroSeed
-from .geometry import SpacetimeModel, riemannian_metric_matrix, _coords, _comps
+from .errors import BrachkitError, NoConvergence
+from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
+                       orthonormal_completion, riemannian_metric_matrix, _coords)
 from .transform import flow_points
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "sample_initial_velocity",
     "shoot",
     "multistart_survey",
-    "horizontal_frame",
 ]
 
 log = logging.getLogger("brachkit.bvp")
@@ -75,29 +76,7 @@ class SurveyResult:
     dedup_threshold: float
     parity: int
     n_failures: int
-    odd_count_consistent: bool
     parity_note: str
-
-
-def horizontal_frame(model: SpacetimeModel, q) -> np.ndarray:
-    """g_R-orthonormal basis of the orthogonal complement of Y at q."""
-    q = _coords(q)
-    gr = riemannian_metric_matrix(model, q)
-    y = model.y(q)
-    yhat = y / np.sqrt(float(y @ gr @ y))
-    frame = []
-    for cand in np.eye(model.m):
-        vec = cand - float(cand @ gr @ yhat) * yhat
-        for b in frame:
-            vec = vec - float(vec @ gr @ b) * b
-        nn = np.sqrt(max(float(vec @ gr @ vec), 0.0))
-        if nn > 1e-8:
-            frame.append(vec / nn)
-        if len(frame) == model.m - 1:
-            break
-    if len(frame) < model.m - 1:
-        raise ZeroSeed("could not build a horizontal frame")
-    return np.array(frame)
 
 
 def sample_initial_velocity(model: SpacetimeModel, p, k: float, T: float,
@@ -107,16 +86,7 @@ def sample_initial_velocity(model: SpacetimeModel, p, k: float, T: float,
     The seed is projected to the horizontal space and normalized; the velocity
     then satisfies <v,Y>^2 + k^2 <v,v> = 0 with <v,v> < 0 and <v,Y> < 0.
     """
-    q = model.require_in_chart(p)
-    g = model.g(q)
-    y = model.y(q)
-    u = _comps(u_seed).astype(float)
-    u = u - (float(u @ g @ y) / float(y @ g @ y)) * y
-    gr = riemannian_metric_matrix(model, q)
-    nn = np.sqrt(max(float(u @ gr @ u), 0.0))
-    if nn < 1e-12:
-        raise ZeroSeed("seed direction is parallel to the observer field")
-    return initial_velocity(model, k, q, u / nn, T)
+    return initial_velocity(model, k, p, horizontal_unit(model, p, u_seed), T)
 
 
 def _endpoint(model, k, p, u, T, config: IntegratorConfig):
@@ -165,18 +135,9 @@ def _sphere_direction(model, p, center, coeffs):
     """Point on the unit horizontal sphere: normalize(center + sum c_i E_i)."""
     q = _coords(p)
     gr = riemannian_metric_matrix(model, q)
-    frame = horizontal_frame(model, q)
     # tangent directions at the current center
-    tang = []
-    for e in frame:
-        vec = e - float(e @ gr @ center) * center
-        for b in tang:
-            vec = vec - float(vec @ gr @ b) * b
-        nn = np.sqrt(max(float(vec @ gr @ vec), 0.0))
-        if nn > 1e-10:
-            tang.append(vec / nn)
-        if len(tang) == model.m - 2:
-            break
+    tang = orthonormal_completion(gr, [center], model.m - 2,
+                                  candidates=horizontal_frame(model, q))
     vec = center + sum(c * t for c, t in zip(coeffs, tang))
     return vec / np.sqrt(float(vec @ gr @ vec))
 
@@ -187,16 +148,7 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
     model = problem.model
     cfg = problem.config
     u0, T = guess
-    u0 = _comps(u0)
-    q = model.require_in_chart(problem.p)
-    g = model.g(q)
-    y = model.y(q)
-    u0 = u0 - (float(u0 @ g @ y) / float(y @ g @ y)) * y
-    gr = riemannian_metric_matrix(model, q)
-    nn = np.sqrt(max(float(u0 @ gr @ u0), 0.0))
-    if nn < 1e-12:
-        raise ZeroSeed("initial direction is parallel to the observer field")
-    center = u0 / nn
+    center = horizontal_unit(model, problem.p, u0)
     T = float(T)
     ndim = model.m - 1
 
@@ -255,18 +207,6 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
                                     cfg.integrator)
     sol.check_conservation(cfg.integrator.tol_cons)
     return sol
-
-
-def _curve_distance(model, sol_a, sol_b, n_compare: int = 200) -> float:
-    from .curves import resample_curve
-    ca = resample_curve(sol_a.sigma, n_compare)
-    cb = resample_curve(sol_b.sigma, n_compare)
-    worst = 0.0
-    for qa, qb in zip(ca.points, cb.points):
-        d = model.wrap_difference(qb - qa)
-        gr = riemannian_metric_matrix(model, qa)
-        worst = max(worst, float(np.sqrt(max(d @ gr @ d, 0.0))))
-    return worst
 
 
 def _attach_indices(model, sol, n_basis: int = 50):
@@ -335,7 +275,8 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
     converged.sort(key=lambda s: s.T)
     unique = []
     for sol in converged:
-        if all(_curve_distance(problem.model, sol, other) > dedup_threshold
+        if all(curve_distance(problem.model, resample_curve(sol.sigma, 200).points,
+                              resample_curve(other.sigma, 200).points) > dedup_threshold
                for other in unique):
             unique.append(sol)
 
@@ -353,11 +294,8 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
     parity = count % 2
     if parity == 1:
         note = "odd count: consistent with an odd solution total"
-        consistent = True
     else:
         note = ("even count: consistent with an odd solution total only under "
                 "bracket truncation (a survey lower-bounds the count)")
-        consistent = True
     return SurveyResult(solutions=records, dedup_threshold=dedup_threshold,
-                        parity=parity, n_failures=n_failures,
-                        odd_count_consistent=consistent, parity_note=note)
+                        parity=parity, n_failures=n_failures, parity_note=note)

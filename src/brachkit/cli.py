@@ -21,8 +21,8 @@ from .bvp import ObserverWorldline, ShootConfig, ShootingProblem, multistart_sur
 from .curves import Curve, curve_to_csv, curve_from_json_dict, curve_to_json_dict
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
                        integrate_brachistochrone)
-from .errors import BrachkitError, ConfigError
-from .geometry import conformal_geometry
+from .errors import BrachkitError, ConfigError, ZeroSeed
+from .geometry import conformal_geometry, curve_distance, horizontal_unit
 from .models import MODEL_NAMES, ModelSpec, make_model
 from .oracle import PenaltyConfig, discrete_minimize
 from .transform import correspondence_report, deform_D
@@ -32,6 +32,20 @@ log = logging.getLogger("brachkit.cli")
 COMMANDS = ("solve", "shoot", "survey", "jacobi", "index", "verify", "oracle")
 
 _TOL_KEYS = {"rtol", "atol", "grid_n", "tol_cons", "tol_bvp"}
+# command -> (required top-level keys, required keys of the command's block)
+_REQUIRED = {
+    "solve": ({"k", "p"}, {"u", "T"}),
+    "shoot": ({"k", "p", "gamma_anchor"}, {"guess_u", "guess_T"}),
+    "survey": ({"k", "p", "gamma_anchor"}, {"n_starts", "T_bracket"}),
+    "jacobi": (set(), {"solution"}),
+    "index": (set(), {"solution"}),
+    "verify": (set(), {"solution"}),
+    "oracle": ({"k", "p", "gamma_anchor"}, set()),
+}
+# shape each numeric key must parse to; None means one entry per chart coordinate
+_SHAPES = {"k": (), "T": (), "guess_T": (), "n_starts": (), "seed": (), "n_basis": (),
+           "n_segments": (), "epsilon": (), "gtol": (), "max_iters": (), "T_bracket": (2,),
+           "p": None, "gamma_anchor": None, "u": None, "guess_u": None}
 _TOP_KEYS = {"model", "k", "p", "gamma_anchor", "tolerances", "out"} | set(COMMANDS)
 _BLOCK_KEYS = {
     "solve": {"u", "T"},
@@ -150,17 +164,35 @@ def _load_solution(path: Path):
     return model, d["model"], sol
 
 
+def _check_command(cfg: dict, command: str):
+    """Required keys, parseable numbers and vector lengths for one command."""
+    top, block_keys = _REQUIRED[command]
+    block = cfg.get(command, {})
+    missing = sorted(top - set(cfg)) + [f"{command}.{key}" for key in sorted(block_keys - set(block))]
+    if missing:
+        raise ConfigError(f"scenario lacks {missing}")
+    m = _model_of(cfg).m if top else None
+    fields = [(key, cfg[key]) for key in sorted(top)]
+    fields += [(f"{command}.{key}", value) for key, value in block.items()]
+    for where, value in fields:
+        key = where.rsplit(".", 1)[-1]
+        if key not in _SHAPES:
+            continue
+        shape = (m,) if _SHAPES[key] is None else _SHAPES[key]
+        try:
+            parsed = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            parsed = None
+        if parsed is None or parsed.shape != shape:
+            want = f"a list of {shape[0]} numbers" if shape else "a number"
+            raise ConfigError(f"'{where}' must be {want}, got {value!r}")
+
+
 def _unit_horizontal(model, q, seed):
-    from .geometry import riemannian_metric_matrix
-    seed = np.asarray(seed, dtype=float)
-    g = model.g(q)
-    y = model.y(q)
-    u = seed - (float(seed @ g @ y) / float(y @ g @ y)) * y
-    gr = riemannian_metric_matrix(model, q)
-    nn = np.sqrt(max(float(u @ gr @ u), 0.0))
-    if nn < 1e-12:
+    try:
+        return horizontal_unit(model, q, seed)
+    except ZeroSeed:
         raise ConfigError("direction seed is parallel to the observer field")
-    return u / nn
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +242,8 @@ def _cmd_survey(cfg, out_dir: Path, seed, threads) -> str:
     prob = ShootingProblem(model, p, gamma, float(cfg["k"]),
                            ShootConfig(tol_bvp=float(tol.get("tol_bvp", 1e-10)),
                                        integrator=icfg))
+    if seed is None and "seed" not in block:
+        raise ConfigError("survey needs a seed, in its block or from --seed")
     use_seed = int(block["seed"]) if seed is None else int(seed)
     res = multistart_survey(
         prob, int(block["n_starts"]), tuple(block["T_bracket"]), use_seed,
@@ -238,7 +272,6 @@ def _cmd_survey(cfg, out_dir: Path, seed, threads) -> str:
         "count": len(sol_docs),
         "parity": res.parity,
         "parity_note": res.parity_note,
-        "odd_count_consistent": res.odd_count_consistent,
         "n_failures": res.n_failures,
         "solutions": sol_docs,
     }
@@ -347,15 +380,9 @@ def _cmd_oracle(cfg, out_dir: Path, seed, threads) -> str:
         guess_dir = cand.polyline.velocities[0]
         sol = shoot(prob, (guess_dir, float(block.get("guess_T", cand.T_estimate))))
         w = deform_D(model, sol, n_out=cand.polyline.n_segments)
-        from .geometry import riemannian_metric_matrix
-        worst = 0.0
-        for qa, qb in zip(cand.polyline.points, w.points):
-            d = model.wrap_difference(qb - qa)
-            gr = riemannian_metric_matrix(model, qa)
-            worst = max(worst, float(np.sqrt(max(d @ gr @ d, 0.0))))
         doc["shoot_T"] = sol.T
         doc["T_difference"] = abs(sol.T - cand.T_estimate)
-        doc["curve_distance"] = worst
+        doc["curve_distance"] = curve_distance(model, cand.polyline.points, w.points)
     name = cfg.get("out", {}).get("oracle", "oracle.json")
     _write(out_dir / name, dumps_canonical(doc))
     _write(out_dir / name.replace(".json", "_polyline.csv"), curve_to_csv(cand.polyline))
@@ -378,6 +405,7 @@ def run_scenario(config: dict, command: str, out_dir, seed=None, threads: int = 
         raise ConfigError(f"unknown command '{command}'")
     if command not in config and command not in ("oracle",):
         raise ConfigError(f"scenario lacks a '{command}' block")
+    _check_command(config, command)
     return _HANDLERS[command](config, Path(out_dir), seed, threads)
 
 

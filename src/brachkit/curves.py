@@ -11,7 +11,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, GridTooCoarse, OutOfChart
-from .geometry import SpacetimeModel, connection_coeffs
+from .geometry import SpacetimeModel, connection_coeffs, _inner
 
 __all__ = [
     "Curve",
@@ -61,9 +61,8 @@ class Curve:
         return self.points.shape[1]
 
     def validate_chart(self, model: SpacetimeModel):
-        for q in self.points:
-            if not model.in_chart(q):
-                raise OutOfChart(f"curve point {q} outside chart of '{model.name}'")
+        if not model.in_chart(self.points):
+            raise OutOfChart(f"curve leaves the chart of '{model.name}'")
 
     def point_spline(self) -> CubicSpline:
         return CubicSpline(self.grid, self.points, axis=0)
@@ -142,11 +141,8 @@ def covariant_derivative_along(model: SpacetimeModel, c: Curve,
         raise GridTooCoarse("covariant derivative needs at least 5 nodes")
     if f.derivatives is not None:
         return FieldAlongCurve(host=c, values=f.derivatives.copy())
-    dfdt = grid_derivative(c.grid, f.values)
-    out = np.empty_like(f.values)
-    for i, (q, v) in enumerate(zip(c.points, c.velocities)):
-        G = connection_coeffs(model, q)
-        out[i] = dfdt[i] + np.einsum("abc,b,c->a", G, v, f.values[i])
+    out = grid_derivative(c.grid, f.values) + np.einsum(
+        "nabc,nb,nc->na", connection_coeffs(model, c.points), c.velocities, f.values)
     return FieldAlongCurve(host=c, values=out)
 
 
@@ -155,9 +151,7 @@ def field_integral(model: SpacetimeModel, c: Curve, f: FieldAlongCurve,
     """Composite trapezoid of weight * <f, g> over the curve grid."""
     if f.values.shape != g.values.shape:
         raise GridMismatch("fields live on different grids")
-    vals = np.empty(c.grid.size)
-    for i, q in enumerate(c.points):
-        vals[i] = f.values[i] @ model.g(q) @ g.values[i]
+    vals = _inner(model.g(c.points), f.values, g.values)
     if weight is not None:
         vals = vals * np.asarray(weight, dtype=float)
     return float(np.trapezoid(vals, c.grid))

@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from .curves import Curve, grid_integral
 from .errors import NotHorizontal, OutsideUk, StepFailure
-from .geometry import (ConformalGeometry, SpacetimeModel, conformal_geometry,
-                       connection_coeffs, riemannian_metric_matrix,
-                       scalar_gradient, _coords, _comps)
+from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
+                       connection_coeffs, conservation_residuals,
+                       riemannian_metric_matrix, scalar_gradient, _coords, _comps, _inner)
 
 __all__ = [
     "IntegratorConfig",
@@ -91,19 +92,15 @@ def initial_velocity(model: SpacetimeModel, k: float, p, u, T: float) -> np.ndar
 
 def _rhs_factory(model: SpacetimeModel, k: float, T: float):
     gfun, yfun, dyfun = model.g, model.y, model.dy
-    in_chart = model.in_chart
     kk = k * k
     two_kT = 2.0 * k * T
 
     def rhs(t, state):
         m = state.size // 2
         q, v = state[:m], state[m:]
-        if not in_chart(q):
-            from .errors import OutOfChart
-            raise OutOfChart(f"trajectory left the chart at t={t}")
+        G = connection_coeffs(model, q)  # raises OutOfChart once the trajectory leaves the chart
         g = gfun(q)
         y = yfun(q)
-        G = connection_coeffs(model, q)
         N = float(y @ g @ y)
         P = kk + N
         if P <= 0.0:
@@ -134,28 +131,13 @@ def _sample(sol_ivp, m, grid):
     return y[:m].T.copy(), y[m:].T.copy()
 
 
-def _residuals(model, k, T, grid, points, velocities):
-    r_y = 0.0
-    r_v = 0.0
-    for q, v in zip(points, velocities):
-        g = model.g(q)
-        y = model.y(q)
-        r_y = max(r_y, abs(float(v @ g @ y) + k * T))
-        r_v = max(r_v, abs(float(v @ g @ v) + T * T))
-    return r_y, r_v
-
-
 def _ode_residual(model, k, T, curve: Curve) -> float:
-    accel = curve.velocity_spline()(curve.grid, 1)
-    rhs = _rhs_factory(model, k, T)
-    worst = 0.0
-    for i in range(0, curve.grid.size, max(1, curve.grid.size // 64)):
-        state = np.concatenate([curve.points[i], curve.velocities[i]])
-        target = rhs(curve.grid[i], state)[model.m:]
-        gr = riemannian_metric_matrix(model, curve.points[i])
-        d = accel[i] - target
-        worst = max(worst, float(np.sqrt(d @ gr @ d)))
-    return worst
+    idx = np.arange(0, curve.grid.size, max(1, curve.grid.size // 64))
+    rhs = _rhs_factory(model, k, T)  # one state at a time
+    states = np.concatenate([curve.points[idx], curve.velocities[idx]], axis=1)
+    target = np.array([rhs(t, state)[model.m:] for t, state in zip(curve.grid[idx], states)])
+    d = curve.velocity_spline()(curve.grid[idx], 1) - target
+    return float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, curve.points[idx]), d, d))))
 
 
 def integrate_brachistochrone(model: SpacetimeModel, k: float, p, u, T: float,
@@ -183,11 +165,11 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
     grid = np.linspace(0.0, 1.0, config.grid_n + 1)
     pts, vels = _sample(out, model.m, grid)
     curve = Curve(grid=grid, points=pts, velocities=vels)
-    r_y, r_v = _residuals(model, k, T, grid, pts, vels)
+    r_y, r_v = conservation_residuals(model, pts, vels, k, T)
     return BrachistochroneSolution(
         sigma=curve, T=T, k=k,
-        residual_conservation_Y=r_y,
-        residual_conservation_speed=r_v,
+        residual_conservation_Y=float(np.max(np.abs(r_y))),
+        residual_conservation_speed=float(np.max(np.abs(r_v))),
         residual_ode=_ode_residual(model, k, T, curve),
     )
 
@@ -227,13 +209,7 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
     grid = np.linspace(0.0, 1.0, n + 1)
     ps = sol.sigma.point_spline()
     vs = sol.sigma.velocity_spline()
-    pts, vels = ps(grid), vs(grid)
-    errs_y = np.empty(grid.size)
-    errs_v = np.empty(grid.size)
-    for i, (q, v) in enumerate(zip(pts, vels)):
-        g = model.g(q)
-        errs_y[i] = float(v @ g @ model.y(q)) + sol.k * sol.T
-        errs_v[i] = float(v @ g @ v) + sol.T ** 2
+    errs_y, errs_v = conservation_residuals(model, ps(grid), vs(grid), sol.k, sol.T)
     return {
         "residual_Y_max": float(np.max(np.abs(errs_y))),
         "residual_Y_l2": float(np.sqrt(grid_integral(grid, errs_y ** 2))),
@@ -245,33 +221,15 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
 def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
     """Max-norm defect of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'> at the nodes."""
     grid, pts, vels = w.grid, w.points, w.velocities
-    phis = np.array([
-        -float(model.y(q) @ model.g(q) @ model.y(q))
-        / (k * k + float(model.y(q) @ model.g(q) @ model.y(q)))
-        for q in pts])
-    speeds = np.array([np.sqrt(max(float(v @ riemannian_metric_matrix(model, q) @ v), 0.0))
-                       for q, v in zip(pts, vels)])
-    horiz = max(abs(float(v @ model.g(q) @ model.y(q))) for q, v in zip(pts, vels))
+    g, y, gr = model.g(pts), model.y(pts), riemannian_metric_matrix(model, pts)
+    speeds = np.sqrt(np.maximum(_inner(gr, vels, vels), 0.0))
+    horiz = np.max(np.abs(_inner(g, vels, y)))
     if horiz > 1e-6 * max(np.max(speeds), 1e-30):
         raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
 
-    u = phis[:, None] * vels
-
-    from scipy.interpolate import CubicSpline
+    u = conformal_factor(model, pts, k)[:, None] * vels
     dudt = CubicSpline(grid, u, axis=0)(grid, 1)
-
-    def phi_of(qq):
-        y = model.y(qq)
-        yy = float(y @ model.g(qq) @ y)
-        return -yy / (k * k + yy)
-
-    worst = 0.0
-    for i, (q, v) in enumerate(zip(pts, vels)):
-        G = connection_coeffs(model, q)
-        nabla_u = dudt[i] + np.einsum("abc,b,c->a", G, v, u[i])
-        grad_phi = scalar_gradient(model, q, phi_of)
-        vv = float(v @ model.g(q) @ v)
-        d = nabla_u - 0.5 * grad_phi * vv
-        gr = riemannian_metric_matrix(model, q)
-        worst = max(worst, float(np.sqrt(d @ gr @ d)))
-    return worst
+    nabla_u = dudt + np.einsum("nabc,nb,nc->na", connection_coeffs(model, pts), vels, u)
+    grad_phi = scalar_gradient(model, pts, lambda qq: conformal_factor(model, qq, k))
+    d = nabla_u - 0.5 * grad_phi * _inner(g, vels, vels)[:, None]
+    return float(np.sqrt(np.max(_inner(gr, d, d))))

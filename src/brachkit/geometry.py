@@ -3,7 +3,9 @@ and the auxiliary Riemannian / conformal structures built from them.
 
 Everything lives in a single coordinate chart. A model supplies callables for
 the metric components and the Killing field; Christoffel symbols fall back to
-central finite differences when no analytic form is given.
+central finite differences when no analytic form is given.  Every function
+here accepts chart points of shape ``(..., m)`` and broadcasts over the
+leading axes, so geometry along a curve is one call over its nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutOfChart, OutsideUk, StencilOutOfChart
+from .errors import FrameDegenerate, OutOfChart, OutsideUk, StencilOutOfChart, ZeroSeed
 
 __all__ = [
     "Event",
@@ -32,6 +34,12 @@ __all__ = [
     "nabla_y_matrix",
     "killing_residual",
     "scalar_gradient",
+    "horizontal_part",
+    "horizontal_unit",
+    "orthonormal_completion",
+    "horizontal_frame",
+    "conservation_residuals",
+    "curve_distance",
 ]
 
 
@@ -72,6 +80,10 @@ def _comps(v) -> np.ndarray:
 class SpacetimeModel:
     """Stationary Lorentzian metric on one chart with a timelike Killing field.
 
+    Every callback takes chart points of shape ``(..., m)`` (one point, or a
+    batch of nodes along a leading axis) and returns one value per point, so
+    geometry along a curve is evaluated in one call over all of its nodes.
+
     Parameters
     ----------
     name : str
@@ -79,20 +91,21 @@ class SpacetimeModel:
     m : int
         Chart dimension (>= 2).
     metric_components : callable
-        ``q -> (m, m)`` symmetric array of metric components.
+        ``q -> (..., m, m)`` symmetric array of metric components.
     killing_components : callable
-        ``q -> (m,)`` components of the Killing field Y.  Must be timelike
+        ``q -> (..., m)`` components of the Killing field Y.  Must be timelike
         everywhere on the chart.
     analytic_christoffels : callable, optional
-        ``q -> (m, m, m)`` array ``Gamma[a, b, c]``, symmetric in (b, c).
-        When absent, central differences of the metric are used.
+        ``q -> (..., m, m, m)`` array ``Gamma[..., a, b, c]``, symmetric in
+        (b, c).  When absent, central differences of the metric are used.
     chart_domain : callable, optional
-        Predicate on chart points; defaults to all of R^m.
+        ``q -> (...)`` boolean array marking chart points; defaults to all of
+        R^m.
     fd_step : float
         Step for central-difference derivatives of the metric.
     killing_jacobian : callable, optional
-        ``q -> (m, m)`` array ``dY[a, b] = d Y^a / d q^b``; finite differences
-        of the Killing components otherwise.
+        ``q -> (..., m, m)`` array ``dY[..., a, b] = d Y^a / d q^b``; finite
+        differences of the Killing components otherwise.
     periods : dict, optional
         Map coordinate index -> period for angle-like coordinates.  Used by
         quotient distances; an empty dict means no periodic coordinates.
@@ -103,16 +116,17 @@ class SpacetimeModel:
     metric_components: Callable[[np.ndarray], np.ndarray]
     killing_components: Callable[[np.ndarray], np.ndarray]
     analytic_christoffels: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    chart_domain: Optional[Callable[[np.ndarray], bool]] = None
+    chart_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
     killing_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     periods: dict = field(default_factory=dict)
 
     def in_chart(self, q) -> bool:
+        """True iff every point of ``q`` (shape ``(..., m)``) lies in the chart."""
         q = _coords(q)
-        if q.shape != (self.m,) or not np.all(np.isfinite(q)):
+        if q.shape[-1:] != (self.m,) or not np.isfinite(q).all():
             return False
-        return True if self.chart_domain is None else bool(self.chart_domain(q))
+        return self.chart_domain is None or bool(self.chart_domain(q).all())
 
     def require_in_chart(self, q) -> np.ndarray:
         q = _coords(q)
@@ -140,32 +154,23 @@ class SpacetimeModel:
         if not self.periods:
             return dq
         dq = np.array(dq, dtype=float, copy=True)
-        if dq.ndim == 1:
-            for i, period in self.periods.items():
-                dq[i] = (dq[i] + period / 2.0) % period - period / 2.0
-        else:
-            for i, period in self.periods.items():
-                dq[..., i] = (dq[..., i] + period / 2.0) % period - period / 2.0
+        for i, period in self.periods.items():
+            dq[..., i] = (dq[..., i] + period / 2.0) % period - period / 2.0
         return dq
 
 
 # ---------------------------------------------------------------------------
-# Finite differences
+# Finite differences and index algebra, all over a leading node axis
 
 def _jacobian_fd(f, q, h):
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        cols.append((np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    """J[..., a, i] = d f^a / d q^i by second-order central differences."""
+    return np.stack([(np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h)
+                     for e in h * np.eye(q.shape[-1])], axis=-1)
 
 
 def _directional_diff4(f, q, i, h):
     """Fourth-order central difference of f along coordinate i."""
-    e = np.zeros_like(q)
+    e = np.zeros(q.shape[-1])
     e[i] = 1.0
     fp1 = np.asarray(f(q + h * e))
     fm1 = np.asarray(f(q - h * e))
@@ -174,13 +179,31 @@ def _directional_diff4(f, q, i, h):
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
 
+def _christoffels(g, dg):
+    """Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc), dg[..., c, a, b] = d_c g_ab."""
+    term = (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg)
+    return 0.5 * np.einsum("...ad,...dbc->...abc", np.linalg.inv(g), term)
+
+
+def _riemann(G, dG):
+    """R[..., a, b, c, d] from Gamma and dG[..., c, a, d, b] = d_c Gamma^a_{db}."""
+    return (np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
+            + np.einsum("...ace,...edb->...abcd", G, G)
+            - np.einsum("...ade,...ecb->...abcd", G, G))
+
+
+def _inner(g, v, w):
+    """<v, w> in the metric g, one value per node."""
+    return np.einsum("...a,...ab,...b->...", v, g, w)
+
+
 # ---------------------------------------------------------------------------
 # Core operations
 
-def metric_eval(model: SpacetimeModel, q, v, w) -> float:
-    """Lorentzian inner product <v, w> at q."""
+def metric_eval(model: SpacetimeModel, q, v, w):
+    """Lorentzian inner product <v, w> at q (one value per node)."""
     q = model.require_in_chart(q)
-    return float(_comps(v) @ model.g(q) @ _comps(w))
+    return _inner(model.g(q), _comps(v), _comps(w))
 
 
 def killing_eval(model: SpacetimeModel, q) -> Tangent:
@@ -190,7 +213,7 @@ def killing_eval(model: SpacetimeModel, q) -> Tangent:
 
 
 def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
-    """Christoffel symbols Gamma[a, b, c] of the Lorentzian metric at q.
+    """Christoffel symbols Gamma[..., a, b, c] of the Lorentzian metric at q.
 
     Uses the analytic form when the model carries one; otherwise second-order
     central differences of the metric components with step ``fd_step``.
@@ -198,52 +221,31 @@ def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
     q = model.require_in_chart(q)
     if model.analytic_christoffels is not None:
         return np.asarray(model.analytic_christoffels(q), dtype=float)
-    m, h = model.m, model.fd_step
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        if not (model.in_chart(q + e) and model.in_chart(q - e)):
-            raise StencilOutOfChart(f"stencil around {q} leaves the chart")
-    dg = np.empty((m, m, m))  # dg[c, a, b] = d_c g_ab
-    for c in range(m):
-        e = np.zeros(m)
-        e[c] = h
-        dg[c] = (model.g(q + e) - model.g(q - e)) / (2.0 * h)
-    ginv = np.linalg.inv(model.g(q))
-    # Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
-    term = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - np.einsum("dbc->dbc", dg)
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, term)
+    steps = model.fd_step * np.eye(model.m)
+    if not all(model.in_chart(q + e) and model.in_chart(q - e) for e in steps):
+        raise StencilOutOfChart(f"stencil around {q} leaves the chart")
+    dg = np.stack([(model.g(q + e) - model.g(q - e)) / (2.0 * model.fd_step)
+                   for e in steps], axis=-3)
+    return _christoffels(model.g(q), dg)
 
 
 def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
-    """Curvature R[a, b, c, d] with R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
+    """Curvature R[..., a, b, c, d] with R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
 
     Components satisfy (R(v, w) u)^a = R[a, b, c, d] u^b v^c w^d.  The
     derivative of Gamma is taken by central differences with step ``fd_step``.
     """
     q = model.require_in_chart(q)
-    m, h = model.m, model.fd_step
-    dG = np.empty((m, m, m, m))  # dG[c, a, d, b] = d_c Gamma^a_{db}
-    for c in range(m):
-        e = np.zeros(m)
-        e[c] = h
-        dG[c] = (connection_coeffs(model, q + e) - connection_coeffs(model, q - e)) / (2.0 * h)
-    G = connection_coeffs(model, q)
-    R = (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
-         + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
-    return R
+    h = model.fd_step
+    dG = np.stack([(connection_coeffs(model, q + e) - connection_coeffs(model, q - e)) / (2.0 * h)
+                   for e in h * np.eye(model.m)], axis=-4)
+    return _riemann(connection_coeffs(model, q), dG)
 
 
-def riemannian_metric_eval(model: SpacetimeModel, q, v, w) -> float:
+def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
     """Auxiliary Riemannian product: <v,w> - 2 <v,Y><w,Y> / <Y,Y>."""
     q = model.require_in_chart(q)
-    g = model.g(q)
-    y = model.y(q)
-    v = _comps(v)
-    w = _comps(w)
-    gy = g @ y
-    yy = float(y @ gy)
-    return float(v @ g @ w - 2.0 * (v @ gy) * (w @ gy) / yy)
+    return _inner(riemannian_metric_matrix(model, q), _comps(v), _comps(w))
 
 
 def riemannian_metric_matrix(model: SpacetimeModel, q) -> np.ndarray:
@@ -251,35 +253,38 @@ def riemannian_metric_matrix(model: SpacetimeModel, q) -> np.ndarray:
     q = _coords(q)
     g = model.g(q)
     y = model.y(q)
-    gy = g @ y
-    yy = float(y @ gy)
-    return g - 2.0 * np.outer(gy, gy) / yy
+    gy = np.einsum("...ab,...b->...a", g, y)
+    yy = np.einsum("...a,...a->...", y, gy)[..., None, None]
+    return g - 2.0 * gy[..., :, None] * gy[..., None, :] / yy
 
 
 def uk_membership(model: SpacetimeModel, q, k: float) -> bool:
-    """True iff <Y,Y> + k^2 > 0 at q."""
+    """True iff <Y,Y> + k^2 > 0 at every node of q."""
     q = model.require_in_chart(q)
     y = model.y(q)
-    return float(y @ model.g(q) @ y) + k * k > 0.0
+    return bool(np.all(_inner(model.g(q), y, y) + k * k > 0.0))
 
 
-def conformal_factor(model: SpacetimeModel, q, k: float) -> float:
-    """phi_k = -<Y,Y> / (k^2 + <Y,Y>); positive on the admissible region."""
-    q = model.require_in_chart(q)
+def conformal_factor(model: SpacetimeModel, q, k: float):
+    """phi_k = -<Y,Y> / (k^2 + <Y,Y>); positive on the admissible region.
+
+    The only home of phi_k.  It checks the admissible region, not the chart,
+    because it is also evaluated at finite-difference stencil points and at
+    trial points of the discrete minimizer.
+    """
+    q = _coords(q)
     y = model.y(q)
-    yy = float(y @ model.g(q) @ y)
+    yy = _inner(model.g(q), y, y)
     denom = k * k + yy
-    if denom <= 0.0:
-        raise OutsideUk(f"k^2 + <Y,Y> = {denom} <= 0 at {q}")
+    if (denom <= 0.0).any():
+        raise OutsideUk(f"k^2 + <Y,Y> = {np.min(denom)} <= 0 at {q}")
     return -yy / denom
 
 
 def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
-    """Matrix K[a, b] with (nabla_v Y)^a = K[a, b] v^b."""
+    """Matrix K[..., a, b] with (nabla_v Y)^a = K[a, b] v^b."""
     q = _coords(q)
-    dy = model.dy(q)
-    G = connection_coeffs(model, q)
-    return dy + np.einsum("abc,c->ab", G, model.y(q))
+    return model.dy(q) + np.einsum("...abc,...c->...ab", connection_coeffs(model, q), model.y(q))
 
 
 def killing_residual(model: SpacetimeModel, q, v, w) -> float:
@@ -296,8 +301,72 @@ def scalar_gradient(model: SpacetimeModel, q, f, h: Optional[float] = None) -> n
     """Lorentzian gradient components g^{ab} d_b f of a chart scalar f."""
     q = _coords(q)
     h = model.fd_step if h is None else h
-    df = np.array([_directional_diff4(f, q, i, max(h, 1e-6)) for i in range(model.m)])
-    return np.linalg.solve(model.g(q), df)
+    df = np.stack([_directional_diff4(f, q, i, max(h, 1e-6)) for i in range(model.m)], axis=-1)
+    return np.linalg.solve(model.g(q), df[..., None])[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# Shared constructions along curves
+
+def horizontal_part(model: SpacetimeModel, q, v) -> np.ndarray:
+    """v minus its component along Y, at every node."""
+    g = model.g(q)
+    y = model.y(q)
+    return v - (_inner(g, v, y) / _inner(g, y, y))[..., None] * y
+
+
+def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:
+    """The horizontal part of v, normalised in g_R; ZeroSeed if v is parallel to Y."""
+    q = model.require_in_chart(q)
+    u = horizontal_part(model, q, _comps(v))
+    nn = np.sqrt(np.maximum(_inner(riemannian_metric_matrix(model, q), u, u), 0.0))
+    if np.any(nn < 1e-12):
+        raise ZeroSeed("direction is parallel to the observer field")
+    return u / nn[..., None]
+
+
+def orthonormal_completion(gr: np.ndarray, fixed, n_new: int, candidates=None) -> np.ndarray:
+    """Gram-Schmidt: n_new gr-orthonormal vectors orthogonal to the gr-orthonormal ``fixed``.
+
+    Candidates (the chart axes by default) are taken in order; one whose
+    remainder is shorter than 1e-8 is skipped.
+    """
+    basis = [np.asarray(b, dtype=float) for b in fixed]
+    target = len(basis) + n_new
+    for cand in np.eye(gr.shape[-1]) if candidates is None else candidates:
+        if len(basis) == target:
+            break
+        vec = np.array(cand, dtype=float)
+        for b in basis:
+            vec = vec - float(vec @ gr @ b) * b
+        nn = np.sqrt(max(float(vec @ gr @ vec), 0.0))
+        if nn > 1e-8:
+            basis.append(vec / nn)
+    if len(basis) < target:
+        raise FrameDegenerate("could not complete an orthonormal frame")
+    return np.array(basis[target - n_new:]).reshape(n_new, gr.shape[-1])
+
+
+def horizontal_frame(model: SpacetimeModel, q) -> np.ndarray:
+    """g_R-orthonormal basis of the orthogonal complement of Y at q."""
+    q = _coords(q)
+    gr = riemannian_metric_matrix(model, q)
+    y = model.y(q)
+    return orthonormal_completion(gr, [y / np.sqrt(float(y @ gr @ y))], model.m - 1)
+
+
+def conservation_residuals(model: SpacetimeModel, points, velocities, k: float, T: float):
+    """Per-node defects of the two conservation laws: (<v,Y> + kT, <v,v> + T^2)."""
+    g = model.g(points)
+    return (_inner(g, velocities, model.y(points)) + k * T,
+            _inner(g, velocities, velocities) + T * T)
+
+
+def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
+    """Sup over nodes of the g_R length (at points_a) of the wrapped difference b - a."""
+    d = model.wrap_difference(np.asarray(points_b) - np.asarray(points_a))
+    d2 = _inner(riemannian_metric_matrix(model, points_a), d, d)
+    return float(np.sqrt(max(np.max(d2), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +379,7 @@ class ConformalGeometry:
     The components are assembled analytically from the model; Christoffels and
     curvature use fourth-order central differences (the assembled metric is
     exact, so a wider high-order stencil keeps the two differentiation stages
-    well above roundoff).
+    well above roundoff).  Each stencil offset is one evaluation over all nodes.
     """
 
     model: SpacetimeModel
@@ -321,51 +390,34 @@ class ConformalGeometry:
     def m(self) -> int:
         return self.model.m
 
-    def phi(self, q) -> float:
+    def phi(self, q):
         return conformal_factor(self.model, _coords(q), self.k)
 
     def metric(self, q) -> np.ndarray:
         q = _coords(q)
-        g = self.model.g(q)
-        y = self.model.y(q)
-        gy = g @ y
-        yy = float(y @ gy)
-        denom = self.k * self.k + yy
-        if denom <= 0.0:
-            raise OutsideUk(f"k^2 + <Y,Y> = {denom} <= 0 at {q}")
-        return (-yy / denom) * (g - 2.0 * np.outer(gy, gy) / yy)
+        return self.phi(q)[..., None, None] * riemannian_metric_matrix(self.model, q)
 
     def inner(self, q, v, w) -> float:
         return float(_comps(v) @ self.metric(q) @ _comps(w))
 
     def christoffels(self, q) -> np.ndarray:
         q = self.model.require_in_chart(q)
-        m, h = self.m, self.fd_step
-        dg = np.empty((m, m, m))
-        for c in range(m):
-            dg[c] = _directional_diff4(self.metric, q, c, h)
-        ginv = np.linalg.inv(self.metric(q))
-        term = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
-                - np.einsum("dbc->dbc", dg))
-        return 0.5 * np.einsum("ad,dbc->abc", ginv, term)
+        dg = np.stack([_directional_diff4(self.metric, q, c, self.fd_step)
+                       for c in range(self.m)], axis=-3)
+        return _christoffels(self.metric(q), dg)
 
     def curvature(self, q) -> np.ndarray:
-        """R[a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
+        """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
         q = self.model.require_in_chart(q)
-        m, h = self.m, self.fd_step
-        dG = np.empty((m, m, m, m))
-        for c in range(m):
-            dG[c] = _directional_diff4(self.christoffels, q, c, h)
-        G = self.christoffels(q)
-        return (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
-                + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
+        dG = np.stack([_directional_diff4(self.christoffels, q, c, self.fd_step)
+                       for c in range(self.m)], axis=-4)
+        return _riemann(self.christoffels(q), dG)
 
     def nabla_y_matrix(self, q) -> np.ndarray:
-        """(nabla^{conf}_v Y)^a = K[a, b] v^b in the conformal connection."""
+        """(nabla^{conf}_v Y)^a = K[..., a, b] v^b in the conformal connection."""
         q = _coords(q)
-        dy = self.model.dy(q)
-        G = self.christoffels(q)
-        return dy + np.einsum("abc,c->ab", G, self.model.y(q))
+        return self.model.dy(q) + np.einsum("...abc,...c->...ab", self.christoffels(q),
+                                            self.model.y(q))
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

@@ -20,8 +20,9 @@ from .curves import Curve, FieldAlongCurve, cumulative_integral
 from .dynamics import BrachistochroneSolution
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import ConformalGeometry, SpacetimeModel, riemannian_metric_matrix, _comps
-from .transform import deform_D, flow_differential, flow_points
+from .geometry import (ConformalGeometry, SpacetimeModel, horizontal_frame, nabla_y_matrix,
+                       orthonormal_completion, riemannian_metric_matrix, _comps, _inner)
+from .transform import deform_D, flow_differential, flow_points, tangent_constraint_scan
 from .variation import ConformalCurveData, SolutionGeometry
 
 __all__ = [
@@ -176,11 +177,10 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     vals[mask] = sampled[:m].T
     ders[mask] = sampled[m:].T
     # conserved-quantity drift
-    drift = 0.0
-    for t, V, DV in zip(ts, vals[mask], ders[mask]):
-        d = cache.at(t)
-        c_here = float(DV @ d["g"] @ d["y"]) - float(V @ d["g"] @ (d["K"] @ d["v"]))
-        drift = max(drift, abs(c_here - C_V))
+    g = cache._g(ts).reshape(-1, m, m)
+    Kv = np.einsum("nab,nb->na", cache._K(ts).reshape(-1, m, m), cache._v(ts))
+    c_here = _inner(g, ders[mask], cache._y(ts)) - _inner(g, vals[mask], Kv)
+    drift = float(np.max(np.abs(c_here - C_V), initial=0.0))
     return JacobiFieldData(
         field=FieldAlongCurve(host=sol.sigma, values=vals),
         derivative=FieldAlongCurve(host=sol.sigma, values=ders),
@@ -263,19 +263,7 @@ def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
     inits.append((y0.copy(), c * y0))
     # fields vanishing at the start, derivative orthogonal to Y
     m = confgeom.m
-    basis = []
-    for cand in np.eye(m):
-        vec = cand - (float(cand @ gt0 @ y0) / yy) * y0
-        for b in basis:
-            vec = vec - float(vec @ gt0 @ b) * b
-        nn = np.sqrt(max(float(vec @ gt0 @ vec), 0.0))
-        if nn > 1e-8:
-            basis.append(vec / nn)
-        if len(basis) == m - 1:
-            break
-    if len(basis) < m - 1:
-        raise FrameDegenerate("could not build the orthogonal derivative basis")
-    for b in basis:
+    for b in orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1):
         inits.append((np.zeros(m), b))
 
     M0 = np.array([np.concatenate(pair) for pair in inits])
@@ -286,19 +274,8 @@ def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
 
 def _parallel_frame(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveData):
     """g~-orthonormal frame parallel along w (in the conformal connection)."""
-    model = confgeom.model
     m = confgeom.m
-    gt0 = data.gt[0]
-    basis = []
-    for cand in np.eye(m):
-        vec = cand.copy()
-        for b in basis:
-            vec = vec - float(vec @ gt0 @ b) * b
-        nn = np.sqrt(max(float(vec @ gt0 @ vec), 0.0))
-        if nn > 1e-10:
-            basis.append(vec / nn)
-    if len(basis) < m:
-        raise FrameDegenerate("could not orthonormalize the start frame")
+    basis = orthonormal_completion(data.gt[0], [], m)
     grid = w.grid
     gamma_spl = CubicSpline(grid, data.gamma.reshape(grid.size, -1), axis=0)
     v_spl = w.velocity_spline()
@@ -310,7 +287,7 @@ def _parallel_frame(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveD
         dE = -np.einsum("abc,b,jc->ja", gamma, v, E)
         return dE.ravel()
 
-    out = solve_ivp(rhs, (0.0, 1.0), np.array(basis).ravel(), dense_output=True,
+    out = solve_ivp(rhs, (0.0, 1.0), basis.ravel(), dense_output=True,
                     **_IVP_OPTS)
     if not out.success:
         raise StepFailure(f"frame transport failed: {out.message}")
@@ -394,34 +371,29 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     curve = sol.sigma
     grid = curve.grid
     pts = curve.points
-    yy = np.array([float(model.y(q) @ model.g(q) @ model.y(q)) for q in pts])
-    vy = np.array([float(v @ model.g(q) @ model.y(q))
-                   for q, v in zip(pts, curve.velocities)])
-    tau_full = cumulative_integral(grid, -vy / yy)
+    g, y = model.g(pts), model.y(pts)
+    yy = _inner(g, y, y)
+    tau_rate = -_inner(g, curve.velocities, y) / yy
+    tau_full = cumulative_integral(grid, tau_rate)
     tau0 = float(CubicSpline(grid, tau_full)(t0))
     tau = tau_full - tau0
 
     if C_zeta is None:
-        from .transform import tangent_constraint_scan
         C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
 
-    dzy = np.empty(grid.size)
-    from .geometry import nabla_y_matrix
-    for i, q in enumerate(pts):
-        K = nabla_y_matrix(model, q)
-        dzy[i] = float((K @ zeta.values[i]) @ model.g(q) @ model.y(q))
+    dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
     rate = -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2
     tz_full = cumulative_integral(grid, rate)
     tau_zeta = tz_full - float(CubicSpline(grid, tz_full)(t0))
 
     mask = grid >= t0 - 1e-12
     host_pts = flow_points(model, pts, tau)
-    args = zeta.values + tau_zeta[:, None] * np.array([model.y(q) for q in pts])
+    args = zeta.values + tau_zeta[:, None] * y
     pushed = np.zeros_like(zeta.values)
     pushed[mask] = flow_differential(model, pts[mask], tau[mask], args[mask])
     # host curve: the shifted deformation, with velocities from the flow push
     dpsi_v = flow_differential(model, pts, tau, curve.velocities)
-    host_vels = dpsi_v + (-vy / yy)[:, None] * np.array([model.y(q) for q in host_pts])
+    host_vels = dpsi_v + tau_rate[:, None] * model.y(host_pts)
     host = Curve(grid=grid, points=host_pts, velocities=host_vels)
     return FieldAlongCurve(host=host, values=pushed)
 
@@ -436,20 +408,8 @@ def _bfocal_singular_value(model, sol, t0, cache: _BJacobiCache):
     _, _, Vt = np.linalg.svd(row[None, :])
     dirs = Vt[1:]
     q1 = sol.sigma.points[-1]
-    y1 = model.y(q1)
     gr1 = riemannian_metric_matrix(model, q1)
-    yy1 = float(y1 @ gr1 @ y1)
-    # horizontal frame at the arrival point
-    frame = []
-    for cand in np.eye(m):
-        vec = cand - (float(cand @ gr1 @ y1) / yy1) * y1
-        for b in frame:
-            vec = vec - float(vec @ gr1 @ b) * b
-        nn = np.sqrt(max(float(vec @ gr1 @ vec), 0.0))
-        if nn > 1e-8:
-            frame.append(vec / nn)
-        if len(frame) == m - 1:
-            break
+    frame = horizontal_frame(model, q1)
     cols = []
     for dv in dirs:
         data = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, cache=cache,

@@ -7,7 +7,8 @@ stationary non-static (rotating_frame, whose Killing field has nonzero
 covariant derivative with cross terms).
 
 Coordinate convention: the Killing coordinate is always the last chart
-coordinate, so Y has constant components (0, ..., 0, 1).
+coordinate, so Y has constant components (0, ..., 0, 1).  Every callback takes
+points of shape ``(..., m)`` and returns one value per point.
 """
 
 from __future__ import annotations
@@ -31,23 +32,29 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
+def _zeros(q, *shape):
+    return np.zeros(q.shape[:-1] + shape)
+
+
 def _const_killing(m):
-    y = np.zeros(m)
-    y[-1] = 1.0
-    return lambda q: y.copy(), lambda q: np.zeros((m, m))
+    def y(q):
+        out = np.zeros(q.shape)
+        out[..., -1] = 1.0
+        return out
+
+    return y, lambda q: _zeros(q, m, m)
 
 
 def _minkowski(m):
     g = np.eye(m)
     g[-1, -1] = -1.0
-    zero = np.zeros((m, m, m))
     y, dy = _const_killing(m)
     return SpacetimeModel(
         name="minkowski3" if m == 3 else "minkowski4",
         m=m,
-        metric_components=lambda q: g.copy(),
+        metric_components=lambda q: _zeros(q, m, m) + g,
         killing_components=y,
-        analytic_christoffels=lambda q: zero.copy(),
+        analytic_christoffels=lambda q: _zeros(q, m, m, m),
         killing_jacobian=dy,
     )
 
@@ -55,15 +62,18 @@ def _minkowski(m):
 def _einstein_cylinder():
     # Chart (theta, phi, t) on R x S^2 away from the poles.
     def metric(q):
-        th = q[0]
-        return np.diag([1.0, np.sin(th) ** 2, -1.0])
+        g = _zeros(q, 3, 3)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sin(q[..., 0]) ** 2
+        g[..., 2, 2] = -1.0
+        return g
 
     def christoffels(q):
-        th = q[0]
-        G = np.zeros((3, 3, 3))
-        G[0, 1, 1] = -np.sin(th) * np.cos(th)
+        th = q[..., 0]
+        G = _zeros(q, 3, 3, 3)
+        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
         cot = np.cos(th) / np.sin(th)
-        G[1, 0, 1] = G[1, 1, 0] = cot
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = cot
         return G
 
     y, dy = _const_killing(3)
@@ -73,7 +83,7 @@ def _einstein_cylinder():
         metric_components=metric,
         killing_components=y,
         analytic_christoffels=christoffels,
-        chart_domain=lambda q: 0.1 <= q[0] <= np.pi - 0.1,
+        chart_domain=lambda q: (0.1 <= q[..., 0]) & (q[..., 0] <= np.pi - 0.1),
         killing_jacobian=dy,
         periods={1: 2.0 * np.pi},
     )
@@ -82,13 +92,16 @@ def _einstein_cylinder():
 def _static_well(a):
     # Chart (x, y, t): dx^2 + dy^2 - (1 + a x^2) dt^2.
     def metric(q):
-        return np.diag([1.0, 1.0, -(1.0 + a * q[0] ** 2)])
+        g = _zeros(q, 3, 3)
+        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g[..., 2, 2] = -(1.0 + a * q[..., 0] ** 2)
+        return g
 
     def christoffels(q):
-        x = q[0]
-        G = np.zeros((3, 3, 3))
-        G[0, 2, 2] = a * x
-        G[2, 0, 2] = G[2, 2, 0] = a * x / (1.0 + a * x * x)
+        x = q[..., 0]
+        G = _zeros(q, 3, 3, 3)
+        G[..., 0, 2, 2] = a * x
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = a * x / (1.0 + a * x * x)
         return G
 
     y, dy = _const_killing(3)
@@ -109,20 +122,21 @@ def _rotating_frame(omega, r_max):
     w = omega
 
     def metric(q):
-        x, y = q[0], q[1]
-        return np.array([
-            [1.0, 0.0, -w * y],
-            [0.0, 1.0, w * x],
-            [-w * y, w * x, w * w * (x * x + y * y) - 1.0],
-        ])
+        x, y = q[..., 0], q[..., 1]
+        g = _zeros(q, 3, 3)
+        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g[..., 0, 2] = g[..., 2, 0] = -w * y
+        g[..., 1, 2] = g[..., 2, 1] = w * x
+        g[..., 2, 2] = w * w * (x * x + y * y) - 1.0
+        return g
 
     def christoffels(q):
-        x, y = q[0], q[1]
-        G = np.zeros((3, 3, 3))
-        G[0, 1, 2] = G[0, 2, 1] = -w
-        G[0, 2, 2] = -w * w * x
-        G[1, 0, 2] = G[1, 2, 0] = w
-        G[1, 2, 2] = -w * w * y
+        x, y = q[..., 0], q[..., 1]
+        G = _zeros(q, 3, 3, 3)
+        G[..., 0, 1, 2] = G[..., 0, 2, 1] = -w
+        G[..., 0, 2, 2] = -w * w * x
+        G[..., 1, 0, 2] = G[..., 1, 2, 0] = w
+        G[..., 1, 2, 2] = -w * w * y
         return G
 
     ykomp, dy = _const_killing(3)
@@ -132,7 +146,7 @@ def _rotating_frame(omega, r_max):
         metric_components=metric,
         killing_components=ykomp,
         analytic_christoffels=christoffels,
-        chart_domain=lambda q: q[0] ** 2 + q[1] ** 2 < r_max ** 2,
+        chart_domain=lambda q: q[..., 0] ** 2 + q[..., 1] ** 2 < r_max ** 2,
         killing_jacobian=dy,
     )
 

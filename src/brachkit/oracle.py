@@ -18,8 +18,9 @@ from scipy.linalg import solveh_banded
 from .curves import Curve, cumulative_integral
 from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
-from .errors import OutsideUk, Stalled, ZeroSeed
-from .geometry import SpacetimeModel, riemannian_metric_matrix, _coords
+from .errors import OutsideUk, Stalled
+from .geometry import (SpacetimeModel, conformal_factor, horizontal_part, horizontal_unit,
+                       riemannian_metric_matrix, _coords, _inner)
 from .transform import conformal_energy, deform_D, lift_G
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "discrete_minimize",
     "fd_variation_family",
     "constrained_curve_family",
-    "horizontal_part",
 ]
 
 log = logging.getLogger("brachkit.oracle")
@@ -80,21 +80,12 @@ def penalized_energy(model: SpacetimeModel, k: float, w: Curve,
     return energy + float(np.trapezoid(barrier, w.grid))
 
 
-def horizontal_part(model: SpacetimeModel, q, v) -> np.ndarray:
-    y = model.y(q)
-    g = model.g(q)
-    return v - (float(v @ g @ y) / float(y @ g @ y)) * y
-
-
 def _segment_form(model, k, q):
     """M(q) = phi_k P^T g_R P at q, so the horizontal energy density is v^T M v."""
     g = model.g(q)
     y = model.y(q)
     yy = float(y @ g @ y)
-    P = k * k + yy
-    if P <= 0.0:
-        raise OutsideUk("midpoint outside the admissible region")
-    phi = -yy / P
+    phi = conformal_factor(model, q, k)
     gy = g @ y
     proj = np.eye(model.m) - np.outer(y, gy) / yy
     gr = g - 2.0 * np.outer(gy, gy) / yy
@@ -260,23 +251,11 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     grid = np.linspace(0.0, 1.0, n_seg + 1)
     spline = CubicSpline(grid, nodes, axis=0)
     vels = spline(grid, 1)
-    vels = np.array([horizontal_part(model, q, v) for q, v in zip(nodes, vels)])
+    vels = horizontal_part(model, nodes, vels)
     poly = Curve(grid=grid, points=nodes, velocities=vels)
     raw = conformal_energy(model, k, poly)
     return DiscreteCandidate(polyline=poly, T_estimate=float(np.sqrt(2.0 * raw)),
                              constraint_penalty=float(penalized_energy(model, k, poly, pc) - raw))
-
-
-def launch_direction(model: SpacetimeModel, sol: BrachistochroneSolution) -> np.ndarray:
-    """Recover the g_R-unit horizontal launch direction of a solution."""
-    q = sol.sigma.points[0]
-    v = sol.sigma.velocities[0]
-    u = horizontal_part(model, q, v)
-    gr = riemannian_metric_matrix(model, q)
-    nn = np.sqrt(max(float(u @ gr @ u), 0.0))
-    if nn < 1e-12:
-        raise ZeroSeed("solution launches parallel to the observer field")
-    return u / nn
 
 
 def fd_variation_family(model: SpacetimeModel, sol: BrachistochroneSolution,
@@ -290,16 +269,14 @@ def fd_variation_family(model: SpacetimeModel, sol: BrachistochroneSolution,
     """
     du, dT = direction_perturbation
     du = np.asarray(du, dtype=float)
-    u0 = launch_direction(model, sol)
     q = sol.sigma.points[0]
-    gr = riemannian_metric_matrix(model, q)
+    u0 = horizontal_unit(model, q, sol.sigma.velocities[0])
     out = []
     for s in np.atleast_1d(s_values):
         if s == 0.0:
             out.append(sol)
             continue
-        u = horizontal_part(model, q, u0 + s * du)
-        u = u / np.sqrt(float(u @ gr @ u))
+        u = horizontal_unit(model, q, u0 + s * du)
         out.append(integrate_brachistochrone(model, sol.k, q, u, sol.T + s * dT, config))
     return out
 
@@ -327,12 +304,8 @@ def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution
     flat = deform_D(model, bent, k=sol.k, check=False)
 
     # reparametrize to constant conformal speed
-    speeds = np.empty(flat.grid.size)
-    for i, (q, v) in enumerate(zip(flat.points, flat.velocities)):
-        y = model.y(q)
-        yy = float(y @ model.g(q) @ y)
-        phi = -yy / (sol.k ** 2 + yy)
-        speeds[i] = np.sqrt(max(phi * float(v @ riemannian_metric_matrix(model, q) @ v), 0.0))
+    speeds = np.sqrt(np.maximum(conformal_factor(model, flat.points, sol.k) * _inner(
+        riemannian_metric_matrix(model, flat.points), flat.velocities, flat.velocities), 0.0))
     ell = cumulative_integral(flat.grid, speeds)
     total = ell[-1]
     t_of_ell = CubicSpline(ell, flat.grid)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curves import Curve, FieldAlongCurve, cumulative_integral, grid_derivative, grid_integral
+from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulative_integral,
+                     grid_integral)
 from .dynamics import BrachistochroneSolution, _ode_residual
-from .errors import ConstraintViolated, FlowEscape, NotHorizontal, OutsideUk, StepFailure
-from .geometry import (SpacetimeModel, connection_coeffs, nabla_y_matrix,
-                       riemannian_metric_matrix, _coords)
+from .errors import ConstraintViolated, FlowEscape, NotHorizontal, StepFailure
+from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
+                       metric_eval, nabla_y_matrix, riemannian_metric_matrix, _coords, _inner)
 
 __all__ = [
     "CorrespondenceReport",
@@ -46,20 +47,15 @@ def flow_points(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray) ->
         return starts.copy()
 
     def rhs(u, flat):
-        pts = flat.reshape(n, m)
-        out = np.empty_like(pts)
-        for i in range(n):
-            out[i] = times[i] * model.y(pts[i])
-        return out.ravel()
+        return (times[:, None] * model.y(flat.reshape(n, m))).ravel()
 
     sol = solve_ivp(rhs, (0.0, 1.0), starts.ravel(), method="DOP853",
                     rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
     if not sol.success:
         raise StepFailure(f"Killing flow integration failed: {sol.message}")
     ends = sol.y[:, -1].reshape(n, m)
-    for q in ends:
-        if not model.in_chart(q):
-            raise FlowEscape(f"Killing flow left the chart at {q}")
+    if not model.in_chart(ends):
+        raise FlowEscape(f"Killing flow left the chart of '{model.name}'")
     return ends
 
 
@@ -112,16 +108,6 @@ class CorrespondenceReport:
         }
 
 
-def _constraint_defect(model, curve: Curve, k: float, T: float) -> float:
-    worst = 0.0
-    for q, v in zip(curve.points, curve.velocities):
-        g = model.g(q)
-        worst = max(worst,
-                    abs(float(v @ g @ model.y(q)) + k * T) / (1.0 + k * T),
-                    abs(float(v @ g @ v) + T * T) / (1.0 + T * T))
-    return worst
-
-
 def deform_D(model: SpacetimeModel, sol, k: float | None = None,
              n_out: int | None = None, check: bool = True) -> Curve:
     """Slide a trial curve along the Y-flow into a horizontal curve.
@@ -145,7 +131,8 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
             T = -yy0 / kk
             if T <= 0.0:
                 raise ConstraintViolated("curve has nonpositive inferred travel time")
-        if _constraint_defect(model, curve, kk, T) > 1e-6:
+        r_y, r_v = conservation_residuals(model, curve.points, curve.velocities, kk, T)
+        if max(np.max(np.abs(r_y)) / (1.0 + kk * T), np.max(np.abs(r_v)) / (1.0 + T * T)) > 1e-6:
             raise ConstraintViolated("input curve violates the conservation constraints")
 
     if n_out is None:
@@ -154,19 +141,18 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     ps, vs = curve.point_spline(), curve.velocity_spline()
     pts, vels = ps(grid), vs(grid)
 
-    yy = np.array([float(model.y(q) @ model.g(q) @ model.y(q)) for q in pts])
-    vy = np.array([float(v @ model.g(q) @ model.y(q)) for q, v in zip(pts, vels)])
-    tau_rate = -vy / yy
+    g, y = model.g(pts), model.y(pts)
+    tau_rate = -_inner(g, vels, y) / _inner(g, y, y)
     tau = cumulative_integral(grid, tau_rate)
 
     w_pts = flow_points(model, pts, tau)
     dpsi_v = flow_differential(model, pts, tau, vels)
-    w_vels = dpsi_v + tau_rate[:, None] * np.array([model.y(q) for q in w_pts])
+    w_vels = dpsi_v + tau_rate[:, None] * model.y(w_pts)
     w = Curve(grid=grid, points=w_pts, velocities=w_vels)
 
-    speed = np.sqrt(max(max(float(v @ riemannian_metric_matrix(model, q) @ v)
-                            for q, v in zip(w_pts, w_vels)), 1e-300))
-    horiz = max(abs(float(v @ model.g(q) @ model.y(q))) for q, v in zip(w_pts, w_vels))
+    speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w_pts), w_vels, w_vels)),
+                        1e-300))
+    horiz = np.max(np.abs(metric_eval(model, w_pts, w_vels, model.y(w_pts))))
     if horiz > 1e-8 * speed:
         raise NotHorizontal(f"deformed curve has |<w',Y>| = {horiz} > 1e-8 * speed")
     return w
@@ -180,32 +166,26 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     non-geodesic input shows up as a large equation residual downstream.
     """
     grid, pts, vels = w.grid, w.points, w.velocities
-    g0 = model.g(pts[0])
-    y0 = model.y(pts[0])
-    yy = np.array([float(model.y(q) @ model.g(q) @ model.y(q)) for q in pts])
-    if np.any(yy + k * k <= 0.0):
-        raise OutsideUk("horizontal curve leaves the admissible region")
+    g, y = model.g(pts), model.y(pts)
+    yy = _inner(g, y, y)
+    phi = conformal_factor(model, pts, k)
     speed0 = float(vels[0] @ riemannian_metric_matrix(model, pts[0]) @ vels[0])
-    horiz = max(abs(float(v @ model.g(q) @ model.y(q))) for q, v in zip(pts, vels))
+    horiz = np.max(np.abs(_inner(g, vels, y)))
     if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
         raise NotHorizontal(f"lift input is not horizontal: {horiz}")
-    phi0 = -yy[0] / (k * k + yy[0])
-    T = float(np.sqrt(phi0 * speed0))
+    T = float(np.sqrt(phi[0] * speed0))
     h_rate = -k * T / yy
     h = cumulative_integral(grid, h_rate)
 
     s_pts = flow_points(model, pts, h)
     dpsi_v = flow_differential(model, pts, h, vels)
-    s_vels = dpsi_v + h_rate[:, None] * np.array([model.y(q) for q in s_pts])
+    s_vels = dpsi_v + h_rate[:, None] * model.y(s_pts)
     sigma = Curve(grid=grid, points=s_pts, velocities=s_vels)
-    r_y = max(abs(float(v @ model.g(q) @ model.y(q)) + k * T)
-              for q, v in zip(s_pts, s_vels))
-    r_v = max(abs(float(v @ model.g(q) @ v) + T * T)
-              for q, v in zip(s_pts, s_vels))
+    r_y, r_v = conservation_residuals(model, s_pts, s_vels, k, T)
     return BrachistochroneSolution(
         sigma=sigma, T=T, k=k,
-        residual_conservation_Y=r_y,
-        residual_conservation_speed=r_v,
+        residual_conservation_Y=float(np.max(np.abs(r_y))),
+        residual_conservation_speed=float(np.max(np.abs(r_v))),
         residual_ode=_ode_residual(model, k, T, sigma),
     )
 
@@ -214,22 +194,12 @@ def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
                             zeta: FieldAlongCurve):
     """(C, residual_Y(t), residual_speed(t), nabla-zeta nodes) for a variation field."""
     curve = sol.sigma
-    if zeta.derivatives is not None:
-        nz = zeta.derivatives
-    else:
-        dz = grid_derivative(curve.grid, zeta.values)
-        nz = np.empty_like(dz)
-        for i, (q, v) in enumerate(zip(curve.points, curve.velocities)):
-            G = connection_coeffs(model, q)
-            nz[i] = dz[i] + np.einsum("abc,b,c->a", G, v, zeta.values[i])
-    vals_y = np.empty(curve.grid.size)
-    vals_s = np.empty(curve.grid.size)
-    for i, (q, v) in enumerate(zip(curve.points, curve.velocities)):
-        g = model.g(q)
-        y = model.y(q)
-        K = nabla_y_matrix(model, q)
-        vals_y[i] = float(nz[i] @ g @ y) - float(zeta.values[i] @ g @ (K @ v))
-        vals_s[i] = float(nz[i] @ g @ v)
+    pts, vels = curve.points, curve.velocities
+    nz = covariant_derivative_along(model, curve, zeta).values
+    g, y = model.g(pts), model.y(pts)
+    Kv = np.einsum("nab,nb->na", nabla_y_matrix(model, pts), vels)
+    vals_y = _inner(g, nz, y) - _inner(g, zeta.values, Kv)
+    vals_s = _inner(g, nz, vels)
     C = grid_integral(curve.grid, vals_y)
     return C, vals_y, vals_s, nz
 
@@ -250,16 +220,14 @@ def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
         raise ConstraintViolated("field violates the tangent-space constraints")
 
     grid, pts = curve.grid, curve.points
-    yy = np.array([float(model.y(q) @ model.g(q) @ model.y(q)) for q in pts])
+    g, y = model.g(pts), model.y(pts)
+    yy = _inner(g, y, y)
     tau = cumulative_integral(grid, sol.k * sol.T / yy)
 
-    dzy = np.empty(grid.size)  # <nabla_zeta Y, Y>
-    for i, q in enumerate(pts):
-        K = nabla_y_matrix(model, q)
-        dzy[i] = float((K @ zeta.values[i]) @ model.g(q) @ model.y(q))
+    dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
     tau_zeta = cumulative_integral(grid, -(C * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2)
 
-    args = zeta.values + tau_zeta[:, None] * np.array([model.y(q) for q in pts])
+    args = zeta.values + tau_zeta[:, None] * y
     pushed = flow_differential(model, pts, tau, args)
     if deformed is None:
         deformed = deform_D(model, sol, n_out=curve.n_segments, check=False)
@@ -271,12 +239,8 @@ def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 def conformal_energy(model: SpacetimeModel, k: float, w: Curve) -> float:
     """E = 1/2 int phi_k g_R(w', w') dt by spline quadrature."""
-    vals = np.empty(w.grid.size)
-    for i, (q, v) in enumerate(zip(w.points, w.velocities)):
-        y = model.y(q)
-        yy = float(y @ model.g(q) @ y)
-        phi = -yy / (k * k + yy)
-        vals[i] = phi * float(v @ riemannian_metric_matrix(model, q) @ v)
+    vals = conformal_factor(model, w.points, k) * _inner(
+        riemannian_metric_matrix(model, w.points), w.velocities, w.velocities)
     return 0.5 * grid_integral(w.grid, vals)
 
 
@@ -288,18 +252,12 @@ def correspondence_report(model: SpacetimeModel, sol: BrachistochroneSolution) -
     energy = conformal_energy(model, sol.k, w)
     back = lift_G(model, sol.k, w)
     grid = sol.sigma.grid
-    back_pts = back.sigma.point_spline()(grid)
-    worst = 0.0
-    for q_ref, q_back in zip(sol.sigma.points, back_pts):
-        d = model.wrap_difference(q_back - q_ref)
-        gr = riemannian_metric_matrix(model, q_ref)
-        worst = max(worst, float(np.sqrt(d @ gr @ d)))
-    horiz = max(abs(float(v @ model.g(q) @ model.y(q)))
-                for q, v in zip(w.points, w.velocities))
+    horiz = np.max(np.abs(metric_eval(model, w.points, w.velocities, model.y(w.points))))
     return CorrespondenceReport(
         geodesic_residual=geodesic_residual(model, sol.k, w),
         energy_value=energy,
         energy_vs_halfT2=abs(energy - 0.5 * sol.T ** 2),
-        roundtrip_error=worst,
-        horizontality=horiz,
+        roundtrip_error=curve_distance(model, sol.sigma.points,
+                                       back.sigma.point_spline()(grid)),
+        horizontality=float(horiz),
     )

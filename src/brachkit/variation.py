@@ -20,11 +20,11 @@ from scipy.linalg import eigh
 
 from .curves import Curve, FieldAlongCurve, cumulative_integral, grid_derivative, grid_integral
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
-from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NotCritical,
+from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
-from .geometry import (ConformalGeometry, SpacetimeModel, connection_coeffs,
-                       curvature_tensor, nabla_y_matrix, riemannian_metric_matrix, _comps,
-                       _coords)
+from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, connection_coeffs,
+                       curvature_tensor, horizontal_part, nabla_y_matrix, orthonormal_completion,
+                       riemannian_metric_matrix, scalar_gradient, _comps, _coords, _inner)
 from .transform import tangent_constraint_scan
 
 __all__ = [
@@ -49,49 +49,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Cached geometry along curves
 
+def _sym(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
 class SolutionGeometry:
     """Per-node Lorentzian data along a solution curve, computed once."""
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution):
         self.model = model
         self.sol = sol
-        curve = sol.sigma
-        n = curve.grid.size
-        m = model.m
-        self.g = np.empty((n, m, m))
-        self.y = np.empty((n, m))
-        self.K = np.empty((n, m, m))        # (nabla_v Y)^a = K[a,b] v^b
-        self.gamma = np.empty((n, m, m, m))
-        self.N = np.empty(n)
-        self.M_ss = np.empty((n, m, m))     # <R(z, s') z, s'> = z^T M_ss z
-        self.M_sy = np.empty((n, m, m))     # <R(z, s') z, Y>  = z^T M_sy z
-        self.RM1 = np.empty((n, m, m))      # (R(s', V) s')^a = RM1[a, d] V^d
-        self.RM2 = np.empty((n, m, m))      # (R(s', V) Y)^a  = RM2[a, d] V^d
-        self.nabla_yy = np.empty((n, m))    # (nabla_Y Y)^a
-        for i, (q, v) in enumerate(zip(curve.points, curve.velocities)):
-            g = model.g(q)
-            y = model.y(q)
-            G = connection_coeffs(model, q)
-            R = curvature_tensor(model, q)
-            self.g[i] = g
-            self.y[i] = y
-            self.gamma[i] = G
-            self.K[i] = model.dy(q) + np.einsum("abc,c->ab", G, y)
-            self.N[i] = float(y @ g @ y)
-            self.nabla_yy[i] = self.K[i] @ y
-            # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
-            # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
-            Rv = np.einsum("abcd,d->abc", R, v)           # R^a_{bc.} v
-            for x, target in ((v, self.M_ss), (y, self.M_sy)):
-                gx = g @ x
-                Mbc = np.einsum("a,abc->bc", gx, Rv)
-                target[i] = 0.5 * (Mbc + Mbc.T)
-            self.RM1[i] = np.einsum("abcd,b,c->ad", R, v, v)
-            self.RM2[i] = np.einsum("abcd,b,c->ad", R, y, v)
+        pts, v = sol.sigma.points, sol.sigma.velocities
+        self.g = model.g(pts)
+        self.y = y = model.y(pts)
+        self.gamma = connection_coeffs(model, pts)
+        self.K = nabla_y_matrix(model, pts)                   # (nabla_v Y)^a = K[a,b] v^b
+        self.N = _inner(self.g, y, y)
+        self.nabla_yy = np.einsum("nab,nb->na", self.K, y)    # (nabla_Y Y)^a
+        R = curvature_tensor(model, pts)
+        # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
+        # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
+        Rv = np.einsum("nabcd,nd->nabc", R, v)                # R^a_{bc.} v
+        gv, gy = (np.einsum("nab,nb->na", self.g, x) for x in (v, y))
+        self.M_ss = _sym(np.einsum("na,nabc->nbc", gv, Rv))   # <R(z, s') z, s'> = z^T M_ss z
+        self.M_sy = _sym(np.einsum("na,nabc->nbc", gy, Rv))   # <R(z, s') z, Y>  = z^T M_sy z
+        self.RM1 = np.einsum("nabcd,nb,nc->nad", R, v, v)     # (R(s', V) s')^a = RM1[a, d] V^d
+        self.RM2 = np.einsum("nabcd,nb,nc->nad", R, y, v)     # (R(s', V) Y)^a  = RM2[a, d] V^d
         self.P = self.sol.k ** 2 + self.N
-        self.W = np.einsum("ni,nij,nj->n",
-                           np.einsum("nab,nb->na", self.K, curve.velocities),
-                           self.g, self.y)
 
 
 @dataclass
@@ -115,10 +99,8 @@ class LagrangeMultiplierField:
 def lagrange_multiplier_field(model: SpacetimeModel, sol: BrachistochroneSolution
                               ) -> LagrangeMultiplierField:
     """The multiplier pair of a critical curve: lambda = 0, mu = 1/(2(k^2+<Y,Y>))."""
-    mu = np.empty(sol.sigma.grid.size)
-    for i, q in enumerate(sol.sigma.points):
-        y = model.y(q)
-        mu[i] = 1.0 / (2.0 * (sol.k ** 2 + float(y @ model.g(q) @ y)))
+    y = model.y(sol.sigma.points)
+    mu = 1.0 / (2.0 * (sol.k ** 2 + _inner(model.g(sol.sigma.points), y, y)))
     return LagrangeMultiplierField(lam=0.0, mu=mu)
 
 
@@ -128,10 +110,8 @@ def constraint_residual(model: SpacetimeModel, sol: BrachistochroneSolution,
     C, vals_y, vals_s, nz = tangent_constraint_scan(model, sol, zeta)
     scale = 1.0 + float(np.max(np.abs(zeta.values))) + float(np.max(np.abs(nz)))
     q1 = sol.sigma.points[-1]
-    y1 = model.y(q1)
     gr1 = riemannian_metric_matrix(model, q1)
-    z1 = zeta.values[-1]
-    perp = z1 - (float(z1 @ gr1 @ y1) / float(y1 @ gr1 @ y1)) * y1
+    perp = horizontal_part(model, q1, zeta.values[-1])
     boundary_ok = (float(np.linalg.norm(zeta.values[0])) <= 1e-7 * scale
                    and float(np.sqrt(perp @ gr1 @ perp)) <= 1e-7 * scale)
     return VariationConstraintReport(
@@ -227,33 +207,16 @@ class ConformalCurveData:
                                @ w.velocities[0]), 1e-300)
             if res > geodesic_tol * (1.0 + speed2):
                 raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
-        n = w.grid.size
-        m = confgeom.m
-        self.gt = np.empty((n, m, m))       # conformal metric
-        self.gamma = np.empty((n, m, m, m))
-        self.B = np.empty((n, m, m))        # g~(R~(w',z)w', x) = z^T B x (symmetrized)
-        self.Braw = np.empty((n, m, m))     # (R~(w',J)w')^a = Braw[a,d] J^d
-        self.Kt = np.empty((n, m, m))       # conformal nabla Y
-        self.K = np.empty((n, m, m))        # Lorentzian nabla Y
-        self.y = np.empty((n, m))
-        self.N = np.empty(n)
-        for i, (q, v) in enumerate(zip(w.points, w.velocities)):
-            gt = confgeom.metric(q)
-            G = confgeom.christoffels(q)
-            R = confgeom.curvature(q)
-            self.gt[i] = gt
-            self.gamma[i] = G
-            y = model.y(q)
-            self.y[i] = y
-            self.N[i] = float(y @ model.g(q) @ y)
-            self.Kt[i] = model.dy(q) + np.einsum("abc,c->ab", G, y)
-            GL = connection_coeffs(model, q)
-            self.K[i] = model.dy(q) + np.einsum("abc,c->ab", GL, y)
-            # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
-            Braw = np.einsum("abcd,b,c->ad", R, v, v)
-            B = gt @ Braw
-            self.Braw[i] = Braw
-            self.B[i] = 0.5 * (B + B.T)
+        pts, v = w.points, w.velocities
+        self.gt = confgeom.metric(pts)                     # conformal metric
+        self.gamma = confgeom.christoffels(pts)
+        self.y = y = model.y(pts)
+        self.N = _inner(model.g(pts), y, y)
+        self.Kt = confgeom.nabla_y_matrix(pts)             # conformal nabla Y
+        self.K = nabla_y_matrix(model, pts)                # Lorentzian nabla Y
+        # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
+        self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
+        self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
         if field.derivatives is not None:
@@ -321,18 +284,12 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
             nv[i] = dv[i] + np.einsum("abc,b,c->a", G, vel, vals[i])
 
     def phi_of(qq):
-        y = model.y(qq)
-        yy = float(y @ model.g(qq) @ y)
-        return -yy / (k * k + yy)
-
-    from .geometry import scalar_gradient
+        return conformal_factor(model, qq, k)
 
     integrand = np.empty(n)
     for i, (q, vel) in enumerate(zip(w.points, w.velocities)):
         g = model.g(q)
-        y = model.y(q)
-        yy = float(y @ g @ y)
-        phi = -yy / (k * k + yy)
+        phi = phi_of(q)
         R = curvature_tensor(model, q)
         # <R(V, w') V, w'>
         RV = np.einsum("abcd,b,c,d->a", R, vals[i], vals[i], vel)
@@ -360,12 +317,10 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     q1 = w.points[-1]
     g1 = model.g(q1)
     y1 = model.y(q1)
-    yy1 = float(y1 @ g1 @ y1)
-    phi1 = -yy1 / (k * k + yy1)
-    nu = float(vals[-1] @ g1 @ y1) / yy1
+    nu = float(vals[-1] @ g1 @ y1) / float(y1 @ g1 @ y1)
     K1 = nabla_y_matrix(model, q1)
     s_gamma = nu * nu * float((K1 @ y1) @ g1 @ w.velocities[-1])
-    return float(total + phi1 * s_gamma)
+    return float(total + phi_of(q1) * s_gamma)
 
 
 def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) -> float:
@@ -410,30 +365,13 @@ def _frame_perp(model: SpacetimeModel, pts, vels, drop_velocity: bool):
     keep = m - 2 if drop_velocity else m - 1
     frames = np.empty((n, keep, m))
     prev = None
+    grs, ys = riemannian_metric_matrix(model, pts), model.y(pts)
     for i in range(n):
-        gr = riemannian_metric_matrix(model, pts[i])
-        y = model.y(pts[i])
-        kill = [y / np.sqrt(float(y @ gr @ y))]
+        gr = grs[i]
+        kill = [ys[i] / np.sqrt(float(ys[i] @ gr @ ys[i]))]
         if drop_velocity:
-            v = vels[i]
-            v = v - float(v @ gr @ kill[0]) * kill[0]
-            nv = np.sqrt(float(v @ gr @ v))
-            if nv < 1e-12:
-                raise FrameDegenerate("velocity parallel to the observer field")
-            kill.append(v / nv)
-        basis = []
-        for cand in np.eye(m):
-            vec = cand.copy()
-            for b in kill + basis:
-                vec = vec - float(vec @ gr @ b) * b
-            nn = np.sqrt(max(float(vec @ gr @ vec), 0.0))
-            if nn > 1e-8:
-                basis.append(vec / nn)
-            if len(basis) == keep:
-                break
-        if len(basis) < keep:
-            raise FrameDegenerate("could not complete an orthogonal frame")
-        E = np.array(basis)
+            kill.append(orthonormal_completion(gr, kill, 1, candidates=vels[i:i + 1])[0])
+        E = orthonormal_completion(gr, kill, keep)
         if prev is not None:
             # keep the frame continuous along the curve
             for a in range(keep):
@@ -490,8 +428,8 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         spl = CubicSpline(w.grid, src.reshape(w.grid.size, -1), axis=0)
         target[:] = spl(tq).reshape((nq,) + src.shape[1:])
 
-    y_q = np.array([model.y(q) for q in pts_q])
-    dy_dt_q = np.einsum("qab,qb->qa", np.array([model.dy(q) for q in pts_q]), vels_q)
+    y_q = model.y(pts_q)
+    dy_dt_q = np.einsum("qab,qb->qa", model.dy(pts_q), vels_q)
 
     def hats(ts):
         """Values and slopes of all nodal hats at the given parameters."""
@@ -532,7 +470,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         # first-order horizontality condition on the Y-component.
         K_spl = CubicSpline(w.grid, data.K.reshape(w.grid.size, -1), axis=0)
         K_q = K_spl(tq).reshape(nq, m, m)
-        g_spl = CubicSpline(w.grid, np.array([model.g(q) for q in w.points]).reshape(w.grid.size, -1), axis=0)
+        g_spl = CubicSpline(w.grid, model.g(w.points).reshape(w.grid.size, -1), axis=0)
         g_q = g_spl(tq).reshape(nq, m, m)
         N_q = np.einsum("qa,qab,qb->q", y_q, g_q, y_q)
         Kv_q = np.einsum("qab,qb->qa", K_q, vels_q)       # nabla_{w'} Y
@@ -543,7 +481,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         frames_f = fr_spl(fine).reshape(fine.size, keep, m)
         g_f = g_spl(fine).reshape(fine.size, m, m)
         K_f = K_spl(fine).reshape(fine.size, m, m)
-        y_f = np.array([model.y(q) for q in pspl(fine)])
+        y_f = model.y(pspl(fine))
         vels_f = vspl(fine)
         N_f = np.einsum("qa,qab,qb->q", y_f, g_f, y_f)
         Kv_f = np.einsum("qab,qb->qa", K_f, vels_f)

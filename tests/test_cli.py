@@ -112,3 +112,32 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["error"] == "OutsideUk"
+
+
+def _shoot_config(tmp_path, **overrides):
+    cfg = dict(BASE, shoot={"guess_u": [1.0, 0.3, 0.0], "guess_T": 0.7})
+    cfg.update(overrides)
+    for key in [key for key, value in cfg.items() if value is None]:
+        del cfg[key]
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _assert_config_error(tmp_path, path, caplog):
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main(["shoot", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+
+
+def test_missing_k_is_config_error(tmp_path, caplog):
+    _assert_config_error(tmp_path, _shoot_config(tmp_path, k=None), caplog)
+
+
+def test_unparseable_k_is_config_error(tmp_path, caplog):
+    _assert_config_error(tmp_path, _shoot_config(tmp_path, k="abc"), caplog)
+
+
+def test_short_point_is_config_error(tmp_path, caplog):
+    _assert_config_error(tmp_path, _shoot_config(tmp_path, p=[0.0, 0.0]), caplog)
