@@ -46,6 +46,15 @@ _REQUIRED = {
 _SHAPES = {"k": (), "T": (), "guess_T": (), "n_starts": (), "seed": (), "n_basis": (),
            "n_segments": (), "epsilon": (), "gtol": (), "max_iters": (), "T_bracket": (2,),
            "p": None, "gamma_anchor": None, "u": None, "guess_u": None}
+# range each parsed number must lie in: key -> (test, wording)
+_RANGES = {
+    "k": (lambda x: x > 0.0, "positive"),
+    "T": (lambda x: x > 0.0, "positive"),
+    "guess_T": (lambda x: x > 0.0, "positive"),
+    "n_starts": (lambda x: x >= 1, "at least 1"),
+    "n_basis": (lambda x: x >= 2, "at least 2"),
+    "T_bracket": (lambda x: 0.0 < x[0] < x[1], "two increasing positive times"),
+}
 _TOP_KEYS = {"model", "k", "p", "gamma_anchor", "tolerances", "out"} | set(COMMANDS)
 _BLOCK_KEYS = {
     "solve": {"u", "T"},
@@ -165,7 +174,7 @@ def _load_solution(path: Path):
 
 
 def _check_command(cfg: dict, command: str):
-    """Required keys, parseable numbers and vector lengths for one command."""
+    """Required keys, parseable numbers, vector lengths and ranges for one command."""
     top, block_keys = _REQUIRED[command]
     block = cfg.get(command, {})
     missing = sorted(top - set(cfg)) + [f"{command}.{key}" for key in sorted(block_keys - set(block))]
@@ -186,6 +195,8 @@ def _check_command(cfg: dict, command: str):
         if parsed is None or parsed.shape != shape:
             want = f"a list of {shape[0]} numbers" if shape else "a number"
             raise ConfigError(f"'{where}' must be {want}, got {value!r}")
+        if key in _RANGES and not _RANGES[key][0](parsed):
+            raise ConfigError(f"'{where}' must be {_RANGES[key][1]}, got {value!r}")
 
 
 def _unit_horizontal(model, q, seed):
@@ -296,16 +307,15 @@ def _cmd_jacobi(cfg, out_dir: Path, seed, threads) -> str:
 
 
 def _cmd_index(cfg, out_dir: Path, seed, threads) -> str:
-    from .variation import ConformalCurveData, assemble_hessian, restricted_index_report
+    from .variation import _restricted_hessians
     block = cfg["index"]
     model, _, sol = _load_solution(out_dir / block["solution"])
     n_basis = int(block.get("n_basis", 80))
     cg = conformal_geometry(model, sol.k)
-    w = deform_D(model, sol, n_out=400)
-    wrev = w.reversed()
-    data = ConformalCurveData(cg, wrev)
-    triple = restricted_index_report(cg, wrev, n_basis, data=data)
-    hm = assemble_hessian(cg, wrev, "full", n_basis, data=data)
+    wrev = deform_D(model, sol, n_out=400).reversed()
+    hms = _restricted_hessians(cg, wrev, n_basis)
+    triple = tuple(h.n_negative for h in hms)
+    hm = hms[0]
     doc = {
         "n_basis": n_basis,
         "indices": {"full": triple[0], "horizontal": triple[1],

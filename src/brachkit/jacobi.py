@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq, minimize_scalar
 
 from .curves import Curve, FieldAlongCurve, cumulative_integral
@@ -65,7 +65,13 @@ class FocalReport:
 # Linearized travel-time equation along a solution
 
 class _BJacobiCache:
-    """Splined coefficient data for the linearized equation along sigma."""
+    """Coefficient data for the linearized equation along sigma, as one spline.
+
+    gamma, K, g, Y, the velocity, <Y,Y>, RM1 and RM2 are the columns of a
+    single cubic spline on the solution grid; a separate piecewise polynomial
+    on the K columns gives dK/dt.  Each column's coefficients are those of a
+    spline of that quantity alone.
+    """
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution,
                  geom: SolutionGeometry | None = None):
@@ -73,34 +79,30 @@ class _BJacobiCache:
         grid = sol.sigma.grid
         self.k, self.T = sol.k, sol.T
         self.m = model.m
+        parts = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y, v=sol.sigma.velocities,
+                     N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
+        self._layout = {}
+        start = 0
+        for name, arr in parts.items():
+            width = arr[0].size
+            self._layout[name] = (slice(start, start + width), arr.shape[1:])
+            start += width
+        self._spl = CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
+                                                 for arr in parts.values()]), axis=0)
+        self._K_poly = PPoly(self._spl.c[:, :, self._layout["K"][0]], self._spl.x)
 
-        def spl(arr):
-            return CubicSpline(grid, arr.reshape(grid.size, -1), axis=0)
+    def sample(self, t) -> dict:
+        """The coefficient arrays at parameter(s) t, as views into one evaluation."""
+        vals = self._spl(t)
+        lead = vals.shape[:-1]
+        return {name: vals[..., sl].reshape(lead + shape)
+                for name, (sl, shape) in self._layout.items()}
 
-        self._gamma = spl(geom.gamma)
-        self._K = spl(geom.K)
-        self._g = spl(geom.g)
-        self._y = CubicSpline(grid, geom.y, axis=0)
-        self._v = sol.sigma.velocity_spline()
-        self._N = CubicSpline(grid, geom.N)
-        self._RM1 = spl(geom.RM1)
-        self._RM2 = spl(geom.RM2)
-        self.shape_g = geom.gamma.shape[1:]
-        self.shape_m = (self.m, self.m)
-
-    def at(self, t):
-        m = self.m
-        return dict(
-            gamma=self._gamma(t).reshape(m, m, m),
-            K=self._K(t).reshape(m, m),
-            dK=self._K(t, 1).reshape(m, m),
-            g=self._g(t).reshape(m, m),
-            y=self._y(t),
-            v=self._v(t),
-            N=float(self._N(t)),
-            RM1=self._RM1(t).reshape(m, m),
-            RM2=self._RM2(t).reshape(m, m),
-        )
+    def at(self, t) -> dict:
+        d = self.sample(t)
+        d["N"] = float(d["N"])
+        d["dK"] = self._K_poly(t, 1).reshape(self.m, self.m)
+        return d
 
 
 def _bjacobi_rhs(cache: _BJacobiCache, C_V: float):
@@ -177,9 +179,9 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     vals[mask] = sampled[:m].T
     ders[mask] = sampled[m:].T
     # conserved-quantity drift
-    g = cache._g(ts).reshape(-1, m, m)
-    Kv = np.einsum("nab,nb->na", cache._K(ts).reshape(-1, m, m), cache._v(ts))
-    c_here = _inner(g, ders[mask], cache._y(ts)) - _inner(g, vals[mask], Kv)
+    d = cache.sample(ts)
+    Kv = np.einsum("nab,nb->na", d["K"], d["v"])
+    c_here = _inner(d["g"], ders[mask], d["y"]) - _inner(d["g"], vals[mask], Kv)
     drift = float(np.max(np.abs(c_here - C_V), initial=0.0))
     return JacobiFieldData(
         field=FieldAlongCurve(host=sol.sigma, values=vals),

@@ -405,6 +405,8 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
     """
     if boundary_conditions not in ("full", "horizontal", "perpendicular"):
         raise ValueError(f"unknown boundary condition set '{boundary_conditions}'")
+    if n_basis < 2:
+        raise ValueError(f"n_basis must be at least 2, got {n_basis}")
     model = confgeom.model
     if data is None:
         data = ConformalCurveData(confgeom, w)
@@ -446,19 +448,23 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         return vals, slopes
 
     hat_v, hat_s = hats(tq)
+    interior = slice(1, n_basis)
+    # interior hats as (node, 1, nq, 1), to broadcast against (direction, nq, m)
+    hv, hs = (h[:, interior].T[:, None, :, None] for h in (hat_v, hat_s))
+    y_start = model.y(pspl(0.0))
 
-    fields = []   # (V at quad pts, dV/dt at quad pts, V(0))
+    # Basis fields at the quadrature points, shape (ndof, nq, m), interior nodes
+    # first (node-major); their values at the observer end go to V0s.
     if boundary_conditions == "full":
-        axes = np.eye(m)
-        for j in range(1, n_basis):
-            for a in range(m):
-                V = hat_v[:, j][:, None] * axes[a][None, :]
-                dV = hat_s[:, j][:, None] * axes[a][None, :]
-                fields.append((V, dV, np.zeros(m)))
-        # observer-end degree of freedom along Y
-        V = hat_v[:, 0][:, None] * y_q
-        dV = hat_s[:, 0][:, None] * y_q + hat_v[:, 0][:, None] * dy_dt_q
-        fields.append((V, dV, model.y(pspl(0.0))))
+        # nodal fields hat_j e_a, then the observer-end field hat_0 Y
+        axes = np.eye(m)[:, None, :]
+        Vs, dVs = (hv * axes).reshape(-1, nq, m), (hs * axes).reshape(-1, nq, m)
+        V_y = hat_v[:, 0][:, None] * y_q
+        dV_y = hat_s[:, 0][:, None] * y_q + hat_v[:, 0][:, None] * dy_dt_q
+        Vs = np.concatenate([Vs, V_y[None]])
+        dVs = np.concatenate([dVs, dV_y[None]])
+        V0s = np.zeros((Vs.shape[0], m))
+        V0s[-1] = y_start
     else:
         drop_velocity = boundary_conditions == "perpendicular"
         frames_nodes = _frame_perp(model, pspl(nodes), vspl(nodes), drop_velocity)
@@ -469,54 +475,42 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         # Lorentzian <E_a, nabla_w' Y> / <Y,Y> along the curve, for the
         # first-order horizontality condition on the Y-component.
         K_spl = CubicSpline(w.grid, data.K.reshape(w.grid.size, -1), axis=0)
-        K_q = K_spl(tq).reshape(nq, m, m)
         g_spl = CubicSpline(w.grid, model.g(w.points).reshape(w.grid.size, -1), axis=0)
-        g_q = g_spl(tq).reshape(nq, m, m)
-        N_q = np.einsum("qa,qab,qb->q", y_q, g_q, y_q)
-        Kv_q = np.einsum("qab,qb->qa", K_q, vels_q)       # nabla_{w'} Y
-        rate_dir = 2.0 * np.einsum("qca,qab,qb->qc", frames_q, g_q, Kv_q) / N_q[:, None]
-        # rate for a field c(t) E_a(t): lambda' = c(t) * rate_dir[a](t)
+
+        def rate(ts, frames, ys, vels):
+            g = g_spl(ts).reshape(ts.size, m, m)
+            Kv = np.einsum("qab,qb->qa", K_spl(ts).reshape(ts.size, m, m), vels)  # nabla_{w'} Y
+            N = np.einsum("qa,qab,qb->q", ys, g, ys)
+            return 2.0 * np.einsum("qca,qab,qb->qc", frames, g, Kv) / N[:, None]
+
+        # rate for a field c(t) E_a(t): lambda' = c(t) * rate[a](t)
+        rate_q = rate(tq, frames_q, y_q, vels_q)
         fine = np.linspace(0.0, 1.0, 4 * n_basis + 1)
         hat_vf, _ = hats(fine)
-        frames_f = fr_spl(fine).reshape(fine.size, keep, m)
-        g_f = g_spl(fine).reshape(fine.size, m, m)
-        K_f = K_spl(fine).reshape(fine.size, m, m)
-        y_f = model.y(pspl(fine))
-        vels_f = vspl(fine)
-        N_f = np.einsum("qa,qab,qb->q", y_f, g_f, y_f)
-        Kv_f = np.einsum("qab,qb->qa", K_f, vels_f)
-        rate_f = 2.0 * np.einsum("qca,qab,qb->qc", frames_f, g_f, Kv_f) / N_f[:, None]
-        y_qn = y_q
-        for j in range(1, n_basis):
-            for a in range(keep):
-                # transverse part
-                V = hat_v[:, j][:, None] * frames_q[:, a, :]
-                dV = (hat_s[:, j][:, None] * frames_q[:, a, :]
-                      + hat_v[:, j][:, None] * dframes_q[:, a, :])
-                # Y-component reconstructed from the tangency condition,
-                # vanishing at the event end
-                lam_rate_f = hat_vf[:, j] * rate_f[:, a]
-                lam_f = cumulative_integral(fine, lam_rate_f)
-                lam_f = lam_f - lam_f[-1]
-                lam_spl = CubicSpline(fine, lam_f)
-                lam_q = lam_spl(tq)
-                lam_rate_q = hat_v[:, j] * rate_dir[:, a]
-                V = V + lam_q[:, None] * y_qn
-                dV = dV + lam_rate_q[:, None] * y_qn + lam_q[:, None] * dy_dt_q
-                fields.append((V, dV, lam_spl(0.0) * model.y(pspl(0.0))))
+        rate_f = rate(fine, fr_spl(fine).reshape(fine.size, keep, m), model.y(pspl(fine)),
+                      vspl(fine))
+        # transverse parts hat_j E_a
+        E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
+        Vs, dVs = (hv * E).reshape(-1, nq, m), (hs * E + hv * dE).reshape(-1, nq, m)
+        # Y-components reconstructed from the tangency condition, vanishing at
+        # the event end: one antiderivative and one spline over all fields
+        lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
+        lam_f = cumulative_integral(fine, lam_rate_f)
+        lam_spl = CubicSpline(fine, lam_f - lam_f[-1], axis=0)
+        lam_q = lam_spl(tq).T[:, :, None]
+        lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
+        Vs = Vs + lam_q * y_q
+        dVs = dVs + lam_rate_q * y_q + lam_q * dy_dt_q
+        V0s = lam_spl(0.0)[:, None] * y_start
 
-    ndof = len(fields)
-    if ndof == 0:
-        raise ValueError("no degrees of freedom (n_basis too small)")
-    Vs = np.stack([f[0] for f in fields])    # (ndof, nq, m)
-    dVs = np.stack([f[1] for f in fields])
-    V0s = np.stack([f[2] for f in fields])
-
+    ndof = Vs.shape[0]
     # covariant derivative along the curve at quadrature points
-    corr = np.einsum("qabc,qb,dqc->dqa", gam_q, vels_q, Vs)
-    nVs = dVs + corr
-    Hmat = (np.einsum("aqi,qij,bqj,q->ab", nVs, gt_q, nVs, wq)
-            + np.einsum("aqi,qij,bqj,q->ab", Vs, B_q, Vs, wq))
+    nVs = dVs + np.einsum("qac,dqc->dqa", np.einsum("qabc,qb->qac", gam_q, vels_q), Vs)
+    # Galerkin contraction sum_q wq X_a(q)^T M(q) X_b(q) as one matrix product
+    Hmat = np.zeros((ndof, ndof))
+    for X, M in ((nVs, gt_q), (Vs, B_q)):
+        W = np.einsum("qij,bqj->bqi", M * wq[:, None, None], X)
+        Hmat += X.reshape(ndof, -1) @ W.reshape(ndof, -1).T
     # observer-end shape term
     gt0 = data.gt[0]
     y0 = data.y[0]
@@ -535,9 +529,12 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
                          n_negative=n_neg, n_zero=n_zero, eps_eig=eps)
 
 
-def restricted_index_report(confgeom: ConformalGeometry, w: Curve, n_basis: int,
-                            data: ConformalCurveData | None = None) -> tuple:
-    """Morse index on the full, horizontal, and perpendicular variation spaces."""
+def _restricted_hessians(confgeom: ConformalGeometry, w: Curve, n_basis: int,
+                         data: ConformalCurveData | None = None) -> tuple:
+    """Hessian matrices on the full, horizontal and perpendicular variation spaces.
+
+    Raises ``FocalEndpoint`` at the first mode whose matrix has a zero eigenvalue.
+    """
     if data is None:
         data = ConformalCurveData(confgeom, w)
     out = []
@@ -546,8 +543,14 @@ def restricted_index_report(confgeom: ConformalGeometry, w: Curve, n_basis: int,
         if hm.n_zero > 0:
             raise FocalEndpoint(
                 f"degenerate Hessian in mode '{mode}' (n_zero = {hm.n_zero})")
-        out.append(hm.n_negative)
+        out.append(hm)
     return tuple(out)
+
+
+def restricted_index_report(confgeom: ConformalGeometry, w: Curve, n_basis: int,
+                            data: ConformalCurveData | None = None) -> tuple:
+    """Morse index on the full, horizontal, and perpendicular variation spaces."""
+    return tuple(hm.n_negative for hm in _restricted_hessians(confgeom, w, n_basis, data))
 
 
 # ---------------------------------------------------------------------------

@@ -141,3 +141,21 @@ def test_unparseable_k_is_config_error(tmp_path, caplog):
 
 def test_short_point_is_config_error(tmp_path, caplog):
     _assert_config_error(tmp_path, _shoot_config(tmp_path, p=[0.0, 0.0]), caplog)
+
+
+@pytest.mark.parametrize("command, override", [
+    ("solve", {"k": -2.0, "solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}}),
+    ("solve", {"solve": {"u": [1.0, 0.0, 0.0], "T": 0}}),
+    ("shoot", {"shoot": {"guess_u": [1.0, 0.3, 0.0], "guess_T": -0.7}}),
+    ("survey", {"survey": {"n_starts": 8, "T_bracket": [2.0, 0.3], "seed": 7}}),
+    ("survey", {"survey": {"n_starts": 0, "T_bracket": [0.3, 2.0], "seed": 7}}),
+    ("index", {"index": {"solution": "solution.json", "n_basis": 0}}),
+], ids=["k_positive", "T_positive", "guess_T_positive", "T_bracket_increasing",
+        "n_starts_at_least_1", "n_basis_at_least_2"])
+def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override):
+    path = write_config(tmp_path, override)
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+    assert not (tmp_path / "solution.json").exists()

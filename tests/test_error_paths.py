@@ -5,9 +5,10 @@ import pytest
 
 from brachkit import geometry as geo
 from brachkit.curves import Curve
-from brachkit.errors import FrameDegenerate, StencilOutOfChart
+from brachkit.dynamics import integrate_conformal_geodesic
+from brachkit.errors import FocalEndpoint, FrameDegenerate, NotGeodesic, StencilOutOfChart
 from brachkit.models import ModelSpec, make_model
-from brachkit.variation import ConformalCurveData, assemble_hessian
+from brachkit.variation import ConformalCurveData, assemble_hessian, restricted_index_report
 
 
 def test_fd_connection_stencil_leaves_chart():
@@ -32,3 +33,44 @@ def test_perpendicular_frame_degenerate_when_velocity_along_y(models):
     data = ConformalCurveData(cg, w, check=False)
     with pytest.raises(FrameDegenerate):
         assemble_hessian(cg, w, "perpendicular", 8, data=data)
+
+
+def test_conformal_curve_data_rejects_non_geodesic(models):
+    # a parabola in flat space: constant conformal factor, nonzero acceleration
+    model = models["minkowski3"]
+    cg = geo.conformal_geometry(model, np.sqrt(2.0))
+    grid = np.linspace(0.0, 1.0, 101)
+    pts = np.stack([grid, 0.3 * grid ** 2, np.zeros(grid.size)], axis=1)
+    vels = np.stack([np.ones(grid.size), 0.6 * grid, np.zeros(grid.size)], axis=1)
+    w = Curve(grid=grid, points=pts, velocities=vels)
+    with pytest.raises(NotGeodesic):
+        ConformalCurveData(cg, w, check=True)
+    ConformalCurveData(cg, w, check=False)
+
+
+def test_restricted_index_report_focal_endpoint(models):
+    # equatorial geodesic of the cylinder's conformal metric: its end becomes
+    # focal to the observer line near arc length pi; bisect the length until
+    # the smallest full-mode eigenvalue lies within eps_eig
+    model = models["einstein_cylinder"]
+    k = np.sqrt(2.0)
+    cg = geo.conformal_geometry(model, k)
+
+    def arc(length):
+        w = integrate_conformal_geodesic(model, k, [np.pi / 2, 0.0, 0.0], [0.0, length, 0.0],
+                                         confgeom=cg)
+        data = ConformalCurveData(cg, w)
+        return w, data, assemble_hessian(cg, w, "full", 20, data=data)
+
+    lo, hi = np.pi - 0.5, np.pi + 0.5
+    assert arc(lo)[2].n_negative == 0 and arc(hi)[2].n_negative == 1
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        w, data, hm = arc(mid)
+        if hm.n_zero > 0:
+            break
+        lo, hi = (mid, hi) if hm.n_negative == 0 else (lo, mid)
+    assert hm.n_zero > 0
+    assert abs(mid - np.pi) < 0.05
+    with pytest.raises(FocalEndpoint, match="mode 'full'"):
+        restricted_index_report(cg, w, 20, data=data)

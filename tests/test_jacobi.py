@@ -288,3 +288,30 @@ def test_bfocal_cylinder_correspondence(models, cylinder_long_arc):
     assert mult == 1
     # matches the pulled-back Riemannian parameter
     assert t_b == pytest.approx(1.0 - np.pi / 4.5, abs=1e-4)
+
+
+def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_long_arc):
+    # the fused coefficient spline reproduces, bit for bit, a separate cubic
+    # spline of each quantity and the derivative of the K spline
+    from scipy.interpolate import CubicSpline
+    from brachkit.jacobi import _BJacobiCache
+    for name, sol in (("rotating_frame", solutions["rotating_frame"]),
+                      ("minkowski4", solutions["minkowski4"]),
+                      ("einstein_cylinder", cylinder_long_arc)):
+        model = models[name]
+        geom = SolutionGeometry(model, sol)
+        cache = _BJacobiCache(model, sol, geom=geom)
+        grid = sol.sigma.grid
+        arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y,
+                      v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
+        splines = {key: CubicSpline(grid, arr, axis=0) for key, arr in arrays.items()}
+        ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
+        for t in ts:
+            d = cache.at(t)
+            for key, spl in splines.items():
+                assert np.array_equal(d[key], spl(t)), (name, key, t)
+            assert np.array_equal(d["dK"], splines["K"](t, 1)), (name, t)
+        assert isinstance(d["N"], float)
+        batch = cache.sample(ts)
+        for key, spl in splines.items():
+            assert np.array_equal(batch[key], spl(ts)), (name, key)

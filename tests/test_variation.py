@@ -350,3 +350,73 @@ def test_multiplier_field_values(models, solutions):
         y = model.y(q)
         P = sol.k ** 2 + float(y @ model.g(q) @ y)
         assert mults.mu[i] == pytest.approx(1.0 / (2.0 * P), rel=1e-14)
+
+
+def _reference_full_hessian(cg, w, data, n_basis):
+    """The full-mode Galerkin matrix, one basis pair and one Gauss point at a time."""
+    from scipy.interpolate import CubicSpline
+    model, m = cg.model, cg.m
+    h = 1.0 / n_basis
+    tq = np.array([(e + 0.5) * h + s * h / (2.0 * np.sqrt(3.0))
+                   for e in range(n_basis) for s in (-1.0, 1.0)])
+    wq = h / 2.0
+    gt = CubicSpline(w.grid, data.gt, axis=0)(tq)
+    gam = CubicSpline(w.grid, data.gamma, axis=0)(tq)
+    B = CubicSpline(w.grid, data.B, axis=0)(tq)
+    pts, vels = w.point_spline()(tq), w.velocity_spline()(tq)
+
+    def hat(j, t):
+        return max(0.0, 1.0 - abs(t - j * h) / h)
+
+    def hat_slope(j, t):
+        return (1.0 / h if t < j * h else -1.0 / h) if abs(t - j * h) < h else 0.0
+
+    # (value, t-derivative) of each basis field at a point, and its value at t = 0
+    basis = [(lambda t, q, v, j=j, a=a: (hat(j, t) * np.eye(m)[a], hat_slope(j, t) * np.eye(m)[a]),
+              np.zeros(m)) for j in range(1, n_basis) for a in range(m)]
+    basis.append((lambda t, q, v: (hat(0, t) * model.y(q),
+                                   hat_slope(0, t) * model.y(q) + hat(0, t) * model.dy(q) @ v),
+                  model.y(w.points[0])))
+    n = len(basis)
+    H = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            total = 0.0
+            for i, t in enumerate(tq):
+                Va, dVa = basis[a][0](t, pts[i], vels[i])
+                Vb, dVb = basis[b][0](t, pts[i], vels[i])
+                nVa = dVa + np.einsum("abc,b,c->a", gam[i], vels[i], Va)
+                nVb = dVb + np.einsum("abc,b,c->a", gam[i], vels[i], Vb)
+                total += wq * (nVa @ gt[i] @ nVb + Va @ B[i] @ Vb)
+            H[a, b] = total
+    gt0, y0 = data.gt[0], data.y[0]
+    ydot0 = y0 @ gt0 @ (data.Kt[0] @ w.velocities[0])
+    proj = np.array([V0 @ gt0 @ y0 for _, V0 in basis])
+    H += np.outer(proj, proj) * ydot0 / (y0 @ gt0 @ y0) ** 2
+    return 0.5 * (H + H.T)
+
+
+def test_assemble_hessian_full_matches_reference(models, cylinder_long_arc, solutions):
+    for name, sol in (("einstein_cylinder", cylinder_long_arc),
+                      ("rotating_frame", solutions["rotating_frame"])):
+        model = models[name]
+        cg = conformal_geometry(model, sol.k)
+        wrev = deform_D(model, sol, n_out=200).reversed()
+        data = ConformalCurveData(cg, wrev)
+        hm = assemble_hessian(cg, wrev, "full", 6, data=data)
+        ref = _reference_full_hessian(cg, wrev, data, 6)
+        assert hm.entries.shape == ref.shape == (16, 16)
+        assert np.max(np.abs(hm.entries - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
+                                                     cylinder_very_long_arc):
+    model = models["einstein_cylinder"]
+    cg = conformal_geometry(model, np.sqrt(2.0))
+    for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
+        wrev = deform_D(model, sol, n_out=400).reversed()
+        data = ConformalCurveData(cg, wrev)
+        for mode in ("horizontal", "perpendicular"):
+            for n_basis in (50, 100):
+                hm = assemble_hessian(cg, wrev, mode, n_basis, data=data)
+                assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
