@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import ObserverWorldline, ShootConfig, ShootingProblem, multistart_survey, shoot
-from .curves import Curve, curve_to_csv, curve_from_json_dict, curve_to_json_dict
+from .curves import curve_to_csv, curve_from_json_dict, curve_to_json_dict
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
                        integrate_brachistochrone)
-from .errors import BrachkitError, ConfigError, ZeroSeed
+from .errors import BrachkitError, ConfigError, InvalidParams, UnknownModel, ZeroSeed
 from .geometry import conformal_geometry, curve_distance, horizontal_unit
 from .models import MODEL_NAMES, ModelSpec, make_model
 from .oracle import PenaltyConfig, discrete_minimize
@@ -55,6 +55,8 @@ _RANGES = {
     "n_basis": (lambda x: x >= 2, "at least 2"),
     "T_bracket": (lambda x: 0.0 < x[0] < x[1], "two increasing positive times"),
 }
+# keys that name chart points rather than tangent vectors
+_POINTS = {"p", "gamma_anchor"}
 _TOP_KEYS = {"model", "k", "p", "gamma_anchor", "tolerances", "out"} | set(COMMANDS)
 _BLOCK_KEYS = {
     "solve": {"u", "T"},
@@ -143,7 +145,10 @@ def _integrator_config(cfg) -> IntegratorConfig:
 
 def _model_of(cfg):
     block = cfg["model"]
-    return make_model(ModelSpec(block["name"], block.get("params", {})))
+    try:
+        return make_model(ModelSpec(block["name"], block.get("params", {})))
+    except (InvalidParams, UnknownModel) as exc:
+        raise ConfigError(str(exc))
 
 
 def _solution_dict(model_block, sol: BrachistochroneSolution) -> dict:
@@ -161,15 +166,18 @@ def _solution_dict(model_block, sol: BrachistochroneSolution) -> dict:
 
 
 def _load_solution(path: Path):
-    with open(path) as fh:
-        d = json.load(fh)
-    model = make_model(ModelSpec(d["model"]["name"], d["model"].get("params", {})))
-    sol = BrachistochroneSolution(
-        sigma=curve_from_json_dict(d["curve"]), T=float(d["T"]), k=float(d["k"]),
-        residual_conservation_Y=float(d["residuals"]["conservation_Y"]),
-        residual_conservation_speed=float(d["residuals"]["conservation_speed"]),
-        residual_ode=float(d["residuals"]["equation"]),
-    )
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        model = _model_of(d)
+        sol = BrachistochroneSolution(
+            sigma=curve_from_json_dict(d["curve"]), T=float(d["T"]), k=float(d["k"]),
+            residual_conservation_Y=float(d["residuals"]["conservation_Y"]),
+            residual_conservation_speed=float(d["residuals"]["conservation_speed"]),
+            residual_ode=float(d["residuals"]["equation"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read solution file {path.name}: {exc!r}")
     return model, d["model"], sol
 
 
@@ -180,14 +188,14 @@ def _check_command(cfg: dict, command: str):
     missing = sorted(top - set(cfg)) + [f"{command}.{key}" for key in sorted(block_keys - set(block))]
     if missing:
         raise ConfigError(f"scenario lacks {missing}")
-    m = _model_of(cfg).m if top else None
+    model = _model_of(cfg) if top else None
     fields = [(key, cfg[key]) for key in sorted(top)]
     fields += [(f"{command}.{key}", value) for key, value in block.items()]
     for where, value in fields:
         key = where.rsplit(".", 1)[-1]
         if key not in _SHAPES:
             continue
-        shape = (m,) if _SHAPES[key] is None else _SHAPES[key]
+        shape = (model.m,) if _SHAPES[key] is None else _SHAPES[key]
         try:
             parsed = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
@@ -197,6 +205,8 @@ def _check_command(cfg: dict, command: str):
             raise ConfigError(f"'{where}' must be {want}, got {value!r}")
         if key in _RANGES and not _RANGES[key][0](parsed):
             raise ConfigError(f"'{where}' must be {_RANGES[key][1]}, got {value!r}")
+        if key in _POINTS and not model.in_chart(parsed):
+            raise ConfigError(f"'{where}' = {value!r} lies outside the chart of '{model.name}'")
 
 
 def _unit_horizontal(model, q, seed):

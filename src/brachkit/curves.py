@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatch, GridTooCoarse, OutOfChart
+from .errors import GridMismatch, GridTooCoarse
 from .geometry import SpacetimeModel, connection_coeffs, _inner
 
 __all__ = [
@@ -59,10 +59,6 @@ class Curve:
     @property
     def m(self) -> int:
         return self.points.shape[1]
-
-    def validate_chart(self, model: SpacetimeModel):
-        if not model.in_chart(self.points):
-            raise OutOfChart(f"curve leaves the chart of '{model.name}'")
 
     def point_spline(self) -> CubicSpline:
         return CubicSpline(self.grid, self.points, axis=0)

@@ -9,7 +9,7 @@ checks rather than enforced by projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -40,9 +40,6 @@ class IntegratorConfig:
     grid_n: int = 400
     tol_cons: float = 1e-7
     method: str = "RK45"  # embedded 5(4) pair with dense output
-
-    def tightened(self, factor: float) -> "IntegratorConfig":
-        return replace(self, rtol=self.rtol / factor, atol=self.atol / factor)
 
 
 @dataclass

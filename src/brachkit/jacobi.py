@@ -313,36 +313,35 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     grid = w.grid
     gt_spl = CubicSpline(grid, data.gt.reshape(grid.size, -1), axis=0)
 
-    j_splines = [CubicSpline(grid, f.field.values, axis=0) for f in fields]
+    j_spl = CubicSpline(grid, np.stack([f.field.values for f in fields], axis=1).reshape(
+        grid.size, -1), axis=0)
 
     def matrix_at(t):
-        gt = gt_spl(t).reshape(m, m)
-        E = frame_sol(t).reshape(m, m)
-        J = np.array([spl(t) for spl in j_splines])
-        return J @ gt @ E.T
+        """g~(J_i, E_j) at a scalar t, or stacked along the axes of an array t."""
+        shape = np.shape(t) + (m, m)
+        gt = gt_spl(t).reshape(shape)
+        E = np.moveaxis(frame_sol(t), 0, -1).reshape(shape)
+        J = j_spl(t).reshape(shape)
+        return J @ gt @ np.swapaxes(E, -1, -2)
 
     ts = np.linspace(t_min, 1.0, n_scan + 1)
-    dets = np.array([np.linalg.det(matrix_at(t)) for t in ts])
+    dets = np.linalg.det(matrix_at(ts))
     scale = float(np.max(np.abs(dets)))
     if scale == 0.0:
         raise FrameDegenerate("determinant vanishes identically")
 
-    candidates = []
-    for i in range(n_scan):
-        if dets[i] == 0.0:
-            candidates.append(ts[i])
-        elif dets[i] * dets[i + 1] < 0.0:
-            candidates.append(brentq(lambda t: np.linalg.det(matrix_at(t)),
-                                     ts[i], ts[i + 1], xtol=1e-12))
+    candidates = list(ts[:-1][dets[:-1] == 0.0])
+    candidates += [brentq(lambda t: np.linalg.det(matrix_at(t)), ts[i], ts[i + 1], xtol=1e-12)
+                   for i in np.flatnonzero(dets[:-1] * dets[1:] < 0.0)]
     # even-order zeros: local minima of |det| dipping far below scale
     absd = np.abs(dets)
-    for i in range(1, n_scan):
-        if absd[i] < absd[i - 1] and absd[i] < absd[i + 1] and absd[i] < 1e-8 * scale:
-            res = minimize_scalar(lambda t: abs(np.linalg.det(matrix_at(t))),
-                                  bracket=(ts[i - 1], ts[i], ts[i + 1]))
-            t_cand = float(res.x)
-            if not any(abs(t_cand - c) < 2.0 / n_scan for c in candidates):
-                candidates.append(t_cand)
+    dips = (absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]) & (absd[1:-1] < 1e-8 * scale)
+    for i in np.flatnonzero(dips) + 1:
+        res = minimize_scalar(lambda t: abs(np.linalg.det(matrix_at(t))),
+                              bracket=(ts[i - 1], ts[i], ts[i + 1]))
+        t_cand = float(res.x)
+        if not any(abs(t_cand - c) < 2.0 / n_scan for c in candidates):
+            candidates.append(t_cand)
     if abs(dets[-1]) < 1e-8 * scale and not any(abs(1.0 - c) < 2.0 / n_scan for c in candidates):
         candidates.append(1.0)
 

@@ -20,7 +20,7 @@ from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
 from .errors import OutsideUk, Stalled
 from .geometry import (SpacetimeModel, conformal_factor, horizontal_part, horizontal_unit,
-                       riemannian_metric_matrix, _coords, _inner)
+                       riemannian_metric_matrix, _coords, _inner, _jacobian_fd)
 from .transform import conformal_energy, deform_D, lift_G
 
 __all__ = [
@@ -41,17 +41,13 @@ class PenaltyConfig:
 
     epsilon: float = 0.5
 
-    def chi(self, s: float) -> float:
-        if s < 1.0 / self.epsilon:
-            return 0.0
-        r = s - 1.0 / self.epsilon
-        return float(np.exp(r) - (1.0 + r + 0.5 * r * r))
+    def chi(self, s):
+        r = np.maximum(np.asarray(s, dtype=float) - 1.0 / self.epsilon, 0.0)
+        return np.exp(r) - (1.0 + r + 0.5 * r * r)
 
-    def chi_prime(self, s: float) -> float:
-        if s < 1.0 / self.epsilon:
-            return 0.0
-        r = s - 1.0 / self.epsilon
-        return float(np.exp(r) - (1.0 + r))
+    def chi_prime(self, s):
+        r = np.maximum(np.asarray(s, dtype=float) - 1.0 / self.epsilon, 0.0)
+        return np.exp(r) - (1.0 + r)
 
 
 @dataclass
@@ -61,39 +57,34 @@ class DiscreteCandidate:
     constraint_penalty: float
 
 
-def psi_k(model: SpacetimeModel, k: float, q) -> float:
+def psi_k(model: SpacetimeModel, k: float, q):
+    """Psi_k = <Y,Y> + k^2 at every node of q."""
     q = _coords(q)
     y = model.y(q)
-    return float(y @ model.g(q) @ y) + k * k
+    return _inner(model.g(q), y, y) + k * k
 
 
 def penalized_energy(model: SpacetimeModel, k: float, w: Curve,
                      pc: PenaltyConfig) -> float:
     """Conformal energy plus the boundary barrier, by nodal quadrature."""
     energy = conformal_energy(model, k, w)
-    psis = np.array([psi_k(model, k, q) for q in w.points])
+    psis = psi_k(model, k, w.points)
     if np.any(psis == 0.0):
         raise OutsideUk("curve touches the admissible-region boundary")
-    barrier = np.array([pc.chi(1.0 / p ** 2) for p in psis])
+    barrier = pc.chi(1.0 / psis ** 2)
     if np.all(barrier == 0.0):
         return energy
     return energy + float(np.trapezoid(barrier, w.grid))
 
 
-def _segment_form(model, k, q):
-    """M(q) = phi_k P^T g_R P at q, so the horizontal energy density is v^T M v."""
-    g = model.g(q)
-    y = model.y(q)
-    yy = float(y @ g @ y)
-    phi = conformal_factor(model, q, k)
-    gy = g @ y
-    proj = np.eye(model.m) - np.outer(y, gy) / yy
-    gr = g - 2.0 * np.outer(gy, gy) / yy
-    return phi * (proj.T @ gr @ proj)
-
-
 class _PolylineObjective:
-    """Energy of the horizontal projection of a polyline, with its gradient."""
+    """Energy of the horizontal projection of a polyline, with its gradient.
+
+    On a segment with midpoint q and velocity v the energy density is
+    v^T M v with M = phi_k P^T g_R P, P the projection along Y.  Since the
+    horizontal part h = P v is g-orthogonal to Y, this is phi_k <h, h> and
+    M v = phi_k g h.
+    """
 
     def __init__(self, model, k, x0, x1, n_seg, pc: PenaltyConfig):
         self.model = model
@@ -108,59 +99,41 @@ class _PolylineObjective:
     def nodes(self, interior):
         return np.vstack([self.x0, interior.reshape(self.n - 1, self.model.m), self.x1])
 
-    def energy(self, interior) -> float:
+    def _segments(self, interior):
         nodes = self.nodes(interior)
-        total = 0.0
-        for i in range(self.n):
-            mid = 0.5 * (nodes[i] + nodes[i + 1])
-            v = (nodes[i + 1] - nodes[i]) / self.dt
-            M = _segment_form(self.model, self.k, mid)
-            total += 0.5 * self.dt * float(v @ M @ v)
-        # node-based barrier, trapezoid weights
-        w = np.full(self.n + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        for i, q in enumerate(nodes):
-            psi = psi_k(self.model, self.k, q)
-            if psi <= 0.0:
-                raise OutsideUk("polyline node outside the admissible region")
-            total += w[i] * self.pc.chi(1.0 / psi ** 2)
-        return total
+        return nodes, 0.5 * (nodes[:-1] + nodes[1:]), np.diff(nodes, axis=0) / self.dt
+
+    def _density(self, q, v):
+        """phi_k <h, h> with h the horizontal part of v at q, over all leading axes."""
+        h = horizontal_part(self.model, q, v)
+        return conformal_factor(self.model, q, self.k) * _inner(self.model.g(q), h, h)
+
+    def energy(self, interior) -> float:
+        nodes, mid, v = self._segments(interior)
+        psi = psi_k(self.model, self.k, nodes)
+        if np.any(psi <= 0.0):
+            raise OutsideUk("polyline node outside the admissible region")
+        # node-based barrier, trapezoid rule
+        return float(0.5 * self.dt * np.sum(self._density(mid, v))
+                     + np.trapezoid(self.pc.chi(1.0 / psi ** 2), dx=self.dt))
 
     def gradient(self, interior) -> np.ndarray:
-        nodes = self.nodes(interior)
-        m = self.model.m
-        grad = np.zeros((self.n + 1, m))
-        for i in range(self.n):
-            mid = 0.5 * (nodes[i] + nodes[i + 1])
-            v = (nodes[i + 1] - nodes[i]) / self.dt
-            M = _segment_form(self.model, self.k, mid)
-            Mv = M @ v
-            grad[i] += -Mv
-            grad[i + 1] += Mv
-            # metric variation through the midpoint
-            for a in range(m):
-                e = np.zeros(m)
-                e[a] = self.fd
-                Mp = _segment_form(self.model, self.k, mid + e)
-                Mm = _segment_form(self.model, self.k, mid - e)
-                dM = (Mp - Mm) / (2.0 * self.fd)
-                contrib = 0.25 * self.dt * float(v @ dM @ v)
-                grad[i, a] += contrib
-                grad[i + 1, a] += contrib
-        w = np.full(self.n + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        for i in range(1, self.n):
-            q = nodes[i]
-            psi = psi_k(self.model, self.k, q)
-            cp = self.pc.chi_prime(1.0 / psi ** 2)
-            if cp != 0.0:
-                dpsi = np.empty(m)
-                for a in range(m):
-                    e = np.zeros(m)
-                    e[a] = self.fd
-                    dpsi[a] = (psi_k(self.model, self.k, q + e)
-                               - psi_k(self.model, self.k, q - e)) / (2.0 * self.fd)
-                grad[i] += w[i] * cp * (-2.0 / psi ** 3) * dpsi
+        nodes, mid, v = self._segments(interior)
+        model, k, fd = self.model, self.k, self.fd
+        grad = np.zeros((self.n + 1, model.m))
+        h = horizontal_part(model, mid, v)
+        Mv = conformal_factor(model, mid, k)[:, None] * np.einsum("nab,nb->na", model.g(mid), h)
+        # metric variation through the midpoint
+        dM = 0.25 * self.dt * _jacobian_fd(lambda q: self._density(q, v), mid, fd)
+        grad[:-1] += dM - Mv
+        grad[1:] += dM + Mv
+        # barrier, on the interior nodes where it is switched on
+        inner = nodes[1:-1]
+        psi = psi_k(model, k, inner)
+        cp = self.pc.chi_prime(1.0 / psi ** 2)
+        on = cp != 0.0
+        dpsi = _jacobian_fd(lambda q: psi_k(model, k, q), inner[on], fd)
+        grad[1:-1][on] += (self.dt * cp[on] * (-2.0 / psi[on] ** 3))[:, None] * dpsi
         return grad[1:-1].ravel()
 
     def validate_gradient(self, interior, n_checks: int = 6, tol: float = 1e-6):
@@ -220,11 +193,7 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
         gn = float(np.linalg.norm(g))
         if gn < gtol:
             break
-        gmat = g.reshape(n_seg - 1, m)
-        d = np.empty_like(gmat)
-        for a in range(m):
-            d[:, a] = solveh_banded(ab, gmat[:, a])
-        d = -d.ravel()
+        d = -solveh_banded(ab, g.reshape(n_seg - 1, m)).ravel()
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g

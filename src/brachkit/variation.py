@@ -24,7 +24,8 @@ from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, connection_coeffs,
                        curvature_tensor, horizontal_part, nabla_y_matrix, orthonormal_completion,
-                       riemannian_metric_matrix, scalar_gradient, _comps, _coords, _inner)
+                       riemannian_metric_matrix, scalar_gradient, _comps, _coords, _inner,
+                       _jacobian_fd)
 from .transform import tangent_constraint_scan
 
 __all__ = [
@@ -90,10 +91,6 @@ class VariationConstraintReport:
 class LagrangeMultiplierField:
     lam: float
     mu: np.ndarray
-
-    @property
-    def lambda_value(self) -> float:
-        return self.lam
 
 
 def lagrange_multiplier_field(model: SpacetimeModel, sol: BrachistochroneSolution
@@ -271,47 +268,33 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     Here ``w`` runs from the event to the observer line; the shape term sits
     at t = 1.  Quadratic form only.
     """
-    grid = w.grid
-    n = grid.size
+    grid, pts, vel = w.grid, w.points, w.velocities
     vals = v.values
+    G = connection_coeffs(model, pts)
     if v.derivatives is not None:
         nv = v.derivatives
     else:
-        dv = CubicSpline(grid, vals, axis=0)(grid, 1)
-        nv = np.empty_like(vals)
-        for i, (q, vel) in enumerate(zip(w.points, w.velocities)):
-            G = connection_coeffs(model, q)
-            nv[i] = dv[i] + np.einsum("abc,b,c->a", G, vel, vals[i])
+        nv = (CubicSpline(grid, vals, axis=0)(grid, 1)
+              + np.einsum("nabc,nb,nc->na", G, vel, vals))
 
     def phi_of(qq):
         return conformal_factor(model, qq, k)
 
-    integrand = np.empty(n)
-    for i, (q, vel) in enumerate(zip(w.points, w.velocities)):
-        g = model.g(q)
-        phi = phi_of(q)
-        R = curvature_tensor(model, q)
-        # <R(V, w') V, w'>
-        RV = np.einsum("abcd,b,c,d->a", R, vals[i], vals[i], vel)
-        curv = float((g @ vel) @ RV)
-        grad_phi = scalar_gradient(model, q, phi_of)
-        vv = float(vel @ g @ vel)
-        dot_nv = float(nv[i] @ g @ vel)
-        grad_dot_v = float(grad_phi @ g @ vals[i])
-        # Hessian of the scalar phi_k: <nabla_V grad(phi), V>
-        h = max(model.fd_step, 1e-6)
-        Hphi = np.zeros((model.m, model.m))
-        for b in range(model.m):
-            e = np.zeros(model.m)
-            e[b] = h
-            gp = scalar_gradient(model, q + e, phi_of)
-            gm = scalar_gradient(model, q - e, phi_of)
-            Hphi[:, b] = (gp - gm) / (2.0 * h)
-        G = connection_coeffs(model, q)
-        nabla_grad = Hphi @ vals[i] + np.einsum("abc,b,c->a", G, vals[i], grad_phi)
-        hess_term = float((g @ nabla_grad) @ vals[i])
-        integrand[i] = (phi * (float(nv[i] @ g @ nv[i]) + curv)
-                        + 2.0 * grad_dot_v * dot_nv + 0.5 * hess_term * vv)
+    def grad_phi_of(qq):
+        return scalar_gradient(model, qq, phi_of)
+
+    g = model.g(pts)
+    R = curvature_tensor(model, pts)
+    # <R(V, w') V, w'>
+    curv = np.einsum("na,nab,nbcde,nc,nd,ne->n", vel, g, R, vals, vals, vel)
+    grad_phi = grad_phi_of(pts)
+    # Hessian of the scalar phi_k: <nabla_V grad(phi), V>
+    Hphi = _jacobian_fd(grad_phi_of, pts, max(model.fd_step, 1e-6))
+    nabla_grad = (np.einsum("nab,nb->na", Hphi, vals)
+                  + np.einsum("nabc,nb,nc->na", G, vals, grad_phi))
+    integrand = (phi_of(pts) * (_inner(g, nv, nv) + curv)
+                 + 2.0 * _inner(g, grad_phi, vals) * _inner(g, nv, vel)
+                 + 0.5 * _inner(g, nabla_grad, vals) * _inner(g, vel, vel))
     total = grid_integral(grid, integrand)
     # shape term of the observer line at the arrival end
     q1 = w.points[-1]

@@ -159,3 +159,47 @@ def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override
     assert code == 2
     assert any("configuration error" in rec.getMessage() for rec in caplog.records)
     assert not (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize("command, content", [
+    ("index", None),
+    ("verify", None),
+    ("jacobi", {"model": 3}),
+    ("verify", "{not json"),
+], ids=["index_missing_file", "verify_missing_file", "jacobi_model_not_a_block",
+        "verify_not_json"])
+def test_unreadable_solution_is_config_error(tmp_path, caplog, command, content):
+    if content is not None:
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / "nope.json").write_text(text)
+    path = write_config(tmp_path, {command: {"solution": "nope.json"}})
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("command, override", [
+    ("solve", {"p": [5.0, 0.0, 0.0], "solve": {"u": [1.0, 0.0, 0.0], "T": 0.6}}),
+    ("shoot", {"gamma_anchor": [5.0, 0.0, 0.0],
+               "shoot": {"guess_u": [1.0, 0.0, 0.0], "guess_T": 1.0}}),
+], ids=["p", "gamma_anchor"])
+def test_point_outside_chart_is_config_error(tmp_path, caplog, command, override):
+    # rotating_frame's chart is the disc x^2 + y^2 < r_max^2 = 4
+    path = write_config(tmp_path, {"model": {"name": "rotating_frame"}, "k": 1.5,
+                                   "p": [0.3, 0.2, 0.0], "gamma_anchor": [0.8, 0.5, 0.0],
+                                   **override})
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("outside the chart" in rec.getMessage() for rec in caplog.records)
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_invalid_model_params_is_config_error(tmp_path, caplog):
+    path = write_config(tmp_path, {"model": {"name": "rotating_frame", "params": {"omega": -1.0}},
+                                   "solve": {"u": [1.0, 0.0, 0.0], "T": 0.6}})
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() for rec in caplog.records)

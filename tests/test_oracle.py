@@ -51,6 +51,29 @@ def test_chi_smoothness_at_cutoff():
     assert pc.chi(s0 + h) < 1e-15  # cubic-order takeoff: C^2 at the cutoff
 
 
+def test_barrier_gradient_matches_energy_differences(models):
+    # interior nodes at x in [1.55, 1.68] of the well with k = 2 (admissible
+    # region 1 + x^2 < 4), where 1/Psi_k^2 exceeds the cutoff and chi' > 0
+    from brachkit.oracle import _PolylineObjective, psi_k
+    model = models["static_well"]
+    k = 2.0
+    pc = PenaltyConfig(epsilon=0.5)
+    n = 20
+    x0, x1 = np.array([1.55, 0.0, 0.0]), np.array([1.6, 0.3, 0.0])
+    grid = np.linspace(0.0, 1.0, n + 1)
+    nodes = np.outer(1 - grid, x0) + np.outer(grid, x1)
+    nodes[:, 0] += 0.08 * np.sin(np.pi * grid)
+    nodes[:, 2] += 0.05 * np.sin(2 * np.pi * grid)
+    obj = _PolylineObjective(model, k, x0, x1, n, pc)
+    interior = nodes[1:-1].ravel()
+    assert np.any(pc.chi_prime(1.0 / psi_k(model, k, nodes[1:-1]) ** 2) != 0.0)
+    g = obj.gradient(interior)
+    h = 1e-6
+    fd = np.array([(obj.energy(interior + e) - obj.energy(interior - e)) / (2 * h)
+                   for e in h * np.eye(interior.size)])
+    assert np.max(np.abs(fd - g)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
+
+
 def test_discrete_minimize_flat(models):
     model = models["minkowski3"]
     cand = discrete_minimize(model, [0, 0, 0], [1, 0, 0], np.sqrt(2.0), 200)
