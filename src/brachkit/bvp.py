@@ -2,14 +2,20 @@
 deterministic multi-start surveys with index attachment and deduplication.
 
 The endpoint condition "arrive on the observer line" is measured in the
-quotient by the Killing flow: the arrival point is flowed-matched to the
-nearest orbit point and the residual is the remaining displacement, expressed
-in a horizontal frame.
+quotient by the Killing flow: the arrival point is matched to the nearest
+point of the observer's orbit and the residual is the remaining displacement,
+expressed in a horizontal frame.
+
+Newton's method is written as a generator that yields the shots it needs, so
+one loop (``_solve_starts``) can integrate the pending shots of every start of
+a survey as one lockstep batch (``dynamics.shot_endpoints``); ``shoot`` is
+that loop with a single start.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -17,12 +23,12 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .curves import resample_curve
-from .dynamics import (BrachistochroneSolution, IntegratorConfig, _rhs_factory,
-                       initial_velocity, integrate_brachistochrone)
-from .errors import BrachkitError, NoConvergence
+from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
+                       integrate_brachistochrone, shot_endpoints)
+from .errors import BrachkitError, FlowEscape, NoConvergence, StepFailure
 from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
                        orthonormal_completion, riemannian_metric_matrix, _coords)
-from .transform import flow_points
+from .transform import _FLOW_ATOL, _FLOW_RTOL
 
 __all__ = [
     "ObserverWorldline",
@@ -35,19 +41,51 @@ __all__ = [
 
 log = logging.getLogger("brachkit.bvp")
 
+_ORBIT_PIECE = 8.0  # flow-parameter length of one piece of the dense observer orbit
+
 
 @dataclass(frozen=True)
 class ObserverWorldline:
-    """The observer: the Killing-flow line through an anchor point."""
+    """The observer: the Killing-flow line s -> psi(anchor, s).
+
+    The orbit is one dense DOP853 solution of dq/ds = Y(q), with the
+    tolerances of ``transform.flow_points``.  It grows on demand in pieces of
+    fixed length, each solved from the end of the previous one, so the value
+    at s never depends on which s were asked for earlier.
+    """
 
     anchor: np.ndarray
     model: SpacetimeModel
+    _pieces: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
 
+    def _piece(self, i: int):
+        """Dense solution on [i, i + 1] * _ORBIT_PIECE; pieces are solved outward from s = 0."""
+        piece = self._pieces.get(i)
+        if piece is None:
+            step = 1 if i >= 0 else -1
+            start = self.anchor
+            for j in range(0 if step > 0 else -1, i + step, step):
+                piece = self._pieces.get(j)
+                if piece is None:
+                    s0 = (j if step > 0 else j + 1) * _ORBIT_PIECE
+                    piece = self._pieces[j] = solve_ivp(
+                        lambda s, q: self.model.y(q), (s0, s0 + step * _ORBIT_PIECE), start,
+                        method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, dense_output=True)
+                if not piece.success:
+                    break
+                start = piece.y[:, -1]
+        if not piece.success:
+            raise StepFailure(f"Killing flow integration failed: {piece.message}")
+        return piece
+
     def point(self, s: float) -> np.ndarray:
-        return flow_points(self.model, self.anchor[None, :], np.array([s]))[0]
+        q = self._piece(int(np.floor(s / _ORBIT_PIECE))).sol(s)
+        if not self.model.in_chart(q):
+            raise FlowEscape(f"Killing flow left the chart of '{self.model.name}'")
+        return q
 
 
 @dataclass
@@ -89,17 +127,6 @@ def sample_initial_velocity(model: SpacetimeModel, p, k: float, T: float,
     return initial_velocity(model, k, p, horizontal_unit(model, p, u_seed), T)
 
 
-def _endpoint(model, k, p, u, T, config: IntegratorConfig):
-    """Arrival state of a shot, without dense output (cheap)."""
-    v0 = initial_velocity(model, k, p, u, T)
-    rhs = _rhs_factory(model, k, T)
-    out = solve_ivp(rhs, (0.0, 1.0), np.concatenate([p, v0]), method=config.method,
-                    rtol=config.rtol, atol=config.atol)
-    if not out.success:
-        raise NoConvergence(f"shot integration failed: {out.message}")
-    return out.y[:model.m, -1]
-
-
 def _orbit_match(problem: ShootingProblem, q_end) -> tuple:
     """Flow parameter s* minimizing the g_R distance from q_end to the orbit."""
     model = problem.model
@@ -120,9 +147,9 @@ def _orbit_match(problem: ShootingProblem, q_end) -> tuple:
     return float(res.x), np.sqrt(max(float(res.fun), 0.0))
 
 
-def _residual_vector(problem: ShootingProblem, u, T) -> np.ndarray:
+def _residual_vector(problem: ShootingProblem, q_end) -> np.ndarray:
+    """Horizontal-frame components of the displacement from the matched orbit point."""
     model = problem.model
-    q_end = _endpoint(model, problem.k, problem.p, u, T, problem.config.integrator)
     s_star, _ = _orbit_match(problem, q_end)
     pt = problem.gamma.point(s_star)
     d = model.wrap_difference(q_end - pt)
@@ -142,34 +169,43 @@ def _sphere_direction(model, p, center, coeffs):
     return vec / np.sqrt(float(vec @ gr @ vec))
 
 
-def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
-    """Newton iteration on (direction, travel time) until the arrival defect
-    drops below tolerance; returns the fully sampled converged solution."""
+def _newton(problem: ShootingProblem, guess):
+    """Newton iteration on (direction, travel time), as a generator of shots.
+
+    Each ``yield`` hands out a list of launches ``(state, T)``: one launch, or
+    the m - 1 finite-difference Jacobian launches together.  It is sent back
+    each launch's arrival point or the exception its integration raised.  The
+    generator returns the converged (direction, T) once the arrival defect
+    drops below tolerance.
+    """
     model = problem.model
     cfg = problem.config
     u0, T = guess
     center = horizontal_unit(model, problem.p, u0)
-    T = float(T)
     ndim = model.m - 1
 
-    def system(x, ctr):
+    def launch(x, ctr):
+        T = max(x[-1], 1e-8)
         u = _sphere_direction(model, problem.p, ctr, x[:-1])
-        return _residual_vector(problem, u, max(x[-1], 1e-8))
+        return np.concatenate([problem.p, initial_velocity(model, problem.k, problem.p, u, T)]), T
+
+    def residual(end):
+        if isinstance(end, Exception):
+            raise end
+        return _residual_vector(problem, end)
 
     x = np.zeros(ndim)
-    x[-1] = T
-    r = system(x, center)
+    x[-1] = float(T)
+    r = residual((yield [launch(x, center)])[0])
     jac = None
     for it in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
         if jac is None:
-            jac = np.empty((ndim, ndim))
-            for j in range(ndim):
-                dx = np.zeros(ndim)
-                dx[j] = cfg.fd_step * (1.0 + abs(x[j]))
-                jac[:, j] = (system(x + dx, center) - r) / dx[j]
+            dxs = cfg.fd_step * (1.0 + np.abs(x))
+            ends = yield [launch(x + dx * e, center) for dx, e in zip(dxs, np.eye(ndim))]
+            jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -181,7 +217,8 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
                 lam *= 0.5
                 continue
             try:
-                r_new = system(x_new, center)
+                shot = launch(x_new, center)
+                r_new = residual((yield [shot])[0])
             except (BrachkitError, ValueError):
                 lam *= 0.5
                 continue
@@ -200,13 +237,61 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
     else:
         raise NoConvergence(
             f"no convergence after {cfg.max_newton} iterations (residual {np.linalg.norm(r):.3e})")
+    return center, float(x[-1])
 
-    u_final = center
-    T_final = float(x[-1])
-    sol = integrate_brachistochrone(model, problem.k, problem.p, u_final, T_final,
-                                    cfg.integrator)
-    sol.check_conservation(cfg.integrator.tol_cons)
-    return sol
+
+def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
+    """Shoot from every guess in lockstep.
+
+    Each round integrates the pending launches of all starts as one batch.
+    Returns ``(results, rounds, lane_shots)``, where ``results[i]`` is the
+    fully sampled converged solution of start i or the exception that ended
+    it.
+    """
+    cfg = problem.config
+    newtons = [_newton(problem, guess) for guess in guesses]
+    results = [None] * len(newtons)
+    pending = {}
+
+    def advance(i, ends):
+        try:
+            try:
+                pending[i] = newtons[i].send(ends)
+                return
+            except StopIteration as stop:
+                u, T = stop.value
+            sol = integrate_brachistochrone(problem.model, problem.k, problem.p, u, T,
+                                            cfg.integrator)
+            sol.check_conservation(cfg.integrator.tol_cons)
+            results[i] = sol
+        except (BrachkitError, ValueError) as exc:
+            results[i] = exc
+
+    for i in range(len(newtons)):
+        advance(i, None)
+    rounds = lane_shots = 0
+    while pending:
+        batch = sorted(pending.items())
+        pending.clear()
+        launches = [shot for _, shots in batch for shot in shots]
+        ends = shot_endpoints(problem.model, problem.k, np.array([st for st, _ in launches]),
+                              [T for _, T in launches], cfg.integrator)
+        rounds += 1
+        lane_shots += len(launches)
+        pos = 0
+        for i, shots in batch:
+            advance(i, ends[pos:pos + len(shots)])
+            pos += len(shots)
+    return results, rounds, lane_shots
+
+
+def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
+    """Newton iteration on (direction, travel time) until the arrival defect
+    drops below tolerance; returns the fully sampled converged solution."""
+    (result,), _, _ = _solve_starts(problem, [guess])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _attach_indices(model, sol, n_basis: int = 50):
@@ -224,53 +309,41 @@ def _attach_indices(model, sol, n_basis: int = 50):
     return hm.n_negative, hm.n_zero, rep.geometric_index
 
 
-def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
-                      seed: int, dedup_threshold: float = 1e-4,
-                      attach_indices: bool = True, n_basis: int = 50,
-                      threads: int = 1) -> SurveyResult:
-    """Deterministic multi-start shooting over random directions and T values.
-
-    Individual failures are logged and skipped; converged solutions are sorted
-    by travel time, deduplicated by sup curve distance, and annotated with
-    their Morse and geometric indices.
-    """
+def _survey_starts(m: int, n_starts: int, T_bracket, seed: int) -> list:
+    """The survey's deterministic (direction seed, T) starts."""
     rng = np.random.default_rng(seed)
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
-    starts = []
-    for _ in range(n_starts):
-        seed_dir = rng.standard_normal(problem.model.m)
-        T0 = rng.uniform(T_lo, T_hi)
-        starts.append((seed_dir, T0))
+    return [(rng.standard_normal(m), rng.uniform(T_lo, T_hi)) for _ in range(n_starts)]
 
-    def run_one(idx_start):
-        idx, (seed_dir, T0) = idx_start
-        try:
-            sol = shoot(problem, (seed_dir, T0))
-            return idx, sol, None
-        except (BrachkitError, ValueError) as exc:
-            return idx, None, f"start {idx}: {type(exc).__name__}: {exc}"
 
-    results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, enumerate(starts)))
-    else:
-        results = [run_one(pair) for pair in enumerate(starts)]
-    results.sort(key=lambda r: r[0])
+def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
+                      seed: int, dedup_threshold: float = 1e-4,
+                      attach_indices: bool = True, n_basis: int = 50) -> SurveyResult:
+    """Deterministic multi-start shooting over random directions and T values.
 
-    n_failures = 0
+    All starts are shot in lockstep.  Individual failures are logged and
+    skipped; converged solutions are sorted by travel time, deduplicated by
+    sup curve distance, and annotated with their Morse and geometric indices.
+    One INFO line sums up what became of the starts.
+    """
+    T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
+    starts = _survey_starts(problem.model.m, n_starts, T_bracket, seed)
+    results, rounds, lane_shots = _solve_starts(problem, starts)
+
+    failed = Counter()
+    n_outside = 0
     converged = []
-    for idx, sol, err in results:
-        if sol is None:
-            n_failures += 1
-            log.info("%s", err)
+    for idx, res in enumerate(results):
+        if isinstance(res, Exception):
+            failed[type(res).__name__] += 1
+            log.info("start %d: %s: %s", idx, type(res).__name__, res)
             continue
-        if not (T_lo - 1e-9 <= sol.T <= T_hi + 1e-9):
+        if not (T_lo - 1e-9 <= res.T <= T_hi + 1e-9):
             log.info("start %d: converged outside the T bracket (T=%.6g), discarded",
-                     idx, sol.T)
+                     idx, res.T)
+            n_outside += 1
             continue
-        converged.append(sol)
+        converged.append(res)
 
     converged.sort(key=lambda s: s.T)
     unique = []
@@ -279,6 +352,11 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
                               resample_curve(other.sigma, 200).points) > dedup_threshold
                for other in unique):
             unique.append(sol)
+    n_failures = sum(failed.values())
+    log.info("survey: starts=%d distinct=%d duplicate=%d outside_bracket=%d failed=%d (%s) "
+             "rounds=%d lane_shots=%d", n_starts, len(unique), len(converged) - len(unique),
+             n_outside, n_failures, " ".join(f"{k}={v}" for k, v in sorted(failed.items())),
+             rounds, lane_shots)
 
     records = []
     for sol in unique:

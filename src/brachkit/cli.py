@@ -219,7 +219,7 @@ def _unit_horizontal(model, q, seed):
 # ---------------------------------------------------------------------------
 # Commands
 
-def _cmd_solve(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_solve(cfg, out_dir: Path, seed) -> str:
     model = _model_of(cfg)
     icfg = _integrator_config(cfg)
     block = cfg["solve"]
@@ -234,7 +234,7 @@ def _cmd_solve(cfg, out_dir: Path, seed, threads) -> str:
     return f"solve: T={sol.T:.17g} residuals Y={sol.residual_conservation_Y:.3e}"
 
 
-def _cmd_shoot(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_shoot(cfg, out_dir: Path, seed) -> str:
     model = _model_of(cfg)
     icfg = _integrator_config(cfg)
     block = cfg["shoot"]
@@ -253,7 +253,7 @@ def _cmd_shoot(cfg, out_dir: Path, seed, threads) -> str:
     return f"shoot: T={sol.T:.17g} roundtrip={rep.roundtrip_error:.3e}"
 
 
-def _cmd_survey(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_survey(cfg, out_dir: Path, seed) -> str:
     model = _model_of(cfg)
     icfg = _integrator_config(cfg)
     block = cfg["survey"]
@@ -269,7 +269,7 @@ def _cmd_survey(cfg, out_dir: Path, seed, threads) -> str:
     res = multistart_survey(
         prob, int(block["n_starts"]), tuple(block["T_bracket"]), use_seed,
         attach_indices=bool(block.get("attach_indices", True)),
-        n_basis=int(block.get("n_basis", 50)), threads=threads)
+        n_basis=int(block.get("n_basis", 50)))
     sol_docs = []
     for i, rec in enumerate(res.solutions):
         ref = f"survey_sol_{i:03d}.csv"
@@ -301,7 +301,7 @@ def _cmd_survey(cfg, out_dir: Path, seed, threads) -> str:
     return f"survey: {len(sol_docs)} solutions, parity {res.parity}"
 
 
-def _cmd_jacobi(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_jacobi(cfg, out_dir: Path, seed) -> str:
     from .jacobi import bfocal_points
     block = cfg["jacobi"]
     model, _, sol = _load_solution(out_dir / block["solution"])
@@ -316,7 +316,7 @@ def _cmd_jacobi(cfg, out_dir: Path, seed, threads) -> str:
     return f"jacobi: geometric index {rep.geometric_index}"
 
 
-def _cmd_index(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_index(cfg, out_dir: Path, seed) -> str:
     from .variation import _restricted_hessians
     block = cfg["index"]
     model, _, sol = _load_solution(out_dir / block["solution"])
@@ -341,7 +341,7 @@ def _cmd_index(cfg, out_dir: Path, seed, threads) -> str:
     return f"index: full={triple[0]} horizontal={triple[1]} perpendicular={triple[2]}"
 
 
-def _cmd_verify(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_verify(cfg, out_dir: Path, seed) -> str:
     block = cfg["verify"]
     model, _, sol = _load_solution(out_dir / block["solution"])
     tol = cfg.get("tolerances", {})
@@ -374,7 +374,7 @@ def _cmd_verify(cfg, out_dir: Path, seed, threads) -> str:
     return "verify: all invariants hold"
 
 
-def _cmd_oracle(cfg, out_dir: Path, seed, threads) -> str:
+def _cmd_oracle(cfg, out_dir: Path, seed) -> str:
     model = _model_of(cfg)
     block = cfg.get("oracle", {})
     p = np.asarray(cfg["p"], dtype=float)
@@ -421,12 +421,15 @@ _HANDLERS = {
 
 
 def run_scenario(config: dict, command: str, out_dir, seed=None, threads: int = 1) -> str:
+    """Run one command of a scenario; ``threads`` is kept for callers and must be 1."""
+    if threads != 1:
+        raise ConfigError(f"threads must be 1 (all starts are shot in lockstep), got {threads!r}")
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command '{command}'")
     if command not in config and command not in ("oracle",):
         raise ConfigError(f"scenario lacks a '{command}' block")
     _check_command(config, command)
-    return _HANDLERS[command](config, Path(out_dir), seed, threads)
+    return _HANDLERS[command](config, Path(out_dir), seed)
 
 
 def main(argv=None) -> int:
@@ -436,7 +439,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out-dir", default=".", help="directory for result files")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (survey)")
     args = parser.parse_args(argv)
@@ -444,8 +446,7 @@ def main(argv=None) -> int:
                         format="%(name)s: %(message)s")
     try:
         cfg = load_config(args.config)
-        summary = run_scenario(cfg, args.command, args.out_dir, seed=args.seed,
-                               threads=args.threads)
+        summary = run_scenario(cfg, args.command, args.out_dir, seed=args.seed)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return 2

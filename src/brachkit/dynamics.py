@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .curves import Curve, grid_integral
-from .errors import NotHorizontal, OutsideUk, StepFailure
+from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
                        connection_coeffs, conservation_residuals,
                        riemannian_metric_matrix, scalar_gradient, _coords, _comps, _inner)
@@ -25,7 +25,10 @@ __all__ = [
     "IntegratorConfig",
     "BrachistochroneSolution",
     "initial_velocity",
+    "brachistochrone_acceleration",
     "brachistochrone_rhs",
+    "rk45_lanes",
+    "shot_endpoints",
     "integrate_brachistochrone",
     "integrate_conformal_geodesic",
     "conservation_report",
@@ -39,7 +42,6 @@ class IntegratorConfig:
     atol: float = 1e-10
     grid_n: int = 400
     tol_cons: float = 1e-7
-    method: str = "RK45"  # embedded 5(4) pair with dense output
 
 
 @dataclass
@@ -87,40 +89,191 @@ def initial_velocity(model: SpacetimeModel, k: float, p, u, T: float) -> np.ndar
     return (T / np.sqrt(-yy)) * (k * y / np.sqrt(-yy) + np.sqrt(P) * u)
 
 
+def brachistochrone_acceleration(model: SpacetimeModel, k: float, T, q, v) -> np.ndarray:
+    """sigma'' of the travel-time equation at states (q, v) of shape ``(..., m)``.
+
+    ``T`` is a scalar or one travel time per state.  The only implementation
+    of the acceleration: it raises OutOfChart (through the connection) or
+    OutsideUk if any state of the batch leaves the chart or the admissible
+    region.
+    """
+    G = connection_coeffs(model, q)
+    g, y = model.g(q), model.y(q)
+    N = _inner(g, y, y)
+    P = k * k + N
+    if (P <= 0.0).any():
+        raise OutsideUk(f"trajectory left the admissible region (k^2 + <Y,Y> = {np.min(P)})")
+    two_kT = 2.0 * k * np.asarray(T, dtype=float)
+    dvy = np.einsum("...ab,...b->...a", model.dy(q) + np.einsum("...abc,...c->...ab", G, y), v)
+    W = _inner(g, dvy, y)                 # <nabla_v Y, Y>
+    return (-np.einsum("...abc,...b,...c->...a", G, v, v)
+            - (2.0 * k * k * W / (N * P))[..., None] * v
+            - (two_kT / N)[..., None] * dvy
+            + (two_kT * W / (N * P))[..., None] * y)
+
+
 def _rhs_factory(model: SpacetimeModel, k: float, T: float):
-    gfun, yfun, dyfun = model.g, model.y, model.dy
-    kk = k * k
-    two_kT = 2.0 * k * T
+    """Single-state right-hand side for ``solve_ivp``: the acceleration on a batch of one."""
+    m = model.m
 
     def rhs(t, state):
-        m = state.size // 2
-        q, v = state[:m], state[m:]
-        G = connection_coeffs(model, q)  # raises OutOfChart once the trajectory leaves the chart
-        g = gfun(q)
-        y = yfun(q)
-        N = float(y @ g @ y)
-        P = kk + N
-        if P <= 0.0:
-            raise OutsideUk(f"trajectory left the admissible region at t={t}")
-        K = dyfun(q) + np.einsum("abc,c->ab", G, y)
-        dvy = K @ v                       # nabla_v Y
-        W = float(dvy @ g @ y)            # <nabla_v Y, Y>
-        acc = (-np.einsum("abc,b,c->a", G, v, v)
-               - (2.0 * kk * W / (N * P)) * v
-               - (two_kT / N) * dvy
-               + (two_kT * W / (N * P)) * y)
-        return np.concatenate([v, acc])
+        q, v = state[None, :m], state[None, m:]
+        return np.concatenate([state[m:], brachistochrone_acceleration(model, k, T, q, v)[0]])
 
     return rhs
 
 
 def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
-    """(velocity, acceleration) of the travel-time equation at one state."""
-    q, v = state
-    y0 = np.concatenate([_coords(q), _comps(v)])
-    out = _rhs_factory(model, k, T)(0.0, y0)
+    """(velocity, acceleration) of the travel-time equation at states of shape ``(..., m)``."""
+    q, v = _coords(state[0]), _comps(state[1])
+    return v.copy(), brachistochrone_acceleration(model, k, T, q, v)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep shots: Dormand-Prince 5(4) with a step size per lane
+
+# scipy's RK45 tableau and step-size rules (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+_RK_A, _RK_B, _RK_E = RK45.A, RK45.B, RK45.E
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1.0 / 5.0
+
+
+def _lincomb(coeffs, K):
+    """sum_s c_s K_s, elementwise so that each lane's value is independent of the batch."""
+    out = coeffs[0] * K[0]
+    for c, k in zip(coeffs[1:], K[1:]):
+        out = out + c * k
+    return out
+
+
+def _rms(x):
+    return np.sqrt(np.sum(x * x, axis=-1) / x.shape[-1])
+
+
+class _Lanes:
+    """Per-lane arrays of the live lanes, shrunk together when lanes leave."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask):
+        for key, val in vars(self).items():
+            if isinstance(val, list):
+                val[:] = [k[mask] for k in val]  # in place: a pending L.K.append must see it
+            else:
+                setattr(self, key, val[mask])
+
+
+def rk45_lanes(fun, y0, rtol: float, atol: float):
+    """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own RK45 step control.
+
+    ``y0`` has shape ``(n, d)``; ``fun`` gets the states of the live lanes and
+    their indices.  Each lane follows scipy's RK45 rules (initial step, SAFETY,
+    MIN/MAX_FACTOR, no growth after a rejection, min-step failure) with an
+    error norm over that lane alone, so it takes scipy's steps and agrees with
+    its result to roundoff; and it is bit-identical whether it runs alone or
+    in any batch.  When a batched evaluation raises,
+    the lanes are evaluated one by one; each lane that raises leaves with its
+    exception and the others continue.
+
+    Returns ``(ends, steps, failures)``: the states at t = 1 (NaN rows for
+    failed lanes), the accepted steps per lane and a dict lane -> exception.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    n, dim = y0.shape
+    ends = np.full((n, dim), np.nan)
+    steps = np.zeros(n, dtype=int)
+    failures = {}
+    L = _Lanes(lane=np.arange(n), y=y0.copy())
+
+    def evaluate(Y):
+        """fun on the live lanes; a lane that raises leaves L and the returned rows."""
+        try:
+            return fun(Y, L.lane)
+        except (BrachkitError, ValueError):
+            pass
+        out = np.empty_like(Y)
+        ok = np.ones(L.lane.size, dtype=bool)
+        for j in range(L.lane.size):
+            try:
+                out[j] = fun(Y[j:j + 1], L.lane[j:j + 1])[0]
+            except (BrachkitError, ValueError) as exc:
+                failures[int(L.lane[j])] = exc.with_traceback(None)  # no frame cycle
+                ok[j] = False
+        L.keep(ok)
+        return out[ok]
+
+    L.f = evaluate(L.y)
+    # initial step, as scipy's select_initial_step
+    L.scale = atol + np.abs(L.y) * rtol
+    L.d1 = _rms(L.f / L.scale)
+    d0 = _rms(L.y / L.scale)
+    with np.errstate(divide="ignore"):  # the branch that divides by zero is not taken
+        L.h0 = np.minimum(np.where((d0 < 1e-5) | (L.d1 < 1e-5), 1e-6, 0.01 * d0 / L.d1), 1.0)
+    f1 = evaluate(L.y + L.h0[:, None] * L.f)
+    d2 = _rms((f1 - L.f) / L.scale) / L.h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((L.d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, L.h0 * 1e-3),
+                      (0.01 / np.maximum(L.d1, d2)) ** 0.2)
+    L.h_abs = np.minimum(np.minimum(100.0 * L.h0, h1), 1.0)
+    del L.scale, L.d1, L.h0
+    L.t = np.zeros(L.lane.size)
+    L.rejected = np.zeros(L.lane.size, dtype=bool)
+    while L.lane.size:
+        min_step = 10.0 * np.abs(np.nextafter(L.t, np.inf) - L.t)
+        L.h_abs = np.where(~L.rejected & (L.h_abs < min_step), min_step, L.h_abs)
+        small = L.h_abs < min_step
+        if small.any():
+            for lane in L.lane[small]:
+                failures[int(lane)] = NoConvergence(
+                    "shot integration failed: Required step size is less than "
+                    "spacing between numbers.")
+            L.keep(~small)
+            continue
+        t_new = L.t + L.h_abs
+        L.t_new = np.where(t_new > 1.0, 1.0, t_new)
+        L.h = (L.t_new - L.t)[:, None]
+        L.K = [L.f]
+        for s in range(1, 6):
+            L.K.append(evaluate(L.y + L.h * _lincomb(_RK_A[s, :s], L.K)))
+        L.y_new = L.y + L.h * _lincomb(_RK_B, L.K)
+        L.K.append(evaluate(L.y_new))
+        scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
+        err = _rms(L.h * _lincomb(_RK_E, L.K) / scale)
+        accept = err < 1.0
+        with np.errstate(divide="ignore"):  # err == 0 gives inf: growth by _MAX_FACTOR
+            fac = _SAFETY * err ** _ERR_EXP
+        grow = np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR)
+        grow = np.where(L.rejected & ~(grow < 1.0), 1.0, grow)
+        shrink = np.where(fac > _MIN_FACTOR, fac, _MIN_FACTOR)
+        L.h_abs = np.abs(L.h[:, 0]) * np.where(accept, grow, shrink)
+        L.rejected = ~accept
+        L.t = np.where(accept, L.t_new, L.t)
+        L.y = np.where(accept[:, None], L.y_new, L.y)
+        L.f = np.where(accept[:, None], L.K[-1], L.f)
+        steps[L.lane[accept]] += 1
+        done = accept & (L.t >= 1.0)
+        ends[L.lane[done]] = L.y[done]
+        L.keep(~done)
+    return ends, steps, failures
+
+
+def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig) -> list:
+    """Arrival points of brachistochrone shots integrated in lockstep on [0, 1].
+
+    ``states`` holds one launch state (q, v) per row and ``T`` one travel time
+    per row; each entry of the result is that shot's chart point at t = 1 or
+    the exception the shot raised.
+    """
     m = model.m
-    return out[:m], out[m:]
+    T = np.asarray(T, dtype=float)
+
+    def fun(Y, lanes):
+        q, v = Y[:, :m], Y[:, m:]
+        return np.concatenate([v, brachistochrone_acceleration(model, k, T[lanes], q, v)], axis=1)
+
+    ends, _, failures = rk45_lanes(fun, states, config.rtol, config.atol)
+    return [failures.get(i, ends[i, :m]) for i in range(len(T))]
 
 
 def _sample(sol_ivp, m, grid):
@@ -130,11 +283,10 @@ def _sample(sol_ivp, m, grid):
 
 def _ode_residual(model, k, T, curve: Curve) -> float:
     idx = np.arange(0, curve.grid.size, max(1, curve.grid.size // 64))
-    rhs = _rhs_factory(model, k, T)  # one state at a time
-    states = np.concatenate([curve.points[idx], curve.velocities[idx]], axis=1)
-    target = np.array([rhs(t, state)[model.m:] for t, state in zip(curve.grid[idx], states)])
+    pts = curve.points[idx]
+    target = brachistochrone_acceleration(model, k, T, pts, curve.velocities[idx])
     d = curve.velocity_spline()(curve.grid[idx], 1) - target
-    return float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, curve.points[idx]), d, d))))
+    return float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, pts), d, d))))
 
 
 def integrate_brachistochrone(model: SpacetimeModel, k: float, p, u, T: float,
@@ -155,7 +307,7 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
     q0 = model.require_in_chart(p)
     state0 = np.concatenate([q0, _comps(v0)])
     rhs = _rhs_factory(model, k, T)
-    out = solve_ivp(rhs, (0.0, 1.0), state0, method=config.method,
+    out = solve_ivp(rhs, (0.0, 1.0), state0, method="RK45",
                     rtol=config.rtol, atol=config.atol, dense_output=True)
     if not out.success:
         raise StepFailure(f"integrator failed: {out.message}")
@@ -190,7 +342,7 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
         G = cg.christoffels(pos)
         return np.concatenate([vel, -np.einsum("abc,b,c->a", G, vel, vel)])
 
-    out = solve_ivp(rhs, (0.0, 1.0), np.concatenate([q0, v0]), method=config.method,
+    out = solve_ivp(rhs, (0.0, 1.0), np.concatenate([q0, v0]), method="RK45",
                     rtol=config.rtol, atol=config.atol, dense_output=True)
     if not out.success:
         raise StepFailure(f"integrator failed: {out.message}")

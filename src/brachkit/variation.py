@@ -573,9 +573,7 @@ def make_admissible_variation(model: SpacetimeModel, sol: BrachistochroneSolutio
 
     # horizontal part of the velocity and its covariant derivative
     Z = vels + (k * T / geom.N)[:, None] * geom.y
-    acc = np.empty((n, m))
-    for i in range(n):
-        acc[i] = brachistochrone_rhs(model, k, T, (curve.points[i], vels[i]))[1]
+    acc = brachistochrone_rhs(model, k, T, (curve.points, vels))[1]
     nabla_ss = acc + np.einsum("nabc,nb,nc->na", geom.gamma, vels, vels)
     Kv = np.einsum("nab,nb->na", geom.K, vels)          # nabla_{s'} Y
     dN = 2.0 * np.einsum("na,nab,nb->n", Kv, geom.g, geom.y)

@@ -6,8 +6,11 @@ import pytest
 from brachkit import geometry as geo
 from brachkit.curves import Curve
 from brachkit.dynamics import integrate_conformal_geodesic
-from brachkit.errors import FocalEndpoint, FrameDegenerate, NotGeodesic, StencilOutOfChart
+from brachkit.bvp import ObserverWorldline
+from brachkit.errors import (FlowEscape, FocalEndpoint, FrameDegenerate, NotGeodesic,
+                             StencilOutOfChart, StepFailure)
 from brachkit.models import ModelSpec, make_model
+from brachkit.transform import flow_points
 from brachkit.variation import ConformalCurveData, assemble_hessian, restricted_index_report
 
 
@@ -74,3 +77,42 @@ def test_restricted_index_report_focal_endpoint(models):
     assert abs(mid - np.pi) < 0.05
     with pytest.raises(FocalEndpoint, match="mode 'full'"):
         restricted_index_report(cg, w, 20, data=data)
+
+
+def _flat3(killing, chart=None):
+    """Minkowski 2+1 metric with a custom observer field and chart."""
+    g = np.diag([1.0, 1.0, -1.0])
+    return geo.SpacetimeModel("flat3", 3, lambda q: np.zeros(q.shape[:-1] + (3, 3)) + g, killing,
+                              chart_domain=chart)
+
+
+def test_killing_flow_escapes_bounded_chart():
+    # the chart bounds the Killing coordinate: |t| < 1
+    def y(q):
+        out = np.zeros(q.shape)
+        out[..., 2] = 1.0
+        return out
+
+    model = _flat3(y, chart=lambda q: np.abs(q[..., 2]) < 1.0)
+    with pytest.raises(FlowEscape):
+        flow_points(model, np.zeros((1, 3)), np.array([2.0]))
+    orbit = ObserverWorldline(np.zeros(3), model)
+    assert np.allclose(orbit.point(0.5), [0.0, 0.0, 0.5], atol=1e-14)
+    with pytest.raises(FlowEscape):
+        orbit.point(2.0)
+    with pytest.raises(FlowEscape):
+        orbit.point(-1.5)
+
+
+def test_killing_flow_blowup_is_step_failure():
+    # dt/ds = 1 + t^2 reaches infinity at s = pi/2
+    def y(q):
+        out = np.zeros(q.shape)
+        out[..., 2] = 1.0 + q[..., 2] ** 2
+        return out
+
+    model = _flat3(y)
+    with pytest.raises(StepFailure):
+        flow_points(model, np.zeros((1, 3)), np.array([2.0]))
+    with pytest.raises(StepFailure):
+        ObserverWorldline(np.zeros(3), model).point(2.0)
