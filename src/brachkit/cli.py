@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -133,14 +134,22 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _integrator_config(cfg) -> IntegratorConfig:
+def _with_tolerances(default, cfg):
+    """``default`` with each field the scenario's ``tolerances`` block names, parsed to its type."""
     tol = cfg.get("tolerances", {})
-    return IntegratorConfig(
-        rtol=float(tol.get("rtol", 1e-10)),
-        atol=float(tol.get("atol", 1e-10)),
-        grid_n=int(tol.get("grid_n", 400)),
-        tol_cons=float(tol.get("tol_cons", 1e-7)),
-    )
+    return dataclasses.replace(default, **{f.name: type(getattr(default, f.name))(tol[f.name])
+                                           for f in dataclasses.fields(default) if f.name in tol})
+
+
+def _integrator_config(cfg) -> IntegratorConfig:
+    return _with_tolerances(IntegratorConfig(), cfg)
+
+
+def _shooting_problem(cfg, model) -> ShootingProblem:
+    """Shooting from ``p`` at energy ``k`` to the observer through ``gamma_anchor``."""
+    gamma = ObserverWorldline(np.asarray(cfg["gamma_anchor"], dtype=float), model)
+    return ShootingProblem(model, np.asarray(cfg["p"], dtype=float), gamma, float(cfg["k"]),
+                           _with_tolerances(ShootConfig(integrator=_integrator_config(cfg)), cfg))
 
 
 def _model_of(cfg):
@@ -236,14 +245,8 @@ def _cmd_solve(cfg, out_dir: Path, seed) -> str:
 
 def _cmd_shoot(cfg, out_dir: Path, seed) -> str:
     model = _model_of(cfg)
-    icfg = _integrator_config(cfg)
     block = cfg["shoot"]
-    tol = cfg.get("tolerances", {})
-    p = np.asarray(cfg["p"], dtype=float)
-    gamma = ObserverWorldline(np.asarray(cfg["gamma_anchor"], dtype=float), model)
-    prob = ShootingProblem(model, p, gamma, float(cfg["k"]),
-                           ShootConfig(tol_bvp=float(tol.get("tol_bvp", 1e-10)),
-                                       integrator=icfg))
+    prob = _shooting_problem(cfg, model)
     sol = shoot(prob, (np.asarray(block["guess_u"], dtype=float), float(block["guess_T"])))
     rep = correspondence_report(model, sol)
     doc = _solution_dict(cfg["model"], sol)
@@ -254,15 +257,8 @@ def _cmd_shoot(cfg, out_dir: Path, seed) -> str:
 
 
 def _cmd_survey(cfg, out_dir: Path, seed) -> str:
-    model = _model_of(cfg)
-    icfg = _integrator_config(cfg)
+    prob = _shooting_problem(cfg, _model_of(cfg))
     block = cfg["survey"]
-    tol = cfg.get("tolerances", {})
-    p = np.asarray(cfg["p"], dtype=float)
-    gamma = ObserverWorldline(np.asarray(cfg["gamma_anchor"], dtype=float), model)
-    prob = ShootingProblem(model, p, gamma, float(cfg["k"]),
-                           ShootConfig(tol_bvp=float(tol.get("tol_bvp", 1e-10)),
-                                       integrator=icfg))
     if seed is None and "seed" not in block:
         raise ConfigError("survey needs a seed, in its block or from --seed")
     use_seed = int(block["seed"]) if seed is None else int(seed)
@@ -344,8 +340,7 @@ def _cmd_index(cfg, out_dir: Path, seed) -> str:
 def _cmd_verify(cfg, out_dir: Path, seed) -> str:
     block = cfg["verify"]
     model, _, sol = _load_solution(out_dir / block["solution"])
-    tol = cfg.get("tolerances", {})
-    tol_cons = float(tol.get("tol_cons", 1e-7))
+    tol_cons = _integrator_config(cfg).tol_cons
     rep = conservation_report(model, sol)
     failures = []
     if rep["residual_Y_max"] > tol_cons * (1.0 + sol.k * sol.T):
@@ -391,13 +386,8 @@ def _cmd_oracle(cfg, out_dir: Path, seed) -> str:
                              max_iters=int(block.get("max_iters", 20000)))
     doc = {"T_estimate": cand.T_estimate, "constraint_penalty": cand.constraint_penalty}
     if block.get("shoot_check", True):
-        icfg = _integrator_config(cfg)
-        tolb = cfg.get("tolerances", {})
-        gamma = ObserverWorldline(anchor, model)
-        prob = ShootingProblem(model, p, gamma, float(cfg["k"]),
-                               ShootConfig(tol_bvp=float(tolb.get("tol_bvp", 1e-10)),
-                                           integrator=icfg))
         guess_dir = cand.polyline.velocities[0]
+        prob = _shooting_problem(cfg, model)
         sol = shoot(prob, (guess_dir, float(block.get("guess_T", cand.T_estimate))))
         w = deform_D(model, sol, n_out=cand.polyline.n_segments)
         doc["shoot_T"] = sol.T

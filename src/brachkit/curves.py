@@ -16,10 +16,10 @@ from .geometry import SpacetimeModel, connection_coeffs, _inner
 __all__ = [
     "Curve",
     "FieldAlongCurve",
+    "covariant_nodes",
     "covariant_derivative_along",
     "field_integral",
     "resample_curve",
-    "grid_derivative",
     "cumulative_integral",
     "grid_integral",
     "curve_to_csv",
@@ -101,33 +101,22 @@ class FieldAlongCurve:
                                derivatives=der)
 
 
-def grid_derivative(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """d(values)/dt on the grid: centered interior, second-order one-sided ends."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.size < 5:
-        raise GridTooCoarse("need at least 5 grid nodes")
-    out = np.empty_like(values)
-    dt_f = (grid[2:] - grid[1:-1])[:, None] if values.ndim > 1 else grid[2:] - grid[1:-1]
-    dt_b = (grid[1:-1] - grid[:-2])[:, None] if values.ndim > 1 else grid[1:-1] - grid[:-2]
-    # three-point nonuniform centered difference
-    out[1:-1] = (dt_b ** 2 * values[2:] - dt_f ** 2 * values[:-2]
-                 + (dt_f ** 2 - dt_b ** 2) * values[1:-1]) / (dt_f * dt_b * (dt_f + dt_b))
-    for idx, sl in ((0, slice(0, 3)), (-1, slice(-3, None))):
-        t = grid[sl]
-        v = values[sl]
-        t0 = grid[idx]
-        # second-order one-sided: derivative of the quadratic through 3 nodes
-        l0 = (2 * t0 - t[1] - t[2]) / ((t[0] - t[1]) * (t[0] - t[2]))
-        l1 = (2 * t0 - t[0] - t[2]) / ((t[1] - t[0]) * (t[1] - t[2]))
-        l2 = (2 * t0 - t[0] - t[1]) / ((t[2] - t[0]) * (t[2] - t[1]))
-        out[idx] = l0 * v[0] + l1 * v[1] + l2 * v[2]
-    return out
+def covariant_nodes(c: Curve, gamma: np.ndarray, f: FieldAlongCurve) -> np.ndarray:
+    """nabla_{c'} f at the nodes of c, from the Christoffels ``gamma`` at those nodes.
+
+    ``gamma`` may be Lorentzian or conformal.  The stored exact values are
+    returned when f carries them; otherwise the derivative of the nodal cubic
+    spline of f plus Gamma(c', f).
+    """
+    if f.derivatives is not None:
+        return f.derivatives
+    return (CubicSpline(c.grid, f.values, axis=0)(c.grid, 1)
+            + np.einsum("nabc,nb,nc->na", gamma, c.velocities, f.values))
 
 
 def covariant_derivative_along(model: SpacetimeModel, c: Curve,
                                f: FieldAlongCurve) -> FieldAlongCurve:
-    """Node-wise covariant derivative of f along c: df/dt + Gamma(c)(cdot, f).
+    """Node-wise covariant derivative of f along c in the Lorentzian connection.
 
     Uses the stored exact derivative values when the field carries them.
     """
@@ -137,9 +126,7 @@ def covariant_derivative_along(model: SpacetimeModel, c: Curve,
         raise GridTooCoarse("covariant derivative needs at least 5 nodes")
     if f.derivatives is not None:
         return FieldAlongCurve(host=c, values=f.derivatives.copy())
-    out = grid_derivative(c.grid, f.values) + np.einsum(
-        "nabc,nb,nc->na", connection_coeffs(model, c.points), c.velocities, f.values)
-    return FieldAlongCurve(host=c, values=out)
+    return FieldAlongCurve(host=c, values=covariant_nodes(c, connection_coeffs(model, c.points), f))
 
 
 def field_integral(model: SpacetimeModel, c: Curve, f: FieldAlongCurve,

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
-from scipy.interpolate import CubicSpline
 
-from .curves import Curve, grid_integral
+from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
                        connection_coeffs, conservation_residuals,
-                       riemannian_metric_matrix, scalar_gradient, _coords, _comps, _inner)
+                       riemannian_metric_matrix, scalar_gradient, _coords, _inner)
 
 __all__ = [
     "IntegratorConfig",
@@ -74,7 +73,7 @@ def initial_velocity(model: SpacetimeModel, k: float, p, u, T: float) -> np.ndar
     q = model.require_in_chart(p)
     g = model.g(q)
     y = model.y(q)
-    u = _comps(u)
+    u = _coords(u)
     yy = float(y @ g @ y)
     P = k * k + yy
     if P <= 0.0:
@@ -125,7 +124,7 @@ def _rhs_factory(model: SpacetimeModel, k: float, T: float):
 
 def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
     """(velocity, acceleration) of the travel-time equation at states of shape ``(..., m)``."""
-    q, v = _coords(state[0]), _comps(state[1])
+    q, v = _coords(state[0]), _coords(state[1])
     return v.copy(), brachistochrone_acceleration(model, k, T, q, v)
 
 
@@ -305,7 +304,7 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
                                             ) -> BrachistochroneSolution:
     """Same as integrate_brachistochrone but from an explicit launch velocity."""
     q0 = model.require_in_chart(p)
-    state0 = np.concatenate([q0, _comps(v0)])
+    state0 = np.concatenate([q0, _coords(v0)])
     rhs = _rhs_factory(model, k, T)
     out = solve_ivp(rhs, (0.0, 1.0), state0, method="RK45",
                     rtol=config.rtol, atol=config.atol, dense_output=True)
@@ -329,7 +328,7 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
     """Geodesic of the conformal Riemannian metric from horizontal data (q, v)."""
     cg = conformal_geometry(model, k) if confgeom is None else confgeom
     q0 = model.require_in_chart(q)
-    v0 = _comps(v)
+    v0 = _coords(v)
     vy = float(v0 @ model.g(q0) @ model.y(q0))
     speed = np.sqrt(float(v0 @ riemannian_metric_matrix(model, q0) @ v0))
     if speed == 0.0 or abs(vy) > 1e-8 * speed:
@@ -369,16 +368,15 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
     """Max-norm defect of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'> at the nodes."""
-    grid, pts, vels = w.grid, w.points, w.velocities
+    pts, vels = w.points, w.velocities
     g, y, gr = model.g(pts), model.y(pts), riemannian_metric_matrix(model, pts)
     speeds = np.sqrt(np.maximum(_inner(gr, vels, vels), 0.0))
     horiz = np.max(np.abs(_inner(g, vels, y)))
     if horiz > 1e-6 * max(np.max(speeds), 1e-30):
         raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
 
-    u = conformal_factor(model, pts, k)[:, None] * vels
-    dudt = CubicSpline(grid, u, axis=0)(grid, 1)
-    nabla_u = dudt + np.einsum("nabc,nb,nc->na", connection_coeffs(model, pts), vels, u)
+    u = FieldAlongCurve(host=w, values=conformal_factor(model, pts, k)[:, None] * vels)
+    nabla_u = covariant_nodes(w, connection_coeffs(model, pts), u)
     grad_phi = scalar_gradient(model, pts, lambda qq: conformal_factor(model, qq, k))
     d = nabla_u - 0.5 * grad_phi * _inner(g, vels, vels)[:, None]
     return float(np.sqrt(np.max(_inner(gr, d, d))))

@@ -18,12 +18,9 @@ import numpy as np
 from .errors import FrameDegenerate, OutOfChart, OutsideUk, StencilOutOfChart, ZeroSeed
 
 __all__ = [
-    "Event",
-    "Tangent",
     "SpacetimeModel",
     "ConformalGeometry",
     "metric_eval",
-    "killing_eval",
     "connection_coeffs",
     "curvature_tensor",
     "riemannian_metric_eval",
@@ -43,37 +40,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Event:
-    """A chart point."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-
-
-@dataclass(frozen=True)
-class Tangent:
-    """A tangent vector attached to an event."""
-
-    base: Event
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-
-def _coords(q) -> np.ndarray:
-    if isinstance(q, Event):
-        return q.coords
-    return np.asarray(q, dtype=float)
-
-
-def _comps(v) -> np.ndarray:
-    if isinstance(v, Tangent):
-        return v.components
-    return np.asarray(v, dtype=float)
+def _coords(x) -> np.ndarray:
+    """A chart point or vector components as a float array."""
+    return np.asarray(x, dtype=float)
 
 
 @dataclass
@@ -203,13 +172,7 @@ def _inner(g, v, w):
 def metric_eval(model: SpacetimeModel, q, v, w):
     """Lorentzian inner product <v, w> at q (one value per node)."""
     q = model.require_in_chart(q)
-    return _inner(model.g(q), _comps(v), _comps(w))
-
-
-def killing_eval(model: SpacetimeModel, q) -> Tangent:
-    """The observer field Y at q (timelike by model invariant)."""
-    q = model.require_in_chart(q)
-    return Tangent(Event(q), model.y(q))
+    return _inner(model.g(q), _coords(v), _coords(w))
 
 
 def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
@@ -245,7 +208,7 @@ def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
 def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
     """Auxiliary Riemannian product: <v,w> - 2 <v,Y><w,Y> / <Y,Y>."""
     q = model.require_in_chart(q)
-    return _inner(riemannian_metric_matrix(model, q), _comps(v), _comps(w))
+    return _inner(riemannian_metric_matrix(model, q), _coords(v), _coords(w))
 
 
 def riemannian_metric_matrix(model: SpacetimeModel, q) -> np.ndarray:
@@ -292,8 +255,8 @@ def killing_residual(model: SpacetimeModel, q, v, w) -> float:
     q = _coords(q)
     g = model.g(q)
     K = nabla_y_matrix(model, q)
-    v = _comps(v)
-    w = _comps(w)
+    v = _coords(v)
+    w = _coords(w)
     return float((K @ v) @ g @ w + (K @ w) @ g @ v)
 
 
@@ -318,7 +281,7 @@ def horizontal_part(model: SpacetimeModel, q, v) -> np.ndarray:
 def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:
     """The horizontal part of v, normalised in g_R; ZeroSeed if v is parallel to Y."""
     q = model.require_in_chart(q)
-    u = horizontal_part(model, q, _comps(v))
+    u = horizontal_part(model, q, _coords(v))
     nn = np.sqrt(np.maximum(_inner(riemannian_metric_matrix(model, q), u, u), 0.0))
     if np.any(nn < 1e-12):
         raise ZeroSeed("direction is parallel to the observer field")
@@ -398,7 +361,7 @@ class ConformalGeometry:
         return self.phi(q)[..., None, None] * riemannian_metric_matrix(self.model, q)
 
     def inner(self, q, v, w) -> float:
-        return float(_comps(v) @ self.metric(q) @ _comps(w))
+        return float(_coords(v) @ self.metric(q) @ _coords(w))
 
     def christoffels(self, q) -> np.ndarray:
         q = self.model.require_in_chart(q)

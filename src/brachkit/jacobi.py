@@ -16,13 +16,13 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq, minimize_scalar
 
-from .curves import Curve, FieldAlongCurve, cumulative_integral
+from .curves import Curve, FieldAlongCurve
 from .dynamics import BrachistochroneSolution
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import (ConformalGeometry, SpacetimeModel, horizontal_frame, nabla_y_matrix,
-                       orthonormal_completion, riemannian_metric_matrix, _comps, _inner)
-from .transform import deform_D, flow_differential, flow_points, tangent_constraint_scan
+from .geometry import (ConformalGeometry, SpacetimeModel, horizontal_frame,
+                       orthonormal_completion, riemannian_metric_matrix, _coords, _inner)
+from .transform import deform_D
 from .variation import ConformalCurveData, SolutionGeometry
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "integrate_rjacobi",
     "gamma_jacobi_basis",
     "focal_points",
-    "map_L",
     "bfocal_points",
 ]
 
@@ -154,8 +153,8 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     """
     cache = _BJacobiCache(model, sol) if cache is None else cache
     d0 = cache.at(t0)
-    V0 = _comps(V0)
-    dV0 = _comps(dV0)
+    V0 = _coords(V0)
+    dV0 = _coords(dV0)
     g, y, v = d0["g"], d0["y"], d0["v"]
     C_V = float(dV0 @ g @ y) - float(V0 @ g @ (d0["K"] @ v))
     ic = -sol.T * C_V + sol.k * float(dV0 @ g @ v)
@@ -199,16 +198,16 @@ class _RJacobiCache:
         self.data = ConformalCurveData(confgeom, w) if data is None else data
         grid = w.grid
         self.m = confgeom.m
-        self._gamma = CubicSpline(grid, self.data.gamma.reshape(grid.size, -1), axis=0)
-        self._A = CubicSpline(grid, self.data.Braw.reshape(grid.size, -1), axis=0)
-        self._v = w.velocity_spline()
+        self.gamma = CubicSpline(grid, self.data.gamma.reshape(grid.size, -1), axis=0)
+        self.A = CubicSpline(grid, self.data.Braw.reshape(grid.size, -1), axis=0)
+        self.v = w.velocity_spline()
 
     def rhs(self, t, state):
         m = self.m
         J, DJ = state[:m], state[m:]
-        gamma = self._gamma(t).reshape(m, m, m)
-        A = self._A(t).reshape(m, m)
-        v = self._v(t)
+        gamma = self.gamma(t).reshape(m, m, m)
+        A = self.A(t).reshape(m, m)
+        v = self.v(t)
         Jdot = DJ - np.einsum("abc,b,c->a", gamma, v, J)
         dDJ = A @ J - np.einsum("abc,b,c->a", gamma, v, DJ)
         return np.concatenate([Jdot, dDJ])
@@ -218,8 +217,8 @@ def integrate_rjacobi(confgeom: ConformalGeometry, w: Curve, J0, dJ0,
                       cache: _RJacobiCache | None = None) -> JacobiFieldData:
     """Integrate the Jacobi equation of the conformal metric along a geodesic."""
     cache = _RJacobiCache(confgeom, w) if cache is None else cache
-    J0 = _comps(J0)
-    dJ0 = _comps(dJ0)
+    J0 = _coords(J0)
+    dJ0 = _coords(dJ0)
     out = solve_ivp(cache.rhs, (0.0, 1.0), np.concatenate([J0, dJ0]),
                     dense_output=True, **_IVP_OPTS)
     if not out.success:
@@ -251,9 +250,14 @@ def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
     pairing of the derivative with Y matches the shape of the line.
     """
     _check_orthogonal_start(confgeom, w)
+    return _jacobi_basis(_RJacobiCache(confgeom, w, data=data))
+
+
+def _jacobi_basis(cache: _RJacobiCache) -> list:
+    """The fields of ``gamma_jacobi_basis`` along the curve of ``cache``."""
+    data = cache.data
+    confgeom, w = data.confgeom, data.w
     model = confgeom.model
-    data = ConformalCurveData(confgeom, w) if data is None else data
-    cache = _RJacobiCache(confgeom, w, data=data)
     q0, v0 = w.points[0], w.velocities[0]
     y0 = model.y(q0)
     gt0 = data.gt[0]
@@ -274,18 +278,15 @@ def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
     return [integrate_rjacobi(confgeom, w, J0, dJ0, cache=cache) for J0, dJ0 in inits]
 
 
-def _parallel_frame(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveData):
-    """g~-orthonormal frame parallel along w (in the conformal connection)."""
-    m = confgeom.m
-    basis = orthonormal_completion(data.gt[0], [], m)
-    grid = w.grid
-    gamma_spl = CubicSpline(grid, data.gamma.reshape(grid.size, -1), axis=0)
-    v_spl = w.velocity_spline()
+def _parallel_frame(cache: _RJacobiCache):
+    """g~-orthonormal frame parallel along the cached curve (in the conformal connection)."""
+    m = cache.m
+    basis = orthonormal_completion(cache.data.gt[0], [], m)
 
     def rhs(t, flat):
         E = flat.reshape(m, m)
-        gamma = gamma_spl(t).reshape(m, m, m)
-        v = v_spl(t)
+        gamma = cache.gamma(t).reshape(m, m, m)
+        v = cache.v(t)
         dE = -np.einsum("abc,b,jc->ja", gamma, v, E)
         return dE.ravel()
 
@@ -305,10 +306,11 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     ``w`` runs from the observer line to the event; the returned parameters are
     in that same orientation.
     """
-    data = ConformalCurveData(confgeom, w) if data is None else data
-    fields = gamma_jacobi_basis(confgeom, w, data=data)
-    frame_sol = _parallel_frame(confgeom, w, data)
-    model = confgeom.model
+    cache = _RJacobiCache(confgeom, w, data=data)
+    _check_orthogonal_start(confgeom, w)
+    fields = _jacobi_basis(cache)
+    frame_sol = _parallel_frame(cache)
+    data = cache.data
     m = confgeom.m
     grid = w.grid
     gt_spl = CubicSpline(grid, data.gt.reshape(grid.size, -1), axis=0)
@@ -356,47 +358,6 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
         geometric_index=int(sum(mu for _, mu in focal)),
         determinant_trace=(ts, dets),
     )
-
-
-# ---------------------------------------------------------------------------
-# Correspondence machinery
-
-def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
-          zeta: FieldAlongCurve, C_zeta: float | None = None) -> FieldAlongCurve:
-    """Push a variation field on [t0, 1] to the deformed side.
-
-    The host of the result is the deformation of the solution re-anchored at
-    parameter t0 (a constant Killing-flow shift of the full deformation);
-    values at parameters below t0 are zero-filled.
-    """
-    curve = sol.sigma
-    grid = curve.grid
-    pts = curve.points
-    g, y = model.g(pts), model.y(pts)
-    yy = _inner(g, y, y)
-    tau_rate = -_inner(g, curve.velocities, y) / yy
-    tau_full = cumulative_integral(grid, tau_rate)
-    tau0 = float(CubicSpline(grid, tau_full)(t0))
-    tau = tau_full - tau0
-
-    if C_zeta is None:
-        C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
-
-    dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
-    rate = -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2
-    tz_full = cumulative_integral(grid, rate)
-    tau_zeta = tz_full - float(CubicSpline(grid, tz_full)(t0))
-
-    mask = grid >= t0 - 1e-12
-    host_pts = flow_points(model, pts, tau)
-    args = zeta.values + tau_zeta[:, None] * y
-    pushed = np.zeros_like(zeta.values)
-    pushed[mask] = flow_differential(model, pts[mask], tau[mask], args[mask])
-    # host curve: the shifted deformation, with velocities from the flow push
-    dpsi_v = flow_differential(model, pts, tau, curve.velocities)
-    host_vels = dpsi_v + tau_rate[:, None] * model.y(host_pts)
-    host = Curve(grid=grid, points=host_pts, velocities=host_vels)
-    return FieldAlongCurve(host=host, values=pushed)
 
 
 def _bfocal_singular_value(model, sol, t0, cache: _BJacobiCache):

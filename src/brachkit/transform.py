@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulative_integral,
                      grid_integral)
@@ -29,6 +30,7 @@ __all__ = [
     "deform_D",
     "lift_G",
     "dD_differential",
+    "map_L",
     "correspondence_report",
     "tangent_constraint_scan",
 ]
@@ -90,6 +92,24 @@ def isometry_defect(model: SpacetimeModel, q, s: float, rng=None) -> float:
     return abs(after - before)
 
 
+def _integral_from(grid: np.ndarray, rate: np.ndarray, t0: float) -> np.ndarray:
+    """int_{t0}^{t_i} rate at the nodes: the antiderivative samples, less their spline at t0."""
+    full = cumulative_integral(grid, rate)
+    return full - float(CubicSpline(grid, full)(t0))
+
+
+def _slide(model: SpacetimeModel, grid: np.ndarray, pts: np.ndarray, vels: np.ndarray,
+           rate: np.ndarray, t0: float = 0.0) -> tuple:
+    """Slide the nodes along the Y-flow by tau = int_{t0}^t rate; returns (Curve, tau).
+
+    The slid velocity is d_x psi(q, tau)[q'] + rate * Y at the slid point.
+    """
+    tau = _integral_from(grid, rate, t0)
+    slid = flow_points(model, pts, tau)
+    slid_vels = flow_differential(model, pts, tau, vels) + rate[:, None] * model.y(slid)
+    return Curve(grid=grid, points=slid, velocities=slid_vels), tau
+
+
 @dataclass
 class CorrespondenceReport:
     geodesic_residual: float
@@ -142,17 +162,11 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     pts, vels = ps(grid), vs(grid)
 
     g, y = model.g(pts), model.y(pts)
-    tau_rate = -_inner(g, vels, y) / _inner(g, y, y)
-    tau = cumulative_integral(grid, tau_rate)
+    w, _ = _slide(model, grid, pts, vels, -_inner(g, vels, y) / _inner(g, y, y))
 
-    w_pts = flow_points(model, pts, tau)
-    dpsi_v = flow_differential(model, pts, tau, vels)
-    w_vels = dpsi_v + tau_rate[:, None] * model.y(w_pts)
-    w = Curve(grid=grid, points=w_pts, velocities=w_vels)
-
-    speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w_pts), w_vels, w_vels)),
-                        1e-300))
-    horiz = np.max(np.abs(metric_eval(model, w_pts, w_vels, model.y(w_pts))))
+    speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w.points), w.velocities,
+                                      w.velocities)), 1e-300))
+    horiz = np.max(np.abs(metric_eval(model, w.points, w.velocities, model.y(w.points))))
     if horiz > 1e-8 * speed:
         raise NotHorizontal(f"deformed curve has |<w',Y>| = {horiz} > 1e-8 * speed")
     return w
@@ -174,14 +188,8 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
         raise NotHorizontal(f"lift input is not horizontal: {horiz}")
     T = float(np.sqrt(phi[0] * speed0))
-    h_rate = -k * T / yy
-    h = cumulative_integral(grid, h_rate)
-
-    s_pts = flow_points(model, pts, h)
-    dpsi_v = flow_differential(model, pts, h, vels)
-    s_vels = dpsi_v + h_rate[:, None] * model.y(s_pts)
-    sigma = Curve(grid=grid, points=s_pts, velocities=s_vels)
-    r_y, r_v = conservation_residuals(model, s_pts, s_vels, k, T)
+    sigma, _ = _slide(model, grid, pts, vels, -k * T / yy)
+    r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
     return BrachistochroneSolution(
         sigma=sigma, T=T, k=k,
         residual_conservation_Y=float(np.max(np.abs(r_y))),
@@ -205,36 +213,46 @@ def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 
 def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
-                    zeta: FieldAlongCurve, deformed: Curve | None = None,
-                    constraint_tol: float = 1e-5) -> FieldAlongCurve:
+                    zeta: FieldAlongCurve, constraint_tol: float = 1e-5) -> FieldAlongCurve:
     """Gateaux derivative of the deformation along an admissible variation field.
 
-    Returns the pushed field on the grid of ``zeta``'s host; the host curve of
-    the result is the deformation computed on that same grid.
+    ``map_L`` at t0 = 0 behind the tangent-constraint gate: the values live on
+    the grid of ``zeta``'s host, and so does the host of the result (the
+    deformation of the solution on that grid).
     """
-    curve = sol.sigma
     C, vals_y, vals_s, nz = tangent_constraint_scan(model, sol, zeta)
     scale = 1.0 + float(np.max(np.abs(nz)))
     if (np.max(np.abs(vals_y - C)) > constraint_tol * scale
             or np.max(np.abs(vals_s - sol.T * C / sol.k)) > constraint_tol * scale):
         raise ConstraintViolated("field violates the tangent-space constraints")
+    return map_L(model, sol, 0.0, zeta, C_zeta=C)
 
+
+def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
+          zeta: FieldAlongCurve, C_zeta: float | None = None) -> FieldAlongCurve:
+    """Push a variation field on [t0, 1] to the deformed side.
+
+    The host of the result is the deformation of the solution re-anchored at
+    parameter t0 (a constant Killing-flow shift of the full deformation);
+    values at parameters below t0 are zero-filled.
+    """
+    curve = sol.sigma
     grid, pts = curve.grid, curve.points
     g, y = model.g(pts), model.y(pts)
     yy = _inner(g, y, y)
-    tau = cumulative_integral(grid, sol.k * sol.T / yy)
+    host, tau = _slide(model, grid, pts, curve.velocities,
+                       -_inner(g, curve.velocities, y) / yy, t0)
 
+    if C_zeta is None:
+        C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
     dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
-    tau_zeta = cumulative_integral(grid, -(C * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2)
+    tau_zeta = _integral_from(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 
+    mask = grid >= t0 - 1e-12
     args = zeta.values + tau_zeta[:, None] * y
-    pushed = flow_differential(model, pts, tau, args)
-    if deformed is None:
-        deformed = deform_D(model, sol, n_out=curve.n_segments, check=False)
-        if deformed.grid.size != grid.size:
-            deformed = Curve(grid=grid, points=deformed.point_spline()(grid),
-                             velocities=deformed.velocity_spline()(grid))
-    return FieldAlongCurve(host=deformed, values=pushed)
+    pushed = np.zeros_like(zeta.values)
+    pushed[mask] = flow_differential(model, pts[mask], tau[mask], args[mask])
+    return FieldAlongCurve(host=host, values=pushed)
 
 
 def conformal_energy(model: SpacetimeModel, k: float, w: Curve) -> float:

@@ -18,13 +18,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
-from .curves import Curve, FieldAlongCurve, cumulative_integral, grid_derivative, grid_integral
+from .curves import Curve, FieldAlongCurve, covariant_nodes, cumulative_integral, grid_integral
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, connection_coeffs,
                        curvature_tensor, horizontal_part, nabla_y_matrix, orthonormal_completion,
-                       riemannian_metric_matrix, scalar_gradient, _comps, _coords, _inner,
+                       riemannian_metric_matrix, scalar_gradient, _coords, _inner,
                        _jacobian_fd)
 from .transform import tangent_constraint_scan
 
@@ -138,11 +138,7 @@ def _hessian_F_quadratic(geom: SolutionGeometry, zeta: FieldAlongCurve) -> float
     model, sol = geom.model, geom.sol
     curve = sol.sigma
     grid = curve.grid
-    if zeta.derivatives is not None:
-        nz = zeta.derivatives
-    else:
-        dz = grid_derivative(grid, zeta.values)
-        nz = dz + np.einsum("nabc,nb,nc->na", geom.gamma, curve.velocities, zeta.values)
+    nz = covariant_nodes(curve, geom.gamma, zeta)
     z = zeta.values
     ratio = geom.N / geom.P
     term1 = (np.einsum("na,nab,nb->n", nz, geom.g, nz)
@@ -216,10 +212,7 @@ class ConformalCurveData:
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
-        if field.derivatives is not None:
-            return field.derivatives
-        dv = CubicSpline(self.w.grid, field.values, axis=0)(self.w.grid, 1)
-        return dv + np.einsum("nabc,nb,nc->na", self.gamma, self.w.velocities, field.values)
+        return covariant_nodes(self.w, self.gamma, field)
 
 
 def index_form(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
@@ -233,20 +226,18 @@ def index_form(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
     return float(grid_integral(w.grid, integrand))
 
 
-def _boundary_2ff(data: ConformalCurveData, a1: np.ndarray, a2: np.ndarray) -> float:
+def _boundary_2ff(data: ConformalCurveData, a1: np.ndarray, a2: np.ndarray):
     """Shape term at the observer end for fields with V(0) parallel to Y.
 
     Equals -g~(w'(0), nabla~_{V1(0)} V2): tensorial because V(0) is tangent to
-    the observer line and w'(0) normal to it.
+    the observer line and w'(0) normal to it.  ``a1`` and ``a2`` are V(0)
+    vectors, or stacks of them as rows; the result is their outer table.
     """
     gt0 = data.gt[0]
     y0 = data.y[0]
-    v0 = data.w.velocities[0]
-    gy1 = float(a1 @ gt0 @ y0)
-    gy2 = float(a2 @ gt0 @ y0)
     yy = float(y0 @ gt0 @ y0)
-    y_dot = float(y0 @ gt0 @ (data.Kt[0] @ v0))   # g~(Y, nabla~_{w'} Y)
-    return (gy1 * gy2 / yy ** 2) * y_dot
+    y_dot = float(y0 @ gt0 @ (data.Kt[0] @ data.w.velocities[0]))   # g~(Y, nabla~_{w'} Y)
+    return np.multiply.outer(a1 @ gt0 @ y0, a2 @ gt0 @ y0) * (y_dot / yy ** 2)
 
 
 def hessian_E_eval(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
@@ -257,8 +248,8 @@ def hessian_E_eval(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
     must be tangent to that boundary setup for the shape term to apply.
     """
     data = ConformalCurveData(confgeom, w) if data is None else data
-    return index_form(confgeom, w, v1, v2, data=data) + _boundary_2ff(
-        data, v1.values[0], v2.values[0])
+    return index_form(confgeom, w, v1, v2, data=data) + float(_boundary_2ff(
+        data, v1.values[0], v2.values[0]))
 
 
 def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
@@ -271,11 +262,7 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     grid, pts, vel = w.grid, w.points, w.velocities
     vals = v.values
     G = connection_coeffs(model, pts)
-    if v.derivatives is not None:
-        nv = v.derivatives
-    else:
-        nv = (CubicSpline(grid, vals, axis=0)(grid, 1)
-              + np.einsum("nabc,nb,nc->na", G, vel, vals))
+    nv = covariant_nodes(w, G, v)
 
     def phi_of(qq):
         return conformal_factor(model, qq, k)
@@ -312,12 +299,12 @@ def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) 
     g = model.g(q)
     y = model.y(q)
     yy = float(y @ g @ y)
-    n = _comps(n)
+    n = _coords(n)
     if abs(float(n @ g @ y)) > 1e-8 * np.sqrt(abs(yy)) * (np.linalg.norm(n) + 1.0):
         raise NotNormal("direction vector is not orthogonal to the observer line")
     nus = []
     for v in (v1, v2):
-        v = _comps(v)
+        v = _coords(v)
         nu = float(v @ g @ y) / yy
         perp = v - nu * y
         if np.linalg.norm(perp) > 1e-8 * (np.linalg.norm(v) + 1.0):
@@ -494,13 +481,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
     for X, M in ((nVs, gt_q), (Vs, B_q)):
         W = np.einsum("qij,bqj->bqi", M * wq[:, None, None], X)
         Hmat += X.reshape(ndof, -1) @ W.reshape(ndof, -1).T
-    # observer-end shape term
-    gt0 = data.gt[0]
-    y0 = data.y[0]
-    yy0 = float(y0 @ gt0 @ y0)
-    ydot0 = float(y0 @ gt0 @ (data.Kt[0] @ w.velocities[0]))
-    proj = V0s @ gt0 @ y0
-    Hmat = Hmat + np.outer(proj, proj) * (ydot0 / yy0 ** 2)
+    Hmat = Hmat + _boundary_2ff(data, V0s, V0s)
     Hmat = 0.5 * (Hmat + Hmat.T)
 
     evals = eigh(Hmat, eigvals_only=True)

@@ -14,11 +14,11 @@ from brachkit.bvp import ObserverWorldline, ShootingProblem, multistart_survey, 
 from brachkit.curves import FieldAlongCurve
 from brachkit.dynamics import IntegratorConfig, integrate_brachistochrone
 from brachkit.geometry import conformal_geometry, connection_coeffs, riemannian_metric_matrix
-from brachkit.jacobi import bfocal_points, focal_points, integrate_bjacobi, map_L
+from brachkit.jacobi import bfocal_points, focal_points, integrate_bjacobi
 from brachkit.models import ModelSpec, make_model
 from brachkit.oracle import (constrained_curve_family, discrete_minimize,
                              fd_variation_family)
-from brachkit.transform import correspondence_report, dD_differential, deform_D
+from brachkit.transform import correspondence_report, dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
                                 constraint_residual, hessian_E_eval, hessian_F_eval,
                                 make_admissible_variation, restricted_index_report)
@@ -245,7 +245,7 @@ def test_acceptance_06_second_variational_principle(acceptance_models, launch_ba
         for _ in range(10):
             zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
             HF = hessian_F_eval(model, sol, zeta, zeta, geom=geom)
-            X = dD_differential(model, sol, zeta, deformed=w)
+            X = dD_differential(model, sol, zeta)
             Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
             HE = hessian_E_eval(cg, wrev, Xr, Xr, data=data)
             scale = max(abs(HF), abs(HE), 1.0)

@@ -5,9 +5,9 @@ from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geo
 from brachkit.errors import InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry
 from brachkit.jacobi import (bfocal_points, focal_points, gamma_jacobi_basis,
-                             integrate_bjacobi, integrate_rjacobi, map_L)
+                             integrate_bjacobi, integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
-from brachkit.transform import dD_differential, deform_D
+from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry,
                                 make_admissible_variation)
 

@@ -4,10 +4,10 @@ import pytest
 from brachkit.curves import Curve, FieldAlongCurve
 from brachkit.dynamics import integrate_brachistochrone
 from brachkit.errors import ConstraintViolated, NotHorizontal
-from brachkit.geometry import conformal_factor, riemannian_metric_matrix
+from brachkit.geometry import conformal_factor, horizontal_part, riemannian_metric_matrix
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import (conformal_energy, correspondence_report, dD_differential,
-                                deform_D, lift_G)
+                                deform_D, lift_G, map_L)
 from brachkit.variation import SolutionGeometry, make_admissible_variation
 
 from conftest import STANDARD_LAUNCH, unit_horizontal
@@ -153,7 +153,7 @@ def test_dD_image_perpendicularity(models, solutions):
     zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(2),
                                      geom=geom)
     w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
-    X = dD_differential(model, sol, zeta, deformed=w)
+    X = dD_differential(model, sol, zeta)
     k = sol.k
 
     def phi_of(qq):
@@ -175,6 +175,20 @@ def test_dD_image_perpendicularity(models, solutions):
         worst = max(worst, abs(val))
         scale = max(scale, abs(2 * phi_of(q) * float(nX @ g @ v)))
     assert worst < 1e-6 * max(scale, 1.0)
+
+
+def test_map_L_host_passes_through_anchor(models, solutions):
+    # re-anchored at a grid node t0, the host slides that node by zero, so it
+    # keeps sigma(t0) exactly and its velocity there is the horizontal part of sigma'(t0)
+    model = models["rotating_frame"]
+    sol = solutions["rotating_frame"]
+    zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(3))
+    i0 = 80
+    q0, v0 = sol.sigma.points[i0], sol.sigma.velocities[i0]
+    host = map_L(model, sol, float(sol.sigma.grid[i0]), zeta).host
+    assert np.array_equal(host.points[i0], q0)
+    assert not np.array_equal(host.points[i0 + 1], sol.sigma.points[i0 + 1])
+    assert np.max(np.abs(host.velocities[i0] - horizontal_part(model, q0, v0))) < 1e-10
 
 
 def test_energy_identity_and_action_relation(models, solutions):

@@ -3,7 +3,7 @@ import pytest
 
 from brachkit.curves import FieldAlongCurve
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
-from brachkit.errors import NotNormal, NotTangentToGamma
+from brachkit.errors import ConstraintViolated, NotNormal, NotTangentToGamma
 from brachkit.geometry import conformal_geometry, connection_coeffs
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
@@ -48,6 +48,25 @@ def test_constraint_residual_detects_fault(models, solutions):
                     axis=1)
     rep = constraint_residual(model, sol, FieldAlongCurve(host=sol.sigma, values=vals))
     assert rep.residual_speed >= 1e-3 or rep.residual_Y >= 1e-3
+
+
+def test_constraint_gates_reject_inadmissible_field(models, solutions):
+    # a field vanishing at both ends that breaks the tangent constraints
+    model = models["static_well"]
+    sol = solutions["static_well"]
+    grid = sol.sigma.grid
+    vals = np.stack([np.sin(np.pi * grid), np.zeros(grid.size), np.zeros(grid.size)],
+                    axis=1)
+    bad = FieldAlongCurve(host=sol.sigma, values=vals)
+    assert constraint_residual(model, sol, bad).boundary_ok
+    with pytest.raises(ConstraintViolated):
+        dD_differential(model, sol, bad)
+    with pytest.raises(ConstraintViolated):
+        travel_time_differential(model, sol, bad)
+    good = make_admissible_variation(model, sol, rng=np.random.default_rng(36))
+    for z1, z2 in ((bad, bad), (good, bad), (bad, good)):
+        with pytest.raises(ConstraintViolated):
+            hessian_F_eval(model, sol, z1, z2)
 
 
 def test_admissible_fields_pass(models, solutions):
@@ -242,7 +261,7 @@ def test_hessian_E_two_expressions_agree(models, solutions):
         zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(34),
                                          geom=geom)
         w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
-        X = dD_differential(model, sol, zeta, deformed=w)
+        X = dD_differential(model, sol, zeta)
         lorentz = hessian_E_lorentzian(model, sol.k, w, X)
         wrev = w.reversed()
         Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
@@ -263,7 +282,7 @@ def test_second_variational_principle(models, solutions):
         for _ in range(2):
             zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
             HF = hessian_F_eval(model, sol, zeta, zeta, geom=geom)
-            X = dD_differential(model, sol, zeta, deformed=w)
+            X = dD_differential(model, sol, zeta)
             Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
             HE = hessian_E_eval(cg, wrev, Xr, Xr, data=data)
             scale = max(abs(HF), abs(HE), 1.0)
