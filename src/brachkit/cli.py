@@ -137,8 +137,16 @@ def load_config(path) -> dict:
 def _with_tolerances(default, cfg):
     """``default`` with each field the scenario's ``tolerances`` block names, parsed to its type."""
     tol = cfg.get("tolerances", {})
-    return dataclasses.replace(default, **{f.name: type(getattr(default, f.name))(tol[f.name])
-                                           for f in dataclasses.fields(default) if f.name in tol})
+    fields = {}
+    for f in dataclasses.fields(default):
+        if f.name in tol:
+            kind = type(getattr(default, f.name))
+            try:
+                fields[f.name] = kind(tol[f.name])
+            except (TypeError, ValueError):
+                raise ConfigError(f"'tolerances.{f.name}' must be a {kind.__name__}, "
+                                  f"got {tol[f.name]!r}")
+    return dataclasses.replace(default, **fields)
 
 
 def _integrator_config(cfg) -> IntegratorConfig:

@@ -120,7 +120,7 @@ def covariant_derivative_along(model: SpacetimeModel, c: Curve,
 
     Uses the stored exact derivative values when the field carries them.
     """
-    if f.host is not c and f.host.grid.shape != c.grid.shape:
+    if f.host is not c and not np.array_equal(f.host.grid, c.grid):
         raise GridMismatch("field not hosted on the given curve")
     if c.grid.size < 5:
         raise GridTooCoarse("covariant derivative needs at least 5 nodes")

@@ -4,7 +4,9 @@ detection, and the correspondence between the two sides.
 The linearized travel-time equation is integrated with coefficient data
 interpolated from a per-solution cache; focal parameters come from zeros of
 the determinant of Jacobi fields against a parallel frame, with
-multiplicities read off a rank analysis at each zero.
+multiplicities read off a rank analysis at each zero.  On the solution side
+they are confirmed through the adjoint of the linearized equation,
+integrated once backward from the event.
 """
 
 from __future__ import annotations
@@ -104,47 +106,51 @@ class _BJacobiCache:
         return d
 
 
-def _bjacobi_rhs(cache: _BJacobiCache, C_V: float):
-    k, T = cache.k, cache.T
+def _bjacobi_rhs(cache: _BJacobiCache):
+    """The linearized equation on stacked augmented states.
+
+    Each row of ``X``, shape (n, 2m+1), is (V, DV, C_V); the right-hand side is
+    homogeneous linear in the row and dC_V/dt = 0, so applied to the identity
+    rows it returns the transposed coefficient matrix A(t)^T.
+    """
+    k, T, m = cache.k, cache.T, cache.m
     kk = k * k
 
-    def rhs(t, state):
-        m = cache.m
-        V, DV = state[:m], state[m:]
+    def rhs(t, X):
+        V, DV, C_V = X[:, :m], X[:, m:2 * m], X[:, 2 * m]
         d = cache.at(t)
-        g, y, v = d["g"], d["y"], d["v"]
+        g, y, v, K = d["g"], d["y"], d["v"], d["K"]
         N, P = d["N"], kk + d["N"]
-        K = d["K"]
+        NP = N * P
+        Gv = np.einsum("abc,b->ac", d["gamma"], v)   # X -> Gamma(s', X)
+        gy = g @ y
         Kv = K @ v                      # nabla_{s'} Y
-        W = float(Kv @ g @ y)
-        KV = K @ V                      # nabla_V Y
-        dN = 2.0 * float(KV @ g @ y)
+        W = Kv @ gy
+        KV = V @ K.T                    # nabla_V Y
+        dN = 2.0 * (KV @ gy)
         dNP = dN * (N + P)
         dT = -C_V / k
-        Vdot = DV - np.einsum("abc,b,c->a", d["gamma"], v, V)
+        Vdot = DV - V @ Gv.T
         # nabla_{s'} (nabla_V Y) along the curve
-        nsKV = d["dK"] @ V + K @ Vdot + np.einsum("abc,b,c->a", d["gamma"], v, KV)
-        dW = float(nsKV @ g @ y) + float(KV @ g @ Kv)
-        R1V = d["RM1"] @ V              # R(s', V) s'
-        R2V = d["RM2"] @ V              # R(s', V) Y
-        L = (2.0 * kk * (dW / (N * P) - W * dNP / (N * P) ** 2) * v
-             + 2.0 * kk * (W / (N * P)) * DV
-             + 2.0 * k * (dT / N - T * dN / N ** 2) * Kv
+        nsKV = V @ d["dK"].T + Vdot @ K.T + KV @ Gv.T
+        dW = nsKV @ gy + KV @ (g @ Kv)
+        R1V = V @ d["RM1"].T            # R(s', V) s'
+        R2V = V @ d["RM2"].T            # R(s', V) Y
+        L = (np.outer(2.0 * kk * (dW / NP - W * dNP / NP ** 2), v)
+             + 2.0 * kk * (W / NP) * DV
+             + np.outer(2.0 * k * (dT / N - T * dN / N ** 2), Kv)
              + (2.0 * k * T / N) * (nsKV - R2V)
-             - 2.0 * k * (dT * W / (N * P) + T * dW / (N * P)
-                          - T * W * dNP / (N * P) ** 2) * y
-             - 2.0 * k * T * (W / (N * P)) * KV)
-        DDV = R1V - L
-        dDV = DDV - np.einsum("abc,b,c->a", d["gamma"], v, DV)
-        return np.concatenate([Vdot, dDV])
+             - np.outer(2.0 * k * (dT * W / NP + T * dW / NP - T * W * dNP / NP ** 2), y)
+             - 2.0 * k * T * (W / NP) * KV)
+        dDV = R1V - L - DV @ Gv.T
+        return np.hstack([Vdot, dDV, np.zeros((X.shape[0], 1))])
 
     return rhs
 
 
 def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
                       V0, dV0, t0: float = 0.0, t1: float = 1.0,
-                      cache: _BJacobiCache | None = None,
-                      check_ic: bool = True) -> JacobiFieldData:
+                      cache: _BJacobiCache | None = None) -> JacobiFieldData:
     """Integrate the linearized travel-time equation from covariant data (V0, dV0).
 
     ``dV0`` is the covariant derivative of the field at the start; the
@@ -159,19 +165,20 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     C_V = float(dV0 @ g @ y) - float(V0 @ g @ (d0["K"] @ v))
     ic = -sol.T * C_V + sol.k * float(dV0 @ g @ v)
     scale = 1.0 + float(np.linalg.norm(V0)) + float(np.linalg.norm(dV0))
-    if check_ic and abs(ic) > 1e-6 * scale * (1.0 + sol.T):
+    if abs(ic) > 1e-6 * scale * (1.0 + sol.T):
         raise InitialConditionViolated(
             f"launch data violates the linearized conservation condition: {ic:.3e}")
 
-    out = solve_ivp(_bjacobi_rhs(cache, C_V), (t0, t1), np.concatenate([V0, dV0]),
-                    dense_output=True, **_IVP_OPTS)
+    m = model.m
+    rhs = _bjacobi_rhs(cache)
+    out = solve_ivp(lambda t, s: rhs(t, np.append(s, C_V)[None])[0, :2 * m], (t0, t1),
+                    np.concatenate([V0, dV0]), dense_output=True, **_IVP_OPTS)
     if not out.success:
         raise StepFailure(f"linearized integration failed: {out.message}")
 
     grid = sol.sigma.grid
     mask = (grid >= t0 - 1e-12) & (grid <= t1 + 1e-12)
     ts = grid[mask]
-    m = model.m
     vals = np.zeros((grid.size, m))
     ders = np.zeros((grid.size, m))
     sampled = out.sol(ts)
@@ -360,25 +367,45 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     )
 
 
-def _bfocal_singular_value(model, sol, t0, cache: _BJacobiCache):
-    """Smallest relative singular value of the endpoint map at parameter t0."""
+def _endpoint_rows(model: SpacetimeModel, sol: BrachistochroneSolution,
+                   cache: _BJacobiCache):
+    """Dense R(t) = F Phi(1, t), the endpoint map of the linearized equation from any t.
+
+    F = [E g_R | 0 | 0] reads the g_R-components of V(1) along the horizontal
+    frame E at sigma(1).  R solves the adjoint equation dR/dt = -R A(t)
+    backward from R(1) = F, so R(t0) x(t0) = F x(1) for every augmented
+    solution x; no inversion is needed.
+    """
+    m = cache.m
+    q1 = sol.sigma.points[-1]
+    F = np.zeros((m - 1, 2 * m + 1))
+    F[:, :m] = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
+    rhs = _bjacobi_rhs(cache)
+    eye = np.eye(2 * m + 1)
+
+    def adjoint(t, flat):
+        return -(flat.reshape(m - 1, 2 * m + 1) @ rhs(t, eye).T).ravel()
+
+    out = solve_ivp(adjoint, (1.0, 0.0), F.ravel(), dense_output=True, **_IVP_OPTS)
+    if not out.success:
+        raise StepFailure(f"endpoint propagator integration failed: {out.message}")
+    return lambda t: out.sol(t).reshape(m - 1, 2 * m + 1)
+
+
+def _bfocal_singular_value(sol, t0, cache: _BJacobiCache, rows):
+    """Smallest relative singular value of the endpoint map at parameter t0.
+
+    The launches (0, dv) with dv admissible, <dv, k s' - T Y> = 0, carry
+    C_V = <dv, Y>; ``rows`` is the propagator of ``_endpoint_rows``.
+    """
     d = cache.at(t0)
     g, y, v = d["g"], d["y"], d["v"]
-    m = model.m
-    # admissible derivative directions: <DV, k s' - T Y> = 0 in the metric
+    m = cache.m
     row = g @ (sol.k * v - sol.T * y)
     _, _, Vt = np.linalg.svd(row[None, :])
     dirs = Vt[1:]
-    q1 = sol.sigma.points[-1]
-    gr1 = riemannian_metric_matrix(model, q1)
-    frame = horizontal_frame(model, q1)
-    cols = []
-    for dv in dirs:
-        data = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, cache=cache,
-                                 check_ic=False)
-        V1 = data.field.values[-1]
-        cols.append([float(V1 @ gr1 @ e) for e in frame])
-    M = np.array(cols).T
+    R = rows(t0)
+    M = R[:, m:2 * m] @ dirs.T + np.outer(R[:, 2 * m], dirs @ (g @ y))
     svals = np.linalg.svd(M, compute_uv=False)
     return float(svals[-1] / max(svals[0], 1e-300))
 
@@ -390,7 +417,8 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
 
     The Riemannian scan runs on the reversed deformation; parameters are pulled
     back through t -> 1 - t, then each candidate is refined and confirmed by a
-    rank drop of the endpoint map of the linearized equation.
+    rank drop of the endpoint map of the linearized equation, read off one
+    backward propagator (``_endpoint_rows``) per solution.
     """
     if sol.residual_ode > criticality_tol * (1.0 + sol.T ** 2):
         raise NotCritical("focal analysis requires a critical curve")
@@ -402,15 +430,18 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     riem = focal_points(cg, wrev)
 
     cache = _BJacobiCache(model, sol)
+    rows = None
     out = []
     for tR, mult in riem.focal_list:
         tb = 1.0 - tR
         if tb >= 1.0 - 1e-9:
             out.append((float(tb), mult, 0.0))
             continue
+        if rows is None:
+            rows = _endpoint_rows(model, sol, cache)
         lo = max(0.0, tb - refine_window)
         hi = min(1.0 - 1e-6, tb + refine_window)
-        res = minimize_scalar(lambda t: _bfocal_singular_value(model, sol, t, cache),
+        res = minimize_scalar(lambda t: _bfocal_singular_value(sol, t, cache, rows),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
         tb_refined = float(res.x)

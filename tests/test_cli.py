@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from brachkit.cli import dumps_canonical, load_config, main
+from brachkit.cli import dumps_canonical, load_config, main, run_scenario
+from brachkit.errors import ConfigError
 
 BASE = {
     "model": {"name": "minkowski3"},
@@ -38,6 +39,15 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_unknown_model(tmp_path):
     path = write_config(tmp_path, {"model": {"name": "kerr"}})
     assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_unparseable_tolerance_is_config_error(tmp_path):
+    extra = {"solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}, "tolerances": {"rtol": "tight"}}
+    path = write_config(tmp_path, extra)
+    with pytest.raises(ConfigError, match="tolerances.rtol"):
+        run_scenario(load_config(path), "solve", tmp_path / "direct")
+    assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "error.json").exists()
 
 
 def test_solve_and_verify(tmp_path, capsys):

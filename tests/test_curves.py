@@ -89,6 +89,25 @@ def test_covariant_derivative_product_rule_order(models):
     assert worst[100] / max(worst[200], 1e-30) >= 3.5
 
 
+def test_covariant_derivative_rejects_field_on_other_grid(models):
+    # f(t) = t hosted on a curve sampled at t = s^2 is not a field on a curve
+    # sampled uniformly in s, although both grids have 11 nodes
+    s = np.linspace(0.0, 1.0, 11)
+    direction = np.array([1.0, 0.5, 0.0])
+
+    def line(grid):
+        return Curve(grid=grid, points=np.outer(grid, direction),
+                     velocities=np.tile(direction, (grid.size, 1)))
+
+    uniform, squared = line(s), line(s ** 2)
+    f = FieldAlongCurve(host=squared, values=np.outer(squared.grid, [1.0, 0.0, 0.0]))
+    with pytest.raises(GridMismatch):
+        covariant_derivative_along(models["minkowski3"], uniform, f)
+    # another curve object on an equal grid is accepted
+    out = covariant_derivative_along(models["minkowski3"], line(s ** 2), f)
+    assert np.max(np.abs(out.values[:, 0] - 1.0)) < 1e-12
+
+
 def test_field_integral_basics(models):
     model = models["minkowski3"]
     c = straight_line(n=200)

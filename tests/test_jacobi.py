@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
-from brachkit.errors import InitialConditionViolated, NotOrthogonalStart
-from brachkit.geometry import conformal_geometry
-from brachkit.jacobi import (bfocal_points, focal_points, gamma_jacobi_basis,
-                             integrate_bjacobi, integrate_rjacobi)
+from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
+from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
+from brachkit.jacobi import (_BJacobiCache, _bfocal_singular_value, _bjacobi_rhs,
+                             _endpoint_rows, bfocal_points,
+                             focal_points, gamma_jacobi_basis, integrate_bjacobi,
+                             integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry,
@@ -67,7 +69,6 @@ def test_bjacobi_linearity(models, solutions):
     sol = solutions["rotating_frame"]
     rng = np.random.default_rng(40)
     geom = SolutionGeometry(model, sol)
-    from brachkit.jacobi import _BJacobiCache
     cache = _BJacobiCache(model, sol, geom=geom)
     d = cache.at(0.0)
     g, y, v = d["g"], d["y"], d["v"]
@@ -220,7 +221,6 @@ def test_map_L_vanishing_start(models, solutions):
     sol = solutions["rotating_frame"]
     grid = sol.sigma.grid
     t0 = float(grid[80])
-    from brachkit.jacobi import _BJacobiCache
     cache = _BJacobiCache(model, sol)
     d = cache.at(t0)
     row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
@@ -294,7 +294,6 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
     # the fused coefficient spline reproduces, bit for bit, a separate cubic
     # spline of each quantity and the derivative of the K spline
     from scipy.interpolate import CubicSpline
-    from brachkit.jacobi import _BJacobiCache
     for name, sol in (("rotating_frame", solutions["rotating_frame"]),
                       ("minkowski4", solutions["minkowski4"]),
                       ("einstein_cylinder", cylinder_long_arc)):
@@ -315,3 +314,73 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
         batch = cache.sample(ts)
         for key, spl in splines.items():
             assert np.array_equal(batch[key], spl(ts)), (name, key)
+
+
+def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
+    # no endpoint singular value reaches 1e-20: the Riemannian candidate is
+    # refused rather than reported
+    with pytest.raises(ConstraintViolated, match="no vanishing linearized solution"):
+        bfocal_points(models["einstein_cylinder"], cylinder_long_arc, confirm_tol=1e-20)
+
+
+def test_endpoint_rows_match_direct_integration(models, solutions):
+    # R(t0) x(t0) = F x(1): the propagator gives the frame components of V(1)
+    # for each admissible launch (0, dv) at t0
+    for name in ("einstein_cylinder", "static_well", "rotating_frame"):
+        model, sol = models[name], solutions[name]
+        m = model.m
+        cache = _BJacobiCache(model, sol)
+        rows = _endpoint_rows(model, sol, cache)
+        q1 = sol.sigma.points[-1]
+        F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
+        for t0 in (0.0, 0.3, 0.55, 0.8):
+            d = cache.at(t0)
+            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
+            for dv in np.linalg.svd(row[None, :])[2][1:]:
+                jb = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, cache=cache)
+                direct = F @ jb.field.values[-1]
+                via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
+                err = np.max(np.abs(via_rows - direct)) / np.max(np.abs(direct))
+                assert err < 1e-9, (name, t0, err)
+
+
+def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
+    # the probe's singular value equals the one of the endpoint map built from
+    # one direct solve per admissible launch direction
+    for name in ("static_well", "rotating_frame"):
+        model, sol = models[name], solutions[name]
+        m = model.m
+        cache = _BJacobiCache(model, sol)
+        rows = _endpoint_rows(model, sol, cache)
+        q1 = sol.sigma.points[-1]
+        F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
+        for t0 in (0.1, 0.5, 0.9):
+            d = cache.at(t0)
+            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
+            M = np.array([F @ integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0,
+                                                cache=cache).field.values[-1]
+                          for dv in np.linalg.svd(row[None, :])[2][1:]]).T
+            svals = np.linalg.svd(M, compute_uv=False)
+            direct = svals[-1] / svals[0]
+            probe = _bfocal_singular_value(sol, t0, cache, rows)
+            assert probe == pytest.approx(direct, rel=1e-8), (name, t0)
+
+
+def test_bjacobi_rhs_broadcasts_over_rows(models, solutions):
+    rng = np.random.default_rng(7)
+    for name in ("static_well", "rotating_frame", "minkowski4"):
+        model, sol = models[name], solutions[name]
+        n = 2 * model.m + 1
+        rhs = _bjacobi_rhs(_BJacobiCache(model, sol))
+        X = rng.standard_normal((6, n))
+        for t in (0.0, 0.37, 1.0):
+            stacked = rhs(t, X)
+            assert stacked.shape == X.shape
+            assert np.all(stacked[:, -1] == 0.0)
+            for x, out in zip(X, stacked):
+                alone = rhs(t, x[None])[0]
+                assert np.max(np.abs(out - alone)) <= 1e-14 * np.max(np.abs(alone)), (name, t)
+            # on the identity rows it returns A^T, and A x = rhs(x)
+            A = rhs(t, np.eye(n)).T
+            ref = np.max(np.abs(stacked))
+            assert np.max(np.abs(X @ A.T - stacked)) <= 1e-14 * ref, (name, t)
