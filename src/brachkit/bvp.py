@@ -7,9 +7,10 @@ point of the observer's orbit and the residual is the remaining displacement,
 expressed in a horizontal frame.
 
 Newton's method is written as a generator that yields the shots it needs, so
-one loop (``_solve_starts``) can integrate the pending shots of every start of
-a survey as one lockstep batch (``dynamics.shot_endpoints``); ``shoot`` is
-that loop with a single start.
+one loop (``_solve_starts``) can integrate the shots of every start of a
+survey in one running batch of lanes (``dynamics.shot_endpoints``): a start's
+next shots join as soon as its previous ones have arrived.  ``shoot`` is that
+loop with a single start.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -107,6 +109,17 @@ class ShootingProblem:
     def __post_init__(self):
         self.p = _coords(self.p)
 
+    @cached_property
+    def _launch_geometry(self):
+        """g_R and the horizontal frame at p, from which every launch direction is built."""
+        return riemannian_metric_matrix(self.model, self.p), horizontal_frame(self.model, self.p)
+
+    @cached_property
+    def _anchor_geometry(self):
+        """g_R and Y at the observer's anchor, from which every orbit match starts."""
+        anchor = self.gamma.anchor
+        return riemannian_metric_matrix(self.model, anchor), self.model.y(anchor)
+
 
 @dataclass
 class SurveyResult:
@@ -131,8 +144,7 @@ def _orbit_match(problem: ShootingProblem, q_end) -> tuple:
     """Flow parameter s* minimizing the g_R distance from q_end to the orbit."""
     model = problem.model
     anchor = problem.gamma.anchor
-    gr = riemannian_metric_matrix(model, anchor)
-    y = model.y(anchor)
+    gr, y = problem._anchor_geometry
 
     def dist2(s):
         pt = problem.gamma.point(s)
@@ -158,25 +170,57 @@ def _residual_vector(problem: ShootingProblem, q_end) -> np.ndarray:
     return np.array([float(d @ gr @ e) for e in frame])
 
 
-def _sphere_direction(model, p, center, coeffs):
-    """Point on the unit horizontal sphere: normalize(center + sum c_i E_i)."""
-    q = _coords(p)
-    gr = riemannian_metric_matrix(model, q)
+def _sphere_direction(problem: ShootingProblem, center, coeffs):
+    """Point on the unit horizontal sphere at p: normalize(center + sum c_i E_i)."""
+    gr, frame = problem._launch_geometry
     # tangent directions at the current center
-    tang = orthonormal_completion(gr, [center], model.m - 2,
-                                  candidates=horizontal_frame(model, q))
+    tang = orthonormal_completion(gr, [center], problem.model.m - 2, candidates=frame)
     vec = center + sum(c * t for c, t in zip(coeffs, tang))
     return vec / np.sqrt(float(vec @ gr @ vec))
+
+
+# The sequential line search tries lambda = 1, 1/2, ..., 1/128 in turn.  These
+# are the groups of trials one yield carries: while the previous step was
+# damped, and after a full step.
+_LAMBDAS = tuple(0.5 ** j for j in range(8))
+_DAMPED_GROUPS = (_LAMBDAS[:3], _LAMBDAS[3:])
+_FULL_GROUPS = (_LAMBDAS[:1], _LAMBDAS[1:3], _LAMBDAS[3:])
+
+
+def _attempt(f, *args):
+    """f(*args), or the exception it raised, for the caller to raise where it is needed."""
+    try:
+        return f(*args)
+    except Exception as exc:  # any class: the caller raises it where the sequential code would
+        return exc
 
 
 def _newton(problem: ShootingProblem, guess):
     """Newton iteration on (direction, travel time), as a generator of shots.
 
-    Each ``yield`` hands out a list of launches ``(state, T)``: one launch, or
-    the m - 1 finite-difference Jacobian launches together.  It is sent back
-    each launch's arrival point or the exception its integration raised.  The
-    generator returns the converged (direction, T) once the arrival defect
+    Each ``yield`` hands out a list of launches ``(state, T)`` and is sent
+    back each launch's arrival point or the exception its integration raised.
+    The generator returns the converged (direction, T) once the arrival defect
     drops below tolerance.
+
+    The iterates are those of the sequential damped Newton method: the trials
+    lambda = 1, 1/2, ..., 1/128 are taken in turn and the first whose defect
+    is smaller, or whose lambda is below 0.26, is accepted; the
+    finite-difference chord Jacobian is refreshed after a damped step and
+    every fourth iteration.  Work is yielded ahead of need to save rounds:
+
+    * the first launch comes with the Jacobian launches around it;
+    * the trials of a step come in groups, {1, 1/2, 1/4} and then
+      {1/8, ..., 1/128} while the previous step was damped, and {1},
+      {1/2, 1/4}, {1/8, ..., 1/128} after a full step (so a start that takes
+      full steps asks for no extra shots);
+    * each trial after which the Jacobian would be refreshed comes with the
+      Jacobian launches around its re-centred iterate.
+
+    Trials after the accepted one are dropped without computing their
+    residuals, together with their exceptions.  An exception raised while
+    building work ahead of need is raised only where the sequential iteration
+    would have met it.
     """
     model = problem.model
     cfg = problem.config
@@ -186,7 +230,7 @@ def _newton(problem: ShootingProblem, guess):
 
     def launch(x, ctr):
         T = max(x[-1], 1e-8)
-        u = _sphere_direction(model, problem.p, ctr, x[:-1])
+        u = _sphere_direction(problem, ctr, x[:-1])
         return np.concatenate([problem.p, initial_velocity(model, problem.k, problem.p, u, T)]), T
 
     def residual(end):
@@ -194,46 +238,86 @@ def _newton(problem: ShootingProblem, guess):
             raise end
         return _residual_vector(problem, end)
 
+    def jacobian_launches(x, ctr):
+        dxs = cfg.fd_step * (1.0 + np.abs(x))
+        return dxs, [launch(x + dx * e, ctr) for dx, e in zip(dxs, np.eye(ndim))]
+
+    def jacobian(plan, ends, r):
+        if isinstance(plan, Exception):
+            raise plan
+        return np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, plan[0])])
+
+    def recentre(x_new, ctr):
+        """(x, centre) of the sphere chart re-centred at the direction of x_new."""
+        x = x_new.copy()
+        x[:-1] = 0.0
+        return x, _sphere_direction(problem, ctr, x_new[:-1])
+
+    def ahead(shot, plan):
+        """The launches of a trial shot and of the Jacobian plan riding with it."""
+        if isinstance(shot, Exception):
+            return []
+        return [shot] + ([] if plan is None or isinstance(plan, Exception) else plan[1])
+
     x = np.zeros(ndim)
     x[-1] = float(T)
-    r = residual((yield [launch(x, center)])[0])
+    first = launch(x, center)
+    plan = _attempt(jacobian_launches, x, center)
+    ends = yield ahead(first, plan)
+    r = residual(ends[0])
+    plan_ends = ends[1:]
     jac = None
+    damped = False
     for it in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
         if jac is None:
-            dxs = cfg.fd_step * (1.0 + np.abs(x))
-            ends = yield [launch(x + dx * e, center) for dx, e in zip(dxs, np.eye(ndim))]
-            jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
+            jac = jacobian(plan, plan_ends, r)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian")
-        lam = 1.0
-        for _ in range(8):
-            x_new = x + lam * step
-            if x_new[-1] <= 0.0:
-                lam *= 0.5
-                continue
-            try:
-                shot = launch(x_new, center)
-                r_new = residual((yield [shot])[0])
-            except (BrachkitError, ValueError):
-                lam *= 0.5
-                continue
-            if np.linalg.norm(r_new) < rn or lam < 0.26:
+        refresh = it % 4 == 3  # the Jacobian is also refreshed after any damped step
+        accepted = None
+        for group in _DAMPED_GROUPS if damped else _FULL_GROUPS:
+            trials, launches = [], []
+            for lam in group:
+                x_new = x + lam * step
+                if x_new[-1] <= 0.0:
+                    continue
+                shot = _attempt(launch, x_new, center)
+                moved = trial_plan = None
+                if not isinstance(shot, Exception):
+                    moved = _attempt(recentre, x_new, center)
+                    if (lam < 1.0 or refresh) and not isinstance(moved, Exception):
+                        trial_plan = _attempt(jacobian_launches, *moved)
+                trials.append((lam, shot, moved, trial_plan, len(launches)))
+                launches += ahead(shot, trial_plan)
+            ends = (yield launches) if launches else []
+            for lam, shot, moved, trial_plan, pos in trials:
+                if isinstance(shot, Exception):
+                    if isinstance(shot, (BrachkitError, ValueError)):
+                        continue
+                    raise shot
+                try:
+                    r_new = residual(ends[pos])
+                except (BrachkitError, ValueError):
+                    continue
+                if np.linalg.norm(r_new) < rn or lam < 0.26:
+                    accepted = lam, r_new, moved, trial_plan, ends[pos + 1:pos + ndim + 1]
+                    break
+            if accepted is not None:
                 break
-            lam *= 0.5
         else:
             raise NoConvergence(f"line search stalled at residual {rn:.3e}")
-        # re-center the sphere chart at the accepted direction
-        center = _sphere_direction(model, problem.p, center, x_new[:-1])
-        x = x_new.copy()
-        x[:-1] = 0.0
-        r = r_new
-        if lam < 1.0 or it % 4 == 3:
-            jac = None  # refresh the chord Jacobian after damped steps
+        lam, r, moved, trial_plan, trial_ends = accepted
+        if isinstance(moved, Exception):
+            raise moved
+        x, center = moved
+        damped = lam < 1.0
+        if damped or refresh:
+            jac, plan, plan_ends = None, trial_plan, trial_ends
     else:
         raise NoConvergence(
             f"no convergence after {cfg.max_newton} iterations (residual {np.linalg.norm(r):.3e})")
@@ -241,25 +325,36 @@ def _newton(problem: ShootingProblem, guess):
 
 
 def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
-    """Shoot from every guess in lockstep.
+    """Shoot from every guess, all starts sharing one running batch of lanes.
 
-    Each round integrates the pending launches of all starts as one batch.
-    Returns ``(results, rounds, lane_shots)``, where ``results[i]`` is the
-    fully sampled converged solution of start i or the exception that ended
-    it.
+    A start's Newton generator advances as soon as all the shots it yielded
+    have arrived, and its next shots join the batch at the next step
+    boundary (``dynamics.shot_endpoints`` with ``admit``).  Returns
+    ``(results, counts)``: ``results[i]`` is the fully sampled converged
+    solution of start i or the exception that ended it; ``counts`` has
+    ``rounds`` (the most yields of any start), ``lane_shots`` and
+    ``batched_calls`` (calls of the acceleration).
     """
     cfg = problem.config
     newtons = [_newton(problem, guess) for guess in guesses]
     results = [None] * len(newtons)
-    pending = {}
+    yields = [0] * len(newtons)
+    owner = []        # shot -> (start, position in its yield)
+    arrivals = {}     # start -> the arrivals of its current yield, None until they land
+    queued = []       # the launches of the shots not yet handed to the batch
 
     def advance(i, ends):
         try:
             try:
-                pending[i] = newtons[i].send(ends)
-                return
+                shots = newtons[i].send(ends)
             except StopIteration as stop:
                 u, T = stop.value
+            else:
+                yields[i] += 1
+                arrivals[i] = [None] * len(shots)
+                owner.extend((i, j) for j in range(len(shots)))
+                queued.extend(shots)
+                return
             sol = integrate_brachistochrone(problem.model, problem.k, problem.p, u, T,
                                             cfg.integrator)
             sol.check_conservation(cfg.integrator.tol_cons)
@@ -267,28 +362,32 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
         except (BrachkitError, ValueError) as exc:
             results[i] = exc
 
+    def take_queued():
+        shots = queued[:]
+        queued.clear()
+        return np.array([st for st, _ in shots]), [T for _, T in shots]
+
+    def admit(arrived):
+        for shot, end in sorted(arrived.items()):
+            i, j = owner[shot]
+            arrivals[i][j] = end
+            if all(a is not None for a in arrivals[i]):
+                advance(i, arrivals.pop(i))
+        return take_queued()
+
     for i in range(len(newtons)):
         advance(i, None)
-    rounds = lane_shots = 0
-    while pending:
-        batch = sorted(pending.items())
-        pending.clear()
-        launches = [shot for _, shots in batch for shot in shots]
-        ends = shot_endpoints(problem.model, problem.k, np.array([st for st, _ in launches]),
-                              [T for _, T in launches], cfg.integrator)
-        rounds += 1
-        lane_shots += len(launches)
-        pos = 0
-        for i, shots in batch:
-            advance(i, ends[pos:pos + len(shots)])
-            pos += len(shots)
-    return results, rounds, lane_shots
+    tally = {"batched_calls": 0}
+    if queued:
+        shot_endpoints(problem.model, problem.k, *take_queued(), cfg.integrator,
+                       admit=admit, tally=tally)
+    return results, dict(rounds=max(yields, default=0), lane_shots=len(owner), **tally)
 
 
 def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
     """Newton iteration on (direction, travel time) until the arrival defect
     drops below tolerance; returns the fully sampled converged solution."""
-    (result,), _, _ = _solve_starts(problem, [guess])
+    (result,), _ = _solve_starts(problem, [guess])
     if isinstance(result, Exception):
         raise result
     return result
@@ -328,7 +427,7 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
     """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     starts = _survey_starts(problem.model.m, n_starts, T_bracket, seed)
-    results, rounds, lane_shots = _solve_starts(problem, starts)
+    results, counts = _solve_starts(problem, starts)
 
     failed = Counter()
     n_outside = 0
@@ -346,17 +445,19 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
         converged.append(res)
 
     converged.sort(key=lambda s: s.T)
-    unique = []
+    unique, unique_points = [], []
     for sol in converged:
-        if all(curve_distance(problem.model, resample_curve(sol.sigma, 200).points,
-                              resample_curve(other.sigma, 200).points) > dedup_threshold
-               for other in unique):
+        points = resample_curve(sol.sigma, 200).points
+        if all(curve_distance(problem.model, points, other) > dedup_threshold
+               for other in unique_points):
             unique.append(sol)
+            unique_points.append(points)
     n_failures = sum(failed.values())
     log.info("survey: starts=%d distinct=%d duplicate=%d outside_bracket=%d failed=%d (%s) "
-             "rounds=%d lane_shots=%d", n_starts, len(unique), len(converged) - len(unique),
-             n_outside, n_failures, " ".join(f"{k}={v}" for k, v in sorted(failed.items())),
-             rounds, lane_shots)
+             "rounds=%d lane_shots=%d batched_calls=%d", n_starts, len(unique),
+             len(converged) - len(unique), n_outside, n_failures,
+             " ".join(f"{k}={v}" for k, v in sorted(failed.items())),
+             counts["rounds"], counts["lane_shots"], counts["batched_calls"])
 
     records = []
     for sol in unique:

@@ -152,6 +152,8 @@ def _rms(x):
 class _Lanes:
     """Per-lane arrays of the live lanes, shrunk together when lanes leave."""
 
+    STATE = ("lane", "y", "f", "h_abs", "t", "rejected")  # what a lane carries from step to step
+
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
@@ -162,31 +164,51 @@ class _Lanes:
             else:
                 setattr(self, key, val[mask])
 
+    def join(self, other):
+        """The lanes of both, carrying only their step-to-step state."""
+        return _Lanes(**{key: np.concatenate([getattr(self, key), getattr(other, key)])
+                         for key in self.STATE})
 
-def rk45_lanes(fun, y0, rtol: float, atol: float):
+
+def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
     """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own RK45 step control.
 
-    ``y0`` has shape ``(n, d)``; ``fun`` gets the states of the live lanes and
-    their indices.  Each lane follows scipy's RK45 rules (initial step, SAFETY,
+    ``y0`` has shape ``(n, d)``.  Lanes are numbered in the order they are
+    admitted, and ``fun`` gets the states of the live lanes and their
+    numbers.  Each lane follows scipy's RK45 rules (initial step, SAFETY,
     MIN/MAX_FACTOR, no growth after a rejection, min-step failure) with an
     error norm over that lane alone, so it takes scipy's steps and agrees with
     its result to roundoff; and it is bit-identical whether it runs alone or
-    in any batch.  When a batched evaluation raises,
-    the lanes are evaluated one by one; each lane that raises leaves with its
-    exception and the others continue.
+    in any batch, admitted at the start or later.  When a batched evaluation
+    raises, the lanes are evaluated one by one; each lane that raises leaves
+    with its exception and the others continue.
 
-    Returns ``(ends, steps, failures)``: the states at t = 1 (NaN rows for
-    failed lanes), the accepted steps per lane and a dict lane -> exception.
+    With ``admit``, lanes join at step boundaries: whenever lanes have left
+    (reached t = 1 or raised), ``admit(left)`` gets them as a dict lane ->
+    state at t = 1 or exception, and returns the initial states of the lanes
+    to add (shape ``(j, d)``, ``j`` may be 0).  Each new lane makes its own
+    initial-step selection and then steps with the others.  Without
+    ``admit``, the lanes of ``y0`` are all there are.
+
+    Returns ``(ends, steps, failures)`` over every lane admitted: the states
+    at t = 1 (NaN rows for failed lanes), the accepted steps per lane and a
+    dict lane -> exception.
     """
     y0 = np.asarray(y0, dtype=float)
-    n, dim = y0.shape
-    ends = np.full((n, dim), np.nan)
-    steps = np.zeros(n, dtype=int)
+    dim = y0.shape[1]
+    ends = np.empty((0, dim))
+    steps = np.zeros(0, dtype=int)
     failures = {}
-    L = _Lanes(lane=np.arange(n), y=y0.copy())
+    left = []  # lanes that left since the last call of admit
 
-    def evaluate(Y):
-        """fun on the live lanes; a lane that raises leaves L and the returned rows."""
+    def fail(lane, exc):
+        failures[int(lane)] = exc
+        left.append(int(lane))
+
+    def evaluate(L, Y):
+        """fun on the live lanes of L; a lane that raises leaves L and the returned rows."""
+        if not L.lane.size:
+            return Y
         try:
             return fun(Y, L.lane)
         except (BrachkitError, ValueError):
@@ -197,36 +219,55 @@ def rk45_lanes(fun, y0, rtol: float, atol: float):
             try:
                 out[j] = fun(Y[j:j + 1], L.lane[j:j + 1])[0]
             except (BrachkitError, ValueError) as exc:
-                failures[int(L.lane[j])] = exc.with_traceback(None)  # no frame cycle
+                fail(L.lane[j], exc.with_traceback(None))  # no frame cycle
                 ok[j] = False
         L.keep(ok)
         return out[ok]
 
-    L.f = evaluate(L.y)
-    # initial step, as scipy's select_initial_step
-    L.scale = atol + np.abs(L.y) * rtol
-    L.d1 = _rms(L.f / L.scale)
-    d0 = _rms(L.y / L.scale)
-    with np.errstate(divide="ignore"):  # the branch that divides by zero is not taken
-        L.h0 = np.minimum(np.where((d0 < 1e-5) | (L.d1 < 1e-5), 1e-6, 0.01 * d0 / L.d1), 1.0)
-    f1 = evaluate(L.y + L.h0[:, None] * L.f)
-    d2 = _rms((f1 - L.f) / L.scale) / L.h0
-    with np.errstate(divide="ignore"):
-        h1 = np.where((L.d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, L.h0 * 1e-3),
-                      (0.01 / np.maximum(L.d1, d2)) ** 0.2)
-    L.h_abs = np.minimum(np.minimum(100.0 * L.h0, h1), 1.0)
-    del L.scale, L.d1, L.h0
-    L.t = np.zeros(L.lane.size)
-    L.rejected = np.zeros(L.lane.size, dtype=bool)
-    while L.lane.size:
+    def start(y):
+        """Lanes for the initial states y, with scipy's initial step (select_initial_step)."""
+        nonlocal ends, steps
+        first = steps.size
+        ends = np.concatenate([ends, np.full(y.shape, np.nan)])
+        steps = np.concatenate([steps, np.zeros(len(y), dtype=int)])
+        N = _Lanes(lane=np.arange(first, steps.size), y=y.copy())
+        N.f = evaluate(N, N.y)
+        N.scale = atol + np.abs(N.y) * rtol
+        N.d1 = _rms(N.f / N.scale)
+        d0 = _rms(N.y / N.scale)
+        with np.errstate(divide="ignore"):  # the branch that divides by zero is not taken
+            N.h0 = np.minimum(np.where((d0 < 1e-5) | (N.d1 < 1e-5), 1e-6, 0.01 * d0 / N.d1), 1.0)
+        f1 = evaluate(N, N.y + N.h0[:, None] * N.f)
+        d2 = _rms((f1 - N.f) / N.scale) / N.h0
+        with np.errstate(divide="ignore"):
+            h1 = np.where((N.d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, N.h0 * 1e-3),
+                          (0.01 / np.maximum(N.d1, d2)) ** 0.2)
+        N.h_abs = np.minimum(np.minimum(100.0 * N.h0, h1), 1.0)
+        del N.scale, N.d1, N.h0
+        N.t = np.zeros(N.lane.size)
+        N.rejected = np.zeros(N.lane.size, dtype=bool)
+        return N
+
+    L = start(y0)
+    while True:
+        if admit is not None and left:
+            # copies: a view would keep this whole array alive after start() replaces it
+            arrived = {lane: failures[lane] if lane in failures else ends[lane].copy()
+                       for lane in left}
+            left.clear()
+            new = np.asarray(admit(arrived), dtype=float).reshape(-1, dim)
+            if len(new):
+                L = L.join(start(new))
+            continue  # lanes that failed on admission are reported before the next step
+        if not L.lane.size:
+            break
         min_step = 10.0 * np.abs(np.nextafter(L.t, np.inf) - L.t)
         L.h_abs = np.where(~L.rejected & (L.h_abs < min_step), min_step, L.h_abs)
         small = L.h_abs < min_step
         if small.any():
             for lane in L.lane[small]:
-                failures[int(lane)] = NoConvergence(
-                    "shot integration failed: Required step size is less than "
-                    "spacing between numbers.")
+                fail(lane, NoConvergence("shot integration failed: Required step size is less "
+                                         "than spacing between numbers."))
             L.keep(~small)
             continue
         t_new = L.t + L.h_abs
@@ -234,9 +275,9 @@ def rk45_lanes(fun, y0, rtol: float, atol: float):
         L.h = (L.t_new - L.t)[:, None]
         L.K = [L.f]
         for s in range(1, 6):
-            L.K.append(evaluate(L.y + L.h * _lincomb(_RK_A[s, :s], L.K)))
+            L.K.append(evaluate(L, L.y + L.h * _lincomb(_RK_A[s, :s], L.K)))
         L.y_new = L.y + L.h * _lincomb(_RK_B, L.K)
-        L.K.append(evaluate(L.y_new))
+        L.K.append(evaluate(L, L.y_new))
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
         err = _rms(L.h * _lincomb(_RK_E, L.K) / scale)
         accept = err < 1.0
@@ -253,26 +294,46 @@ def rk45_lanes(fun, y0, rtol: float, atol: float):
         steps[L.lane[accept]] += 1
         done = accept & (L.t >= 1.0)
         ends[L.lane[done]] = L.y[done]
+        left.extend(L.lane[done].tolist())
         L.keep(~done)
     return ends, steps, failures
 
 
-def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig) -> list:
+def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
+                   admit=None, tally=None) -> list:
     """Arrival points of brachistochrone shots integrated in lockstep on [0, 1].
 
     ``states`` holds one launch state (q, v) per row and ``T`` one travel time
     per row; each entry of the result is that shot's chart point at t = 1 or
-    the exception the shot raised.
+    the exception the shot raised.  With ``admit``, shots join the running
+    batch (see ``rk45_lanes``): ``admit(arrived)`` gets a dict shot ->
+    arrival point or exception for the shots that ended since its last call,
+    and returns the launch states and travel times of the shots to add, which
+    are numbered on from the last.  If a ``tally`` dict is given, its
+    ``"batched_calls"`` entry counts the calls of the acceleration.
     """
     m = model.m
     T = np.asarray(T, dtype=float)
+    calls = 0
 
     def fun(Y, lanes):
+        nonlocal calls
+        calls += 1
         q, v = Y[:, :m], Y[:, m:]
         return np.concatenate([v, brachistochrone_acceleration(model, k, T[lanes], q, v)], axis=1)
 
-    ends, _, failures = rk45_lanes(fun, states, config.rtol, config.atol)
-    return [failures.get(i, ends[i, :m]) for i in range(len(T))]
+    def admit_shots(left):
+        nonlocal T
+        new_states, new_T = admit({i: end if isinstance(end, Exception) else end[:m]
+                                   for i, end in left.items()})
+        T = np.concatenate([T, np.asarray(new_T, dtype=float)])
+        return new_states
+
+    ends, _, failures = rk45_lanes(fun, states, config.rtol, config.atol,
+                                   None if admit is None else admit_shots)
+    if tally is not None:
+        tally["batched_calls"] = tally.get("batched_calls", 0) + calls
+    return [failures.get(i, ends[i, :m]) for i in range(len(ends))]
 
 
 def _sample(sol_ivp, m, grid):

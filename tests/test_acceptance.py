@@ -6,6 +6,8 @@ objects so the whole battery stays inside the runtime budget.
 """
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -369,7 +371,7 @@ def test_acceptance_10_oracle_equivalence(acceptance_models):
           f"(|dT| {worst_T:.2e}, sup distance {worst_d:.2e})")
 
 
-def test_acceptance_11_parity(acceptance_models):
+def test_acceptance_11_parity(acceptance_models, caplog):
     model = acceptance_models["minkowski3"]
     gamma = ObserverWorldline(np.array([1.0, 0.0, 0.0]), model)
     prob = ShootingProblem(model, np.zeros(3), gamma, np.sqrt(2.0))
@@ -384,7 +386,11 @@ def test_acceptance_11_parity(acceptance_models):
     prob = ShootingProblem(model, np.array([np.pi / 2, 0.0, 0.0]), gamma, k)
     j_wraps = 1
     t_max = (2 * np.pi * j_wraps + alpha + 0.5) / np.sqrt(k * k - 1.0)
-    res = multistart_survey(prob, 48, (0.3, t_max), seed=11, n_basis=40)
+    with caplog.at_level(logging.INFO, logger="brachkit.bvp"):
+        res = multistart_survey(prob, 48, (0.3, t_max), seed=11, n_basis=40)
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:")]
+    rounds = int(re.search(r"rounds=(\d+)", summary[-1]).group(1))
+    assert rounds <= 18  # the longest chain of Newton yields of any start
     count = len(res.solutions)
     assert count in (2 * j_wraps + 1, 2 * j_wraps + 2)
     expected_T = sorted([alpha, 2 * np.pi - alpha, alpha + 2 * np.pi])
