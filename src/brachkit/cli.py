@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import ObserverWorldline, ShootConfig, ShootingProblem, multistart_survey, shoot
-from .curves import curve_to_csv, curve_from_json_dict, curve_to_json_dict
+from .curves import curve_from_csv, curve_from_json_dict, curve_to_csv, curve_to_json_dict
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
                        integrate_brachistochrone)
 from .errors import BrachkitError, ConfigError, InvalidParams, UnknownModel, ZeroSeed
@@ -56,6 +56,9 @@ _RANGES = {
     "n_basis": (lambda x: x >= 2, "at least 2"),
     "T_bracket": (lambda x: 0.0 < x[0] < x[1], "two increasing positive times"),
 }
+# counts that must be JSON integers, and flags that must be JSON booleans
+_INTEGERS = {"n_starts", "seed", "n_basis", "n_segments", "max_iters"}
+_FLAGS = {"attach_indices", "shoot_check"}
 # keys that name chart points rather than tangent vectors
 _POINTS = {"p", "gamma_anchor"}
 _TOP_KEYS = {"model", "k", "p", "gamma_anchor", "tolerances", "out"} | set(COMMANDS)
@@ -198,6 +201,17 @@ def _load_solution(path: Path):
     return model, d["model"], sol
 
 
+def _load_init_curve(path: Path, model):
+    try:
+        with open(path) as fh:
+            curve = curve_from_csv(fh.read())
+    except (OSError, IndexError, ValueError) as exc:
+        raise ConfigError(f"cannot read initial curve {path.name}: {exc!r}")
+    if curve.points.ndim != 2 or curve.points.shape[1] != model.m:
+        raise ConfigError(f"initial curve {path.name} must hold {model.m}-dimensional points")
+    return curve
+
+
 def _check_command(cfg: dict, command: str):
     """Required keys, parseable numbers, vector lengths and ranges for one command."""
     top, block_keys = _REQUIRED[command]
@@ -210,6 +224,11 @@ def _check_command(cfg: dict, command: str):
     fields += [(f"{command}.{key}", value) for key, value in block.items()]
     for where, value in fields:
         key = where.rsplit(".", 1)[-1]
+        if key in _FLAGS and not isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"'{where}' must be true or false, got {value!r}")
+        if key in _INTEGERS and (isinstance(value, bool)
+                                 or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"'{where}' must be an integer, got {value!r}")
         if key not in _SHAPES:
             continue
         shape = (model.m,) if _SHAPES[key] is None else _SHAPES[key]
@@ -272,7 +291,7 @@ def _cmd_survey(cfg, out_dir: Path, seed) -> str:
     use_seed = int(block["seed"]) if seed is None else int(seed)
     res = multistart_survey(
         prob, int(block["n_starts"]), tuple(block["T_bracket"]), use_seed,
-        attach_indices=bool(block.get("attach_indices", True)),
+        attach_indices=block.get("attach_indices", True),
         n_basis=int(block.get("n_basis", 50)))
     sol_docs = []
     for i, rec in enumerate(res.solutions):
@@ -383,11 +402,7 @@ def _cmd_oracle(cfg, out_dir: Path, seed) -> str:
     p = np.asarray(cfg["p"], dtype=float)
     anchor = np.asarray(cfg["gamma_anchor"], dtype=float)
     pc = PenaltyConfig(epsilon=float(block.get("epsilon", 0.5)))
-    init = None
-    if "init" in block:
-        from .curves import curve_from_csv
-        with open(out_dir / block["init"]) as fh:
-            init = curve_from_csv(fh.read())
+    init = _load_init_curve(out_dir / block["init"], model) if "init" in block else None
     cand = discrete_minimize(model, p, anchor, float(cfg["k"]),
                              int(block.get("n_segments", 200)), init=init, pc=pc,
                              gtol=float(block.get("gtol", 1e-7)),

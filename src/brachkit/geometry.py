@@ -360,9 +360,6 @@ class ConformalGeometry:
         q = _coords(q)
         return self.phi(q)[..., None, None] * riemannian_metric_matrix(self.model, q)
 
-    def inner(self, q, v, w) -> float:
-        return float(_coords(v) @ self.metric(q) @ _coords(w))
-
     def christoffels(self, q) -> np.ndarray:
         q = self.model.require_in_chart(q)
         dg = np.stack([_directional_diff4(self.metric, q, c, self.fd_step)

@@ -1,9 +1,9 @@
 """Jacobi fields along solutions and along conformal geodesics, focal point
 detection, and the correspondence between the two sides.
 
-The linearized travel-time equation is integrated with coefficient data
-interpolated from a per-solution cache; focal parameters come from zeros of
-the determinant of Jacobi fields against a parallel frame, with
+Both Jacobi equations run on stacked rows, one field per row, with their
+coefficients interpolated from one fused spline per curve.  Focal parameters
+come from zeros of det(J L), J the Jacobi basis and g~ = L L^T, with
 multiplicities read off a rank analysis at each zero.  On the solution side
 they are confirmed through the adjoint of the linearized equation,
 integrated once backward from the event.
@@ -65,23 +65,13 @@ class FocalReport:
 # ---------------------------------------------------------------------------
 # Linearized travel-time equation along a solution
 
-class _BJacobiCache:
-    """Coefficient data for the linearized equation along sigma, as one spline.
+class _NodeSpline:
+    """Named per-node arrays as the columns of one cubic spline on their grid.
 
-    gamma, K, g, Y, the velocity, <Y,Y>, RM1 and RM2 are the columns of a
-    single cubic spline on the solution grid; a separate piecewise polynomial
-    on the K columns gives dK/dt.  Each column's coefficients are those of a
-    spline of that quantity alone.
+    Each column's coefficients are those of a spline of that quantity alone.
     """
 
-    def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution,
-                 geom: SolutionGeometry | None = None):
-        geom = SolutionGeometry(model, sol) if geom is None else geom
-        grid = sol.sigma.grid
-        self.k, self.T = sol.k, sol.T
-        self.m = model.m
-        parts = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y, v=sol.sigma.velocities,
-                     N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
+    def __init__(self, grid: np.ndarray, parts: dict):
         self._layout = {}
         start = 0
         for name, arr in parts.items():
@@ -90,14 +80,32 @@ class _BJacobiCache:
             start += width
         self._spl = CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
                                                  for arr in parts.values()]), axis=0)
-        self._K_poly = PPoly(self._spl.c[:, :, self._layout["K"][0]], self._spl.x)
 
     def sample(self, t) -> dict:
-        """The coefficient arrays at parameter(s) t, as views into one evaluation."""
+        """The arrays at parameter(s) t, as views into one evaluation."""
         vals = self._spl(t)
         lead = vals.shape[:-1]
         return {name: vals[..., sl].reshape(lead + shape)
                 for name, (sl, shape) in self._layout.items()}
+
+
+class _BJacobiCache(_NodeSpline):
+    """Coefficient data for the linearized equation along sigma, as one spline.
+
+    gamma, K, g, Y, the velocity, <Y,Y>, RM1 and RM2 are the columns of one
+    ``_NodeSpline`` on the solution grid; a separate piecewise polynomial on
+    the K columns gives dK/dt.
+    """
+
+    def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution,
+                 geom: SolutionGeometry | None = None):
+        geom = SolutionGeometry(model, sol) if geom is None else geom
+        self.k, self.T = sol.k, sol.T
+        self.m = model.m
+        super().__init__(sol.sigma.grid, dict(
+            gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y, v=sol.sigma.velocities,
+            N=geom.N, RM1=geom.RM1, RM2=geom.RM2))
+        self._K_poly = PPoly(self._spl.c[:, :, self._layout["K"][0]], self._spl.x)
 
     def at(self, t) -> dict:
         d = self.sample(t)
@@ -199,44 +207,50 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
 # ---------------------------------------------------------------------------
 # Riemannian Jacobi fields along a conformal geodesic
 
-class _RJacobiCache:
-    def __init__(self, confgeom: ConformalGeometry, w: Curve,
-                 data: ConformalCurveData | None = None):
-        self.data = ConformalCurveData(confgeom, w) if data is None else data
-        grid = w.grid
-        self.m = confgeom.m
-        self.gamma = CubicSpline(grid, self.data.gamma.reshape(grid.size, -1), axis=0)
-        self.A = CubicSpline(grid, self.data.Braw.reshape(grid.size, -1), axis=0)
-        self.v = w.velocity_spline()
-
-    def rhs(self, t, state):
-        m = self.m
-        J, DJ = state[:m], state[m:]
-        gamma = self.gamma(t).reshape(m, m, m)
-        A = self.A(t).reshape(m, m)
-        v = self.v(t)
-        Jdot = DJ - np.einsum("abc,b,c->a", gamma, v, J)
-        dDJ = A @ J - np.einsum("abc,b,c->a", gamma, v, DJ)
-        return np.concatenate([Jdot, dDJ])
+def _conformal_coeffs(data: ConformalCurveData) -> _NodeSpline:
+    """Gamma~, the tidal matrix, w' and g~ along ``data.w`` as one spline."""
+    return _NodeSpline(data.w.grid, dict(gamma=data.gamma, A=data.Braw,
+                                         v=data.w.velocities, gt=data.gt))
 
 
-def integrate_rjacobi(confgeom: ConformalGeometry, w: Curve, J0, dJ0,
-                      cache: _RJacobiCache | None = None) -> JacobiFieldData:
-    """Integrate the Jacobi equation of the conformal metric along a geodesic."""
-    cache = _RJacobiCache(confgeom, w) if cache is None else cache
-    J0 = _coords(J0)
-    dJ0 = _coords(dJ0)
-    out = solve_ivp(cache.rhs, (0.0, 1.0), np.concatenate([J0, dJ0]),
+def _rjacobi_rhs(coeffs: _NodeSpline):
+    """The Jacobi equation of g~ on stacked rows (J, DJ), one field per row."""
+
+    def rhs(t, X):
+        m = X.shape[1] // 2
+        J, DJ = X[:, :m], X[:, m:]
+        d = coeffs.sample(t)
+        Gv = np.einsum("abc,b->ac", d["gamma"], d["v"])   # X -> Gamma~(w', X)
+        return np.hstack([DJ - J @ Gv.T, J @ d["A"].T - DJ @ Gv.T])
+
+    return rhs
+
+
+def _rjacobi_solve(coeffs: _NodeSpline, X0: np.ndarray):
+    """All rows of X0, shape (n, 2m), in one solve over [0, 1]; the dense output."""
+    shape = X0.shape
+    rhs = _rjacobi_rhs(coeffs)
+    out = solve_ivp(lambda t, s: rhs(t, s.reshape(shape)).ravel(), (0.0, 1.0), X0.ravel(),
                     dense_output=True, **_IVP_OPTS)
     if not out.success:
         raise StepFailure(f"Jacobi integration failed: {out.message}")
-    m = confgeom.m
-    sampled = out.sol(w.grid)
-    return JacobiFieldData(
-        field=FieldAlongCurve(host=w, values=sampled[:m].T),
-        derivative=FieldAlongCurve(host=w, values=sampled[m:].T),
-        C_V=0.0, kind="riemannian_gamma",
-    )
+    return out.sol
+
+
+def _field_data(w: Curve, dense) -> list:
+    """The stacked fields of a dense solution, sampled on the grid of ``w``."""
+    m = w.points.shape[1]
+    sampled = dense(w.grid).reshape(-1, 2 * m, w.grid.size)
+    return [JacobiFieldData(field=FieldAlongCurve(host=w, values=x[:m].T),
+                            derivative=FieldAlongCurve(host=w, values=x[m:].T),
+                            C_V=0.0, kind="riemannian_gamma") for x in sampled]
+
+
+def integrate_rjacobi(confgeom: ConformalGeometry, w: Curve, J0, dJ0) -> JacobiFieldData:
+    """Integrate the Jacobi equation of the conformal metric along a geodesic."""
+    coeffs = _conformal_coeffs(ConformalCurveData(confgeom, w))
+    X0 = np.concatenate([_coords(J0), _coords(dJ0)])[None]
+    return _field_data(w, _rjacobi_solve(coeffs, X0))[0]
 
 
 def _check_orthogonal_start(confgeom, w):
@@ -249,6 +263,25 @@ def _check_orthogonal_start(confgeom, w):
         raise NotOrthogonalStart("geodesic does not start orthogonally to the observer line")
 
 
+def _jacobi_basis(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveData | None):
+    """The coefficient spline and the one dense solution of all m basis fields."""
+    _check_orthogonal_start(confgeom, w)
+    data = ConformalCurveData(confgeom, w) if data is None else data
+    m = confgeom.m
+    y0, gt0 = data.y[0], data.gt[0]
+    yy = float(y0 @ gt0 @ y0)
+    X0 = np.zeros((m, 2 * m))
+    # field tangent to the line at the start
+    X0[0, :m] = y0
+    X0[0, m:] = -float(w.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy * y0
+    # fields vanishing at the start, derivative orthogonal to Y
+    X0[1:, m:] = orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)
+    if np.linalg.svd(X0, compute_uv=False)[-1] <= 1e-8:
+        raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
+    coeffs = _conformal_coeffs(data)
+    return coeffs, _rjacobi_solve(coeffs, X0)
+
+
 def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
                        data: ConformalCurveData | None = None) -> list:
     """m independent Jacobi fields meeting the observer-line boundary conditions.
@@ -256,82 +289,30 @@ def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
     Condition set at the start node: J(0) parallel to Y, and the conserved
     pairing of the derivative with Y matches the shape of the line.
     """
-    _check_orthogonal_start(confgeom, w)
-    return _jacobi_basis(_RJacobiCache(confgeom, w, data=data))
-
-
-def _jacobi_basis(cache: _RJacobiCache) -> list:
-    """The fields of ``gamma_jacobi_basis`` along the curve of ``cache``."""
-    data = cache.data
-    confgeom, w = data.confgeom, data.w
-    model = confgeom.model
-    q0, v0 = w.points[0], w.velocities[0]
-    y0 = model.y(q0)
-    gt0 = data.gt[0]
-    yy = float(y0 @ gt0 @ y0)
-
-    inits = []
-    # field tangent to the line at the start
-    c = -float(v0 @ gt0 @ (data.Kt[0] @ y0)) / yy
-    inits.append((y0.copy(), c * y0))
-    # fields vanishing at the start, derivative orthogonal to Y
-    m = confgeom.m
-    for b in orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1):
-        inits.append((np.zeros(m), b))
-
-    M0 = np.array([np.concatenate(pair) for pair in inits])
-    if np.linalg.svd(M0, compute_uv=False)[-1] <= 1e-8:
-        raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
-    return [integrate_rjacobi(confgeom, w, J0, dJ0, cache=cache) for J0, dJ0 in inits]
-
-
-def _parallel_frame(cache: _RJacobiCache):
-    """g~-orthonormal frame parallel along the cached curve (in the conformal connection)."""
-    m = cache.m
-    basis = orthonormal_completion(cache.data.gt[0], [], m)
-
-    def rhs(t, flat):
-        E = flat.reshape(m, m)
-        gamma = cache.gamma(t).reshape(m, m, m)
-        v = cache.v(t)
-        dE = -np.einsum("abc,b,jc->ja", gamma, v, E)
-        return dE.ravel()
-
-    out = solve_ivp(rhs, (0.0, 1.0), basis.ravel(), dense_output=True,
-                    **_IVP_OPTS)
-    if not out.success:
-        raise StepFailure(f"frame transport failed: {out.message}")
-    return out.sol
+    _, dense = _jacobi_basis(confgeom, w, data)
+    return _field_data(w, dense)
 
 
 def focal_points(confgeom: ConformalGeometry, w: Curve,
                  data: ConformalCurveData | None = None,
                  n_scan: int = 1000, t_min: float = 0.01,
                  rank_rtol: float = 1e-5) -> FocalReport:
-    """Zeros of det(g~(J_i, E_j)) on (t_min, 1], with SVD multiplicities.
+    """Zeros of det(J L) on (t_min, 1], with SVD multiplicities.
 
-    ``w`` runs from the observer line to the event; the returned parameters are
-    in that same orientation.
+    Rows of J are the basis fields of ``gamma_jacobi_basis``, g~ = L L^T.  For
+    the g~-orthonormal frame E parallel from the chart-axis Gram-Schmidt start,
+    E = Q L^-1 with Q orthogonal and det Q = +1, so J L has the determinant and
+    the singular values of g~(J_i, E_j) without transporting E.  ``w`` runs
+    from the observer line to the event; the returned parameters are in that
+    same orientation.
     """
-    cache = _RJacobiCache(confgeom, w, data=data)
-    _check_orthogonal_start(confgeom, w)
-    fields = _jacobi_basis(cache)
-    frame_sol = _parallel_frame(cache)
-    data = cache.data
+    coeffs, dense = _jacobi_basis(confgeom, w, data)
     m = confgeom.m
-    grid = w.grid
-    gt_spl = CubicSpline(grid, data.gt.reshape(grid.size, -1), axis=0)
-
-    j_spl = CubicSpline(grid, np.stack([f.field.values for f in fields], axis=1).reshape(
-        grid.size, -1), axis=0)
 
     def matrix_at(t):
-        """g~(J_i, E_j) at a scalar t, or stacked along the axes of an array t."""
-        shape = np.shape(t) + (m, m)
-        gt = gt_spl(t).reshape(shape)
-        E = np.moveaxis(frame_sol(t), 0, -1).reshape(shape)
-        J = j_spl(t).reshape(shape)
-        return J @ gt @ np.swapaxes(E, -1, -2)
+        """J L at a scalar t, or stacked along the axes of an array t."""
+        J = np.moveaxis(dense(t), 0, -1).reshape(np.shape(t) + (m, 2 * m))[..., :m]
+        return J @ np.linalg.cholesky(coeffs.sample(t)["gt"])
 
     ts = np.linspace(t_min, 1.0, n_scan + 1)
     dets = np.linalg.det(matrix_at(ts))

@@ -153,22 +153,56 @@ def test_short_point_is_config_error(tmp_path, caplog):
     _assert_config_error(tmp_path, _shoot_config(tmp_path, p=[0.0, 0.0]), caplog)
 
 
-@pytest.mark.parametrize("command, override", [
-    ("solve", {"k": -2.0, "solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}}),
-    ("solve", {"solve": {"u": [1.0, 0.0, 0.0], "T": 0}}),
-    ("shoot", {"shoot": {"guess_u": [1.0, 0.3, 0.0], "guess_T": -0.7}}),
-    ("survey", {"survey": {"n_starts": 8, "T_bracket": [2.0, 0.3], "seed": 7}}),
-    ("survey", {"survey": {"n_starts": 0, "T_bracket": [0.3, 2.0], "seed": 7}}),
-    ("index", {"index": {"solution": "solution.json", "n_basis": 0}}),
+_SURVEY = {"n_starts": 2, "T_bracket": [0.3, 2.0], "seed": 7}
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("solve", {"k": -2.0, "solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}}, "k"),
+    ("solve", {"solve": {"u": [1.0, 0.0, 0.0], "T": 0}}, "solve.T"),
+    ("shoot", {"shoot": {"guess_u": [1.0, 0.3, 0.0], "guess_T": -0.7}}, "shoot.guess_T"),
+    ("survey", {"survey": {"n_starts": 8, "T_bracket": [2.0, 0.3], "seed": 7}},
+     "survey.T_bracket"),
+    ("survey", {"survey": {"n_starts": 0, "T_bracket": [0.3, 2.0], "seed": 7}},
+     "survey.n_starts"),
+    ("index", {"index": {"solution": "solution.json", "n_basis": 0}}, "index.n_basis"),
+    ("survey", {"survey": dict(_SURVEY, n_starts=2.7)}, "survey.n_starts"),
+    ("survey", {"survey": dict(_SURVEY, seed=1.5)}, "survey.seed"),
+    ("survey", {"survey": dict(_SURVEY, n_starts=True)}, "survey.n_starts"),
+    ("survey", {"survey": dict(_SURVEY, attach_indices="no")}, "survey.attach_indices"),
+    ("index", {"index": {"solution": "solution.json", "n_basis": 40.0}}, "index.n_basis"),
+    ("oracle", {"oracle": {"n_segments": 20.5}}, "oracle.n_segments"),
+    ("oracle", {"oracle": {"max_iters": "100"}}, "oracle.max_iters"),
+    ("oracle", {"oracle": {"shoot_check": 0}}, "oracle.shoot_check"),
 ], ids=["k_positive", "T_positive", "guess_T_positive", "T_bracket_increasing",
-        "n_starts_at_least_1", "n_basis_at_least_2"])
-def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override):
+        "n_starts_at_least_1", "n_basis_at_least_2", "n_starts_integral", "seed_integral",
+        "n_starts_not_boolean", "attach_indices_boolean", "index_n_basis_integral",
+        "n_segments_integral", "max_iters_integral", "shoot_check_boolean"])
+def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override, key):
     path = write_config(tmp_path, override)
     with caplog.at_level("ERROR", logger="brachkit.cli"):
         code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
-    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+    assert any("configuration error" in rec.getMessage() and f"'{key}'" in rec.getMessage()
+               for rec in caplog.records)
     assert not (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "t,q_1,q_2,q_3,v_1,v_2,v_3\n0.0,a,b,c,d,e,f\n",
+    "t,q_1,q_2,v_1,v_2\n0.0,0.0,0.0,1.0,0.0\n1.0,1.0,0.0,1.0,0.0\n",
+], ids=["missing_file", "not_numeric", "wrong_dimension"])
+def test_unreadable_oracle_init_is_config_error(tmp_path, caplog, content):
+    if content is not None:
+        (tmp_path / "init.csv").write_text(content)
+    path = write_config(tmp_path, {"oracle": {"init": "init.csv", "n_segments": 20}})
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main(["oracle", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() and "init.csv" in rec.getMessage()
+               for rec in caplog.records)
+    assert not (tmp_path / "error.json").exists()
+    assert not (tmp_path / "oracle.json").exists()
 
 
 @pytest.mark.parametrize("command, content", [

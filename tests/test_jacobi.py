@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
-from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
-from brachkit.jacobi import (_BJacobiCache, _bfocal_singular_value, _bjacobi_rhs,
+from brachkit.geometry import (conformal_geometry, horizontal_frame, orthonormal_completion,
+                               riemannian_metric_matrix)
+from brachkit.jacobi import (_IVP_OPTS, _BJacobiCache, _bfocal_singular_value, _bjacobi_rhs,
                              _endpoint_rows, bfocal_points,
                              focal_points, gamma_jacobi_basis, integrate_bjacobi,
                              integrate_rjacobi)
@@ -384,3 +387,117 @@ def test_bjacobi_rhs_broadcasts_over_rows(models, solutions):
             A = rhs(t, np.eye(n)).T
             ref = np.max(np.abs(stacked))
             assert np.max(np.abs(X @ A.T - stacked)) <= 1e-14 * ref, (name, t)
+
+
+def _deformed_curves(models, solutions, cylinder_long_arc, cylinder_very_long_arc):
+    """The reversed deformation of the five standard solutions and the two cylinder arcs."""
+    cases = list(solutions.items()) + [("einstein_cylinder", cylinder_long_arc),
+                                       ("einstein_cylinder", cylinder_very_long_arc)]
+    for name, sol in cases:
+        model = models[name]
+        cg = conformal_geometry(model, sol.k)
+        wrev = deform_D(model, sol, n_out=400).reversed()
+        yield name, cg, wrev, ConformalCurveData(cg, wrev)
+
+
+def _per_field_basis_reference(cg, wrev, data):
+    """Dense outputs of the m basis fields: one single-field solve each, per-quantity splines."""
+    m = cg.m
+    grid = wrev.grid
+    gamma = CubicSpline(grid, data.gamma.reshape(grid.size, -1), axis=0)
+    A = CubicSpline(grid, data.Braw.reshape(grid.size, -1), axis=0)
+    vel = wrev.velocity_spline()
+
+    def rhs(t, state):
+        J, DJ = state[:m], state[m:]
+        G = gamma(t).reshape(m, m, m)
+        v = vel(t)
+        return np.concatenate([DJ - np.einsum("abc,b,c->a", G, v, J),
+                               A(t).reshape(m, m) @ J - np.einsum("abc,b,c->a", G, v, DJ)])
+
+    y0, gt0 = data.y[0], data.gt[0]
+    yy = float(y0 @ gt0 @ y0)
+    c = -float(wrev.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy
+    inits = [np.concatenate([y0, c * y0])]
+    inits += [np.concatenate([np.zeros(m), b])
+              for b in orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)]
+    return [solve_ivp(rhs, (0.0, 1.0), x0, dense_output=True, **_IVP_OPTS).sol for x0 in inits]
+
+
+def _parallel_frame_reference(wrev, data):
+    """A g~-orthonormal frame (rows) parallel along wrev from Gram-Schmidt of the chart axes."""
+    grid = wrev.grid
+    m = wrev.points.shape[1]
+    gamma = CubicSpline(grid, data.gamma.reshape(grid.size, -1), axis=0)
+    vel = wrev.velocity_spline()
+
+    def rhs(t, flat):
+        G = gamma(t).reshape(m, m, m)
+        return -np.einsum("abc,b,jc->ja", G, vel(t), flat.reshape(m, m)).ravel()
+
+    E0 = orthonormal_completion(data.gt[0], [], m)
+    return solve_ivp(rhs, (0.0, 1.0), E0.ravel(), dense_output=True, **_IVP_OPTS).sol
+
+
+def test_focal_determinant_matches_parallel_frame_reference(
+        models, solutions, cylinder_long_arc, cylinder_very_long_arc):
+    # det(J L), g~ = L L^T, has the determinant, the sign and the rank of the
+    # frame-based matrix g~(J_i, E_j) with E transported in parallel
+    for name, cg, wrev, data in _deformed_curves(models, solutions, cylinder_long_arc,
+                                                 cylinder_very_long_arc):
+        m = cg.m
+        rep = focal_points(cg, wrev, data=data)
+        fields = _per_field_basis_reference(cg, wrev, data)
+        frame = _parallel_frame_reference(wrev, data)
+        gt = CubicSpline(wrev.grid, data.gt.reshape(wrev.grid.size, -1), axis=0)
+
+        def reference(t):
+            t = np.atleast_1d(t)
+            J = np.stack([f(t)[:m].T for f in fields], axis=1)
+            E = frame(t).T.reshape(t.size, m, m)
+            return J @ gt(t).reshape(t.size, m, m) @ np.swapaxes(E, -1, -2)
+
+        ts, dets = rep.determinant_trace
+        ref = np.linalg.det(reference(ts))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(dets - ref)) <= 1e-9 * scale, name
+        assert np.array_equal(np.sign(dets), np.sign(ref)), name
+        for t0, mult in rep.focal_list:
+            svals = np.linalg.svd(reference(t0)[0], compute_uv=False)
+            assert int(np.sum(svals < 1e-5 * svals[0])) == mult, (name, t0)
+    # the last curve, the 7.0 arc, has two zeros to check
+    assert [mu for _, mu in rep.focal_list] == [1, 1]
+
+
+def test_gamma_jacobi_basis_matches_per_field_reference(
+        models, solutions, cylinder_long_arc, cylinder_very_long_arc):
+    # the stacked solve of all m fields equals m single-field solves
+    for name, cg, wrev, data in _deformed_curves(models, solutions, cylinder_long_arc,
+                                                 cylinder_very_long_arc):
+        m = cg.m
+        basis = gamma_jacobi_basis(cg, wrev, data=data)
+        for jd, ref_sol in zip(basis, _per_field_basis_reference(cg, wrev, data)):
+            ref = ref_sol(wrev.grid)
+            for got, want in ((jd.field.values, ref[:m].T), (jd.derivative.values, ref[m:].T)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), name
+
+
+def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc, monkeypatch):
+    import brachkit.jacobi as jacobi
+    solve = jacobi.solve_ivp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "solve_ivp", counting)
+    for name, sol in (("rotating_frame", solutions["rotating_frame"]),
+                      ("minkowski4", solutions["minkowski4"]),
+                      ("einstein_cylinder", cylinder_very_long_arc)):
+        model = models[name]
+        cg = conformal_geometry(model, sol.k)
+        wrev = deform_D(model, sol, n_out=400).reversed()
+        calls.clear()
+        focal_points(cg, wrev)
+        assert len(calls) == 1, name
