@@ -2,9 +2,11 @@
 deterministic multi-start surveys with index attachment and deduplication.
 
 The endpoint condition "arrive on the observer line" is measured in the
-quotient by the Killing flow: the arrival point is matched to the nearest
-point of the observer's orbit and the residual is the remaining displacement,
-expressed in a horizontal frame.
+quotient by the Killing flow.  In the adapted chart the observer's orbit is
+anchor + s e_last and the metric does not depend on s, so the residual is the
+displacement from the anchor in a g_R-orthonormal frame E of the horizontal
+space at the anchor: E g_R wrap(q_end - anchor).  Its component along Y, the
+one a flow parameter could absorb, drops out because E is g_R-orthogonal to Y.
 
 Newton's method is written as a generator that yields the shots it needs, so
 one loop (``_solve_starts``) can integrate the shots of every start of a
@@ -21,16 +23,15 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
+from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
 from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
                        integrate_brachistochrone, shot_endpoints)
-from .errors import BrachkitError, FlowEscape, NoConvergence, StepFailure
+from .errors import BrachkitError, NoConvergence
 from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
                        orthonormal_completion, riemannian_metric_matrix, _coords)
-from .transform import _FLOW_ATOL, _FLOW_RTOL
+from .transform import flow_points, require_adapted_chart
 
 __all__ = [
     "ObserverWorldline",
@@ -43,51 +44,20 @@ __all__ = [
 
 log = logging.getLogger("brachkit.bvp")
 
-_ORBIT_PIECE = 8.0  # flow-parameter length of one piece of the dense observer orbit
-
 
 @dataclass(frozen=True)
 class ObserverWorldline:
-    """The observer: the Killing-flow line s -> psi(anchor, s).
-
-    The orbit is one dense DOP853 solution of dq/ds = Y(q), with the
-    tolerances of ``transform.flow_points``.  It grows on demand in pieces of
-    fixed length, each solved from the end of the previous one, so the value
-    at s never depends on which s were asked for earlier.
-    """
+    """The observer: the Killing-flow line s -> psi(anchor, s) = anchor + s e_last."""
 
     anchor: np.ndarray
     model: SpacetimeModel
-    _pieces: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
-
-    def _piece(self, i: int):
-        """Dense solution on [i, i + 1] * _ORBIT_PIECE; pieces are solved outward from s = 0."""
-        piece = self._pieces.get(i)
-        if piece is None:
-            step = 1 if i >= 0 else -1
-            start = self.anchor
-            for j in range(0 if step > 0 else -1, i + step, step):
-                piece = self._pieces.get(j)
-                if piece is None:
-                    s0 = (j if step > 0 else j + 1) * _ORBIT_PIECE
-                    piece = self._pieces[j] = solve_ivp(
-                        lambda s, q: self.model.y(q), (s0, s0 + step * _ORBIT_PIECE), start,
-                        method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, dense_output=True)
-                if not piece.success:
-                    break
-                start = piece.y[:, -1]
-        if not piece.success:
-            raise StepFailure(f"Killing flow integration failed: {piece.message}")
-        return piece
+        object.__setattr__(self, "anchor", _coords(self.anchor))
+        require_adapted_chart(self.model, self.anchor)
 
     def point(self, s: float) -> np.ndarray:
-        q = self._piece(int(np.floor(s / _ORBIT_PIECE))).sol(s)
-        if not self.model.in_chart(q):
-            raise FlowEscape(f"Killing flow left the chart of '{self.model.name}'")
-        return q
+        return flow_points(self.model, self.anchor, np.array([s]))[0]
 
 
 @dataclass
@@ -115,10 +85,10 @@ class ShootingProblem:
         return riemannian_metric_matrix(self.model, self.p), horizontal_frame(self.model, self.p)
 
     @cached_property
-    def _anchor_geometry(self):
-        """g_R and Y at the observer's anchor, from which every orbit match starts."""
+    def _anchor_frame(self):
+        """g_R and the horizontal frame at the observer's anchor, in which residuals are read."""
         anchor = self.gamma.anchor
-        return riemannian_metric_matrix(self.model, anchor), self.model.y(anchor)
+        return riemannian_metric_matrix(self.model, anchor), horizontal_frame(self.model, anchor)
 
 
 @dataclass
@@ -140,34 +110,10 @@ def sample_initial_velocity(model: SpacetimeModel, p, k: float, T: float,
     return initial_velocity(model, k, p, horizontal_unit(model, p, u_seed), T)
 
 
-def _orbit_match(problem: ShootingProblem, q_end) -> tuple:
-    """Flow parameter s* minimizing the g_R distance from q_end to the orbit."""
-    model = problem.model
-    anchor = problem.gamma.anchor
-    gr, y = problem._anchor_geometry
-
-    def dist2(s):
-        pt = problem.gamma.point(s)
-        d = model.wrap_difference(q_end - pt)
-        return float(d @ gr @ d)
-
-    d0 = model.wrap_difference(q_end - anchor)
-    s_est = float(d0 @ gr @ y) / float(y @ gr @ y)
-    width = 2.0 + 0.5 * abs(s_est)
-    res = minimize_scalar(dist2, bracket=None, bounds=(s_est - width, s_est + width),
-                          method="bounded", options={"xatol": 1e-13})
-    return float(res.x), np.sqrt(max(float(res.fun), 0.0))
-
-
 def _residual_vector(problem: ShootingProblem, q_end) -> np.ndarray:
-    """Horizontal-frame components of the displacement from the matched orbit point."""
-    model = problem.model
-    s_star, _ = _orbit_match(problem, q_end)
-    pt = problem.gamma.point(s_star)
-    d = model.wrap_difference(q_end - pt)
-    frame = horizontal_frame(model, pt)
-    gr = riemannian_metric_matrix(model, pt)
-    return np.array([float(d @ gr @ e) for e in frame])
+    """Horizontal-frame components of the displacement from the observer's anchor."""
+    gr, frame = problem._anchor_frame
+    return frame @ (problem.model.wrap_difference(q_end - problem.gamma.anchor) @ gr)
 
 
 def _sphere_direction(problem: ShootingProblem, center, coeffs):

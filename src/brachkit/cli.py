@@ -212,6 +212,14 @@ def _load_init_curve(path: Path, model):
     return curve
 
 
+def _is_numbers(value) -> bool:
+    """True for a JSON number or a (nested) list of them; strings and booleans are not numbers."""
+    if isinstance(value, list):
+        return all(_is_numbers(v) for v in value)
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _check_command(cfg: dict, command: str):
     """Required keys, parseable numbers, vector lengths and ranges for one command."""
     top, block_keys = _REQUIRED[command]
@@ -232,10 +240,7 @@ def _check_command(cfg: dict, command: str):
         if key not in _SHAPES:
             continue
         shape = (model.m,) if _SHAPES[key] is None else _SHAPES[key]
-        try:
-            parsed = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            parsed = None
+        parsed = np.asarray(value, dtype=float) if _is_numbers(value) else None
         if parsed is None or parsed.shape != shape:
             want = f"a list of {shape[0]} numbers" if shape else "a number"
             raise ConfigError(f"'{where}' must be {want}, got {value!r}")

@@ -38,7 +38,7 @@ class StepFailure(BrachkitError):
 
 
 class FlowEscape(BrachkitError):
-    """A Killing-flow integration left the chart."""
+    """The Killing flow left the chart."""
 
 
 class NotHorizontal(BrachkitError):

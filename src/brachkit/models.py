@@ -7,7 +7,8 @@ stationary non-static (rotating_frame, whose Killing field has nonzero
 covariant derivative with cross terms).
 
 Coordinate convention: the Killing coordinate is always the last chart
-coordinate, so Y has constant components (0, ..., 0, 1).  Every callback takes
+coordinate and is not periodic, so Y has constant components (0, ..., 0, 1)
+and its flow is a translation (``transform.require_adapted_chart`` checks it).  Every callback takes
 points of shape ``(..., m)`` and returns one value per point.
 """
 

@@ -1,11 +1,12 @@
 """Deformation of trial curves into horizontal curves along the Killing flow,
 the left inverse of that deformation, and their differentials.
 
-The flow of Y is always integrated numerically (one batched ODE over all
-curve nodes); closed forms, where they exist, are reserved for test oracles.
-Differentials of the flow map are taken by fourth-order directional finite
-differences, and the isometry property of the flow is available as a post
-hoc check.
+The chart is adapted to the Killing field: Y is the last coordinate vector
+field and that coordinate is not periodic (``require_adapted_chart`` checks
+both).  The flow of Y is then the translation psi(q, s) = q + s e_last, its
+differential d_x psi is the identity, and the flow is an isometry because the
+metric does not depend on the last coordinate (``isometry_defect`` measures
+that post hoc).
 """
 
 from __future__ import annotations
@@ -13,20 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 from scipy.interpolate import CubicSpline
 
 from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulative_integral,
                      grid_integral)
 from .dynamics import BrachistochroneSolution, _ode_residual
-from .errors import ConstraintViolated, FlowEscape, NotHorizontal, StepFailure
+from .errors import ConstraintViolated, FlowEscape, InvalidParams, NotHorizontal
 from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
                        metric_eval, nabla_y_matrix, riemannian_metric_matrix, _coords, _inner)
 
 __all__ = [
     "CorrespondenceReport",
+    "require_adapted_chart",
     "flow_points",
-    "flow_differential",
     "deform_D",
     "lift_G",
     "dD_differential",
@@ -35,61 +36,32 @@ __all__ = [
     "tangent_constraint_scan",
 ]
 
-_FLOW_RTOL = 1e-12
-_FLOW_ATOL = 1e-14
-_DIFF_STEP = 1e-3
+
+def require_adapted_chart(model: SpacetimeModel, points) -> None:
+    """Raise InvalidParams unless Y = e_last at ``points`` and that coordinate is not periodic."""
+    if model.m - 1 in model.periods:
+        raise InvalidParams(f"the Killing coordinate of '{model.name}' must not be periodic")
+    if not (model.y(_coords(points)) == np.eye(model.m)[-1]).all():
+        raise InvalidParams(f"the chart of '{model.name}' is not adapted to its Killing field: "
+                            f"Y must be the last coordinate vector field")
 
 
 def flow_points(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """psi(q_i, s_i) for a batch of start points; one rescaled ODE solve."""
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    times = np.asarray(times, dtype=float)
-    n, m = starts.shape
-    if np.max(np.abs(times)) == 0.0:
-        return starts.copy()
-
-    def rhs(u, flat):
-        return (times[:, None] * model.y(flat.reshape(n, m))).ravel()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), starts.ravel(), method="DOP853",
-                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-    if not sol.success:
-        raise StepFailure(f"Killing flow integration failed: {sol.message}")
-    ends = sol.y[:, -1].reshape(n, m)
+    """psi(q_i, s_i) = q_i + s_i e_last for a batch of start points."""
+    starts = np.atleast_2d(_coords(starts))
+    require_adapted_chart(model, starts)
+    ends = starts.copy()
+    ends[:, -1] += np.asarray(times, dtype=float)
     if not model.in_chart(ends):
         raise FlowEscape(f"Killing flow left the chart of '{model.name}'")
     return ends
 
 
-def flow_differential(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray,
-                      vectors: np.ndarray, step: float = _DIFF_STEP) -> np.ndarray:
-    """d_x psi(q_i, s_i)[v_i] for a batch, by fourth-order directional differences."""
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    norms = np.linalg.norm(vectors, axis=1)
-    units = np.where(norms[:, None] > 0.0, vectors / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
-    offsets = (1.0, -1.0, 2.0, -2.0)
-    batch = np.concatenate([starts + c * step * units for c in offsets], axis=0)
-    tiled = np.tile(np.asarray(times, dtype=float), len(offsets))
-    ends = flow_points(model, batch, tiled)
-    n = starts.shape[0]
-    fp1, fm1, fp2, fm2 = (ends[i * n:(i + 1) * n] for i in range(4))
-    deriv = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * step)
-    return deriv * norms[:, None]
-
-
-def isometry_defect(model: SpacetimeModel, q, s: float, rng=None) -> float:
-    """How far d_x psi(q, s) is from a metric isometry (post hoc check)."""
+def isometry_defect(model: SpacetimeModel, q, s: float) -> float:
+    """Largest change of a metric component under the flow psi(., s) at q (post hoc check)."""
     q = _coords(q)
-    rng = np.random.default_rng(0) if rng is None else rng
-    v = rng.standard_normal(model.m)
-    w = rng.standard_normal(model.m)
     end = flow_points(model, q[None, :], np.array([s]))[0]
-    dv = flow_differential(model, q[None, :], np.array([s]), v[None, :])[0]
-    dw = flow_differential(model, q[None, :], np.array([s]), w[None, :])[0]
-    before = float(v @ model.g(q) @ w)
-    after = float(dv @ model.g(end) @ dw)
-    return abs(after - before)
+    return float(np.max(np.abs(model.g(end) - model.g(q))))
 
 
 def _integral_from(grid: np.ndarray, rate: np.ndarray, t0: float) -> np.ndarray:
@@ -99,15 +71,14 @@ def _integral_from(grid: np.ndarray, rate: np.ndarray, t0: float) -> np.ndarray:
 
 
 def _slide(model: SpacetimeModel, grid: np.ndarray, pts: np.ndarray, vels: np.ndarray,
-           rate: np.ndarray, t0: float = 0.0) -> tuple:
-    """Slide the nodes along the Y-flow by tau = int_{t0}^t rate; returns (Curve, tau).
+           rate: np.ndarray, t0: float = 0.0) -> Curve:
+    """The curve whose nodes slide along the Y-flow by tau = int_{t0}^t rate.
 
-    The slid velocity is d_x psi(q, tau)[q'] + rate * Y at the slid point.
+    The slid velocity is q' + rate * Y (d_x psi is the identity).
     """
     tau = _integral_from(grid, rate, t0)
     slid = flow_points(model, pts, tau)
-    slid_vels = flow_differential(model, pts, tau, vels) + rate[:, None] * model.y(slid)
-    return Curve(grid=grid, points=slid, velocities=slid_vels), tau
+    return Curve(grid=grid, points=slid, velocities=vels + rate[:, None] * model.y(slid))
 
 
 @dataclass
@@ -162,7 +133,7 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     pts, vels = ps(grid), vs(grid)
 
     g, y = model.g(pts), model.y(pts)
-    w, _ = _slide(model, grid, pts, vels, -_inner(g, vels, y) / _inner(g, y, y))
+    w = _slide(model, grid, pts, vels, -_inner(g, vels, y) / _inner(g, y, y))
 
     speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w.points), w.velocities,
                                       w.velocities)), 1e-300))
@@ -188,7 +159,7 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
         raise NotHorizontal(f"lift input is not horizontal: {horiz}")
     T = float(np.sqrt(phi[0] * speed0))
-    sigma, _ = _slide(model, grid, pts, vels, -k * T / yy)
+    sigma = _slide(model, grid, pts, vels, -k * T / yy)
     r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
     return BrachistochroneSolution(
         sigma=sigma, T=T, k=k,
@@ -230,7 +201,7 @@ def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
           zeta: FieldAlongCurve, C_zeta: float | None = None) -> FieldAlongCurve:
-    """Push a variation field on [t0, 1] to the deformed side.
+    """Push a variation field on [t0, 1] to the deformed side: zeta + tau_zeta Y.
 
     The host of the result is the deformation of the solution re-anchored at
     parameter t0 (a constant Killing-flow shift of the full deformation);
@@ -240,18 +211,14 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     grid, pts = curve.grid, curve.points
     g, y = model.g(pts), model.y(pts)
     yy = _inner(g, y, y)
-    host, tau = _slide(model, grid, pts, curve.velocities,
-                       -_inner(g, curve.velocities, y) / yy, t0)
+    host = _slide(model, grid, pts, curve.velocities, -_inner(g, curve.velocities, y) / yy, t0)
 
     if C_zeta is None:
         C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
     dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
     tau_zeta = _integral_from(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 
-    mask = grid >= t0 - 1e-12
-    args = zeta.values + tau_zeta[:, None] * y
-    pushed = np.zeros_like(zeta.values)
-    pushed[mask] = flow_differential(model, pts[mask], tau[mask], args[mask])
+    pushed = np.where((grid >= t0 - 1e-12)[:, None], zeta.values + tau_zeta[:, None] * y, 0.0)
     return FieldAlongCurve(host=host, values=pushed)
 
 

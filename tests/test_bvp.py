@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from brachkit.bvp import (ObserverWorldline, ShootConfig, ShootingProblem,
+from scipy.optimize import minimize_scalar
+
+from brachkit.bvp import (ObserverWorldline, ShootConfig, ShootingProblem, _residual_vector,
                           multistart_survey, sample_initial_velocity, shoot)
 from brachkit.errors import NoConvergence, ZeroSeed
-from brachkit.geometry import riemannian_metric_matrix
+from brachkit.geometry import horizontal_frame, riemannian_metric_matrix
 from brachkit.transform import flow_points
 
 from conftest import STANDARD_LAUNCH
@@ -57,7 +59,6 @@ def test_shoot_endpoint_on_orbit(models):
     prob = ShootingProblem(model, np.array([0.1, 0.0, 0.0]), gamma, 2.2)
     sol = shoot(prob, (np.array([1.0, 0.5, 0.0]), 0.3))
     # flowing the anchor to the matched parameter reproduces the endpoint
-    from scipy.optimize import minimize_scalar
     end = sol.sigma.points[-1]
     gr = riemannian_metric_matrix(model, end)
 
@@ -68,6 +69,46 @@ def test_shoot_endpoint_on_orbit(models):
     res = minimize_scalar(dist2, bounds=(0.0, 2.0 * sol.k * sol.T), method="bounded",
                           options={"xatol": 1e-12})
     assert np.sqrt(max(res.fun, 0.0)) < 1e-9
+
+
+def _orbit_matched_residual(problem, q_end):
+    """Residual read at the orbit point nearest q_end: the anchor-g_R distance
+    minimised over the flow parameter, then frame and g_R at the matched point."""
+    model, anchor = problem.model, problem.gamma.anchor
+    gr0 = riemannian_metric_matrix(model, anchor)
+
+    def orbit(s):
+        return flow_points(model, anchor[None, :], np.array([s]))[0]
+
+    def dist2(s):
+        d = model.wrap_difference(q_end - orbit(s))
+        return float(d @ gr0 @ d)
+
+    s_star = minimize_scalar(dist2, bounds=(-10.0, 10.0), method="bounded",
+                             options={"xatol": 1e-13}).x
+    pt = orbit(s_star)
+    d = model.wrap_difference(q_end - pt)
+    gr = riemannian_metric_matrix(model, pt)
+    return np.array([float(d @ gr @ e) for e in horizontal_frame(model, pt)])
+
+
+def test_anchor_frame_residual_equals_orbit_matched_residual(models):
+    rng = np.random.default_rng(11)
+    for name, info in STANDARD_LAUNCH.items():
+        model = models[name]
+        p = np.asarray(info["p"], dtype=float)
+        anchor = p + 0.2 * np.eye(model.m)[0]
+        gamma = ObserverWorldline(anchor, model)
+        problem = ShootingProblem(model, p, gamma, info["k"])
+        for offset in (-6.0, -2.5, -0.3, 0.0, 0.7, 3.1, 6.0):
+            q_end = anchor + 0.3 * rng.standard_normal(model.m)
+            q_end[-1] = anchor[-1] + offset
+            if model.periods:
+                # the cylinder's azimuth phi, one and two turns away
+                q_end[1] += 2.0 * np.pi * rng.choice([-2, -1, 1, 2])
+            ref = _orbit_matched_residual(problem, q_end)
+            got = _residual_vector(problem, q_end)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (name, offset)
 
 
 def test_shoot_cylinder_two_arcs(models):

@@ -153,6 +153,29 @@ def test_short_point_is_config_error(tmp_path, caplog):
     _assert_config_error(tmp_path, _shoot_config(tmp_path, p=[0.0, 0.0]), caplog)
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"k": "1.4142135623730951"}, "k"),
+    ({"solve": {"u": [1.0, 0.0, 0.0], "T": "1.0"}}, "solve.T"),
+    ({"solve": {"u": [1.0, "0.0", 0.0], "T": 1.0}}, "solve.u"),
+    ({"p": [0.0, False, 0.0]}, "p"),
+    ({"solve": {"u": [1.0, 0.0, 0.0], "T": True}}, "solve.T"),
+], ids=["string_scalar", "string_in_block", "string_in_list", "boolean_in_list",
+        "boolean_scalar"])
+def test_numbers_must_be_json_numbers(tmp_path, caplog, override, key):
+    cfg = dict(BASE, solve={"u": [1.0, 0.0, 0.0], "T": 1.0})
+    cfg.update(override)
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        run_scenario(cfg, "solve", tmp_path / "direct")
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level("ERROR", logger="brachkit.cli"):
+        code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert any("configuration error" in rec.getMessage() and f"'{key}'" in rec.getMessage()
+               for rec in caplog.records)
+    assert not (tmp_path / "solution.json").exists()
+
+
 _SURVEY = {"n_starts": 2, "T_bracket": [0.3, 2.0], "seed": 7}
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from brachkit import geometry as geo
 from brachkit.curves import Curve
-from brachkit.dynamics import integrate_conformal_geodesic
+from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.bvp import ObserverWorldline
-from brachkit.errors import (FlowEscape, FocalEndpoint, FrameDegenerate, NotGeodesic,
-                             StencilOutOfChart, StepFailure)
+from brachkit.errors import (FlowEscape, FocalEndpoint, FrameDegenerate, InvalidParams,
+                             NotGeodesic, StencilOutOfChart, StepFailure)
 from brachkit.models import ModelSpec, make_model
 from brachkit.transform import flow_points
 from brachkit.variation import ConformalCurveData, assemble_hessian, restricted_index_report
@@ -97,22 +97,44 @@ def test_killing_flow_escapes_bounded_chart():
     with pytest.raises(FlowEscape):
         flow_points(model, np.zeros((1, 3)), np.array([2.0]))
     orbit = ObserverWorldline(np.zeros(3), model)
-    assert np.allclose(orbit.point(0.5), [0.0, 0.0, 0.5], atol=1e-14)
+    assert np.array_equal(orbit.point(0.5), [0.0, 0.0, 0.5])
     with pytest.raises(FlowEscape):
         orbit.point(2.0)
     with pytest.raises(FlowEscape):
         orbit.point(-1.5)
 
 
-def test_killing_flow_blowup_is_step_failure():
-    # dt/ds = 1 + t^2 reaches infinity at s = pi/2
+def test_non_adapted_killing_field_is_invalid_params():
+    # Y = (0, 0, 1 + t^2) equals e_last only on the slice t = 0
     def y(q):
         out = np.zeros(q.shape)
         out[..., 2] = 1.0 + q[..., 2] ** 2
         return out
 
     model = _flat3(y)
-    with pytest.raises(StepFailure):
-        flow_points(model, np.zeros((1, 3)), np.array([2.0]))
-    with pytest.raises(StepFailure):
-        ObserverWorldline(np.zeros(3), model).point(2.0)
+    anchor = np.array([0.0, 0.0, 0.5])
+    with pytest.raises(InvalidParams, match="not adapted"):
+        flow_points(model, anchor[None, :], np.array([1.0]))
+    with pytest.raises(InvalidParams, match="not adapted"):
+        ObserverWorldline(anchor, model)
+    # a periodic Killing coordinate is not a translation chart either
+    periodic = _flat3(lambda q: np.zeros(q.shape) + [0.0, 0.0, 1.0])
+    periodic.periods = {2: 2.0 * np.pi}
+    with pytest.raises(InvalidParams, match="periodic"):
+        flow_points(periodic, np.zeros((1, 3)), np.array([1.0]))
+    with pytest.raises(InvalidParams, match="periodic"):
+        ObserverWorldline(np.zeros(3), periodic)
+
+
+def test_blowing_up_extremal_equation_is_step_failure():
+    # Gamma^x_xx = -5 turns the x-component of the equation into x'' = 5 x'^2,
+    # whose speed becomes infinite at t = 1 / (5 x'(0)) < 1
+    def christoffels(q):
+        G = np.zeros(q.shape[:-1] + (3, 3, 3))
+        G[..., 0, 0, 0] = -5.0
+        return G
+
+    model = _flat3(lambda q: np.zeros(q.shape) + [0.0, 0.0, 1.0])
+    model.analytic_christoffels = christoffels
+    with pytest.raises(StepFailure, match="integrator failed"):
+        integrate_brachistochrone(model, np.sqrt(2.0), np.zeros(3), [1.0, 0.0, 0.0], 1.0)

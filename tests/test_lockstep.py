@@ -1,4 +1,4 @@
-"""Lockstep shooting: the per-lane RK45, the lockstep Newton loop and the dense observer orbit."""
+"""Lockstep shooting: the per-lane RK45, the lockstep Newton loop and the observer orbit."""
 
 import json
 import logging

@@ -213,6 +213,13 @@ def test_deform_horizontality(models, solutions):
         assert horiz < 1e-8 * speed
 
 
+def test_deformation_is_horizontal_to_rounding(models, solutions):
+    # the slid velocity is the closed form sigma' + rate Y, so <w', Y> vanishes
+    # up to the rounding of one inner product
+    for name, sol in solutions.items():
+        assert correspondence_report(models[name], sol).horizontality < 1e-14, name
+
+
 def test_constrained_family_recovers_base(models, solutions):
     model = models["rotating_frame"]
     sol = solutions["rotating_frame"]
