@@ -30,8 +30,9 @@ from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_veloci
                        integrate_brachistochrone, shot_endpoints)
 from .errors import BrachkitError, NoConvergence
 from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
-                       orthonormal_completion, riemannian_metric_matrix, _coords)
-from .transform import flow_points, require_adapted_chart
+                       orthonormal_completion, require_adapted_chart, riemannian_metric_matrix,
+                       _coords)
+from .transform import flow_points
 
 __all__ = [
     "ObserverWorldline",
@@ -45,9 +46,12 @@ __all__ = [
 log = logging.getLogger("brachkit.bvp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverWorldline:
-    """The observer: the Killing-flow line s -> psi(anchor, s) = anchor + s e_last."""
+    """The observer: the Killing-flow line s -> psi(anchor, s) = anchor + s e_last.
+
+    Worldlines compare and hash by identity (the anchor is an array).
+    """
 
     anchor: np.ndarray
     model: SpacetimeModel
@@ -248,7 +252,8 @@ def _newton(problem: ShootingProblem, guess):
                     raise shot
                 try:
                     r_new = residual(ends[pos])
-                except (BrachkitError, ValueError):
+                except (BrachkitError, ValueError) as exc:
+                    exc.__traceback__ = None  # it is kept in ends: no cycle through this frame
                     continue
                 if np.linalg.norm(r_new) < rn or lam < 0.26:
                     accepted = lam, r_new, moved, trial_plan, ends[pos + 1:pos + ndim + 1]
@@ -306,7 +311,7 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
             sol.check_conservation(cfg.integrator.tol_cons)
             results[i] = sol
         except (BrachkitError, ValueError) as exc:
-            results[i] = exc
+            results[i] = exc.with_traceback(None)  # no cycle through the frames of the start
 
     def take_queued():
         shots = queued[:]

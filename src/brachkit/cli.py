@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import ObserverWorldline, ShootConfig, ShootingProblem, multistart_survey, shoot
-from .curves import curve_from_csv, curve_from_json_dict, curve_to_csv, curve_to_json_dict
+from .curves import (csv_rows, curve_from_csv, curve_from_json_dict, curve_to_csv,
+                     curve_to_json_dict)
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
                        integrate_brachistochrone)
 from .errors import BrachkitError, ConfigError, InvalidParams, UnknownModel, ZeroSeed
@@ -338,8 +339,7 @@ def _cmd_jacobi(cfg, out_dir: Path, seed) -> str:
     name = cfg.get("out", {}).get("focal", "focal.json")
     _write(out_dir / name, dumps_canonical(doc))
     ts, dets = rep.determinant_trace
-    lines = ["t,det"] + [f"{format(t, '.17g')},{format(d, '.17g')}"
-                         for t, d in zip(ts, dets)]
+    lines = ["t,det"] + csv_rows(np.column_stack([ts, dets]))
     _write(out_dir / name.replace(".json", "_trace.csv"), "\n".join(lines) + "\n")
     return f"jacobi: geometric index {rep.geometric_index}"
 
@@ -364,7 +364,7 @@ def _cmd_index(cfg, out_dir: Path, seed) -> str:
     }
     name = cfg.get("out", {}).get("hessian", "index.json")
     _write(out_dir / name, dumps_canonical(doc))
-    rows = [",".join(format(x, ".17g") for x in row) for row in hm.entries]
+    rows = csv_rows(hm.entries)
     _write(out_dir / name.replace(".json", "_matrix.csv"), "\n".join(rows) + "\n")
     return f"index: full={triple[0]} horizontal={triple[1]} perpendicular={triple[2]}"
 

@@ -3,7 +3,6 @@ and quadrature helpers."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +21,7 @@ __all__ = [
     "resample_curve",
     "cumulative_integral",
     "grid_integral",
+    "csv_rows",
     "curve_to_csv",
     "curve_from_csv",
     "curve_to_json_dict",
@@ -164,16 +164,19 @@ def resample_curve(c: Curve, n_new: int) -> Curve:
 # ---------------------------------------------------------------------------
 # Serialization
 
+def csv_rows(rows) -> list:
+    """Each row of a 2-D array as one CSV line of ``.17g`` numbers (round-trip exact)."""
+    rows = np.asarray(rows, dtype=float)
+    fmt = ",".join(["%.17g"] * rows.shape[-1])
+    return [fmt % tuple(row.tolist()) for row in rows]  # row by row: no list of all floats
+
+
 def curve_to_csv(c: Curve) -> str:
     """CSV with columns t, q_1..q_m, v_1..v_m (17 significant digits)."""
     m = c.m
     cols = ["t"] + [f"q_{i+1}" for i in range(m)] + [f"v_{i+1}" for i in range(m)]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for t, q, v in zip(c.grid, c.points, c.velocities):
-        row = [t] + list(q) + list(v)
-        buf.write(",".join(format(x, ".17g") for x in row) + "\n")
-    return buf.getvalue()
+    lines = [",".join(cols)] + csv_rows(np.column_stack([c.grid, c.points, c.velocities]))
+    return "\n".join(lines) + "\n"
 
 
 def curve_from_csv(text: str) -> Curve:

@@ -17,7 +17,7 @@ from scipy.integrate import RK45, solve_ivp
 from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
-                       connection_coeffs, conservation_residuals,
+                       connection_coeffs, conservation_residuals, require_adapted_chart,
                        riemannian_metric_matrix, scalar_gradient, _coords, _inner)
 
 __all__ = [
@@ -95,20 +95,28 @@ def brachistochrone_acceleration(model: SpacetimeModel, k: float, T, q, v) -> np
     of the acceleration: it raises OutOfChart (through the connection) or
     OutsideUk if any state of the batch leaves the chart or the admissible
     region.
+
+    The chart must be adapted to the Killing field (Y = e_last,
+    ``geometry.require_adapted_chart``); the callers check that where an
+    integration starts.  The Killing terms are then read off g and Gamma:
+    <Y,Y> = g_{mm}, g Y = g_{.m}, nabla_v Y = Gamma^._{.m} v, and the term
+    along Y adds to the last component.
     """
     G = connection_coeffs(model, q)
-    g, y = model.g(q), model.y(q)
-    N = _inner(g, y, y)
+    g = model.g(q)
+    N = g[..., -1, -1]                    # <Y,Y>
     P = k * k + N
     if (P <= 0.0).any():
         raise OutsideUk(f"trajectory left the admissible region (k^2 + <Y,Y> = {np.min(P)})")
     two_kT = 2.0 * k * np.asarray(T, dtype=float)
-    dvy = np.einsum("...ab,...b->...a", model.dy(q) + np.einsum("...abc,...c->...ab", G, y), v)
-    W = _inner(g, dvy, y)                 # <nabla_v Y, Y>
-    return (-np.einsum("...abc,...b,...c->...a", G, v, v)
-            - (2.0 * k * k * W / (N * P))[..., None] * v
-            - (two_kT / N)[..., None] * dvy
-            + (two_kT * W / (N * P))[..., None] * y)
+    dvy = np.einsum("...ab,...b->...a", G[..., :, :, -1], v)   # nabla_v Y
+    W = np.einsum("...a,...a->...", dvy, g[..., :, -1])       # <nabla_v Y, Y>
+    NP = N * P
+    acc = (-np.einsum("...abc,...b,...c->...a", G, v, v)
+           - (2.0 * k * k * W / NP)[..., None] * v
+           - (two_kT / N)[..., None] * dvy)
+    acc[..., -1] += two_kT * W / NP
+    return acc
 
 
 def _rhs_factory(model: SpacetimeModel, k: float, T: float):
@@ -125,6 +133,7 @@ def _rhs_factory(model: SpacetimeModel, k: float, T: float):
 def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
     """(velocity, acceleration) of the travel-time equation at states of shape ``(..., m)``."""
     q, v = _coords(state[0]), _coords(state[1])
+    require_adapted_chart(model, q)
     return v.copy(), brachistochrone_acceleration(model, k, T, q, v)
 
 
@@ -291,11 +300,13 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         L.t = np.where(accept, L.t_new, L.t)
         L.y = np.where(accept[:, None], L.y_new, L.y)
         L.f = np.where(accept[:, None], L.K[-1], L.f)
+        del L.K, L.y_new, L.t_new, L.h  # the step is decided: only STATE goes on
         steps[L.lane[accept]] += 1
         done = accept & (L.t >= 1.0)
-        ends[L.lane[done]] = L.y[done]
-        left.extend(L.lane[done].tolist())
-        L.keep(~done)
+        if done.any():
+            ends[L.lane[done]] = L.y[done]
+            left.extend(L.lane[done].tolist())
+            L.keep(~done)
     return ends, steps, failures
 
 
@@ -313,6 +324,8 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
     ``"batched_calls"`` entry counts the calls of the acceleration.
     """
     m = model.m
+    states = np.asarray(states, dtype=float)
+    require_adapted_chart(model, states[:, :m])
     T = np.asarray(T, dtype=float)
     calls = 0
 
@@ -326,6 +339,9 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
         nonlocal T
         new_states, new_T = admit({i: end if isinstance(end, Exception) else end[:m]
                                    for i, end in left.items()})
+        new_states = np.asarray(new_states, dtype=float).reshape(-1, 2 * m)
+        if len(new_states):
+            require_adapted_chart(model, new_states[:, :m])
         T = np.concatenate([T, np.asarray(new_T, dtype=float)])
         return new_states
 
@@ -365,6 +381,7 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
                                             ) -> BrachistochroneSolution:
     """Same as integrate_brachistochrone but from an explicit launch velocity."""
     q0 = model.require_in_chart(p)
+    require_adapted_chart(model, q0)
     state0 = np.concatenate([q0, _coords(v0)])
     rhs = _rhs_factory(model, k, T)
     out = solve_ivp(rhs, (0.0, 1.0), state0, method="RK45",

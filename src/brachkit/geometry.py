@@ -15,11 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FrameDegenerate, OutOfChart, OutsideUk, StencilOutOfChart, ZeroSeed
+from .errors import (FrameDegenerate, InvalidParams, OutOfChart, OutsideUk, StencilOutOfChart,
+                     ZeroSeed)
 
 __all__ = [
     "SpacetimeModel",
     "ConformalGeometry",
+    "require_adapted_chart",
     "metric_eval",
     "connection_coeffs",
     "curvature_tensor",
@@ -168,6 +170,19 @@ def _inner(g, v, w):
 
 # ---------------------------------------------------------------------------
 # Core operations
+
+def require_adapted_chart(model: SpacetimeModel, points) -> None:
+    """Raise InvalidParams unless Y = e_last at ``points`` and that coordinate is not periodic.
+
+    Code that relies on the contract (the Killing flow, the brachistochrone
+    acceleration) checks it where a computation starts, not at every step.
+    """
+    if model.m - 1 in model.periods:
+        raise InvalidParams(f"the Killing coordinate of '{model.name}' must not be periodic")
+    if not (model.y(_coords(points)) == np.eye(model.m)[-1]).all():
+        raise InvalidParams(f"the chart of '{model.name}' is not adapted to its Killing field: "
+                            f"Y must be the last coordinate vector field")
+
 
 def metric_eval(model: SpacetimeModel, q, v, w):
     """Lorentzian inner product <v, w> at q (one value per node)."""

@@ -8,7 +8,7 @@ covariant derivative with cross terms).
 
 Coordinate convention: the Killing coordinate is always the last chart
 coordinate and is not periodic, so Y has constant components (0, ..., 0, 1)
-and its flow is a translation (``transform.require_adapted_chart`` checks it).  Every callback takes
+and its flow is a translation (``geometry.require_adapted_chart`` checks it).  Every callback takes
 points of shape ``(..., m)`` and returns one value per point.
 """
 

@@ -20,9 +20,10 @@ from scipy.interpolate import CubicSpline
 from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulative_integral,
                      grid_integral)
 from .dynamics import BrachistochroneSolution, _ode_residual
-from .errors import ConstraintViolated, FlowEscape, InvalidParams, NotHorizontal
+from .errors import ConstraintViolated, FlowEscape, NotHorizontal
 from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
-                       metric_eval, nabla_y_matrix, riemannian_metric_matrix, _coords, _inner)
+                       metric_eval, nabla_y_matrix, require_adapted_chart,
+                       riemannian_metric_matrix, _coords, _inner)
 
 __all__ = [
     "CorrespondenceReport",
@@ -35,15 +36,6 @@ __all__ = [
     "correspondence_report",
     "tangent_constraint_scan",
 ]
-
-
-def require_adapted_chart(model: SpacetimeModel, points) -> None:
-    """Raise InvalidParams unless Y = e_last at ``points`` and that coordinate is not periodic."""
-    if model.m - 1 in model.periods:
-        raise InvalidParams(f"the Killing coordinate of '{model.name}' must not be periodic")
-    if not (model.y(_coords(points)) == np.eye(model.m)[-1]).all():
-        raise InvalidParams(f"the chart of '{model.name}' is not adapted to its Killing field: "
-                            f"Y must be the last coordinate vector field")
 
 
 def flow_points(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -172,3 +172,16 @@ def test_serialization_roundtrip():
     assert np.max(np.abs(c2.velocities - c.velocities)) == 0.0
     c3 = curve_from_json_dict(curve_to_json_dict(c))
     assert np.max(np.abs(c3.points - c.points)) == 0.0
+
+
+def test_csv_rows_are_the_per_number_format():
+    from brachkit.curves import csv_rows
+    special = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 1.0 / 3.0]
+    rows = np.array([special, special[::-1], [0.0, -1e-300, 2.0 ** 0.5, -7.0, 1e16, 123.0, 0.1]])
+    assert csv_rows(rows) == [",".join(format(x, ".17g") for x in row) for row in rows]
+    assert csv_rows(np.zeros((0, 3))) == []
+    c = Curve(grid=np.linspace(0.0, 1.0, 7), points=rows.T.copy(), velocities=rows.T[::-1].copy())
+    per_number = "t,q_1,q_2,q_3,v_1,v_2,v_3\n" + "".join(
+        ",".join(format(x, ".17g") for x in [t, *q, *v]) + "\n"
+        for t, q, v in zip(c.grid, c.points, c.velocities))
+    assert curve_to_csv(c) == per_number

@@ -219,3 +219,38 @@ def test_geodesic_residual_flat_line(models):
     vels = np.tile([1.0, 0.5, 0.0], (401, 1))
     line = Curve(grid=grid, points=pts, velocities=vels)
     assert geodesic_residual(model, np.sqrt(2.0), line) < 1e-12
+
+
+def _general_y_acceleration(model, k, T, q, v):
+    """The acceleration for any Killing field Y, from model.y and model.dy (test oracle)."""
+    from brachkit.geometry import _inner
+    G = connection_coeffs(model, q)
+    g, y = model.g(q), model.y(q)
+    N = _inner(g, y, y)
+    P = k * k + N
+    two_kT = 2.0 * k * np.asarray(T, dtype=float)
+    dvy = np.einsum("...ab,...b->...a", model.dy(q) + np.einsum("...abc,...c->...ab", G, y), v)
+    W = _inner(g, dvy, y)
+    return (-np.einsum("...abc,...b,...c->...a", G, v, v)
+            - (2.0 * k * k * W / (N * P))[..., None] * v
+            - (two_kT / N)[..., None] * dvy
+            + (two_kT * W / (N * P))[..., None] * y)
+
+
+@pytest.mark.parametrize("n", [1, 8, 48, 384])
+def test_acceleration_equals_general_y_formula_bit_for_bit(models, n):
+    from brachkit.dynamics import brachistochrone_acceleration
+    for name, info in STANDARD_LAUNCH.items():
+        model, k = models[name], info["k"]
+        rng = np.random.default_rng(n)
+        q = np.asarray(info["p"]) + 0.1 * rng.standard_normal((n, model.m))
+        v = rng.standard_normal((n, model.m))
+        v[::3, 0] = -0.0  # signed zeros must come out with the same sign
+        T = info["T"] * (0.5 + rng.random(n))
+        acc = brachistochrone_acceleration(model, k, T, q, v)
+        ref = _general_y_acceleration(model, k, T, q, v)
+        assert np.array_equal(acc, ref), name
+        assert np.array_equal(np.signbit(acc), np.signbit(ref)), name
+        for j in range(0, n, max(1, n // 8)):  # a lane alone is its row of the batch
+            alone = brachistochrone_acceleration(model, k, T[j:j + 1], q[j:j + 1], v[j:j + 1])
+            assert np.array_equal(alone[0], acc[j]), name

@@ -5,7 +5,9 @@ import pytest
 
 from brachkit import geometry as geo
 from brachkit.curves import Curve
-from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
+from brachkit.dynamics import (IntegratorConfig, brachistochrone_rhs, initial_velocity,
+                               integrate_brachistochrone, integrate_conformal_geodesic,
+                               shot_endpoints)
 from brachkit.bvp import ObserverWorldline
 from brachkit.errors import (FlowEscape, FocalEndpoint, FrameDegenerate, InvalidParams,
                              NotGeodesic, StencilOutOfChart, StepFailure)
@@ -117,6 +119,21 @@ def test_non_adapted_killing_field_is_invalid_params():
         flow_points(model, anchor[None, :], np.array([1.0]))
     with pytest.raises(InvalidParams, match="not adapted"):
         ObserverWorldline(anchor, model)
+    # the acceleration reads Y = e_last, so no integration may start with another Y
+    k, T, u = 2.0, 1.0, np.array([1.0, 0.0, 0.0])
+    with pytest.raises(InvalidParams, match="not adapted"):
+        integrate_brachistochrone(model, k, anchor, u, T)
+    v = initial_velocity(model, k, anchor, u, T)
+    with pytest.raises(InvalidParams, match="not adapted"):
+        brachistochrone_rhs(model, k, T, (anchor, v))
+    state = np.concatenate([anchor, v])[None, :]
+    with pytest.raises(InvalidParams, match="not adapted"):
+        shot_endpoints(model, k, state, [T], IntegratorConfig())
+    # nor may a shot join a running batch there (on the slice t = 0, Y = e_last)
+    start = np.concatenate([np.zeros(3), initial_velocity(model, k, np.zeros(3), u, T)])
+    with pytest.raises(InvalidParams, match="not adapted"):
+        shot_endpoints(model, k, start[None, :], [T], IntegratorConfig(),
+                       admit=lambda arrived: (state, [T]))
     # a periodic Killing coordinate is not a translation chart either
     periodic = _flat3(lambda q: np.zeros(q.shape) + [0.0, 0.0, 1.0])
     periodic.periods = {2: 2.0 * np.pi}

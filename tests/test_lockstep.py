@@ -411,3 +411,49 @@ def test_full_steps_yield_no_extra_shots(models):
     assert T == ref[1] and np.array_equal(center, ref[0])
     assert len(lanes) > 5
     assert lanes == [3] + [1 if it % 4 != 3 else 3 for it in range(len(lanes) - 1)]
+
+
+def test_worldlines_compare_and_hash_by_identity(models):
+    model = models["minkowski3"]
+    a, b = ObserverWorldline(np.zeros(3), model), ObserverWorldline(np.zeros(3), model)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert {a, b, a} == {a, b}
+
+
+def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
+    # one of these three starts fails and line-search trials raise
+    # stored arrival exceptions: neither may tie frames, generators or
+    # solutions into reference cycles (scipy's RK45 makes its own, ignored here)
+    import gc
+    import os
+    import types
+
+    from brachkit.curves import Curve
+    from brachkit.dynamics import BrachistochroneSolution
+
+    model = models["einstein_cylinder"]
+    p = np.array([np.pi / 2, 0.0, 0.0])
+    prob = ShootingProblem(model, p, ObserverWorldline(np.array([np.pi / 2, np.pi / 2, 0.0]),
+                                                       model), np.sqrt(2.0))
+    package = os.path.dirname(bvp.__file__)
+
+    def ours(obj):
+        if isinstance(obj, (BrachkitError, BrachistochroneSolution, Curve)):
+            return True
+        code = (obj.f_code if isinstance(obj, types.FrameType) else
+                obj.gi_code if isinstance(obj, types.GeneratorType) else None)
+        return code is not None and os.path.dirname(code.co_filename) == package
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        res = multistart_survey(prob, 3, (0.3, 8.35), seed=4, n_basis=10)
+        assert res.n_failures == 1
+        del res
+        gc.collect()
+        left = [obj for obj in gc.garbage if ours(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
