@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this 
 
 from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
-                       integrate_brachistochrone, shot_endpoints)
+                       integrate_brachistochrone, shot_endpoints, _launch_velocity)
 from .errors import BrachkitError, NoConvergence
 from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
                        orthonormal_completion, require_adapted_chart, riemannian_metric_matrix,
@@ -85,8 +85,9 @@ class ShootingProblem:
 
     @cached_property
     def _launch_geometry(self):
-        """g_R and the horizontal frame at p, from which every launch direction is built."""
-        return riemannian_metric_matrix(self.model, self.p), horizontal_frame(self.model, self.p)
+        """g, g_R and the horizontal frame at p, from which every launch is built."""
+        return (self.model.g(self.p), riemannian_metric_matrix(self.model, self.p),
+                horizontal_frame(self.model, self.p))
 
     @cached_property
     def _anchor_frame(self):
@@ -122,7 +123,7 @@ def _residual_vector(problem: ShootingProblem, q_end) -> np.ndarray:
 
 def _sphere_direction(problem: ShootingProblem, center, coeffs):
     """Point on the unit horizontal sphere at p: normalize(center + sum c_i E_i)."""
-    gr, frame = problem._launch_geometry
+    _, gr, frame = problem._launch_geometry
     # tangent directions at the current center
     tang = orthonormal_completion(gr, [center], problem.model.m - 2, candidates=frame)
     vec = center + sum(c * t for c, t in zip(coeffs, tang))
@@ -177,11 +178,12 @@ def _newton(problem: ShootingProblem, guess):
     u0, T = guess
     center = horizontal_unit(model, problem.p, u0)
     ndim = model.m - 1
+    g, gr, _ = problem._launch_geometry  # p is in the chart: horizontal_unit checked it
 
     def launch(x, ctr):
         T = max(x[-1], 1e-8)
         u = _sphere_direction(problem, ctr, x[:-1])
-        return np.concatenate([problem.p, initial_velocity(model, problem.k, problem.p, u, T)]), T
+        return np.concatenate([problem.p, _launch_velocity(g, gr, problem.k, u, T)]), T
 
     def residual(end):
         if isinstance(end, Exception):

@@ -47,7 +47,8 @@ _REQUIRED = {
 # shape each numeric key must parse to; None means one entry per chart coordinate
 _SHAPES = {"k": (), "T": (), "guess_T": (), "n_starts": (), "seed": (), "n_basis": (),
            "n_segments": (), "epsilon": (), "gtol": (), "max_iters": (), "T_bracket": (2,),
-           "p": None, "gamma_anchor": None, "u": None, "guess_u": None}
+           "p": None, "gamma_anchor": None, "u": None, "guess_u": None,
+           **{key: () for key in _TOL_KEYS}}
 # range each parsed number must lie in: key -> (test, wording)
 _RANGES = {
     "k": (lambda x: x > 0.0, "positive"),
@@ -56,13 +57,16 @@ _RANGES = {
     "n_starts": (lambda x: x >= 1, "at least 1"),
     "n_basis": (lambda x: x >= 2, "at least 2"),
     "T_bracket": (lambda x: 0.0 < x[0] < x[1], "two increasing positive times"),
+    **{key: (lambda x: x > 0.0, "positive") for key in _TOL_KEYS},
 }
 # counts that must be JSON integers, and flags that must be JSON booleans
-_INTEGERS = {"n_starts", "seed", "n_basis", "n_segments", "max_iters"}
+_INTEGERS = {"n_starts", "seed", "n_basis", "n_segments", "max_iters", "grid_n"}
 _FLAGS = {"attach_indices", "shoot_check"}
 # keys that name chart points rather than tangent vectors
 _POINTS = {"p", "gamma_anchor"}
 _TOP_KEYS = {"model", "k", "p", "gamma_anchor", "tolerances", "out"} | set(COMMANDS)
+# the result files whose names the ``out`` block may set
+_OUT_KEYS = {"solution", "survey", "focal", "hessian", "report", "oracle"}
 _BLOCK_KEYS = {
     "solve": {"u", "T"},
     "shoot": {"guess_u", "guess_T"},
@@ -111,6 +115,8 @@ def _write(path: Path, text: str):
 # Config handling
 
 def _require_keys(block: dict, allowed: set, where: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
     extra = set(block) - allowed
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
@@ -135,22 +141,24 @@ def load_config(path) -> dict:
             _require_keys(cfg[cmd], keys, f"'{cmd}'")
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], _TOL_KEYS, "'tolerances'")
+    if "out" in cfg:
+        _require_keys(cfg["out"], _OUT_KEYS, "'out'")
+        for key, name in cfg["out"].items():
+            # .json: the CSV that some commands write next to it is named after it
+            if not isinstance(name, str) or not name.endswith(".json") or name == ".json":
+                raise ConfigError(f"'out.{key}' must be a file name ending in .json, "
+                                  f"got {name!r}")
     return cfg
 
 
 def _with_tolerances(default, cfg):
-    """``default`` with each field the scenario's ``tolerances`` block names, parsed to its type."""
+    """``default`` with each field the scenario's ``tolerances`` block names, as its type.
+
+    The values were checked by ``_check_command``.
+    """
     tol = cfg.get("tolerances", {})
-    fields = {}
-    for f in dataclasses.fields(default):
-        if f.name in tol:
-            kind = type(getattr(default, f.name))
-            try:
-                fields[f.name] = kind(tol[f.name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"'tolerances.{f.name}' must be a {kind.__name__}, "
-                                  f"got {tol[f.name]!r}")
-    return dataclasses.replace(default, **fields)
+    return dataclasses.replace(default, **{f.name: type(getattr(default, f.name))(tol[f.name])
+                                           for f in dataclasses.fields(default) if f.name in tol})
 
 
 def _integrator_config(cfg) -> IntegratorConfig:
@@ -231,6 +239,7 @@ def _check_command(cfg: dict, command: str):
     model = _model_of(cfg) if top else None
     fields = [(key, cfg[key]) for key in sorted(top)]
     fields += [(f"{command}.{key}", value) for key, value in block.items()]
+    fields += [(f"tolerances.{key}", value) for key, value in cfg.get("tolerances", {}).items()]
     for where, value in fields:
         key = where.rsplit(".", 1)[-1]
         if key in _FLAGS and not isinstance(value, (bool, np.bool_)):
@@ -241,9 +250,12 @@ def _check_command(cfg: dict, command: str):
         if key not in _SHAPES:
             continue
         shape = (model.m,) if _SHAPES[key] is None else _SHAPES[key]
-        parsed = np.asarray(value, dtype=float) if _is_numbers(value) else None
-        if parsed is None or parsed.shape != shape:
-            want = f"a list of {shape[0]} numbers" if shape else "a number"
+        try:
+            parsed = np.asarray(value, dtype=float) if _is_numbers(value) else None
+        except OverflowError:  # an integer beyond the float range
+            parsed = None
+        if parsed is None or parsed.shape != shape or not np.isfinite(parsed).all():
+            want = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
             raise ConfigError(f"'{where}' must be {want}, got {value!r}")
         if key in _RANGES and not _RANGES[key][0](parsed):
             raise ConfigError(f"'{where}' must be {_RANGES[key][1]}, got {value!r}")

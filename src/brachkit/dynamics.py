@@ -18,7 +18,7 @@ from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
                        connection_coeffs, conservation_residuals, require_adapted_chart,
-                       riemannian_metric_matrix, scalar_gradient, _coords, _inner)
+                       riemannian_metric_matrix, scalar_gradient, _coords, _inner, _inner_y)
 
 __all__ = [
     "IntegratorConfig",
@@ -71,20 +71,23 @@ def initial_velocity(model: SpacetimeModel, k: float, p, u, T: float) -> np.ndar
     <v,v> = -T^2 and <v,Y> = -kT exactly.
     """
     q = model.require_in_chart(p)
-    g = model.g(q)
-    y = model.y(q)
+    return _launch_velocity(model.g(q), riemannian_metric_matrix(model, q), k, u, T)
+
+
+def _launch_velocity(g: np.ndarray, gr: np.ndarray, k: float, u, T: float) -> np.ndarray:
+    """``initial_velocity`` at a launch point whose g and g_R are given (one point)."""
     u = _coords(u)
-    yy = float(y @ g @ y)
+    yy = float(g[-1, -1])
     P = k * k + yy
     if P <= 0.0:
         raise OutsideUk(f"launch point violates k^2 + <Y,Y> > 0 (got {P})")
-    uy = float(u @ g @ y)
+    uy = float(_inner_y(g, u))
     if abs(uy) > 1e-8 * np.sqrt(abs(yy)):
         raise NotHorizontal(f"launch direction has <u,Y> = {uy}, expected 0")
-    gr = riemannian_metric_matrix(model, q)
     nrm = float(u @ gr @ u)
     if abs(nrm - 1.0) > 1e-8:
         raise NotHorizontal(f"launch direction has g_R norm {np.sqrt(nrm)}, expected 1")
+    y = np.eye(u.size)[-1]
     return (T / np.sqrt(-yy)) * (k * y / np.sqrt(-yy) + np.sqrt(P) * u)
 
 
@@ -407,7 +410,7 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
     cg = conformal_geometry(model, k) if confgeom is None else confgeom
     q0 = model.require_in_chart(q)
     v0 = _coords(v)
-    vy = float(v0 @ model.g(q0) @ model.y(q0))
+    vy = float(_inner_y(model.g(q0), v0))
     speed = np.sqrt(float(v0 @ riemannian_metric_matrix(model, q0) @ v0))
     if speed == 0.0 or abs(vy) > 1e-8 * speed:
         raise NotHorizontal(f"geodesic launch has <v,Y> = {vy}")
@@ -447,9 +450,9 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
 def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
     """Max-norm defect of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'> at the nodes."""
     pts, vels = w.points, w.velocities
-    g, y, gr = model.g(pts), model.y(pts), riemannian_metric_matrix(model, pts)
+    g, gr = model.g(pts), riemannian_metric_matrix(model, pts)
     speeds = np.sqrt(np.maximum(_inner(gr, vels, vels), 0.0))
-    horiz = np.max(np.abs(_inner(g, vels, y)))
+    horiz = np.max(np.abs(_inner_y(g, vels)))
     if horiz > 1e-6 * max(np.max(speeds), 1e-30):
         raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
 

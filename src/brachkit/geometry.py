@@ -1,11 +1,15 @@
 """Chart-level Lorentzian geometry: metric, Killing field, connection, curvature,
 and the auxiliary Riemannian / conformal structures built from them.
 
-Everything lives in a single coordinate chart. A model supplies callables for
-the metric components and the Killing field; Christoffel symbols fall back to
-central finite differences when no analytic form is given.  Every function
-here accepts chart points of shape ``(..., m)`` and broadcasts over the
-leading axes, so geometry along a curve is one call over its nodes.
+Everything lives in a single coordinate chart adapted to the Killing field:
+Y = e_last, and the metric does not depend on the last coordinate
+(``require_adapted_chart``).  A model supplies callables for the metric
+components; Christoffel symbols fall back to central finite differences when
+no analytic form is given.  The Killing terms are read off g and Gamma:
+<Y,Y> = g[..., -1, -1], g Y = g[..., :, -1] and nabla Y = Gamma[..., :, :, -1]
+(dY = 0).  Every function here accepts chart points of shape ``(..., m)`` and
+broadcasts over the leading axes, so geometry along a curve is one call over
+its nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "SpacetimeModel",
     "ConformalGeometry",
     "require_adapted_chart",
+    "isometry_defect",
     "metric_eval",
     "connection_coeffs",
     "curvature_tensor",
@@ -49,9 +54,11 @@ def _coords(x) -> np.ndarray:
 
 @dataclass
 class SpacetimeModel:
-    """Stationary Lorentzian metric on one chart with a timelike Killing field.
+    """Stationary Lorentzian metric on one chart adapted to its timelike Killing field.
 
-    Every callback takes chart points of shape ``(..., m)`` (one point, or a
+    The Killing field is Y = e_last by construction: the metric must not
+    depend on the last coordinate, and Y must be timelike on the chart.  Every
+    callback takes chart points of shape ``(..., m)`` (one point, or a
     batch of nodes along a leading axis) and returns one value per point, so
     geometry along a curve is evaluated in one call over all of its nodes.
 
@@ -63,9 +70,6 @@ class SpacetimeModel:
         Chart dimension (>= 2).
     metric_components : callable
         ``q -> (..., m, m)`` symmetric array of metric components.
-    killing_components : callable
-        ``q -> (..., m)`` components of the Killing field Y.  Must be timelike
-        everywhere on the chart.
     analytic_christoffels : callable, optional
         ``q -> (..., m, m, m)`` array ``Gamma[..., a, b, c]``, symmetric in
         (b, c).  When absent, central differences of the metric are used.
@@ -74,9 +78,6 @@ class SpacetimeModel:
         R^m.
     fd_step : float
         Step for central-difference derivatives of the metric.
-    killing_jacobian : callable, optional
-        ``q -> (..., m, m)`` array ``dY[..., a, b] = d Y^a / d q^b``; finite
-        differences of the Killing components otherwise.
     periods : dict, optional
         Map coordinate index -> period for angle-like coordinates.  Used by
         quotient distances; an empty dict means no periodic coordinates.
@@ -85,12 +86,13 @@ class SpacetimeModel:
     name: str
     m: int
     metric_components: Callable[[np.ndarray], np.ndarray]
-    killing_components: Callable[[np.ndarray], np.ndarray]
     analytic_christoffels: Optional[Callable[[np.ndarray], np.ndarray]] = None
     chart_domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-5
-    killing_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     periods: dict = field(default_factory=dict)
+    # not fields: bench/spans.py is their only reader, and skips them when None
+    killing_components = None
+    killing_jacobian = None
 
     def in_chart(self, q) -> bool:
         """True iff every point of ``q`` (shape ``(..., m)``) lies in the chart."""
@@ -111,14 +113,8 @@ class SpacetimeModel:
         return np.asarray(self.metric_components(_coords(q)), dtype=float)
 
     def y(self, q) -> np.ndarray:
-        return np.asarray(self.killing_components(_coords(q)), dtype=float)
-
-    def dy(self, q) -> np.ndarray:
-        """Jacobian dY^a/dq^b, analytic when available."""
-        q = _coords(q)
-        if self.killing_jacobian is not None:
-            return np.asarray(self.killing_jacobian(q), dtype=float)
-        return _jacobian_fd(self.y, q, self.fd_step)
+        """Components of Y = e_last at every point of ``q``, as a new array."""
+        return np.zeros(np.shape(q)) + np.eye(self.m)[-1]
 
     def wrap_difference(self, dq: np.ndarray) -> np.ndarray:
         """Reduce periodic coordinate differences to their principal value."""
@@ -168,20 +164,39 @@ def _inner(g, v, w):
     return np.einsum("...a,...ab,...b->...", v, g, w)
 
 
+def _inner_y(g, v):
+    """<v, Y> = (g v)_last, one value per node."""
+    return np.einsum("...a,...a->...", v, g[..., :, -1])
+
+
 # ---------------------------------------------------------------------------
 # Core operations
 
-def require_adapted_chart(model: SpacetimeModel, points) -> None:
-    """Raise InvalidParams unless Y = e_last at ``points`` and that coordinate is not periodic.
+def isometry_defect(model: SpacetimeModel, q, s: float) -> float:
+    """Largest change of a metric component between q - s e_last and q + s e_last.
 
+    Zero when g does not depend on the last coordinate, i.e. when the flow of
+    Y = e_last is an isometry; ``q`` may be a batch of points.
+    """
+    shift = s * np.eye(model.m)[-1]
+    q = _coords(q)
+    return float(np.max(np.abs(model.g(q + shift) - model.g(q - shift)), initial=0.0))
+
+
+def require_adapted_chart(model: SpacetimeModel, points) -> None:
+    """Raise InvalidParams unless the chart is adapted to Y = e_last at ``points``.
+
+    Adapted means that the last coordinate is not periodic and that g does
+    not depend on it: ``isometry_defect(model, points, model.fd_step)`` must
+    be at most 1e-12, so |d_last g| is below about 5e-8 at the default step.
     Code that relies on the contract (the Killing flow, the brachistochrone
     acceleration) checks it where a computation starts, not at every step.
     """
     if model.m - 1 in model.periods:
         raise InvalidParams(f"the Killing coordinate of '{model.name}' must not be periodic")
-    if not (model.y(_coords(points)) == np.eye(model.m)[-1]).all():
+    if isometry_defect(model, points, model.fd_step) > 1e-12:
         raise InvalidParams(f"the chart of '{model.name}' is not adapted to its Killing field: "
-                            f"Y must be the last coordinate vector field")
+                            f"the metric depends on the last coordinate")
 
 
 def metric_eval(model: SpacetimeModel, q, v, w):
@@ -227,20 +242,16 @@ def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
 
 
 def riemannian_metric_matrix(model: SpacetimeModel, q) -> np.ndarray:
-    """Component matrix of the auxiliary Riemannian metric at q."""
-    q = _coords(q)
+    """Component matrix of the auxiliary Riemannian metric at q: g - 2 gY (gY)^T / <Y,Y>."""
     g = model.g(q)
-    y = model.y(q)
-    gy = np.einsum("...ab,...b->...a", g, y)
-    yy = np.einsum("...a,...a->...", y, gy)[..., None, None]
-    return g - 2.0 * gy[..., :, None] * gy[..., None, :] / yy
+    gy = g[..., :, -1]
+    return g - 2.0 * gy[..., :, None] * gy[..., None, :] / g[..., -1, -1][..., None, None]
 
 
 def uk_membership(model: SpacetimeModel, q, k: float) -> bool:
     """True iff <Y,Y> + k^2 > 0 at every node of q."""
     q = model.require_in_chart(q)
-    y = model.y(q)
-    return bool(np.all(_inner(model.g(q), y, y) + k * k > 0.0))
+    return bool(np.all(model.g(q)[..., -1, -1] + k * k > 0.0))
 
 
 def conformal_factor(model: SpacetimeModel, q, k: float):
@@ -251,8 +262,7 @@ def conformal_factor(model: SpacetimeModel, q, k: float):
     trial points of the discrete minimizer.
     """
     q = _coords(q)
-    y = model.y(q)
-    yy = _inner(model.g(q), y, y)
+    yy = model.g(q)[..., -1, -1]
     denom = k * k + yy
     if (denom <= 0.0).any():
         raise OutsideUk(f"k^2 + <Y,Y> = {np.min(denom)} <= 0 at {q}")
@@ -260,13 +270,16 @@ def conformal_factor(model: SpacetimeModel, q, k: float):
 
 
 def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
-    """Matrix K[..., a, b] with (nabla_v Y)^a = K[a, b] v^b."""
-    q = _coords(q)
-    return model.dy(q) + np.einsum("...abc,...c->...ab", connection_coeffs(model, q), model.y(q))
+    """Matrix K[..., a, b] with (nabla_v Y)^a = K[a, b] v^b: Gamma^a_{b,last}, as dY = 0."""
+    return connection_coeffs(model, q)[..., -1]
 
 
 def killing_residual(model: SpacetimeModel, q, v, w) -> float:
-    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y)."""
+    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y).
+
+    In the adapted chart this is (d_last g)(v, w), read through Gamma, because
+    L_Y g = d_last g there.
+    """
     q = _coords(q)
     g = model.g(q)
     K = nabla_y_matrix(model, q)
@@ -289,8 +302,7 @@ def scalar_gradient(model: SpacetimeModel, q, f, h: Optional[float] = None) -> n
 def horizontal_part(model: SpacetimeModel, q, v) -> np.ndarray:
     """v minus its component along Y, at every node."""
     g = model.g(q)
-    y = model.y(q)
-    return v - (_inner(g, v, y) / _inner(g, y, y))[..., None] * y
+    return v - (_inner_y(g, v) / g[..., -1, -1])[..., None] * model.y(q)
 
 
 def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:
@@ -336,8 +348,7 @@ def horizontal_frame(model: SpacetimeModel, q) -> np.ndarray:
 def conservation_residuals(model: SpacetimeModel, points, velocities, k: float, T: float):
     """Per-node defects of the two conservation laws: (<v,Y> + kT, <v,v> + T^2)."""
     g = model.g(points)
-    return (_inner(g, velocities, model.y(points)) + k * T,
-            _inner(g, velocities, velocities) + T * T)
+    return _inner_y(g, velocities) + k * T, _inner(g, velocities, velocities) + T * T
 
 
 def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
@@ -387,12 +398,6 @@ class ConformalGeometry:
         dG = np.stack([_directional_diff4(self.christoffels, q, c, self.fd_step)
                        for c in range(self.m)], axis=-4)
         return _riemann(self.christoffels(q), dG)
-
-    def nabla_y_matrix(self, q) -> np.ndarray:
-        """(nabla^{conf}_v Y)^a = K[..., a, b] v^b in the conformal connection."""
-        q = _coords(q)
-        return self.model.dy(q) + np.einsum("...abc,...c->...ab", self.christoffels(q),
-                                            self.model.y(q))
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

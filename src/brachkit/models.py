@@ -7,13 +7,15 @@ stationary non-static (rotating_frame, whose Killing field has nonzero
 covariant derivative with cross terms).
 
 Coordinate convention: the Killing coordinate is always the last chart
-coordinate and is not periodic, so Y has constant components (0, ..., 0, 1)
-and its flow is a translation (``geometry.require_adapted_chart`` checks it).  Every callback takes
-points of shape ``(..., m)`` and returns one value per point.
+coordinate, is not periodic and does not enter the metric, so Y has constant
+components (0, ..., 0, 1) and its flow is a translation
+(``geometry.require_adapted_chart`` checks it).  Every callback takes points
+of shape ``(..., m)`` and returns one value per point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,26 +39,14 @@ def _zeros(q, *shape):
     return np.zeros(q.shape[:-1] + shape)
 
 
-def _const_killing(m):
-    def y(q):
-        out = np.zeros(q.shape)
-        out[..., -1] = 1.0
-        return out
-
-    return y, lambda q: _zeros(q, m, m)
-
-
 def _minkowski(m):
     g = np.eye(m)
     g[-1, -1] = -1.0
-    y, dy = _const_killing(m)
     return SpacetimeModel(
         name="minkowski3" if m == 3 else "minkowski4",
         m=m,
         metric_components=lambda q: _zeros(q, m, m) + g,
-        killing_components=y,
         analytic_christoffels=lambda q: _zeros(q, m, m, m),
-        killing_jacobian=dy,
     )
 
 
@@ -77,15 +67,12 @@ def _einstein_cylinder():
         G[..., 1, 0, 1] = G[..., 1, 1, 0] = cot
         return G
 
-    y, dy = _const_killing(3)
     return SpacetimeModel(
         name="einstein_cylinder",
         m=3,
         metric_components=metric,
-        killing_components=y,
         analytic_christoffels=christoffels,
         chart_domain=lambda q: (0.1 <= q[..., 0]) & (q[..., 0] <= np.pi - 0.1),
-        killing_jacobian=dy,
         periods={1: 2.0 * np.pi},
     )
 
@@ -105,14 +92,11 @@ def _static_well(a):
         G[..., 2, 0, 2] = G[..., 2, 2, 0] = a * x / (1.0 + a * x * x)
         return G
 
-    y, dy = _const_killing(3)
     return SpacetimeModel(
         name="static_well",
         m=3,
         metric_components=metric,
-        killing_components=y,
         analytic_christoffels=christoffels,
-        killing_jacobian=dy,
     )
 
 
@@ -140,21 +124,37 @@ def _rotating_frame(omega, r_max):
         G[..., 1, 2, 2] = -w * w * y
         return G
 
-    ykomp, dy = _const_killing(3)
     return SpacetimeModel(
         name="rotating_frame",
         m=3,
         metric_components=metric,
-        killing_components=ykomp,
         analytic_christoffels=christoffels,
         chart_domain=lambda q: q[..., 0] ** 2 + q[..., 1] ** 2 < r_max ** 2,
-        killing_jacobian=dy,
     )
 
 
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def make_model(spec: ModelSpec) -> SpacetimeModel:
-    """Instantiate a registered model, validating its parameters."""
-    params = dict(spec.params or {})
+    """Instantiate a registered model, validating its parameters.
+
+    ``spec.params`` must map names to finite real numbers (not booleans);
+    anything else is ``InvalidParams``.
+    """
+    params = spec.params or {}
+    if not isinstance(params, dict):
+        raise InvalidParams(f"parameters of {spec.name} must be an object, got {params!r}")
+    for key, value in params.items():
+        if not _finite_real(value):
+            raise InvalidParams(f"parameter '{key}' of {spec.name} must be a finite number, "
+                                f"got {value!r}")
 
     def _only(allowed):
         extra = set(params) - set(allowed)

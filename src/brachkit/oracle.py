@@ -59,9 +59,7 @@ class DiscreteCandidate:
 
 def psi_k(model: SpacetimeModel, k: float, q):
     """Psi_k = <Y,Y> + k^2 at every node of q."""
-    q = _coords(q)
-    y = model.y(q)
-    return _inner(model.g(q), y, y) + k * k
+    return model.g(q)[..., -1, -1] + k * k
 
 
 def penalized_energy(model: SpacetimeModel, k: float, w: Curve,

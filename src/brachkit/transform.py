@@ -2,11 +2,11 @@
 the left inverse of that deformation, and their differentials.
 
 The chart is adapted to the Killing field: Y is the last coordinate vector
-field and that coordinate is not periodic (``require_adapted_chart`` checks
-both).  The flow of Y is then the translation psi(q, s) = q + s e_last, its
-differential d_x psi is the identity, and the flow is an isometry because the
-metric does not depend on the last coordinate (``isometry_defect`` measures
-that post hoc).
+field, that coordinate is not periodic and the metric does not depend on it
+(``require_adapted_chart`` checks both at the points it is given, the latter
+through ``isometry_defect``).  The flow of Y is then the translation
+psi(q, s) = q + s e_last, its differential d_x psi is the identity, and the
+flow is an isometry.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulat
 from .dynamics import BrachistochroneSolution, _ode_residual
 from .errors import ConstraintViolated, FlowEscape, NotHorizontal
 from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
-                       metric_eval, nabla_y_matrix, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _inner)
+                       isometry_defect, nabla_y_matrix, require_adapted_chart,
+                       riemannian_metric_matrix, _coords, _inner, _inner_y)
 
 __all__ = [
     "CorrespondenceReport",
     "require_adapted_chart",
+    "isometry_defect",
     "flow_points",
     "deform_D",
     "lift_G",
@@ -47,13 +48,6 @@ def flow_points(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray) ->
     if not model.in_chart(ends):
         raise FlowEscape(f"Killing flow left the chart of '{model.name}'")
     return ends
-
-
-def isometry_defect(model: SpacetimeModel, q, s: float) -> float:
-    """Largest change of a metric component under the flow psi(., s) at q (post hoc check)."""
-    q = _coords(q)
-    end = flow_points(model, q[None, :], np.array([s]))[0]
-    return float(np.max(np.abs(model.g(end) - model.g(q))))
 
 
 def _integral_from(grid: np.ndarray, rate: np.ndarray, t0: float) -> np.ndarray:
@@ -109,9 +103,7 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
         T = None
     if check:
         if T is None:
-            yy0 = float(curve.velocities[0] @ model.g(curve.points[0])
-                        @ model.y(curve.points[0]))
-            T = -yy0 / kk
+            T = -float(_inner_y(model.g(curve.points[0]), curve.velocities[0])) / kk
             if T <= 0.0:
                 raise ConstraintViolated("curve has nonpositive inferred travel time")
         r_y, r_v = conservation_residuals(model, curve.points, curve.velocities, kk, T)
@@ -124,12 +116,12 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     ps, vs = curve.point_spline(), curve.velocity_spline()
     pts, vels = ps(grid), vs(grid)
 
-    g, y = model.g(pts), model.y(pts)
-    w = _slide(model, grid, pts, vels, -_inner(g, vels, y) / _inner(g, y, y))
+    g = model.g(pts)
+    w = _slide(model, grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
 
     speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w.points), w.velocities,
                                       w.velocities)), 1e-300))
-    horiz = np.max(np.abs(metric_eval(model, w.points, w.velocities, model.y(w.points))))
+    horiz = np.max(np.abs(_inner_y(model.g(w.points), w.velocities)))
     if horiz > 1e-8 * speed:
         raise NotHorizontal(f"deformed curve has |<w',Y>| = {horiz} > 1e-8 * speed")
     return w
@@ -143,15 +135,14 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     non-geodesic input shows up as a large equation residual downstream.
     """
     grid, pts, vels = w.grid, w.points, w.velocities
-    g, y = model.g(pts), model.y(pts)
-    yy = _inner(g, y, y)
+    g = model.g(pts)
     phi = conformal_factor(model, pts, k)
     speed0 = float(vels[0] @ riemannian_metric_matrix(model, pts[0]) @ vels[0])
-    horiz = np.max(np.abs(_inner(g, vels, y)))
+    horiz = np.max(np.abs(_inner_y(g, vels)))
     if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
         raise NotHorizontal(f"lift input is not horizontal: {horiz}")
     T = float(np.sqrt(phi[0] * speed0))
-    sigma = _slide(model, grid, pts, vels, -k * T / yy)
+    sigma = _slide(model, grid, pts, vels, -k * T / g[:, -1, -1])
     r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
     return BrachistochroneSolution(
         sigma=sigma, T=T, k=k,
@@ -167,9 +158,9 @@ def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
     curve = sol.sigma
     pts, vels = curve.points, curve.velocities
     nz = covariant_derivative_along(model, curve, zeta).values
-    g, y = model.g(pts), model.y(pts)
+    g = model.g(pts)
     Kv = np.einsum("nab,nb->na", nabla_y_matrix(model, pts), vels)
-    vals_y = _inner(g, nz, y) - _inner(g, zeta.values, Kv)
+    vals_y = _inner_y(g, nz) - _inner(g, zeta.values, Kv)
     vals_s = _inner(g, nz, vels)
     C = grid_integral(curve.grid, vals_y)
     return C, vals_y, vals_s, nz
@@ -201,16 +192,17 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     """
     curve = sol.sigma
     grid, pts = curve.grid, curve.points
-    g, y = model.g(pts), model.y(pts)
-    yy = _inner(g, y, y)
-    host = _slide(model, grid, pts, curve.velocities, -_inner(g, curve.velocities, y) / yy, t0)
+    g = model.g(pts)
+    yy = g[:, -1, -1]
+    host = _slide(model, grid, pts, curve.velocities, -_inner_y(g, curve.velocities) / yy, t0)
 
     if C_zeta is None:
         C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
-    dzy = _inner(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values), y)
+    dzy = _inner_y(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values))
     tau_zeta = _integral_from(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 
-    pushed = np.where((grid >= t0 - 1e-12)[:, None], zeta.values + tau_zeta[:, None] * y, 0.0)
+    pushed = np.where((grid >= t0 - 1e-12)[:, None],
+                      zeta.values + tau_zeta[:, None] * model.y(pts), 0.0)
     return FieldAlongCurve(host=host, values=pushed)
 
 
@@ -229,7 +221,7 @@ def correspondence_report(model: SpacetimeModel, sol: BrachistochroneSolution) -
     energy = conformal_energy(model, sol.k, w)
     back = lift_G(model, sol.k, w)
     grid = sol.sigma.grid
-    horiz = np.max(np.abs(metric_eval(model, w.points, w.velocities, model.y(w.points))))
+    horiz = np.max(np.abs(_inner_y(model.g(w.points), w.velocities)))
     return CorrespondenceReport(
         geodesic_residual=geodesic_residual(model, sol.k, w),
         energy_value=energy,

@@ -24,7 +24,7 @@ from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, connection_coeffs,
                        curvature_tensor, horizontal_part, nabla_y_matrix, orthonormal_completion,
-                       riemannian_metric_matrix, scalar_gradient, _coords, _inner,
+                       riemannian_metric_matrix, scalar_gradient, _coords, _inner, _inner_y,
                        _jacobian_fd)
 from .transform import tangent_constraint_scan
 
@@ -64,14 +64,14 @@ class SolutionGeometry:
         self.g = model.g(pts)
         self.y = y = model.y(pts)
         self.gamma = connection_coeffs(model, pts)
-        self.K = nabla_y_matrix(model, pts)                   # (nabla_v Y)^a = K[a,b] v^b
-        self.N = _inner(self.g, y, y)
-        self.nabla_yy = np.einsum("nab,nb->na", self.K, y)    # (nabla_Y Y)^a
+        self.K = self.gamma[..., -1]                          # (nabla_v Y)^a = K[a,b] v^b
+        self.N = self.g[..., -1, -1]                          # <Y,Y>
+        self.nabla_yy = self.K[..., -1]                       # (nabla_Y Y)^a
         R = curvature_tensor(model, pts)
         # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
         # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
         Rv = np.einsum("nabcd,nd->nabc", R, v)                # R^a_{bc.} v
-        gv, gy = (np.einsum("nab,nb->na", self.g, x) for x in (v, y))
+        gv, gy = np.einsum("nab,nb->na", self.g, v), self.g[..., :, -1]
         self.M_ss = _sym(np.einsum("na,nabc->nbc", gv, Rv))   # <R(z, s') z, s'> = z^T M_ss z
         self.M_sy = _sym(np.einsum("na,nabc->nbc", gy, Rv))   # <R(z, s') z, Y>  = z^T M_sy z
         self.RM1 = np.einsum("nabcd,nb,nc->nad", R, v, v)     # (R(s', V) s')^a = RM1[a, d] V^d
@@ -96,8 +96,7 @@ class LagrangeMultiplierField:
 def lagrange_multiplier_field(model: SpacetimeModel, sol: BrachistochroneSolution
                               ) -> LagrangeMultiplierField:
     """The multiplier pair of a critical curve: lambda = 0, mu = 1/(2(k^2+<Y,Y>))."""
-    y = model.y(sol.sigma.points)
-    mu = 1.0 / (2.0 * (sol.k ** 2 + _inner(model.g(sol.sigma.points), y, y)))
+    mu = 1.0 / (2.0 * (sol.k ** 2 + model.g(sol.sigma.points)[:, -1, -1]))
     return LagrangeMultiplierField(lam=0.0, mu=mu)
 
 
@@ -203,9 +202,9 @@ class ConformalCurveData:
         pts, v = w.points, w.velocities
         self.gt = confgeom.metric(pts)                     # conformal metric
         self.gamma = confgeom.christoffels(pts)
-        self.y = y = model.y(pts)
-        self.N = _inner(model.g(pts), y, y)
-        self.Kt = confgeom.nabla_y_matrix(pts)             # conformal nabla Y
+        self.y = model.y(pts)
+        self.N = model.g(pts)[..., -1, -1]
+        self.Kt = self.gamma[..., -1]                      # conformal nabla Y
         self.K = nabla_y_matrix(model, pts)                # Lorentzian nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
         self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
@@ -286,10 +285,8 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     # shape term of the observer line at the arrival end
     q1 = w.points[-1]
     g1 = model.g(q1)
-    y1 = model.y(q1)
-    nu = float(vals[-1] @ g1 @ y1) / float(y1 @ g1 @ y1)
-    K1 = nabla_y_matrix(model, q1)
-    s_gamma = nu * nu * float((K1 @ y1) @ g1 @ w.velocities[-1])
+    nu = float(_inner_y(g1, vals[-1]) / g1[-1, -1])
+    s_gamma = nu * nu * float(nabla_y_matrix(model, q1)[:, -1] @ g1 @ w.velocities[-1])
     return float(total + phi_of(q1) * s_gamma)
 
 
@@ -298,20 +295,19 @@ def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) 
     q = _coords(q_on_gamma)
     g = model.g(q)
     y = model.y(q)
-    yy = float(y @ g @ y)
+    yy = float(g[-1, -1])
     n = _coords(n)
-    if abs(float(n @ g @ y)) > 1e-8 * np.sqrt(abs(yy)) * (np.linalg.norm(n) + 1.0):
+    if abs(float(_inner_y(g, n))) > 1e-8 * np.sqrt(abs(yy)) * (np.linalg.norm(n) + 1.0):
         raise NotNormal("direction vector is not orthogonal to the observer line")
     nus = []
     for v in (v1, v2):
         v = _coords(v)
-        nu = float(v @ g @ y) / yy
+        nu = float(_inner_y(g, v)) / yy
         perp = v - nu * y
         if np.linalg.norm(perp) > 1e-8 * (np.linalg.norm(v) + 1.0):
             raise NotTangentToGamma("vector is not tangent to the observer line")
         nus.append(nu)
-    K = nabla_y_matrix(model, q)
-    return nus[0] * nus[1] * float((K @ y) @ g @ n)
+    return nus[0] * nus[1] * float(nabla_y_matrix(model, q)[:, -1] @ g @ n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +396,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         spl = CubicSpline(w.grid, src.reshape(w.grid.size, -1), axis=0)
         target[:] = spl(tq).reshape((nq,) + src.shape[1:])
 
-    y_q = model.y(pts_q)
-    dy_dt_q = np.einsum("qab,qb->qa", model.dy(pts_q), vels_q)
+    y_q = model.y(pts_q)  # constant along the curve: dY = 0
 
     def hats(ts):
         """Values and slopes of all nodal hats at the given parameters."""
@@ -430,7 +425,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         axes = np.eye(m)[:, None, :]
         Vs, dVs = (hv * axes).reshape(-1, nq, m), (hs * axes).reshape(-1, nq, m)
         V_y = hat_v[:, 0][:, None] * y_q
-        dV_y = hat_s[:, 0][:, None] * y_q + hat_v[:, 0][:, None] * dy_dt_q
+        dV_y = hat_s[:, 0][:, None] * y_q
         Vs = np.concatenate([Vs, V_y[None]])
         dVs = np.concatenate([dVs, dV_y[None]])
         V0s = np.zeros((Vs.shape[0], m))
@@ -470,7 +465,7 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         lam_q = lam_spl(tq).T[:, :, None]
         lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
         Vs = Vs + lam_q * y_q
-        dVs = dVs + lam_rate_q * y_q + lam_q * dy_dt_q
+        dVs = dVs + lam_rate_q * y_q
         V0s = lam_spl(0.0)[:, None] * y_start
 
     ndof = Vs.shape[0]
@@ -562,7 +557,7 @@ def make_admissible_variation(model: SpacetimeModel, sol: BrachistochroneSolutio
                + (k * T / geom.N)[:, None] * Kv)
 
     gv = np.einsum("nab,nb->na", geom.g, vels)
-    gy = np.einsum("nab,nb->na", geom.g, geom.y)
+    gy = geom.g[..., :, -1]
     P0 = np.einsum("na,na->n", nz0, gy) - np.einsum("na,na->n", zeta0,
                                                     np.einsum("nab,nb->na", geom.g, Kv))
     Q0 = np.einsum("na,na->n", nz0, gv)

@@ -28,7 +28,7 @@ def test_model_callbacks_broadcast(models, name):
     model = models[name]
     pts = node_batch(model, name)
     for batch in (pts, np.stack([pts, pts[::-1]])):
-        for fn in (model.g, model.y, model.dy, model.analytic_christoffels):
+        for fn in (model.g, model.y, model.analytic_christoffels):
             out = fn(batch)
             assert out.shape[:batch.ndim - 1] == batch.shape[:-1]
             np.testing.assert_array_equal(out, stacked(fn, batch))

@@ -41,13 +41,35 @@ def test_config_rejects_unknown_model(tmp_path):
     assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
 
 
-def test_unparseable_tolerance_is_config_error(tmp_path):
-    extra = {"solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}, "tolerances": {"rtol": "tight"}}
-    path = write_config(tmp_path, extra)
-    with pytest.raises(ConfigError, match="tolerances.rtol"):
-        run_scenario(load_config(path), "solve", tmp_path / "direct")
-    assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
-    assert not (tmp_path / "error.json").exists()
+def test_unparseable_tolerance_is_config_error(tmp_path, caplog):
+    # each tolerance must be a positive finite JSON number, grid_n an integer,
+    # and each 'out' entry a .json file name
+    cases = [({"tolerances": {"rtol": "tight"}}, "tolerances.rtol"),
+             ({"tolerances": {"rtol": "1e-8"}}, "tolerances.rtol"),
+             ({"tolerances": {"grid_n": 2.5}}, "tolerances.grid_n"),
+             ({"tolerances": {"grid_n": True}}, "tolerances.grid_n"),
+             ({"tolerances": {"grid_n": -3}}, "tolerances.grid_n"),
+             ({"tolerances": {"rtol": -1}}, "tolerances.rtol"),
+             ({"tolerances": {"tol_cons": -1}}, "tolerances.tol_cons"),
+             ({"tolerances": {"atol": float("nan")}}, "tolerances.atol"),
+             ({"tolerances": {"tol_bvp": float("inf")}}, "tolerances.tol_bvp"),
+             ({"tolerances": 1e-8}, "'tolerances'"),
+             ({"out": "zzz"}, "'out'"),
+             ({"out": {"solution": 3}}, "out.solution"),
+             ({"out": {"solution": "solution.txt"}}, "out.solution"),
+             ({"out": {"solutions": "a.json"}}, "'out'")]
+    for i, (extra, key) in enumerate(cases):
+        case_dir = tmp_path / str(i)
+        case_dir.mkdir()
+        path = write_config(case_dir, {"solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}, **extra})
+        with pytest.raises(ConfigError, match=key):
+            run_scenario(load_config(path), "solve", case_dir / "direct")
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="brachkit.cli"):
+            assert main(["solve", "--config", str(path), "--out-dir", str(case_dir)]) == 2, extra
+        assert any(key in rec.getMessage() for rec in caplog.records), extra
+        assert not (case_dir / "error.json").exists()
+        assert not (case_dir / "solution.json").exists()
 
 
 def test_solve_and_verify(tmp_path, capsys):
@@ -159,8 +181,10 @@ def test_short_point_is_config_error(tmp_path, caplog):
     ({"solve": {"u": [1.0, "0.0", 0.0], "T": 1.0}}, "solve.u"),
     ({"p": [0.0, False, 0.0]}, "p"),
     ({"solve": {"u": [1.0, 0.0, 0.0], "T": True}}, "solve.T"),
+    ({"k": float("inf")}, "k"),
+    ({"p": [0.0, 10 ** 400, 0.0]}, "p"),
 ], ids=["string_scalar", "string_in_block", "string_in_list", "boolean_in_list",
-        "boolean_scalar"])
+        "boolean_scalar", "infinite_scalar", "integer_beyond_float_range"])
 def test_numbers_must_be_json_numbers(tmp_path, caplog, override, key):
     cfg = dict(BASE, solve={"u": [1.0, 0.0, 0.0], "T": 1.0})
     cfg.update(override)
@@ -264,9 +288,19 @@ def test_point_outside_chart_is_config_error(tmp_path, caplog, command, override
 
 
 def test_invalid_model_params_is_config_error(tmp_path, caplog):
-    path = write_config(tmp_path, {"model": {"name": "rotating_frame", "params": {"omega": -1.0}},
-                                   "solve": {"u": [1.0, 0.0, 0.0], "T": 0.6}})
-    with caplog.at_level("ERROR", logger="brachkit.cli"):
-        code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+    # model parameters must be an object of finite real numbers (not booleans)
+    cases = [("rotating_frame", {"omega": -1.0}),
+             ("static_well", {"a": [1, 2]}),
+             ("static_well", [1]),
+             ("static_well", {"a": "abc"}),
+             ("static_well", {"a": float("nan")}),
+             ("static_well", {"a": True})]
+    for name, params in cases:
+        path = write_config(tmp_path, {"model": {"name": name, "params": params},
+                                       "solve": {"u": [1.0, 0.0, 0.0], "T": 0.6}})
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="brachkit.cli"):
+            code = main(["solve", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2, params
+        assert any("configuration error" in rec.getMessage() for rec in caplog.records), params
+        assert not (tmp_path / "error.json").exists()

@@ -221,20 +221,61 @@ def test_geodesic_residual_flat_line(models):
     assert geodesic_residual(model, np.sqrt(2.0), line) < 1e-12
 
 
+def _jac_y(model, q):
+    """dY by central differences of Y: exactly zero in the adapted chart."""
+    from brachkit.geometry import _jacobian_fd
+    return _jacobian_fd(model.y, q, model.fd_step)
+
+
 def _general_y_acceleration(model, k, T, q, v):
-    """The acceleration for any Killing field Y, from model.y and model.dy (test oracle)."""
+    """The acceleration for any Killing field Y, from model.y and its dY (test oracle)."""
     from brachkit.geometry import _inner
     G = connection_coeffs(model, q)
     g, y = model.g(q), model.y(q)
     N = _inner(g, y, y)
     P = k * k + N
     two_kT = 2.0 * k * np.asarray(T, dtype=float)
-    dvy = np.einsum("...ab,...b->...a", model.dy(q) + np.einsum("...abc,...c->...ab", G, y), v)
+    nabla_y = _jac_y(model, q) + np.einsum("...abc,...c->...ab", G, y)
+    dvy = np.einsum("...ab,...b->...a", nabla_y, v)
     W = _inner(g, dvy, y)
     return (-np.einsum("...abc,...b,...c->...a", G, v, v)
             - (2.0 * k * k * W / (N * P))[..., None] * v
             - (two_kT / N)[..., None] * dvy
             + (two_kT * W / (N * P))[..., None] * y)
+
+
+def _general_y_geometry(model, k, T, q, v):
+    """g_R, the horizontal part of v, phi_k, the conservation residuals and nabla Y for any Y."""
+    from brachkit.geometry import _inner
+    g, y = model.g(q), model.y(q)
+    gy = np.einsum("...ab,...b->...a", g, y)
+    yy = np.einsum("...a,...a->...", y, gy)[..., None, None]
+    N = _inner(g, y, y)
+    return {
+        "riemannian_metric_matrix": g - 2.0 * gy[..., :, None] * gy[..., None, :] / yy,
+        "horizontal_part": v - (_inner(g, v, y) / N)[..., None] * y,
+        "conformal_factor": -N / (k * k + N),
+        "conservation_residuals": (_inner(g, v, y) + k * T, _inner(g, v, v) + T * T),
+        "nabla_y_matrix": _jac_y(model, q) + np.einsum("...abc,...c->...ab",
+                                                    connection_coeffs(model, q), y),
+    }
+
+
+def _adapted_geometry(model, k, T, q, v):
+    from brachkit import geometry as geo
+    return {
+        "riemannian_metric_matrix": geo.riemannian_metric_matrix(model, q),
+        "horizontal_part": geo.horizontal_part(model, q, v),
+        "conformal_factor": geo.conformal_factor(model, q, k),
+        "conservation_residuals": geo.conservation_residuals(model, q, v, k, T),
+        "nabla_y_matrix": geo.nabla_y_matrix(model, q),
+    }
+
+
+def _assert_same_bits(a, b, label):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b), label
+    assert np.array_equal(np.signbit(a), np.signbit(b)), label  # signed zeros too
 
 
 @pytest.mark.parametrize("n", [1, 8, 48, 384])
@@ -248,9 +289,11 @@ def test_acceleration_equals_general_y_formula_bit_for_bit(models, n):
         v[::3, 0] = -0.0  # signed zeros must come out with the same sign
         T = info["T"] * (0.5 + rng.random(n))
         acc = brachistochrone_acceleration(model, k, T, q, v)
-        ref = _general_y_acceleration(model, k, T, q, v)
-        assert np.array_equal(acc, ref), name
-        assert np.array_equal(np.signbit(acc), np.signbit(ref)), name
+        _assert_same_bits(acc, _general_y_acceleration(model, k, T, q, v), name)
         for j in range(0, n, max(1, n // 8)):  # a lane alone is its row of the batch
             alone = brachistochrone_acceleration(model, k, T[j:j + 1], q[j:j + 1], v[j:j + 1])
             assert np.array_equal(alone[0], acc[j]), name
+        # the geometry that reads Y off g and Gamma, against the general-Y formulas
+        ref = _general_y_geometry(model, k, T, q, v)
+        for label, got in _adapted_geometry(model, k, T, q, v).items():
+            _assert_same_bits(got, ref[label], f"{name}: {label}")

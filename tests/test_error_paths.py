@@ -81,21 +81,20 @@ def test_restricted_index_report_focal_endpoint(models):
         restricted_index_report(cg, w, 20, data=data)
 
 
-def _flat3(killing, chart=None):
-    """Minkowski 2+1 metric with a custom observer field and chart."""
-    g = np.diag([1.0, 1.0, -1.0])
-    return geo.SpacetimeModel("flat3", 3, lambda q: np.zeros(q.shape[:-1] + (3, 3)) + g, killing,
-                              chart_domain=chart)
+def _flat3(g_tt=lambda t: np.full(np.shape(t), -1.0), chart=None):
+    """The 2+1 metric dx^2 + dy^2 + g_tt(t) dt^2 (Minkowski by default) on a custom chart."""
+    def metric(q):
+        g = np.zeros(q.shape[:-1] + (3, 3))
+        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g[..., 2, 2] = g_tt(q[..., 2])
+        return g
+
+    return geo.SpacetimeModel("flat3", 3, metric, chart_domain=chart)
 
 
 def test_killing_flow_escapes_bounded_chart():
     # the chart bounds the Killing coordinate: |t| < 1
-    def y(q):
-        out = np.zeros(q.shape)
-        out[..., 2] = 1.0
-        return out
-
-    model = _flat3(y, chart=lambda q: np.abs(q[..., 2]) < 1.0)
+    model = _flat3(chart=lambda q: np.abs(q[..., 2]) < 1.0)
     with pytest.raises(FlowEscape):
         flow_points(model, np.zeros((1, 3)), np.array([2.0]))
     orbit = ObserverWorldline(np.zeros(3), model)
@@ -107,19 +106,14 @@ def test_killing_flow_escapes_bounded_chart():
 
 
 def test_non_adapted_killing_field_is_invalid_params():
-    # Y = (0, 0, 1 + t^2) equals e_last only on the slice t = 0
-    def y(q):
-        out = np.zeros(q.shape)
-        out[..., 2] = 1.0 + q[..., 2] ** 2
-        return out
-
-    model = _flat3(y)
+    # g_tt = -(1 + t^2): e_last is a Killing field only to first order on the slice t = 0
+    model = _flat3(lambda t: -(1.0 + t ** 2))
     anchor = np.array([0.0, 0.0, 0.5])
     with pytest.raises(InvalidParams, match="not adapted"):
         flow_points(model, anchor[None, :], np.array([1.0]))
     with pytest.raises(InvalidParams, match="not adapted"):
         ObserverWorldline(anchor, model)
-    # the acceleration reads Y = e_last, so no integration may start with another Y
+    # the acceleration reads Y = e_last, so no integration may start where it is not Killing
     k, T, u = 2.0, 1.0, np.array([1.0, 0.0, 0.0])
     with pytest.raises(InvalidParams, match="not adapted"):
         integrate_brachistochrone(model, k, anchor, u, T)
@@ -129,13 +123,13 @@ def test_non_adapted_killing_field_is_invalid_params():
     state = np.concatenate([anchor, v])[None, :]
     with pytest.raises(InvalidParams, match="not adapted"):
         shot_endpoints(model, k, state, [T], IntegratorConfig())
-    # nor may a shot join a running batch there (on the slice t = 0, Y = e_last)
+    # nor may a shot join a running batch there (on the slice t = 0, d_t g = 0)
     start = np.concatenate([np.zeros(3), initial_velocity(model, k, np.zeros(3), u, T)])
     with pytest.raises(InvalidParams, match="not adapted"):
         shot_endpoints(model, k, start[None, :], [T], IntegratorConfig(),
                        admit=lambda arrived: (state, [T]))
     # a periodic Killing coordinate is not a translation chart either
-    periodic = _flat3(lambda q: np.zeros(q.shape) + [0.0, 0.0, 1.0])
+    periodic = _flat3()
     periodic.periods = {2: 2.0 * np.pi}
     with pytest.raises(InvalidParams, match="periodic"):
         flow_points(periodic, np.zeros((1, 3)), np.array([1.0]))
@@ -151,7 +145,7 @@ def test_blowing_up_extremal_equation_is_step_failure():
         G[..., 0, 0, 0] = -5.0
         return G
 
-    model = _flat3(lambda q: np.zeros(q.shape) + [0.0, 0.0, 1.0])
+    model = _flat3()
     model.analytic_christoffels = christoffels
     with pytest.raises(StepFailure, match="integrator failed"):
         integrate_brachistochrone(model, np.sqrt(2.0), np.zeros(3), [1.0, 0.0, 0.0], 1.0)

@@ -13,8 +13,9 @@ from brachkit.bvp import (ObserverWorldline, ShootingProblem, _newton, _residual
                           _solve_starts, _sphere_direction, _survey_starts, multistart_survey,
                           shoot)
 from brachkit.cli import run_scenario
-from brachkit.dynamics import (IntegratorConfig, _rhs_factory, brachistochrone_acceleration,
-                               initial_velocity, rk45_lanes, shot_endpoints)
+from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _rhs_factory,
+                               brachistochrone_acceleration, initial_velocity, rk45_lanes,
+                               shot_endpoints)
 from brachkit.errors import BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart
 from brachkit.geometry import horizontal_unit
 from brachkit.transform import flow_points
@@ -370,13 +371,20 @@ def test_failures_of_work_ahead_are_raised_only_where_the_reference_meets_them(
     prob, starts = cylinder_survey
     met = []
 
-    def faulty(model, k, p, u, T):
+    def inject(T):
         if int(T * 1e6) % 3 == 0:
             met.append(T)
             raise NotHorizontal(f"injected at T = {T!r}")
+
+    def faulty(model, k, p, u, T):
+        inject(T)
         return initial_velocity(model, k, p, u, T)
 
-    monkeypatch.setattr(bvp, "initial_velocity", faulty)
+    def faulty_launch(g, gr, k, u, T):  # what _newton calls with the geometry cached at p
+        inject(T)
+        return _launch_velocity(g, gr, k, u, T)
+
+    monkeypatch.setattr(bvp, "_launch_velocity", faulty_launch)
     outcomes = {}
     for i in (11, 17):
         met.clear()

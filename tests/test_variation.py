@@ -4,7 +4,7 @@ import pytest
 from brachkit.curves import FieldAlongCurve
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, NotNormal, NotTangentToGamma
-from brachkit.geometry import conformal_geometry, connection_coeffs
+from brachkit.geometry import _jacobian_fd, conformal_geometry, connection_coeffs
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import dD_differential, deform_D
@@ -393,8 +393,11 @@ def _reference_full_hessian(cg, w, data, n_basis):
     # (value, t-derivative) of each basis field at a point, and its value at t = 0
     basis = [(lambda t, q, v, j=j, a=a: (hat(j, t) * np.eye(m)[a], hat_slope(j, t) * np.eye(m)[a]),
               np.zeros(m)) for j in range(1, n_basis) for a in range(m)]
+    def jac_y(q):  # dY by central differences of Y: exactly zero in the adapted chart
+        return _jacobian_fd(model.y, q, model.fd_step)
+
     basis.append((lambda t, q, v: (hat(0, t) * model.y(q),
-                                   hat_slope(0, t) * model.y(q) + hat(0, t) * model.dy(q) @ v),
+                                   hat_slope(0, t) * model.y(q) + hat(0, t) * jac_y(q) @ v),
                   model.y(w.points[0])))
     n = len(basis)
     H = np.zeros((n, n))
