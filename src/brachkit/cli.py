@@ -23,7 +23,8 @@ from .curves import (csv_rows, curve_from_csv, curve_from_json_dict, curve_to_cs
                      curve_to_json_dict)
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
                        integrate_brachistochrone)
-from .errors import BrachkitError, ConfigError, InvalidParams, UnknownModel, ZeroSeed
+from .errors import (BrachkitError, ConfigError, GridMismatch, InvalidParams, UnknownModel,
+                     ZeroSeed)
 from .geometry import conformal_geometry, curve_distance, horizontal_unit
 from .models import MODEL_NAMES, ModelSpec, make_model
 from .oracle import PenaltyConfig, discrete_minimize
@@ -205,8 +206,10 @@ def _load_solution(path: Path):
             residual_conservation_speed=float(d["residuals"]["conservation_speed"]),
             residual_ode=float(d["residuals"]["equation"]),
         )
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, GridMismatch) as exc:
         raise ConfigError(f"cannot read solution file {path.name}: {exc!r}")
+    if sol.sigma.points.ndim != 2 or sol.sigma.m != model.m:
+        raise ConfigError(f"solution file {path.name} must hold {model.m}-dimensional points")
     return model, d["model"], sol
 
 
@@ -214,7 +217,7 @@ def _load_init_curve(path: Path, model):
     try:
         with open(path) as fh:
             curve = curve_from_csv(fh.read())
-    except (OSError, IndexError, ValueError) as exc:
+    except (OSError, IndexError, ValueError, GridMismatch) as exc:
         raise ConfigError(f"cannot read initial curve {path.name}: {exc!r}")
     if curve.points.ndim != 2 or curve.points.shape[1] != model.m:
         raise ConfigError(f"initial curve {path.name} must hold {model.m}-dimensional points")

@@ -101,6 +101,31 @@ class FieldAlongCurve:
                                derivatives=der)
 
 
+class _NodeSpline:
+    """Named per-node arrays as the columns of one cubic spline on their grid.
+
+    Each column's values and derivatives are bit-identical to those of a
+    spline of that quantity alone.
+    """
+
+    def __init__(self, grid: np.ndarray, parts: dict):
+        self._layout = {}
+        start = 0
+        for name, arr in parts.items():
+            width = arr[0].size
+            self._layout[name] = (slice(start, start + width), arr.shape[1:])
+            start += width
+        self._spl = CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
+                                                 for arr in parts.values()]), axis=0)
+
+    def sample(self, t, nu: int = 0) -> dict:
+        """The arrays' nu-th derivatives at parameter(s) t, as views into one evaluation."""
+        vals = self._spl(t, nu)
+        lead = vals.shape[:-1]
+        return {name: vals[..., sl].reshape(lead + shape)
+                for name, (sl, shape) in self._layout.items()}
+
+
 def covariant_nodes(c: Curve, gamma: np.ndarray, f: FieldAlongCurve) -> np.ndarray:
     """nabla_{c'} f at the nodes of c, from the Christoffels ``gamma`` at those nodes.
 

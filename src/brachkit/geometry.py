@@ -104,7 +104,7 @@ class SpacetimeModel:
     def require_in_chart(self, q) -> np.ndarray:
         q = _coords(q)
         if not self.in_chart(q):
-            raise OutOfChart(f"point {q} outside chart of model '{self.name}'")
+            raise OutOfChart(f"outside chart of '{self.name}': {_first_of(q, _off_chart(self, q))}")
         return q
 
     # Raw component access -------------------------------------------------
@@ -124,6 +124,24 @@ class SpacetimeModel:
         for i, period in self.periods.items():
             dq[..., i] = (dq[..., i] + period / 2.0) % period - period / 2.0
         return dq
+
+
+def _off_chart(model: SpacetimeModel, q: np.ndarray) -> np.ndarray:
+    """Per point of ``q``: True where it is not a finite chart point (all, for a wrong m)."""
+    if q.shape[-1:] != (model.m,):
+        return np.ones(q.shape[:-1], dtype=bool)
+    bad = ~np.isfinite(q).all(axis=-1)
+    if model.chart_domain is not None:
+        bad = bad | ~np.asarray(model.chart_domain(q), dtype=bool)
+    return bad
+
+
+def _first_of(q: np.ndarray, bad) -> str:
+    """'n of N points, the first <point>' for the points flagged in ``bad``: a message
+    names one point, since formatting a batch can cost more than the failed call."""
+    bad = np.broadcast_to(bad, q.shape[:-1])
+    first = q[tuple(np.argwhere(bad)[0])]
+    return f"{np.count_nonzero(bad)} of {bad.size} points, the first {first}"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +234,8 @@ def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
         return np.asarray(model.analytic_christoffels(q), dtype=float)
     steps = model.fd_step * np.eye(model.m)
     if not all(model.in_chart(q + e) and model.in_chart(q - e) for e in steps):
-        raise StencilOutOfChart(f"stencil around {q} leaves the chart")
+        bad = np.any([_off_chart(model, q + s * e) for e in steps for s in (1.0, -1.0)], axis=0)
+        raise StencilOutOfChart(f"stencil leaves chart of '{model.name}' at {_first_of(q, bad)}")
     dg = np.stack([(model.g(q + e) - model.g(q - e)) / (2.0 * model.fd_step)
                    for e in steps], axis=-3)
     return _christoffels(model.g(q), dg)
@@ -265,7 +284,7 @@ def conformal_factor(model: SpacetimeModel, q, k: float):
     yy = model.g(q)[..., -1, -1]
     denom = k * k + yy
     if (denom <= 0.0).any():
-        raise OutsideUk(f"k^2 + <Y,Y> = {np.min(denom)} <= 0 at {q}")
+        raise OutsideUk(f"k^2 + <Y,Y> = {np.min(denom)} <= 0 at {_first_of(q, denom <= 0.0)}")
     return -yy / denom
 
 

@@ -2,7 +2,8 @@
 detection, and the correspondence between the two sides.
 
 Both Jacobi equations run on stacked rows, one field per row, with their
-coefficients interpolated from one fused spline per curve.  Focal parameters
+coefficients sampled from the one spline of the curve's cache
+(``SolutionGeometry`` or ``ConformalCurveData``).  Focal parameters
 come from zeros of det(J L), J the Jacobi basis and g~ = L L^T, with
 multiplicities read off a rank analysis at each zero.  On the solution side
 they are confirmed through the adjoint of the linearized equation,
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq, minimize_scalar
 
-from .curves import Curve, FieldAlongCurve
+from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
@@ -65,68 +65,32 @@ class FocalReport:
 # ---------------------------------------------------------------------------
 # Linearized travel-time equation along a solution
 
-class _NodeSpline:
-    """Named per-node arrays as the columns of one cubic spline on their grid.
-
-    Each column's coefficients are those of a spline of that quantity alone.
-    """
-
-    def __init__(self, grid: np.ndarray, parts: dict):
-        self._layout = {}
-        start = 0
-        for name, arr in parts.items():
-            width = arr[0].size
-            self._layout[name] = (slice(start, start + width), arr.shape[1:])
-            start += width
-        self._spl = CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
-                                                 for arr in parts.values()]), axis=0)
-
-    def sample(self, t) -> dict:
-        """The arrays at parameter(s) t, as views into one evaluation."""
-        vals = self._spl(t)
-        lead = vals.shape[:-1]
-        return {name: vals[..., sl].reshape(lead + shape)
-                for name, (sl, shape) in self._layout.items()}
+def _coeffs_at(spline: _NodeSpline, t) -> dict:
+    """The linearized equation's coefficients at a scalar t, off ``SolutionGeometry.spline``:
+    nabla Y (``K``) and ``dK`` are Gamma[..., -1] and its derivative, made contiguous as a
+    product's bits depend on layout; Y = e_last and <Y,Y> = g[-1, -1]."""
+    d = spline.sample(t)
+    d["K"] = np.ascontiguousarray(d["gamma"][..., -1])
+    d["dK"] = np.ascontiguousarray(spline.sample(t, 1)["gamma"][..., -1])
+    d["y"] = np.eye(d["g"].shape[-1])[-1]
+    d["N"] = float(d["g"][-1, -1])
+    return d
 
 
-class _BJacobiCache(_NodeSpline):
-    """Coefficient data for the linearized equation along sigma, as one spline.
-
-    gamma, K, g, Y, the velocity, <Y,Y>, RM1 and RM2 are the columns of one
-    ``_NodeSpline`` on the solution grid; a separate piecewise polynomial on
-    the K columns gives dK/dt.
-    """
-
-    def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution,
-                 geom: SolutionGeometry | None = None):
-        geom = SolutionGeometry(model, sol) if geom is None else geom
-        self.k, self.T = sol.k, sol.T
-        self.m = model.m
-        super().__init__(sol.sigma.grid, dict(
-            gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y, v=sol.sigma.velocities,
-            N=geom.N, RM1=geom.RM1, RM2=geom.RM2))
-        self._K_poly = PPoly(self._spl.c[:, :, self._layout["K"][0]], self._spl.x)
-
-    def at(self, t) -> dict:
-        d = self.sample(t)
-        d["N"] = float(d["N"])
-        d["dK"] = self._K_poly(t, 1).reshape(self.m, self.m)
-        return d
-
-
-def _bjacobi_rhs(cache: _BJacobiCache):
+def _bjacobi_rhs(geom: SolutionGeometry):
     """The linearized equation on stacked augmented states.
 
     Each row of ``X``, shape (n, 2m+1), is (V, DV, C_V); the right-hand side is
     homogeneous linear in the row and dC_V/dt = 0, so applied to the identity
     rows it returns the transposed coefficient matrix A(t)^T.
     """
-    k, T, m = cache.k, cache.T, cache.m
+    k, T, m = geom.sol.k, geom.sol.T, geom.model.m
     kk = k * k
+    spline = geom.spline   # the closure holds no solution: solvers keep it in cycles
 
     def rhs(t, X):
         V, DV, C_V = X[:, :m], X[:, m:2 * m], X[:, 2 * m]
-        d = cache.at(t)
+        d = _coeffs_at(spline, t)
         g, y, v, K = d["g"], d["y"], d["v"], d["K"]
         N, P = d["N"], kk + d["N"]
         NP = N * P
@@ -158,15 +122,16 @@ def _bjacobi_rhs(cache: _BJacobiCache):
 
 def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
                       V0, dV0, t0: float = 0.0, t1: float = 1.0,
-                      cache: _BJacobiCache | None = None) -> JacobiFieldData:
+                      geom: SolutionGeometry | None = None) -> JacobiFieldData:
     """Integrate the linearized travel-time equation from covariant data (V0, dV0).
 
     ``dV0`` is the covariant derivative of the field at the start; the
     admissibility constant is computed from the data, and the launch must
-    satisfy the linearized conservation condition.
+    satisfy the linearized conservation condition.  ``geom`` is the cached
+    geometry of ``sol``, built when not given.
     """
-    cache = _BJacobiCache(model, sol) if cache is None else cache
-    d0 = cache.at(t0)
+    geom = SolutionGeometry(model, sol) if geom is None else geom
+    d0 = _coeffs_at(geom.spline, t0)
     V0 = _coords(V0)
     dV0 = _coords(dV0)
     g, y, v = d0["g"], d0["y"], d0["v"]
@@ -178,7 +143,7 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
             f"launch data violates the linearized conservation condition: {ic:.3e}")
 
     m = model.m
-    rhs = _bjacobi_rhs(cache)
+    rhs = _bjacobi_rhs(geom)
     out = solve_ivp(lambda t, s: rhs(t, np.append(s, C_V)[None])[0, :2 * m], (t0, t1),
                     np.concatenate([V0, dV0]), dense_output=True, **_IVP_OPTS)
     if not out.success:
@@ -193,9 +158,9 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     vals[mask] = sampled[:m].T
     ders[mask] = sampled[m:].T
     # conserved-quantity drift
-    d = cache.sample(ts)
-    Kv = np.einsum("nab,nb->na", d["K"], d["v"])
-    c_here = _inner(d["g"], ders[mask], d["y"]) - _inner(d["g"], vals[mask], Kv)
+    d = geom.spline.sample(ts)
+    Kv = np.einsum("nab,nb->na", np.ascontiguousarray(d["gamma"][..., -1]), d["v"])
+    c_here = _inner(d["g"], ders[mask], np.eye(m)[-1]) - _inner(d["g"], vals[mask], Kv)
     drift = float(np.max(np.abs(c_here - C_V), initial=0.0))
     return JacobiFieldData(
         field=FieldAlongCurve(host=sol.sigma, values=vals),
@@ -207,29 +172,23 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
 # ---------------------------------------------------------------------------
 # Riemannian Jacobi fields along a conformal geodesic
 
-def _conformal_coeffs(data: ConformalCurveData) -> _NodeSpline:
-    """Gamma~, the tidal matrix, w' and g~ along ``data.w`` as one spline."""
-    return _NodeSpline(data.w.grid, dict(gamma=data.gamma, A=data.Braw,
-                                         v=data.w.velocities, gt=data.gt))
-
-
-def _rjacobi_rhs(coeffs: _NodeSpline):
+def _rjacobi_rhs(spline: _NodeSpline):
     """The Jacobi equation of g~ on stacked rows (J, DJ), one field per row."""
 
     def rhs(t, X):
         m = X.shape[1] // 2
         J, DJ = X[:, :m], X[:, m:]
-        d = coeffs.sample(t)
+        d = spline.sample(t)
         Gv = np.einsum("abc,b->ac", d["gamma"], d["v"])   # X -> Gamma~(w', X)
-        return np.hstack([DJ - J @ Gv.T, J @ d["A"].T - DJ @ Gv.T])
+        return np.hstack([DJ - J @ Gv.T, J @ d["Braw"].T - DJ @ Gv.T])
 
     return rhs
 
 
-def _rjacobi_solve(coeffs: _NodeSpline, X0: np.ndarray):
+def _rjacobi_solve(spline: _NodeSpline, X0: np.ndarray):
     """All rows of X0, shape (n, 2m), in one solve over [0, 1]; the dense output."""
     shape = X0.shape
-    rhs = _rjacobi_rhs(coeffs)
+    rhs = _rjacobi_rhs(spline)
     out = solve_ivp(lambda t, s: rhs(t, s.reshape(shape)).ravel(), (0.0, 1.0), X0.ravel(),
                     dense_output=True, **_IVP_OPTS)
     if not out.success:
@@ -248,9 +207,8 @@ def _field_data(w: Curve, dense) -> list:
 
 def integrate_rjacobi(confgeom: ConformalGeometry, w: Curve, J0, dJ0) -> JacobiFieldData:
     """Integrate the Jacobi equation of the conformal metric along a geodesic."""
-    coeffs = _conformal_coeffs(ConformalCurveData(confgeom, w))
     X0 = np.concatenate([_coords(J0), _coords(dJ0)])[None]
-    return _field_data(w, _rjacobi_solve(coeffs, X0))[0]
+    return _field_data(w, _rjacobi_solve(ConformalCurveData(confgeom, w).spline, X0))[0]
 
 
 def _check_orthogonal_start(confgeom, w):
@@ -264,7 +222,7 @@ def _check_orthogonal_start(confgeom, w):
 
 
 def _jacobi_basis(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveData | None):
-    """The coefficient spline and the one dense solution of all m basis fields."""
+    """The curve data and the one dense solution of all m basis fields."""
     _check_orthogonal_start(confgeom, w)
     data = ConformalCurveData(confgeom, w) if data is None else data
     m = confgeom.m
@@ -278,8 +236,7 @@ def _jacobi_basis(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveDat
     X0[1:, m:] = orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)
     if np.linalg.svd(X0, compute_uv=False)[-1] <= 1e-8:
         raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
-    coeffs = _conformal_coeffs(data)
-    return coeffs, _rjacobi_solve(coeffs, X0)
+    return data, _rjacobi_solve(data.spline, X0)
 
 
 def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
@@ -306,13 +263,13 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     from the observer line to the event; the returned parameters are in that
     same orientation.
     """
-    coeffs, dense = _jacobi_basis(confgeom, w, data)
-    m = confgeom.m
+    data, dense = _jacobi_basis(confgeom, w, data)
+    spline, m = data.spline, confgeom.m   # the root finders keep the closure in cycles
 
     def matrix_at(t):
         """J L at a scalar t, or stacked along the axes of an array t."""
         J = np.moveaxis(dense(t), 0, -1).reshape(np.shape(t) + (m, 2 * m))[..., :m]
-        return J @ np.linalg.cholesky(coeffs.sample(t)["gt"])
+        return J @ np.linalg.cholesky(spline.sample(t)["gt"])
 
     ts = np.linspace(t_min, 1.0, n_scan + 1)
     dets = np.linalg.det(matrix_at(ts))
@@ -348,8 +305,7 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     )
 
 
-def _endpoint_rows(model: SpacetimeModel, sol: BrachistochroneSolution,
-                   cache: _BJacobiCache):
+def _endpoint_rows(geom: SolutionGeometry):
     """Dense R(t) = F Phi(1, t), the endpoint map of the linearized equation from any t.
 
     F = [E g_R | 0 | 0] reads the g_R-components of V(1) along the horizontal
@@ -357,11 +313,11 @@ def _endpoint_rows(model: SpacetimeModel, sol: BrachistochroneSolution,
     backward from R(1) = F, so R(t0) x(t0) = F x(1) for every augmented
     solution x; no inversion is needed.
     """
-    m = cache.m
-    q1 = sol.sigma.points[-1]
+    model, m = geom.model, geom.model.m
+    q1 = geom.sol.sigma.points[-1]
     F = np.zeros((m - 1, 2 * m + 1))
     F[:, :m] = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
-    rhs = _bjacobi_rhs(cache)
+    rhs = _bjacobi_rhs(geom)
     eye = np.eye(2 * m + 1)
 
     def adjoint(t, flat):
@@ -373,16 +329,16 @@ def _endpoint_rows(model: SpacetimeModel, sol: BrachistochroneSolution,
     return lambda t: out.sol(t).reshape(m - 1, 2 * m + 1)
 
 
-def _bfocal_singular_value(sol, t0, cache: _BJacobiCache, rows):
+def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):
     """Smallest relative singular value of the endpoint map at parameter t0.
 
     The launches (0, dv) with dv admissible, <dv, k s' - T Y> = 0, carry
     C_V = <dv, Y>; ``rows`` is the propagator of ``_endpoint_rows``.
     """
-    d = cache.at(t0)
+    d = _coeffs_at(geom.spline, t0)
     g, y, v = d["g"], d["y"], d["v"]
-    m = cache.m
-    row = g @ (sol.k * v - sol.T * y)
+    m = geom.model.m
+    row = g @ (geom.sol.k * v - geom.sol.T * y)
     _, _, Vt = np.linalg.svd(row[None, :])
     dirs = Vt[1:]
     R = rows(t0)
@@ -410,7 +366,7 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     cg = conformal_geometry(model, sol.k)
     riem = focal_points(cg, wrev)
 
-    cache = _BJacobiCache(model, sol)
+    geom = SolutionGeometry(model, sol)
     rows = None
     out = []
     for tR, mult in riem.focal_list:
@@ -419,10 +375,10 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
             out.append((float(tb), mult, 0.0))
             continue
         if rows is None:
-            rows = _endpoint_rows(model, sol, cache)
+            rows = _endpoint_rows(geom)
         lo = max(0.0, tb - refine_window)
         hi = min(1.0 - 1e-6, tb + refine_window)
-        res = minimize_scalar(lambda t: _bfocal_singular_value(sol, t, cache, rows),
+        res = minimize_scalar(lambda t: _bfocal_singular_value(geom, t, rows),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
         tb_refined = float(res.x)

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
-from .curves import Curve, FieldAlongCurve, covariant_nodes, cumulative_integral, grid_integral
+from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumulative_integral,
+                     grid_integral)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
@@ -55,7 +56,10 @@ def _sym(M):
 
 
 class SolutionGeometry:
-    """Per-node Lorentzian data along a solution curve, computed once."""
+    """Per-node Lorentzian data along a solution curve, computed once.
+
+    ``spline`` holds Gamma, g, sigma', RM1 and RM2, the coefficients of the linearized
+    equation (nabla Y = Gamma[..., -1], Y = e_last, <Y,Y> = g[..., -1, -1])."""
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution):
         self.model = model
@@ -77,6 +81,8 @@ class SolutionGeometry:
         self.RM1 = np.einsum("nabcd,nb,nc->nad", R, v, v)     # (R(s', V) s')^a = RM1[a, d] V^d
         self.RM2 = np.einsum("nabcd,nb,nc->nad", R, y, v)     # (R(s', V) Y)^a  = RM2[a, d] V^d
         self.P = self.sol.k ** 2 + self.N
+        self.spline = _NodeSpline(sol.sigma.grid, dict(gamma=self.gamma, g=self.g, v=v,
+                                                       RM1=self.RM1, RM2=self.RM2))
 
 
 @dataclass
@@ -186,7 +192,10 @@ def hessian_F_eval(model: SpacetimeModel, sol: BrachistochroneSolution,
 # Conformal-side index form and energy Hessian
 
 class ConformalCurveData:
-    """Per-node conformal data along a curve (metric, Christoffels, tidal matrix)."""
+    """Per-node conformal data along a curve (metric, Christoffels, tidal matrix).
+
+    ``spline`` holds q, w', g~, Gamma~, ``Braw``, B, and the Lorentzian g and nabla Y
+    (``K``); the Hessian assembly and the Jacobi solves sample it."""
 
     def __init__(self, confgeom: ConformalGeometry, w: Curve, geodesic_tol: float = 1e-4,
                  check: bool = True):
@@ -203,12 +212,13 @@ class ConformalCurveData:
         self.gt = confgeom.metric(pts)                     # conformal metric
         self.gamma = confgeom.christoffels(pts)
         self.y = model.y(pts)
-        self.N = model.g(pts)[..., -1, -1]
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
-        self.K = nabla_y_matrix(model, pts)                # Lorentzian nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
         self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
+        self.spline = _NodeSpline(w.grid, dict(
+            q=pts, v=v, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
+            g=model.g(pts), K=nabla_y_matrix(model, pts)))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
         return covariant_nodes(self.w, self.gamma, field)
@@ -379,24 +389,11 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
 
     tq, wq = _quad_points(n_basis)
     nodes = np.linspace(0.0, 1.0, n_basis + 1)
-    pspl = w.point_spline()
-    vspl = w.velocity_spline()
-    pts_q = pspl(tq)
-    vels_q = vspl(tq)
-
+    # the cached node data, interpolated: no curvature at the quadrature points
+    at_q = data.spline.sample(tq)
     nq = tq.size
     m = confgeom.m
-    gt_q = np.empty((nq, m, m))
-    gam_q = np.empty((nq, m, m, m))
-    B_q = np.empty((nq, m, m))
-    # interpolate cached node data instead of re-deriving curvature at every
-    # quadrature point
-    for name, target in (("gt", gt_q), ("gamma", gam_q), ("B", B_q)):
-        src = getattr(data, name)
-        spl = CubicSpline(w.grid, src.reshape(w.grid.size, -1), axis=0)
-        target[:] = spl(tq).reshape((nq,) + src.shape[1:])
-
-    y_q = model.y(pts_q)  # constant along the curve: dY = 0
+    y = np.eye(m)[-1]  # Y = e_last, constant along the curve: dY = 0
 
     def hats(ts):
         """Values and slopes of all nodal hats at the given parameters."""
@@ -416,7 +413,6 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
     interior = slice(1, n_basis)
     # interior hats as (node, 1, nq, 1), to broadcast against (direction, nq, m)
     hv, hs = (h[:, interior].T[:, None, :, None] for h in (hat_v, hat_s))
-    y_start = model.y(pspl(0.0))
 
     # Basis fields at the quadrature points, shape (ndof, nq, m), interior nodes
     # first (node-major); their values at the observer end go to V0s.
@@ -424,36 +420,33 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         # nodal fields hat_j e_a, then the observer-end field hat_0 Y
         axes = np.eye(m)[:, None, :]
         Vs, dVs = (hv * axes).reshape(-1, nq, m), (hs * axes).reshape(-1, nq, m)
-        V_y = hat_v[:, 0][:, None] * y_q
-        dV_y = hat_s[:, 0][:, None] * y_q
+        V_y = hat_v[:, 0][:, None] * y
+        dV_y = hat_s[:, 0][:, None] * y
         Vs = np.concatenate([Vs, V_y[None]])
         dVs = np.concatenate([dVs, dV_y[None]])
         V0s = np.zeros((Vs.shape[0], m))
-        V0s[-1] = y_start
+        V0s[-1] = y
     else:
         drop_velocity = boundary_conditions == "perpendicular"
-        frames_nodes = _frame_perp(model, pspl(nodes), vspl(nodes), drop_velocity)
+        at_nodes = data.spline.sample(nodes)
+        frames_nodes = _frame_perp(model, at_nodes["q"], at_nodes["v"], drop_velocity)
         keep = frames_nodes.shape[1]
         fr_spl = CubicSpline(nodes, frames_nodes.reshape(nodes.size, -1), axis=0)
         frames_q = fr_spl(tq).reshape(nq, keep, m)
         dframes_q = fr_spl(tq, 1).reshape(nq, keep, m)
-        # Lorentzian <E_a, nabla_w' Y> / <Y,Y> along the curve, for the
-        # first-order horizontality condition on the Y-component.
-        K_spl = CubicSpline(w.grid, data.K.reshape(w.grid.size, -1), axis=0)
-        g_spl = CubicSpline(w.grid, model.g(w.points).reshape(w.grid.size, -1), axis=0)
 
-        def rate(ts, frames, ys, vels):
-            g = g_spl(ts).reshape(ts.size, m, m)
-            Kv = np.einsum("qab,qb->qa", K_spl(ts).reshape(ts.size, m, m), vels)  # nabla_{w'} Y
-            N = np.einsum("qa,qab,qb->q", ys, g, ys)
-            return 2.0 * np.einsum("qca,qab,qb->qc", frames, g, Kv) / N[:, None]
+        # Lorentzian 2 <E_a, nabla_w' Y> / <Y,Y> along the curve, for the
+        # first-order horizontality condition on the Y-component.
+        def rate(at, frames):
+            g = at["g"]
+            Kv = np.einsum("qab,qb->qa", at["K"], at["v"])  # nabla_{w'} Y
+            return 2.0 * np.einsum("qca,qab,qb->qc", frames, g, Kv) / g[:, -1, -1][:, None]
 
         # rate for a field c(t) E_a(t): lambda' = c(t) * rate[a](t)
-        rate_q = rate(tq, frames_q, y_q, vels_q)
+        rate_q = rate(at_q, frames_q)
         fine = np.linspace(0.0, 1.0, 4 * n_basis + 1)
         hat_vf, _ = hats(fine)
-        rate_f = rate(fine, fr_spl(fine).reshape(fine.size, keep, m), model.y(pspl(fine)),
-                      vspl(fine))
+        rate_f = rate(data.spline.sample(fine), fr_spl(fine).reshape(fine.size, keep, m))
         # transverse parts hat_j E_a
         E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
         Vs, dVs = (hv * E).reshape(-1, nq, m), (hs * E + hv * dE).reshape(-1, nq, m)
@@ -464,16 +457,16 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         lam_spl = CubicSpline(fine, lam_f - lam_f[-1], axis=0)
         lam_q = lam_spl(tq).T[:, :, None]
         lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
-        Vs = Vs + lam_q * y_q
-        dVs = dVs + lam_rate_q * y_q
-        V0s = lam_spl(0.0)[:, None] * y_start
+        Vs = Vs + lam_q * y
+        dVs = dVs + lam_rate_q * y
+        V0s = lam_spl(0.0)[:, None] * y
 
     ndof = Vs.shape[0]
     # covariant derivative along the curve at quadrature points
-    nVs = dVs + np.einsum("qac,dqc->dqa", np.einsum("qabc,qb->qac", gam_q, vels_q), Vs)
+    nVs = dVs + np.einsum("qac,dqc->dqa", np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"]), Vs)
     # Galerkin contraction sum_q wq X_a(q)^T M(q) X_b(q) as one matrix product
     Hmat = np.zeros((ndof, ndof))
-    for X, M in ((nVs, gt_q), (Vs, B_q)):
+    for X, M in ((nVs, at_q["gt"]), (Vs, at_q["B"])):
         W = np.einsum("qij,bqj->bqi", M * wq[:, None, None], X)
         Hmat += X.reshape(ndof, -1) @ W.reshape(ndof, -1).T
     Hmat = Hmat + _boundary_2ff(data, V0s, V0s)

@@ -238,7 +238,9 @@ def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override
     None,
     "t,q_1,q_2,q_3,v_1,v_2,v_3\n0.0,a,b,c,d,e,f\n",
     "t,q_1,q_2,v_1,v_2\n0.0,0.0,0.0,1.0,0.0\n1.0,1.0,0.0,1.0,0.0\n",
-], ids=["missing_file", "not_numeric", "wrong_dimension"])
+    "t,q_1,q_2,q_3,v_1,v_2,v_3\n0.0,0,0,0,1,0,0\n0.6,0,0,0,1,0,0\n0.4,0,0,0,1,0,0\n"
+    "1.0,0,0,0,1,0,0\n",
+], ids=["missing_file", "not_numeric", "wrong_dimension", "t_decreasing"])
 def test_unreadable_oracle_init_is_config_error(tmp_path, caplog, content):
     if content is not None:
         (tmp_path / "init.csv").write_text(content)
@@ -252,13 +254,24 @@ def test_unreadable_oracle_init_is_config_error(tmp_path, caplog, content):
     assert not (tmp_path / "oracle.json").exists()
 
 
+def _solution_doc(grid, m):
+    """A minkowski3 solution file over ``grid`` whose points have m columns."""
+    zeros = np.zeros((len(grid), m))
+    return {"model": {"name": "minkowski3"}, "k": BASE["k"], "T": 1.0,
+            "residuals": {"conservation_Y": 0.0, "conservation_speed": 0.0, "equation": 0.0},
+            "curve": {"grid": grid, "points": zeros.tolist(),
+                      "velocities": (zeros + 1.0).tolist()}}
+
+
 @pytest.mark.parametrize("command, content", [
     ("index", None),
     ("verify", None),
     ("jacobi", {"model": 3}),
     ("verify", "{not json"),
+    ("verify", _solution_doc([0.0, 0.5, 0.25, 0.75, 1.0], 3)),
+    ("verify", _solution_doc([0.0, 0.5, 1.0], 2)),
 ], ids=["index_missing_file", "verify_missing_file", "jacobi_model_not_a_block",
-        "verify_not_json"])
+        "verify_not_json", "verify_grid_not_increasing", "verify_wrong_dimension"])
 def test_unreadable_solution_is_config_error(tmp_path, caplog, command, content):
     if content is not None:
         text = content if isinstance(content, str) else json.dumps(content)
@@ -267,7 +280,9 @@ def test_unreadable_solution_is_config_error(tmp_path, caplog, command, content)
     with caplog.at_level("ERROR", logger="brachkit.cli"):
         code = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
-    assert any("configuration error" in rec.getMessage() for rec in caplog.records)
+    assert any("configuration error" in rec.getMessage() and "nope.json" in rec.getMessage()
+               for rec in caplog.records)
+    assert not (tmp_path / "error.json").exists()
 
 
 @pytest.mark.parametrize("command, override", [

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from brachkit.curves import (Curve, FieldAlongCurve, covariant_derivative_along,
+from brachkit.curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
                              curve_from_csv, curve_from_json_dict, curve_to_csv,
                              curve_to_json_dict, field_integral,
                              resample_curve)
@@ -137,6 +137,27 @@ def test_field_integral_symmetric_bilinear(models):
     both = FieldAlongCurve(host=c, values=f.values + g.values)
     assert field_integral(model, c, both, g) == pytest.approx(
         field_integral(model, c, f, g) + field_integral(model, c, g, g), rel=1e-12)
+
+
+def test_node_spline_columns_equal_separate_splines():
+    # values and first derivatives of each part of the fused spline, at scalar
+    # and array t, are bit-identical to those of a spline of that part alone
+    rng = np.random.default_rng(5)
+    grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 399)]))
+    parts = dict(q=rng.standard_normal((401, 3)), g=rng.standard_normal((401, 3, 3)),
+                 gamma=rng.standard_normal((401, 3, 3, 3)), N=rng.standard_normal(401))
+    fused = _NodeSpline(grid, parts)
+    alone = {name: CubicSpline(grid, arr, axis=0) for name, arr in parts.items()}
+    ts = np.concatenate([grid[::7], rng.uniform(0.0, 1.0, 50)])
+    for nu in (0, 1):
+        batch = fused.sample(ts, nu)
+        for name, spl in alone.items():
+            assert batch[name].shape == (ts.size,) + parts[name].shape[1:]
+            assert np.array_equal(batch[name], spl(ts, nu)), (name, nu)
+        for t in ts[::5]:
+            one = fused.sample(t, nu)
+            for name, spl in alone.items():
+                assert np.array_equal(one[name], spl(t, nu)), (name, nu, t)
 
 
 def test_resample_straight_line():

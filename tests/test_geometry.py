@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brachkit import geometry as geo
-from brachkit.errors import OutOfChart, OutsideUk
+from brachkit.errors import OutOfChart, OutsideUk, StencilOutOfChart
 from brachkit.models import ModelSpec, make_model
 from brachkit.transform import flow_points, isometry_defect
 
@@ -37,6 +37,33 @@ def test_metric_eval_symmetric(models):
 def test_out_of_chart_raises(models):
     with pytest.raises(OutOfChart):
         geo.metric_eval(models["einstein_cylinder"], [0.01, 0, 0], [1, 0, 0], [1, 0, 0])
+    with pytest.raises(OutOfChart):   # a point of the wrong dimension
+        geo.metric_eval(models["einstein_cylinder"], [1.0, 0], [1, 0, 0], [1, 0, 0])
+
+
+def test_batch_errors_name_the_count_and_the_first_offending_point(models):
+    # one bad point in a batch of 1000: the message counts the bad points and
+    # shows the first one, not the whole batch
+    n, bad = 1000, 417
+    equator = np.column_stack([np.full(n, np.pi / 2), np.linspace(0.0, 6.0, n), np.zeros(n)])
+    off_chart, near_edge = equator.copy(), equator.copy()
+    off_chart[bad, 0] = 0.05                   # the chart is 0.1 <= theta <= pi - 0.1
+    near_edge[bad, 0] = 0.1 + 1e-6             # in the chart, its stencil is not
+    fd_cylinder = make_model(ModelSpec("einstein_cylinder"))
+    fd_cylinder.analytic_christoffels = None
+    well = np.column_stack([np.linspace(0.0, 1.0, n), np.zeros(n), np.zeros(n)])
+    well[bad, 0] = 2.0                         # <Y,Y> = -5 < -k^2
+    cases = [
+        (OutOfChart, off_chart, lambda: geo.connection_coeffs(models["einstein_cylinder"],
+                                                              off_chart)),
+        (StencilOutOfChart, near_edge, lambda: geo.connection_coeffs(fd_cylinder, near_edge)),
+        (OutsideUk, well, lambda: geo.conformal_factor(models["static_well"], well, 2.0)),
+    ]
+    for error, q, call in cases:
+        with pytest.raises(error) as info:
+            call()
+        msg = str(info.value)
+        assert len(msg) < 200 and "1 of 1000 points" in msg and str(q[bad]) in msg, msg
 
 
 def test_killing_eval(models):

@@ -7,13 +7,13 @@ from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geo
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import (conformal_geometry, horizontal_frame, orthonormal_completion,
                                riemannian_metric_matrix)
-from brachkit.jacobi import (_IVP_OPTS, _BJacobiCache, _bfocal_singular_value, _bjacobi_rhs,
+from brachkit.jacobi import (_IVP_OPTS, _bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
                              _endpoint_rows, bfocal_points,
                              focal_points, gamma_jacobi_basis, integrate_bjacobi,
                              integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
-from brachkit.variation import (ConformalCurveData, SolutionGeometry,
+from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
                                 make_admissible_variation)
 
 from conftest import unit_horizontal
@@ -72,16 +72,15 @@ def test_bjacobi_linearity(models, solutions):
     sol = solutions["rotating_frame"]
     rng = np.random.default_rng(40)
     geom = SolutionGeometry(model, sol)
-    cache = _BJacobiCache(model, sol, geom=geom)
-    d = cache.at(0.0)
+    d = _coeffs_at(geom.spline, 0.0)
     g, y, v = d["g"], d["y"], d["v"]
     # two admissible launches: dV in the kernel of the launch functional
     row = g @ (sol.k * v - sol.T * y)
     _, _, Vt = np.linalg.svd(row[None, :])
     d1, d2 = Vt[1], Vt[2]
-    o1 = integrate_bjacobi(model, sol, np.zeros(3), d1, cache=cache)
-    o2 = integrate_bjacobi(model, sol, np.zeros(3), d2, cache=cache)
-    o12 = integrate_bjacobi(model, sol, np.zeros(3), d1 + 2.0 * d2, cache=cache)
+    o1 = integrate_bjacobi(model, sol, np.zeros(3), d1, geom=geom)
+    o2 = integrate_bjacobi(model, sol, np.zeros(3), d2, geom=geom)
+    o12 = integrate_bjacobi(model, sol, np.zeros(3), d1 + 2.0 * d2, geom=geom)
     sup = np.max(np.abs(o12.field.values - o1.field.values - 2.0 * o2.field.values))
     assert sup < 1e-9 * max(1.0, np.max(np.abs(o12.field.values)))
 
@@ -224,11 +223,11 @@ def test_map_L_vanishing_start(models, solutions):
     sol = solutions["rotating_frame"]
     grid = sol.sigma.grid
     t0 = float(grid[80])
-    cache = _BJacobiCache(model, sol)
-    d = cache.at(t0)
+    geom = SolutionGeometry(model, sol)
+    d = _coeffs_at(geom.spline, t0)
     row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
     _, _, Vt = np.linalg.svd(row[None, :])
-    jb = integrate_bjacobi(model, sol, np.zeros(3), Vt[1], t0=t0, cache=cache)
+    jb = integrate_bjacobi(model, sol, np.zeros(3), Vt[1], t0=t0, geom=geom)
     out = map_L(model, sol, t0, jb.field, C_zeta=jb.C_V)
     assert np.max(np.abs(out.values[80])) < 1e-8 * (1 + np.max(np.abs(out.values)))
 
@@ -294,29 +293,35 @@ def test_bfocal_cylinder_correspondence(models, cylinder_long_arc):
 
 
 def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_long_arc):
-    # the fused coefficient spline reproduces, bit for bit, a separate cubic
-    # spline of each quantity and the derivative of the K spline
-    from scipy.interpolate import CubicSpline
+    # the coefficients of the linearized equation, read off SolutionGeometry's
+    # one spline, reproduce bit for bit a separate cubic spline of each
+    # quantity: nabla Y as Gamma[..., -1] and its t-derivative, Y as the
+    # constant e_last and <Y,Y> as g[..., -1, -1]
     for name, sol in (("rotating_frame", solutions["rotating_frame"]),
                       ("minkowski4", solutions["minkowski4"]),
                       ("einstein_cylinder", cylinder_long_arc)):
         model = models[name]
         geom = SolutionGeometry(model, sol)
-        cache = _BJacobiCache(model, sol, geom=geom)
         grid = sol.sigma.grid
         arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y,
                       v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
         splines = {key: CubicSpline(grid, arr, axis=0) for key, arr in arrays.items()}
         ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
         for t in ts:
-            d = cache.at(t)
+            d = _coeffs_at(geom.spline, t)
             for key, spl in splines.items():
                 assert np.array_equal(d[key], spl(t)), (name, key, t)
             assert np.array_equal(d["dK"], splines["K"](t, 1)), (name, t)
         assert isinstance(d["N"], float)
-        batch = cache.sample(ts)
-        for key, spl in splines.items():
-            assert np.array_equal(batch[key], spl(ts)), (name, key)
+        batch = geom.spline.sample(ts)
+        for key in ("gamma", "g", "v", "RM1", "RM2"):
+            assert np.array_equal(batch[key], splines[key](ts)), (name, key)
+        assert np.array_equal(batch["gamma"][..., -1], splines["K"](ts)), name
+        assert np.array_equal(geom.spline.sample(ts, 1)["gamma"][..., -1],
+                              splines["K"](ts, 1)), name
+        assert np.array_equal(batch["g"][..., -1, -1], splines["N"](ts)), name
+        assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
+                              splines["y"](ts)), name
 
 
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
@@ -332,15 +337,15 @@ def test_endpoint_rows_match_direct_integration(models, solutions):
     for name in ("einstein_cylinder", "static_well", "rotating_frame"):
         model, sol = models[name], solutions[name]
         m = model.m
-        cache = _BJacobiCache(model, sol)
-        rows = _endpoint_rows(model, sol, cache)
+        geom = SolutionGeometry(model, sol)
+        rows = _endpoint_rows(geom)
         q1 = sol.sigma.points[-1]
         F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
         for t0 in (0.0, 0.3, 0.55, 0.8):
-            d = cache.at(t0)
+            d = _coeffs_at(geom.spline, t0)
             row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
             for dv in np.linalg.svd(row[None, :])[2][1:]:
-                jb = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, cache=cache)
+                jb = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, geom=geom)
                 direct = F @ jb.field.values[-1]
                 via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
                 err = np.max(np.abs(via_rows - direct)) / np.max(np.abs(direct))
@@ -353,19 +358,19 @@ def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
     for name in ("static_well", "rotating_frame"):
         model, sol = models[name], solutions[name]
         m = model.m
-        cache = _BJacobiCache(model, sol)
-        rows = _endpoint_rows(model, sol, cache)
+        geom = SolutionGeometry(model, sol)
+        rows = _endpoint_rows(geom)
         q1 = sol.sigma.points[-1]
         F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
         for t0 in (0.1, 0.5, 0.9):
-            d = cache.at(t0)
+            d = _coeffs_at(geom.spline, t0)
             row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
             M = np.array([F @ integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0,
-                                                cache=cache).field.values[-1]
+                                                geom=geom).field.values[-1]
                           for dv in np.linalg.svd(row[None, :])[2][1:]]).T
             svals = np.linalg.svd(M, compute_uv=False)
             direct = svals[-1] / svals[0]
-            probe = _bfocal_singular_value(sol, t0, cache, rows)
+            probe = _bfocal_singular_value(geom, t0, rows)
             assert probe == pytest.approx(direct, rel=1e-8), (name, t0)
 
 
@@ -374,7 +379,7 @@ def test_bjacobi_rhs_broadcasts_over_rows(models, solutions):
     for name in ("static_well", "rotating_frame", "minkowski4"):
         model, sol = models[name], solutions[name]
         n = 2 * model.m + 1
-        rhs = _bjacobi_rhs(_BJacobiCache(model, sol))
+        rhs = _bjacobi_rhs(SolutionGeometry(model, sol))
         X = rng.standard_normal((6, n))
         for t in (0.0, 0.37, 1.0):
             stacked = rhs(t, X)
@@ -501,3 +506,30 @@ def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc,
         calls.clear()
         focal_points(cg, wrev)
         assert len(calls) == 1, name
+
+
+def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, monkeypatch):
+    # given the curve data, the full Hessian and the focal scan only sample
+    # its spline; a restricted mode builds its frame spline, its lambda
+    # antiderivative and its lambda spline, nothing else
+    init = CubicSpline.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    for name in ("rotating_frame", "minkowski4"):
+        model, sol = models[name], solutions[name]
+        cg = conformal_geometry(model, sol.k)
+        wrev = deform_D(model, sol, n_out=400).reversed()
+        data = ConformalCurveData(cg, wrev)
+        monkeypatch.setattr(CubicSpline, "__init__", counting)
+        for mode, expected in (("full", 0), ("horizontal", 3), ("perpendicular", 3)):
+            built.clear()
+            assemble_hessian(cg, wrev, mode, 20, data=data)
+            assert len(built) == expected, (name, mode, len(built))
+        built.clear()
+        focal_points(cg, wrev, data=data)
+        assert built == [], name
+        monkeypatch.undo()
