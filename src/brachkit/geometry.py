@@ -96,15 +96,13 @@ class SpacetimeModel:
 
     def in_chart(self, q) -> bool:
         """True iff every point of ``q`` (shape ``(..., m)``) lies in the chart."""
-        q = _coords(q)
-        if q.shape[-1:] != (self.m,) or not np.isfinite(q).all():
-            return False
-        return self.chart_domain is None or bool(self.chart_domain(q).all())
+        return _off_chart(self, _coords(q)) is None
 
     def require_in_chart(self, q) -> np.ndarray:
         q = _coords(q)
-        if not self.in_chart(q):
-            raise OutOfChart(f"outside chart of '{self.name}': {_first_of(q, _off_chart(self, q))}")
+        bad = _off_chart(self, q)
+        if bad is not None:
+            raise OutOfChart(f"outside chart of '{self.name}': {_first_of(q, bad)}")
         return q
 
     # Raw component access -------------------------------------------------
@@ -126,14 +124,16 @@ class SpacetimeModel:
         return dq
 
 
-def _off_chart(model: SpacetimeModel, q: np.ndarray) -> np.ndarray:
-    """Per point of ``q``: True where it is not a finite chart point (all, for a wrong m)."""
+def _off_chart(model: SpacetimeModel, q: np.ndarray) -> np.ndarray | None:
+    """None if every point of ``q`` is a finite chart point, else True where a point is
+    not (everywhere, for a wrong m); the mask is only formed for a failing batch."""
     if q.shape[-1:] != (model.m,):
         return np.ones(q.shape[:-1], dtype=bool)
-    bad = ~np.isfinite(q).all(axis=-1)
-    if model.chart_domain is not None:
-        bad = bad | ~np.asarray(model.chart_domain(q), dtype=bool)
-    return bad
+    inside = True if model.chart_domain is None else np.asarray(model.chart_domain(q), dtype=bool)
+    finite = np.isfinite(q)
+    if finite.all() and (inside is True or inside.all()):
+        return None
+    return ~(inside & finite.all(axis=-1))
 
 
 def _first_of(q: np.ndarray, bad) -> str:
@@ -233,9 +233,10 @@ def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
     if model.analytic_christoffels is not None:
         return np.asarray(model.analytic_christoffels(q), dtype=float)
     steps = model.fd_step * np.eye(model.m)
-    if not all(model.in_chart(q + e) and model.in_chart(q - e) for e in steps):
-        bad = np.any([_off_chart(model, q + s * e) for e in steps for s in (1.0, -1.0)], axis=0)
-        raise StencilOutOfChart(f"stencil leaves chart of '{model.name}' at {_first_of(q, bad)}")
+    bad = _off_chart(model, np.stack([q + s * e for e in steps for s in (1.0, -1.0)]))
+    if bad is not None:
+        raise StencilOutOfChart(f"stencil leaves chart of '{model.name}' at "
+                                f"{_first_of(q, bad.any(axis=0))}")
     dg = np.stack([(model.g(q + e) - model.g(q - e)) / (2.0 * model.fd_step)
                    for e in steps], axis=-3)
     return _christoffels(model.g(q), dg)

@@ -12,6 +12,7 @@ integrated once backward from the event.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,14 @@ class FocalReport:
 # Linearized travel-time equation along a solution
 
 def _coeffs_at(spline: _NodeSpline, t) -> dict:
-    """The linearized equation's coefficients at a scalar t, off ``SolutionGeometry.spline``:
-    nabla Y (``K``) and ``dK`` are Gamma[..., -1] and its derivative, made contiguous as a
-    product's bits depend on layout; Y = e_last and <Y,Y> = g[-1, -1]."""
+    """The linearized equation's coefficients at t, off ``SolutionGeometry.spline``: nabla Y
+    (``K``) and ``dK`` are Gamma[..., -1] and its derivative, contiguous as a product's bits
+    depend on layout; Y = e_last and <Y,Y> = g[..., -1, -1], a float at a scalar t."""
     d = spline.sample(t)
     d["K"] = np.ascontiguousarray(d["gamma"][..., -1])
     d["dK"] = np.ascontiguousarray(spline.sample(t, 1)["gamma"][..., -1])
     d["y"] = np.eye(d["g"].shape[-1])[-1]
-    d["N"] = float(d["g"][-1, -1])
+    d["N"] = d["g"][..., -1, -1][()]
     return d
 
 
@@ -158,9 +159,9 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
     vals[mask] = sampled[:m].T
     ders[mask] = sampled[m:].T
     # conserved-quantity drift
-    d = geom.spline.sample(ts)
-    Kv = np.einsum("nab,nb->na", np.ascontiguousarray(d["gamma"][..., -1]), d["v"])
-    c_here = _inner(d["g"], ders[mask], np.eye(m)[-1]) - _inner(d["g"], vals[mask], Kv)
+    d = _coeffs_at(geom.spline, ts)
+    Kv = np.einsum("nab,nb->na", d["K"], d["v"])
+    c_here = _inner(d["g"], ders[mask], d["y"]) - _inner(d["g"], vals[mask], Kv)
     drift = float(np.max(np.abs(c_here - C_V), initial=0.0))
     return JacobiFieldData(
         field=FieldAlongCurve(host=sol.sigma, values=vals),
@@ -172,25 +173,22 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
 # ---------------------------------------------------------------------------
 # Riemannian Jacobi fields along a conformal geodesic
 
-def _rjacobi_rhs(spline: _NodeSpline):
-    """The Jacobi equation of g~ on stacked rows (J, DJ), one field per row."""
-
-    def rhs(t, X):
-        m = X.shape[1] // 2
-        J, DJ = X[:, :m], X[:, m:]
-        d = spline.sample(t)
-        Gv = np.einsum("abc,b->ac", d["gamma"], d["v"])   # X -> Gamma~(w', X)
-        return np.hstack([DJ - J @ Gv.T, J @ d["Braw"].T - DJ @ Gv.T])
-
-    return rhs
-
-
 def _rjacobi_solve(spline: _NodeSpline, X0: np.ndarray):
-    """All rows of X0, shape (n, 2m), in one solve over [0, 1]; the dense output."""
-    shape = X0.shape
-    rhs = _rjacobi_rhs(spline)
-    out = solve_ivp(lambda t, s: rhs(t, s.reshape(shape)).ravel(), (0.0, 1.0), X0.ravel(),
-                    dense_output=True, **_IVP_OPTS)
+    """The Jacobi equation of g~ on stacked rows (J, DJ), one field per row: all rows of
+    X0, shape (n, 2m), in one solve over [0, 1]; the dense output."""
+    shape, m = X0.shape, X0.shape[1] // 2
+    # rhs reads the spline weakly, as solve_ivp leaves it in a reference cycle that
+    # outlives the call; the argument keeps the spline alive for the solve
+    spline_ref = weakref.ref(spline)
+
+    def rhs(t, s):
+        X = s.reshape(shape)
+        J, DJ = X[:, :m], X[:, m:]
+        d = spline_ref().sample(t)
+        Gv = np.einsum("abc,b->ac", d["gamma"], d["v"])   # X -> Gamma~(w', X)
+        return np.hstack([DJ - J @ Gv.T, J @ d["Braw"].T - DJ @ Gv.T]).ravel()
+
+    out = solve_ivp(rhs, (0.0, 1.0), X0.ravel(), dense_output=True, **_IVP_OPTS)
     if not out.success:
         raise StepFailure(f"Jacobi integration failed: {out.message}")
     return out.sol
@@ -226,7 +224,7 @@ def _jacobi_basis(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveDat
     _check_orthogonal_start(confgeom, w)
     data = ConformalCurveData(confgeom, w) if data is None else data
     m = confgeom.m
-    y0, gt0 = data.y[0], data.gt[0]
+    y0, gt0 = np.eye(m)[-1], data.gt[0]
     yy = float(y0 @ gt0 @ y0)
     X0 = np.zeros((m, 2 * m))
     # field tangent to the line at the start
@@ -264,12 +262,13 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     same orientation.
     """
     data, dense = _jacobi_basis(confgeom, w, data)
-    spline, m = data.spline, confgeom.m   # the root finders keep the closure in cycles
+    # read weakly, as scipy's root finders leave matrix_at in a reference cycle
+    spline_ref, m = weakref.ref(data.spline), confgeom.m
 
     def matrix_at(t):
         """J L at a scalar t, or stacked along the axes of an array t."""
         J = np.moveaxis(dense(t), 0, -1).reshape(np.shape(t) + (m, 2 * m))[..., :m]
-        return J @ np.linalg.cholesky(spline.sample(t)["gt"])
+        return J @ np.linalg.cholesky(spline_ref().sample(t)["gt"])
 
     ts = np.linspace(t_min, 1.0, n_scan + 1)
     dets = np.linalg.det(matrix_at(ts))

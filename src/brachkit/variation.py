@@ -13,6 +13,7 @@ solution data stays in the event-to-observer orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -70,7 +71,6 @@ class SolutionGeometry:
         self.gamma = connection_coeffs(model, pts)
         self.K = self.gamma[..., -1]                          # (nabla_v Y)^a = K[a,b] v^b
         self.N = self.g[..., -1, -1]                          # <Y,Y>
-        self.nabla_yy = self.K[..., -1]                       # (nabla_Y Y)^a
         R = curvature_tensor(model, pts)
         # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
         # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
@@ -81,8 +81,12 @@ class SolutionGeometry:
         self.RM1 = np.einsum("nabcd,nb,nc->nad", R, v, v)     # (R(s', V) s')^a = RM1[a, d] V^d
         self.RM2 = np.einsum("nabcd,nb,nc->nad", R, y, v)     # (R(s', V) Y)^a  = RM2[a, d] V^d
         self.P = self.sol.k ** 2 + self.N
-        self.spline = _NodeSpline(sol.sigma.grid, dict(gamma=self.gamma, g=self.g, v=v,
-                                                       RM1=self.RM1, RM2=self.RM2))
+
+    @cached_property
+    def spline(self) -> _NodeSpline:
+        return _NodeSpline(self.sol.sigma.grid, dict(gamma=self.gamma, g=self.g,
+                                                     v=self.sol.sigma.velocities,
+                                                     RM1=self.RM1, RM2=self.RM2))
 
 
 @dataclass
@@ -154,8 +158,8 @@ def _hessian_F_quadratic(geom: SolutionGeometry, zeta: FieldAlongCurve) -> float
     integrand = ratio * term1 + (2.0 * sol.k * sol.T / geom.P) * term2
     total = grid_integral(grid, integrand)
     a_z = float(z[-1] @ geom.g[-1] @ geom.y[-1]) / geom.N[-1]
-    boundary = (ratio[-1] * a_z ** 2
-                * float(geom.nabla_yy[-1] @ geom.g[-1] @ curve.velocities[-1]))
+    boundary = (ratio[-1] * a_z ** 2                      # (nabla_Y Y)^a = K[a, -1]
+                * float(geom.K[-1, :, -1] @ geom.g[-1] @ curve.velocities[-1]))
     return float(total + boundary)
 
 
@@ -211,7 +215,6 @@ class ConformalCurveData:
         pts, v = w.points, w.velocities
         self.gt = confgeom.metric(pts)                     # conformal metric
         self.gamma = confgeom.christoffels(pts)
-        self.y = model.y(pts)
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
         self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
@@ -243,7 +246,7 @@ def _boundary_2ff(data: ConformalCurveData, a1: np.ndarray, a2: np.ndarray):
     vectors, or stacks of them as rows; the result is their outer table.
     """
     gt0 = data.gt[0]
-    y0 = data.y[0]
+    y0 = np.eye(gt0.shape[-1])[-1]
     yy = float(y0 @ gt0 @ y0)
     y_dot = float(y0 @ gt0 @ (data.Kt[0] @ data.w.velocities[0]))   # g~(Y, nabla~_{w'} Y)
     return np.multiply.outer(a1 @ gt0 @ y0, a2 @ gt0 @ y0) * (y_dot / yy ** 2)

@@ -53,7 +53,10 @@ def test_batch_errors_name_the_count_and_the_first_offending_point(models):
     fd_cylinder.analytic_christoffels = None
     well = np.column_stack([np.linspace(0.0, 1.0, n), np.zeros(n), np.zeros(n)])
     well[bad, 0] = 2.0                         # <Y,Y> = -5 < -k^2
+    flat = np.zeros((n, 3))
+    flat[bad, 1] = np.nan                      # a chart without a domain: finite points only
     cases = [
+        (OutOfChart, flat, lambda: geo.connection_coeffs(models["minkowski3"], flat)),
         (OutOfChart, off_chart, lambda: geo.connection_coeffs(models["einstein_cylinder"],
                                                               off_chart)),
         (StencilOutOfChart, near_edge, lambda: geo.connection_coeffs(fd_cylinder, near_edge)),

@@ -411,7 +411,7 @@ def _reference_full_hessian(cg, w, data, n_basis):
                 nVb = dVb + np.einsum("abc,b,c->a", gam[i], vels[i], Vb)
                 total += wq * (nVa @ gt[i] @ nVb + Va @ B[i] @ Vb)
             H[a, b] = total
-    gt0, y0 = data.gt[0], data.y[0]
+    gt0, y0 = data.gt[0], np.eye(m)[-1]
     ydot0 = y0 @ gt0 @ (data.Kt[0] @ w.velocities[0])
     proj = np.array([V0 @ gt0 @ y0 for _, V0 in basis])
     H += np.outer(proj, proj) * ydot0 / (y0 @ gt0 @ y0) ** 2
