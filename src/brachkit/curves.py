@@ -170,11 +170,10 @@ def grid_integral(grid: np.ndarray, vals: np.ndarray) -> float:
     return float(CubicSpline(grid, vals).integrate(grid[0], grid[-1]))
 
 
-def cumulative_integral(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Antiderivative samples F(t_i) = int_0^{t_i} vals, via the nodal spline."""
-    spline = CubicSpline(grid, vals)
-    anti = spline.antiderivative()
-    return anti(grid) - anti(grid[0])
+def cumulative_integral(grid: np.ndarray, vals: np.ndarray, t0: float | None = None) -> np.ndarray:
+    """F(t_i) = int_{t0}^{t_i} of the nodal spline of vals, off its antiderivative; t0 = grid[0]."""
+    anti = CubicSpline(grid, vals).antiderivative()
+    return anti(grid) - anti(grid[0] if t0 is None else t0)
 
 
 def resample_curve(c: Curve, n_new: int) -> Curve:

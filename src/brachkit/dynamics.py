@@ -16,9 +16,9 @@ from scipy.integrate import RK45, solve_ivp
 
 from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
-from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, conformal_geometry,
+from .geometry import (ConformalGeometry, SpacetimeModel, conformal_geometry,
                        connection_coeffs, conservation_residuals, require_adapted_chart,
-                       riemannian_metric_matrix, scalar_gradient, _coords, _inner, _inner_y)
+                       riemannian_metric_matrix, _coords, _inner, _inner_y, _phi_k_derivative)
 
 __all__ = [
     "IntegratorConfig",
@@ -456,8 +456,8 @@ def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
     if horiz > 1e-6 * max(np.max(speeds), 1e-30):
         raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
 
-    u = FieldAlongCurve(host=w, values=conformal_factor(model, pts, k)[:, None] * vels)
-    nabla_u = covariant_nodes(w, connection_coeffs(model, pts), u)
-    grad_phi = scalar_gradient(model, pts, lambda qq: conformal_factor(model, qq, k))
-    d = nabla_u - 0.5 * grad_phi * _inner(g, vels, vels)[:, None]
+    G = connection_coeffs(model, pts)
+    phi, dphi = _phi_k_derivative(g, G, k, pts)
+    nabla_u = covariant_nodes(w, G, FieldAlongCurve(host=w, values=phi[:, None] * vels))
+    d = nabla_u - 0.5 * np.linalg.solve(g, dphi[..., None])[..., 0] * _inner(g, vels, vels)[:, None]
     return float(np.sqrt(np.max(_inner(gr, d, d))))

@@ -7,9 +7,9 @@ Y = e_last, and the metric does not depend on the last coordinate
 components; Christoffel symbols fall back to central finite differences when
 no analytic form is given.  The Killing terms are read off g and Gamma:
 <Y,Y> = g[..., -1, -1], g Y = g[..., :, -1] and nabla Y = Gamma[..., :, :, -1]
-(dY = 0).  Every function here accepts chart points of shape ``(..., m)`` and
-broadcasts over the leading axes, so geometry along a curve is one call over
-its nodes.
+(dY = 0), and so is d_c g_ab = Gamma_{a,bc} + Gamma_{b,ac}.  Every function
+here accepts chart points of shape ``(..., m)`` and broadcasts over the
+leading axes, so geometry along a curve is one call over its nodes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "conformal_geometry",
     "nabla_y_matrix",
     "killing_residual",
-    "scalar_gradient",
+    "conformal_factor_gradient",
     "horizontal_part",
     "horizontal_unit",
     "orthonormal_completion",
@@ -77,7 +77,7 @@ class SpacetimeModel:
         ``q -> (...)`` boolean array marking chart points; defaults to all of
         R^m.
     fd_step : float
-        Step for central-difference derivatives of the metric.
+        Step of the central differences of g (where Christoffels are absent) and of grad phi_k.
     periods : dict, optional
         Map coordinate index -> period for angle-like coordinates.  Used by
         quotient distances; an empty dict means no periodic coordinates.
@@ -144,6 +144,14 @@ def _first_of(q: np.ndarray, bad) -> str:
     return f"{np.count_nonzero(bad)} of {bad.size} points, the first {first}"
 
 
+def _require_stencil(model: SpacetimeModel, q: np.ndarray, offsets) -> None:
+    """StencilOutOfChart, naming the nodes of ``q``, unless every q + offset is a chart point."""
+    bad = _off_chart(model, np.stack([q + e for e in offsets]))
+    if bad is not None:
+        raise StencilOutOfChart(f"stencil leaves chart of '{model.name}' at "
+                                f"{_first_of(q, bad.any(axis=0))}")
+
+
 # ---------------------------------------------------------------------------
 # Finite differences and index algebra, all over a leading node axis
 
@@ -151,17 +159,6 @@ def _jacobian_fd(f, q, h):
     """J[..., a, i] = d f^a / d q^i by second-order central differences."""
     return np.stack([(np.asarray(f(q + e)) - np.asarray(f(q - e))) / (2.0 * h)
                      for e in h * np.eye(q.shape[-1])], axis=-1)
-
-
-def _directional_diff4(f, q, i, h):
-    """Fourth-order central difference of f along coordinate i."""
-    e = np.zeros(q.shape[-1])
-    e[i] = 1.0
-    fp1 = np.asarray(f(q + h * e))
-    fm1 = np.asarray(f(q - h * e))
-    fp2 = np.asarray(f(q + 2.0 * h * e))
-    fm2 = np.asarray(f(q - 2.0 * h * e))
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
 
 def _christoffels(g, dg):
@@ -175,6 +172,27 @@ def _riemann(G, dG):
     return (np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
             + np.einsum("...ace,...edb->...abcd", G, G)
             - np.einsum("...ade,...ecb->...abcd", G, G))
+
+
+# Step of the curvature stencil.  Its truncation error, h^4/30 times the fifth
+# derivative of Gamma, and its rounding error, about eps |Gamma| / h, balance
+# near h = 2e-4 for the cylinder's cot(theta) at theta = 0.3; the curvature of
+# a model with analytic Gamma is then good to about 1e-11.
+_CURVATURE_STEP = 2e-4
+
+
+def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """R[..., a, b, c, d] from G = christoffels(q) and a fourth-order difference of christoffels."""
+    steps = _CURVATURE_STEP * np.eye(model.m)
+    _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0, 2.0, -2.0)])
+    dG = np.empty(q.shape[:-1] + (model.m,) + G.shape[-3:])
+    for c, e in enumerate(steps):
+        d = dG[..., c, :, :, :]        # filled in place: two stencil values alive at a time
+        np.subtract(christoffels(q + e), christoffels(q - e), out=d)
+        d *= 8.0
+        d -= christoffels(q + 2.0 * e) - christoffels(q - 2.0 * e)
+        d /= 12.0 * _CURVATURE_STEP
+    return _riemann(G, dG)
 
 
 def _inner(g, v, w):
@@ -233,10 +251,7 @@ def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
     if model.analytic_christoffels is not None:
         return np.asarray(model.analytic_christoffels(q), dtype=float)
     steps = model.fd_step * np.eye(model.m)
-    bad = _off_chart(model, np.stack([q + s * e for e in steps for s in (1.0, -1.0)]))
-    if bad is not None:
-        raise StencilOutOfChart(f"stencil leaves chart of '{model.name}' at "
-                                f"{_first_of(q, bad.any(axis=0))}")
+    _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0)])
     dg = np.stack([(model.g(q + e) - model.g(q - e)) / (2.0 * model.fd_step)
                    for e in steps], axis=-3)
     return _christoffels(model.g(q), dg)
@@ -246,13 +261,10 @@ def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
     """Curvature R[..., a, b, c, d] with R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
 
     Components satisfy (R(v, w) u)^a = R[a, b, c, d] u^b v^c w^d.  The
-    derivative of Gamma is taken by central differences with step ``fd_step``.
+    derivative of Gamma is one fourth-order central difference (``_curvature``).
     """
     q = model.require_in_chart(q)
-    h = model.fd_step
-    dG = np.stack([(connection_coeffs(model, q + e) - connection_coeffs(model, q - e)) / (2.0 * h)
-                   for e in h * np.eye(model.m)], axis=-4)
-    return _riemann(connection_coeffs(model, q), dG)
+    return _curvature(model, lambda x: connection_coeffs(model, x), q, connection_coeffs(model, q))
 
 
 def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
@@ -275,18 +287,56 @@ def uk_membership(model: SpacetimeModel, q, k: float) -> bool:
 
 
 def conformal_factor(model: SpacetimeModel, q, k: float):
-    """phi_k = -<Y,Y> / (k^2 + <Y,Y>); positive on the admissible region.
+    """phi_k = -<Y,Y> / (k^2 + <Y,Y>) > 0 on the admissible region, which it checks (not the
+    chart: it is also evaluated at stencil points and at trial points of the discrete minimizer)."""
+    return _phi_k(model.g(q), k, _coords(q))
 
-    The only home of phi_k.  It checks the admissible region, not the chart,
-    because it is also evaluated at finite-difference stencil points and at
-    trial points of the discrete minimizer.
-    """
-    q = _coords(q)
-    yy = model.g(q)[..., -1, -1]
+
+def _phi_k(g: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
+    """The only home of phi_k, from the metric g at the points q."""
+    yy = g[..., -1, -1]
     denom = k * k + yy
     if (denom <= 0.0).any():
         raise OutsideUk(f"k^2 + <Y,Y> = {np.min(denom)} <= 0 at {_first_of(q, denom <= 0.0)}")
     return -yy / denom
+
+
+def _phi_k_derivative(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray):
+    """(phi_k, d phi_k) at q: d phi_k = -k^2 d<Y,Y> / (k^2 + <Y,Y>)^2, d_c<Y,Y> = 2 Gamma_{m,mc}."""
+    dyy = 2.0 * np.einsum("...d,...dc->...c", g[..., -1, :], G[..., :, -1, :])
+    return _phi_k(g, k, q), (-k * k / (k * k + g[..., -1, -1]) ** 2)[..., None] * dyy
+
+
+def conformal_factor_gradient(model: SpacetimeModel, q, k: float) -> np.ndarray:
+    """Lorentzian gradient g^{ab} d_b phi_k at q, in closed form from g and Gamma."""
+    G, g = connection_coeffs(model, q), model.g(q)
+    return np.linalg.solve(g, _phi_k_derivative(g, G, k, _coords(q))[1][..., None])[..., 0]
+
+
+def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
+    """Christoffels of g~ = phi_k g_R at q, in closed form from g and Gamma there.
+
+    g~ = phi_k g + psi w w^T with w = g Y, psi = 2 / (k^2 + <Y,Y>) and d psi = 2 d phi_k / k^2,
+    so the lowered Gamma~_{d,bc} is phi_k Gamma_{d,bc} + (d_b phi_k S_dc + d_c phi_k S_db -
+    d_d phi_k S_bc) / 2, S = g + 2 w w^T / k^2, plus the same form of psi d(w w^T), in one array.
+    """
+    phi, dphi = _phi_k_derivative(g, G, k, q)
+    w, half_psi = g[..., :, -1], 1.0 / (k * k + g[..., -1, -1])
+    ww = w[..., :, None] * w[..., None, :]
+    low = np.einsum("...ad,...dbc->...abc", g, G)                         # Gamma_{a,bc}
+    # psi/2 d_b w_c, with d_b w_c = Gamma_{c,last b} + Gamma_{last,cb}
+    hdw = (half_psi[..., None, None] * (low[..., :, -1, :] + low[..., -1, :, :])).swapaxes(-1, -2)
+    S = g + (2.0 / (k * k)) * ww
+    low *= phi[..., None, None, None]
+    t = dphi[..., None, :, None] * S[..., :, None, :]                     # d_b phi_k S_dc
+    low += 0.5 * (t + np.swapaxes(t, -1, -2))
+    low -= 0.5 * dphi[..., :, None, None] * S[..., None, :, :]
+    # psi/2 ((dw_bd - dw_db) w_c + (dw_cd - dw_dc) w_b + (dw_bc + dw_cb) w_d)
+    t = (np.swapaxes(hdw, -1, -2) - hdw)[..., None] * w[..., None, None, :]
+    low += t + np.swapaxes(t, -1, -2)
+    low += w[..., :, None, None] * (hdw + np.swapaxes(hdw, -1, -2))[..., None, :, :]
+    gt = phi[..., None, None] * g + (2.0 * half_psi)[..., None, None] * ww
+    return np.einsum("...ad,...dbc->...abc", np.linalg.inv(gt), low)
 
 
 def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
@@ -295,25 +345,11 @@ def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
 
 
 def killing_residual(model: SpacetimeModel, q, v, w) -> float:
-    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y).
-
-    In the adapted chart this is (d_last g)(v, w), read through Gamma, because
-    L_Y g = d_last g there.
-    """
-    q = _coords(q)
-    g = model.g(q)
-    K = nabla_y_matrix(model, q)
-    v = _coords(v)
-    w = _coords(w)
-    return float((K @ v) @ g @ w + (K @ w) @ g @ v)
-
-
-def scalar_gradient(model: SpacetimeModel, q, f, h: Optional[float] = None) -> np.ndarray:
-    """Lorentzian gradient components g^{ab} d_b f of a chart scalar f."""
-    q = _coords(q)
-    h = model.fd_step if h is None else h
-    df = np.stack([_directional_diff4(f, q, i, max(h, 1e-6)) for i in range(model.m)], axis=-1)
-    return np.linalg.solve(model.g(q), df[..., None])[..., 0]
+    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y): in the adapted
+    chart it is (L_Y g)(v, w) = (d_last g)(v, w), read off Gamma."""
+    q, v, w = _coords(q), _coords(v), _coords(w)
+    K = model.g(q) @ nabla_y_matrix(model, q)      # Gamma_{a,b last} = <e_a, nabla_b Y>
+    return float(v @ K @ w + w @ K @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -385,39 +421,28 @@ def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
 class ConformalGeometry:
     """Evaluators for the Riemannian metric phi_k * g_R and its derived objects.
 
-    The components are assembled analytically from the model; Christoffels and
-    curvature use fourth-order central differences (the assembled metric is
-    exact, so a wider high-order stencil keeps the two differentiation stages
-    well above roundoff).  Each stencil offset is one evaluation over all nodes.
+    Its Christoffels are a closed form in the model's g and Gamma, its curvature
+    one fourth-order difference of them; a stencil offset is one call over all nodes.
     """
 
     model: SpacetimeModel
     k: float
-    fd_step: float = 1e-3
 
     @property
     def m(self) -> int:
         return self.model.m
 
-    def phi(self, q):
-        return conformal_factor(self.model, _coords(q), self.k)
-
     def metric(self, q) -> np.ndarray:
-        q = _coords(q)
-        return self.phi(q)[..., None, None] * riemannian_metric_matrix(self.model, q)
+        return (conformal_factor(self.model, q, self.k)[..., None, None]
+                * riemannian_metric_matrix(self.model, q))
 
     def christoffels(self, q) -> np.ndarray:
         q = self.model.require_in_chart(q)
-        dg = np.stack([_directional_diff4(self.metric, q, c, self.fd_step)
-                       for c in range(self.m)], axis=-3)
-        return _christoffels(self.metric(q), dg)
+        return _conformal_connection(self.model.g(q), connection_coeffs(self.model, q), self.k, q)
 
     def curvature(self, q) -> np.ndarray:
         """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
-        q = self.model.require_in_chart(q)
-        dG = np.stack([_directional_diff4(self.christoffels, q, c, self.fd_step)
-                       for c in range(self.m)], axis=-4)
-        return _riemann(self.christoffels(q), dG)
+        return _curvature(self.model, self.christoffels, _coords(q), self.christoffels(q))
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
-from scipy.interpolate import CubicSpline
 
-from .curves import (Curve, FieldAlongCurve, covariant_derivative_along, cumulative_integral,
-                     grid_integral)
+from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
+                     cumulative_integral, grid_integral)
 from .dynamics import BrachistochroneSolution, _ode_residual
 from .errors import ConstraintViolated, FlowEscape, NotHorizontal
 from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
@@ -50,19 +49,13 @@ def flow_points(model: SpacetimeModel, starts: np.ndarray, times: np.ndarray) ->
     return ends
 
 
-def _integral_from(grid: np.ndarray, rate: np.ndarray, t0: float) -> np.ndarray:
-    """int_{t0}^{t_i} rate at the nodes: the antiderivative samples, less their spline at t0."""
-    full = cumulative_integral(grid, rate)
-    return full - float(CubicSpline(grid, full)(t0))
-
-
 def _slide(model: SpacetimeModel, grid: np.ndarray, pts: np.ndarray, vels: np.ndarray,
            rate: np.ndarray, t0: float = 0.0) -> Curve:
     """The curve whose nodes slide along the Y-flow by tau = int_{t0}^t rate.
 
     The slid velocity is q' + rate * Y (d_x psi is the identity).
     """
-    tau = _integral_from(grid, rate, t0)
+    tau = cumulative_integral(grid, rate, t0)
     slid = flow_points(model, pts, tau)
     return Curve(grid=grid, points=slid, velocities=vels + rate[:, None] * model.y(slid))
 
@@ -113,8 +106,8 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     if n_out is None:
         n_out = max(curve.n_segments, min(2 * curve.n_segments, 800))
     grid = np.linspace(0.0, 1.0, n_out + 1)
-    ps, vs = curve.point_spline(), curve.velocity_spline()
-    pts, vels = ps(grid), vs(grid)
+    nodes = _NodeSpline(curve.grid, dict(q=curve.points, v=curve.velocities))
+    pts, vels = nodes.sample(grid).values()
 
     g = model.g(pts)
     w = _slide(model, grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
@@ -199,7 +192,7 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     if C_zeta is None:
         C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
     dzy = _inner_y(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values))
-    tau_zeta = _integral_from(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
+    tau_zeta = cumulative_integral(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 
     pushed = np.where((grid >= t0 - 1e-12)[:, None],
                       zeta.values + tau_zeta[:, None] * model.y(pts), 0.0)

@@ -24,10 +24,10 @@ from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumul
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
-from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor, connection_coeffs,
-                       curvature_tensor, horizontal_part, nabla_y_matrix, orthonormal_completion,
-                       riemannian_metric_matrix, scalar_gradient, _coords, _inner, _inner_y,
-                       _jacobian_fd)
+from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
+                       conformal_factor_gradient, connection_coeffs, curvature_tensor,
+                       horizontal_part, orthonormal_completion, riemannian_metric_matrix,
+                       _conformal_connection, _coords, _curvature, _inner, _inner_y, _jacobian_fd)
 from .transform import tangent_constraint_scan
 
 __all__ = [
@@ -213,15 +213,17 @@ class ConformalCurveData:
             if res > geodesic_tol * (1.0 + speed2):
                 raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
         pts, v = w.points, w.velocities
+        g, G = model.g(pts), connection_coeffs(model, pts)   # the one evaluation at the nodes
         self.gt = confgeom.metric(pts)                     # conformal metric
-        self.gamma = confgeom.christoffels(pts)
+        self.gamma = _conformal_connection(g, G, k, pts)
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
-        self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
+        self.Braw = np.einsum("nabcd,nb,nc->nad",
+                              _curvature(model, confgeom.christoffels, pts, self.gamma), v, v)
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
             q=pts, v=v, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
-            g=model.g(pts), K=nabla_y_matrix(model, pts)))
+            g=g, K=G[..., -1]))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
         return covariant_nodes(self.w, self.gamma, field)
@@ -276,31 +278,22 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     G = connection_coeffs(model, pts)
     nv = covariant_nodes(w, G, v)
 
-    def phi_of(qq):
-        return conformal_factor(model, qq, k)
-
-    def grad_phi_of(qq):
-        return scalar_gradient(model, qq, phi_of)
-
-    g = model.g(pts)
+    g, phi = model.g(pts), conformal_factor(model, pts, k)
     R = curvature_tensor(model, pts)
     # <R(V, w') V, w'>
     curv = np.einsum("na,nab,nbcde,nc,nd,ne->n", vel, g, R, vals, vals, vel)
-    grad_phi = grad_phi_of(pts)
-    # Hessian of the scalar phi_k: <nabla_V grad(phi), V>
-    Hphi = _jacobian_fd(grad_phi_of, pts, max(model.fd_step, 1e-6))
+    grad_phi = conformal_factor_gradient(model, pts, k)
+    # <nabla_V grad(phi_k), V>, one difference of the closed-form gradient
+    Hphi = _jacobian_fd(lambda x: conformal_factor_gradient(model, x, k), pts, model.fd_step)
     nabla_grad = (np.einsum("nab,nb->na", Hphi, vals)
                   + np.einsum("nabc,nb,nc->na", G, vals, grad_phi))
-    integrand = (phi_of(pts) * (_inner(g, nv, nv) + curv)
+    integrand = (phi * (_inner(g, nv, nv) + curv)
                  + 2.0 * _inner(g, grad_phi, vals) * _inner(g, nv, vel)
                  + 0.5 * _inner(g, nabla_grad, vals) * _inner(g, vel, vel))
     total = grid_integral(grid, integrand)
-    # shape term of the observer line at the arrival end
-    q1 = w.points[-1]
-    g1 = model.g(q1)
-    nu = float(_inner_y(g1, vals[-1]) / g1[-1, -1])
-    s_gamma = nu * nu * float(nabla_y_matrix(model, q1)[:, -1] @ g1 @ w.velocities[-1])
-    return float(total + phi_of(q1) * s_gamma)
+    # shape term of the observer line at the arrival end: nu^2 <nabla_Y Y, w'> for V = nu Y
+    nu = float(_inner_y(g[-1], vals[-1]) / g[-1, -1, -1])
+    return float(total + phi[-1] * nu * nu * float(G[-1, :, -1, -1] @ g[-1] @ vel[-1]))
 
 
 def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) -> float:
@@ -320,7 +313,7 @@ def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) 
         if np.linalg.norm(perp) > 1e-8 * (np.linalg.norm(v) + 1.0):
             raise NotTangentToGamma("vector is not tangent to the observer line")
         nus.append(nu)
-    return nus[0] * nus[1] * float(nabla_y_matrix(model, q)[:, -1] @ g @ n)
+    return nus[0] * nus[1] * float(connection_coeffs(model, q)[:, -1, -1] @ g @ n)
 
 
 # ---------------------------------------------------------------------------

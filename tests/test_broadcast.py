@@ -50,6 +50,7 @@ def test_geometry_broadcasts(models, name):
         "conformal_curvature": cg.curvature,
         "riemannian_metric_matrix": lambda q: geo.riemannian_metric_matrix(model, q),
         "conformal_factor": lambda q: geo.conformal_factor(model, q, k),
+        "conformal_factor_gradient": lambda q: geo.conformal_factor_gradient(model, q, k),
         "nabla_y_matrix": lambda q: geo.nabla_y_matrix(model, q),
     }
     for label, fn in checks.items():

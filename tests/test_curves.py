@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 
 from brachkit.curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
                              curve_from_csv, curve_from_json_dict, curve_to_csv,
-                             curve_to_json_dict, field_integral,
+                             curve_to_json_dict, cumulative_integral, field_integral,
                              resample_curve)
 from brachkit.errors import GridMismatch, GridTooCoarse
 from brachkit.geometry import connection_coeffs
@@ -158,6 +158,22 @@ def test_node_spline_columns_equal_separate_splines():
             one = fused.sample(t, nu)
             for name, spl in alone.items():
                 assert np.array_equal(one[name], spl(t, nu)), (name, nu, t)
+
+
+def test_cumulative_integral_from_any_lower_limit():
+    # the not-a-knot spline reproduces a cubic, so every integral is exact,
+    # whether or not the lower limit is a node
+    grid = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(0).uniform(0, 1, 30)]))
+    vals = 1.0 + grid - 2.0 * grid ** 2 + 3.0 * grid ** 3
+
+    def F(t):
+        return t + t ** 2 / 2 - 2.0 * t ** 3 / 3 + 3.0 * t ** 4 / 4
+
+    for t0 in (None, 0.0, grid[7], 0.37, 1.0):
+        lower = 0.0 if t0 is None else t0
+        got = cumulative_integral(grid, vals, t0)
+        assert np.max(np.abs(got - (F(grid) - F(lower)))) < 1e-14, t0
+    assert cumulative_integral(grid, vals, grid[7])[7] == 0.0
 
 
 def test_resample_straight_line():

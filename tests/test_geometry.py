@@ -3,7 +3,7 @@ import pytest
 
 from brachkit import geometry as geo
 from brachkit.errors import OutOfChart, OutsideUk, StencilOutOfChart
-from brachkit.models import ModelSpec, make_model
+from brachkit.models import MODEL_NAMES, ModelSpec, make_model
 from brachkit.transform import flow_points, isometry_defect
 
 from conftest import STANDARD_LAUNCH
@@ -89,14 +89,18 @@ def test_connection_static_well_hand_value(models):
 
 
 def test_connection_fd_matches_analytic(models):
-    base = models["einstein_cylinder"]
-    fd = make_model(ModelSpec("einstein_cylinder"))
-    fd.analytic_christoffels = None
+    # the closed forms of the conformal geometry rest on the analytic Gamma:
+    # check it against differences of g itself on every model
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        q = np.array([rng.uniform(0.5, 2.5), rng.uniform(0, 6), rng.uniform(-1, 1)])
-        diff = np.abs(geo.connection_coeffs(base, q) - geo.connection_coeffs(fd, q))
-        assert np.max(diff) < 1e-6
+    for name in MODEL_NAMES:
+        base = models[name]
+        fd = make_model(ModelSpec(name, STANDARD_LAUNCH[name]["params"]))
+        fd.analytic_christoffels = None
+        p = np.asarray(STANDARD_LAUNCH[name]["p"], dtype=float)
+        for _ in range(10):
+            q = p + 0.3 * rng.uniform(-1.0, 1.0, base.m)
+            diff = np.abs(geo.connection_coeffs(base, q) - geo.connection_coeffs(fd, q))
+            assert np.max(diff) < 1e-6, name
 
 
 def test_connection_symmetric_lower(models):
@@ -221,21 +225,88 @@ def test_conformal_geometry_flat(models):
 
 
 def test_conformal_christoffels_self_consistent(models):
-    # compare the high-order stencil against an independent second-order one
-    cg = geo.conformal_geometry(models["static_well"], 2.0)
-    q = np.array([0.3, 0.1, 0.0])
-    h = 1e-5
-    m = 3
-    dg = np.empty((m, m, m))
-    for c in range(m):
-        e = np.zeros(m)
-        e[c] = h
-        dg[c] = (cg.metric(q + e) - cg.metric(q - e)) / (2 * h)
-    ginv = np.linalg.inv(cg.metric(q))
-    term = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
-            - np.einsum("dbc->dbc", dg))
-    ref = 0.5 * np.einsum("ad,dbc->abc", ginv, term)
-    assert np.max(np.abs(cg.christoffels(q) - ref)) < 1e-6
+    # the closed form against second-order differences of the assembled g~,
+    # on every model
+    for name in MODEL_NAMES:
+        info = STANDARD_LAUNCH[name]
+        cg = geo.conformal_geometry(models[name], info["k"])
+        m = cg.m
+        q = np.asarray(info["p"], dtype=float) + 0.1 * np.arange(1, m + 1) / m
+        h = 1e-5
+        dg = np.empty((m, m, m))
+        for c in range(m):
+            e = np.zeros(m)
+            e[c] = h
+            dg[c] = (cg.metric(q + e) - cg.metric(q - e)) / (2 * h)
+        ginv = np.linalg.inv(cg.metric(q))
+        term = (np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg)
+                - np.einsum("dbc->dbc", dg))
+        ref = 0.5 * np.einsum("ad,dbc->abc", ginv, term)
+        assert np.max(np.abs(cg.christoffels(q) - ref)) < 1e-6, name
+
+
+def _round_sphere_curvature(theta):
+    """R[a, b, c, d] = delta^a_c g_bd - delta^a_d g_bc on the (theta, phi) block, else 0:
+    the exact curvature of the cylinder, and of any constant multiple of its g_R."""
+    gs = np.zeros(theta.shape + (3, 3))
+    gs[..., 0, 0] = 1.0
+    gs[..., 1, 1] = np.sin(theta) ** 2
+    delta = np.diag([1.0, 1.0, 0.0])
+    return (np.einsum("ac,...bd->...abcd", delta, gs)
+            - np.einsum("ad,...bc->...abcd", delta, gs))
+
+
+def test_cylinder_curvatures_are_exact(models):
+    # g~ = g_R / (k^2 - 1) with g_R = round S^2 x line: both curvatures are the
+    # sphere's, to the rounding of one fourth-order difference
+    model = models["einstein_cylinder"]
+    n = 200
+    theta = np.linspace(0.3, 2.8, n)
+    q = np.column_stack([theta, np.linspace(0.0, 5.0, n), np.linspace(-1.0, 1.0, n)])
+    exact = _round_sphere_curvature(theta)
+    cg = geo.conformal_geometry(model, np.sqrt(2.0))
+    assert np.max(np.abs(geo.curvature_tensor(model, q) - exact)) <= 1e-10
+    assert np.max(np.abs(cg.curvature(q) - exact)) <= 1e-10
+
+
+def test_cylinder_conformal_christoffels_are_the_models(models):
+    # phi_k is constant and g_R = round S^2 x line, so Gamma~ is the model's Gamma
+    model = models["einstein_cylinder"]
+    theta = np.linspace(0.3, 2.8, 200)
+    q = np.column_stack([theta, np.linspace(0.0, 5.0, 200), np.zeros(200)])
+    cg = geo.conformal_geometry(model, np.sqrt(2.0))
+    assert np.max(np.abs(cg.christoffels(q) - model.analytic_christoffels(q))) <= 1e-14
+
+
+def test_curvature_stencil_near_the_chart_edge_names_the_node(models):
+    # the chart is 0.1 <= theta <= pi - 0.1; the node is in it, its stencil is not
+    model = models["einstein_cylinder"]
+    node = np.array([0.1 + 1e-4, 0.3, 0.0])
+    batch = np.array([[np.pi / 2, 0.0, 0.0], node, [1.0, 2.0, 1.0]])
+    cg = geo.conformal_geometry(model, np.sqrt(2.0))
+    for curvature in (lambda q: geo.curvature_tensor(model, q), cg.curvature):
+        for q in (node, batch):
+            with pytest.raises(StencilOutOfChart) as info:
+                curvature(q)
+            assert str(node) in str(info.value) and "stencil leaves chart" in str(info.value)
+        assert curvature(batch[[0, 2]]).shape == (2, 3, 3, 3, 3)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_conformal_factor_gradient_matches_differences(models, name):
+    # the closed form against fourth-order differences of phi_k itself
+    info = STANDARD_LAUNCH[name]
+    model = models[name]
+    k = info["k"]
+    rng = np.random.default_rng(8)
+    q = np.asarray(info["p"], dtype=float) + 0.2 * rng.uniform(-1.0, 1.0, (5, model.m))
+    h = 1e-3
+    dphi = np.empty(q.shape)
+    f = lambda x: geo.conformal_factor(model, x, k)  # noqa: E731
+    for c, e in enumerate(h * np.eye(model.m)):
+        dphi[:, c] = (8 * (f(q + e) - f(q - e)) - (f(q + 2 * e) - f(q - 2 * e))) / (12 * h)
+    ref = np.linalg.solve(model.g(q), dphi[..., None])[..., 0]
+    assert np.max(np.abs(geo.conformal_factor_gradient(model, q, k) - ref)) < 1e-9
 
 
 def test_killing_antisymmetry_sampled(models):

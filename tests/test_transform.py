@@ -145,7 +145,7 @@ def test_dD_matches_finite_difference_of_D(models, solutions):
 
 def test_dD_image_perpendicularity(models, solutions):
     # eq. defect: <grad phi, X> <w',w'> + 2 phi <nabla_w' X, w'> = 0 along w
-    from brachkit.geometry import scalar_gradient, connection_coeffs
+    from brachkit.geometry import conformal_factor_gradient, connection_coeffs
     from scipy.interpolate import CubicSpline
     model = models["rotating_frame"]
     sol = solutions["rotating_frame"]
@@ -169,7 +169,7 @@ def test_dD_image_perpendicularity(models, solutions):
         G = connection_coeffs(model, q)
         nX = dX[i] + np.einsum("abc,b,c->a", G, v, X.values[i])
         g = model.g(q)
-        grad_phi = scalar_gradient(model, q, phi_of)
+        grad_phi = conformal_factor_gradient(model, q, k)
         vv = float(v @ g @ v)
         val = float(grad_phi @ g @ X.values[i]) * vv + 2 * phi_of(q) * float(nX @ g @ v)
         worst = max(worst, abs(val))
@@ -228,3 +228,21 @@ def test_constrained_family_recovers_base(models, solutions):
     diff = np.max(np.abs(back.sigma.point_spline()(sol.sigma.grid) - sol.sigma.points))
     assert diff < 1e-8
     assert abs(back.T - sol.T) < 1e-9
+
+
+def test_index_attachment_builds_four_splines(models, cylinder_long_arc, monkeypatch):
+    # deform_D samples one spline of (points, velocities) and integrates its
+    # rate once; the geodesic check and the curve cache build one each
+    from scipy.interpolate import CubicSpline
+    from brachkit.bvp import _attach_indices
+
+    init = CubicSpline.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CubicSpline, "__init__", counting)
+    assert _attach_indices(models["einstein_cylinder"], cylinder_long_arc) == (1, 0, 1)
+    assert len(built) == 4

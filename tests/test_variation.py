@@ -442,3 +442,28 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
             for n_basis in (50, 100):
                 hm = assemble_hessian(cg, wrev, mode, n_basis, data=data)
                 assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
+
+
+def test_conformal_curve_data_evaluates_the_connection_once_at_its_nodes(solutions):
+    # one evaluation of g and Gamma at the nodes feeds Gamma~, the g and the
+    # nabla Y columns; the geodesic check makes the only other one
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    analytic = model.analytic_christoffels
+    at_nodes = []
+
+    def counting(q):
+        at_nodes.append(q.shape == w.points.shape and np.array_equal(q, w.points))
+        return analytic(q)
+
+    w = deform_D(model, solutions["rotating_frame"], n_out=200).reversed()
+    model.analytic_christoffels = counting
+    cg = conformal_geometry(model, solutions["rotating_frame"].k)
+    for check, expected in ((False, 1), (True, 2)):
+        at_nodes.clear()
+        data = ConformalCurveData(cg, w, check=check)
+        assert sum(at_nodes) == expected, check
+        assert len(at_nodes) == expected + 4 * model.m    # and the curvature stencil
+    np.testing.assert_array_equal(data.spline.sample(w.grid)["K"],
+                                  connection_coeffs(model, w.points)[..., -1])
