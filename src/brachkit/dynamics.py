@@ -18,7 +18,7 @@ from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_geometry,
                        connection_coeffs, conservation_residuals, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _inner, _inner_y, _phi_k_derivative)
+                       riemannian_metric_matrix, _coords, _grad_phi_k, _inner, _inner_y, _phi_k)
 
 __all__ = [
     "IntegratorConfig",
@@ -457,7 +457,6 @@ def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
         raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
 
     G = connection_coeffs(model, pts)
-    phi, dphi = _phi_k_derivative(g, G, k, pts)
-    nabla_u = covariant_nodes(w, G, FieldAlongCurve(host=w, values=phi[:, None] * vels))
-    d = nabla_u - 0.5 * np.linalg.solve(g, dphi[..., None])[..., 0] * _inner(g, vels, vels)[:, None]
+    d = covariant_nodes(w, G, FieldAlongCurve(host=w, values=_phi_k(g, k, pts)[:, None] * vels))
+    d -= 0.5 * _grad_phi_k(g, G, k, pts) * _inner(g, vels, vels)[:, None]
     return float(np.sqrt(np.max(_inner(gr, d, d))))

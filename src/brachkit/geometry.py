@@ -161,19 +161,6 @@ def _jacobian_fd(f, q, h):
                      for e in h * np.eye(q.shape[-1])], axis=-1)
 
 
-def _christoffels(g, dg):
-    """Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc), dg[..., c, a, b] = d_c g_ab."""
-    term = (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg)
-    return 0.5 * np.einsum("...ad,...dbc->...abc", np.linalg.inv(g), term)
-
-
-def _riemann(G, dG):
-    """R[..., a, b, c, d] from Gamma and dG[..., c, a, d, b] = d_c Gamma^a_{db}."""
-    return (np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
-            + np.einsum("...ace,...edb->...abcd", G, G)
-            - np.einsum("...ade,...ecb->...abcd", G, G))
-
-
 # Step of the curvature stencil.  Its truncation error, h^4/30 times the fifth
 # derivative of Gamma, and its rounding error, about eps |Gamma| / h, balance
 # near h = 2e-4 for the cylinder's cot(theta) at theta = 0.3; the curvature of
@@ -181,18 +168,24 @@ def _riemann(G, dG):
 _CURVATURE_STEP = 2e-4
 
 
-def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """R[..., a, b, c, d] from G = christoffels(q) and a fourth-order difference of christoffels."""
+def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray) -> np.ndarray:
+    """R[..., a, b, c, d] from christoffels at q and a fourth-order difference of it."""
     steps = _CURVATURE_STEP * np.eye(model.m)
     _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0, 2.0, -2.0)])
-    dG = np.empty(q.shape[:-1] + (model.m,) + G.shape[-3:])
+    dG = np.empty(q.shape[:-1] + (model.m,) * 4)
     for c, e in enumerate(steps):
         d = dG[..., c, :, :, :]        # filled in place: two stencil values alive at a time
         np.subtract(christoffels(q + e), christoffels(q - e), out=d)
         d *= 8.0
         d -= christoffels(q + 2.0 * e) - christoffels(q - 2.0 * e)
         d /= 12.0 * _CURVATURE_STEP
-    return _riemann(G, dG)
+    G = christoffels(q)                # after the stencil, whose values are then freed
+    # dG[..., c, a, d, b] = d_c Gamma^a_{db}; the permutations of dG are views, so R is
+    # their difference, and the two products are added in place
+    R = np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
+    R += np.einsum("...ace,...edb->...abcd", G, G)
+    R -= np.einsum("...ade,...ecb->...abcd", G, G)
+    return R
 
 
 def _inner(g, v, w):
@@ -253,8 +246,10 @@ def connection_coeffs(model: SpacetimeModel, q) -> np.ndarray:
     steps = model.fd_step * np.eye(model.m)
     _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0)])
     dg = np.stack([(model.g(q + e) - model.g(q - e)) / (2.0 * model.fd_step)
-                   for e in steps], axis=-3)
-    return _christoffels(model.g(q), dg)
+                   for e in steps], axis=-3)                          # dg[..., c, a, b] = d_c g_ab
+    # Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
+    term = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    return 0.5 * np.einsum("...ad,...dbc->...abc", np.linalg.inv(model.g(q)), term)
 
 
 def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
@@ -264,7 +259,7 @@ def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
     derivative of Gamma is one fourth-order central difference (``_curvature``).
     """
     q = model.require_in_chart(q)
-    return _curvature(model, lambda x: connection_coeffs(model, x), q, connection_coeffs(model, q))
+    return _curvature(model, lambda x: connection_coeffs(model, x), q)
 
 
 def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
@@ -275,7 +270,11 @@ def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
 
 def riemannian_metric_matrix(model: SpacetimeModel, q) -> np.ndarray:
     """Component matrix of the auxiliary Riemannian metric at q: g - 2 gY (gY)^T / <Y,Y>."""
-    g = model.g(q)
+    return _riemannian(model.g(q))
+
+
+def _riemannian(g: np.ndarray) -> np.ndarray:
+    """g_R from the metric g at the same points."""
     gy = g[..., :, -1]
     return g - 2.0 * gy[..., :, None] * gy[..., None, :] / g[..., -1, -1][..., None, None]
 
@@ -310,16 +309,27 @@ def _phi_k_derivative(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray):
 def conformal_factor_gradient(model: SpacetimeModel, q, k: float) -> np.ndarray:
     """Lorentzian gradient g^{ab} d_b phi_k at q, in closed form from g and Gamma."""
     G, g = connection_coeffs(model, q), model.g(q)
-    return np.linalg.solve(g, _phi_k_derivative(g, G, k, _coords(q))[1][..., None])[..., 0]
+    return _grad_phi_k(g, G, k, _coords(q))
 
 
-def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
-    """Christoffels of g~ = phi_k g_R at q, in closed form from g and Gamma there.
+def _grad_phi_k(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
+    """g^{ab} d_b phi_k from the g and Gamma already evaluated at q."""
+    return np.linalg.solve(g, _phi_k_derivative(g, G, k, q)[1][..., None])[..., 0]
+
+
+def _conformal_metric(g: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
+    """g~ = phi_k g_R from the metric g at q."""
+    return _phi_k(g, k, q)[..., None, None] * _riemannian(g)
+
+
+def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray):
+    """(g~, Christoffels of g~) for g~ = phi_k g_R at q, in closed form from g and Gamma there.
 
     g~ = phi_k g + psi w w^T with w = g Y, psi = 2 / (k^2 + <Y,Y>) and d psi = 2 d phi_k / k^2,
     so the lowered Gamma~_{d,bc} is phi_k Gamma_{d,bc} + (d_b phi_k S_dc + d_c phi_k S_db -
     d_d phi_k S_bc) / 2, S = g + 2 w w^T / k^2, plus the same form of psi d(w w^T), in one array.
     """
+    gt = _conformal_metric(g, k, q)     # before the terms: built after them it raised peak RSS
     phi, dphi = _phi_k_derivative(g, G, k, q)
     w, half_psi = g[..., :, -1], 1.0 / (k * k + g[..., -1, -1])
     ww = w[..., :, None] * w[..., None, :]
@@ -335,8 +345,7 @@ def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray)
     t = (np.swapaxes(hdw, -1, -2) - hdw)[..., None] * w[..., None, None, :]
     low += t + np.swapaxes(t, -1, -2)
     low += w[..., :, None, None] * (hdw + np.swapaxes(hdw, -1, -2))[..., None, :, :]
-    gt = phi[..., None, None] * g + (2.0 * half_psi)[..., None, None] * ww
-    return np.einsum("...ad,...dbc->...abc", np.linalg.inv(gt), low)
+    return gt, np.einsum("...ad,...dbc->...abc", np.linalg.inv(gt), low)
 
 
 def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
@@ -433,16 +442,15 @@ class ConformalGeometry:
         return self.model.m
 
     def metric(self, q) -> np.ndarray:
-        return (conformal_factor(self.model, q, self.k)[..., None, None]
-                * riemannian_metric_matrix(self.model, q))
+        return _conformal_metric(self.model.g(q), self.k, _coords(q))
 
     def christoffels(self, q) -> np.ndarray:
-        q = self.model.require_in_chart(q)
-        return _conformal_connection(self.model.g(q), connection_coeffs(self.model, q), self.k, q)
+        G, q = connection_coeffs(self.model, q), _coords(q)    # connection_coeffs checks the chart
+        return _conformal_connection(self.model.g(q), G, self.k, q)[1]
 
     def curvature(self, q) -> np.ndarray:
         """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
-        return _curvature(self.model, self.christoffels, _coords(q), self.christoffels(q))
+        return _curvature(self.model, self.christoffels, self.model.require_in_chart(q))
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

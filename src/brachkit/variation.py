@@ -27,7 +27,7 @@ from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        conformal_factor_gradient, connection_coeffs, curvature_tensor,
                        horizontal_part, orthonormal_completion, riemannian_metric_matrix,
-                       _conformal_connection, _coords, _curvature, _inner, _inner_y, _jacobian_fd)
+                       _conformal_connection, _coords, _grad_phi_k, _inner, _inner_y, _jacobian_fd)
 from .transform import tangent_constraint_scan
 
 __all__ = [
@@ -213,13 +213,11 @@ class ConformalCurveData:
             if res > geodesic_tol * (1.0 + speed2):
                 raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
         pts, v = w.points, w.velocities
-        g, G = model.g(pts), connection_coeffs(model, pts)   # the one evaluation at the nodes
-        self.gt = confgeom.metric(pts)                     # conformal metric
-        self.gamma = _conformal_connection(g, G, k, pts)
+        g, G = model.g(pts), connection_coeffs(model, pts)   # gives g~, Gamma~, g and K
+        self.gt, self.gamma = _conformal_connection(g, G, k, pts)   # conformal metric, Gamma~
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
-        self.Braw = np.einsum("nabcd,nb,nc->nad",
-                              _curvature(model, confgeom.christoffels, pts, self.gamma), v, v)
+        self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
             q=pts, v=v, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
@@ -282,7 +280,7 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     R = curvature_tensor(model, pts)
     # <R(V, w') V, w'>
     curv = np.einsum("na,nab,nbcde,nc,nd,ne->n", vel, g, R, vals, vals, vel)
-    grad_phi = conformal_factor_gradient(model, pts, k)
+    grad_phi = _grad_phi_k(g, G, k, pts)
     # <nabla_V grad(phi_k), V>, one difference of the closed-form gradient
     Hphi = _jacobian_fd(lambda x: conformal_factor_gradient(model, x, k), pts, model.fd_step)
     nabla_grad = (np.einsum("nab,nb->na", Hphi, vals)

@@ -444,9 +444,10 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
                 assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
 
 
-def test_conformal_curve_data_evaluates_the_connection_once_at_its_nodes(solutions):
+def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
     # one evaluation of g and Gamma at the nodes feeds Gamma~, the g and the
-    # nabla Y columns; the geodesic check makes the only other one
+    # nabla Y columns; the centre of ConformalGeometry.curvature's stencil and
+    # the geodesic check make the only others
     from brachkit.models import ModelSpec, make_model
 
     model = make_model(ModelSpec("rotating_frame"))
@@ -460,7 +461,7 @@ def test_conformal_curve_data_evaluates_the_connection_once_at_its_nodes(solutio
     w = deform_D(model, solutions["rotating_frame"], n_out=200).reversed()
     model.analytic_christoffels = counting
     cg = conformal_geometry(model, solutions["rotating_frame"].k)
-    for check, expected in ((False, 1), (True, 2)):
+    for check, expected in ((False, 2), (True, 3)):
         at_nodes.clear()
         data = ConformalCurveData(cg, w, check=check)
         assert sum(at_nodes) == expected, check
