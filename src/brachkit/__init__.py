@@ -16,11 +16,11 @@ from .dynamics import (BrachistochroneSolution, IntegratorConfig, brachistochron
                        integrate_conformal_geodesic)
 from .transform import (CorrespondenceReport, correspondence_report, dD_differential, deform_D,
                         lift_G, map_L)
-from .variation import (HessianMatrix, LagrangeMultiplierField, VariationConstraintReport,
-                        assemble_hessian, constraint_residual, hessian_E_eval,
-                        hessian_F_eval, index_form, make_admissible_variation,
-                        restricted_index_report, second_fundamental_form_gamma,
-                        travel_time_differential)
+from .variation import (ConformalCurveData, HessianMatrix, LagrangeMultiplierField,
+                        SolutionGeometry, VariationConstraintReport, assemble_hessian,
+                        constraint_residual, hessian_E_eval, hessian_F_eval, index_form,
+                        make_admissible_variation, restricted_index_report,
+                        second_fundamental_form_gamma, travel_time_differential)
 from .jacobi import (FocalReport, JacobiFieldData, bfocal_points, focal_points,
                      gamma_jacobi_basis, integrate_bjacobi, integrate_rjacobi)
 from .bvp import (ObserverWorldline, ShootingProblem, SurveyResult, multistart_survey,

@@ -356,8 +356,8 @@ def _attach_indices(model, sol, n_basis: int = 50):
     wrev = w.reversed()
     cg = conformal_geometry(model, sol.k)
     data = ConformalCurveData(cg, wrev)
-    hm = assemble_hessian(cg, wrev, "full", n_basis, data=data)
-    rep = focal_points(cg, wrev, data=data)
+    hm = assemble_hessian(data, "full", n_basis)
+    rep = focal_points(data)
     return hm.n_negative, hm.n_zero, rep.geometric_index
 
 

@@ -360,13 +360,13 @@ def _cmd_jacobi(cfg, out_dir: Path, seed) -> str:
 
 
 def _cmd_index(cfg, out_dir: Path, seed) -> str:
-    from .variation import _restricted_hessians
+    from .variation import ConformalCurveData, _restricted_hessians
     block = cfg["index"]
     model, _, sol = _load_solution(out_dir / block["solution"])
     n_basis = int(block.get("n_basis", 80))
     cg = conformal_geometry(model, sol.k)
     wrev = deform_D(model, sol, n_out=400).reversed()
-    hms = _restricted_hessians(cg, wrev, n_basis)
+    hms = _restricted_hessians(ConformalCurveData(cg, wrev), n_basis)
     triple = tuple(h.n_negative for h in hms)
     hm = hms[0]
     doc = {

@@ -16,9 +16,9 @@ from scipy.integrate import RK45, solve_ivp
 
 from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
-from .geometry import (ConformalGeometry, SpacetimeModel, conformal_geometry,
-                       connection_coeffs, conservation_residuals, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _grad_phi_k, _inner, _inner_y, _phi_k)
+from .geometry import (SpacetimeModel, conformal_geometry, connection_coeffs,
+                       conservation_residuals, require_adapted_chart, riemannian_metric_matrix,
+                       _coords, _grad_phi_k, _inner, _inner_y, _phi_k)
 
 __all__ = [
     "IntegratorConfig",
@@ -404,10 +404,9 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
 
 
 def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
-                                 config: IntegratorConfig = IntegratorConfig(),
-                                 confgeom: ConformalGeometry | None = None) -> Curve:
+                                 config: IntegratorConfig = IntegratorConfig()) -> Curve:
     """Geodesic of the conformal Riemannian metric from horizontal data (q, v)."""
-    cg = conformal_geometry(model, k) if confgeom is None else confgeom
+    cg = conformal_geometry(model, k)
     q0 = model.require_in_chart(q)
     v0 = _coords(v)
     vy = float(_inner_y(model.g(q0), v0))

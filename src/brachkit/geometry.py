@@ -168,8 +168,9 @@ def _jacobian_fd(f, q, h):
 _CURVATURE_STEP = 2e-4
 
 
-def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray) -> np.ndarray:
-    """R[..., a, b, c, d] from christoffels at q and a fourth-order difference of it."""
+def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray) -> tuple:
+    """(Gamma, R[..., a, b, c, d]): christoffels at q, and R from it and a fourth-order
+    difference of it."""
     steps = _CURVATURE_STEP * np.eye(model.m)
     _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0, 2.0, -2.0)])
     dG = np.empty(q.shape[:-1] + (model.m,) * 4)
@@ -185,7 +186,7 @@ def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray) -> np.ndarray
     R = np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
     R += np.einsum("...ace,...edb->...abcd", G, G)
     R -= np.einsum("...ade,...ecb->...abcd", G, G)
-    return R
+    return G, R
 
 
 def _inner(g, v, w):
@@ -258,8 +259,12 @@ def curvature_tensor(model: SpacetimeModel, q) -> np.ndarray:
     Components satisfy (R(v, w) u)^a = R[a, b, c, d] u^b v^c w^d.  The
     derivative of Gamma is one fourth-order central difference (``_curvature``).
     """
-    q = model.require_in_chart(q)
-    return _curvature(model, lambda x: connection_coeffs(model, x), q)
+    return _connection_and_curvature(model, q)[1]
+
+
+def _connection_and_curvature(model: SpacetimeModel, q) -> tuple:
+    """(Gamma, R) at q, with Gamma evaluated once there: the centre of R's stencil."""
+    return _curvature(model, lambda x: connection_coeffs(model, x), model.require_in_chart(q))
 
 
 def riemannian_metric_eval(model: SpacetimeModel, q, v, w):
@@ -450,7 +455,7 @@ class ConformalGeometry:
 
     def curvature(self, q) -> np.ndarray:
         """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
-        return _curvature(self.model, self.christoffels, self.model.require_in_chart(q))
+        return _curvature(self.model, self.christoffels, self.model.require_in_chart(q))[1]
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

@@ -1,9 +1,10 @@
 """Jacobi fields along solutions and along conformal geodesics, focal point
 detection, and the correspondence between the two sides.
 
-Both Jacobi equations run on stacked rows, one field per row, with their
-coefficients sampled from the one spline of the curve's cache
-(``SolutionGeometry`` or ``ConformalCurveData``).  Focal parameters
+A function of one curve takes the curve's cache (``SolutionGeometry`` or
+``ConformalCurveData``); ``bfocal_points`` builds both for its solution.  Both Jacobi
+equations run on stacked rows, one field per row, with their coefficients sampled
+from the one spline of the cache.  Focal parameters
 come from zeros of det(J L), J the Jacobi basis and g~ = L L^T, with
 multiplicities read off a rank analysis at each zero.  On the solution side
 they are confirmed through the adjoint of the linearized equation,
@@ -23,10 +24,10 @@ from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import (ConformalGeometry, SpacetimeModel, horizontal_frame,
+from .geometry import (SpacetimeModel, conformal_geometry, horizontal_frame,
                        orthonormal_completion, riemannian_metric_matrix, _coords, _inner)
 from .transform import deform_D
-from .variation import ConformalCurveData, SolutionGeometry
+from .variation import _CRITICALITY_TOL, ConformalCurveData, SolutionGeometry
 
 __all__ = [
     "JacobiFieldData",
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 _IVP_OPTS = dict(method="DOP853", rtol=1e-11, atol=1e-13)
+_FOCAL_T_MIN = 0.01     # the focal scan starts here, clear of the zero of J at t = 0
+_RANK_RTOL = 1e-5       # a singular value below this times the largest counts as zero
+_REFINE_WINDOW = 0.02   # half-width of the solution-side refinement of a focal parameter
 
 
 @dataclass
@@ -121,17 +125,15 @@ def _bjacobi_rhs(geom: SolutionGeometry):
     return rhs
 
 
-def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
-                      V0, dV0, t0: float = 0.0, t1: float = 1.0,
-                      geom: SolutionGeometry | None = None) -> JacobiFieldData:
-    """Integrate the linearized travel-time equation from covariant data (V0, dV0).
+def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0,
+                      t1: float = 1.0) -> JacobiFieldData:
+    """Integrate the linearized travel-time equation along ``geom.sol`` from (V0, dV0).
 
     ``dV0`` is the covariant derivative of the field at the start; the
     admissibility constant is computed from the data, and the launch must
-    satisfy the linearized conservation condition.  ``geom`` is the cached
-    geometry of ``sol``, built when not given.
+    satisfy the linearized conservation condition.
     """
-    geom = SolutionGeometry(model, sol) if geom is None else geom
+    sol = geom.sol
     d0 = _coeffs_at(geom.spline, t0)
     V0 = _coords(V0)
     dV0 = _coords(dV0)
@@ -143,7 +145,7 @@ def integrate_bjacobi(model: SpacetimeModel, sol: BrachistochroneSolution,
         raise InitialConditionViolated(
             f"launch data violates the linearized conservation condition: {ic:.3e}")
 
-    m = model.m
+    m = geom.model.m
     rhs = _bjacobi_rhs(geom)
     out = solve_ivp(lambda t, s: rhs(t, np.append(s, C_V)[None])[0, :2 * m], (t0, t1),
                     np.concatenate([V0, dV0]), dense_output=True, **_IVP_OPTS)
@@ -203,14 +205,14 @@ def _field_data(w: Curve, dense) -> list:
                             C_V=0.0, kind="riemannian_gamma") for x in sampled]
 
 
-def integrate_rjacobi(confgeom: ConformalGeometry, w: Curve, J0, dJ0) -> JacobiFieldData:
-    """Integrate the Jacobi equation of the conformal metric along a geodesic."""
+def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
+    """Integrate the Jacobi equation of the conformal metric along the geodesic ``data.w``."""
     X0 = np.concatenate([_coords(J0), _coords(dJ0)])[None]
-    return _field_data(w, _rjacobi_solve(ConformalCurveData(confgeom, w).spline, X0))[0]
+    return _field_data(data.w, _rjacobi_solve(data.spline, X0))[0]
 
 
-def _check_orthogonal_start(confgeom, w):
-    model = confgeom.model
+def _check_orthogonal_start(data: ConformalCurveData):
+    model, w = data.confgeom.model, data.w
     q0, v0 = w.points[0], w.velocities[0]
     y0 = model.y(q0)
     gr = riemannian_metric_matrix(model, q0)
@@ -219,58 +221,52 @@ def _check_orthogonal_start(confgeom, w):
         raise NotOrthogonalStart("geodesic does not start orthogonally to the observer line")
 
 
-def _jacobi_basis(confgeom: ConformalGeometry, w: Curve, data: ConformalCurveData | None):
-    """The curve data and the one dense solution of all m basis fields."""
-    _check_orthogonal_start(confgeom, w)
-    data = ConformalCurveData(confgeom, w) if data is None else data
-    m = confgeom.m
+def _jacobi_basis(data: ConformalCurveData):
+    """The one dense solution of all m basis fields."""
+    _check_orthogonal_start(data)
+    m = data.confgeom.m
     y0, gt0 = np.eye(m)[-1], data.gt[0]
     yy = float(y0 @ gt0 @ y0)
     X0 = np.zeros((m, 2 * m))
     # field tangent to the line at the start
     X0[0, :m] = y0
-    X0[0, m:] = -float(w.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy * y0
+    X0[0, m:] = -float(data.w.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy * y0
     # fields vanishing at the start, derivative orthogonal to Y
     X0[1:, m:] = orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)
     if np.linalg.svd(X0, compute_uv=False)[-1] <= 1e-8:
         raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
-    return data, _rjacobi_solve(data.spline, X0)
+    return _rjacobi_solve(data.spline, X0)
 
 
-def gamma_jacobi_basis(confgeom: ConformalGeometry, w: Curve,
-                       data: ConformalCurveData | None = None) -> list:
-    """m independent Jacobi fields meeting the observer-line boundary conditions.
+def gamma_jacobi_basis(data: ConformalCurveData) -> list:
+    """m independent Jacobi fields along ``data.w`` meeting the observer-line conditions.
 
     Condition set at the start node: J(0) parallel to Y, and the conserved
     pairing of the derivative with Y matches the shape of the line.
     """
-    _, dense = _jacobi_basis(confgeom, w, data)
-    return _field_data(w, dense)
+    return _field_data(data.w, _jacobi_basis(data))
 
 
-def focal_points(confgeom: ConformalGeometry, w: Curve,
-                 data: ConformalCurveData | None = None,
-                 n_scan: int = 1000, t_min: float = 0.01,
-                 rank_rtol: float = 1e-5) -> FocalReport:
-    """Zeros of det(J L) on (t_min, 1], with SVD multiplicities.
+def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
+    """Zeros of det(J L) along ``data.w`` on (_FOCAL_T_MIN, 1], with SVD multiplicities.
 
     Rows of J are the basis fields of ``gamma_jacobi_basis``, g~ = L L^T.  For
     the g~-orthonormal frame E parallel from the chart-axis Gram-Schmidt start,
     E = Q L^-1 with Q orthogonal and det Q = +1, so J L has the determinant and
-    the singular values of g~(J_i, E_j) without transporting E.  ``w`` runs
+    the singular values of g~(J_i, E_j) without transporting E.  ``data.w`` runs
     from the observer line to the event; the returned parameters are in that
     same orientation.
     """
-    data, dense = _jacobi_basis(confgeom, w, data)
+    dense = _jacobi_basis(data)
     # read weakly, as scipy's root finders leave matrix_at in a reference cycle
-    spline_ref, m = weakref.ref(data.spline), confgeom.m
+    spline_ref, m = weakref.ref(data.spline), data.confgeom.m
 
     def matrix_at(t):
         """J L at a scalar t, or stacked along the axes of an array t."""
         J = np.moveaxis(dense(t), 0, -1).reshape(np.shape(t) + (m, 2 * m))[..., :m]
         return J @ np.linalg.cholesky(spline_ref().sample(t)["gt"])
 
-    ts = np.linspace(t_min, 1.0, n_scan + 1)
+    ts = np.linspace(_FOCAL_T_MIN, 1.0, n_scan + 1)
     dets = np.linalg.det(matrix_at(ts))
     scale = float(np.max(np.abs(dets)))
     if scale == 0.0:
@@ -294,7 +290,7 @@ def focal_points(confgeom: ConformalGeometry, w: Curve,
     focal = []
     for t0 in sorted(candidates):
         svals = np.linalg.svd(matrix_at(t0), compute_uv=False)
-        mult = int(np.sum(svals < rank_rtol * svals[0]))
+        mult = int(np.sum(svals < _RANK_RTOL * svals[0]))
         if mult >= 1:
             focal.append((float(t0), mult))
     return FocalReport(
@@ -347,7 +343,6 @@ def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):
 
 
 def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
-                  criticality_tol: float = 1e-5, refine_window: float = 0.02,
                   confirm_tol: float = 1e-4) -> FocalReport:
     """Focal parameters of a solution, via the deformed side plus a direct check.
 
@@ -356,14 +351,10 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     rank drop of the endpoint map of the linearized equation, read off one
     backward propagator (``_endpoint_rows``) per solution.
     """
-    if sol.residual_ode > criticality_tol * (1.0 + sol.T ** 2):
+    if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical("focal analysis requires a critical curve")
-    from .geometry import conformal_geometry
-
-    w = deform_D(model, sol)
-    wrev = w.reversed()
-    cg = conformal_geometry(model, sol.k)
-    riem = focal_points(cg, wrev)
+    wrev = deform_D(model, sol).reversed()
+    riem = focal_points(ConformalCurveData(conformal_geometry(model, sol.k), wrev))
 
     geom = SolutionGeometry(model, sol)
     rows = None
@@ -375,8 +366,8 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
             continue
         if rows is None:
             rows = _endpoint_rows(geom)
-        lo = max(0.0, tb - refine_window)
-        hi = min(1.0 - 1e-6, tb + refine_window)
+        lo = max(0.0, tb - _REFINE_WINDOW)
+        hi = min(1.0 - 1e-6, tb + _REFINE_WINDOW)
         res = minimize_scalar(lambda t: _bfocal_singular_value(geom, t, rows),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})

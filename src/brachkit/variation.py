@@ -5,6 +5,9 @@ time differential, the explicit Hessian of the action functional, the
 Riemannian index form and energy Hessian of the conformal metric, and P1
 Galerkin discretizations of the latter for Morse index counts.
 
+A function of one curve takes the curve's cache as its only description of it:
+``SolutionGeometry`` for a solution, ``ConformalCurveData`` for a conformal geodesic.
+
 Orientation convention: index computations run on curves from the observer
 line to the event (the direction-reversed deformation of a solution); public
 solution data stays in the event-to-observer orientation.
@@ -25,9 +28,10 @@ from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_res
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
-                       conformal_factor_gradient, connection_coeffs, curvature_tensor,
-                       horizontal_part, orthonormal_completion, riemannian_metric_matrix,
-                       _conformal_connection, _coords, _grad_phi_k, _inner, _inner_y, _jacobian_fd)
+                       conformal_factor_gradient, connection_coeffs, horizontal_part,
+                       orthonormal_completion, riemannian_metric_matrix, _conformal_connection,
+                       _connection_and_curvature, _coords, _grad_phi_k, _inner, _inner_y,
+                       _jacobian_fd)
 from .transform import tangent_constraint_scan
 
 __all__ = [
@@ -49,6 +53,10 @@ __all__ = [
 ]
 
 
+_CRITICALITY_TOL = 1e-5    # equation residual of a critical curve, relative to 1 + T^2
+_GEODESIC_TOL = 1e-4       # geodesic residual of a conformal geodesic, relative to 1 + |w'|^2
+
+
 # ---------------------------------------------------------------------------
 # Cached geometry along curves
 
@@ -68,10 +76,9 @@ class SolutionGeometry:
         pts, v = sol.sigma.points, sol.sigma.velocities
         self.g = model.g(pts)
         self.y = y = model.y(pts)
-        self.gamma = connection_coeffs(model, pts)
+        self.gamma, R = _connection_and_curvature(model, pts)
         self.K = self.gamma[..., -1]                          # (nabla_v Y)^a = K[a,b] v^b
         self.N = self.g[..., -1, -1]                          # <Y,Y>
-        R = curvature_tensor(model, pts)
         # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
         # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
         Rv = np.einsum("nabcd,nd->nabc", R, v)                # R^a_{bc.} v
@@ -163,24 +170,21 @@ def _hessian_F_quadratic(geom: SolutionGeometry, zeta: FieldAlongCurve) -> float
     return float(total + boundary)
 
 
-def hessian_F_eval(model: SpacetimeModel, sol: BrachistochroneSolution,
-                   z1: FieldAlongCurve, z2: FieldAlongCurve,
-                   geom: SolutionGeometry | None = None,
-                   criticality_tol: float = 1e-5,
+def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCurve,
                    constraint_tol: float = 1e-4) -> float:
-    """Second variation of the action functional at a critical curve.
+    """Second variation of the action functional at the critical curve ``geom.sol``.
 
     Bilinear values come from the quadratic form by polarization, so symmetry
     is structural.
     """
-    if sol.residual_ode > criticality_tol * (1.0 + sol.T ** 2):
+    model, sol = geom.model, geom.sol
+    if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical(f"curve is not critical: equation residual {sol.residual_ode:.2e}")
     for z in (z1, z2):
         rep = constraint_residual(model, sol, z)
         scale = 1.0 + float(np.max(np.abs(z.values)))
         if rep.residual_Y > constraint_tol * scale or rep.residual_speed > constraint_tol * scale:
             raise ConstraintViolated("field is not an admissible variation")
-    geom = SolutionGeometry(model, sol) if geom is None else geom
     if z1 is z2:
         return _hessian_F_quadratic(geom, z1)
     plus = FieldAlongCurve(host=sol.sigma, values=z1.values + z2.values,
@@ -201,8 +205,7 @@ class ConformalCurveData:
     ``spline`` holds q, w', g~, Gamma~, ``Braw``, B, and the Lorentzian g and nabla Y
     (``K``); the Hessian assembly and the Jacobi solves sample it."""
 
-    def __init__(self, confgeom: ConformalGeometry, w: Curve, geodesic_tol: float = 1e-4,
-                 check: bool = True):
+    def __init__(self, confgeom: ConformalGeometry, w: Curve, check: bool = True):
         self.confgeom = confgeom
         self.w = w
         model, k = confgeom.model, confgeom.k
@@ -210,7 +213,7 @@ class ConformalCurveData:
             res = geodesic_residual(model, k, w)
             speed2 = max(float(w.velocities[0] @ riemannian_metric_matrix(model, w.points[0])
                                @ w.velocities[0]), 1e-300)
-            if res > geodesic_tol * (1.0 + speed2):
+            if res > _GEODESIC_TOL * (1.0 + speed2):
                 raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
         pts, v = w.points, w.velocities
         g, G = model.g(pts), connection_coeffs(model, pts)   # gives g~, Gamma~, g and K
@@ -227,15 +230,13 @@ class ConformalCurveData:
         return covariant_nodes(self.w, self.gamma, field)
 
 
-def index_form(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
-               v2: FieldAlongCurve, data: ConformalCurveData | None = None) -> float:
-    """Symmetric index form of the conformal energy along a geodesic."""
-    data = ConformalCurveData(confgeom, w) if data is None else data
+def index_form(data: ConformalCurveData, v1: FieldAlongCurve, v2: FieldAlongCurve) -> float:
+    """Symmetric index form of the conformal energy along the geodesic ``data.w``."""
     n1 = data.covariant_nodes(v1)
     n2 = data.covariant_nodes(v2)
     integrand = (np.einsum("na,nab,nb->n", n1, data.gt, n2)
                  + np.einsum("na,nab,nb->n", v1.values, data.B, v2.values))
-    return float(grid_integral(w.grid, integrand))
+    return float(grid_integral(data.w.grid, integrand))
 
 
 def _boundary_2ff(data: ConformalCurveData, a1: np.ndarray, a2: np.ndarray):
@@ -252,16 +253,13 @@ def _boundary_2ff(data: ConformalCurveData, a1: np.ndarray, a2: np.ndarray):
     return np.multiply.outer(a1 @ gt0 @ y0, a2 @ gt0 @ y0) * (y_dot / yy ** 2)
 
 
-def hessian_E_eval(confgeom: ConformalGeometry, w: Curve, v1: FieldAlongCurve,
-                   v2: FieldAlongCurve, data: ConformalCurveData | None = None) -> float:
+def hessian_E_eval(data: ConformalCurveData, v1: FieldAlongCurve, v2: FieldAlongCurve) -> float:
     """Energy Hessian at a geodesic from the observer line to the event.
 
-    ``w`` runs from the observer line to the event (orthogonal start); fields
+    ``data.w`` runs from the observer line to the event (orthogonal start); fields
     must be tangent to that boundary setup for the shape term to apply.
     """
-    data = ConformalCurveData(confgeom, w) if data is None else data
-    return index_form(confgeom, w, v1, v2, data=data) + float(_boundary_2ff(
-        data, v1.values[0], v2.values[0]))
+    return index_form(data, v1, v2) + float(_boundary_2ff(data, v1.values[0], v2.values[0]))
 
 
 def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
@@ -273,11 +271,10 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
     """
     grid, pts, vel = w.grid, w.points, w.velocities
     vals = v.values
-    G = connection_coeffs(model, pts)
+    G, R = _connection_and_curvature(model, pts)
     nv = covariant_nodes(w, G, v)
 
     g, phi = model.g(pts), conformal_factor(model, pts, k)
-    R = curvature_tensor(model, pts)
     # <R(V, w') V, w'>
     curv = np.einsum("na,nab,nbcde,nc,nd,ne->n", vel, g, R, vals, vals, vel)
     grad_phi = _grad_phi_k(g, G, k, pts)
@@ -362,11 +359,11 @@ def _quad_points(n_el: int):
     return tq, wq
 
 
-def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions: str,
-                     n_basis: int, data: ConformalCurveData | None = None) -> HessianMatrix:
+def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
+                     n_basis: int) -> HessianMatrix:
     """Galerkin matrix of the energy Hessian on nodal P1 fields.
 
-    ``w`` runs from the observer line to the event.  Modes:
+    ``data.w`` runs from the observer line to the event.  Modes:
 
     * ``full``: fields with V(0) parallel to Y and V(1) = 0;
     * ``horizontal``: additionally tangent to the horizontal-curve manifold
@@ -377,16 +374,13 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         raise ValueError(f"unknown boundary condition set '{boundary_conditions}'")
     if n_basis < 2:
         raise ValueError(f"n_basis must be at least 2, got {n_basis}")
-    model = confgeom.model
-    if data is None:
-        data = ConformalCurveData(confgeom, w)
+    model, m = data.confgeom.model, data.confgeom.m
 
     tq, wq = _quad_points(n_basis)
     nodes = np.linspace(0.0, 1.0, n_basis + 1)
     # the cached node data, interpolated: no curvature at the quadrature points
     at_q = data.spline.sample(tq)
     nq = tq.size
-    m = confgeom.m
     y = np.eye(m)[-1]  # Y = e_last, constant along the curve: dY = 0
 
     def hats(ts):
@@ -445,15 +439,15 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
         E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
         Vs, dVs = (hv * E).reshape(-1, nq, m), (hs * E + hv * dE).reshape(-1, nq, m)
         # Y-components reconstructed from the tangency condition, vanishing at
-        # the event end: one antiderivative and one spline over all fields
+        # the event end: one antiderivative over all fields, read where needed
         lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
-        lam_f = cumulative_integral(fine, lam_rate_f)
-        lam_spl = CubicSpline(fine, lam_f - lam_f[-1], axis=0)
-        lam_q = lam_spl(tq).T[:, :, None]
+        lam = CubicSpline(fine, lam_rate_f, axis=0).antiderivative()
+        lam_1 = lam(1.0)
+        lam_q = (lam(tq) - lam_1).T[:, :, None]
         lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
         Vs = Vs + lam_q * y
         dVs = dVs + lam_rate_q * y
-        V0s = lam_spl(0.0)[:, None] * y
+        V0s = (lam(0.0) - lam_1)[:, None] * y
 
     ndof = Vs.shape[0]
     # covariant derivative along the curve at quadrature points
@@ -475,17 +469,14 @@ def assemble_hessian(confgeom: ConformalGeometry, w: Curve, boundary_conditions:
                          n_negative=n_neg, n_zero=n_zero, eps_eig=eps)
 
 
-def _restricted_hessians(confgeom: ConformalGeometry, w: Curve, n_basis: int,
-                         data: ConformalCurveData | None = None) -> tuple:
+def _restricted_hessians(data: ConformalCurveData, n_basis: int) -> tuple:
     """Hessian matrices on the full, horizontal and perpendicular variation spaces.
 
     Raises ``FocalEndpoint`` at the first mode whose matrix has a zero eigenvalue.
     """
-    if data is None:
-        data = ConformalCurveData(confgeom, w)
     out = []
     for mode in ("full", "horizontal", "perpendicular"):
-        hm = assemble_hessian(confgeom, w, mode, n_basis, data=data)
+        hm = assemble_hessian(data, mode, n_basis)
         if hm.n_zero > 0:
             raise FocalEndpoint(
                 f"degenerate Hessian in mode '{mode}' (n_zero = {hm.n_zero})")
@@ -493,19 +484,17 @@ def _restricted_hessians(confgeom: ConformalGeometry, w: Curve, n_basis: int,
     return tuple(out)
 
 
-def restricted_index_report(confgeom: ConformalGeometry, w: Curve, n_basis: int,
-                            data: ConformalCurveData | None = None) -> tuple:
+def restricted_index_report(data: ConformalCurveData, n_basis: int) -> tuple:
     """Morse index on the full, horizontal, and perpendicular variation spaces."""
-    return tuple(hm.n_negative for hm in _restricted_hessians(confgeom, w, n_basis, data))
+    return tuple(hm.n_negative for hm in _restricted_hessians(data, n_basis))
 
 
 # ---------------------------------------------------------------------------
 # Admissible variation fields
 
-def make_admissible_variation(model: SpacetimeModel, sol: BrachistochroneSolution,
-                              rng=None, seed_coeffs=None,
-                              geom: SolutionGeometry | None = None) -> FieldAlongCurve:
-    """Construct a field satisfying the tangent-space constraints exactly.
+def make_admissible_variation(geom: SolutionGeometry, rng=None,
+                              seed_coeffs=None) -> FieldAlongCurve:
+    """Construct a field along ``geom.sol`` satisfying the tangent-space constraints exactly.
 
     A free smooth seed vanishing at both ends is corrected by components along
     Y and along the horizontal part of the velocity; the correction functions
@@ -513,12 +502,12 @@ def make_admissible_variation(model: SpacetimeModel, sol: BrachistochroneSolutio
     by the far boundary condition.  Exact covariant derivative values are
     attached.
     """
+    model, sol = geom.model, geom.sol
     curve = sol.sigma
     grid = curve.grid
     n = grid.size
     m = model.m
     k, T = sol.k, sol.T
-    geom = SolutionGeometry(model, sol) if geom is None else geom
 
     if seed_coeffs is None:
         rng = np.random.default_rng(0) if rng is None else rng

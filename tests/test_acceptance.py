@@ -196,7 +196,7 @@ def test_acceptance_04_travel_time_differential(acceptance_models, launch_batter
         sol = launches[0][4]
         geom = SolutionGeometry(model, sol)
         for _ in range(2):
-            zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
+            zeta = make_admissible_variation(geom, rng=rng)
             rep = constraint_residual(model, sol, zeta)
             val = abs(rep.C_zeta / sol.k)
             assert val < 1e-7, name
@@ -221,7 +221,7 @@ def test_acceptance_05_hessian_fd(acceptance_models, launch_battery):
             minus = constrained_curve_family(model, sol, coeffs, -s, n_out=400)
             base = constrained_curve_family(model, sol, coeffs, 0.0, n_out=400)
             zeta = _fd_field(model, sol, plus, minus, s)
-            H = hessian_F_eval(model, sol, zeta, zeta, geom=geom, constraint_tol=1e-3)
+            H = hessian_F_eval(geom, zeta, zeta, constraint_tol=1e-3)
             F = lambda T: -0.5 * T * T
             d2F = (F(plus.T) - 2 * F(base.T) + F(minus.T)) / (s * s)
             rel = abs(H - d2F) / max(abs(d2F), 1e-12)
@@ -245,11 +245,11 @@ def test_acceptance_06_second_variational_principle(acceptance_models, launch_ba
         wrev = w.reversed()
         data = ConformalCurveData(cg, wrev)
         for _ in range(10):
-            zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
-            HF = hessian_F_eval(model, sol, zeta, zeta, geom=geom)
+            zeta = make_admissible_variation(geom, rng=rng)
+            HF = hessian_F_eval(geom, zeta, zeta)
             X = dD_differential(model, sol, zeta)
             Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
-            HE = hessian_E_eval(cg, wrev, Xr, Xr, data=data)
+            HE = hessian_E_eval(data, Xr, Xr)
             scale = max(abs(HF), abs(HE), 1.0)
             rel = abs(HF + HE) / scale
             assert rel < 1e-5, name
@@ -265,7 +265,7 @@ def test_acceptance_07_morse_index_pair(acceptance_models, cylinder_fixtures):
         focal = bfocal_points(model, sol)
         assert focal.geometric_index == expected, L
         for n_basis in (50, 100):
-            hm = assemble_hessian(cg, wrev, "full", n_basis, data=data)
+            hm = assemble_hessian(data, "full", n_basis)
             assert hm.n_negative == expected, (L, n_basis)
             assert hm.n_zero == 0
         results[L] = (focal.geometric_index, expected)
@@ -278,7 +278,7 @@ def test_acceptance_07_morse_index_pair(acceptance_models, cylinder_fixtures):
     cgf = conformal_geometry(flat, k)
     wrevf = deform_D(flat, sol_flat, n_out=400).reversed()
     for n_basis in (50, 100):
-        hm = assemble_hessian(cgf, wrevf, "full", n_basis)
+        hm = assemble_hessian(ConformalCurveData(cgf, wrevf), "full", n_basis)
         assert hm.n_negative == 0 and hm.n_zero == 0
     print(f"\nACCEPTANCE 07 Morse index pair: PASS "
           f"(indices {results[4.5][0]} and {results[7.0][0]}, flat 0; "
@@ -289,7 +289,7 @@ def test_acceptance_08_restricted_indices(cylinder_fixtures):
     model, cg, fixtures = cylinder_fixtures
     for L, expected in ((4.5, 1), (7.0, 2)):
         _, wrev, data = fixtures[L]
-        triple = restricted_index_report(cg, wrev, 60, data=data)
+        triple = restricted_index_report(data, 60)
         assert triple == (expected, expected, expected), L
     print("\nACCEPTANCE 08 restricted index equality: PASS "
           "(full = horizontal = perpendicular on both fixtures)")
@@ -311,7 +311,7 @@ def test_acceptance_09_jacobi_correspondence(acceptance_models):
     V = (fams[0].sigma.point_spline()(grid) - fams[1].sigma.point_spline()(grid)) / (2 * s)
     dV = (fams[0].sigma.velocity_spline()(grid)
           - fams[1].sigma.velocity_spline()(grid)) / (2 * s)
-    jb = integrate_bjacobi(model, sol, V[0], dV[0])
+    jb = integrate_bjacobi(SolutionGeometry(model, sol), V[0], dV[0])
     fd_defect = np.max(np.abs(jb.field.values - V)) / max(1.0, np.max(np.abs(V)))
     assert fd_defect < 1e-3
     out = map_L(model, sol, 0.0, jb.field, C_zeta=jb.C_V)
@@ -329,7 +329,7 @@ def test_acceptance_09_jacobi_correspondence(acceptance_models):
     # focal parameters: direct linearized detection vs Riemannian scan
     focal_b = bfocal_points(model, sol)
     wrev = deform_D(model, sol, n_out=400).reversed()
-    focal_r = focal_points(cg, wrev)
+    focal_r = focal_points(ConformalCurveData(cg, wrev))
     assert len(focal_b.focal_list) == len(focal_r.focal_list) == 1
     gap = abs((1.0 - focal_b.focal_list[0][0]) - focal_r.focal_list[0][0])
     assert gap < 1e-4

@@ -37,7 +37,7 @@ def test_perpendicular_frame_degenerate_when_velocity_along_y(models):
     w = Curve(grid=grid, points=np.outer(grid, y), velocities=np.tile(y, (grid.size, 1)))
     data = ConformalCurveData(cg, w, check=False)
     with pytest.raises(FrameDegenerate):
-        assemble_hessian(cg, w, "perpendicular", 8, data=data)
+        assemble_hessian(data, "perpendicular", 8)
 
 
 def test_conformal_curve_data_rejects_non_geodesic(models):
@@ -62,23 +62,22 @@ def test_restricted_index_report_focal_endpoint(models):
     cg = geo.conformal_geometry(model, k)
 
     def arc(length):
-        w = integrate_conformal_geodesic(model, k, [np.pi / 2, 0.0, 0.0], [0.0, length, 0.0],
-                                         confgeom=cg)
+        w = integrate_conformal_geodesic(model, k, [np.pi / 2, 0.0, 0.0], [0.0, length, 0.0])
         data = ConformalCurveData(cg, w)
-        return w, data, assemble_hessian(cg, w, "full", 20, data=data)
+        return data, assemble_hessian(data, "full", 20)
 
     lo, hi = np.pi - 0.5, np.pi + 0.5
-    assert arc(lo)[2].n_negative == 0 and arc(hi)[2].n_negative == 1
+    assert arc(lo)[1].n_negative == 0 and arc(hi)[1].n_negative == 1
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        w, data, hm = arc(mid)
+        data, hm = arc(mid)
         if hm.n_zero > 0:
             break
         lo, hi = (mid, hi) if hm.n_negative == 0 else (lo, mid)
     assert hm.n_zero > 0
     assert abs(mid - np.pi) < 0.05
     with pytest.raises(FocalEndpoint, match="mode 'full'"):
-        restricted_index_report(cg, w, 20, data=data)
+        restricted_index_report(data, 20)
 
 
 def _flat3(g_tt=lambda t: np.full(np.shape(t), -1.0), chart=None):

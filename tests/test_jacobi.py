@@ -22,7 +22,7 @@ from conftest import unit_horizontal
 def test_bjacobi_zero_data(models, solutions):
     model = models["static_well"]
     sol = solutions["static_well"]
-    out = integrate_bjacobi(model, sol, np.zeros(3), np.zeros(3))
+    out = integrate_bjacobi(SolutionGeometry(model, sol), np.zeros(3), np.zeros(3))
     assert np.max(np.abs(out.field.values)) == 0.0
     assert out.C_V == 0.0
 
@@ -34,7 +34,7 @@ def test_bjacobi_flat_linear(models):
     # spatial derivative orthogonal to the motion satisfies the launch
     # condition with C_V = 0
     dV0 = np.array([0.0, 0.4, 0.0])
-    out = integrate_bjacobi(model, sol, np.zeros(3), dV0)
+    out = integrate_bjacobi(SolutionGeometry(model, sol), np.zeros(3), dV0)
     expected = np.outer(sol.sigma.grid, dV0)
     assert np.max(np.abs(out.field.values - expected)) < 1e-9
 
@@ -45,7 +45,7 @@ def test_bjacobi_ic_guard(models, solutions):
     # dV0 = Y gives -T C_V + k <dV0, s'> = -T (N + k^2) != 0
     y0 = model.y(sol.sigma.points[0])
     with pytest.raises(InitialConditionViolated):
-        integrate_bjacobi(model, sol, np.zeros(3), y0)
+        integrate_bjacobi(SolutionGeometry(model, sol), np.zeros(3), y0)
 
 
 def test_bjacobi_matches_fd_family(models, solutions):
@@ -60,7 +60,7 @@ def test_bjacobi_matches_fd_family(models, solutions):
              - fams[1].sigma.point_spline()(grid)) / (2 * s)
         dVel = (fams[0].sigma.velocity_spline()(grid)
                 - fams[1].sigma.velocity_spline()(grid)) / (2 * s)
-        out = integrate_bjacobi(model, sol, V[0], dVel[0])
+        out = integrate_bjacobi(SolutionGeometry(model, sol), V[0], dVel[0])
         scale = max(1.0, np.max(np.abs(V)))
         assert np.max(np.abs(out.field.values - V)) / scale < 1e-3, name
         assert out.C_V == pytest.approx(-sol.k * 0.04, rel=1e-6)
@@ -78,9 +78,9 @@ def test_bjacobi_linearity(models, solutions):
     row = g @ (sol.k * v - sol.T * y)
     _, _, Vt = np.linalg.svd(row[None, :])
     d1, d2 = Vt[1], Vt[2]
-    o1 = integrate_bjacobi(model, sol, np.zeros(3), d1, geom=geom)
-    o2 = integrate_bjacobi(model, sol, np.zeros(3), d2, geom=geom)
-    o12 = integrate_bjacobi(model, sol, np.zeros(3), d1 + 2.0 * d2, geom=geom)
+    o1 = integrate_bjacobi(geom, np.zeros(3), d1)
+    o2 = integrate_bjacobi(geom, np.zeros(3), d2)
+    o12 = integrate_bjacobi(geom, np.zeros(3), d1 + 2.0 * d2)
     sup = np.max(np.abs(o12.field.values - o1.field.values - 2.0 * o2.field.values))
     assert sup < 1e-9 * max(1.0, np.max(np.abs(o12.field.values)))
 
@@ -90,7 +90,7 @@ def test_rjacobi_flat_linear(models):
     k = np.sqrt(2.0)
     cg = conformal_geometry(model, k)
     w = integrate_conformal_geodesic(model, k, np.zeros(3), [1.0, 0, 0])
-    out = integrate_rjacobi(cg, w, [0, 0, 0], [0.0, 1.0, 0.5])
+    out = integrate_rjacobi(ConformalCurveData(cg, w), [0, 0, 0], [0.0, 1.0, 0.5])
     expected = np.outer(w.grid, [0.0, 1.0, 0.5])
     assert np.max(np.abs(out.field.values - expected)) < 1e-9
 
@@ -101,7 +101,7 @@ def test_rjacobi_sphere_closed_form(models):
     cg = conformal_geometry(model, k)
     L = 2.5
     w = integrate_conformal_geodesic(model, k, [np.pi / 2, 0.0, 0.0], [0.0, L, 0.0])
-    out = integrate_rjacobi(cg, w, [0, 0, 0], [1.0, 0.0, 0.0])
+    out = integrate_rjacobi(ConformalCurveData(cg, w), [0, 0, 0], [1.0, 0.0, 0.0])
     expected = np.sin(L * w.grid) / L
     assert np.max(np.abs(out.field.values[:, 0] - expected)) < 1e-9
 
@@ -115,7 +115,7 @@ def test_rjacobi_killing_field_is_jacobi(models, solutions):
         data = ConformalCurveData(cg, w)
         y0 = model.y(w.points[0])
         dy0 = data.Kt[0] @ w.velocities[0]
-        out = integrate_rjacobi(cg, w, y0, dy0)
+        out = integrate_rjacobi(data, y0, dy0)
         ys = np.array([model.y(q) for q in w.points])
         assert np.max(np.abs(out.field.values - ys)) < 1e-6, name
 
@@ -127,7 +127,7 @@ def test_gamma_jacobi_basis_count_and_conservation(models, solutions):
         cg = conformal_geometry(model, sol.k)
         wrev = deform_D(model, sol, n_out=400).reversed()
         data = ConformalCurveData(cg, wrev)
-        basis = gamma_jacobi_basis(cg, wrev, data=data)
+        basis = gamma_jacobi_basis(data)
         assert len(basis) == model.m
         # the tangency pairing stays zero along the curve
         for jd in basis:
@@ -148,7 +148,7 @@ def test_gamma_jacobi_basis_flat_structure(models):
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     cg = conformal_geometry(model, k)
     wrev = deform_D(model, sol, n_out=400).reversed()
-    basis = gamma_jacobi_basis(cg, wrev)
+    basis = gamma_jacobi_basis(ConformalCurveData(cg, wrev))
     # first field: constant multiple of Y; remaining fields vanish at 0 and
     # grow linearly
     ys = np.array([model.y(q) for q in wrev.points])
@@ -163,8 +163,11 @@ def test_gamma_jacobi_requires_orthogonal_start(models, solutions):
     model = models["static_well"]
     sol = solutions["static_well"]
     cg = conformal_geometry(model, sol.k)
+    # the solution curve is not horizontal: its cache skips the geodesic check,
+    # which would raise NotHorizontal first
+    data = ConformalCurveData(cg, sol.sigma, check=False)
     with pytest.raises(NotOrthogonalStart):
-        gamma_jacobi_basis(cg, sol.sigma)  # solution curve is not horizontal
+        gamma_jacobi_basis(data)
 
 
 def test_focal_points_flat_empty(models):
@@ -173,7 +176,7 @@ def test_focal_points_flat_empty(models):
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     cg = conformal_geometry(model, k)
     wrev = deform_D(model, sol, n_out=400).reversed()
-    rep = focal_points(cg, wrev)
+    rep = focal_points(ConformalCurveData(cg, wrev))
     assert rep.focal_list == []
     assert rep.geometric_index == 0
 
@@ -182,7 +185,7 @@ def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
     wrev = deform_D(model, cylinder_long_arc, n_out=400).reversed()
-    rep = focal_points(cg, wrev)
+    rep = focal_points(ConformalCurveData(cg, wrev))
     assert rep.geometric_index == 1
     assert len(rep.focal_list) == 1
     t0, mult = rep.focal_list[0]
@@ -190,7 +193,7 @@ def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc
     assert t0 == pytest.approx(np.pi / 4.5, abs=1e-6)
 
     wrev2 = deform_D(model, cylinder_very_long_arc, n_out=400).reversed()
-    rep2 = focal_points(cg, wrev2)
+    rep2 = focal_points(ConformalCurveData(cg, wrev2))
     assert rep2.geometric_index == 2
     assert [m for _, m in rep2.focal_list] == [1, 1]
     assert rep2.focal_list[0][0] == pytest.approx(np.pi / 7.0, abs=1e-6)
@@ -201,8 +204,9 @@ def test_focal_scan_density_stability(models, cylinder_long_arc):
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
     wrev = deform_D(model, cylinder_long_arc, n_out=400).reversed()
-    a = focal_points(cg, wrev, n_scan=500)
-    b = focal_points(cg, wrev, n_scan=2000)
+    data = ConformalCurveData(cg, wrev)
+    a = focal_points(data, n_scan=500)
+    b = focal_points(data, n_scan=2000)
     assert a.geometric_index == b.geometric_index == 1
     assert abs(a.focal_list[0][0] - b.focal_list[0][0]) < 1e-8
 
@@ -211,8 +215,7 @@ def test_map_L_at_zero_matches_dD(models, solutions):
     model = models["static_well"]
     sol = solutions["static_well"]
     geom = SolutionGeometry(model, sol)
-    zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(41),
-                                     geom=geom)
+    zeta = make_admissible_variation(geom, rng=np.random.default_rng(41))
     X = dD_differential(model, sol, zeta)
     Y = map_L(model, sol, 0.0, zeta)
     assert np.max(np.abs(X.values - Y.values)) < 1e-10 * (1 + np.max(np.abs(X.values)))
@@ -227,7 +230,7 @@ def test_map_L_vanishing_start(models, solutions):
     d = _coeffs_at(geom.spline, t0)
     row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
     _, _, Vt = np.linalg.svd(row[None, :])
-    jb = integrate_bjacobi(model, sol, np.zeros(3), Vt[1], t0=t0, geom=geom)
+    jb = integrate_bjacobi(geom, np.zeros(3), Vt[1], t0=t0)
     out = map_L(model, sol, t0, jb.field, C_zeta=jb.C_V)
     assert np.max(np.abs(out.values[80])) < 1e-8 * (1 + np.max(np.abs(out.values)))
 
@@ -252,7 +255,7 @@ def test_map_L_sends_bjacobi_to_jacobi(models):
     dV = (fams[0].sigma.velocity_spline()(grid)
           - fams[1].sigma.velocity_spline()(grid)) / (2 * s)
     # the finite-difference field, smoothed through its own defining equation
-    jb = integrate_bjacobi(model, sol, V[0], dV[0])
+    jb = integrate_bjacobi(SolutionGeometry(model, sol), V[0], dV[0])
     assert np.max(np.abs(jb.field.values - V)) < 1e-3 * max(1.0, np.max(np.abs(V)))
     out = map_L(model, sol, 0.0, jb.field, C_zeta=jb.C_V)
 
@@ -345,7 +348,7 @@ def test_endpoint_rows_match_direct_integration(models, solutions):
             d = _coeffs_at(geom.spline, t0)
             row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
             for dv in np.linalg.svd(row[None, :])[2][1:]:
-                jb = integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0, geom=geom)
+                jb = integrate_bjacobi(geom, np.zeros(m), dv, t0=t0)
                 direct = F @ jb.field.values[-1]
                 via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
                 err = np.max(np.abs(via_rows - direct)) / np.max(np.abs(direct))
@@ -365,8 +368,7 @@ def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
         for t0 in (0.1, 0.5, 0.9):
             d = _coeffs_at(geom.spline, t0)
             row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
-            M = np.array([F @ integrate_bjacobi(model, sol, np.zeros(m), dv, t0=t0,
-                                                geom=geom).field.values[-1]
+            M = np.array([F @ integrate_bjacobi(geom, np.zeros(m), dv, t0=t0).field.values[-1]
                           for dv in np.linalg.svd(row[None, :])[2][1:]]).T
             svals = np.linalg.svd(M, compute_uv=False)
             direct = svals[-1] / svals[0]
@@ -451,7 +453,7 @@ def test_focal_determinant_matches_parallel_frame_reference(
     for name, cg, wrev, data in _deformed_curves(models, solutions, cylinder_long_arc,
                                                  cylinder_very_long_arc):
         m = cg.m
-        rep = focal_points(cg, wrev, data=data)
+        rep = focal_points(data)
         fields = _per_field_basis_reference(cg, wrev, data)
         frame = _parallel_frame_reference(wrev, data)
         gt = CubicSpline(wrev.grid, data.gt.reshape(wrev.grid.size, -1), axis=0)
@@ -480,7 +482,7 @@ def test_gamma_jacobi_basis_matches_per_field_reference(
     for name, cg, wrev, data in _deformed_curves(models, solutions, cylinder_long_arc,
                                                  cylinder_very_long_arc):
         m = cg.m
-        basis = gamma_jacobi_basis(cg, wrev, data=data)
+        basis = gamma_jacobi_basis(data)
         for jd, ref_sol in zip(basis, _per_field_basis_reference(cg, wrev, data)):
             ref = ref_sol(wrev.grid)
             for got, want in ((jd.field.values, ref[:m].T), (jd.derivative.values, ref[m:].T)):
@@ -504,14 +506,14 @@ def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc,
         cg = conformal_geometry(model, sol.k)
         wrev = deform_D(model, sol, n_out=400).reversed()
         calls.clear()
-        focal_points(cg, wrev)
+        focal_points(ConformalCurveData(cg, wrev))
         assert len(calls) == 1, name
 
 
 def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, monkeypatch):
     # given the curve data, the full Hessian and the focal scan only sample
-    # its spline; a restricted mode builds its frame spline, its lambda
-    # antiderivative and its lambda spline, nothing else
+    # its spline; a restricted mode builds its frame spline and the spline
+    # whose antiderivative is lambda, nothing else
     init = CubicSpline.__init__
     built = []
 
@@ -525,12 +527,12 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
         wrev = deform_D(model, sol, n_out=400).reversed()
         data = ConformalCurveData(cg, wrev)
         monkeypatch.setattr(CubicSpline, "__init__", counting)
-        for mode, expected in (("full", 0), ("horizontal", 3), ("perpendicular", 3)):
+        for mode, expected in (("full", 0), ("horizontal", 2), ("perpendicular", 2)):
             built.clear()
-            assemble_hessian(cg, wrev, mode, 20, data=data)
+            assemble_hessian(data, mode, 20)
             assert len(built) == expected, (name, mode, len(built))
         built.clear()
-        focal_points(cg, wrev, data=data)
+        focal_points(data)
         assert built == [], name
         built.clear()
         SolutionGeometry(model, sol)   # its spline is built on first use
@@ -553,7 +555,7 @@ def test_focal_scan_leaves_the_spline_to_its_cache(models, cylinder_long_arc):
     try:
         data = ConformalCurveData(cg, wrev)
         spline = weakref.ref(data.spline)
-        assert focal_points(cg, wrev, data=data).geometric_index >= 1
+        assert focal_points(data).geometric_index >= 1
         del data
         assert spline() is None
     finally:

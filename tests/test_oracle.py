@@ -136,7 +136,7 @@ def test_constrained_family_travel_time_curvature(models, solutions):
     # d^2 T / ds^2 matches the Hessian-derived quadratic form at 1e-2
     from brachkit.curves import FieldAlongCurve
     from brachkit.geometry import connection_coeffs
-    from brachkit.variation import hessian_F_eval
+    from brachkit.variation import SolutionGeometry, hessian_F_eval
     model = models["static_well"]
     sol = solutions["static_well"]
     coeffs = np.array([[0.05, -0.03, 0.02], [0.0, 0.02, 0.01]])
@@ -153,7 +153,7 @@ def test_constrained_family_travel_time_curvature(models, solutions):
         G = connection_coeffs(model, q)
         ders[i] = dots[i] + np.einsum("abc,b,c->a", G, v, vals[i])
     zeta = FieldAlongCurve(host=sol.sigma, values=vals, derivatives=ders)
-    H_F = hessian_F_eval(model, sol, zeta, zeta, constraint_tol=1e-3)
+    H_F = hessian_F_eval(SolutionGeometry(model, sol), zeta, zeta, constraint_tol=1e-3)
     d2T = (plus.T - 2 * base.T + minus.T) / (s * s)
     H_T = -H_F / sol.T
     assert d2T == pytest.approx(H_T, rel=1e-2)

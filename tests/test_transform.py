@@ -110,8 +110,7 @@ def test_dD_flat_spatial_identity(models):
     k = np.sqrt(2.0)
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     geom = SolutionGeometry(model, sol)
-    zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(1),
-                                     geom=geom)
+    zeta = make_admissible_variation(geom, rng=np.random.default_rng(1))
     X = dD_differential(model, sol, zeta)
     # with nabla Y = 0 the correction vanishes and the push is a translation:
     # spatial components are carried over unchanged
@@ -150,8 +149,7 @@ def test_dD_image_perpendicularity(models, solutions):
     model = models["rotating_frame"]
     sol = solutions["rotating_frame"]
     geom = SolutionGeometry(model, sol)
-    zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(2),
-                                     geom=geom)
+    zeta = make_admissible_variation(geom, rng=np.random.default_rng(2))
     w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
     X = dD_differential(model, sol, zeta)
     k = sol.k
@@ -182,7 +180,7 @@ def test_map_L_host_passes_through_anchor(models, solutions):
     # keeps sigma(t0) exactly and its velocity there is the horizontal part of sigma'(t0)
     model = models["rotating_frame"]
     sol = solutions["rotating_frame"]
-    zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(3))
+    zeta = make_admissible_variation(SolutionGeometry(model, sol), rng=np.random.default_rng(3))
     i0 = 80
     q0, v0 = sol.sigma.points[i0], sol.sigma.velocities[i0]
     host = map_L(model, sol, float(sol.sigma.grid[i0]), zeta).host

@@ -63,10 +63,11 @@ def test_constraint_gates_reject_inadmissible_field(models, solutions):
         dD_differential(model, sol, bad)
     with pytest.raises(ConstraintViolated):
         travel_time_differential(model, sol, bad)
-    good = make_admissible_variation(model, sol, rng=np.random.default_rng(36))
+    geom = SolutionGeometry(model, sol)
+    good = make_admissible_variation(geom, rng=np.random.default_rng(36))
     for z1, z2 in ((bad, bad), (good, bad), (bad, good)):
         with pytest.raises(ConstraintViolated):
-            hessian_F_eval(model, sol, z1, z2)
+            hessian_F_eval(geom, z1, z2)
 
 
 def test_admissible_fields_pass(models, solutions):
@@ -74,7 +75,7 @@ def test_admissible_fields_pass(models, solutions):
     for name, sol in solutions.items():
         model = models[name]
         geom = SolutionGeometry(model, sol)
-        zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
+        zeta = make_admissible_variation(geom, rng=rng)
         rep = constraint_residual(model, sol, zeta)
         scale = 1 + np.max(np.abs(zeta.values))
         assert rep.residual_Y < 1e-7 * scale, name
@@ -88,7 +89,7 @@ def test_dT_vanishes_at_critical_points(models, solutions):
         model = models[name]
         geom = SolutionGeometry(model, sol)
         for _ in range(2):
-            zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
+            zeta = make_admissible_variation(geom, rng=rng)
             assert abs(travel_time_differential(model, sol, zeta)) < 1e-7
 
 
@@ -115,7 +116,7 @@ def test_zero_field_gives_zero_hessian(models, solutions):
     sol = solutions["minkowski3"]
     zero = FieldAlongCurve(host=sol.sigma, values=np.zeros_like(sol.sigma.points),
                            derivatives=np.zeros_like(sol.sigma.points))
-    assert hessian_F_eval(model, sol, zero, zero) == 0.0
+    assert hessian_F_eval(SolutionGeometry(model, sol), zero, zero) == 0.0
 
 
 def test_hessian_F_flat_closed_form(models):
@@ -129,7 +130,7 @@ def test_hessian_F_flat_closed_form(models):
     ders = np.stack([np.zeros(grid.size), np.pi * np.cos(np.pi * grid),
                      np.zeros(grid.size)], axis=1)
     zeta = FieldAlongCurve(host=sol.sigma, values=vals, derivatives=ders)
-    H = hessian_F_eval(model, sol, zeta, zeta)
+    H = hessian_F_eval(SolutionGeometry(model, sol), zeta, zeta)
     expected = -np.pi ** 2 / 2 / (k * k - 1.0)
     assert H == pytest.approx(expected, rel=1e-10)
     assert H < 0.0  # so H^T = -H^F/T > 0: local minimum of the travel time
@@ -143,7 +144,7 @@ def test_hessian_F_not_critical_guard(models, solutions):
                            derivatives=np.zeros_like(bent.sigma.points))
     from brachkit.errors import NotCritical
     with pytest.raises(NotCritical):
-        hessian_F_eval(model, bent, zeta, zeta)
+        hessian_F_eval(SolutionGeometry(model, bent), zeta, zeta)
 
 
 def test_hessian_F_fd_oracle(models, solutions):
@@ -157,7 +158,7 @@ def test_hessian_F_fd_oracle(models, solutions):
         minus = constrained_curve_family(model, sol, coeffs, -s)
         base = constrained_curve_family(model, sol, coeffs, 0.0)
         zeta = fd_field_from_family(model, sol, plus, minus, s)
-        H = hessian_F_eval(model, sol, zeta, zeta, constraint_tol=1e-3)
+        H = hessian_F_eval(SolutionGeometry(model, sol), zeta, zeta, constraint_tol=1e-3)
         F = lambda T: -0.5 * T * T
         d2F = (F(plus.T) - 2 * F(base.T) + F(minus.T)) / (s * s)
         assert H == pytest.approx(d2F, rel=1e-3), name
@@ -173,7 +174,7 @@ def test_hessian_scaling_relation(models, solutions):
     minus = constrained_curve_family(model, sol, coeffs, -s)
     base = constrained_curve_family(model, sol, coeffs, 0.0)
     zeta = fd_field_from_family(model, sol, plus, minus, s)
-    H_F = hessian_F_eval(model, sol, zeta, zeta, constraint_tol=1e-3)
+    H_F = hessian_F_eval(SolutionGeometry(model, sol), zeta, zeta, constraint_tol=1e-3)
     d2T = (plus.T - 2 * base.T + minus.T) / (s * s)
     scale = max(abs(H_F), 1.0)
     assert abs(H_F + sol.T * d2T) < 1e-4 * scale
@@ -191,7 +192,7 @@ def test_index_form_flat_reduction(models):
                      np.zeros(grid.size)], axis=1)
     V = FieldAlongCurve(host=w, values=vals, derivatives=ders)
     # flat conformal factor is 1 at k = sqrt(2): I = int |V'|^2
-    assert index_form(cg, w, V, V) == pytest.approx(np.pi ** 2 / 2, rel=1e-9)
+    assert index_form(ConformalCurveData(cg, w), V, V) == pytest.approx(np.pi ** 2 / 2, rel=1e-9)
 
 
 def test_index_form_jacobi_orthogonality(models):
@@ -204,7 +205,7 @@ def test_index_form_jacobi_orthogonality(models):
     # normal Jacobi field vanishing at both ends needs L = pi; rescale instead:
     # use J(t) = sin(pi t) normal only when L = pi. For L = 2 take the Jacobi
     # field with J(0) = 0 and pick the comparison field vanishing at the ends.
-    jd = integrate_rjacobi(cg, w, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    jd = integrate_rjacobi(data, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     grid = w.grid
     # V vanishing at both endpoints
     vals = np.stack([np.sin(np.pi * grid) * 0.7, np.sin(2 * np.pi * grid) * 0.2,
@@ -212,8 +213,8 @@ def test_index_form_jacobi_orthogonality(models):
     V = FieldAlongCurve(host=w, values=vals)
     # I(J, V) equals boundary contribution only: here J(0)=0, V(0)=V(1)=0 but
     # J(1) != 0 -> I(J,V) = g~(nabla J, V)| boundary = 0 since V vanishes there
-    val = index_form(cg, w, jd.field, V, data=data)
-    scale = abs(index_form(cg, w, V, V, data=data)) + 1.0
+    val = index_form(data, jd.field, V)
+    scale = abs(index_form(data, V, V)) + 1.0
     assert abs(val) < 1e-5 * scale
 
 
@@ -230,8 +231,8 @@ def test_index_form_symmetry(models):
          np.sin(2 * np.pi * grid) * rng.standard_normal(),
          np.sin(np.pi * grid) * rng.standard_normal()], axis=1))
     v1, v2 = mk(), mk()
-    a = index_form(cg, w, v1, v2, data=data)
-    b = index_form(cg, w, v2, v1, data=data)
+    a = index_form(data, v1, v2)
+    b = index_form(data, v2, v1)
     assert abs(a - b) < 1e-10 * (1 + abs(a))
 
 
@@ -247,7 +248,7 @@ def test_hessian_E_sphere_signs(models):
         vals = np.stack([np.sin(np.pi * grid), np.zeros(grid.size),
                          np.zeros(grid.size)], axis=1)
         V = FieldAlongCurve(host=w, values=vals)
-        val = hessian_E_eval(cg, w, V, V)
+        val = hessian_E_eval(ConformalCurveData(cg, w), V, V)
         assert (val > 0) == positive
 
 
@@ -258,14 +259,13 @@ def test_hessian_E_two_expressions_agree(models, solutions):
         sol = solutions[name]
         geom = SolutionGeometry(model, sol)
         cg = conformal_geometry(model, sol.k)
-        zeta = make_admissible_variation(model, sol, rng=np.random.default_rng(34),
-                                         geom=geom)
+        zeta = make_admissible_variation(geom, rng=np.random.default_rng(34))
         w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
         X = dD_differential(model, sol, zeta)
         lorentz = hessian_E_lorentzian(model, sol.k, w, X)
         wrev = w.reversed()
         Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
-        riem = hessian_E_eval(cg, wrev, Xr, Xr)
+        riem = hessian_E_eval(ConformalCurveData(cg, wrev), Xr, Xr)
         scale = max(abs(lorentz), abs(riem), 1.0)
         assert abs(lorentz - riem) < 1e-6 * scale, name
 
@@ -280,11 +280,11 @@ def test_second_variational_principle(models, solutions):
         wrev = w.reversed()
         data = ConformalCurveData(cg, wrev)
         for _ in range(2):
-            zeta = make_admissible_variation(model, sol, rng=rng, geom=geom)
-            HF = hessian_F_eval(model, sol, zeta, zeta, geom=geom)
+            zeta = make_admissible_variation(geom, rng=rng)
+            HF = hessian_F_eval(geom, zeta, zeta)
             X = dD_differential(model, sol, zeta)
             Xr = FieldAlongCurve(host=wrev, values=X.reversed().values)
-            HE = hessian_E_eval(cg, wrev, Xr, Xr, data=data)
+            HE = hessian_E_eval(data, Xr, Xr)
             scale = max(abs(HF), abs(HE), 1.0)
             assert abs(HF + HE) < 1e-5 * scale, name
 
@@ -328,7 +328,7 @@ def test_assemble_hessian_flat_positive(models):
     wrev = deform_D(model, sol, n_out=400).reversed()
     data = ConformalCurveData(cg, wrev)
     for mode in ("full", "horizontal", "perpendicular"):
-        hm = assemble_hessian(cg, wrev, mode, 40, data=data)
+        hm = assemble_hessian(data, mode, 40)
         assert hm.n_negative == 0
         assert hm.n_zero == 0
 
@@ -339,8 +339,8 @@ def test_assemble_hessian_cylinder_counts(models, cylinder_long_arc, cylinder_ve
     for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
         wrev = deform_D(model, sol, n_out=400).reversed()
         data = ConformalCurveData(cg, wrev)
-        hm50 = assemble_hessian(cg, wrev, "full", 50, data=data)
-        hm100 = assemble_hessian(cg, wrev, "full", 100, data=data)
+        hm50 = assemble_hessian(data, "full", 50)
+        hm100 = assemble_hessian(data, "full", 100)
         assert hm50.n_negative == expected
         assert hm100.n_negative == expected
         assert hm50.n_zero == 0 and hm100.n_zero == 0
@@ -355,7 +355,7 @@ def test_restricted_index_report(models, cylinder_long_arc, cylinder_very_long_a
     for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
         wrev = deform_D(model, sol, n_out=400).reversed()
         data = ConformalCurveData(cg, wrev)
-        triple = restricted_index_report(cg, wrev, 60, data=data)
+        triple = restricted_index_report(data, 60)
         assert triple == (expected, expected, expected)
 
 
@@ -425,7 +425,7 @@ def test_assemble_hessian_full_matches_reference(models, cylinder_long_arc, solu
         cg = conformal_geometry(model, sol.k)
         wrev = deform_D(model, sol, n_out=200).reversed()
         data = ConformalCurveData(cg, wrev)
-        hm = assemble_hessian(cg, wrev, "full", 6, data=data)
+        hm = assemble_hessian(data, "full", 6)
         ref = _reference_full_hessian(cg, wrev, data, 6)
         assert hm.entries.shape == ref.shape == (16, 16)
         assert np.max(np.abs(hm.entries - ref)) <= 1e-12 * np.max(np.abs(ref)), name
@@ -440,7 +440,7 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
         data = ConformalCurveData(cg, wrev)
         for mode in ("horizontal", "perpendicular"):
             for n_basis in (50, 100):
-                hm = assemble_hessian(cg, wrev, mode, n_basis, data=data)
+                hm = assemble_hessian(data, mode, n_basis)
                 assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
 
 
@@ -468,3 +468,25 @@ def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
         assert len(at_nodes) == expected + 4 * model.m    # and the curvature stencil
     np.testing.assert_array_equal(data.spline.sample(w.grid)["K"],
                                   connection_coeffs(model, w.points)[..., -1])
+
+
+def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions):
+    # Gamma at the nodes is both the cached connection and the centre of the
+    # curvature stencil: one evaluation there, and the 4m offsets of the stencil
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    analytic = model.analytic_christoffels
+    sol = solutions["rotating_frame"]
+    pts = sol.sigma.points
+    at_nodes = []
+
+    def counting(q):
+        at_nodes.append(q.shape == pts.shape and np.array_equal(q, pts))
+        return analytic(q)
+
+    model.analytic_christoffels = counting
+    geom = SolutionGeometry(model, sol)
+    assert sum(at_nodes) == 1
+    assert len(at_nodes) == 1 + 4 * model.m
+    np.testing.assert_array_equal(geom.gamma, analytic(pts))
