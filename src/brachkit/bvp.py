@@ -12,7 +12,8 @@ Newton's method is written as a generator that yields the shots it needs, so
 one loop (``_solve_starts``) can integrate the shots of every start of a
 survey in one running batch of lanes (``dynamics.shot_endpoints``): a start's
 next shots join as soon as its previous ones have arrived.  ``shoot`` is that
-loop with a single start.
+loop with a single start; only its converged launch is integrated to a dense
+curve, and a survey integrates only the launches it may keep.
 """
 
 from __future__ import annotations
@@ -156,17 +157,17 @@ def _newton(problem: ShootingProblem, guess):
 
     The iterates are those of the sequential damped Newton method: the trials
     lambda = 1, 1/2, ..., 1/128 are taken in turn and the first whose defect
-    is smaller, or whose lambda is below 0.26, is accepted; the
-    finite-difference chord Jacobian is refreshed after a damped step and
-    every fourth iteration.  Work is yielded ahead of need to save rounds:
+    is smaller, or whose lambda is below 0.26, is accepted; every iteration
+    solves with a fresh finite-difference Jacobian at its iterate.  Work is
+    yielded ahead of need to save rounds:
 
-    * the first launch comes with the Jacobian launches around it;
+    * every launch, the first and each trial's, comes with the Jacobian
+      launches around its (re-centred) iterate, so the accepted trial's
+      Jacobian arrives with it;
     * the trials of a step come in groups, {1, 1/2, 1/4} and then
       {1/8, ..., 1/128} while the previous step was damped, and {1},
       {1/2, 1/4}, {1/8, ..., 1/128} after a full step (so a start that takes
-      full steps asks for no extra shots);
-    * each trial after which the Jacobian would be refreshed comes with the
-      Jacobian launches around its re-centred iterate.
+      full steps asks for no extra shots).
 
     Trials after the accepted one are dropped without computing their
     residuals, together with their exceptions.  An exception raised while
@@ -218,19 +219,16 @@ def _newton(problem: ShootingProblem, guess):
     ends = yield ahead(first, plan)
     r = residual(ends[0])
     plan_ends = ends[1:]
-    jac = None
     damped = False
-    for it in range(cfg.max_newton):
+    for _ in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
-        if jac is None:
-            jac = jacobian(plan, plan_ends, r)
+        jac = jacobian(plan, plan_ends, r)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian")
-        refresh = it % 4 == 3  # the Jacobian is also refreshed after any damped step
         accepted = None
         for group in _DAMPED_GROUPS if damped else _FULL_GROUPS:
             trials, launches = [], []
@@ -242,7 +240,7 @@ def _newton(problem: ShootingProblem, guess):
                 moved = trial_plan = None
                 if not isinstance(shot, Exception):
                     moved = _attempt(recentre, x_new, center)
-                    if (lam < 1.0 or refresh) and not isinstance(moved, Exception):
+                    if not isinstance(moved, Exception):
                         trial_plan = _attempt(jacobian_launches, *moved)
                 trials.append((lam, shot, moved, trial_plan, len(launches)))
                 launches += ahead(shot, trial_plan)
@@ -264,13 +262,11 @@ def _newton(problem: ShootingProblem, guess):
                 break
         else:
             raise NoConvergence(f"line search stalled at residual {rn:.3e}")
-        lam, r, moved, trial_plan, trial_ends = accepted
+        lam, r, moved, plan, plan_ends = accepted
         if isinstance(moved, Exception):
             raise moved
         x, center = moved
         damped = lam < 1.0
-        if damped or refresh:
-            jac, plan, plan_ends = None, trial_plan, trial_ends
     else:
         raise NoConvergence(
             f"no convergence after {cfg.max_newton} iterations (residual {np.linalg.norm(r):.3e})")
@@ -278,17 +274,16 @@ def _newton(problem: ShootingProblem, guess):
 
 
 def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
-    """Shoot from every guess, all starts sharing one running batch of lanes.
+    """Newton-solve every guess, all starts sharing one running batch of lanes.
 
     A start's Newton generator advances as soon as all the shots it yielded
     have arrived, and its next shots join the batch at the next step
     boundary (``dynamics.shot_endpoints`` with ``admit``).  Returns
-    ``(results, counts)``: ``results[i]`` is the fully sampled converged
-    solution of start i or the exception that ended it; ``counts`` has
-    ``rounds`` (the most yields of any start), ``lane_shots`` and
-    ``batched_calls`` (calls of the acceleration).
+    ``(results, counts)``: ``results[i]`` is the converged launch ``(u, T)``
+    of start i or the exception that ended it, and no dense curve is
+    integrated; ``counts`` has ``rounds`` (the most yields of any start),
+    ``lane_shots`` and ``batched_calls`` (calls of the acceleration).
     """
-    cfg = problem.config
     newtons = [_newton(problem, guess) for guess in guesses]
     results = [None] * len(newtons)
     yields = [0] * len(newtons)
@@ -298,22 +293,16 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
 
     def advance(i, ends):
         try:
-            try:
-                shots = newtons[i].send(ends)
-            except StopIteration as stop:
-                u, T = stop.value
-            else:
-                yields[i] += 1
-                arrivals[i] = [None] * len(shots)
-                owner.extend((i, j) for j in range(len(shots)))
-                queued.extend(shots)
-                return
-            sol = integrate_brachistochrone(problem.model, problem.k, problem.p, u, T,
-                                            cfg.integrator)
-            sol.check_conservation(cfg.integrator.tol_cons)
-            results[i] = sol
+            shots = newtons[i].send(ends)
+        except StopIteration as stop:
+            results[i] = stop.value
         except (BrachkitError, ValueError) as exc:
             results[i] = exc.with_traceback(None)  # no cycle through the frames of the start
+        else:
+            yields[i] += 1
+            arrivals[i] = [None] * len(shots)
+            owner.extend((i, j) for j in range(len(shots)))
+            queued.extend(shots)
 
     def take_queued():
         shots = queued[:]
@@ -332,9 +321,17 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
         advance(i, None)
     tally = {"batched_calls": 0}
     if queued:
-        shot_endpoints(problem.model, problem.k, *take_queued(), cfg.integrator,
+        shot_endpoints(problem.model, problem.k, *take_queued(), problem.config.integrator,
                        admit=admit, tally=tally)
     return results, dict(rounds=max(yields, default=0), lane_shots=len(owner), **tally)
+
+
+def _integrate(problem: ShootingProblem, launch) -> BrachistochroneSolution:
+    """The fully sampled solution of a converged launch (u, T), its conservation checked."""
+    cfg = problem.config.integrator
+    sol = integrate_brachistochrone(problem.model, problem.k, problem.p, *launch, cfg)
+    sol.check_conservation(cfg.tol_cons)
+    return sol
 
 
 def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
@@ -343,7 +340,7 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
     (result,), _ = _solve_starts(problem, [guess])
     if isinstance(result, Exception):
         raise result
-    return result
+    return _integrate(problem, result)
 
 
 def _attach_indices(model, sol, n_basis: int = 50):
@@ -361,6 +358,11 @@ def _attach_indices(model, sol, n_basis: int = 50):
     return hm.n_negative, hm.n_zero, rep.geometric_index
 
 
+# Converged launches this close (max norm over the direction and T) are one
+# solution: Newton leaves them ~1e-10 apart, distinct solutions lie O(1) apart.
+_SAME_LAUNCH = 1e-8
+
+
 def _survey_starts(m: int, n_starts: int, T_bracket, seed: int) -> list:
     """The survey's deterministic (direction seed, T) starts."""
     rng = np.random.default_rng(seed)
@@ -374,43 +376,62 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
     """Deterministic multi-start shooting over random directions and T values.
 
     All starts are shot in lockstep.  Individual failures are logged and
-    skipped; converged solutions are sorted by travel time, deduplicated by
-    sup curve distance, and annotated with their Morse and geometric indices.
-    One INFO line sums up what became of the starts.
+    skipped.  The converged launches inside the T bracket are walked in order
+    of travel time: a launch within ``_SAME_LAUNCH`` of a kept one is a
+    duplicate, and every other is integrated, its conservation checked, and
+    kept unless its curve lies within ``dedup_threshold`` of a kept curve (sup
+    g_R distance).  Kept solutions are annotated with their Morse and
+    geometric indices.  One INFO line sums up what became of the starts.
     """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     starts = _survey_starts(problem.model.m, n_starts, T_bracket, seed)
     results, counts = _solve_starts(problem, starts)
 
     failed = Counter()
+
+    def fail(idx, exc):
+        failed[type(exc).__name__] += 1
+        log.info("start %d: %s: %s", idx, type(exc).__name__, exc)
+
     n_outside = 0
     converged = []
     for idx, res in enumerate(results):
         if isinstance(res, Exception):
-            failed[type(res).__name__] += 1
-            log.info("start %d: %s: %s", idx, type(res).__name__, res)
-            continue
-        if not (T_lo - 1e-9 <= res.T <= T_hi + 1e-9):
+            fail(idx, res)
+        elif not (T_lo - 1e-9 <= res[1] <= T_hi + 1e-9):
             log.info("start %d: converged outside the T bracket (T=%.6g), discarded",
-                     idx, res.T)
+                     idx, res[1])
             n_outside += 1
-            continue
-        converged.append(res)
+        else:
+            converged.append((idx, res))
 
-    converged.sort(key=lambda s: s.T)
-    unique, unique_points = [], []
-    for sol in converged:
+    converged.sort(key=lambda c: c[1][1])
+    unique, kept = [], []  # kept: the launch (u, T) and resampled curve of each unique solution
+    n_duplicate = n_integrated = 0
+    for idx, launch in converged:
+        ut = np.append(*launch)
+        if any(np.max(np.abs(ut - other)) <= _SAME_LAUNCH for other, _ in kept):
+            n_duplicate += 1
+            continue
+        n_integrated += 1
+        try:
+            sol = _integrate(problem, launch)
+        except (BrachkitError, ValueError) as exc:
+            fail(idx, exc)
+            continue
         points = resample_curve(sol.sigma, 200).points
         if all(curve_distance(problem.model, points, other) > dedup_threshold
-               for other in unique_points):
+               for _, other in kept):
             unique.append(sol)
-            unique_points.append(points)
+            kept.append((ut, points))
+        else:
+            n_duplicate += 1
     n_failures = sum(failed.values())
     log.info("survey: starts=%d distinct=%d duplicate=%d outside_bracket=%d failed=%d (%s) "
-             "rounds=%d lane_shots=%d batched_calls=%d", n_starts, len(unique),
-             len(converged) - len(unique), n_outside, n_failures,
+             "rounds=%d lane_shots=%d batched_calls=%d integrated=%d", n_starts, len(unique),
+             n_duplicate, n_outside, n_failures,
              " ".join(f"{k}={v}" for k, v in sorted(failed.items())),
-             counts["rounds"], counts["lane_shots"], counts["batched_calls"])
+             counts["rounds"], counts["lane_shots"], counts["batched_calls"], n_integrated)
 
     records = []
     for sol in unique:

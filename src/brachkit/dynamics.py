@@ -150,11 +150,11 @@ _ERR_EXP = -1.0 / 5.0
 
 
 def _lincomb(coeffs, K):
-    """sum_s c_s K_s, elementwise so that each lane's value is independent of the batch."""
-    out = coeffs[0] * K[0]
-    for c, k in zip(coeffs[1:], K[1:]):
-        out = out + c * k
-    return out
+    """sum_s c_s K_s over the first stages of K, shape (stages, n, d).
+
+    A reduction over the outer axis adds the stages in order, elementwise, so
+    each lane's value is independent of the batch."""
+    return np.add.reduce(coeffs[:, None, None] * K[:len(coeffs)], axis=0)
 
 
 def _rms(x):
@@ -162,7 +162,9 @@ def _rms(x):
 
 
 class _Lanes:
-    """Per-lane arrays of the live lanes, shrunk together when lanes leave."""
+    """Per-lane arrays of the live lanes, shrunk together when lanes leave.
+
+    The stages ``K`` of the current step, shape (7, n, d), have the lane on axis 1."""
 
     STATE = ("lane", "y", "f", "h_abs", "t", "rejected")  # what a lane carries from step to step
 
@@ -171,10 +173,7 @@ class _Lanes:
 
     def keep(self, mask):
         for key, val in vars(self).items():
-            if isinstance(val, list):
-                val[:] = [k[mask] for k in val]  # in place: a pending L.K.append must see it
-            else:
-                setattr(self, key, val[mask])
+            setattr(self, key, val[:, mask] if key == "K" else val[mask])
 
     def join(self, other):
         """The lanes of both, carrying only their step-to-step state."""
@@ -285,11 +284,14 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         t_new = L.t + L.h_abs
         L.t_new = np.where(t_new > 1.0, 1.0, t_new)
         L.h = (L.t_new - L.t)[:, None]
-        L.K = [L.f]
+        L.K = np.empty((7,) + L.y.shape)
+        L.K[0] = L.f
         for s in range(1, 6):
-            L.K.append(evaluate(L, L.y + L.h * _lincomb(_RK_A[s, :s], L.K)))
+            # L.K is looked up after the right side, so the row lands in the array
+            # that an evaluation dropping lanes has shrunk
+            L.K[s] = evaluate(L, L.y + L.h * _lincomb(_RK_A[s, :s], L.K))
         L.y_new = L.y + L.h * _lincomb(_RK_B, L.K)
-        L.K.append(evaluate(L, L.y_new))
+        L.K[6] = evaluate(L, L.y_new)
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
         err = _rms(L.h * _lincomb(_RK_E, L.K) / scale)
         accept = err < 1.0

@@ -180,7 +180,7 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
     model, sol = geom.model, geom.sol
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical(f"curve is not critical: equation residual {sol.residual_ode:.2e}")
-    for z in (z1, z2):
+    for z in (z1,) if z1 is z2 else (z1, z2):
         rep = constraint_residual(model, sol, z)
         scale = 1.0 + float(np.max(np.abs(z.values)))
         if rep.residual_Y > constraint_tol * scale or rep.residual_speed > constraint_tol * scale:

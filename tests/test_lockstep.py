@@ -9,13 +9,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import brachkit.bvp as bvp
-from brachkit.bvp import (ObserverWorldline, ShootingProblem, _newton, _residual_vector,
-                          _solve_starts, _sphere_direction, _survey_starts, multistart_survey,
-                          shoot)
+from brachkit.bvp import (ObserverWorldline, ShootingProblem, _integrate, _newton,
+                          _residual_vector, _solve_starts, _sphere_direction, _survey_starts,
+                          multistart_survey, shoot)
 from brachkit.cli import run_scenario
 from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _rhs_factory,
-                               brachistochrone_acceleration, initial_velocity, rk45_lanes,
-                               shot_endpoints)
+                               brachistochrone_acceleration, initial_velocity,
+                               integrate_brachistochrone, rk45_lanes, shot_endpoints)
 from brachkit.errors import BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart
 from brachkit.geometry import horizontal_unit
 from brachkit.transform import flow_points
@@ -139,15 +139,18 @@ def test_shoot_equals_its_lane_in_a_survey(models):
     starts = _survey_starts(model.m, 6, (0.05, 0.8), seed=5)
     together, counts = _solve_starts(prob, starts)
     assert counts["rounds"] >= 1 and counts["lane_shots"] >= len(starts)
-    for start, sol in zip(starts, together):
-        alone = shoot(ShootingProblem(model, prob.p, ObserverWorldline(gamma.anchor, model), 2.0),
-                      start)
-        assert alone.T == sol.T
-        assert np.array_equal(alone.sigma.points, sol.sigma.points)
-        assert np.array_equal(alone.sigma.velocities, sol.sigma.velocities)
+    for start, (u, T) in zip(starts, together):
+        alone = ShootingProblem(model, prob.p, ObserverWorldline(gamma.anchor, model), 2.0)
+        (lone,), _ = _solve_starts(alone, [start])
+        assert lone[1] == T and np.array_equal(lone[0], u)
+        sol = shoot(alone, start)
+        assert sol.T == T
+        assert np.array_equal(sol.sigma.velocities[0], initial_velocity(model, 2.0, prob.p, u, T))
     res = multistart_survey(prob, 6, (0.05, 0.8), seed=5, attach_indices=False)
-    first = min(together, key=lambda s: s.T)
-    assert np.array_equal(res.solutions[0]["solution"].sigma.points, first.sigma.points)
+    first = min(together, key=lambda launch: launch[1])
+    assert res.solutions[0]["T"] == first[1]
+    assert np.array_equal(res.solutions[0]["solution"].sigma.points,
+                          _integrate(prob, first).sigma.points)
 
 
 SURVEY = {
@@ -173,6 +176,8 @@ def test_survey_summary_line_counts_every_start(tmp_path, caplog, bracket):
     assert sum(by_class.values()) == counts["failed"]
     assert counts["rounds"] >= 1 and counts["lane_shots"] >= 10
     assert counts["batched_calls"] >= counts["rounds"]
+    # one flat solution: its duplicates are found by their launches, not by dense curves
+    assert counts["integrated"] == counts["distinct"]
     assert (counts["outside_bracket"] > 0) == (bracket[1] < 1.0)
     logging.disable(logging.CRITICAL)
     try:
@@ -275,15 +280,14 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
     x = np.zeros(ndim)
     x[-1] = float(guess[1])
     r = residual((yield [launch(x, center)])[0])
-    jac = None
-    for it in range(cfg.max_newton):
+    for _ in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
-        if jac is None:
-            dxs = cfg.fd_step * (1.0 + np.abs(x))
-            ends = yield [launch(x + dx * e, center) for dx, e in zip(dxs, np.eye(ndim))]
-            jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
+        # a fresh Jacobian at every iterate
+        dxs = cfg.fd_step * (1.0 + np.abs(x))
+        ends = yield [launch(x + dx * e, center) for dx, e in zip(dxs, np.eye(ndim))]
+        jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
         step = np.linalg.solve(jac, -r)
         lam = 1.0
         for _ in range(8):
@@ -308,8 +312,6 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
         x = x_new.copy()
         x[:-1] = 0.0
         r = r_new
-        if lam < 1.0 or it % 4 == 3:
-            jac = None
     else:
         raise NoConvergence(f"no convergence after {cfg.max_newton} iterations")
     return center, float(x[-1])
@@ -330,15 +332,16 @@ def _drive(newton, problem):
         return exc, sizes
 
 
+CYLINDER_BRACKET = (0.3, 2 * np.pi + np.pi / 2 + 0.5)  # acceptance 11 at k = sqrt(2)
+
+
 @pytest.fixture(scope="module")
 def cylinder_survey(models):
     """The cylinder problem of acceptance 11 and its 48 survey starts."""
     model = models["einstein_cylinder"]
-    k = np.sqrt(2.0)
     gamma = ObserverWorldline(np.array([np.pi / 2, np.pi / 2, 0.0]), model)
-    prob = ShootingProblem(model, np.array([np.pi / 2, 0.0, 0.0]), gamma, k)
-    t_max = (2 * np.pi + np.pi / 2 + 0.5) / np.sqrt(k * k - 1.0)
-    return prob, _survey_starts(3, 48, (0.3, t_max), seed=11)
+    prob = ShootingProblem(model, np.array([np.pi / 2, 0.0, 0.0]), gamma, np.sqrt(2.0))
+    return prob, _survey_starts(3, 48, CYLINDER_BRACKET, seed=11)
 
 
 def test_speculative_newton_matches_sequential_reference(cylinder_survey):
@@ -406,8 +409,8 @@ def test_failures_of_work_ahead_are_raised_only_where_the_reference_meets_them(
 
 
 def test_full_steps_yield_no_extra_shots(models):
-    # a start that takes only full steps asks for one shot per iteration, plus the
-    # Jacobian launches with the first launch and at every fourth iteration
+    # a start that takes only full steps asks for one shot per iteration, each
+    # with the Jacobian launches around it
     model = models["static_well"]
     prob = ShootingProblem(model, np.array([0.1, 0.0, 0.0]),
                            ObserverWorldline(np.array([0.4, 0.3, 0.0]), model), 2.0)
@@ -418,7 +421,32 @@ def test_full_steps_yield_no_extra_shots(models):
     assert events == {"full"}
     assert T == ref[1] and np.array_equal(center, ref[0])
     assert len(lanes) > 5
-    assert lanes == [3] + [1 if it % 4 != 3 else 3 for it in range(len(lanes) - 1)]
+    assert lanes == [3] * len(lanes)
+
+
+def test_survey_shooting_cost(cylinder_survey, monkeypatch, caplog):
+    # dense curves are integrated only for the starts the survey keeps, not for all
+    # 42 converged ones; a fresh Jacobian at every iteration keeps the longest Newton
+    # chain short (a chord Jacobian refreshed after damped steps and every fourth
+    # iteration took 18 rounds, 1297 lane shots and 18430 batched calls)
+    prob, _ = cylinder_survey
+    dense = []
+
+    def counting(*args):
+        dense.append(args[-2])
+        return integrate_brachistochrone(*args)
+
+    monkeypatch.setattr(bvp, "integrate_brachistochrone", counting)
+    with caplog.at_level(logging.INFO, logger="brachkit.bvp"):
+        res = multistart_survey(prob, 48, CYLINDER_BRACKET, seed=11, attach_indices=False)
+    assert len(res.solutions) == len(dense) == 3
+    assert [rec["T"] for rec in res.solutions] == dense
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:"))
+    counts = {key: int(val) for key, val in re.findall(r"(\w+)=(\d+)", line)}
+    assert counts["integrated"] == 3
+    assert counts["rounds"] <= 15
+    assert counts["lane_shots"] <= 1250
+    assert counts["batched_calls"] <= 17000
 
 
 def test_worldlines_compare_and_hash_by_identity(models):

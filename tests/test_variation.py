@@ -490,3 +490,23 @@ def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions)
     assert sum(at_nodes) == 1
     assert len(at_nodes) == 1 + 4 * model.m
     np.testing.assert_array_equal(geom.gamma, analytic(pts))
+
+
+def test_quadratic_hessian_F_eval_checks_its_field_once(solutions):
+    # hessian_F_eval(geom, z, z) runs the constraint scan of z once: one g and one
+    # Gamma evaluation at the solution's nodes
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    sol = solutions["rotating_frame"]
+    geom = SolutionGeometry(model, sol)
+    zeta = make_admissible_variation(geom, rng=np.random.default_rng(37))
+    pts = sol.sigma.points
+    at_nodes = {"metric_components": 0, "analytic_christoffels": 0}
+    for name in at_nodes:
+        def counting(q, name=name, callback=getattr(model, name)):
+            at_nodes[name] += q.shape == pts.shape and np.array_equal(q, pts)
+            return callback(q)
+        setattr(model, name, counting)
+    hessian_F_eval(geom, zeta, zeta)
+    assert at_nodes == {"metric_components": 1, "analytic_christoffels": 1}
