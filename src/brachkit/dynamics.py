@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
+from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
 from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
-from .errors import BrachkitError, NoConvergence, NotHorizontal, OutsideUk, StepFailure
+from .errors import BrachkitError, ConstraintViolated, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (SpacetimeModel, conformal_geometry, connection_coeffs,
                        conservation_residuals, require_adapted_chart, riemannian_metric_matrix,
                        _coords, _grad_phi_k, _inner, _inner_y, _phi_k)
@@ -55,7 +56,6 @@ class BrachistochroneSolution:
     residual_ode: float
 
     def check_conservation(self, tol_cons: float):
-        from .errors import ConstraintViolated
         if self.residual_conservation_Y > tol_cons * (1.0 + self.k * self.T):
             raise ConstraintViolated(
                 f"<sigma',Y> + kT residual {self.residual_conservation_Y:.3e} over tolerance")
@@ -122,17 +122,6 @@ def brachistochrone_acceleration(model: SpacetimeModel, k: float, T, q, v) -> np
     return acc
 
 
-def _rhs_factory(model: SpacetimeModel, k: float, T: float):
-    """Single-state right-hand side for ``solve_ivp``: the acceleration on a batch of one."""
-    m = model.m
-
-    def rhs(t, state):
-        q, v = state[None, :m], state[None, m:]
-        return np.concatenate([state[m:], brachistochrone_acceleration(model, k, T, q, v)[0]])
-
-    return rhs
-
-
 def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
     """(velocity, acceleration) of the travel-time equation at states of shape ``(..., m)``."""
     q, v = _coords(state[0]), _coords(state[1])
@@ -143,8 +132,9 @@ def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
 # ---------------------------------------------------------------------------
 # Lockstep shots: Dormand-Prince 5(4) with a step size per lane
 
-# scipy's RK45 tableau and step-size rules (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
-_RK_A, _RK_B, _RK_E = RK45.A, RK45.B, RK45.E
+# scipy's RK45 tableau, continuous extension and step-size rules (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4 and II.6)
+_RK_A, _RK_B, _RK_E, _RK_P = RK45.A, RK45.B, RK45.E, RK45.P
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 5.0
 
@@ -166,7 +156,7 @@ class _Lanes:
 
     The stages ``K`` of the current step, shape (7, n, d), have the lane on axis 1."""
 
-    STATE = ("lane", "y", "f", "h_abs", "t", "rejected")  # what a lane carries from step to step
+    STATE = ("lane", "y", "f", "h_abs", "t", "rejected", "next")  # carried from step to step
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -181,7 +171,7 @@ class _Lanes:
                          for key in self.STATE})
 
 
-def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
+def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
     """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own RK45 step control.
 
     ``y0`` has shape ``(n, d)``.  Lanes are numbered in the order they are
@@ -192,7 +182,13 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
     its result to roundoff; and it is bit-identical whether it runs alone or
     in any batch, admitted at the start or later.  When a batched evaluation
     raises, the lanes are evaluated one by one; each lane that raises leaves
-    with its exception and the others continue.
+    with its exception and the others continue; so does a lane whose step
+    size falls below scipy's minimum, with ``StepFailure``.
+
+    Lanes are sampled at ``grid``, sorted nodes in [0, 1] that end at 1.0.  A
+    node that a step lands on takes the step's end exactly, so node 1.0 is the
+    arrival; a node inside a step is read off the step's Dormand-Prince
+    continuous extension, as scipy's dense output reads it.
 
     With ``admit``, lanes join at step boundaries: whenever lanes have left
     (reached t = 1 or raised), ``admit(left)`` gets them as a dict lane ->
@@ -201,13 +197,15 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
     initial-step selection and then steps with the others.  Without
     ``admit``, the lanes of ``y0`` are all there are.
 
-    Returns ``(ends, steps, failures)`` over every lane admitted: the states
-    at t = 1 (NaN rows for failed lanes), the accepted steps per lane and a
-    dict lane -> exception.
+    Returns ``(samples, steps, failures)`` over every lane admitted: the
+    states at the grid nodes, shape ``(lanes, nodes, d)`` (NaN at the nodes a
+    failed lane did not reach), the accepted steps per lane and a dict
+    lane -> exception.
     """
     y0 = np.asarray(y0, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     dim = y0.shape[1]
-    ends = np.empty((0, dim))
+    samples = np.empty((0, grid.size, dim))
     steps = np.zeros(0, dtype=int)
     failures = {}
     left = []  # lanes that left since the last call of admit
@@ -237,9 +235,10 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
 
     def start(y):
         """Lanes for the initial states y, with scipy's initial step (select_initial_step)."""
-        nonlocal ends, steps
+        nonlocal samples, steps
         first = steps.size
-        ends = np.concatenate([ends, np.full(y.shape, np.nan)])
+        # NaN until sampled, but for the nodes at t = 0
+        samples = np.concatenate([samples, np.where((grid <= 0.0)[:, None], y[:, None], np.nan)])
         steps = np.concatenate([steps, np.zeros(len(y), dtype=int)])
         N = _Lanes(lane=np.arange(first, steps.size), y=y.copy())
         N.f = evaluate(N, N.y)
@@ -257,13 +256,14 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         del N.scale, N.d1, N.h0
         N.t = np.zeros(N.lane.size)
         N.rejected = np.zeros(N.lane.size, dtype=bool)
+        N.next = np.full(N.lane.size, grid[grid > 0.0][0])  # the first node not yet sampled
         return N
 
     L = start(y0)
     while True:
         if admit is not None and left:
             # copies: a view would keep this whole array alive after start() replaces it
-            arrived = {lane: failures[lane] if lane in failures else ends[lane].copy()
+            arrived = {lane: failures[lane] if lane in failures else samples[lane, -1].copy()
                        for lane in left}
             left.clear()
             new = np.asarray(admit(arrived), dtype=float).reshape(-1, dim)
@@ -277,8 +277,8 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         small = L.h_abs < min_step
         if small.any():
             for lane in L.lane[small]:
-                fail(lane, NoConvergence("shot integration failed: Required step size is less "
-                                         "than spacing between numbers."))
+                fail(lane, StepFailure("integrator failed: Required step size is less than "
+                                       "spacing between numbers."))
             L.keep(~small)
             continue
         t_new = L.t + L.h_abs
@@ -295,6 +295,17 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
         err = _rms(L.h * _lincomb(_RK_E, L.K) / scale)
         accept = err < 1.0
+        for i in np.flatnonzero(accept & (L.next <= L.t_new)):  # sample nodes in (t, t_new]
+            lo, hi = np.searchsorted(grid, (L.t[i], L.t_new[i]), side="right")
+            inner = hi - (grid[hi - 1] == L.t_new[i])  # a node the step lands on is its end
+            if inner > lo:
+                h = L.h[i, 0]
+                x = np.cumprod(np.tile((grid[lo:inner] - L.t[i]) / h, (4, 1)), axis=0)
+                weights = _RK_P @ x  # (stages, nodes): the continuous extension's b_s(x)
+                samples[L.lane[i], lo:inner] = L.y[i] + h * np.add.reduce(
+                    weights[:, :, None] * L.K[:, i, None], axis=0)
+            samples[L.lane[i], inner:hi] = L.y_new[i]
+            L.next[i] = grid[min(hi, grid.size - 1)]
         with np.errstate(divide="ignore"):  # err == 0 gives inf: growth by _MAX_FACTOR
             fac = _SAFETY * err ** _ERR_EXP
         grow = np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR)
@@ -309,10 +320,39 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None):
         steps[L.lane[accept]] += 1
         done = accept & (L.t >= 1.0)
         if done.any():
-            ends[L.lane[done]] = L.y[done]
             left.extend(L.lane[done].tolist())
             L.keep(~done)
-    return ends, steps, failures
+    return samples, steps, failures
+
+
+def _shot_lanes(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
+                grid=(1.0,), admit=None, tally=None) -> tuple:
+    """``(samples, failures)`` of ``rk45_lanes`` for the shots of ``shot_endpoints``."""
+    m = model.m
+    states = np.asarray(states, dtype=float)
+    require_adapted_chart(model, states[:, :m])
+    T = np.asarray(T, dtype=float)
+    tally = {} if tally is None else tally
+    tally.setdefault("batched_calls", 0)
+
+    def fun(Y, lanes):
+        tally["batched_calls"] += 1
+        q, v = Y[:, :m], Y[:, m:]
+        return np.concatenate([v, brachistochrone_acceleration(model, k, T[lanes], q, v)], axis=1)
+
+    def admit_shots(left):
+        nonlocal T
+        new_states, new_T = admit({i: end if isinstance(end, Exception) else end[:m]
+                                   for i, end in left.items()})
+        new_states = np.asarray(new_states, dtype=float).reshape(-1, 2 * m)
+        if len(new_states):
+            require_adapted_chart(model, new_states[:, :m])
+        T = np.concatenate([T, np.asarray(new_T, dtype=float)])
+        return new_states
+
+    samples, _, failures = rk45_lanes(fun, states, config.rtol, config.atol,
+                                      None if admit is None else admit_shots, grid)
+    return samples, failures
 
 
 def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
@@ -328,46 +368,32 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
     are numbered on from the last.  If a ``tally`` dict is given, its
     ``"batched_calls"`` entry counts the calls of the acceleration.
     """
-    m = model.m
-    states = np.asarray(states, dtype=float)
-    require_adapted_chart(model, states[:, :m])
-    T = np.asarray(T, dtype=float)
-    calls = 0
-
-    def fun(Y, lanes):
-        nonlocal calls
-        calls += 1
-        q, v = Y[:, :m], Y[:, m:]
-        return np.concatenate([v, brachistochrone_acceleration(model, k, T[lanes], q, v)], axis=1)
-
-    def admit_shots(left):
-        nonlocal T
-        new_states, new_T = admit({i: end if isinstance(end, Exception) else end[:m]
-                                   for i, end in left.items()})
-        new_states = np.asarray(new_states, dtype=float).reshape(-1, 2 * m)
-        if len(new_states):
-            require_adapted_chart(model, new_states[:, :m])
-        T = np.concatenate([T, np.asarray(new_T, dtype=float)])
-        return new_states
-
-    ends, _, failures = rk45_lanes(fun, states, config.rtol, config.atol,
-                                   None if admit is None else admit_shots)
-    if tally is not None:
-        tally["batched_calls"] = tally.get("batched_calls", 0) + calls
-    return [failures.get(i, ends[i, :m]) for i in range(len(ends))]
+    samples, failures = _shot_lanes(model, k, states, T, config, admit=admit, tally=tally)
+    return [failures.get(i, samples[i, -1, :model.m]) for i in range(len(samples))]
 
 
-def _sample(sol_ivp, m, grid):
-    y = sol_ivp.sol(grid)
-    return y[:m].T.copy(), y[m:].T.copy()
+def _lane_curve(grid, samples, failures) -> Curve:
+    """The curve of the only lane of ``rk45_lanes``'s samples; raises that lane's failure."""
+    if failures:
+        raise failures[0]
+    m = samples.shape[-1] // 2
+    return Curve(grid=grid, points=samples[0, :, :m].copy(), velocities=samples[0, :, m:].copy())
 
 
-def _ode_residual(model, k, T, curve: Curve) -> float:
-    idx = np.arange(0, curve.grid.size, max(1, curve.grid.size // 64))
-    pts = curve.points[idx]
-    target = brachistochrone_acceleration(model, k, T, pts, curve.velocities[idx])
-    d = curve.velocity_spline()(curve.grid[idx], 1) - target
-    return float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, pts), d, d))))
+def _sampled_solution(model, k, T, sigma: Curve) -> BrachistochroneSolution:
+    """A sampled trial curve with its conservation residuals and its equation residual
+    (the largest g_R norm at about 64 nodes)."""
+    r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
+    idx = np.arange(0, sigma.grid.size, max(1, sigma.grid.size // 64))
+    pts = sigma.points[idx]
+    d = (sigma.velocity_spline()(sigma.grid[idx], 1)
+         - brachistochrone_acceleration(model, k, T, pts, sigma.velocities[idx]))
+    return BrachistochroneSolution(
+        sigma=sigma, T=T, k=k,
+        residual_conservation_Y=float(np.max(np.abs(r_y))),
+        residual_conservation_speed=float(np.max(np.abs(r_v))),
+        residual_ode=float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, pts), d, d)))),
+    )
 
 
 def integrate_brachistochrone(model: SpacetimeModel, k: float, p, u, T: float,
@@ -380,29 +406,15 @@ def integrate_brachistochrone(model: SpacetimeModel, k: float, p, u, T: float,
     return integrate_brachistochrone_from_velocity(model, k, p, v0, T, config)
 
 
-def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, v0,
-                                            T: float,
+def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, v0, T: float,
                                             config: IntegratorConfig = IntegratorConfig()
                                             ) -> BrachistochroneSolution:
-    """Same as integrate_brachistochrone but from an explicit launch velocity."""
-    q0 = model.require_in_chart(p)
-    require_adapted_chart(model, q0)
-    state0 = np.concatenate([q0, _coords(v0)])
-    rhs = _rhs_factory(model, k, T)
-    out = solve_ivp(rhs, (0.0, 1.0), state0, method="RK45",
-                    rtol=config.rtol, atol=config.atol, dense_output=True)
-    if not out.success:
-        raise StepFailure(f"integrator failed: {out.message}")
+    """Same as integrate_brachistochrone but from an explicit launch velocity.  The curve
+    is a shot's lane sampled densely, so its last point is that shot's arrival."""
+    state0 = np.concatenate([model.require_in_chart(p), _coords(v0)])
     grid = np.linspace(0.0, 1.0, config.grid_n + 1)
-    pts, vels = _sample(out, model.m, grid)
-    curve = Curve(grid=grid, points=pts, velocities=vels)
-    r_y, r_v = conservation_residuals(model, pts, vels, k, T)
-    return BrachistochroneSolution(
-        sigma=curve, T=T, k=k,
-        residual_conservation_Y=float(np.max(np.abs(r_y))),
-        residual_conservation_speed=float(np.max(np.abs(r_v))),
-        residual_ode=_ode_residual(model, k, T, curve),
-    )
+    samples, failures = _shot_lanes(model, k, state0[None], [T], config, grid)
+    return _sampled_solution(model, k, T, _lane_curve(grid, samples, failures))
 
 
 def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
@@ -418,18 +430,14 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
 
     m = model.m
 
-    def rhs(t, state):
-        pos, vel = state[:m], state[m:]
-        G = cg.christoffels(pos)
-        return np.concatenate([vel, -np.einsum("abc,b,c->a", G, vel, vel)])
+    def fun(Y, lanes):
+        G, vel = cg.christoffels(Y[:, :m]), Y[:, m:]
+        return np.concatenate([vel, -np.einsum("nabc,nb,nc->na", G, vel, vel)], axis=1)
 
-    out = solve_ivp(rhs, (0.0, 1.0), np.concatenate([q0, v0]), method="RK45",
-                    rtol=config.rtol, atol=config.atol, dense_output=True)
-    if not out.success:
-        raise StepFailure(f"integrator failed: {out.message}")
     grid = np.linspace(0.0, 1.0, config.grid_n + 1)
-    pts, vels = _sample(out, m, grid)
-    return Curve(grid=grid, points=pts, velocities=vels)
+    samples, _, failures = rk45_lanes(fun, np.concatenate([q0, v0])[None], config.rtol,
+                                      config.atol, grid=grid)
+    return _lane_curve(grid, samples, failures)
 
 
 def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,

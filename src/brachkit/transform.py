@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this 
 
 from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
                      cumulative_integral, grid_integral)
-from .dynamics import BrachistochroneSolution, _ode_residual
+from .dynamics import BrachistochroneSolution, _sampled_solution
 from .errors import ConstraintViolated, FlowEscape, NotHorizontal
 from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
                        isometry_defect, nabla_y_matrix, require_adapted_chart,
@@ -135,14 +135,7 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
         raise NotHorizontal(f"lift input is not horizontal: {horiz}")
     T = float(np.sqrt(phi[0] * speed0))
-    sigma = _slide(model, grid, pts, vels, -k * T / g[:, -1, -1])
-    r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
-    return BrachistochroneSolution(
-        sigma=sigma, T=T, k=k,
-        residual_conservation_Y=float(np.max(np.abs(r_y))),
-        residual_conservation_speed=float(np.max(np.abs(r_v))),
-        residual_ode=_ode_residual(model, k, T, sigma),
-    )
+    return _sampled_solution(model, k, T, _slide(model, grid, pts, vels, -k * T / g[:, -1, -1]))
 
 
 def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,

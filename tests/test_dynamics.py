@@ -297,3 +297,25 @@ def test_acceleration_equals_general_y_formula_bit_for_bit(models, n):
         ref = _general_y_geometry(model, k, T, q, v)
         for label, got in _adapted_geometry(model, k, T, q, v).items():
             _assert_same_bits(got, ref[label], f"{name}: {label}")
+
+
+def test_dynamics_solves_no_ode_with_solve_ivp(models, tmp_path, monkeypatch):
+    # the dense curves run on the shots' integrator; dynamics keeps the solve_ivp
+    # name only for the benchmark's instrumentation
+    import brachkit.dynamics as dynamics
+    from brachkit.cli import run_scenario
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dynamics called solve_ivp")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+    cfg = {"model": {"name": "minkowski3"}, "k": float(np.sqrt(2.0)), "p": [0.0, 0.0, 0.0],
+           "gamma_anchor": [1.0, 0.0, 0.0],
+           "solve": {"u": [1.0, 0.0, 0.0], "T": 1.0},
+           "shoot": {"guess_u": [1.0, 0.3, 0.0], "guess_T": 0.7},
+           "survey": {"n_starts": 4, "T_bracket": [0.3, 2.0], "seed": 4, "attach_indices": False}}
+    for command in ("solve", "shoot", "survey"):
+        run_scenario(cfg, command, tmp_path / command)
+        assert (tmp_path / command).is_dir()
+    w = integrate_conformal_geodesic(models["minkowski3"], np.sqrt(2.0), np.zeros(3), [1.0, 0, 0])
+    assert np.allclose(w.points[-1], [1.0, 0.0, 0.0])

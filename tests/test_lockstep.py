@@ -13,10 +13,11 @@ from brachkit.bvp import (ObserverWorldline, ShootingProblem, _integrate, _newto
                           _residual_vector, _solve_starts, _sphere_direction, _survey_starts,
                           multistart_survey, shoot)
 from brachkit.cli import run_scenario
-from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _rhs_factory,
+from brachkit.dynamics import (IntegratorConfig, _launch_velocity,
                                brachistochrone_acceleration, initial_velocity,
                                integrate_brachistochrone, rk45_lanes, shot_endpoints)
-from brachkit.errors import BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart
+from brachkit.errors import (BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart,
+                             StepFailure)
 from brachkit.geometry import horizontal_unit
 from brachkit.transform import flow_points
 
@@ -46,18 +47,41 @@ def _lane_fun(model, k, Ts):
     return fun
 
 
+def _scipy_rhs(model, k, T):
+    """The travel-time equation as a single-state right-hand side for solve_ivp."""
+    m = model.m
+
+    def rhs(t, state):
+        acc = brachistochrone_acceleration(model, k, T, state[None, :m], state[None, m:])[0]
+        return np.concatenate([state[m:], acc])
+    return rhs
+
+
+# the arrival alone (the shots' grid), and a dense grid with nodes inside steps
+GRIDS = ((1.0,), np.linspace(0.0, 1.0, 41))
+
+
+def _assert_matches_scipy(samples, ref, grid, rel):
+    """samples of one lane against scipy's solution: its arrival and its dense output."""
+    end = ref.y[:, -1]
+    assert np.max(np.abs(samples[-1] - end) / np.maximum(np.abs(end), 1.0)) < rel
+    dense = ref.sol(np.asarray(grid)).T
+    assert np.max(np.abs(samples - dense) / np.maximum(np.abs(dense), 1.0)) < rel
+
+
 def test_rk45_lanes_match_scipy_rk45(models):
     for name, info in STANDARD_LAUNCH.items():
         model, k = models[name], info["k"]
         states, Ts = _launches(model, info, 5, seed=1)
-        ends, steps, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10)
-        assert failures == {}
-        for j in range(len(Ts)):
-            ref = solve_ivp(_rhs_factory(model, k, Ts[j]), (0.0, 1.0), states[j], method="RK45",
-                            rtol=1e-10, atol=1e-10)
-            assert steps[j] == ref.t.size - 1, name
-            end = ref.y[:, -1]
-            assert np.max(np.abs(ends[j] - end) / np.maximum(np.abs(end), 1.0)) < 1e-12, name
+        refs = [solve_ivp(_scipy_rhs(model, k, Ts[j]), (0.0, 1.0), states[j], method="RK45",
+                          rtol=1e-10, atol=1e-10, dense_output=True) for j in range(len(Ts))]
+        for grid in GRIDS:
+            samples, steps, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
+                                                  grid=grid)
+            assert failures == {}
+            for j, ref in enumerate(refs):
+                assert steps[j] == ref.t.size - 1, name
+                _assert_matches_scipy(samples[j], ref, grid, 1e-12)
 
 
 def test_rk45_lanes_match_scipy_rk45_with_rejected_steps():
@@ -67,13 +91,15 @@ def test_rk45_lanes_match_scipy_rk45_with_rejected_steps():
         return np.stack([y[..., 1], 8.0 * (1.0 - y[..., 0] ** 2) * y[..., 1] - y[..., 0]], axis=-1)
 
     y0 = np.array([[2.0, 0.0], [1.0, 1.0]])
-    ends, steps, failures = rk45_lanes(lambda Y, lanes: vdp(Y), y0, 1e-6, 1e-6)
-    assert failures == {}
-    for j in range(2):
-        ref = solve_ivp(lambda t, y: vdp(y), (0.0, 1.0), y0[j], method="RK45", rtol=1e-6, atol=1e-6)
-        assert ref.nfev > 6 * (ref.t.size - 1) + 2  # at least one rejected step
-        assert steps[j] == ref.t.size - 1
-        assert np.max(np.abs(ends[j] - ref.y[:, -1])) < 1e-12
+    refs = [solve_ivp(lambda t, y: vdp(y), (0.0, 1.0), y0[j], method="RK45", rtol=1e-6,
+                      atol=1e-6, dense_output=True) for j in range(2)]
+    for grid in GRIDS:
+        samples, steps, failures = rk45_lanes(lambda Y, lanes: vdp(Y), y0, 1e-6, 1e-6, grid=grid)
+        assert failures == {}
+        for j, ref in enumerate(refs):
+            assert ref.nfev > 6 * (ref.t.size - 1) + 2  # at least one rejected step
+            assert steps[j] == ref.t.size - 1
+            _assert_matches_scipy(samples[j], ref, grid, 1e-12)
 
 
 def test_lane_leaving_chart_fails_alone(models):
@@ -87,29 +113,33 @@ def test_lane_leaving_chart_fails_alone(models):
     pole = np.concatenate([p, initial_velocity(model, k, p, meridian, 3.0)])
     states = np.insert(states, 1, pole, axis=0)
     Ts = np.insert(Ts, 1, 3.0)
-    ends, _, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10)
-    assert set(failures) == {1} and isinstance(failures[1], OutOfChart)
-    assert np.isnan(ends[1]).all()
-    for j in (0, 2, 3):
-        alone, _, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1], 1e-10, 1e-10)
-        assert none == {}
-        assert np.array_equal(alone[0], ends[j])
+    for grid in GRIDS:
+        samples, _, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
+                                          grid=grid)
+        assert set(failures) == {1} and isinstance(failures[1], OutOfChart)
+        assert np.isnan(samples[1, -1]).all()
+        for j in (0, 2, 3):
+            alone, _, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                        1e-10, 1e-10, grid=grid)
+            assert none == {}
+            assert np.array_equal(alone[0], samples[j])
     # the same through the shooting entry point
     out = shot_endpoints(model, k, states, Ts, IntegratorConfig())
     assert isinstance(out[1], OutOfChart)
-    assert all(np.array_equal(out[j], ends[j, :3]) for j in (0, 2, 3))
+    assert all(np.array_equal(out[j], samples[j, -1, :3]) for j in (0, 2, 3))
 
 
-def test_lane_step_size_failure_is_no_convergence():
+def test_lane_step_size_failure_is_step_failure():
     # y' = y^2 from y(0) = 2 blows up at t = 1/2; the linear lane is unaffected
     def fun(Y, lanes):
         return np.where((lanes == 0)[:, None], Y * Y, -Y)
 
-    ends, steps, failures = rk45_lanes(fun, np.array([[2.0], [1.0]]), 1e-10, 1e-10)
+    samples, steps, failures = rk45_lanes(fun, np.array([[2.0], [1.0]]), 1e-10, 1e-10)
     assert set(failures) == {0}
-    assert isinstance(failures[0], NoConvergence)
-    assert str(failures[0]).startswith("shot integration failed")
-    assert ends[1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
+    assert type(failures[0]) is StepFailure
+    assert str(failures[0]) == ("integrator failed: Required step size is less than spacing "
+                                "between numbers.")
+    assert samples[1, -1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
     ref = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45", rtol=1e-10, atol=1e-10)
     assert steps[1] == ref.t.size - 1
 
@@ -151,6 +181,27 @@ def test_shoot_equals_its_lane_in_a_survey(models):
     assert res.solutions[0]["T"] == first[1]
     assert np.array_equal(res.solutions[0]["solution"].sigma.points,
                           _integrate(prob, first).sigma.points)
+
+
+@pytest.mark.parametrize("name", ["static_well", "rotating_frame"])
+def test_shoot_curve_ends_at_its_converged_arrival(models, solutions, monkeypatch, name):
+    # the stored curve is the converged shot's lane sampled on the dense grid,
+    # so it ends where Newton converged, bit for bit
+    model, info = models[name], STANDARD_LAUNCH[name]
+    p = np.asarray(info["p"], dtype=float)
+    prob = ShootingProblem(model, p, ObserverWorldline(solutions[name].sigma.points[-1], model),
+                           info["k"])
+    arrivals = []
+
+    def recording(problem, q_end):
+        arrivals.append(q_end)
+        return _residual_vector(problem, q_end)
+
+    monkeypatch.setattr(bvp, "_residual_vector", recording)
+    sol = shoot(prob, (np.asarray(info["useed"]) + [0.05, -0.05, 0.0], 1.05 * info["T"]))
+    # the last residual Newton reads is the one it converges on
+    assert np.array_equal(sol.sigma.points[-1], arrivals[-1])
+    assert np.linalg.norm(_residual_vector(prob, sol.sigma.points[-1])) < prob.config.tol_bvp
 
 
 SURVEY = {
@@ -198,7 +249,7 @@ def test_threads_other_than_one_is_config_error(tmp_path):
 # Continuous admission and the speculative line search
 
 
-def _admission_run(model, k, states, Ts, n_first, plan):
+def _admission_run(model, k, states, Ts, n_first, plan, grid=(1.0,)):
     """rk45_lanes over ``states``: the first n_first lanes at the start, then
     ``plan[c]`` more (in order) at the c-th call of admit; returns the result and the calls."""
     calls, queue = [], list(plan)
@@ -209,7 +260,8 @@ def _admission_run(model, k, states, Ts, n_first, plan):
         first = n_first + sum(plan[:len(calls) - 1])
         return states[first:first + n]
 
-    out = rk45_lanes(_lane_fun(model, k, Ts), states[:n_first], 1e-10, 1e-10, admit=admit)
+    out = rk45_lanes(_lane_fun(model, k, Ts), states[:n_first], 1e-10, 1e-10, admit=admit,
+                     grid=grid)
     return out, calls
 
 
@@ -222,18 +274,19 @@ def test_lane_admitted_mid_run_matches_its_run_alone(models):
     p = np.asarray(info["p"], dtype=float)
     Ts[0] = 0.05
     states[0, 3:] = initial_velocity(model, k, p, unit_horizontal(model, p, info["useed"]), 0.05)
-    (ends, steps, failures), calls = _admission_run(model, k, states, Ts, 3, [2, 1])
-    assert failures == {}
-    assert list(calls[0]) == [0] and steps[1] > steps[0] and steps[2] > steps[0]
-    assert 1 not in calls[0] and 2 not in calls[0]  # still running when lanes 3, 4 joined
-    assert sorted(lane for c in calls for lane in c) == list(range(6))
-    assert all(np.array_equal(end, ends[lane]) for c in calls for lane, end in c.items())
-    for j in range(6):
-        alone, alone_steps, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                              1e-10, 1e-10)
-        assert none == {}
-        assert alone_steps[0] == steps[j]
-        assert np.array_equal(alone[0], ends[j]), j
+    for grid in GRIDS:
+        (samples, steps, failures), calls = _admission_run(model, k, states, Ts, 3, [2, 1], grid)
+        assert failures == {}
+        assert list(calls[0]) == [0] and steps[1] > steps[0] and steps[2] > steps[0]
+        assert 1 not in calls[0] and 2 not in calls[0]  # still running when lanes 3, 4 joined
+        assert sorted(lane for c in calls for lane in c) == list(range(6))
+        assert all(np.array_equal(end, samples[lane, -1]) for c in calls for lane, end in c.items())
+        for j in range(6):
+            alone, alone_steps, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]),
+                                                  states[j:j + 1], 1e-10, 1e-10, grid=grid)
+            assert none == {}
+            assert alone_steps[0] == steps[j]
+            assert np.array_equal(alone[0], samples[j]), j
 
 
 def test_lane_raising_on_admission_leaves_alone(models):
@@ -247,17 +300,17 @@ def test_lane_raising_on_admission_leaves_alone(models):
     # lanes 3 and 4 start off the chart (theta < 0.1 and theta > pi - 0.1): their
     # first evaluation, the one of the initial-step selection, raises
     states[3, 0], states[4, 0] = 0.05, 3.1
-    (ends, steps, failures), calls = _admission_run(model, k, states, Ts, 3, [2])
+    (samples, steps, failures), calls = _admission_run(model, k, states, Ts, 3, [2])
     assert set(failures) == {3, 4}
     assert all(isinstance(failures[j], OutOfChart) for j in (3, 4))
     assert "0.05" in str(failures[3]) and "3.1" in str(failures[4])
     assert calls[1] == {3: failures[3], 4: failures[4]}  # reported before the next step
-    assert np.isnan(ends[3]).all() and steps[3] == steps[4] == 0
+    assert np.isnan(samples[3]).all() and steps[3] == steps[4] == 0
     for j in range(3):
         alone, _, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
                                     1e-10, 1e-10)
         assert none == {}
-        assert np.array_equal(alone[0], ends[j]), j
+        assert np.array_equal(alone[0], samples[j]), j
 
 
 def _sequential_newton(problem, guess, events, velocity=initial_velocity):
@@ -460,7 +513,8 @@ def test_worldlines_compare_and_hash_by_identity(models):
 def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
     # one of these three starts fails and line-search trials raise
     # stored arrival exceptions: neither may tie frames, generators or
-    # solutions into reference cycles (scipy's RK45 makes its own, ignored here)
+    # solutions into reference cycles (the DOP853 solves of the index
+    # attachment make scipy's own, ignored here)
     import gc
     import os
     import types
@@ -493,3 +547,31 @@ def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+@pytest.mark.parametrize("solve", ["brachistochrone", "conformal_geodesic", "shoot"])
+def test_dense_solves_leave_no_cyclic_garbage(models, solve):
+    import gc
+
+    from brachkit.dynamics import integrate_conformal_geodesic
+
+    model = models["einstein_cylinder"]
+    p = np.array([np.pi / 2, 0.0, 0.0])
+    k = np.sqrt(2.0)
+    run = {
+        "brachistochrone": lambda: integrate_brachistochrone(model, k, p, [0.0, 1.0, 0.0], 1.2),
+        "conformal_geodesic": lambda: integrate_conformal_geodesic(model, k, p, [0.0, 1.5, 0.0]),
+        "shoot": lambda: shoot(ShootingProblem(
+            model, p, ObserverWorldline(np.array([np.pi / 2, np.pi / 2, 0.0]), model), k),
+            ([0.0, 1.0, 0.0], 1.5)),
+    }[solve]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == 0
