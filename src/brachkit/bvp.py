@@ -131,6 +131,13 @@ def _sphere_direction(problem: ShootingProblem, center, coeffs):
     return vec / np.sqrt(float(vec @ gr @ vec))
 
 
+# The longest Newton step: the direction coefficients c of a step, T riding
+# along, are scaled to |c| <= 1.  The sphere chart is gnomonic, so |c| is the
+# tangent of the turn of the launch direction: the bound caps each trial at a
+# 45 degree turn, where the chart's linearisation is off by a factor of 2.
+# Longer steps saturate the chart and send trial curves past its poles.
+_MAX_TURN = 1.0
+
 # The sequential line search tries lambda = 1, 1/2, ..., 1/128 in turn.  These
 # are the groups of trials one yield carries: while the previous step was
 # damped, and after a full step.
@@ -155,11 +162,12 @@ def _newton(problem: ShootingProblem, guess):
     The generator returns the converged (direction, T) once the arrival defect
     drops below tolerance.
 
-    The iterates are those of the sequential damped Newton method: the trials
-    lambda = 1, 1/2, ..., 1/128 are taken in turn and the first whose defect
-    is smaller, or whose lambda is below 0.26, is accepted; every iteration
-    solves with a fresh finite-difference Jacobian at its iterate.  Work is
-    yielded ahead of need to save rounds:
+    The iterates are those of the sequential damped Newton method: every
+    iteration solves with a fresh finite-difference Jacobian at its iterate,
+    the step is scaled so that it turns the launch direction by at most 45
+    degrees (``_MAX_TURN``), and the trials lambda = 1, 1/2, ..., 1/128 of it
+    are taken in turn and the first whose defect is smaller, or whose lambda
+    is below 0.26, is accepted.  Work is yielded ahead of need to save rounds:
 
     * every launch, the first and each trial's, comes with the Jacobian
       launches around its (re-centred) iterate, so the accepted trial's
@@ -229,6 +237,9 @@ def _newton(problem: ShootingProblem, guess):
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular shooting Jacobian")
+        turn = float(np.linalg.norm(step[:-1]))
+        if turn > _MAX_TURN:
+            step *= _MAX_TURN / turn
         accepted = None
         for group in _DAMPED_GROUPS if damped else _FULL_GROUPS:
             trials, launches = [], []

@@ -139,16 +139,21 @@ def covariant_nodes(c: Curve, gamma: np.ndarray, f: FieldAlongCurve) -> np.ndarr
             + np.einsum("nabc,nb,nc->na", gamma, c.velocities, f.values))
 
 
+def _require_hosted(c: Curve, f: FieldAlongCurve) -> None:
+    """Raise unless f lives on the grid of c and that grid has the 5 nodes a derivative needs."""
+    if f.host is not c and not np.array_equal(f.host.grid, c.grid):
+        raise GridMismatch("field not hosted on the given curve")
+    if c.grid.size < 5:
+        raise GridTooCoarse("covariant derivative needs at least 5 nodes")
+
+
 def covariant_derivative_along(model: SpacetimeModel, c: Curve,
                                f: FieldAlongCurve) -> FieldAlongCurve:
     """Node-wise covariant derivative of f along c in the Lorentzian connection.
 
     Uses the stored exact derivative values when the field carries them.
     """
-    if f.host is not c and not np.array_equal(f.host.grid, c.grid):
-        raise GridMismatch("field not hosted on the given curve")
-    if c.grid.size < 5:
-        raise GridTooCoarse("covariant derivative needs at least 5 nodes")
+    _require_hosted(c, f)
     if f.derivatives is not None:
         return FieldAlongCurve(host=c, values=f.derivatives.copy())
     return FieldAlongCurve(host=c, values=covariant_nodes(c, connection_coeffs(model, c.points), f))

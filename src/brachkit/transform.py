@@ -142,14 +142,19 @@ def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
                             zeta: FieldAlongCurve):
     """(C, residual_Y(t), residual_speed(t), nabla-zeta nodes) for a variation field."""
     curve = sol.sigma
-    pts, vels = curve.points, curve.velocities
     nz = covariant_derivative_along(model, curve, zeta).values
-    g = model.g(pts)
-    Kv = np.einsum("nab,nb->na", nabla_y_matrix(model, pts), vels)
-    vals_y = _inner_y(g, nz) - _inner(g, zeta.values, Kv)
+    pts = curve.points
+    return (*_constraint_scan(curve, model.g(pts), nabla_y_matrix(model, pts), zeta.values, nz),
+            nz)
+
+
+def _constraint_scan(curve: Curve, g, K, z, nz) -> tuple:
+    """(C, residual_Y(t), residual_speed(t)) of the field z along ``curve`` from node arrays:
+    the metric g, nabla Y (``K``) and nabla-z (``nz``)."""
+    vels = curve.velocities
+    vals_y = _inner_y(g, nz) - _inner(g, z, np.einsum("nab,nb->na", K, vels))
     vals_s = _inner(g, nz, vels)
-    C = grid_integral(curve.grid, vals_y)
-    return C, vals_y, vals_s, nz
+    return grid_integral(curve.grid, vals_y), vals_y, vals_s
 
 
 def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
-from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumulative_integral,
-                     grid_integral)
+from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covariant_nodes,
+                     cumulative_integral, grid_integral)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
@@ -32,7 +32,7 @@ from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        orthonormal_completion, riemannian_metric_matrix, _conformal_connection,
                        _connection_and_curvature, _coords, _grad_phi_k, _inner, _inner_y,
                        _jacobian_fd)
-from .transform import tangent_constraint_scan
+from .transform import _constraint_scan, tangent_constraint_scan
 
 __all__ = [
     "VariationConstraintReport",
@@ -177,13 +177,17 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
     Bilinear values come from the quadratic form by polarization, so symmetry
     is structural.
     """
-    model, sol = geom.model, geom.sol
+    sol = geom.sol
+    curve = sol.sigma
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical(f"curve is not critical: equation residual {sol.residual_ode:.2e}")
     for z in (z1,) if z1 is z2 else (z1, z2):
-        rep = constraint_residual(model, sol, z)
+        _require_hosted(curve, z)
+        C, vals_y, vals_s = _constraint_scan(curve, geom.g, geom.K, z.values,
+                                             covariant_nodes(curve, geom.gamma, z))
         scale = 1.0 + float(np.max(np.abs(z.values)))
-        if rep.residual_Y > constraint_tol * scale or rep.residual_speed > constraint_tol * scale:
+        if (np.max(np.abs(vals_y - C)) > constraint_tol * scale
+                or np.max(np.abs(vals_s - sol.T * C / sol.k)) > constraint_tol * scale):
             raise ConstraintViolated("field is not an admissible variation")
     if z1 is z2:
         return _hessian_F_quadratic(geom, z1)

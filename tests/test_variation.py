@@ -493,14 +493,17 @@ def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions)
 
 
 def test_quadratic_hessian_F_eval_checks_its_field_once(solutions):
-    # hessian_F_eval(geom, z, z) runs the constraint scan of z once: one g and one
-    # Gamma evaluation at the solution's nodes
+    # hessian_F_eval's constraint gate reads g, nabla Y and Gamma off the
+    # SolutionGeometry: no g or Gamma evaluation at the solution's nodes, whether
+    # the field carries its covariant derivative or not, and for both forms
     from brachkit.models import ModelSpec, make_model
 
     model = make_model(ModelSpec("rotating_frame"))
     sol = solutions["rotating_frame"]
     geom = SolutionGeometry(model, sol)
-    zeta = make_admissible_variation(geom, rng=np.random.default_rng(37))
+    rng = np.random.default_rng(37)
+    zeta, other = (make_admissible_variation(geom, rng=rng) for _ in range(2))
+    bare = FieldAlongCurve(host=sol.sigma, values=zeta.values)  # nabla-zeta from Gamma
     pts = sol.sigma.points
     at_nodes = {"metric_components": 0, "analytic_christoffels": 0}
     for name in at_nodes:
@@ -509,4 +512,6 @@ def test_quadratic_hessian_F_eval_checks_its_field_once(solutions):
             return callback(q)
         setattr(model, name, counting)
     hessian_F_eval(geom, zeta, zeta)
-    assert at_nodes == {"metric_components": 1, "analytic_christoffels": 1}
+    hessian_F_eval(geom, bare, bare)
+    hessian_F_eval(geom, zeta, other)
+    assert at_nodes == {"metric_components": 0, "analytic_christoffels": 0}
