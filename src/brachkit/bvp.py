@@ -100,7 +100,6 @@ class ShootingProblem:
 @dataclass
 class SurveyResult:
     solutions: list
-    dedup_threshold: float
     parity: int
     n_failures: int
     parity_note: str
@@ -355,15 +354,10 @@ def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
 
 
 def _attach_indices(model, sol, n_basis: int = 50):
-    from .geometry import conformal_geometry
     from .jacobi import focal_points
-    from .transform import deform_D
-    from .variation import ConformalCurveData, assemble_hessian
+    from .variation import assemble_hessian, index_data
 
-    w = deform_D(model, sol, n_out=400)
-    wrev = w.reversed()
-    cg = conformal_geometry(model, sol.k)
-    data = ConformalCurveData(cg, wrev)
+    data = index_data(model, sol, 400)
     hm = assemble_hessian(data, "full", n_basis)
     rep = focal_points(data)
     return hm.n_negative, hm.n_zero, rep.geometric_index
@@ -461,5 +455,5 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
     else:
         note = ("even count: consistent with an odd solution total only under "
                 "bracket truncation (a survey lower-bounds the count)")
-    return SurveyResult(solutions=records, dedup_threshold=dedup_threshold,
-                        parity=parity, n_failures=n_failures, parity_note=note)
+    return SurveyResult(solutions=records, parity=parity, n_failures=n_failures,
+                        parity_note=note)

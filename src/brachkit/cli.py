@@ -21,11 +21,11 @@ import numpy as np
 from .bvp import ObserverWorldline, ShootConfig, ShootingProblem, multistart_survey, shoot
 from .curves import (csv_rows, curve_from_csv, curve_from_json_dict, curve_to_csv,
                      curve_to_json_dict)
-from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_report,
-                       integrate_brachistochrone)
+from .dynamics import (BrachistochroneSolution, IntegratorConfig, conservation_failures,
+                       conservation_report, integrate_brachistochrone)
 from .errors import (BrachkitError, ConfigError, GridMismatch, InvalidParams, UnknownModel,
                      ZeroSeed)
-from .geometry import conformal_geometry, curve_distance, horizontal_unit
+from .geometry import curve_distance, horizontal_unit
 from .models import MODEL_NAMES, ModelSpec, make_model
 from .oracle import PenaltyConfig, discrete_minimize
 from .transform import correspondence_report, deform_D
@@ -360,13 +360,11 @@ def _cmd_jacobi(cfg, out_dir: Path, seed) -> str:
 
 
 def _cmd_index(cfg, out_dir: Path, seed) -> str:
-    from .variation import ConformalCurveData, _restricted_hessians
+    from .variation import _restricted_hessians, index_data
     block = cfg["index"]
     model, _, sol = _load_solution(out_dir / block["solution"])
     n_basis = int(block.get("n_basis", 80))
-    cg = conformal_geometry(model, sol.k)
-    wrev = deform_D(model, sol, n_out=400).reversed()
-    hms = _restricted_hessians(ConformalCurveData(cg, wrev), n_basis)
+    hms = _restricted_hessians(index_data(model, sol, 400), n_basis)
     triple = tuple(h.n_negative for h in hms)
     hm = hms[0]
     doc = {
@@ -389,11 +387,8 @@ def _cmd_verify(cfg, out_dir: Path, seed) -> str:
     model, _, sol = _load_solution(out_dir / block["solution"])
     tol_cons = _integrator_config(cfg).tol_cons
     rep = conservation_report(model, sol)
-    failures = []
-    if rep["residual_Y_max"] > tol_cons * (1.0 + sol.k * sol.T):
-        failures.append("conservation_Y")
-    if rep["residual_speed_max"] > tol_cons * (1.0 + sol.T ** 2):
-        failures.append("conservation_speed")
+    failures = conservation_failures(rep["residual_Y_max"], rep["residual_speed_max"],
+                                     sol.k, sol.T, tol_cons)
     corr = None
     if not failures:
         corr = correspondence_report(model, sol)

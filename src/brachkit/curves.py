@@ -19,6 +19,7 @@ __all__ = [
     "covariant_derivative_along",
     "field_integral",
     "resample_curve",
+    "sine_bumps",
     "cumulative_integral",
     "grid_integral",
     "csv_rows",
@@ -179,6 +180,18 @@ def cumulative_integral(grid: np.ndarray, vals: np.ndarray, t0: float | None = N
     """F(t_i) = int_{t0}^{t_i} of the nodal spline of vals, off its antiderivative; t0 = grid[0]."""
     anti = CubicSpline(grid, vals).antiderivative()
     return anti(grid) - anti(grid[0] if t0 is None else t0)
+
+
+def sine_bumps(grid: np.ndarray, coeffs) -> tuple:
+    """(b, b') at the nodes of ``grid`` for b(t) = sum_j coeffs[j] sin((j + 1) pi t): a smooth
+    field that vanishes at both ends, one row of ``coeffs`` per mode."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    vals = np.zeros((grid.size, coeffs.shape[1]))
+    ders = np.zeros((grid.size, coeffs.shape[1]))
+    for j in range(coeffs.shape[0]):
+        vals += np.sin((j + 1) * np.pi * grid)[:, None] * coeffs[j][None, :]
+        ders += ((j + 1) * np.pi * np.cos((j + 1) * np.pi * grid))[:, None] * coeffs[j][None, :]
+    return vals, ders
 
 
 def resample_curve(c: Curve, n_new: int) -> Curve:

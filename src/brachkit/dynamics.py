@@ -19,7 +19,8 @@ from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, ConstraintViolated, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (SpacetimeModel, conformal_geometry, connection_coeffs,
                        conservation_residuals, require_adapted_chart, riemannian_metric_matrix,
-                       _coords, _grad_phi_k, _inner, _inner_y, _phi_k)
+                       _coords, _gr_length, _grad_phi_k, _inner, _inner_y, _phi_k,
+                       _require_horizontal)
 
 __all__ = [
     "IntegratorConfig",
@@ -32,6 +33,7 @@ __all__ = [
     "integrate_brachistochrone",
     "integrate_conformal_geodesic",
     "conservation_report",
+    "conservation_failures",
     "geodesic_residual",
 ]
 
@@ -56,12 +58,19 @@ class BrachistochroneSolution:
     residual_ode: float
 
     def check_conservation(self, tol_cons: float):
-        if self.residual_conservation_Y > tol_cons * (1.0 + self.k * self.T):
-            raise ConstraintViolated(
-                f"<sigma',Y> + kT residual {self.residual_conservation_Y:.3e} over tolerance")
-        if self.residual_conservation_speed > tol_cons * (1.0 + self.T ** 2):
-            raise ConstraintViolated(
-                f"<sigma',sigma'> + T^2 residual {self.residual_conservation_speed:.3e} over tolerance")
+        failed = conservation_failures(self.residual_conservation_Y,
+                                       self.residual_conservation_speed, self.k, self.T, tol_cons)
+        if failed:
+            raise ConstraintViolated(f"{' and '.join(failed)} over tolerance: residuals "
+                                     f"{self.residual_conservation_Y:.3e} (Y), "
+                                     f"{self.residual_conservation_speed:.3e} (speed)")
+
+
+def conservation_failures(r_y, r_v, k: float, T: float, tol: float) -> list:
+    """The names of the failing conservation laws: "conservation_Y" if the largest residual
+    r_y > tol (1 + kT), "conservation_speed" if r_v > tol (1 + T^2)."""
+    return ([] if r_y <= tol * (1.0 + k * T) else ["conservation_Y"]) + (
+        [] if r_v <= tol * (1.0 + T ** 2) else ["conservation_speed"])
 
 
 def initial_velocity(model: SpacetimeModel, k: float, p, u, T: float) -> np.ndarray:
@@ -82,6 +91,7 @@ def _launch_velocity(g: np.ndarray, gr: np.ndarray, k: float, u, T: float) -> np
     if P <= 0.0:
         raise OutsideUk(f"launch point violates k^2 + <Y,Y> > 0 (got {P})")
     uy = float(_inner_y(g, u))
+    # the rule of geometry._require_horizontal for a g_R-unit u, inline: it runs on every launch
     if abs(uy) > 1e-8 * np.sqrt(abs(yy)):
         raise NotHorizontal(f"launch direction has <u,Y> = {uy}, expected 0")
     nrm = float(u @ gr @ u)
@@ -392,7 +402,7 @@ def _sampled_solution(model, k, T, sigma: Curve) -> BrachistochroneSolution:
         sigma=sigma, T=T, k=k,
         residual_conservation_Y=float(np.max(np.abs(r_y))),
         residual_conservation_speed=float(np.max(np.abs(r_v))),
-        residual_ode=float(np.sqrt(np.max(_inner(riemannian_metric_matrix(model, pts), d, d)))),
+        residual_ode=float(np.max(_gr_length(model.g(pts), d))),
     )
 
 
@@ -419,14 +429,12 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
 
 def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
                                  config: IntegratorConfig = IntegratorConfig()) -> Curve:
-    """Geodesic of the conformal Riemannian metric from horizontal data (q, v)."""
+    """Geodesic of the conformal Riemannian metric from horizontal data (q, v): NotHorizontal
+    unless |<v,Y>| <= 1e-8 |v|_R |Y|_R (``geometry._require_horizontal``)."""
     cg = conformal_geometry(model, k)
     q0 = model.require_in_chart(q)
     v0 = _coords(v)
-    vy = float(_inner_y(model.g(q0), v0))
-    speed = np.sqrt(float(v0 @ riemannian_metric_matrix(model, q0) @ v0))
-    if speed == 0.0 or abs(vy) > 1e-8 * speed:
-        raise NotHorizontal(f"geodesic launch has <v,Y> = {vy}")
+    _require_horizontal(model.g(q0), v0, 1e-8, "geodesic launch")
 
     m = model.m
 
@@ -457,15 +465,12 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 
 def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
-    """Max-norm defect of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'> at the nodes."""
+    """Largest g_R norm over the nodes of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'>;
+    NotHorizontal unless |<w',Y>| <= 1e-6 |w'|_R |Y|_R at every node."""
     pts, vels = w.points, w.velocities
-    g, gr = model.g(pts), riemannian_metric_matrix(model, pts)
-    speeds = np.sqrt(np.maximum(_inner(gr, vels, vels), 0.0))
-    horiz = np.max(np.abs(_inner_y(g, vels)))
-    if horiz > 1e-6 * max(np.max(speeds), 1e-30):
-        raise NotHorizontal(f"curve is not horizontal: max |<w',Y>| = {horiz}")
-
+    g = model.g(pts)
+    _require_horizontal(g, vels, 1e-6, "curve")
     G = connection_coeffs(model, pts)
     d = covariant_nodes(w, G, FieldAlongCurve(host=w, values=_phi_k(g, k, pts)[:, None] * vels))
     d -= 0.5 * _grad_phi_k(g, G, k, pts) * _inner(g, vels, vels)[:, None]
-    return float(np.sqrt(np.max(_inner(gr, d, d))))
+    return float(np.max(_gr_length(g, d)))

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (FrameDegenerate, InvalidParams, OutOfChart, OutsideUk, StencilOutOfChart,
-                     ZeroSeed)
+from .errors import (FrameDegenerate, InvalidParams, NotHorizontal, OutOfChart, OutsideUk,
+                     StencilOutOfChart, ZeroSeed)
 
 __all__ = [
     "SpacetimeModel",
@@ -284,6 +284,22 @@ def _riemannian(g: np.ndarray) -> np.ndarray:
     return g - 2.0 * gy[..., :, None] * gy[..., None, :] / g[..., -1, -1][..., None, None]
 
 
+def _gr_length(g: np.ndarray, v) -> np.ndarray:
+    """|v|_R, the g_R length of v from the metric g at the same points, one value per node."""
+    return np.sqrt(np.maximum(_inner(_riemannian(g), v, v), 0.0))
+
+
+def _require_horizontal(g: np.ndarray, v, rtol: float, what: str, error=NotHorizontal) -> None:
+    """Raise ``error`` unless |<v,Y>| <= rtol |v|_R |Y|_R at every node (|Y|_R^2 = -<Y,Y>): a
+    g_R cosine of v and Y, as g_R(v, Y) = -<v,Y>, at most rtol.  A zero v fails."""
+    vy = np.abs(_inner_y(g, v))
+    bound = rtol * _gr_length(g, v) * np.sqrt(-g[..., -1, -1])
+    ok = (vy <= bound) & (bound > 0.0)
+    if not ok.all():
+        raise error(f"{what} is not horizontal: |<v,Y>| = {np.max(vy)}, "
+                    f"{np.count_nonzero(~ok)} of {ok.size} nodes over {rtol} |v|_R |Y|_R")
+
+
 def uk_membership(model: SpacetimeModel, q, k: float) -> bool:
     """True iff <Y,Y> + k^2 > 0 at every node of q."""
     q = model.require_in_chart(q)
@@ -379,7 +395,7 @@ def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:
     """The horizontal part of v, normalised in g_R; ZeroSeed if v is parallel to Y."""
     q = model.require_in_chart(q)
     u = horizontal_part(model, q, _coords(v))
-    nn = np.sqrt(np.maximum(_inner(riemannian_metric_matrix(model, q), u, u), 0.0))
+    nn = _gr_length(model.g(q), u)
     if np.any(nn < 1e-12):
         raise ZeroSeed("direction is parallel to the observer field")
     return u / nn[..., None]
@@ -424,8 +440,7 @@ def conservation_residuals(model: SpacetimeModel, points, velocities, k: float, 
 def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
     """Sup over nodes of the g_R length (at points_a) of the wrapped difference b - a."""
     d = model.wrap_difference(np.asarray(points_b) - np.asarray(points_a))
-    d2 = _inner(riemannian_metric_matrix(model, points_a), d, d)
-    return float(np.sqrt(max(np.max(d2), 0.0)))
+    return float(np.max(_gr_length(model.g(points_a), d)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import (SpacetimeModel, conformal_geometry, horizontal_frame,
-                       orthonormal_completion, riemannian_metric_matrix, _coords, _inner)
-from .transform import deform_D
-from .variation import _CRITICALITY_TOL, ConformalCurveData, SolutionGeometry
+from .geometry import (SpacetimeModel, horizontal_frame, orthonormal_completion,
+                       riemannian_metric_matrix, _coords, _inner, _require_horizontal)
+from .variation import _CRITICALITY_TOL, ConformalCurveData, SolutionGeometry, index_data
 
 __all__ = [
     "JacobiFieldData",
@@ -211,19 +210,11 @@ def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
     return _field_data(data.w, _rjacobi_solve(data.spline, X0))[0]
 
 
-def _check_orthogonal_start(data: ConformalCurveData):
-    model, w = data.confgeom.model, data.w
-    q0, v0 = w.points[0], w.velocities[0]
-    y0 = model.y(q0)
-    gr = riemannian_metric_matrix(model, q0)
-    sp = np.sqrt(max(float(v0 @ gr @ v0), 1e-300))
-    if abs(float(v0 @ model.g(q0) @ y0)) > 1e-6 * sp * np.sqrt(abs(float(y0 @ gr @ y0))):
-        raise NotOrthogonalStart("geodesic does not start orthogonally to the observer line")
-
-
 def _jacobi_basis(data: ConformalCurveData):
-    """The one dense solution of all m basis fields."""
-    _check_orthogonal_start(data)
+    """The one dense solution of all m basis fields, from a start orthogonal to the line."""
+    w = data.w
+    _require_horizontal(data.confgeom.model.g(w.points[0]), w.velocities[0], 1e-6,
+                        "geodesic start", NotOrthogonalStart)
     m = data.confgeom.m
     y0, gt0 = np.eye(m)[-1], data.gt[0]
     yy = float(y0 @ gt0 @ y0)
@@ -353,8 +344,7 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     """
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical("focal analysis requires a critical curve")
-    wrev = deform_D(model, sol).reversed()
-    riem = focal_points(ConformalCurveData(conformal_geometry(model, sol.k), wrev))
+    riem = focal_points(index_data(model, sol))
 
     geom = SolutionGeometry(model, sol)
     rows = None

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
 
-from .curves import Curve, cumulative_integral
+from .curves import Curve, cumulative_integral, sine_bumps
 from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
 from .errors import OutsideUk, Stalled
@@ -262,11 +262,7 @@ def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution
     coeffs = np.asarray(coeffs, dtype=float)
     w = deform_D(model, sol, n_out=n_out)
     grid = w.grid
-    eta = np.zeros_like(w.points)
-    deta = np.zeros_like(w.points)
-    for j in range(coeffs.shape[0]):
-        eta += np.sin((j + 1) * np.pi * grid)[:, None] * coeffs[j][None, :]
-        deta += ((j + 1) * np.pi * np.cos((j + 1) * np.pi * grid))[:, None] * coeffs[j][None, :]
+    eta, deta = sine_bumps(grid, coeffs)
     bent = Curve(grid=grid, points=w.points + s * eta, velocities=w.velocities + s * deta)
     flat = deform_D(model, bent, k=sol.k, check=False)
 

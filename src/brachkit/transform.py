@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
-from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
+from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covariant_nodes,
                      cumulative_integral, grid_integral)
-from .dynamics import BrachistochroneSolution, _sampled_solution
-from .errors import ConstraintViolated, FlowEscape, NotHorizontal
-from .geometry import (SpacetimeModel, conformal_factor, conservation_residuals, curve_distance,
-                       isometry_defect, nabla_y_matrix, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _inner, _inner_y)
+from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
+from .errors import ConstraintViolated, FlowEscape
+from .geometry import (SpacetimeModel, conformal_factor, connection_coeffs, conservation_residuals,
+                       curve_distance, isometry_defect, nabla_y_matrix, require_adapted_chart,
+                       riemannian_metric_matrix, _coords, _inner, _inner_y, _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -83,25 +83,26 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
     """Slide a trial curve along the Y-flow into a horizontal curve.
 
     Accepts a BrachistochroneSolution or a bare constraint-satisfying Curve
-    (then ``k`` must be given).  The output grid is upsampled so downstream
-    derivative reconstructions stay well below the residual tolerances.
+    (then ``k`` must be given), whose conservation ``check`` holds to tol 1e-6
+    (``dynamics.conservation_failures``).  The output grid is upsampled so
+    downstream derivative reconstructions stay well below the residual
+    tolerances; NotHorizontal unless |<w',Y>| <= 1e-8 |w'|_R |Y|_R at every node.
     """
     if isinstance(sol, BrachistochroneSolution):
-        curve, kk, T = sol.sigma, sol.k, sol.T
+        curve, k, T = sol.sigma, sol.k, sol.T
+    elif k is None:
+        raise ValueError("k is required when deforming a bare curve")
     else:
-        curve = sol
-        if k is None:
-            raise ValueError("k is required when deforming a bare curve")
-        kk = k
-        T = None
+        curve, T = sol, None
     if check:
         if T is None:
-            T = -float(_inner_y(model.g(curve.points[0]), curve.velocities[0])) / kk
+            T = -float(_inner_y(model.g(curve.points[0]), curve.velocities[0])) / k
             if T <= 0.0:
                 raise ConstraintViolated("curve has nonpositive inferred travel time")
-        r_y, r_v = conservation_residuals(model, curve.points, curve.velocities, kk, T)
-        if max(np.max(np.abs(r_y)) / (1.0 + kk * T), np.max(np.abs(r_v)) / (1.0 + T * T)) > 1e-6:
-            raise ConstraintViolated("input curve violates the conservation constraints")
+        r_y, r_v = conservation_residuals(model, curve.points, curve.velocities, k, T)
+        failed = conservation_failures(np.max(np.abs(r_y)), np.max(np.abs(r_v)), k, T, 1e-6)
+        if failed:
+            raise ConstraintViolated(f"input curve violates {' and '.join(failed)}")
 
     if n_out is None:
         n_out = max(curve.n_segments, min(2 * curve.n_segments, 800))
@@ -111,50 +112,53 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
 
     g = model.g(pts)
     w = _slide(model, grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
-
-    speed = np.sqrt(max(np.max(_inner(riemannian_metric_matrix(model, w.points), w.velocities,
-                                      w.velocities)), 1e-300))
-    horiz = np.max(np.abs(_inner_y(model.g(w.points), w.velocities)))
-    if horiz > 1e-8 * speed:
-        raise NotHorizontal(f"deformed curve has |<w',Y>| = {horiz} > 1e-8 * speed")
+    _require_horizontal(model.g(w.points), w.velocities, 1e-8, "deformed curve")
     return w
 
 
 def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution:
     """Lift a horizontal curve back to a trial-curve candidate.
 
-    The candidate's travel time comes from the conformal speed at the start
-    node; the conservation constraints are reported, not enforced, so a
-    non-geodesic input shows up as a large equation residual downstream.
+    NotHorizontal unless |<w',Y>| <= 1e-6 |w'|_R |Y|_R at every node.  The candidate's
+    travel time comes from the conformal speed at the start node; the conservation
+    constraints are reported, not enforced, so a non-geodesic input shows up as a
+    large equation residual downstream.
     """
     grid, pts, vels = w.grid, w.points, w.velocities
     g = model.g(pts)
+    _require_horizontal(g, vels, 1e-6, "lift input")
     phi = conformal_factor(model, pts, k)
     speed0 = float(vels[0] @ riemannian_metric_matrix(model, pts[0]) @ vels[0])
-    horiz = np.max(np.abs(_inner_y(g, vels)))
-    if horiz > 1e-6 * np.sqrt(max(speed0, 1e-300)):
-        raise NotHorizontal(f"lift input is not horizontal: {horiz}")
     T = float(np.sqrt(phi[0] * speed0))
     return _sampled_solution(model, k, T, _slide(model, grid, pts, vels, -k * T / g[:, -1, -1]))
 
 
 def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
                             zeta: FieldAlongCurve):
-    """(C, residual_Y(t), residual_speed(t), nabla-zeta nodes) for a variation field."""
+    """(C, residual_Y(t), residual_speed(t), nabla-zeta nodes) for a variation field: the node
+    defects of <nabla zeta, Y> - <zeta, nabla_sigma' Y> = C and <nabla zeta, sigma'> = T C / k."""
+    pts = sol.sigma.points
+    return _constraint_scan(sol, model.g(pts), connection_coeffs(model, pts), zeta)
+
+
+def _constraint_scan(sol: BrachistochroneSolution, g, G, zeta: FieldAlongCurve) -> tuple:
+    """``tangent_constraint_scan`` from the metric g and the Christoffels G at the nodes of
+    ``sol.sigma``; nabla Y is G[..., -1], so the model is not called."""
     curve = sol.sigma
-    nz = covariant_derivative_along(model, curve, zeta).values
-    pts = curve.points
-    return (*_constraint_scan(curve, model.g(pts), nabla_y_matrix(model, pts), zeta.values, nz),
-            nz)
-
-
-def _constraint_scan(curve: Curve, g, K, z, nz) -> tuple:
-    """(C, residual_Y(t), residual_speed(t)) of the field z along ``curve`` from node arrays:
-    the metric g, nabla Y (``K``) and nabla-z (``nz``)."""
+    _require_hosted(curve, zeta)
+    nz = covariant_nodes(curve, G, zeta)
     vels = curve.velocities
-    vals_y = _inner_y(g, nz) - _inner(g, z, np.einsum("nab,nb->na", K, vels))
-    vals_s = _inner(g, nz, vels)
-    return grid_integral(curve.grid, vals_y), vals_y, vals_s
+    vals_y = _inner_y(g, nz) - _inner(g, zeta.values, np.einsum("nab,nb->na", G[..., -1], vels))
+    C = grid_integral(curve.grid, vals_y)
+    return C, vals_y - C, _inner(g, nz, vels) - sol.T * C / sol.k, nz
+
+
+def _require_admissible(scan: tuple, tol: float, scale: float) -> None:
+    """ConstraintViolated unless both residuals of a constraint scan are within tol * scale."""
+    _, r_y, r_s, _ = scan
+    worst = max(float(np.max(np.abs(r_y))), float(np.max(np.abs(r_s))))
+    if worst > tol * scale:
+        raise ConstraintViolated(f"field violates the tangent-space constraints: {worst:.3e}")
 
 
 def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
@@ -165,12 +169,9 @@ def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
     the grid of ``zeta``'s host, and so does the host of the result (the
     deformation of the solution on that grid).
     """
-    C, vals_y, vals_s, nz = tangent_constraint_scan(model, sol, zeta)
-    scale = 1.0 + float(np.max(np.abs(nz)))
-    if (np.max(np.abs(vals_y - C)) > constraint_tol * scale
-            or np.max(np.abs(vals_s - sol.T * C / sol.k)) > constraint_tol * scale):
-        raise ConstraintViolated("field violates the tangent-space constraints")
-    return map_L(model, sol, 0.0, zeta, C_zeta=C)
+    scan = tangent_constraint_scan(model, sol, zeta)
+    _require_admissible(scan, constraint_tol, 1.0 + float(np.max(np.abs(scan[3]))))
+    return map_L(model, sol, 0.0, zeta, C_zeta=scan[0])
 
 
 def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
@@ -188,7 +189,7 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     host = _slide(model, grid, pts, curve.velocities, -_inner_y(g, curve.velocities) / yy, t0)
 
     if C_zeta is None:
-        C_zeta, _, _, _ = tangent_constraint_scan(model, sol, zeta)
+        C_zeta = tangent_constraint_scan(model, sol, zeta)[0]
     dzy = _inner_y(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values))
     tau_zeta = cumulative_integral(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 

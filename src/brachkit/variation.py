@@ -9,8 +9,9 @@ A function of one curve takes the curve's cache as its only description of it:
 ``SolutionGeometry`` for a solution, ``ConformalCurveData`` for a conformal geodesic.
 
 Orientation convention: index computations run on curves from the observer
-line to the event (the direction-reversed deformation of a solution); public
-solution data stays in the event-to-observer orientation.
+line to the event (the direction-reversed deformation of a solution, which
+``index_data`` builds); public solution data stays in the event-to-observer
+orientation.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
-from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covariant_nodes,
-                     cumulative_integral, grid_integral)
+from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumulative_integral,
+                     grid_integral, sine_bumps)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
-                       conformal_factor_gradient, connection_coeffs, horizontal_part,
-                       orthonormal_completion, riemannian_metric_matrix, _conformal_connection,
-                       _connection_and_curvature, _coords, _grad_phi_k, _inner, _inner_y,
-                       _jacobian_fd)
-from .transform import _constraint_scan, tangent_constraint_scan
+                       conformal_factor_gradient, conformal_geometry, connection_coeffs,
+                       horizontal_part, orthonormal_completion, riemannian_metric_matrix,
+                       _conformal_connection, _connection_and_curvature, _coords, _grad_phi_k,
+                       _gr_length, _inner, _inner_y, _jacobian_fd)
+from .transform import _constraint_scan, _require_admissible, deform_D, tangent_constraint_scan
 
 __all__ = [
     "VariationConstraintReport",
@@ -50,6 +51,7 @@ __all__ = [
     "make_admissible_variation",
     "SolutionGeometry",
     "ConformalCurveData",
+    "index_data",
 ]
 
 
@@ -120,17 +122,16 @@ def lagrange_multiplier_field(model: SpacetimeModel, sol: BrachistochroneSolutio
 def constraint_residual(model: SpacetimeModel, sol: BrachistochroneSolution,
                         zeta: FieldAlongCurve) -> VariationConstraintReport:
     """Check a field against the tangent-space constraints of the trial manifold."""
-    C, vals_y, vals_s, nz = tangent_constraint_scan(model, sol, zeta)
+    C, r_y, r_s, nz = tangent_constraint_scan(model, sol, zeta)
     scale = 1.0 + float(np.max(np.abs(zeta.values))) + float(np.max(np.abs(nz)))
     q1 = sol.sigma.points[-1]
-    gr1 = riemannian_metric_matrix(model, q1)
     perp = horizontal_part(model, q1, zeta.values[-1])
     boundary_ok = (float(np.linalg.norm(zeta.values[0])) <= 1e-7 * scale
-                   and float(np.sqrt(perp @ gr1 @ perp)) <= 1e-7 * scale)
+                   and float(_gr_length(model.g(q1), perp)) <= 1e-7 * scale)
     return VariationConstraintReport(
         C_zeta=C,
-        residual_Y=float(np.max(np.abs(vals_y - C))),
-        residual_speed=float(np.max(np.abs(vals_s - sol.T * C / sol.k))),
+        residual_Y=float(np.max(np.abs(r_y))),
+        residual_speed=float(np.max(np.abs(r_s))),
         boundary_ok=bool(boundary_ok),
     )
 
@@ -178,17 +179,11 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
     is structural.
     """
     sol = geom.sol
-    curve = sol.sigma
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical(f"curve is not critical: equation residual {sol.residual_ode:.2e}")
     for z in (z1,) if z1 is z2 else (z1, z2):
-        _require_hosted(curve, z)
-        C, vals_y, vals_s = _constraint_scan(curve, geom.g, geom.K, z.values,
-                                             covariant_nodes(curve, geom.gamma, z))
-        scale = 1.0 + float(np.max(np.abs(z.values)))
-        if (np.max(np.abs(vals_y - C)) > constraint_tol * scale
-                or np.max(np.abs(vals_s - sol.T * C / sol.k)) > constraint_tol * scale):
-            raise ConstraintViolated("field is not an admissible variation")
+        _require_admissible(_constraint_scan(sol, geom.g, geom.gamma, z), constraint_tol,
+                            1.0 + float(np.max(np.abs(z.values))))
     if z1 is z2:
         return _hessian_F_quadratic(geom, z1)
     plus = FieldAlongCurve(host=sol.sigma, values=z1.values + z2.values,
@@ -488,6 +483,15 @@ def _restricted_hessians(data: ConformalCurveData, n_basis: int) -> tuple:
     return tuple(out)
 
 
+def index_data(model: SpacetimeModel, sol: BrachistochroneSolution,
+               n_out: int | None = None) -> ConformalCurveData:
+    """The curve cache on which the indices of ``sol`` are computed: its deformation,
+    on ``n_out`` segments (``deform_D``'s default if None), run from the observer line
+    to the event."""
+    return ConformalCurveData(conformal_geometry(model, sol.k),
+                              deform_D(model, sol, n_out=n_out).reversed())
+
+
 def restricted_index_report(data: ConformalCurveData, n_basis: int) -> tuple:
     """Morse index on the full, horizontal, and perpendicular variation spaces."""
     return tuple(hm.n_negative for hm in _restricted_hessians(data, n_basis))
@@ -509,20 +513,13 @@ def make_admissible_variation(geom: SolutionGeometry, rng=None,
     model, sol = geom.model, geom.sol
     curve = sol.sigma
     grid = curve.grid
-    n = grid.size
     m = model.m
     k, T = sol.k, sol.T
 
     if seed_coeffs is None:
         rng = np.random.default_rng(0) if rng is None else rng
         seed_coeffs = rng.standard_normal((3, m)) / np.array([1, 2, 3])[:, None]
-    seed_coeffs = np.asarray(seed_coeffs, dtype=float)
-    jmax = seed_coeffs.shape[0]
-    zeta0 = np.zeros((n, m))
-    dzeta0 = np.zeros((n, m))
-    for j in range(jmax):
-        zeta0 += np.sin((j + 1) * np.pi * grid)[:, None] * seed_coeffs[j][None, :]
-        dzeta0 += ((j + 1) * np.pi * np.cos((j + 1) * np.pi * grid))[:, None] * seed_coeffs[j][None, :]
+    zeta0, dzeta0 = sine_bumps(grid, seed_coeffs)
 
     vels = curve.velocities
     nz0 = dzeta0 + np.einsum("nabc,nb,nc->na", geom.gamma, vels, zeta0)

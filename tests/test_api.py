@@ -31,3 +31,25 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"brachkit.{module}")
         assert hasattr(source, alias.name), f"brachkit.{module} has no '{alias.name}'"
         assert getattr(brachkit, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+# bench/spans.py wraps each of these modules' own ``solve_ivp`` binding by name
+_UNUSED_FOR_BENCH = {("bvp", "solve_ivp"), ("dynamics", "solve_ivp"), ("transform", "solve_ivp")}
+
+
+def test_modules_use_every_name_they_import():
+    unused = set()
+    for path in sorted(Path(brachkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(importlib.import_module(f"brachkit.{path.stem}"), "__all__", ()))
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == _UNUSED_FOR_BENCH

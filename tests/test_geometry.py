@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from brachkit import geometry as geo
-from brachkit.errors import OutOfChart, OutsideUk, StencilOutOfChart
+from brachkit.curves import Curve
+from brachkit.dynamics import geodesic_residual, initial_velocity, integrate_conformal_geodesic
+from brachkit.errors import (NotHorizontal, NotOrthogonalStart, OutOfChart, OutsideUk,
+                             StencilOutOfChart)
+from brachkit.jacobi import gamma_jacobi_basis
 from brachkit.models import MODEL_NAMES, ModelSpec, make_model
-from brachkit.transform import flow_points, isometry_defect
+from brachkit.transform import flow_points, isometry_defect, lift_G
+from brachkit.variation import ConformalCurveData
 
 from conftest import STANDARD_LAUNCH
 
@@ -350,3 +355,49 @@ def test_flow_differential_isometry(models):
         info = STANDARD_LAUNCH[name]
         q = np.asarray(info["p"], dtype=float)
         assert isometry_defect(model, q, 0.4) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The horizontality gate, |<v,Y>| <= rtol |v|_R |Y|_R at every node, through each
+# public entry that applies it.  static_well at x = 1 has |Y|_R = sqrt(2).
+
+def _tilted(model, q, v, c):
+    """v plus c |v|_R times the g_R-unit Y: for horizontal v, g_R cosine c / sqrt(1 + c^2)
+    with Y."""
+    g = model.g(q)
+    return v + c * geo._gr_length(g, v) / np.sqrt(-g[-1, -1]) * model.y(q)
+
+
+def _line(model, c, node=-1):
+    """A horizontal straight line in y at x = 1, its velocity at ``node`` tilted by c."""
+    grid = np.linspace(0.0, 1.0, 41)
+    pts = np.stack([np.ones_like(grid), 0.4 * grid, np.zeros_like(grid)], axis=1)
+    vels = np.tile([0.0, 0.4, 0.0], (grid.size, 1))
+    vels[node] = _tilted(model, pts[node], vels[node], c)
+    return Curve(grid=grid, points=pts, velocities=vels)
+
+
+_Q = np.array([1.0, 0.0, 0.0])
+_K = 2.0
+_GATES = {
+    "initial_velocity": (1e-8, NotHorizontal, lambda model, c: initial_velocity(
+        model, _K, _Q, _tilted(model, _Q, np.array([1.0, 0.0, 0.0]), c) / np.sqrt(1.0 + c * c),
+        0.5)),
+    "integrate_conformal_geodesic": (1e-8, NotHorizontal, lambda model, c:
+                                     integrate_conformal_geodesic(
+                                         model, _K, _Q, _tilted(model, _Q, [0.0, 0.3, 0.0], c))),
+    "geodesic_residual": (1e-6, NotHorizontal, lambda model, c:
+                          geodesic_residual(model, _K, _line(model, c))),
+    "lift_G": (1e-6, NotHorizontal, lambda model, c: lift_G(model, _K, _line(model, c))),
+    "gamma_jacobi_basis": (1e-6, NotOrthogonalStart, lambda model, c: gamma_jacobi_basis(
+        ConformalCurveData(geo.conformal_geometry(model, _K), _line(model, c, node=0),
+                           check=False))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GATES))
+def test_horizontality_gate_is_the_g_R_cosine(models, entry):
+    rtol, error, call = _GATES[entry]
+    call(models["static_well"], rtol / 10.0)
+    with pytest.raises(error):
+        call(models["static_well"], 10.0 * rtol)

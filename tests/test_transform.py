@@ -244,3 +244,26 @@ def test_index_attachment_builds_four_splines(models, cylinder_long_arc, monkeyp
     monkeypatch.setattr(CubicSpline, "__init__", counting)
     assert _attach_indices(models["einstein_cylinder"], cylinder_long_arc) == (1, 0, 1)
     assert len(built) == 4
+
+
+def test_tangent_constraint_scan_evaluates_the_connection_once(solutions):
+    # nabla-zeta and nabla Y both come from one Gamma at the solution's nodes
+    from brachkit.models import ModelSpec, make_model
+    from brachkit.transform import tangent_constraint_scan
+
+    model = make_model(ModelSpec("rotating_frame"))
+    sol = solutions["rotating_frame"]
+    zeta = make_admissible_variation(SolutionGeometry(model, sol))
+    bare = FieldAlongCurve(host=sol.sigma, values=zeta.values)  # nabla-zeta from Gamma
+    pts = sol.sigma.points
+    calls = []
+    callback = model.analytic_christoffels
+
+    def counting(q):
+        calls.append(q.shape == pts.shape and np.array_equal(q, pts))
+        return callback(q)
+
+    model.analytic_christoffels = counting
+    C, r_y, r_s, nz = tangent_constraint_scan(model, sol, bare)
+    assert calls == [True]
+    assert max(np.max(np.abs(r_y)), np.max(np.abs(r_s))) < 1e-5 * (1.0 + np.max(np.abs(nz)))
