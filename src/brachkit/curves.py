@@ -106,7 +106,9 @@ class _NodeSpline:
     """Named per-node arrays as the columns of one cubic spline on their grid.
 
     Each column's values and derivatives are bit-identical to those of a
-    spline of that quantity alone.
+    spline of that quantity alone, except that the values at the last knot are
+    the node values: every other knot starts a cubic and reads its node value
+    exactly, the last one is the right end of the last cubic.
     """
 
     def __init__(self, grid: np.ndarray, parts: dict):
@@ -116,12 +118,20 @@ class _NodeSpline:
             width = arr[0].size
             self._layout[name] = (slice(start, start + width), arr.shape[1:])
             start += width
-        self._spl = CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
-                                                 for arr in parts.values()]), axis=0)
+        columns = np.hstack([arr.reshape(grid.size, -1) for arr in parts.values()])
+        self._spl = CubicSpline(grid, columns, axis=0)
+        self._end = (grid[-1], columns[-1].copy())  # a view would keep all columns alive
 
     def sample(self, t, nu: int = 0) -> dict:
         """The arrays' nu-th derivatives at parameter(s) t, as views into one evaluation."""
         vals = self._spl(t, nu)
+        if nu == 0:
+            end, at_end = self._end
+            if isinstance(t, float):  # the hot path: the Jacobi solves sample one t at a time
+                if t == end:
+                    vals = at_end.copy()
+            else:
+                vals[np.asarray(t) == end] = at_end
         lead = vals.shape[:-1]
         return {name: vals[..., sl].reshape(lead + shape)
                 for name, (sl, shape) in self._layout.items()}

@@ -4,7 +4,8 @@ The second-order brachistochrone equation is integrated as a first-order
 system in (position, velocity).  Conservation of <sigma', Y> = -k T and
 <sigma', sigma'> = -T^2 is implied by the equation together with the launch
 conditions, so both quantities are monitored as independent correctness
-checks rather than enforced by projection.
+checks rather than enforced by projection.  Shots, dense curves and conformal
+geodesics all run on ``ode_lanes``, scipy's DOP853 applied to each lane on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
 from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
@@ -28,7 +29,7 @@ __all__ = [
     "initial_velocity",
     "brachistochrone_acceleration",
     "brachistochrone_rhs",
-    "rk45_lanes",
+    "ode_lanes",
     "shot_endpoints",
     "integrate_brachistochrone",
     "integrate_conformal_geodesic",
@@ -140,31 +141,79 @@ def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep shots: Dormand-Prince 5(4) with a step size per lane
+# Lockstep shots: Dormand-Prince 8(5,3) with a step size per lane
 
-# scipy's RK45 tableau, continuous extension and step-size rules (Hairer, Norsett &
-# Wanner, Solving ODEs I, II.4 and II.6)
-_RK_A, _RK_B, _RK_E, _RK_P = RK45.A, RK45.B, RK45.E, RK45.P
+# scipy's DOP853 tableau, dense output and step-size rules (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.5 and II.6; Dormand & Prince 1980).  The equations are autonomous,
+# so the nodes C and C_EXTRA are not needed.
+_A, _B, _E3, _E5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
+_D, _A_EXTRA = DOP853.D, DOP853.A_EXTRA
+_S = DOP853.n_stages  # K[_S] is f at the step's end, K[_S + 1:] the dense output's stages
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXP = -1.0 / 5.0
+_ERR_EXP = -1.0 / 8.0  # -1 / (error estimator order + 1), also in the initial step
+
+
+def _max_step(rtol: float) -> float:
+    """The longest step of a brachistochrone or conformal-geodesic lane: 0.15 at
+    rtol = 1e-10, scaling as rtol^(1/8).
+
+    Where the error estimate does not bind (the initial step, the growth cap
+    MAX_FACTOR, the last step clipped at t = 1), DOP853 takes a step longer
+    than rtol calls for, and the error at its end and at the nodes read off its
+    dense output does not follow rtol: on short arcs the residuals could rise
+    when rtol fell tenfold.  Held to a length that scales as rtol^(1/8), such a
+    step's h^8 error scales as rtol.  Shots and dense curves share the bound, so
+    a curve takes its shot's steps and ends at its arrival."""
+    return 0.15 * (rtol / 1e-10) ** 0.125
 
 
 def _lincomb(coeffs, K):
     """sum_s c_s K_s over the first stages of K, shape (stages, n, d).
 
-    A reduction over the outer axis adds the stages in order, elementwise, so
-    each lane's value is independent of the batch."""
-    return np.add.reduce(coeffs[:, None, None] * K[:len(coeffs)], axis=0)
+    The stages are added in order, elementwise, so each lane's value is
+    independent of the batch.  A reduction over the outer axis of a C-ordered
+    array does that (K itself may not be C-ordered once lanes have left), except
+    where that axis is the only one longer than 1 (one lane of d = 1): there it
+    sums 8 or more terms pairwise, and an accumulation keeps the order."""
+    terms = np.multiply(coeffs[:, None, None], K[:len(coeffs)], order="C")
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _rms(x):
     return np.sqrt(np.sum(x * x, axis=-1) / x.shape[-1])
 
 
+def _error_norm(K, h, scale):
+    """scipy's DOP853 error norm of each lane, from its 5th- and 3rd-order estimates:
+    |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) d), 0 where both vanish."""
+    e5 = np.sum((_lincomb(_E5, K) / scale) ** 2, axis=-1)
+    e3 = np.sum((_lincomb(_E3, K) / scale) ** 2, axis=-1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where both vanish
+        err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * scale.shape[-1])
+    return np.where((e5 == 0.0) & (e3 == 0.0), 0.0, err)
+
+
+def _dense_output(y, y_new, K, h, x):
+    """One lane's step from y to y_new read at the fractions x of the step off DOP853's
+    7th-order continuous extension, as scipy's ``Dop853DenseOutput`` reads it; K holds the
+    lane's 16 stages, shape (16, d)."""
+    dy = y_new - y
+    F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_S] + K[0])]
+    F.extend(h * np.add.reduce(np.multiply(_D[:, :, None], K, order="C"), axis=1))
+    x = x[:, None]
+    out = np.zeros((x.size, y.size))
+    for i, f in enumerate(reversed(F)):
+        out += f
+        out *= x if i % 2 == 0 else 1.0 - x
+    return y + out
+
+
 class _Lanes:
     """Per-lane arrays of the live lanes, shrunk together when lanes leave.
 
-    The stages ``K`` of the current step, shape (7, n, d), have the lane on axis 1."""
+    The stages ``K`` of the current step, shape (16, n, d), have the lane on axis 1."""
 
     STATE = ("lane", "y", "f", "h_abs", "t", "rejected", "next")  # carried from step to step
 
@@ -181,24 +230,30 @@ class _Lanes:
                          for key in self.STATE})
 
 
-def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
-    """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own RK45 step control.
+def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_step=np.inf):
+    """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own DOP853 step control.
 
     ``y0`` has shape ``(n, d)``.  Lanes are numbered in the order they are
     admitted, and ``fun`` gets the states of the live lanes and their
-    numbers.  Each lane follows scipy's RK45 rules (initial step, SAFETY,
-    MIN/MAX_FACTOR, no growth after a rejection, min-step failure) with an
-    error norm over that lane alone, so it takes scipy's steps and agrees with
-    its result to roundoff; and it is bit-identical whether it runs alone or
-    in any batch, admitted at the start or later.  When a batched evaluation
-    raises, the lanes are evaluated one by one; each lane that raises leaves
-    with its exception and the others continue; so does a lane whose step
-    size falls below scipy's minimum, with ``StepFailure``.
+    numbers.  Each lane follows scipy's DOP853 rules (initial step, the
+    combined 5th/3rd-order error norm, SAFETY, MIN/MAX_FACTOR, no growth after
+    a rejection, min-step failure) with an error norm over that lane alone, so
+    it takes scipy's steps and agrees with its result to roundoff; and it is
+    bit-identical whether it runs alone or in any batch, admitted at the start
+    or later.  When a batched evaluation raises, the lanes are evaluated one by
+    one; each lane that raises leaves with its exception and the others
+    continue; so does a lane whose step size falls below scipy's minimum, with
+    ``StepFailure``.
 
     Lanes are sampled at ``grid``, sorted nodes in [0, 1] that end at 1.0.  A
     node that a step lands on takes the step's end exactly, so node 1.0 is the
-    arrival; a node inside a step is read off the step's Dormand-Prince
-    continuous extension, as scipy's dense output reads it.
+    arrival; a node inside a step is read off DOP853's 7th-order dense output,
+    as scipy's dense output reads it.  Its 3 extra stages are evaluated only
+    for the lanes with a node strictly inside the accepted step, so the shots'
+    grid ``(1.0,)`` never pays for them; a lane that raises in one of them
+    leaves with its exception.  No step is longer than ``max_step``, which
+    applies as scipy's ``solve_ivp`` applies it (to the initial step and to
+    each step's start).
 
     With ``admit``, lanes join at step boundaries: whenever lanes have left
     (reached t = 1 or raised), ``admit(left)`` gets them as a dict lane ->
@@ -224,23 +279,25 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
         failures[int(lane)] = exc
         left.append(int(lane))
 
-    def evaluate(L, Y):
-        """fun on the live lanes of L; a lane that raises leaves L and the returned rows."""
-        if not L.lane.size:
+    def evaluate(L, Y, rows=None):
+        """fun on the live lanes of L (or on its ``rows``, a mask); a lane that raises leaves
+        L and the returned rows."""
+        lanes = L.lane if rows is None else L.lane[rows]
+        if not lanes.size:
             return Y
         try:
-            return fun(Y, L.lane)
+            return fun(Y, lanes)
         except (BrachkitError, ValueError):
             pass
         out = np.empty_like(Y)
-        ok = np.ones(L.lane.size, dtype=bool)
-        for j in range(L.lane.size):
+        ok = np.ones(lanes.size, dtype=bool)
+        for j in range(lanes.size):
             try:
-                out[j] = fun(Y[j:j + 1], L.lane[j:j + 1])[0]
+                out[j] = fun(Y[j:j + 1], lanes[j:j + 1])[0]
             except (BrachkitError, ValueError) as exc:
-                fail(L.lane[j], exc.with_traceback(None))  # no frame cycle
+                fail(lanes[j], exc.with_traceback(None))  # no frame cycle
                 ok[j] = False
-        L.keep(ok)
+        L.keep(np.isin(L.lane, lanes[~ok], invert=True))
         return out[ok]
 
     def start(y):
@@ -261,8 +318,8 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
         d2 = _rms((f1 - N.f) / N.scale) / N.h0
         with np.errstate(divide="ignore"):
             h1 = np.where((N.d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, N.h0 * 1e-3),
-                          (0.01 / np.maximum(N.d1, d2)) ** 0.2)
-        N.h_abs = np.minimum(np.minimum(100.0 * N.h0, h1), 1.0)
+                          (0.01 / np.maximum(N.d1, d2)) ** -_ERR_EXP)
+        N.h_abs = np.minimum(np.minimum(100.0 * N.h0, h1), min(1.0, max_step))
         del N.scale, N.d1, N.h0
         N.t = np.zeros(N.lane.size)
         N.rejected = np.zeros(N.lane.size, dtype=bool)
@@ -283,6 +340,7 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
         if not L.lane.size:
             break
         min_step = 10.0 * np.abs(np.nextafter(L.t, np.inf) - L.t)
+        L.h_abs = np.minimum(L.h_abs, max_step)
         L.h_abs = np.where(~L.rejected & (L.h_abs < min_step), min_step, L.h_abs)
         small = L.h_abs < min_step
         if small.any():
@@ -294,30 +352,36 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
         t_new = L.t + L.h_abs
         L.t_new = np.where(t_new > 1.0, 1.0, t_new)
         L.h = (L.t_new - L.t)[:, None]
-        L.K = np.empty((7,) + L.y.shape)
+        L.K = np.empty((len(_A_EXTRA) + _S + 1,) + L.y.shape)
         L.K[0] = L.f
-        for s in range(1, 6):
+        for s in range(1, _S):
             # L.K is looked up after the right side, so the row lands in the array
             # that an evaluation dropping lanes has shrunk
-            L.K[s] = evaluate(L, L.y + L.h * _lincomb(_RK_A[s, :s], L.K))
-        L.y_new = L.y + L.h * _lincomb(_RK_B, L.K)
-        L.K[6] = evaluate(L, L.y_new)
+            L.K[s] = evaluate(L, L.y + L.h * _lincomb(_A[s, :s], L.K))
+        L.y_new = L.y + L.h * _lincomb(_B, L.K)
+        L.K[_S] = evaluate(L, L.y_new)
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
-        err = _rms(L.h * _lincomb(_RK_E, L.K) / scale)
-        accept = err < 1.0
+        L.err = _error_norm(L.K, L.h[:, 0], scale)
+        for s, a in enumerate(_A_EXTRA, start=_S + 1):
+            # the dense output's stages, for the accepted steps with a node strictly
+            # inside; the mask is taken again once an evaluation may have dropped lanes
+            dense = (L.err < 1.0) & (L.next < L.t_new)
+            if not dense.any():
+                break
+            rows = evaluate(L, L.y[dense] + L.h[dense] * _lincomb(a[:s], L.K[:, dense]), dense)
+            L.K[s, (L.err < 1.0) & (L.next < L.t_new)] = rows
+        accept = L.err < 1.0
         for i in np.flatnonzero(accept & (L.next <= L.t_new)):  # sample nodes in (t, t_new]
             lo, hi = np.searchsorted(grid, (L.t[i], L.t_new[i]), side="right")
             inner = hi - (grid[hi - 1] == L.t_new[i])  # a node the step lands on is its end
             if inner > lo:
                 h = L.h[i, 0]
-                x = np.cumprod(np.tile((grid[lo:inner] - L.t[i]) / h, (4, 1)), axis=0)
-                weights = _RK_P @ x  # (stages, nodes): the continuous extension's b_s(x)
-                samples[L.lane[i], lo:inner] = L.y[i] + h * np.add.reduce(
-                    weights[:, :, None] * L.K[:, i, None], axis=0)
+                samples[L.lane[i], lo:inner] = _dense_output(L.y[i], L.y_new[i], L.K[:, i], h,
+                                                             (grid[lo:inner] - L.t[i]) / h)
             samples[L.lane[i], inner:hi] = L.y_new[i]
             L.next[i] = grid[min(hi, grid.size - 1)]
         with np.errstate(divide="ignore"):  # err == 0 gives inf: growth by _MAX_FACTOR
-            fac = _SAFETY * err ** _ERR_EXP
+            fac = _SAFETY * L.err ** _ERR_EXP
         grow = np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR)
         grow = np.where(L.rejected & ~(grow < 1.0), 1.0, grow)
         shrink = np.where(fac > _MIN_FACTOR, fac, _MIN_FACTOR)
@@ -325,8 +389,8 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
         L.rejected = ~accept
         L.t = np.where(accept, L.t_new, L.t)
         L.y = np.where(accept[:, None], L.y_new, L.y)
-        L.f = np.where(accept[:, None], L.K[-1], L.f)
-        del L.K, L.y_new, L.t_new, L.h  # the step is decided: only STATE goes on
+        L.f = np.where(accept[:, None], L.K[_S], L.f)
+        del L.K, L.y_new, L.t_new, L.h, L.err  # the step is decided: only STATE goes on
         steps[L.lane[accept]] += 1
         done = accept & (L.t >= 1.0)
         if done.any():
@@ -337,7 +401,7 @@ def rk45_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,)):
 
 def _shot_lanes(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
                 grid=(1.0,), admit=None, tally=None) -> tuple:
-    """``(samples, failures)`` of ``rk45_lanes`` for the shots of ``shot_endpoints``."""
+    """``(samples, failures)`` of ``ode_lanes`` for the shots of ``shot_endpoints``."""
     m = model.m
     states = np.asarray(states, dtype=float)
     require_adapted_chart(model, states[:, :m])
@@ -360,8 +424,9 @@ def _shot_lanes(model: SpacetimeModel, k: float, states, T, config: IntegratorCo
         T = np.concatenate([T, np.asarray(new_T, dtype=float)])
         return new_states
 
-    samples, _, failures = rk45_lanes(fun, states, config.rtol, config.atol,
-                                      None if admit is None else admit_shots, grid)
+    samples, _, failures = ode_lanes(fun, states, config.rtol, config.atol,
+                                     None if admit is None else admit_shots, grid,
+                                     _max_step(config.rtol))
     return samples, failures
 
 
@@ -372,7 +437,7 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
     ``states`` holds one launch state (q, v) per row and ``T`` one travel time
     per row; each entry of the result is that shot's chart point at t = 1 or
     the exception the shot raised.  With ``admit``, shots join the running
-    batch (see ``rk45_lanes``): ``admit(arrived)`` gets a dict shot ->
+    batch (see ``ode_lanes``): ``admit(arrived)`` gets a dict shot ->
     arrival point or exception for the shots that ended since its last call,
     and returns the launch states and travel times of the shots to add, which
     are numbered on from the last.  If a ``tally`` dict is given, its
@@ -383,7 +448,7 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
 
 
 def _lane_curve(grid, samples, failures) -> Curve:
-    """The curve of the only lane of ``rk45_lanes``'s samples; raises that lane's failure."""
+    """The curve of the only lane of ``ode_lanes``'s samples; raises that lane's failure."""
     if failures:
         raise failures[0]
     m = samples.shape[-1] // 2
@@ -443,8 +508,9 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
         return np.concatenate([vel, -np.einsum("nabc,nb,nc->na", G, vel, vel)], axis=1)
 
     grid = np.linspace(0.0, 1.0, config.grid_n + 1)
-    samples, _, failures = rk45_lanes(fun, np.concatenate([q0, v0])[None], config.rtol,
-                                      config.atol, grid=grid)
+    samples, _, failures = ode_lanes(fun, np.concatenate([q0, v0])[None], config.rtol,
+                                     config.atol, grid=grid,
+                                     max_step=_max_step(config.rtol))
     return _lane_curve(grid, samples, failures)
 
 

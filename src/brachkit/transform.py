@@ -21,8 +21,9 @@ from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covar
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
 from .errors import ConstraintViolated, FlowEscape
 from .geometry import (SpacetimeModel, conformal_factor, connection_coeffs, conservation_residuals,
-                       curve_distance, isometry_defect, nabla_y_matrix, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _inner, _inner_y, _require_horizontal)
+                       curve_distance, isometry_defect, require_adapted_chart,
+                       riemannian_metric_matrix, _coords, _inner, _inner_y, _phi_k, _riemannian,
+                       _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -127,9 +128,8 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     grid, pts, vels = w.grid, w.points, w.velocities
     g = model.g(pts)
     _require_horizontal(g, vels, 1e-6, "lift input")
-    phi = conformal_factor(model, pts, k)
-    speed0 = float(vels[0] @ riemannian_metric_matrix(model, pts[0]) @ vels[0])
-    T = float(np.sqrt(phi[0] * speed0))
+    speed0 = float(vels[0] @ _riemannian(g[0]) @ vels[0])
+    T = float(np.sqrt(_phi_k(g, k, pts)[0] * speed0))
     return _sampled_solution(model, k, T, _slide(model, grid, pts, vels, -k * T / g[:, -1, -1]))
 
 
@@ -167,11 +167,14 @@ def dD_differential(model: SpacetimeModel, sol: BrachistochroneSolution,
 
     ``map_L`` at t0 = 0 behind the tangent-constraint gate: the values live on
     the grid of ``zeta``'s host, and so does the host of the result (the
-    deformation of the solution on that grid).
+    deformation of the solution on that grid).  g and Gamma are evaluated once
+    at the solution's nodes, for both.
     """
-    scan = tangent_constraint_scan(model, sol, zeta)
+    pts = sol.sigma.points
+    g, G = model.g(pts), connection_coeffs(model, pts)
+    scan = _constraint_scan(sol, g, G, zeta)
     _require_admissible(scan, constraint_tol, 1.0 + float(np.max(np.abs(scan[3]))))
-    return map_L(model, sol, 0.0, zeta, C_zeta=scan[0])
+    return _map_L(model, sol, 0.0, zeta, scan[0], g, G)
 
 
 def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
@@ -182,15 +185,22 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
     parameter t0 (a constant Killing-flow shift of the full deformation);
     values at parameters below t0 are zero-filled.
     """
+    pts = sol.sigma.points
+    g, G = model.g(pts), connection_coeffs(model, pts)
+    if C_zeta is None:
+        C_zeta = _constraint_scan(sol, g, G, zeta)[0]
+    return _map_L(model, sol, t0, zeta, C_zeta, g, G)
+
+
+def _map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
+           zeta: FieldAlongCurve, C_zeta: float, g, G) -> FieldAlongCurve:
+    """``map_L`` from the metric g and the Christoffels G at the nodes of ``sol.sigma``;
+    nabla Y is G[..., -1]."""
     curve = sol.sigma
     grid, pts = curve.grid, curve.points
-    g = model.g(pts)
     yy = g[:, -1, -1]
     host = _slide(model, grid, pts, curve.velocities, -_inner_y(g, curve.velocities) / yy, t0)
-
-    if C_zeta is None:
-        C_zeta = tangent_constraint_scan(model, sol, zeta)[0]
-    dzy = _inner_y(g, np.einsum("nab,nb->na", nabla_y_matrix(model, pts), zeta.values))
+    dzy = _inner_y(g, np.einsum("nab,nb->na", G[..., -1], zeta.values))
     tau_zeta = cumulative_integral(grid, -(C_zeta * yy + 2.0 * sol.k * sol.T * dzy) / yy ** 2, t0)
 
     pushed = np.where((grid >= t0 - 1e-12)[:, None],

@@ -299,7 +299,8 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
     # the coefficients of the linearized equation, read off SolutionGeometry's
     # one spline, reproduce bit for bit a separate cubic spline of each
     # quantity: nabla Y as Gamma[..., -1] and its t-derivative, Y as the
-    # constant e_last and <Y,Y> as g[..., -1, -1]
+    # constant e_last and <Y,Y> as g[..., -1, -1]; at the last knot, where a
+    # spline's value is the right end of its last cubic, they are the node values
     for name, sol in (("rotating_frame", solutions["rotating_frame"]),
                       ("minkowski4", solutions["minkowski4"]),
                       ("einstein_cylinder", cylinder_long_arc)):
@@ -308,23 +309,29 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
         grid = sol.sigma.grid
         arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y,
                       v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
-        splines = {key: CubicSpline(grid, arr, axis=0) for key, arr in arrays.items()}
+        separate = {key: CubicSpline(grid, arr, axis=0) for key, arr in arrays.items()}
+
+        def spline(key, t):
+            out = separate[key](t)
+            out[np.asarray(t) == grid[-1]] = arrays[key][-1]
+            return out
+
         ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
         for t in ts:
             d = _coeffs_at(geom.spline, t)
-            for key, spl in splines.items():
-                assert np.array_equal(d[key], spl(t)), (name, key, t)
-            assert np.array_equal(d["dK"], splines["K"](t, 1)), (name, t)
+            for key in arrays:
+                assert np.array_equal(d[key], spline(key, t)), (name, key, t)
+            assert np.array_equal(d["dK"], separate["K"](t, 1)), (name, t)
         assert isinstance(d["N"], float)
         batch = geom.spline.sample(ts)
         for key in ("gamma", "g", "v", "RM1", "RM2"):
-            assert np.array_equal(batch[key], splines[key](ts)), (name, key)
-        assert np.array_equal(batch["gamma"][..., -1], splines["K"](ts)), name
+            assert np.array_equal(batch[key], spline(key, ts)), (name, key)
+        assert np.array_equal(batch["gamma"][..., -1], spline("K", ts)), name
         assert np.array_equal(geom.spline.sample(ts, 1)["gamma"][..., -1],
-                              splines["K"](ts, 1)), name
-        assert np.array_equal(batch["g"][..., -1, -1], splines["N"](ts)), name
+                              separate["K"](ts, 1)), name
+        assert np.array_equal(batch["g"][..., -1, -1], spline("N", ts)), name
         assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
-                              splines["y"](ts)), name
+                              separate["y"](ts)), name
 
 
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):

@@ -1,4 +1,4 @@
-"""Lockstep shooting: the per-lane RK45, the lockstep Newton loop and the observer orbit."""
+"""Lockstep shooting: the per-lane DOP853, the lockstep Newton loop and the observer orbit."""
 
 import dataclasses
 import json
@@ -14,9 +14,9 @@ from brachkit.bvp import (ObserverWorldline, ShootingProblem, _integrate, _newto
                           _residual_vector, _solve_starts, _sphere_direction, _survey_starts,
                           multistart_survey, shoot)
 from brachkit.cli import run_scenario
-from brachkit.dynamics import (IntegratorConfig, _launch_velocity,
+from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _max_step,
                                brachistochrone_acceleration, initial_velocity,
-                               integrate_brachistochrone, rk45_lanes, shot_endpoints)
+                               integrate_brachistochrone, ode_lanes, shot_endpoints)
 from brachkit.errors import (BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart,
                              StepFailure)
 from brachkit.geometry import horizontal_unit
@@ -70,37 +70,86 @@ def _assert_matches_scipy(samples, ref, grid, rel):
     assert np.max(np.abs(samples - dense) / np.maximum(np.abs(dense), 1.0)) < rel
 
 
-def test_rk45_lanes_match_scipy_rk45(models):
+def _counting(fun, n):
+    """``fun`` that adds the evaluations of each of the n lanes to its ``nfev``."""
+    def counted(Y, lanes):
+        counted.nfev += np.bincount(lanes, minlength=n)
+        return fun(Y, lanes)
+    counted.nfev = np.zeros(n, dtype=int)
+    return counted
+
+
+def _assert_scipy_nfev(nfev, refs, grid):
+    """Per-lane evaluations against scipy's dense solves, which pay the dense output's 3
+    extra stages on every step: the shots' grid pays them on none, a denser grid on the
+    steps with a node inside."""
+    for j, ref in enumerate(refs):
+        shot = ref.nfev - 3 * (ref.t.size - 1)
+        assert nfev[j] == shot if len(grid) == 1 else shot < nfev[j] <= ref.nfev
+
+
+def _dop853(fun, y0, rtol, max_step=np.inf):
+    return solve_ivp(fun, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=rtol,
+                     dense_output=True, max_step=max_step)
+
+
+def test_ode_lanes_match_scipy_dop853(models):
+    # free steps, and the step bound of the brachistochrone lanes
     for name, info in STANDARD_LAUNCH.items():
         model, k = models[name], info["k"]
         states, Ts = _launches(model, info, 5, seed=1)
-        refs = [solve_ivp(_scipy_rhs(model, k, Ts[j]), (0.0, 1.0), states[j], method="RK45",
-                          rtol=1e-10, atol=1e-10, dense_output=True) for j in range(len(Ts))]
-        for grid in GRIDS:
-            samples, steps, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
-                                                  grid=grid)
-            assert failures == {}
-            for j, ref in enumerate(refs):
-                assert steps[j] == ref.t.size - 1, name
-                _assert_matches_scipy(samples[j], ref, grid, 1e-12)
+        for max_step in (np.inf, _max_step(1e-10)):
+            refs = [_dop853(_scipy_rhs(model, k, Ts[j]), states[j], 1e-10, max_step)
+                    for j in range(len(Ts))]
+            for grid in GRIDS:
+                fun = _counting(_lane_fun(model, k, Ts), len(Ts))
+                samples, steps, failures = ode_lanes(fun, states, 1e-10, 1e-10, grid=grid,
+                                                     max_step=max_step)
+                assert failures == {}
+                for j, ref in enumerate(refs):
+                    assert steps[j] == ref.t.size - 1, name
+                    _assert_matches_scipy(samples[j], ref, grid, 1e-12)
+                _assert_scipy_nfev(fun.nfev, refs, grid)
 
 
-def test_rk45_lanes_match_scipy_rk45_with_rejected_steps():
-    # van der Pol at mu = 8 makes RK45 reject steps, so the rules after a
+def test_ode_lanes_match_scipy_dop853_with_rejected_steps():
+    # van der Pol at mu = 8 makes DOP853 reject steps, so the rules after a
     # rejection (shrink factor, no growth on the next acceptance) take part
     def vdp(y):
         return np.stack([y[..., 1], 8.0 * (1.0 - y[..., 0] ** 2) * y[..., 1] - y[..., 0]], axis=-1)
 
     y0 = np.array([[2.0, 0.0], [1.0, 1.0]])
-    refs = [solve_ivp(lambda t, y: vdp(y), (0.0, 1.0), y0[j], method="RK45", rtol=1e-6,
-                      atol=1e-6, dense_output=True) for j in range(2)]
+    refs = [_dop853(lambda t, y: vdp(y), y0[j], 1e-6) for j in range(2)]
     for grid in GRIDS:
-        samples, steps, failures = rk45_lanes(lambda Y, lanes: vdp(Y), y0, 1e-6, 1e-6, grid=grid)
+        fun = _counting(lambda Y, lanes: vdp(Y), 2)
+        samples, steps, failures = ode_lanes(fun, y0, 1e-6, 1e-6, grid=grid)
         assert failures == {}
         for j, ref in enumerate(refs):
-            assert ref.nfev > 6 * (ref.t.size - 1) + 2  # at least one rejected step
+            assert ref.nfev > 15 * (ref.t.size - 1) + 2  # at least one rejected step
             assert steps[j] == ref.t.size - 1
             _assert_matches_scipy(samples[j], ref, grid, 1e-12)
+        _assert_scipy_nfev(fun.nfev, refs, grid)
+
+
+def test_ode_lanes_dense_output_matches_scipy_at_interior_nodes(models):
+    # 401 nodes and scipy's step ends: a node a step lands on is the step's end, one
+    # inside a step is read off the 7th-order dense output; both agree with scipy's
+    # sol(t) to roundoff, which the dense output's coefficients (up to 528 in size)
+    # amplify by their cancellation
+    for name, info in STANDARD_LAUNCH.items():
+        model, k = models[name], info["k"]
+        states, Ts = _launches(model, info, 3, seed=4)
+        for j in range(len(Ts)):
+            ref = _dop853(_scipy_rhs(model, k, Ts[j]), states[j], 1e-10)
+            grid = np.union1d(ref.t, np.linspace(0.0, 1.0, 401))
+            samples, _, failures = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                             1e-10, 1e-10, grid=grid)
+            assert failures == {}
+            dense = ref.sol(grid).T
+            err = np.abs(samples[0] - dense) / np.maximum(np.abs(dense), 1.0)
+            inside = ~np.isin(grid, ref.t)
+            assert inside.sum() > 350 and np.max(err[~inside]) < 1e-14, name
+            assert np.max(err[inside]) < 1e-12, name
 
 
 def test_lane_leaving_chart_fails_alone(models):
@@ -114,14 +163,15 @@ def test_lane_leaving_chart_fails_alone(models):
     pole = np.concatenate([p, initial_velocity(model, k, p, meridian, 3.0)])
     states = np.insert(states, 1, pole, axis=0)
     Ts = np.insert(Ts, 1, 3.0)
+    cap = _max_step(1e-10)  # the step bound of the shooting entry point below
     for grid in GRIDS:
-        samples, _, failures = rk45_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
-                                          grid=grid)
+        samples, _, failures = ode_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
+                                         grid=grid, max_step=cap)
         assert set(failures) == {1} and isinstance(failures[1], OutOfChart)
         assert np.isnan(samples[1, -1]).all()
         for j in (0, 2, 3):
-            alone, _, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                        1e-10, 1e-10, grid=grid)
+            alone, _, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                       1e-10, 1e-10, grid=grid, max_step=cap)
             assert none == {}
             assert np.array_equal(alone[0], samples[j])
     # the same through the shooting entry point
@@ -135,14 +185,64 @@ def test_lane_step_size_failure_is_step_failure():
     def fun(Y, lanes):
         return np.where((lanes == 0)[:, None], Y * Y, -Y)
 
-    samples, steps, failures = rk45_lanes(fun, np.array([[2.0], [1.0]]), 1e-10, 1e-10)
+    samples, steps, failures = ode_lanes(fun, np.array([[2.0], [1.0]]), 1e-10, 1e-10)
     assert set(failures) == {0}
     assert type(failures[0]) is StepFailure
     assert str(failures[0]) == ("integrator failed: Required step size is less than spacing "
                                 "between numbers.")
     assert samples[1, -1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
-    ref = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45", rtol=1e-10, atol=1e-10)
+    ref = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-10)
     assert steps[1] == ref.t.size - 1
+
+
+def test_lane_raising_in_a_dense_output_stage_leaves_alone():
+    # lane 0 raises from its 15th evaluation on: after the 2 of the initial step and
+    # the 12 of its first step (accepted, with grid nodes inside), the first of the
+    # dense output's 3 extra stages
+    seen = np.zeros(3, dtype=int)
+
+    def fun(Y, lanes):
+        seen[lanes] += 1
+        if 0 in lanes and seen[0] >= 15:
+            raise ValueError("off the chart")
+        return -Y
+
+    grid = np.linspace(0.0, 1.0, 41)
+    y0 = np.array([[1.0], [2.0], [3.0]])
+    samples, steps, failures = ode_lanes(fun, y0, 1e-10, 1e-10, grid=grid)
+    assert set(failures) == {0} and str(failures[0]) == "off the chart"
+    assert steps[0] == 0 and samples[0, 0, 0] == 1.0 and np.isnan(samples[0, 1:]).all()
+    for j in (1, 2):
+        alone, alone_steps, none = ode_lanes(lambda Y, lanes: -Y, y0[j:j + 1], 1e-10, 1e-10,
+                                             grid=grid)
+        assert none == {} and alone_steps[0] == steps[j]
+        assert np.array_equal(alone[0], samples[j]), j
+
+
+def test_lanes_are_bit_identical_alone_and_in_batches_that_lose_lanes():
+    # lanes of 1 to 8 components, some of which leave mid-step; every lane's samples
+    # (or its failure) are the same alone and in the batch, whatever the layout the
+    # stages take after lanes leave
+    rng = np.random.default_rng(5)
+
+    def fun(Y, lanes):
+        if (Y[:, 0] > 1.9).any():
+            raise ValueError("left")
+        return np.roll(Y, 1, axis=1) * 1.3 - 0.4 * Y ** 2 + 0.2
+
+    left = 0
+    for _ in range(16):
+        d, n = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        y0 = rng.uniform(0.0, 1.5, (n, d))
+        grid = np.union1d(rng.uniform(0.0, 1.0, 20), [1.0])
+        for g in ((1.0,), grid):
+            samples, _, failures = ode_lanes(fun, y0, 1e-9, 1e-9, grid=g)
+            left += len(failures)
+            for j in range(n):
+                alone, _, failed = ode_lanes(fun, y0[j:j + 1], 1e-9, 1e-9, grid=g)
+                assert (j in failures) == (0 in failed), (d, n, j)
+                assert np.array_equal(alone[0], samples[j], equal_nan=True), (d, n, j)
+    assert left > 20
 
 
 def test_dense_orbit_matches_flow_points(models):
@@ -251,7 +351,7 @@ def test_threads_other_than_one_is_config_error(tmp_path):
 
 
 def _admission_run(model, k, states, Ts, n_first, plan, grid=(1.0,)):
-    """rk45_lanes over ``states``: the first n_first lanes at the start, then
+    """ode_lanes over ``states``: the first n_first lanes at the start, then
     ``plan[c]`` more (in order) at the c-th call of admit; returns the result and the calls."""
     calls, queue = [], list(plan)
 
@@ -261,8 +361,8 @@ def _admission_run(model, k, states, Ts, n_first, plan, grid=(1.0,)):
         first = n_first + sum(plan[:len(calls) - 1])
         return states[first:first + n]
 
-    out = rk45_lanes(_lane_fun(model, k, Ts), states[:n_first], 1e-10, 1e-10, admit=admit,
-                     grid=grid)
+    out = ode_lanes(_lane_fun(model, k, Ts), states[:n_first], 1e-10, 1e-10, admit=admit,
+                    grid=grid)
     return out, calls
 
 
@@ -283,8 +383,8 @@ def test_lane_admitted_mid_run_matches_its_run_alone(models):
         assert sorted(lane for c in calls for lane in c) == list(range(6))
         assert all(np.array_equal(end, samples[lane, -1]) for c in calls for lane, end in c.items())
         for j in range(6):
-            alone, alone_steps, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]),
-                                                  states[j:j + 1], 1e-10, 1e-10, grid=grid)
+            alone, alone_steps, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]),
+                                                 states[j:j + 1], 1e-10, 1e-10, grid=grid)
             assert none == {}
             assert alone_steps[0] == steps[j]
             assert np.array_equal(alone[0], samples[j]), j
@@ -308,8 +408,8 @@ def test_lane_raising_on_admission_leaves_alone(models):
     assert calls[1] == {3: failures[3], 4: failures[4]}  # reported before the next step
     assert np.isnan(samples[3]).all() and steps[3] == steps[4] == 0
     for j in range(3):
-        alone, _, none = rk45_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                    1e-10, 1e-10)
+        alone, _, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                   1e-10, 1e-10)
         assert none == {}
         assert np.array_equal(alone[0], samples[j]), j
 
@@ -527,7 +627,9 @@ def test_survey_shooting_cost(cylinder_survey, monkeypatch, caplog):
     # 43 converged ones; a fresh Jacobian at every iteration and Newton steps bounded
     # to a 45 degree turn keep the longest Newton chain cheap (unbounded steps took
     # 14 rounds, 1194 lane shots and 16032 batched calls, and failed 2 starts with
-    # NoConvergence; the bound adds yields to the chain, but each is a short shot)
+    # NoConvergence; the bound adds yields to the chain, but each is a short shot).
+    # DOP853 lanes take 16 rounds, 1014 lane shots and 5627 batched calls, where
+    # RK45 lanes took 17, 1059 and 10044
     prob, _ = cylinder_survey
     dense = []
 
@@ -542,9 +644,9 @@ def test_survey_shooting_cost(cylinder_survey, monkeypatch, caplog):
     assert [rec["T"] for rec in res.solutions] == dense
     counts = _survey_counts(caplog)
     assert counts["integrated"] == 3
-    assert counts["rounds"] <= 18
+    assert counts["rounds"] <= 17
     assert counts["lane_shots"] <= 1100
-    assert counts["batched_calls"] <= 11000
+    assert counts["batched_calls"] <= 6200
     # the failures left are launches into the chart's polar caps
     assert {key for key in counts if key[0].isupper()} == {"OutOfChart"}
     assert counts["OutOfChart"] == counts["failed"] == res.n_failures
@@ -552,7 +654,8 @@ def test_survey_shooting_cost(cylinder_survey, monkeypatch, caplog):
 
 def test_survey_start_seed_13_converges_without_stalls(cylinder_survey, caplog):
     # with unbounded Newton steps the start seed 13 survey took 32 rounds and 45693
-    # batched calls, and one of its starts stalled in the line search
+    # batched calls, and one of its starts stalled in the line search; with bounded
+    # steps RK45 lanes took 11038 calls, DOP853 lanes take 5773
     prob, _ = cylinder_survey
     with caplog.at_level(logging.INFO, logger="brachkit.bvp"):
         res = multistart_survey(prob, 48, CYLINDER_BRACKET, seed=13, attach_indices=False)
@@ -561,7 +664,27 @@ def test_survey_start_seed_13_converges_without_stalls(cylinder_survey, caplog):
     assert np.max(np.abs(np.array(Ts) - np.pi * np.array([0.5, 1.5, 2.5]))) < 1e-10
     counts = _survey_counts(caplog)
     assert "NoConvergence" not in counts
-    assert counts["batched_calls"] <= 12500
+    assert counts["batched_calls"] <= 6300
+
+
+@pytest.mark.parametrize("p, anchor, n_starts", [((0.6, 0.0, 0.0), (2.4, 2.0, 0.0), 7),
+                                                 ((1.0, 0.0, 0.0), (2.0, 1.5, 0.0), 4)],
+                         ids=["theta0.6", "theta1.0"])
+def test_off_equator_survey_meets_the_closed_forms(models, p, anchor, n_starts):
+    # at k = sqrt 2 the solutions are the great circles through p and the anchor's
+    # point of the sphere: T = d, 2 pi - d and 2 pi + d for their distance d.  Off the
+    # equator the shots are no longer exact; RK45 lanes at the same tolerances missed
+    # by up to 2.7e-10 and 4.2e-10 with these starts (the fewest that find all three)
+    model = models["einstein_cylinder"]
+    p, anchor = np.array(p), np.array(anchor)
+    d = np.arccos(np.cos(p[0]) * np.cos(anchor[0])
+                  + np.sin(p[0]) * np.sin(anchor[0]) * np.cos(anchor[1] - p[1]))
+    prob = ShootingProblem(model, p, ObserverWorldline(anchor, model), np.sqrt(2.0))
+    res = multistart_survey(prob, n_starts, (0.3, 2 * np.pi + d + 0.5), seed=11,
+                            attach_indices=False)
+    Ts = sorted(rec["T"] for rec in res.solutions)
+    assert len(Ts) == 3
+    assert np.max(np.abs(np.array(Ts) - [d, 2 * np.pi - d, 2 * np.pi + d])) < 1e-10
 
 
 def test_worldlines_compare_and_hash_by_identity(models):

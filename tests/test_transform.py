@@ -267,3 +267,32 @@ def test_tangent_constraint_scan_evaluates_the_connection_once(solutions):
     C, r_y, r_s, nz = tangent_constraint_scan(model, sol, bare)
     assert calls == [True]
     assert max(np.max(np.abs(r_y)), np.max(np.abs(r_s))) < 1e-5 * (1.0 + np.max(np.abs(nz)))
+
+
+def test_dD_differential_evaluates_g_and_the_connection_once(solutions):
+    # the constraint gate and the pushed field share one g and one Gamma at the
+    # solution's nodes
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    sol = solutions["rotating_frame"]
+    zeta = make_admissible_variation(SolutionGeometry(model, sol))
+    pts = sol.sigma.points
+    calls = {"metric_components": [], "analytic_christoffels": []}
+    callbacks = {name: getattr(model, name) for name in calls}
+
+    def counting(name):
+        def counted(q):
+            calls[name].append(q.shape == pts.shape and np.array_equal(q, pts))
+            return callbacks[name](q)
+        return counted
+
+    for name in calls:
+        setattr(model, name, counting(name))
+    dD = dD_differential(model, sol, zeta)
+    assert sum(calls["metric_components"]) == 1
+    assert sum(calls["analytic_christoffels"]) == 1
+    # the same field as the public map_L, which evaluates its own g and Gamma
+    ref = map_L(model, sol, 0.0, zeta)
+    assert np.array_equal(dD.values, ref.values)
+    assert np.array_equal(dD.host.points, ref.host.points)
