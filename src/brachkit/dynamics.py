@@ -4,8 +4,10 @@ The second-order brachistochrone equation is integrated as a first-order
 system in (position, velocity).  Conservation of <sigma', Y> = -k T and
 <sigma', sigma'> = -T^2 is implied by the equation together with the launch
 conditions, so both quantities are monitored as independent correctness
-checks rather than enforced by projection.  Shots, dense curves and conformal
-geodesics all run on ``ode_lanes``, scipy's DOP853 applied to each lane on its own.
+checks rather than enforced by projection.  Shots, dense curves, conformal
+geodesics and the Jacobi fields of ``jacobi`` all run on ``ode_lanes``, scipy's
+DOP853 applied to each lane on its own; a dense lane is read anywhere off its
+continuous extension, DOP853's 7th-order dense output.
 """
 
 from __future__ import annotations
@@ -141,14 +143,15 @@ def brachistochrone_rhs(model: SpacetimeModel, k: float, T: float, state):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep shots: Dormand-Prince 8(5,3) with a step size per lane
+# Lanes: Dormand-Prince 8(5,3) with a step size per lane, and its continuous extension
 
 # scipy's DOP853 tableau, dense output and step-size rules (Hairer, Norsett & Wanner,
 # Solving ODEs I, II.5 and II.6; Dormand & Prince 1980).  The equations are autonomous,
 # so the nodes C and C_EXTRA are not needed.
-_A, _B, _E3, _E5 = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5
-_D, _A_EXTRA = DOP853.D, DOP853.A_EXTRA
 _S = DOP853.n_stages  # K[_S] is f at the step's end, K[_S + 1:] the dense output's stages
+_A = [DOP853.A[s, :s] for s in range(_S)]  # the stages' coefficients
+_B, _E = DOP853.B, np.stack([DOP853.E5, DOP853.E3])
+_D, _A_EXTRA = DOP853.D, [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=_S + 1)]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0  # -1 / (error estimator order + 1), also in the initial step
 
@@ -168,17 +171,18 @@ def _max_step(rtol: float) -> float:
 
 
 def _lincomb(coeffs, K):
-    """sum_s c_s K_s over the first stages of K, shape (stages, n, d).
+    """sum_s c_s K_s over the first stages of K, shape (stages, n, d), for coefficients of
+    shape (s,), or for each row of coefficients of shape (r, s).
 
     The stages are added in order, elementwise, so each lane's value is
-    independent of the batch.  A reduction over the outer axis of a C-ordered
+    independent of the batch.  A reduction over the stage axis of a C-ordered
     array does that (K itself may not be C-ordered once lanes have left), except
-    where that axis is the only one longer than 1 (one lane of d = 1): there it
-    sums 8 or more terms pairwise, and an accumulation keeps the order."""
-    terms = np.multiply(coeffs[:, None, None], K[:len(coeffs)], order="C")
-    if terms[0].size == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
+    where K holds one number per stage (one lane of d = 1): there it sums 8 or
+    more terms pairwise, and an accumulation keeps the order."""
+    terms = np.multiply(coeffs[..., None, None], K[:coeffs.shape[-1]], order="C")
+    if K[0].size == 1:
+        return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
+    return np.add.reduce(terms, axis=-3)
 
 
 def _rms(x):
@@ -187,35 +191,63 @@ def _rms(x):
 
 def _error_norm(K, h, scale):
     """scipy's DOP853 error norm of each lane, from its 5th- and 3rd-order estimates:
-    |h| |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) d), 0 where both vanish."""
-    e5 = np.sum((_lincomb(_E5, K) / scale) ** 2, axis=-1)
-    e3 = np.sum((_lincomb(_E3, K) / scale) ** 2, axis=-1)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where both vanish
-        err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * scale.shape[-1])
-    return np.where((e5 == 0.0) & (e3 == 0.0), 0.0, err)
+    h |e5|^2 / sqrt((|e5|^2 + |e3|^2 / 100) d) for a step h >= 0, 0 where both vanish."""
+    e5, e3 = np.add.reduce((_lincomb(_E, K) / scale) ** 2, axis=-1)
+    denom = e5 + 0.01 * e3   # 0 only where both vanish, and then so does e5
+    return h * e5 / np.sqrt(np.where(denom == 0.0, 1.0, denom) * scale.shape[-1])
 
 
-def _dense_output(y, y_new, K, h, x):
-    """One lane's step from y to y_new read at the fractions x of the step off DOP853's
-    7th-order continuous extension, as scipy's ``Dop853DenseOutput`` reads it; K holds the
-    lane's 16 stages, shape (16, d)."""
-    dy = y_new - y
-    F = [dy, h * K[0] - dy, 2.0 * dy - h * (K[_S] + K[0])]
-    F.extend(h * np.add.reduce(np.multiply(_D[:, :, None], K, order="C"), axis=1))
-    x = x[:, None]
-    out = np.zeros((x.size, y.size))
-    for i, f in enumerate(reversed(F)):
-        out += f
-        out *= x if i % 2 == 0 else 1.0 - x
-    return y + out
+class _Extension:
+    """A lane's DOP853 continuous extension on [0, 1] (Hairer, Norsett & Wanner, II.6).
+
+    ``t`` holds the ends of the accepted steps, ``y`` the lane's states there and
+    ``coeffs`` the 7 coefficient rows of each step's 7th-order dense output, shape
+    (7, steps, d).  A t inside a step is read off that step's polynomial, as scipy's
+    ``Dop853DenseOutput`` reads it; a step end is the state there, exactly, so the
+    extension at t = 1 is the lane's arrival."""
+
+    def __init__(self, t, y, coeffs):
+        self.t, self.y, self.coeffs = t, y, coeffs
+        self.h = np.diff(t)
+
+    def __call__(self, t):
+        """The state at t, shape ``np.shape(t) + (d,)``."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.t[1:-1], t, side="right")   # the step that holds t
+        x = ((t - self.t[i]) / self.h[i])[..., None]
+        factors = (x, 1.0 - x)
+        out = np.zeros(t.shape + self.y.shape[-1:])
+        for j in range(6, -1, -1):  # a row at a time: no temporary holds all 7 (7 x nodes x d)
+            out += self.coeffs[j][i]
+            out *= factors[j % 2]
+        out += self.y[i]
+        out[t == self.t[-1]] = self.y[-1]
+        return out
+
+
+def _extensions(S, ends, failures) -> list:
+    """Each lane's ``_Extension`` (None for a lane that failed) from ``S``, its accepted
+    steps in order with all 16 stages: the coefficients of each step's dense output, as
+    scipy's ``DOP853._dense_output_impl`` forms them."""
+    dy = S.y_new - S.y
+    F = [dy, S.h * S.K[0] - dy, 2.0 * dy - S.h * (S.K[_S] + S.K[0])]
+    F = np.stack(F + [S.h * _lincomb(d, S.K) for d in _D])
+    extensions = []
+    for lane, end in enumerate(ends):
+        i = S.lane == lane   # the lane's steps, in order
+        extensions.append(None if lane in failures else
+                          _Extension(np.append(S.t[i], 1.0), np.vstack([S.y[i], end]), F[:, i]))
+    return extensions
 
 
 class _Lanes:
-    """Per-lane arrays of the live lanes, shrunk together when lanes leave.
+    """Per-lane arrays of the live lanes (or of accepted steps), shrunk together when lanes
+    leave.
 
-    The stages ``K`` of the current step, shape (16, n, d), have the lane on axis 1."""
+    The stages ``K``, shape (stages, n, d), have the lane on axis 1."""
 
-    STATE = ("lane", "y", "f", "h_abs", "t", "rejected", "next")  # carried from step to step
+    STATE = ("lane", "y", "f", "h_abs", "t", "rejected")  # carried from step to step
+    STEP = ("lane", "t", "h", "y", "y_new", "K")  # an accepted step, for the extension
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -230,7 +262,7 @@ class _Lanes:
                          for key in self.STATE})
 
 
-def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_step=np.inf):
+def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_step=np.inf):
     """Integrate each lane of ``y' = fun(Y, lanes)`` on [0, 1] with its own DOP853 step control.
 
     ``y0`` has shape ``(n, d)``.  Lanes are numbered in the order they are
@@ -243,17 +275,17 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_st
     or later.  When a batched evaluation raises, the lanes are evaluated one by
     one; each lane that raises leaves with its exception and the others
     continue; so does a lane whose step size falls below scipy's minimum, with
-    ``StepFailure``.
+    ``StepFailure``.  No step is longer than ``max_step``, which applies as
+    scipy's ``solve_ivp`` applies it (to the initial step and to each step's
+    start).
 
-    Lanes are sampled at ``grid``, sorted nodes in [0, 1] that end at 1.0.  A
-    node that a step lands on takes the step's end exactly, so node 1.0 is the
-    arrival; a node inside a step is read off DOP853's 7th-order dense output,
-    as scipy's dense output reads it.  Its 3 extra stages are evaluated only
-    for the lanes with a node strictly inside the accepted step, so the shots'
-    grid ``(1.0,)`` never pays for them; a lane that raises in one of them
-    leaves with its exception.  No step is longer than ``max_step``, which
-    applies as scipy's ``solve_ivp`` applies it (to the initial step and to
-    each step's start).
+    With ``dense``, each lane is read through its continuous extension
+    (``_Extension``): every accepted step keeps its stages, and once all
+    lanes have left, the 3 extra stages of DOP853's 7th-order dense output
+    (the ones scipy's dense output evaluates) are evaluated for all of them,
+    one batch per stage in which ``fun`` gets one row per step (a lane's
+    number on each of its rows).  A lane that raises in one of them fails
+    with its exception.  Without ``dense`` no step pays for them.
 
     With ``admit``, lanes join at step boundaries: whenever lanes have left
     (reached t = 1 or raised), ``admit(left)`` gets them as a dict lane ->
@@ -262,50 +294,48 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_st
     initial-step selection and then steps with the others.  Without
     ``admit``, the lanes of ``y0`` are all there are.
 
-    Returns ``(samples, steps, failures)`` over every lane admitted: the
-    states at the grid nodes, shape ``(lanes, nodes, d)`` (NaN at the nodes a
-    failed lane did not reach), the accepted steps per lane and a dict
-    lane -> exception.
+    Returns ``(ends, steps, failures)`` over every lane admitted: the states
+    at t = 1, shape ``(lanes, d)`` (NaN for a failed lane), the accepted steps
+    per lane and a dict lane -> exception.  With ``dense``, ``ends`` is the
+    list of the lanes' extensions instead (None for a failed lane).
     """
     y0 = np.asarray(y0, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     dim = y0.shape[1]
-    samples = np.empty((0, grid.size, dim))
+    ends = np.empty((0, dim))
     steps = np.zeros(0, dtype=int)
     failures = {}
     left = []  # lanes that left since the last call of admit
+    trail = []  # with dense: the arrays of each step and the lanes it accepted
 
     def fail(lane, exc):
         failures[int(lane)] = exc
         left.append(int(lane))
 
-    def evaluate(L, Y, rows=None):
-        """fun on the live lanes of L (or on its ``rows``, a mask); a lane that raises leaves
-        L and the returned rows."""
-        lanes = L.lane if rows is None else L.lane[rows]
-        if not lanes.size:
+    def evaluate(L, Y):
+        """fun on the rows of L; a lane with a row that raises leaves L and the returned rows."""
+        if not L.lane.size:
             return Y
         try:
-            return fun(Y, lanes)
+            return fun(Y, L.lane)
         except (BrachkitError, ValueError):
             pass
         out = np.empty_like(Y)
-        ok = np.ones(lanes.size, dtype=bool)
-        for j in range(lanes.size):
+        ok = np.ones(L.lane.size, dtype=bool)
+        for j, lane in enumerate(L.lane):
             try:
-                out[j] = fun(Y[j:j + 1], lanes[j:j + 1])[0]
+                out[j] = fun(Y[j:j + 1], L.lane[j:j + 1])[0]
             except (BrachkitError, ValueError) as exc:
-                fail(lanes[j], exc.with_traceback(None))  # no frame cycle
+                fail(lane, exc.with_traceback(None))  # no frame cycle
                 ok[j] = False
-        L.keep(np.isin(L.lane, lanes[~ok], invert=True))
-        return out[ok]
+        kept = np.isin(L.lane, L.lane[~ok], invert=True)
+        L.keep(kept)
+        return out[kept]
 
     def start(y):
         """Lanes for the initial states y, with scipy's initial step (select_initial_step)."""
-        nonlocal samples, steps
+        nonlocal ends, steps
         first = steps.size
-        # NaN until sampled, but for the nodes at t = 0
-        samples = np.concatenate([samples, np.where((grid <= 0.0)[:, None], y[:, None], np.nan)])
+        ends = np.concatenate([ends, np.full_like(y, np.nan)])
         steps = np.concatenate([steps, np.zeros(len(y), dtype=int)])
         N = _Lanes(lane=np.arange(first, steps.size), y=y.copy())
         N.f = evaluate(N, N.y)
@@ -323,14 +353,13 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_st
         del N.scale, N.d1, N.h0
         N.t = np.zeros(N.lane.size)
         N.rejected = np.zeros(N.lane.size, dtype=bool)
-        N.next = np.full(N.lane.size, grid[grid > 0.0][0])  # the first node not yet sampled
         return N
 
     L = start(y0)
     while True:
         if admit is not None and left:
             # copies: a view would keep this whole array alive after start() replaces it
-            arrived = {lane: failures[lane] if lane in failures else samples[lane, -1].copy()
+            arrived = {lane: failures[lane] if lane in failures else ends[lane].copy()
                        for lane in left}
             left.clear()
             new = np.asarray(admit(arrived), dtype=float).reshape(-1, dim)
@@ -339,10 +368,10 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_st
             continue  # lanes that failed on admission are reported before the next step
         if not L.lane.size:
             break
-        min_step = 10.0 * np.abs(np.nextafter(L.t, np.inf) - L.t)
+        min_step = 10.0 * np.spacing(L.t)  # scipy's 10 |nextafter(t, inf) - t|, t >= 0
         L.h_abs = np.minimum(L.h_abs, max_step)
         L.h_abs = np.where(~L.rejected & (L.h_abs < min_step), min_step, L.h_abs)
-        small = L.h_abs < min_step
+        small = ~(L.h_abs >= min_step)  # and NaN, as from a non-finite initial step
         if small.any():
             for lane in L.lane[small]:
                 fail(lane, StepFailure("integrator failed: Required step size is less than "
@@ -352,56 +381,54 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, grid=(1.0,), max_st
         t_new = L.t + L.h_abs
         L.t_new = np.where(t_new > 1.0, 1.0, t_new)
         L.h = (L.t_new - L.t)[:, None]
-        L.K = np.empty((len(_A_EXTRA) + _S + 1,) + L.y.shape)
+        L.K = np.empty((_S + 1,) + L.y.shape)
         L.K[0] = L.f
         for s in range(1, _S):
             # L.K is looked up after the right side, so the row lands in the array
             # that an evaluation dropping lanes has shrunk
-            L.K[s] = evaluate(L, L.y + L.h * _lincomb(_A[s, :s], L.K))
+            L.K[s] = evaluate(L, L.y + L.h * _lincomb(_A[s], L.K))
         L.y_new = L.y + L.h * _lincomb(_B, L.K)
         L.K[_S] = evaluate(L, L.y_new)
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
         L.err = _error_norm(L.K, L.h[:, 0], scale)
-        for s, a in enumerate(_A_EXTRA, start=_S + 1):
-            # the dense output's stages, for the accepted steps with a node strictly
-            # inside; the mask is taken again once an evaluation may have dropped lanes
-            dense = (L.err < 1.0) & (L.next < L.t_new)
-            if not dense.any():
-                break
-            rows = evaluate(L, L.y[dense] + L.h[dense] * _lincomb(a[:s], L.K[:, dense]), dense)
-            L.K[s, (L.err < 1.0) & (L.next < L.t_new)] = rows
         accept = L.err < 1.0
-        for i in np.flatnonzero(accept & (L.next <= L.t_new)):  # sample nodes in (t, t_new]
-            lo, hi = np.searchsorted(grid, (L.t[i], L.t_new[i]), side="right")
-            inner = hi - (grid[hi - 1] == L.t_new[i])  # a node the step lands on is its end
-            if inner > lo:
-                h = L.h[i, 0]
-                samples[L.lane[i], lo:inner] = _dense_output(L.y[i], L.y_new[i], L.K[:, i], h,
-                                                             (grid[lo:inner] - L.t[i]) / h)
-            samples[L.lane[i], inner:hi] = L.y_new[i]
-            L.next[i] = grid[min(hi, grid.size - 1)]
-        with np.errstate(divide="ignore"):  # err == 0 gives inf: growth by _MAX_FACTOR
-            fac = _SAFETY * L.err ** _ERR_EXP
-        grow = np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR)
-        grow = np.where(L.rejected & ~(grow < 1.0), 1.0, grow)
+        if dense:  # the step's arrays, which no later step changes in place
+            trail.append(dict(accept=accept, **{key: getattr(L, key) for key in _Lanes.STEP}))
+        # an err below 1e-300, 0 too, grows the step by _MAX_FACTOR, as an infinite fac would
+        fac = _SAFETY * np.maximum(L.err, 1e-300) ** _ERR_EXP
+        grow = np.minimum(fac, _MAX_FACTOR)
+        grow = np.where(L.rejected, np.minimum(grow, 1.0), grow)  # none after a rejection
         shrink = np.where(fac > _MIN_FACTOR, fac, _MIN_FACTOR)
-        L.h_abs = np.abs(L.h[:, 0]) * np.where(accept, grow, shrink)
+        L.h_abs = L.h[:, 0] * np.where(accept, grow, shrink)
         L.rejected = ~accept
         L.t = np.where(accept, L.t_new, L.t)
         L.y = np.where(accept[:, None], L.y_new, L.y)
         L.f = np.where(accept[:, None], L.K[_S], L.f)
         del L.K, L.y_new, L.t_new, L.h, L.err  # the step is decided: only STATE goes on
-        steps[L.lane[accept]] += 1
+        steps[L.lane] += accept
         done = accept & (L.t >= 1.0)
         if done.any():
+            ends[L.lane[done]] = L.y[done]
             left.extend(L.lane[done].tolist())
             L.keep(~done)
-    return samples, steps, failures
+    if not dense:
+        return ends, steps, failures
+    if not trail:  # no lane took a step
+        return [None] * len(ends), steps, failures
+    S = _Lanes(**{key: np.concatenate([b[key] for b in trail], axis=1 if key == "K" else 0)
+                  for key in trail[0]})
+    S.keep(S.accept & [lane not in failures for lane in S.lane.tolist()])
+    S.K = np.concatenate([S.K, np.empty((len(_A_EXTRA),) + S.y.shape)])
+    for s, a in enumerate(_A_EXTRA, start=_S + 1):
+        # S.K is looked up after the right side, as in the steps
+        S.K[s] = evaluate(S, S.y + S.h * _lincomb(a, S.K))
+    return _extensions(S, ends, failures), steps, failures
 
 
 def _shot_lanes(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
-                grid=(1.0,), admit=None, tally=None) -> tuple:
-    """``(samples, failures)`` of ``ode_lanes`` for the shots of ``shot_endpoints``."""
+                dense=False, admit=None, tally=None) -> tuple:
+    """``(ends, failures)`` of ``ode_lanes`` for the shots of ``shot_endpoints`` (with
+    ``dense``, the lanes' extensions in place of ``ends``)."""
     m = model.m
     states = np.asarray(states, dtype=float)
     require_adapted_chart(model, states[:, :m])
@@ -424,10 +451,10 @@ def _shot_lanes(model: SpacetimeModel, k: float, states, T, config: IntegratorCo
         T = np.concatenate([T, np.asarray(new_T, dtype=float)])
         return new_states
 
-    samples, _, failures = ode_lanes(fun, states, config.rtol, config.atol,
-                                     None if admit is None else admit_shots, grid,
-                                     _max_step(config.rtol))
-    return samples, failures
+    ends, _, failures = ode_lanes(fun, states, config.rtol, config.atol,
+                                  None if admit is None else admit_shots, dense,
+                                  _max_step(config.rtol))
+    return ends, failures
 
 
 def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: IntegratorConfig,
@@ -443,16 +470,18 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
     are numbered on from the last.  If a ``tally`` dict is given, its
     ``"batched_calls"`` entry counts the calls of the acceleration.
     """
-    samples, failures = _shot_lanes(model, k, states, T, config, admit=admit, tally=tally)
-    return [failures.get(i, samples[i, -1, :model.m]) for i in range(len(samples))]
+    ends, failures = _shot_lanes(model, k, states, T, config, admit=admit, tally=tally)
+    return [failures.get(i, ends[i, :model.m]) for i in range(len(ends))]
 
 
-def _lane_curve(grid, samples, failures) -> Curve:
-    """The curve of the only lane of ``ode_lanes``'s samples; raises that lane's failure."""
+def _lane_curve(grid, extensions, failures) -> Curve:
+    """The only lane of a dense ``ode_lanes`` run read at ``grid``; raises that lane's
+    failure."""
     if failures:
         raise failures[0]
-    m = samples.shape[-1] // 2
-    return Curve(grid=grid, points=samples[0, :, :m].copy(), velocities=samples[0, :, m:].copy())
+    states = extensions[0](grid)
+    m = states.shape[-1] // 2
+    return Curve(grid=grid, points=states[:, :m].copy(), velocities=states[:, m:].copy())
 
 
 def _sampled_solution(model, k, T, sigma: Curve) -> BrachistochroneSolution:
@@ -485,11 +514,11 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
                                             config: IntegratorConfig = IntegratorConfig()
                                             ) -> BrachistochroneSolution:
     """Same as integrate_brachistochrone but from an explicit launch velocity.  The curve
-    is a shot's lane sampled densely, so its last point is that shot's arrival."""
+    is a shot's lane read off its extension, so its last point is that shot's arrival."""
     state0 = np.concatenate([model.require_in_chart(p), _coords(v0)])
     grid = np.linspace(0.0, 1.0, config.grid_n + 1)
-    samples, failures = _shot_lanes(model, k, state0[None], [T], config, grid)
-    return _sampled_solution(model, k, T, _lane_curve(grid, samples, failures))
+    extensions, failures = _shot_lanes(model, k, state0[None], [T], config, dense=True)
+    return _sampled_solution(model, k, T, _lane_curve(grid, extensions, failures))
 
 
 def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
@@ -507,11 +536,10 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
         G, vel = cg.christoffels(Y[:, :m]), Y[:, m:]
         return np.concatenate([vel, -np.einsum("nabc,nb,nc->na", G, vel, vel)], axis=1)
 
-    grid = np.linspace(0.0, 1.0, config.grid_n + 1)
-    samples, _, failures = ode_lanes(fun, np.concatenate([q0, v0])[None], config.rtol,
-                                     config.atol, grid=grid,
-                                     max_step=_max_step(config.rtol))
-    return _lane_curve(grid, samples, failures)
+    extensions, _, failures = ode_lanes(fun, np.concatenate([q0, v0])[None], config.rtol,
+                                        config.atol, dense=True,
+                                        max_step=_max_step(config.rtol))
+    return _lane_curve(np.linspace(0.0, 1.0, config.grid_n + 1), extensions, failures)
 
 
 def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,

@@ -387,8 +387,12 @@ def killing_residual(model: SpacetimeModel, q, v, w) -> float:
 
 def horizontal_part(model: SpacetimeModel, q, v) -> np.ndarray:
     """v minus its component along Y, at every node."""
-    g = model.g(q)
-    return v - (_inner_y(g, v) / g[..., -1, -1])[..., None] * model.y(q)
+    return _horizontal(model.g(q), v)
+
+
+def _horizontal(g: np.ndarray, v) -> np.ndarray:
+    """``horizontal_part`` from the metric g at the same points (Y = e_last)."""
+    return v - (_inner_y(g, v) / g[..., -1, -1])[..., None] * np.eye(g.shape[-1])[-1]
 
 
 def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:

@@ -4,7 +4,9 @@ detection, and the correspondence between the two sides.
 A function of one curve takes the curve's cache (``SolutionGeometry`` or
 ``ConformalCurveData``); ``bfocal_points`` builds both for its solution.  Both Jacobi
 equations run on stacked rows, one field per row, with their coefficients sampled
-from the one spline of the cache.  Focal parameters
+from the one spline of the cache.  Each solve is one lane of ``dynamics.ode_lanes``
+whose last column is the clock t, read anywhere off the lane's continuous
+extension.  Focal parameters
 come from zeros of det(J L), J the Jacobi basis and g~ = L L^T, with
 multiplicities read off a rank analysis at each zero.  On the solution side
 they are confirmed through the adjoint of the linearized equation,
@@ -17,11 +19,11 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 from scipy.optimize import brentq, minimize_scalar
 
 from .curves import Curve, FieldAlongCurve, _NodeSpline
-from .dynamics import BrachistochroneSolution
+from .dynamics import BrachistochroneSolution, ode_lanes
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
 from .geometry import (SpacetimeModel, horizontal_frame, orthonormal_completion,
@@ -38,7 +40,7 @@ __all__ = [
     "bfocal_points",
 ]
 
-_IVP_OPTS = dict(method="DOP853", rtol=1e-11, atol=1e-13)
+_RTOL, _ATOL = 1e-11, 1e-13   # the tolerances of the Jacobi solves
 _FOCAL_T_MIN = 0.01     # the focal scan starts here, clear of the zero of J at t = 0
 _RANK_RTOL = 1e-5       # a singular value below this times the largest counts as zero
 _REFINE_WINDOW = 0.02   # half-width of the solution-side refinement of a focal parameter
@@ -66,6 +68,27 @@ class FocalReport:
         }
 
 
+def _clock_lane(rhs, x0, t0: float, t1: float, what: str):
+    """x' = rhs(t, x) from x(t0) = x0 to t1, as one dense ``ode_lanes`` lane whose last
+    column is the clock t = t0 + s (t1 - t0), s in [0, 1]: the lane's extension, read at s.
+
+    ``rhs`` takes clocks of shape (n,) and states of shape (n, d): a step's stage is one
+    row, the extension's stages of all steps one batch.  A failure to step raises
+    StepFailure naming ``what``."""
+    rate = t1 - t0
+
+    def fun(Y, lanes):
+        out = np.full_like(Y, rate)
+        out[:, :-1] *= rhs(Y[:, -1], Y[:, :-1])
+        return out
+
+    extensions, _, failures = ode_lanes(fun, np.append(x0, t0)[None], _RTOL, _ATOL, dense=True)
+    if failures:
+        exc = failures[0]
+        raise StepFailure(f"{what} failed: {exc}") if isinstance(exc, StepFailure) else exc
+    return extensions[0]
+
+
 # ---------------------------------------------------------------------------
 # Linearized travel-time equation along a solution
 
@@ -84,42 +107,45 @@ def _coeffs_at(spline: _NodeSpline, t) -> dict:
 def _bjacobi_rhs(geom: SolutionGeometry):
     """The linearized equation on stacked augmented states.
 
-    Each row of ``X``, shape (n, 2m+1), is (V, DV, C_V); the right-hand side is
-    homogeneous linear in the row and dC_V/dt = 0, so applied to the identity
-    rows it returns the transposed coefficient matrix A(t)^T.
+    ``rhs(t, X)`` takes parameters t of any shape and rows X of shape
+    ``t.shape + (r, 2m+1)``, r rows (V, DV, C_V) at each t.  The right-hand side
+    is homogeneous linear in the row and dC_V/dt = 0, so applied to the
+    identity rows it returns the transposed coefficient matrix A(t)^T.
     """
     k, T, m = geom.sol.k, geom.sol.T, geom.model.m
     kk = k * k
-    spline = geom.spline   # the closure holds no solution: solvers keep it in cycles
+    spline = geom.spline
 
     def rhs(t, X):
-        V, DV, C_V = X[:, :m], X[:, m:2 * m], X[:, 2 * m]
+        V, DV, C_V = X[..., :m], X[..., m:2 * m], X[..., 2 * m]
         d = _coeffs_at(spline, t)
-        g, y, v, K = d["g"], d["y"], d["v"], d["K"]
-        N, P = d["N"], kk + d["N"]
+        g, v, K = d["g"], d["v"][..., None, :], d["K"]   # v as a row
+        N = d["N"][..., None]           # one value per t, against one per row
+        P = kk + N
         NP = N * P
-        Gv = np.einsum("abc,b->ac", d["gamma"], v)   # X -> Gamma(s', X)
-        gy = g @ y
-        Kv = K @ v                      # nabla_{s'} Y
-        W = Kv @ gy
-        KV = V @ K.T                    # nabla_V Y
-        dN = 2.0 * (KV @ gy)
+        GvT = (v[..., None, :, :] @ d["gamma"])[..., 0, :].mT   # V @ GvT = Gamma(s', V)
+        KT = K.mT
+        gy = g[..., :, -1:]             # g Y, a column
+        Kv = v @ KT                     # nabla_{s'} Y, a row
+        W = (Kv @ gy)[..., 0]
+        KV = V @ KT                     # nabla_V Y
+        dN = 2.0 * (KV @ gy)[..., 0]
         dNP = dN * (N + P)
         dT = -C_V / k
-        Vdot = DV - V @ Gv.T
+        Vdot = DV - V @ GvT
         # nabla_{s'} (nabla_V Y) along the curve
-        nsKV = V @ d["dK"].T + Vdot @ K.T + KV @ Gv.T
-        dW = nsKV @ gy + KV @ (g @ Kv)
-        R1V = V @ d["RM1"].T            # R(s', V) s'
-        R2V = V @ d["RM2"].T            # R(s', V) Y
-        L = (np.outer(2.0 * kk * (dW / NP - W * dNP / NP ** 2), v)
-             + 2.0 * kk * (W / NP) * DV
-             + np.outer(2.0 * k * (dT / N - T * dN / N ** 2), Kv)
-             + (2.0 * k * T / N) * (nsKV - R2V)
-             - np.outer(2.0 * k * (dT * W / NP + T * dW / NP - T * W * dNP / NP ** 2), y)
-             - 2.0 * k * T * (W / NP) * KV)
-        dDV = R1V - L - DV @ Gv.T
-        return np.hstack([Vdot, dDV, np.zeros((X.shape[0], 1))])
+        nsKV = V @ d["dK"].mT + Vdot @ KT + KV @ GvT
+        dW = (nsKV @ gy + KV @ (g @ Kv.mT))[..., 0]
+        R1V = V @ d["RM1"].mT           # R(s', V) s'
+        R2V = V @ d["RM2"].mT           # R(s', V) Y
+        L = ((2.0 * kk * (dW / NP - W * dNP / NP ** 2))[..., None] * v
+             + (2.0 * kk * (W / NP))[..., None] * DV
+             + (2.0 * k * (dT / N - T * dN / N ** 2))[..., None] * Kv
+             + (2.0 * k * T / N)[..., None] * (nsKV - R2V)
+             - (2.0 * k * T * (W / NP))[..., None] * KV)
+        L[..., -1] -= 2.0 * k * (dT * W / NP + T * dW / NP - T * W * dNP / NP ** 2)  # Y = e_last
+        dDV = R1V - L - DV @ GvT
+        return np.concatenate([Vdot, dDV, np.zeros(dDV.shape[:-1] + (1,))], axis=-1)
 
     return rhs
 
@@ -146,19 +172,17 @@ def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0,
 
     m = geom.model.m
     rhs = _bjacobi_rhs(geom)
-    out = solve_ivp(lambda t, s: rhs(t, np.append(s, C_V)[None])[0, :2 * m], (t0, t1),
-                    np.concatenate([V0, dV0]), dense_output=True, **_IVP_OPTS)
-    if not out.success:
-        raise StepFailure(f"linearized integration failed: {out.message}")
+    lane = _clock_lane(lambda t, x: rhs(t, x[:, None])[:, 0], np.concatenate([V0, dV0, [C_V]]),
+                       t0, t1, "linearized integration")
 
     grid = sol.sigma.grid
     mask = (grid >= t0 - 1e-12) & (grid <= t1 + 1e-12)
     ts = grid[mask]
     vals = np.zeros((grid.size, m))
     ders = np.zeros((grid.size, m))
-    sampled = out.sol(ts)
-    vals[mask] = sampled[:m].T
-    ders[mask] = sampled[m:].T
+    sampled = lane((ts - t0) / (t1 - t0))
+    vals[mask] = sampled[:, :m]
+    ders[mask] = sampled[:, m:2 * m]
     # conserved-quantity drift
     d = _coeffs_at(geom.spline, ts)
     Kv = np.einsum("nab,nb->na", d["K"], d["v"])
@@ -174,44 +198,39 @@ def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0,
 # ---------------------------------------------------------------------------
 # Riemannian Jacobi fields along a conformal geodesic
 
-def _rjacobi_solve(spline: _NodeSpline, X0: np.ndarray):
+def _rjacobi_lane(spline: _NodeSpline, X0: np.ndarray):
     """The Jacobi equation of g~ on stacked rows (J, DJ), one field per row: all rows of
-    X0, shape (n, 2m), in one solve over [0, 1]; the dense output."""
-    shape, m = X0.shape, X0.shape[1] // 2
-    # rhs reads the spline weakly, as solve_ivp leaves it in a reference cycle that
-    # outlives the call; the argument keeps the spline alive for the solve
-    spline_ref = weakref.ref(spline)
+    X0, shape (n, 2m), in one lane over [0, 1]; its extension, the clock last."""
+    n, m = X0.shape[0], X0.shape[1] // 2
 
-    def rhs(t, s):
-        X = s.reshape(shape)
-        J, DJ = X[:, :m], X[:, m:]
-        d = spline_ref().sample(t)
-        Gv = np.einsum("abc,b->ac", d["gamma"], d["v"])   # X -> Gamma~(w', X)
-        return np.hstack([DJ - J @ Gv.T, J @ d["Braw"].T - DJ @ Gv.T]).ravel()
+    def rhs(t, x):
+        X = x.reshape(len(x), n, 2 * m)
+        J, DJ = X[..., :m], X[..., m:]
+        d = spline.sample(t)
+        GvT = (d["v"][:, None, None, :] @ d["gamma"])[..., 0, :].mT   # J @ GvT = Gamma~(w', J)
+        dDJ = J @ d["Braw"].mT - DJ @ GvT
+        return np.concatenate([DJ - J @ GvT, dDJ], axis=-1).reshape(len(x), -1)
 
-    out = solve_ivp(rhs, (0.0, 1.0), X0.ravel(), dense_output=True, **_IVP_OPTS)
-    if not out.success:
-        raise StepFailure(f"Jacobi integration failed: {out.message}")
-    return out.sol
+    return _clock_lane(rhs, X0.ravel(), 0.0, 1.0, "Jacobi integration")
 
 
-def _field_data(w: Curve, dense) -> list:
-    """The stacked fields of a dense solution, sampled on the grid of ``w``."""
+def _field_data(w: Curve, lane) -> list:
+    """The stacked fields of a Jacobi lane, read on the grid of ``w``."""
     m = w.points.shape[1]
-    sampled = dense(w.grid).reshape(-1, 2 * m, w.grid.size)
-    return [JacobiFieldData(field=FieldAlongCurve(host=w, values=x[:m].T),
-                            derivative=FieldAlongCurve(host=w, values=x[m:].T),
-                            C_V=0.0, kind="riemannian_gamma") for x in sampled]
+    sampled = lane(w.grid)[:, :-1].reshape(w.grid.size, -1, 2 * m)
+    return [JacobiFieldData(field=FieldAlongCurve(host=w, values=sampled[:, i, :m]),
+                            derivative=FieldAlongCurve(host=w, values=sampled[:, i, m:]),
+                            C_V=0.0, kind="riemannian_gamma") for i in range(sampled.shape[1])]
 
 
 def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
     """Integrate the Jacobi equation of the conformal metric along the geodesic ``data.w``."""
     X0 = np.concatenate([_coords(J0), _coords(dJ0)])[None]
-    return _field_data(data.w, _rjacobi_solve(data.spline, X0))[0]
+    return _field_data(data.w, _rjacobi_lane(data.spline, X0))[0]
 
 
 def _jacobi_basis(data: ConformalCurveData):
-    """The one dense solution of all m basis fields, from a start orthogonal to the line."""
+    """The one lane of all m basis fields, from a start orthogonal to the line."""
     w = data.w
     _require_horizontal(data.confgeom.model.g(w.points[0]), w.velocities[0], 1e-6,
                         "geodesic start", NotOrthogonalStart)
@@ -226,7 +245,7 @@ def _jacobi_basis(data: ConformalCurveData):
     X0[1:, m:] = orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)
     if np.linalg.svd(X0, compute_uv=False)[-1] <= 1e-8:
         raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
-    return _rjacobi_solve(data.spline, X0)
+    return _rjacobi_lane(data.spline, X0)
 
 
 def gamma_jacobi_basis(data: ConformalCurveData) -> list:
@@ -248,13 +267,13 @@ def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
     from the observer line to the event; the returned parameters are in that
     same orientation.
     """
-    dense = _jacobi_basis(data)
+    lane = _jacobi_basis(data)
     # read weakly, as scipy's root finders leave matrix_at in a reference cycle
     spline_ref, m = weakref.ref(data.spline), data.confgeom.m
 
     def matrix_at(t):
         """J L at a scalar t, or stacked along the axes of an array t."""
-        J = np.moveaxis(dense(t), 0, -1).reshape(np.shape(t) + (m, 2 * m))[..., :m]
+        J = lane(t)[..., :-1].reshape(np.shape(t) + (m, 2 * m))[..., :m]
         return J @ np.linalg.cholesky(spline_ref().sample(t)["gt"])
 
     ts = np.linspace(_FOCAL_T_MIN, 1.0, n_scan + 1)
@@ -292,7 +311,7 @@ def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
 
 
 def _endpoint_rows(geom: SolutionGeometry):
-    """Dense R(t) = F Phi(1, t), the endpoint map of the linearized equation from any t.
+    """R(t) = F Phi(1, t) at any t, the endpoint map of the linearized equation from t.
 
     F = [E g_R | 0 | 0] reads the g_R-components of V(1) along the horizontal
     frame E at sigma(1).  R solves the adjoint equation dR/dt = -R A(t)
@@ -307,12 +326,11 @@ def _endpoint_rows(geom: SolutionGeometry):
     eye = np.eye(2 * m + 1)
 
     def adjoint(t, flat):
-        return -(flat.reshape(m - 1, 2 * m + 1) @ rhs(t, eye).T).ravel()
+        R = flat.reshape(len(flat), m - 1, 2 * m + 1)
+        return -(R @ rhs(t, eye).mT).reshape(len(flat), -1)
 
-    out = solve_ivp(adjoint, (1.0, 0.0), F.ravel(), dense_output=True, **_IVP_OPTS)
-    if not out.success:
-        raise StepFailure(f"endpoint propagator integration failed: {out.message}")
-    return lambda t: out.sol(t).reshape(m - 1, 2 * m + 1)
+    lane = _clock_lane(adjoint, F.ravel(), 1.0, 0.0, "endpoint propagator integration")
+    return lambda t: lane(1.0 - t)[:-1].reshape(m - 1, 2 * m + 1)
 
 
 def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):

@@ -19,8 +19,8 @@ from .curves import Curve, cumulative_integral, sine_bumps
 from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
 from .errors import OutsideUk, Stalled
-from .geometry import (SpacetimeModel, conformal_factor, horizontal_part, horizontal_unit,
-                       riemannian_metric_matrix, _coords, _inner, _jacobian_fd)
+from .geometry import (SpacetimeModel, horizontal_part, horizontal_unit, _coords, _horizontal,
+                       _inner, _jacobian_fd, _phi_k, _riemannian)
 from .transform import conformal_energy, deform_D, lift_G
 
 __all__ = [
@@ -103,8 +103,9 @@ class _PolylineObjective:
 
     def _density(self, q, v):
         """phi_k <h, h> with h the horizontal part of v at q, over all leading axes."""
-        h = horizontal_part(self.model, q, v)
-        return conformal_factor(self.model, q, self.k) * _inner(self.model.g(q), h, h)
+        g = self.model.g(q)
+        h = _horizontal(g, v)
+        return _phi_k(g, self.k, q) * _inner(g, h, h)
 
     def energy(self, interior) -> float:
         nodes, mid, v = self._segments(interior)
@@ -119,8 +120,8 @@ class _PolylineObjective:
         nodes, mid, v = self._segments(interior)
         model, k, fd = self.model, self.k, self.fd
         grad = np.zeros((self.n + 1, model.m))
-        h = horizontal_part(model, mid, v)
-        Mv = conformal_factor(model, mid, k)[:, None] * np.einsum("nab,nb->na", model.g(mid), h)
+        g = model.g(mid)
+        Mv = _phi_k(g, k, mid)[:, None] * np.einsum("nab,nb->na", g, _horizontal(g, v))
         # metric variation through the midpoint
         dM = 0.25 * self.dt * _jacobian_fd(lambda q: self._density(q, v), mid, fd)
         grad[:-1] += dM - Mv
@@ -267,8 +268,9 @@ def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution
     flat = deform_D(model, bent, k=sol.k, check=False)
 
     # reparametrize to constant conformal speed
-    speeds = np.sqrt(np.maximum(conformal_factor(model, flat.points, sol.k) * _inner(
-        riemannian_metric_matrix(model, flat.points), flat.velocities, flat.velocities), 0.0))
+    g = model.g(flat.points)
+    speeds = np.sqrt(np.maximum(_phi_k(g, sol.k, flat.points) * _inner(
+        _riemannian(g), flat.velocities, flat.velocities), 0.0))
     ell = cumulative_integral(flat.grid, speeds)
     total = ell[-1]
     t_of_ell = CubicSpline(ell, flat.grid)

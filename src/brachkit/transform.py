@@ -20,10 +20,9 @@ from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covar
                      cumulative_integral, grid_integral)
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
 from .errors import ConstraintViolated, FlowEscape
-from .geometry import (SpacetimeModel, conformal_factor, connection_coeffs, conservation_residuals,
+from .geometry import (SpacetimeModel, connection_coeffs, conservation_residuals,
                        curve_distance, isometry_defect, require_adapted_chart,
-                       riemannian_metric_matrix, _coords, _inner, _inner_y, _phi_k, _riemannian,
-                       _require_horizontal)
+                       _coords, _inner, _inner_y, _phi_k, _riemannian, _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -210,8 +209,8 @@ def _map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
 
 def conformal_energy(model: SpacetimeModel, k: float, w: Curve) -> float:
     """E = 1/2 int phi_k g_R(w', w') dt by spline quadrature."""
-    vals = conformal_factor(model, w.points, k) * _inner(
-        riemannian_metric_matrix(model, w.points), w.velocities, w.velocities)
+    g = model.g(w.points)
+    vals = _phi_k(g, k, w.points) * _inner(_riemannian(g), w.velocities, w.velocities)
     return 0.5 * grid_integral(w.grid, vals)
 
 

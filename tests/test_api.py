@@ -34,7 +34,8 @@ def test_package_imports_resolve():
 
 
 # bench/spans.py wraps each of these modules' own ``solve_ivp`` binding by name
-_UNUSED_FOR_BENCH = {("bvp", "solve_ivp"), ("dynamics", "solve_ivp"), ("transform", "solve_ivp")}
+_UNUSED_FOR_BENCH = {("bvp", "solve_ivp"), ("dynamics", "solve_ivp"), ("jacobi", "solve_ivp"),
+                     ("transform", "solve_ivp")}
 
 
 def test_modules_use_every_name_they_import():
@@ -53,3 +54,16 @@ def test_modules_use_every_name_they_import():
         used |= set(getattr(importlib.import_module(f"brachkit.{path.stem}"), "__all__", ()))
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == _UNUSED_FOR_BENCH
+
+
+def test_no_module_calls_solve_ivp():
+    # every ODE runs on dynamics.ode_lanes; the solve_ivp bindings above stay uncalled
+    calls = []
+    for path in sorted(Path(brachkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "solve_ivp":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -148,3 +148,57 @@ def test_blowing_up_extremal_equation_is_step_failure():
     model.analytic_christoffels = christoffels
     with pytest.raises(StepFailure, match="integrator failed"):
         integrate_brachistochrone(model, np.sqrt(2.0), np.zeros(3), [1.0, 0.0, 0.0], 1.0)
+
+
+def _poison(spline):
+    """Turn a cache's coefficients non-finite part-way: NaN cubics on the middle third of
+    its spline's grid, which the lanes run into from either end."""
+    n = spline._spl.c.shape[1]
+    spline._spl.c[:, n // 3:2 * n // 3] = np.nan
+    return spline
+
+
+def test_jacobi_solves_on_non_finite_coefficients_fail_naming_the_solve(
+        models, solutions, tmp_path, monkeypatch):
+    # NaN stages are rejected until the step size falls below scipy's minimum
+    import json
+
+    from brachkit import jacobi
+    from brachkit.cli import main
+    from brachkit.variation import SolutionGeometry, index_data
+
+    model, sol = models["einstein_cylinder"], solutions["einstein_cylinder"]
+    data = index_data(model, sol)
+    _poison(data.spline)
+    with pytest.raises(StepFailure, match="^Jacobi integration failed: integrator failed"):
+        jacobi.gamma_jacobi_basis(data)
+    geom = SolutionGeometry(model, sol)
+    _poison(geom.spline)
+    d = jacobi._coeffs_at(geom.spline, 0.0)
+    dv = np.linalg.svd((d["g"] @ (sol.k * d["v"] - sol.T * d["y"]))[None, :])[2][1]
+    with pytest.raises(StepFailure, match="^linearized integration failed: integrator failed"):
+        jacobi.integrate_bjacobi(geom, np.zeros(3), dv)
+    with pytest.raises(StepFailure, match="^endpoint propagator integration failed: "
+                                          "integrator failed"):
+        jacobi._endpoint_rows(geom)
+
+    # the jacobi command: exit 3 and error.json
+    cfg = {"model": {"name": "einstein_cylinder"}, "k": float(np.sqrt(2.0)),
+           "p": [np.pi / 2, 0.0, 0.0], "solve": {"u": [0.0, 1.0, 0.0], "T": 4.5},
+           "jacobi": {"solution": "solution.json"}}
+    path = tmp_path / "focal.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.setattr(jacobi, "index_data", lambda model, sol: _poison_data(model, sol))
+    assert main(["jacobi", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "StepFailure"
+    assert err["message"].startswith("Jacobi integration failed")
+
+
+def _poison_data(model, sol):
+    from brachkit.variation import index_data
+
+    data = index_data(model, sol)
+    _poison(data.spline)
+    return data

@@ -7,7 +7,7 @@ from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geo
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import (conformal_geometry, horizontal_frame, orthonormal_completion,
                                riemannian_metric_matrix)
-from brachkit.jacobi import (_IVP_OPTS, _bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
+from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
                              _endpoint_rows, bfocal_points,
                              focal_points, gamma_jacobi_basis, integrate_bjacobi,
                              integrate_rjacobi)
@@ -17,6 +17,9 @@ from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_h
                                 make_admissible_variation)
 
 from conftest import unit_horizontal
+
+# the scipy references: DOP853 at the tolerances of the Jacobi lanes
+_IVP_OPTS = dict(method="DOP853", rtol=1e-11, atol=1e-13)
 
 
 def test_bjacobi_zero_data(models, solutions):
@@ -498,14 +501,14 @@ def test_gamma_jacobi_basis_matches_per_field_reference(
 
 def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc, monkeypatch):
     import brachkit.jacobi as jacobi
-    solve = jacobi.solve_ivp
+    solve = jacobi.ode_lanes
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(jacobi, "solve_ivp", counting)
+    monkeypatch.setattr(jacobi, "ode_lanes", counting)
     for name, sol in (("rotating_frame", solutions["rotating_frame"]),
                       ("minkowski4", solutions["minkowski4"]),
                       ("einstein_cylinder", cylinder_very_long_arc)):
@@ -548,9 +551,9 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
 
 
 def test_focal_scan_leaves_the_spline_to_its_cache(models, cylinder_long_arc):
-    # scipy's solvers and root finders leave the functions they are given in
-    # reference cycles: the Jacobi solve and the focal scan read the spline
-    # weakly, so it goes with its cache rather than at a full collection
+    # scipy's root finders leave the functions they are given in reference
+    # cycles: the focal scan reads the spline weakly, so it goes with its cache
+    # rather than at a full collection (the Jacobi lane leaves no cycle)
     import gc
     import weakref
 

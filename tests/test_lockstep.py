@@ -62,6 +62,18 @@ def _scipy_rhs(model, k, T):
 GRIDS = ((1.0,), np.linspace(0.0, 1.0, 41))
 
 
+def _lanes_at(fun, y0, tol, grid, **kwargs):
+    """``(samples, steps, failures)`` of ode_lanes at rtol = atol = tol, the samples of
+    each lane at ``grid``, shape (lanes, nodes, d): the arrivals of a run without dense
+    output for the shots' grid (1.0,), else each lane's extension; NaN for a failed lane."""
+    if len(grid) == 1:
+        ends, steps, failures = ode_lanes(fun, y0, tol, tol, **kwargs)
+        return ends[:, None], steps, failures
+    lanes, steps, failures = ode_lanes(fun, y0, tol, tol, dense=True, **kwargs)
+    nan = np.full((len(grid), np.shape(y0)[1]), np.nan)
+    return np.array([nan if lane is None else lane(grid) for lane in lanes]), steps, failures
+
+
 def _assert_matches_scipy(samples, ref, grid, rel):
     """samples of one lane against scipy's solution: its arrival and its dense output."""
     end = ref.y[:, -1]
@@ -103,7 +115,7 @@ def test_ode_lanes_match_scipy_dop853(models):
                     for j in range(len(Ts))]
             for grid in GRIDS:
                 fun = _counting(_lane_fun(model, k, Ts), len(Ts))
-                samples, steps, failures = ode_lanes(fun, states, 1e-10, 1e-10, grid=grid,
+                samples, steps, failures = _lanes_at(fun, states, 1e-10, grid,
                                                      max_step=max_step)
                 assert failures == {}
                 for j, ref in enumerate(refs):
@@ -122,7 +134,7 @@ def test_ode_lanes_match_scipy_dop853_with_rejected_steps():
     refs = [_dop853(lambda t, y: vdp(y), y0[j], 1e-6) for j in range(2)]
     for grid in GRIDS:
         fun = _counting(lambda Y, lanes: vdp(Y), 2)
-        samples, steps, failures = ode_lanes(fun, y0, 1e-6, 1e-6, grid=grid)
+        samples, steps, failures = _lanes_at(fun, y0, 1e-6, grid)
         assert failures == {}
         for j, ref in enumerate(refs):
             assert ref.nfev > 15 * (ref.t.size - 1) + 2  # at least one rejected step
@@ -132,24 +144,47 @@ def test_ode_lanes_match_scipy_dop853_with_rejected_steps():
 
 
 def test_ode_lanes_dense_output_matches_scipy_at_interior_nodes(models):
-    # 401 nodes and scipy's step ends: a node a step lands on is the step's end, one
-    # inside a step is read off the 7th-order dense output; both agree with scipy's
-    # sol(t) to roundoff, which the dense output's coefficients (up to 528 in size)
-    # amplify by their cancellation
+    # 401 nodes, scipy's step ends and random t: a step end is the lane's state there,
+    # bit for bit, and t = 1 its arrival; a t inside a step is read off the 7th-order
+    # dense output; both agree with scipy's sol(t) to roundoff, which the dense
+    # output's coefficients (up to 528 in size) amplify by their cancellation
+    rng = np.random.default_rng(4)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
+
     for name, info in STANDARD_LAUNCH.items():
         model, k = models[name], info["k"]
         states, Ts = _launches(model, info, 3, seed=4)
         for j in range(len(Ts)):
             ref = _dop853(_scipy_rhs(model, k, Ts[j]), states[j], 1e-10)
-            grid = np.union1d(ref.t, np.linspace(0.0, 1.0, 401))
-            samples, _, failures = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                             1e-10, 1e-10, grid=grid)
+            fun = _lane_fun(model, k, Ts[j:j + 1])
+            (lane,), _, failures = ode_lanes(fun, states[j:j + 1], 1e-10, 1e-10, dense=True)
             assert failures == {}
-            dense = ref.sol(grid).T
-            err = np.abs(samples[0] - dense) / np.maximum(np.abs(dense), 1.0)
+            grid = np.union1d(ref.t, np.linspace(0.0, 1.0, 401))
             inside = ~np.isin(grid, ref.t)
-            assert inside.sum() > 350 and np.max(err[~inside]) < 1e-14, name
-            assert np.max(err[inside]) < 1e-12, name
+            assert inside.sum() > 350 and rel(lane(grid[~inside]), ref.y.T) < 1e-14, name
+            assert rel(lane(grid[inside]), ref.sol(grid[inside]).T) < 1e-12, name
+            off = rng.uniform(0.0, 1.0, 100)
+            assert rel(lane(off), ref.sol(off).T) < 1e-12, name
+            assert np.array_equal(lane(lane.t), lane.y), name
+            ends, _, _ = ode_lanes(fun, states[j:j + 1], 1e-10, 1e-10)
+            assert np.array_equal(lane(1.0), ends[0]), name
+
+    # a lane whose last column is a clock running down from 1, as the Jacobi lanes'
+    # adjoint does: x'' = -(1 + t^2) x read backward in t = 1 - s, against scipy's
+    # solve of the same system
+    def clocked(Y):
+        x, v, t = Y[..., 0], Y[..., 1], Y[..., 2]
+        return -np.stack([v, -(1.0 + t * t) * x, np.ones_like(t)], axis=-1)
+
+    y0 = np.array([[1.0, 0.5, 1.0]])
+    (lane,), _, _ = ode_lanes(lambda Y, lanes: clocked(Y), y0, 1e-10, 1e-10, dense=True)
+    ref = _dop853(lambda s, y: clocked(y), y0[0], 1e-10)
+    off = rng.uniform(0.0, 1.0, 100)
+    assert rel(lane(off), ref.sol(off).T) < 1e-12
+    assert rel(lane(ref.t), ref.y.T) < 1e-14
+    assert lane(1.0)[-1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_lane_leaving_chart_fails_alone(models):
@@ -165,13 +200,13 @@ def test_lane_leaving_chart_fails_alone(models):
     Ts = np.insert(Ts, 1, 3.0)
     cap = _max_step(1e-10)  # the step bound of the shooting entry point below
     for grid in GRIDS:
-        samples, _, failures = ode_lanes(_lane_fun(model, k, Ts), states, 1e-10, 1e-10,
-                                         grid=grid, max_step=cap)
+        samples, _, failures = _lanes_at(_lane_fun(model, k, Ts), states, 1e-10, grid,
+                                         max_step=cap)
         assert set(failures) == {1} and isinstance(failures[1], OutOfChart)
         assert np.isnan(samples[1, -1]).all()
         for j in (0, 2, 3):
-            alone, _, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                       1e-10, 1e-10, grid=grid, max_step=cap)
+            alone, _, none = _lanes_at(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                       1e-10, grid, max_step=cap)
             assert none == {}
             assert np.array_equal(alone[0], samples[j])
     # the same through the shooting entry point
@@ -181,42 +216,45 @@ def test_lane_leaving_chart_fails_alone(models):
 
 
 def test_lane_step_size_failure_is_step_failure():
-    # y' = y^2 from y(0) = 2 blows up at t = 1/2; the linear lane is unaffected
+    # y' = y^2 from y(0) = 2 blows up at t = 1/2, and a NaN start makes a NaN initial
+    # step, which must fail rather than step for ever; the linear lane is unaffected
     def fun(Y, lanes):
         return np.where((lanes == 0)[:, None], Y * Y, -Y)
 
-    samples, steps, failures = ode_lanes(fun, np.array([[2.0], [1.0]]), 1e-10, 1e-10)
-    assert set(failures) == {0}
-    assert type(failures[0]) is StepFailure
-    assert str(failures[0]) == ("integrator failed: Required step size is less than spacing "
-                                "between numbers.")
-    assert samples[1, -1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
+    ends, steps, failures = ode_lanes(fun, np.array([[2.0], [1.0], [np.nan]]), 1e-10, 1e-10)
+    assert set(failures) == {0, 2}
+    for lane in (0, 2):
+        assert type(failures[lane]) is StepFailure
+        assert str(failures[lane]) == ("integrator failed: Required step size is less than "
+                                       "spacing between numbers.")
+    assert ends[1, 0] == pytest.approx(np.exp(-1.0), rel=1e-9)
     ref = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-10)
     assert steps[1] == ref.t.size - 1
 
 
 def test_lane_raising_in_a_dense_output_stage_leaves_alone():
-    # lane 0 raises from its 15th evaluation on: after the 2 of the initial step and
-    # the 12 of its first step (accepted, with grid nodes inside), the first of the
-    # dense output's 3 extra stages
+    # lane 0 raises from its first evaluation after the 2 of its initial step and the
+    # 12 of each of its steps: in the first of the dense output's 3 extra stages,
+    # which run once every lane has arrived
+    _, (n_steps,), _ = ode_lanes(lambda Y, lanes: -Y, np.array([[1.0]]), 1e-10, 1e-10)
     seen = np.zeros(3, dtype=int)
 
     def fun(Y, lanes):
-        seen[lanes] += 1
-        if 0 in lanes and seen[0] >= 15:
+        np.add.at(seen, lanes, 1)
+        if 0 in lanes and seen[0] > 2 + 12 * n_steps:
             raise ValueError("off the chart")
         return -Y
 
     grid = np.linspace(0.0, 1.0, 41)
     y0 = np.array([[1.0], [2.0], [3.0]])
-    samples, steps, failures = ode_lanes(fun, y0, 1e-10, 1e-10, grid=grid)
+    lanes, steps, failures = ode_lanes(fun, y0, 1e-10, 1e-10, dense=True)
     assert set(failures) == {0} and str(failures[0]) == "off the chart"
-    assert steps[0] == 0 and samples[0, 0, 0] == 1.0 and np.isnan(samples[0, 1:]).all()
+    assert steps[0] == n_steps and lanes[0] is None
     for j in (1, 2):
-        alone, alone_steps, none = ode_lanes(lambda Y, lanes: -Y, y0[j:j + 1], 1e-10, 1e-10,
-                                             grid=grid)
+        (alone,), alone_steps, none = ode_lanes(lambda Y, lanes: -Y, y0[j:j + 1], 1e-10,
+                                                1e-10, dense=True)
         assert none == {} and alone_steps[0] == steps[j]
-        assert np.array_equal(alone[0], samples[j]), j
+        assert np.array_equal(alone(grid), lanes[j](grid)), j
 
 
 def test_lanes_are_bit_identical_alone_and_in_batches_that_lose_lanes():
@@ -236,10 +274,10 @@ def test_lanes_are_bit_identical_alone_and_in_batches_that_lose_lanes():
         y0 = rng.uniform(0.0, 1.5, (n, d))
         grid = np.union1d(rng.uniform(0.0, 1.0, 20), [1.0])
         for g in ((1.0,), grid):
-            samples, _, failures = ode_lanes(fun, y0, 1e-9, 1e-9, grid=g)
+            samples, _, failures = _lanes_at(fun, y0, 1e-9, g)
             left += len(failures)
             for j in range(n):
-                alone, _, failed = ode_lanes(fun, y0[j:j + 1], 1e-9, 1e-9, grid=g)
+                alone, _, failed = _lanes_at(fun, y0[j:j + 1], 1e-9, g)
                 assert (j in failures) == (0 in failed), (d, n, j)
                 assert np.array_equal(alone[0], samples[j], equal_nan=True), (d, n, j)
     assert left > 20
@@ -361,8 +399,7 @@ def _admission_run(model, k, states, Ts, n_first, plan, grid=(1.0,)):
         first = n_first + sum(plan[:len(calls) - 1])
         return states[first:first + n]
 
-    out = ode_lanes(_lane_fun(model, k, Ts), states[:n_first], 1e-10, 1e-10, admit=admit,
-                    grid=grid)
+    out = _lanes_at(_lane_fun(model, k, Ts), states[:n_first], 1e-10, grid, admit=admit)
     return out, calls
 
 
@@ -383,8 +420,8 @@ def test_lane_admitted_mid_run_matches_its_run_alone(models):
         assert sorted(lane for c in calls for lane in c) == list(range(6))
         assert all(np.array_equal(end, samples[lane, -1]) for c in calls for lane, end in c.items())
         for j in range(6):
-            alone, alone_steps, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]),
-                                                 states[j:j + 1], 1e-10, 1e-10, grid=grid)
+            alone, alone_steps, none = _lanes_at(_lane_fun(model, k, Ts[j:j + 1]),
+                                                 states[j:j + 1], 1e-10, grid)
             assert none == {}
             assert alone_steps[0] == steps[j]
             assert np.array_equal(alone[0], samples[j]), j
@@ -408,8 +445,8 @@ def test_lane_raising_on_admission_leaves_alone(models):
     assert calls[1] == {3: failures[3], 4: failures[4]}  # reported before the next step
     assert np.isnan(samples[3]).all() and steps[3] == steps[4] == 0
     for j in range(3):
-        alone, _, none = ode_lanes(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
-                                   1e-10, 1e-10)
+        alone, _, none = _lanes_at(_lane_fun(model, k, Ts[j:j + 1]), states[j:j + 1],
+                                   1e-10, GRIDS[0])
         assert none == {}
         assert np.array_equal(alone[0], samples[j]), j
 
@@ -698,8 +735,8 @@ def test_worldlines_compare_and_hash_by_identity(models):
 def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
     # one of these three starts fails and line-search trials raise
     # stored arrival exceptions: neither may tie frames, generators or
-    # solutions into reference cycles (the DOP853 solves of the index
-    # attachment make scipy's own, ignored here)
+    # solutions into reference cycles (the root finders of the index
+    # attachment's focal scan make scipy's own, ignored here)
     import gc
     import os
     import types
@@ -734,21 +771,32 @@ def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
     assert left == []
 
 
-@pytest.mark.parametrize("solve", ["brachistochrone", "conformal_geodesic", "shoot"])
-def test_dense_solves_leave_no_cyclic_garbage(models, solve):
+@pytest.mark.parametrize("solve", ["brachistochrone", "conformal_geodesic", "shoot",
+                                   "jacobi_basis", "bjacobi", "endpoint_rows"])
+def test_dense_solves_leave_no_cyclic_garbage(models, solutions, solve):
+    # the Jacobi solves run on the same lanes; the caches they read are built first
     import gc
 
     from brachkit.dynamics import integrate_conformal_geodesic
+    from brachkit.jacobi import _coeffs_at, _endpoint_rows, gamma_jacobi_basis, integrate_bjacobi
+    from brachkit.variation import SolutionGeometry, index_data
 
     model = models["einstein_cylinder"]
     p = np.array([np.pi / 2, 0.0, 0.0])
     k = np.sqrt(2.0)
+    sol = solutions["einstein_cylinder"]
+    data, geom = index_data(model, sol), SolutionGeometry(model, sol)
+    d = _coeffs_at(geom.spline, 0.0)
+    dv = np.linalg.svd((d["g"] @ (sol.k * d["v"] - sol.T * d["y"]))[None, :])[2][1]
     run = {
         "brachistochrone": lambda: integrate_brachistochrone(model, k, p, [0.0, 1.0, 0.0], 1.2),
         "conformal_geodesic": lambda: integrate_conformal_geodesic(model, k, p, [0.0, 1.5, 0.0]),
         "shoot": lambda: shoot(ShootingProblem(
             model, p, ObserverWorldline(np.array([np.pi / 2, np.pi / 2, 0.0]), model), k),
             ([0.0, 1.0, 0.0], 1.5)),
+        "jacobi_basis": lambda: gamma_jacobi_basis(data),
+        "bjacobi": lambda: integrate_bjacobi(geom, np.zeros(3), dv),
+        "endpoint_rows": lambda: _endpoint_rows(geom),
     }[solve]
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)

@@ -157,3 +157,47 @@ def test_constrained_family_travel_time_curvature(models, solutions):
     d2T = (plus.T - 2 * base.T + minus.T) / (s * s)
     H_T = -H_F / sol.T
     assert d2T == pytest.approx(H_T, rel=1e-2)
+
+
+def test_conformal_speeds_evaluate_g_once(solutions):
+    # phi_k and g_R (or the horizontal projection) of a conformal speed share one
+    # metric evaluation at their nodes
+    from brachkit.curves import sine_bumps
+    from brachkit.models import ModelSpec, make_model
+    from brachkit.oracle import _PolylineObjective
+    from brachkit.transform import deform_D
+
+    model = make_model(ModelSpec("rotating_frame"))
+    sol = solutions["rotating_frame"]
+    metric, seen = model.metric_components, []
+
+    def counted(q):
+        seen.append(np.array(q))
+        return metric(q)
+
+    def calls_at(q):
+        return sum(x.shape == q.shape and np.array_equal(x, q) for x in seen)
+
+    model.metric_components = counted
+    w = deform_D(model, sol)
+    seen.clear()
+    conformal_energy(model, sol.k, w)
+    assert calls_at(w.points) == len(seen) == 1
+
+    obj = _PolylineObjective(model, sol.k, w.points[0], w.points[-1], 40, PenaltyConfig())
+    interior = w.point_spline()(np.linspace(0.0, 1.0, 41)[1:-1]).ravel()
+    _, mid, v = obj._segments(interior)
+    seen.clear()
+    obj._density(mid, v)
+    assert calls_at(mid) == len(seen) == 1
+    seen.clear()
+    obj.gradient(interior)
+    assert calls_at(mid) == 1   # the others are the finite-difference stencil's
+
+    coeffs, s = np.array([[0.05, -0.03, 0.02]]), 1e-3
+    eta, deta = sine_bumps(w.grid, coeffs)
+    bent = Curve(grid=w.grid, points=w.points + s * eta, velocities=w.velocities + s * deta)
+    flat = deform_D(model, bent, k=sol.k, check=False)
+    seen.clear()
+    constrained_curve_family(model, sol, coeffs, s)
+    assert calls_at(flat.points) == 2   # deform_D's horizontality check, the speeds
