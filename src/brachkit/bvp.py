@@ -30,9 +30,8 @@ from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
                        integrate_brachistochrone, shot_endpoints, _launch_velocity)
 from .errors import BrachkitError, NoConvergence
-from .geometry import (SpacetimeModel, curve_distance, horizontal_frame, horizontal_unit,
-                       orthonormal_completion, require_adapted_chart, riemannian_metric_matrix,
-                       _coords)
+from .geometry import (SpacetimeModel, curve_distance, horizontal_unit, require_adapted_chart,
+                       _coords, _frame_through, _horizontal_frame, _riemannian)
 from .transform import flow_points
 
 __all__ = [
@@ -87,14 +86,14 @@ class ShootingProblem:
     @cached_property
     def _launch_geometry(self):
         """g, g_R and the horizontal frame at p, from which every launch is built."""
-        return (self.model.g(self.p), riemannian_metric_matrix(self.model, self.p),
-                horizontal_frame(self.model, self.p))
+        g = self.model.g(self.p)
+        return g, _riemannian(g), _horizontal_frame(g)
 
     @cached_property
     def _anchor_frame(self):
         """g_R and the horizontal frame at the observer's anchor, in which residuals are read."""
-        anchor = self.gamma.anchor
-        return riemannian_metric_matrix(self.model, anchor), horizontal_frame(self.model, anchor)
+        g = self.model.g(self.gamma.anchor)
+        return _riemannian(g), _horizontal_frame(g)
 
 
 @dataclass
@@ -125,7 +124,7 @@ def _sphere_direction(problem: ShootingProblem, center, coeffs):
     """Point on the unit horizontal sphere at p: normalize(center + sum c_i E_i)."""
     _, gr, frame = problem._launch_geometry
     # tangent directions at the current center
-    tang = orthonormal_completion(gr, [center], problem.model.m - 2, candidates=frame)
+    tang = _frame_through(gr, center, frame)[1:]
     vec = center + sum(c * t for c, t in zip(coeffs, tang))
     return vec / np.sqrt(float(vec @ gr @ vec))
 

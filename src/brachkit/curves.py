@@ -127,11 +127,7 @@ class _NodeSpline:
         vals = self._spl(t, nu)
         if nu == 0:
             end, at_end = self._end
-            if isinstance(t, float):  # the hot path: the Jacobi solves sample one t at a time
-                if t == end:
-                    vals = at_end.copy()
-            else:
-                vals[np.asarray(t) == end] = at_end
+            vals[np.asarray(t) == end] = at_end
         lead = vals.shape[:-1]
         return {name: vals[..., sl].reshape(lead + shape)
                 for name, (sl, shape) in self._layout.items()}

@@ -40,7 +40,6 @@ __all__ = [
     "conformal_factor_gradient",
     "horizontal_part",
     "horizontal_unit",
-    "orthonormal_completion",
     "horizontal_frame",
     "conservation_residuals",
     "curve_distance",
@@ -405,34 +404,47 @@ def horizontal_unit(model: SpacetimeModel, q, v) -> np.ndarray:
     return u / nn[..., None]
 
 
-def orthonormal_completion(gr: np.ndarray, fixed, n_new: int, candidates=None) -> np.ndarray:
-    """Gram-Schmidt: n_new gr-orthonormal vectors orthogonal to the gr-orthonormal ``fixed``.
-
-    Candidates (the chart axes by default) are taken in order; one whose
-    remainder is shorter than 1e-8 is skipped.
-    """
-    basis = [np.asarray(b, dtype=float) for b in fixed]
-    target = len(basis) + n_new
-    for cand in np.eye(gr.shape[-1]) if candidates is None else candidates:
-        if len(basis) == target:
-            break
-        vec = np.array(cand, dtype=float)
-        for b in basis:
-            vec = vec - float(vec @ gr @ b) * b
-        nn = np.sqrt(max(float(vec @ gr @ vec), 0.0))
-        if nn > 1e-8:
-            basis.append(vec / nn)
-    if len(basis) < target:
-        raise FrameDegenerate("could not complete an orthonormal frame")
-    return np.array(basis[target - n_new:]).reshape(n_new, gr.shape[-1])
-
-
 def horizontal_frame(model: SpacetimeModel, q) -> np.ndarray:
-    """g_R-orthonormal basis of the orthogonal complement of Y at q."""
-    q = _coords(q)
-    gr = riemannian_metric_matrix(model, q)
-    y = model.y(q)
-    return orthonormal_completion(gr, [y / np.sqrt(float(y @ gr @ y))], model.m - 1)
+    """g_R-orthonormal basis (rows) of the orthogonal complement of Y at q."""
+    return _horizontal_frame(model.g(q))
+
+
+def _horizontal_frame(g: np.ndarray) -> np.ndarray:
+    """``horizontal_frame`` from the metric g (or g~ = phi_k g_R, for g~-orthonormal rows).
+
+    The horizontal parts of the chart axes e_1..e_{m-1}, e_i - c_i e_m with c = g_{:-1,m} / g_mm,
+    are the rows of H.  Their Gram matrix in g and g_R alike is S = g_{:-1,:-1} - c g_{m,:-1},
+    so Gram-Schmidt of the axes is E = L^-1 H for S = L L^T (Golub & Van Loan, 5.2).
+    """
+    H = _horizontal(g[..., None, :, :], np.eye(g.shape[-1])[:-1])
+    S = g[..., :-1, :-1] + H[..., -1:] * g[..., None, -1, :-1]
+    return np.linalg.solve(np.linalg.cholesky(S), H)
+
+
+def _frame_through(g: np.ndarray, u: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The horizontal frame (rows) whose first row is the g-unit horizontal u, at every node:
+    Gram-Schmidt in g of u, then of the rows of ``frame`` (a ``_horizontal_frame``), skipping
+    a remainder shorter than 1e-8.  A skipped row stays as zeros, which subtract nothing, until
+    the kept rows are gathered; the last row of ``frame`` is needed only after a skip."""
+    n = frame.shape[-2]
+    rows, kept, whole = [u[..., None, :]], [], True
+    for j in range(n):
+        if j == n - 1 and whole:
+            return np.concatenate(rows, axis=-2)
+        vec = frame[..., j:j + 1, :]
+        # v @ g @ w.mT: under another order of the same sums, Newton's converged
+        # launches move in the 12th digit
+        for b in rows:
+            vec = vec - (vec @ g @ b.mT) * b
+        nn = np.sqrt(np.maximum(vec @ g @ vec.mT, 0.0))
+        kept.append(nn > 1e-8)
+        whole = whole and kept[-1].all()
+        rows.append(np.where(kept[-1], vec / np.maximum(nn, 1e-300), 0.0))
+    kept = np.concatenate([np.ones_like(kept[0]), *kept], axis=-2)[..., 0]
+    if (kept.sum(axis=-1) < n).any():
+        raise FrameDegenerate("could not complete an orthonormal frame")
+    first = np.argsort(~kept, axis=-1, kind="stable")[..., :n, None]
+    return np.take_along_axis(np.concatenate(rows, axis=-2), first, axis=-2)
 
 
 def conservation_residuals(model: SpacetimeModel, points, velocities, k: float, T: float):

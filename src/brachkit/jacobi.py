@@ -26,8 +26,8 @@ from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution, ode_lanes
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import (SpacetimeModel, horizontal_frame, orthonormal_completion,
-                       riemannian_metric_matrix, _coords, _inner, _require_horizontal)
+from .geometry import (SpacetimeModel, _coords, _horizontal_frame, _inner, _require_horizontal,
+                       _riemannian)
 from .variation import _CRITICALITY_TOL, ConformalCurveData, SolutionGeometry, index_data
 
 __all__ = [
@@ -232,17 +232,15 @@ def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
 def _jacobi_basis(data: ConformalCurveData):
     """The one lane of all m basis fields, from a start orthogonal to the line."""
     w = data.w
-    _require_horizontal(data.confgeom.model.g(w.points[0]), w.velocities[0], 1e-6,
+    _require_horizontal(data.spline.sample(w.grid[0])["g"], w.velocities[0], 1e-6,
                         "geodesic start", NotOrthogonalStart)
-    m = data.confgeom.m
-    y0, gt0 = np.eye(m)[-1], data.gt[0]
-    yy = float(y0 @ gt0 @ y0)
+    m, gt0 = data.confgeom.m, data.gt[0]
     X0 = np.zeros((m, 2 * m))
-    # field tangent to the line at the start
-    X0[0, :m] = y0
-    X0[0, m:] = -float(data.w.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy * y0
+    # field tangent to the line at the start: Y, with derivative along Y
+    X0[0, m - 1] = 1.0
+    X0[0, -1] = -float(w.velocities[0] @ gt0 @ data.Kt[0][:, -1]) / gt0[-1, -1]
     # fields vanishing at the start, derivative orthogonal to Y
-    X0[1:, m:] = orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)
+    X0[1:, m:] = _horizontal_frame(gt0)
     if np.linalg.svd(X0, compute_uv=False)[-1] <= 1e-8:
         raise FrameDegenerate("initial data for the Jacobi basis is degenerate")
     return _rjacobi_lane(data.spline, X0)
@@ -318,10 +316,9 @@ def _endpoint_rows(geom: SolutionGeometry):
     backward from R(1) = F, so R(t0) x(t0) = F x(1) for every augmented
     solution x; no inversion is needed.
     """
-    model, m = geom.model, geom.model.m
-    q1 = geom.sol.sigma.points[-1]
+    m, g1 = geom.model.m, geom.g[-1]
     F = np.zeros((m - 1, 2 * m + 1))
-    F[:, :m] = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
+    F[:, :m] = _horizontal_frame(g1) @ _riemannian(g1)
     rhs = _bjacobi_rhs(geom)
     eye = np.eye(2 * m + 1)
 

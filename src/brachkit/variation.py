@@ -26,13 +26,14 @@ from scipy.linalg import eigh
 from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumulative_integral,
                      grid_integral, sine_bumps)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
-from .errors import (ConstraintViolated, FocalEndpoint, NotCritical,
+from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        conformal_factor_gradient, conformal_geometry, connection_coeffs,
-                       horizontal_part, orthonormal_completion, riemannian_metric_matrix,
-                       _conformal_connection, _connection_and_curvature, _coords, _grad_phi_k,
-                       _gr_length, _inner, _inner_y, _jacobian_fd)
+                       horizontal_part, riemannian_metric_matrix, _conformal_connection,
+                       _connection_and_curvature, _coords, _frame_through, _grad_phi_k,
+                       _gr_length, _horizontal, _horizontal_frame, _inner, _inner_y,
+                       _jacobian_fd, _require_horizontal, _riemannian)
 from .transform import _constraint_scan, _require_admissible, deform_D, tangent_constraint_scan
 
 __all__ = [
@@ -291,22 +292,18 @@ def hessian_E_lorentzian(model: SpacetimeModel, k: float, w: Curve,
 
 
 def second_fundamental_form_gamma(model: SpacetimeModel, q_on_gamma, n, v1, v2) -> float:
-    """Shape tensor of the observer line: nu1 nu2 <nabla_Y Y, n> for v_i = nu_i Y."""
+    """Shape tensor of the observer line: nu1 nu2 <nabla_Y Y, n> for v_i = nu_i Y.  n must be
+    horizontal (g_R cosine with Y <= 1e-8), each v_i have |horizontal part|_R <= 1e-8 |v_i|_R."""
     q = _coords(q_on_gamma)
     g = model.g(q)
-    y = model.y(q)
-    yy = float(g[-1, -1])
     n = _coords(n)
-    if abs(float(_inner_y(g, n))) > 1e-8 * np.sqrt(abs(yy)) * (np.linalg.norm(n) + 1.0):
-        raise NotNormal("direction vector is not orthogonal to the observer line")
+    _require_horizontal(g, n, 1e-8, "direction vector", NotNormal)
     nus = []
     for v in (v1, v2):
         v = _coords(v)
-        nu = float(_inner_y(g, v)) / yy
-        perp = v - nu * y
-        if np.linalg.norm(perp) > 1e-8 * (np.linalg.norm(v) + 1.0):
+        if _gr_length(g, _horizontal(g, v)) > 1e-8 * _gr_length(g, v):
             raise NotTangentToGamma("vector is not tangent to the observer line")
-        nus.append(nu)
+        nus.append(float(_inner_y(g, v)) / float(g[-1, -1]))
     return nus[0] * nus[1] * float(connection_coeffs(model, q)[:, -1, -1] @ g @ n)
 
 
@@ -325,27 +322,20 @@ class HessianMatrix:
         return eigh(self.entries, eigvals_only=True)
 
 
-def _frame_perp(model: SpacetimeModel, pts, vels, drop_velocity: bool):
-    """Smooth g_R-orthonormal frames orthogonal to Y (and optionally to w')."""
-    n, m = pts.shape
-    keep = m - 2 if drop_velocity else m - 1
-    frames = np.empty((n, keep, m))
-    prev = None
-    grs, ys = riemannian_metric_matrix(model, pts), model.y(pts)
-    for i in range(n):
-        gr = grs[i]
-        kill = [ys[i] / np.sqrt(float(ys[i] @ gr @ ys[i]))]
-        if drop_velocity:
-            kill.append(orthonormal_completion(gr, kill, 1, candidates=vels[i:i + 1])[0])
-        E = orthonormal_completion(gr, kill, keep)
-        if prev is not None:
-            # keep the frame continuous along the curve
-            for a in range(keep):
-                if float(E[a] @ gr @ prev[a]) < 0.0:
-                    E[a] = -E[a]
-        frames[i] = E
-        prev = E
-    return frames
+def _frame_perp(g: np.ndarray, vels: np.ndarray, drop_velocity: bool) -> np.ndarray:
+    """g_R-orthonormal frames orthogonal to Y (and optionally to w') at the nodes of g, each row's
+    sign continued along the curve by the signs of consecutive frames' g_R products."""
+    gr = _riemannian(g)
+    E = _horizontal_frame(g)
+    if drop_velocity:
+        u = _horizontal(g, vels)
+        nn = _gr_length(g, u)
+        if not (nn > 1e-8).all():
+            raise FrameDegenerate("could not complete an orthonormal frame")
+        E = _frame_through(gr, u / nn[:, None], E)[:, 1:]
+    turn = np.einsum("nia,nab,nib->ni", E[1:], gr[1:], E[:-1]) < 0.0
+    E[1:] *= np.cumprod(np.where(turn, -1.0, 1.0), axis=0)[..., None]
+    return E
 
 
 def _quad_points(n_el: int):
@@ -373,7 +363,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
         raise ValueError(f"unknown boundary condition set '{boundary_conditions}'")
     if n_basis < 2:
         raise ValueError(f"n_basis must be at least 2, got {n_basis}")
-    model, m = data.confgeom.model, data.confgeom.m
+    m = data.confgeom.m
 
     tq, wq = _quad_points(n_basis)
     nodes = np.linspace(0.0, 1.0, n_basis + 1)
@@ -416,7 +406,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     else:
         drop_velocity = boundary_conditions == "perpendicular"
         at_nodes = data.spline.sample(nodes)
-        frames_nodes = _frame_perp(model, at_nodes["q"], at_nodes["v"], drop_velocity)
+        frames_nodes = _frame_perp(at_nodes["g"], at_nodes["v"], drop_velocity)
         keep = frames_nodes.shape[1]
         fr_spl = CubicSpline(nodes, frames_nodes.reshape(nodes.size, -1), axis=0)
         frames_q = fr_spl(tq).reshape(nq, keep, m)

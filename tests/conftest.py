@@ -17,6 +17,23 @@ def unit_horizontal(model, q, seed):
     return u / np.sqrt(float(u @ gr @ u))
 
 
+def gram_schmidt(G, vectors, n):
+    """The first n G-orthonormal rows of Gram-Schmidt over ``vectors``, one at a time, skipping
+    a vector whose remainder is shorter than 1e-8: a reference independent of the package's
+    closed-form frames."""
+    basis = []
+    for v in vectors:
+        r = np.array(v, dtype=float)
+        for b in basis:
+            r = r - float(r @ G @ b) * b
+        nn = np.sqrt(max(float(r @ G @ r), 0.0))
+        if nn > 1e-8:
+            basis.append(r / nn)
+        if len(basis) == n:
+            return np.array(basis)
+    raise AssertionError("the vectors span fewer than n directions")
+
+
 # A launch per model that exercises every term of the equation while staying
 # well inside chart and admissible region.
 STANDARD_LAUNCH = {

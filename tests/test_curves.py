@@ -158,6 +158,10 @@ def test_node_spline_columns_equal_separate_splines():
             one = fused.sample(t, nu)
             for name, spl in alone.items():
                 assert np.array_equal(one[name], spl(t, nu)), (name, nu, t)
+    # at the last knot a scalar t and an array t both read the node values
+    for name, arr in parts.items():
+        assert np.array_equal(fused.sample(grid[-1])[name], arr[-1]), name
+        assert np.array_equal(fused.sample(grid[-1:])[name], arr[-1:]), name
 
 
 def test_cumulative_integral_from_any_lower_limit():

@@ -4,14 +4,14 @@ import pytest
 from brachkit import geometry as geo
 from brachkit.curves import Curve
 from brachkit.dynamics import geodesic_residual, initial_velocity, integrate_conformal_geodesic
-from brachkit.errors import (NotHorizontal, NotOrthogonalStart, OutOfChart, OutsideUk,
+from brachkit.errors import (NotHorizontal, NotNormal, NotOrthogonalStart, OutOfChart, OutsideUk,
                              StencilOutOfChart)
 from brachkit.jacobi import gamma_jacobi_basis
 from brachkit.models import MODEL_NAMES, ModelSpec, make_model
 from brachkit.transform import flow_points, isometry_defect, lift_G
-from brachkit.variation import ConformalCurveData
+from brachkit.variation import ConformalCurveData, second_fundamental_form_gamma
 
-from conftest import STANDARD_LAUNCH
+from conftest import STANDARD_LAUNCH, gram_schmidt
 
 
 def test_metric_eval_minkowski_timelike(models):
@@ -206,6 +206,25 @@ def test_riemannian_metric_positive_definite(models):
             assert val > 0.0
 
 
+def test_horizontal_frame_over_nodes_is_gram_schmidt_of_the_axes(models):
+    # one call over a batch of nodes: rows g_R-orthonormal, g-orthogonal to Y, and the
+    # Gram-Schmidt frame of the chart axes after the g_R-unit Y at every node
+    rng = np.random.default_rng(8)
+    for name, model in models.items():
+        m = model.m
+        q = (np.asarray(STANDARD_LAUNCH[name]["p"], dtype=float)
+             + 0.05 * rng.standard_normal((20, m)))
+        E = geo.horizontal_frame(model, q)
+        gr = geo.riemannian_metric_matrix(model, q)
+        assert E.shape == (20, m - 1, m)
+        assert np.max(np.abs(E @ gr @ E.mT - np.eye(m - 1))) <= 1e-14, name
+        assert np.max(np.abs(E @ model.g(q)[..., -1:])) <= 1e-14, name
+        for x, frame, gr_x in zip(q, E, gr):
+            y = model.y(x)
+            ref = gram_schmidt(gr_x, [y / np.sqrt(y @ gr_x @ y), *np.eye(m)], m)[1:]
+            assert np.max(np.abs(frame - ref)) <= 1e-14, name
+
+
 def test_conformal_factor_values(models):
     model = models["minkowski3"]
     q = np.zeros(3)
@@ -389,6 +408,10 @@ _GATES = {
     "geodesic_residual": (1e-6, NotHorizontal, lambda model, c:
                           geodesic_residual(model, _K, _line(model, c))),
     "lift_G": (1e-6, NotHorizontal, lambda model, c: lift_G(model, _K, _line(model, c))),
+    "second_fundamental_form_gamma": (1e-8, NotNormal, lambda model, c:
+                                      second_fundamental_form_gamma(
+                                          model, _Q, _tilted(model, _Q, [1.0, 0.0, 0.0], c),
+                                          model.y(_Q), model.y(_Q))),
     "gamma_jacobi_basis": (1e-6, NotOrthogonalStart, lambda model, c: gamma_jacobi_basis(
         ConformalCurveData(geo.conformal_geometry(model, _K), _line(model, c, node=0),
                            check=False))),

@@ -5,8 +5,7 @@ from scipy.interpolate import CubicSpline
 
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
-from brachkit.geometry import (conformal_geometry, horizontal_frame, orthonormal_completion,
-                               riemannian_metric_matrix)
+from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
 from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
                              _endpoint_rows, bfocal_points,
                              focal_points, gamma_jacobi_basis, integrate_bjacobi,
@@ -16,7 +15,7 @@ from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
                                 make_admissible_variation)
 
-from conftest import unit_horizontal
+from conftest import gram_schmidt, unit_horizontal
 
 # the scipy references: DOP853 at the tolerances of the Jacobi lanes
 _IVP_OPTS = dict(method="DOP853", rtol=1e-11, atol=1e-13)
@@ -437,7 +436,7 @@ def _per_field_basis_reference(cg, wrev, data):
     c = -float(wrev.velocities[0] @ gt0 @ (data.Kt[0] @ y0)) / yy
     inits = [np.concatenate([y0, c * y0])]
     inits += [np.concatenate([np.zeros(m), b])
-              for b in orthonormal_completion(gt0, [y0 / np.sqrt(yy)], m - 1)]
+              for b in gram_schmidt(gt0, [y0 / np.sqrt(yy), *np.eye(m)], m)[1:]]
     return [solve_ivp(rhs, (0.0, 1.0), x0, dense_output=True, **_IVP_OPTS).sol for x0 in inits]
 
 
@@ -452,7 +451,7 @@ def _parallel_frame_reference(wrev, data):
         G = gamma(t).reshape(m, m, m)
         return -np.einsum("abc,b,jc->ja", G, vel(t), flat.reshape(m, m)).ravel()
 
-    E0 = orthonormal_completion(data.gt[0], [], m)
+    E0 = gram_schmidt(data.gt[0], np.eye(m), m)
     return solve_ivp(rhs, (0.0, 1.0), E0.ravel(), dense_output=True, **_IVP_OPTS).sol
 
 

@@ -4,16 +4,18 @@ import pytest
 from brachkit.curves import FieldAlongCurve
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, NotNormal, NotTangentToGamma
-from brachkit.geometry import _jacobian_fd, conformal_geometry, connection_coeffs
+from brachkit.geometry import (_jacobian_fd, conformal_geometry, connection_coeffs,
+                               horizontal_frame, riemannian_metric_matrix)
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import dD_differential, deform_D
-from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
+from brachkit.variation import (ConformalCurveData, SolutionGeometry, _frame_perp, assemble_hessian,
                                 constraint_residual, hessian_E_eval, hessian_E_lorentzian,
                                 hessian_F_eval, index_form, lagrange_multiplier_field,
                                 make_admissible_variation, restricted_index_report,
                                 second_fundamental_form_gamma, travel_time_differential)
 
+from conftest import STANDARD_LAUNCH
 
 
 def fd_field_from_family(model, sol, fam_plus, fam_minus, s):
@@ -318,6 +320,46 @@ def test_second_fundamental_form_guards(models):
         second_fundamental_form_gamma(model, q, [1.0, 0, 0], [1.0, 0, 0], y)
     with pytest.raises(NotNormal):
         second_fundamental_form_gamma(model, q, y, y, y)
+    # the guards do not depend on scale: on the cylinder a tiny Y is no normal, and a
+    # tiny e_theta no tangent, however small; a zero normal fails too
+    model = models["einstein_cylinder"]
+    q = np.array([1.0, 0.3, 0.0])
+    y, e_theta = model.y(q), np.array([1.0, 0.0, 0.0])
+    for n in (1e-9 * y, np.zeros(3)):
+        with pytest.raises(NotNormal):
+            second_fundamental_form_gamma(model, q, n, y, y)
+    with pytest.raises(NotTangentToGamma):
+        second_fundamental_form_gamma(model, q, e_theta, 1e-9 * e_theta, y)
+    # while a tiny normal is still a normal
+    model = models["static_well"]
+    q = np.array([1.0, 0.0, 0.0])
+    y, n = model.y(q), np.array([1.0, 0.0, 0.0])
+    assert second_fundamental_form_gamma(model, q, 1e-9 * n, y, y) == pytest.approx(
+        1e-9 * second_fundamental_form_gamma(model, q, n, y, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["einstein_cylinder", "rotating_frame"])
+def test_frames_of_the_restricted_modes_through_a_skipped_axis(models, name):
+    # the horizontal velocity turns through E_1 at the middle node, where Gram-Schmidt
+    # skips E_1; the frames stay orthonormal, orthogonal to Y (and w'), and continuous.
+    # (For m = 4 the skip also reorders the perpendicular rows there.)
+    model = models[name]
+    m = model.m
+    pts = (np.asarray(STANDARD_LAUNCH[name]["p"], dtype=float)
+           + np.outer(np.linspace(0.0, 0.1, 41), np.eye(m)[0]))
+    g, gr, E = model.g(pts), riemannian_metric_matrix(model, pts), horizontal_frame(model, pts)
+    a = np.linspace(-0.5, 0.5, 41)[:, None]
+    vels = np.cos(a) * E[:, 0] + np.sin(a) * E[:, -1] + 0.3 * model.y(pts)
+    for drop in (False, True):
+        F = _frame_perp(g, vels, drop)
+        assert F.shape == (41, m - 1 - drop, m)
+        assert np.max(np.abs(F @ gr @ F.mT - np.eye(m - 1 - drop))) <= 1e-13
+        assert np.max(np.abs(F @ g[..., -1:])) <= 1e-13
+        if drop:
+            assert np.max(np.abs(F @ gr @ vels[..., None])) <= 1e-13
+        assert (np.einsum("nia,nab,nib->ni", F[1:], gr[1:], F[:-1]) > 0.0).all()
+    # the skip: the frame at the middle node is the rest of E, up to signs
+    assert np.max(np.abs(np.abs(F[20]) - np.abs(E[20, 1:]))) <= 1e-14
 
 
 def test_assemble_hessian_flat_positive(models):
