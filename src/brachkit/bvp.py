@@ -120,13 +120,16 @@ def _residual_vector(problem: ShootingProblem, q_end) -> np.ndarray:
     return frame @ (problem.model.wrap_difference(q_end - problem.gamma.anchor) @ gr)
 
 
-def _sphere_direction(problem: ShootingProblem, center, coeffs):
-    """Point on the unit horizontal sphere at p: normalize(center + sum c_i E_i)."""
+def _sphere_chart(problem: ShootingProblem, center):
+    """The unit horizontal sphere at p around ``center``: the centre and its tangents E_i."""
     _, gr, frame = problem._launch_geometry
-    # tangent directions at the current center
-    tang = _frame_through(gr, center, frame)[1:]
-    vec = center + sum(c * t for c, t in zip(coeffs, tang))
-    return vec / np.sqrt(float(vec @ gr @ vec))
+    return center, _frame_through(gr, center, frame)[1:]
+
+
+def _sphere_direction(problem: ShootingProblem, chart, coeffs):
+    """Point on the unit horizontal sphere at p: normalize(center + sum c_i E_i)."""
+    vec = chart[0] + sum(c * t for c, t in zip(coeffs, chart[1]))
+    return vec / np.sqrt(float(vec @ problem._launch_geometry[1] @ vec))
 
 
 # The longest Newton step: the direction coefficients c of a step, T riding
@@ -182,8 +185,7 @@ def _newton(problem: ShootingProblem, guess):
     """
     model = problem.model
     cfg = problem.config
-    u0, T = guess
-    center = horizontal_unit(model, problem.p, u0)
+    chart = _sphere_chart(problem, horizontal_unit(model, problem.p, guess[0]))
     ndim = model.m - 1
     g, gr, _ = problem._launch_geometry  # p is in the chart: horizontal_unit checked it
 
@@ -207,10 +209,10 @@ def _newton(problem: ShootingProblem, guess):
         return np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, plan[0])])
 
     def recentre(x_new, ctr):
-        """(x, centre) of the sphere chart re-centred at the direction of x_new."""
+        """(x, chart) of the sphere chart re-centred at the direction of x_new."""
         x = x_new.copy()
         x[:-1] = 0.0
-        return x, _sphere_direction(problem, ctr, x_new[:-1])
+        return x, _sphere_chart(problem, _sphere_direction(problem, ctr, x_new[:-1]))
 
     def ahead(shot, plan):
         """The launches of a trial shot and of the Jacobian plan riding with it."""
@@ -219,9 +221,9 @@ def _newton(problem: ShootingProblem, guess):
         return [shot] + ([] if plan is None or isinstance(plan, Exception) else plan[1])
 
     x = np.zeros(ndim)
-    x[-1] = float(T)
-    first = launch(x, center)
-    plan = _attempt(jacobian_launches, x, center)
+    x[-1] = float(guess[1])
+    first = launch(x, chart)
+    plan = _attempt(jacobian_launches, x, chart)
     ends = yield ahead(first, plan)
     r = residual(ends[0])
     plan_ends = ends[1:]
@@ -245,10 +247,10 @@ def _newton(problem: ShootingProblem, guess):
                 x_new = x + lam * step
                 if x_new[-1] <= 0.0:
                     continue
-                shot = _attempt(launch, x_new, center)
+                shot = _attempt(launch, x_new, chart)
                 moved = trial_plan = None
                 if not isinstance(shot, Exception):
-                    moved = _attempt(recentre, x_new, center)
+                    moved = _attempt(recentre, x_new, chart)
                     if not isinstance(moved, Exception):
                         trial_plan = _attempt(jacobian_launches, *moved)
                 trials.append((lam, shot, moved, trial_plan, len(launches)))
@@ -274,12 +276,12 @@ def _newton(problem: ShootingProblem, guess):
         lam, r, moved, plan, plan_ends = accepted
         if isinstance(moved, Exception):
             raise moved
-        x, center = moved
+        x, chart = moved
         damped = lam < 1.0
     else:
         raise NoConvergence(
             f"no convergence after {cfg.max_newton} iterations (residual {np.linalg.norm(r):.3e})")
-    return center, float(x[-1])
+    return chart[0], float(x[-1])
 
 
 def _solve_starts(problem: ShootingProblem, guesses) -> tuple:

@@ -373,12 +373,12 @@ def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
     return connection_coeffs(model, q)[..., -1]
 
 
-def killing_residual(model: SpacetimeModel, q, v, w) -> float:
-    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y): in the adapted
-    chart it is (L_Y g)(v, w) = (d_last g)(v, w), read off Gamma."""
+def killing_residual(model: SpacetimeModel, q, v, w):
+    """Antisymmetry defect <nabla_v Y, w> + <nabla_w Y, v> (zero for Killing Y), one value per
+    node: in the adapted chart it is (L_Y g)(v, w) = (d_last g)(v, w), read off Gamma."""
     q, v, w = _coords(q), _coords(v), _coords(w)
     K = model.g(q) @ nabla_y_matrix(model, q)      # Gamma_{a,b last} = <e_a, nabla_b Y>
-    return float(v @ K @ w + w @ K @ v)
+    return _inner(K, v, w) + _inner(K, w, v)
 
 
 # ---------------------------------------------------------------------------

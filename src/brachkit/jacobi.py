@@ -6,21 +6,19 @@ A function of one curve takes the curve's cache (``SolutionGeometry`` or
 equations run on stacked rows, one field per row, with their coefficients sampled
 from the one spline of the cache.  Each solve is one lane of ``dynamics.ode_lanes``
 whose last column is the clock t, read anywhere off the lane's continuous
-extension.  Focal parameters
-come from zeros of det(J L), J the Jacobi basis and g~ = L L^T, with
-multiplicities read off a rank analysis at each zero.  On the solution side
-they are confirmed through the adjoint of the linearized equation,
-integrated once backward from the event.
+extension.  Focal points are where eigenvalues of a unitary W(t), built from the
+Lagrangian span of the m basis fields, pass through -1, as many as pass together.
+On the solution side they are confirmed through the adjoint of the linearized
+equation, integrated once backward from the event.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution, ode_lanes
@@ -42,7 +40,9 @@ __all__ = [
 
 _RTOL, _ATOL = 1e-11, 1e-13   # the tolerances of the Jacobi solves
 _FOCAL_T_MIN = 0.01     # the focal scan starts here, clear of the zero of J at t = 0
-_RANK_RTOL = 1e-5       # a singular value below this times the largest counts as zero
+_MAX_TURN = np.pi / 4   # the focal scan divides an interval where an eigenvalue turns further
+_SECTIONS = 8           # ... into this many parts at a time
+_FOCAL_TOL = 1e-9       # passages this close in t are one focal point; so is one this short at 1
 _REFINE_WINDOW = 0.02   # half-width of the solution-side refinement of a focal parameter
 
 
@@ -256,56 +256,69 @@ def gamma_jacobi_basis(data: ConformalCurveData) -> list:
 
 
 def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
-    """Zeros of det(J L) along ``data.w`` on (_FOCAL_T_MIN, 1], with SVD multiplicities.
+    """Focal points along ``data.w`` on (_FOCAL_T_MIN, 1]: passages of eigenvalues through -1.
 
-    Rows of J are the basis fields of ``gamma_jacobi_basis``, g~ = L L^T.  For
-    the g~-orthonormal frame E parallel from the chart-axis Gram-Schmidt start,
-    E = Q L^-1 with Q orthogonal and det Q = +1, so J L has the determinant and
-    the singular values of g~(J_i, E_j) without transporting E.  ``data.w`` runs
-    from the observer line to the event; the returned parameters are in that
-    same orientation.
+    With J, DJ the basis fields of ``gamma_jacobi_basis`` and their derivatives (rows) and
+    g~ = L L^T, X = J L and P = DJ L span a Lagrangian subspace: W = (X - iP)^-1 (X + iP) is
+    unitary, with -1 an eigenvalue where X is singular, as often as ker X is wide.  Each passes
+    -1 clockwise (Duistermaat 1976).  ``determinant_trace`` is det(J L) at the scan nodes.
     """
-    lane = _jacobi_basis(data)
-    # read weakly, as scipy's root finders leave matrix_at in a reference cycle
-    spline_ref, m = weakref.ref(data.spline), data.confgeom.m
+    lane, spline, m = _jacobi_basis(data), data.spline, data.confgeom.m
+    cuts = 2.0 * np.pi * np.arange(m + 1) / (m + 1)   # m eigenvalues leave one of them clear
+    shifts = (np.arange(m) + np.arange(m)[:, None]) % m
 
-    def matrix_at(t):
-        """J L at a scalar t, or stacked along the axes of an array t."""
-        J = lane(t)[..., :-1].reshape(np.shape(t) + (m, 2 * m))[..., :m]
-        return J @ np.linalg.cholesky(spline_ref().sample(t)["gt"])
+    def eigenvalues(t):
+        """W's eigenvalues at an array t, counterclockwise, and X.  Turned by a / 2, the frame
+        has P_a^-1 X_a symmetric with eigenvalues cot((theta - a) / 2), read as singular values:
+        the package runs no eigenvalue driver of LAPACK, whose code would take more memory."""
+        JD = lane(t)[..., :-1].reshape(t.shape + (m, 2 * m))
+        L = np.linalg.cholesky(spline.sample(t)["gt"])
+        X, P = JD[..., :m] @ L, JD[..., m:] @ L
+        a, far = 0.0, 0.0
+        for cut in cuts:
+            d = np.abs(np.linalg.det(np.cos(cut / 2) * P - np.sin(cut / 2) * X))
+            a, far = np.where(d > far, cut, a), np.maximum(d, far)
+        c, s = np.cos(a / 2)[..., None, None], np.sin(a / 2)[..., None, None]
+        S = np.linalg.solve(c * P - s * X, c * X + s * P)
+        shift = np.linalg.norm(S, axis=(-2, -1))[..., None]   # at least every |eigenvalue|
+        kappa = np.linalg.svd(S + S.mT + 2 * shift[..., None] * np.eye(m), compute_uv=False) / 2
+        kappa -= shift
+        return (np.cos(a) + 1j * np.sin(a))[..., None] * (kappa + 1j) ** 2 / (kappa ** 2 + 1), X
 
+    # An interval of the scan is divided into _SECTIONS while an eigenvalue turns by more than
+    # _MAX_TURN across it, or while it holds a passage and is wider than _FOCAL_TOL, where the
+    # passage is read off linearly.  Passages that close are one focal point, and so is an
+    # eigenvalue that close short of -1 at t = 1.
     ts = np.linspace(_FOCAL_T_MIN, 1.0, n_scan + 1)
-    dets = np.linalg.det(matrix_at(ts))
-    scale = float(np.max(np.abs(dets)))
-    if scale == 0.0:
-        raise FrameDegenerate("determinant vanishes identically")
+    nodes = ts[None]
+    lam, X = eigenvalues(nodes)
+    found = [np.ones(np.count_nonzero((abs(lam[0, -1] + 1) < _FOCAL_TOL) & (lam[0, -1].imag <= 0)))]
+    while True:   # each row of nodes divides an interval still open
+        lo, hi = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+        lam_lo, lam_hi = lam[:, :-1].reshape(-1, m), lam[:, 1:].reshape(-1, m)
+        # pair the eigenvalues across each interval by the cyclic shift of least total move
+        paired, least = lam_hi, np.inf
+        for shift in shifts:
+            move = np.abs(lam_hi[:, shift] - lam_lo).sum(axis=-1)
+            paired = np.where((move < least)[:, None], lam_hi[:, shift], paired)
+            least = np.minimum(move, least)
+        cross = ((lam_lo.imag > 0) != (paired.imag > 0)) & (lam_lo.real + paired.real < 0)
+        split = ((np.abs(paired - lam_lo) > 2.0 * np.sin(_MAX_TURN / 2)).any(axis=-1)
+                 | (cross.any(axis=-1) & (hi - lo > _FOCAL_TOL)))
+        i, j = np.nonzero(cross & ~split[:, None])
+        wrong = paired.imag[i, j] <= 0
+        if wrong.any():
+            raise ConstraintViolated(f"W passes -1 counterclockwise at t = {lo[i[wrong][0]]:.9f}")
+        found.append(lo[i] + (hi[i] - lo[i]) * lam_lo.imag[i, j] / (lam_lo - paired).imag[i, j])
+        if not split.any():
+            break
+        nodes = np.linspace(lo[split], hi[split], _SECTIONS + 1, axis=-1)
+        lam = eigenvalues(nodes)[0]
 
-    candidates = list(ts[:-1][dets[:-1] == 0.0])
-    candidates += [brentq(lambda t: np.linalg.det(matrix_at(t)), ts[i], ts[i + 1], xtol=1e-12)
-                   for i in np.flatnonzero(dets[:-1] * dets[1:] < 0.0)]
-    # even-order zeros: local minima of |det| dipping far below scale
-    absd = np.abs(dets)
-    dips = (absd[1:-1] < absd[:-2]) & (absd[1:-1] < absd[2:]) & (absd[1:-1] < 1e-8 * scale)
-    for i in np.flatnonzero(dips) + 1:
-        res = minimize_scalar(lambda t: abs(np.linalg.det(matrix_at(t))),
-                              bracket=(ts[i - 1], ts[i], ts[i + 1]))
-        t_cand = float(res.x)
-        if not any(abs(t_cand - c) < 2.0 / n_scan for c in candidates):
-            candidates.append(t_cand)
-    if abs(dets[-1]) < 1e-8 * scale and not any(abs(1.0 - c) < 2.0 / n_scan for c in candidates):
-        candidates.append(1.0)
-
-    focal = []
-    for t0 in sorted(candidates):
-        svals = np.linalg.svd(matrix_at(t0), compute_uv=False)
-        mult = int(np.sum(svals < _RANK_RTOL * svals[0]))
-        if mult >= 1:
-            focal.append((float(t0), mult))
-    return FocalReport(
-        focal_list=focal,
-        geometric_index=int(sum(mu for _, mu in focal)),
-        determinant_trace=(ts, dets),
-    )
+    at = np.array(sorted(np.concatenate(found)))
+    focal = [(float(g.mean()), g.size)
+             for g in np.split(at, np.flatnonzero(np.diff(at) > _FOCAL_TOL) + 1) if g.size]
+    return FocalReport(focal, int(sum(mu for _, mu in focal)), (ts, np.linalg.det(X[0])))
 
 
 def _endpoint_rows(geom: SolutionGeometry):
@@ -362,30 +375,18 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     riem = focal_points(index_data(model, sol))
 
     geom = SolutionGeometry(model, sol)
-    rows = None
-    out = []
-    for tR, mult in riem.focal_list:
+    rows = _endpoint_rows(geom) if riem.focal_list else None
+    focal = []
+    for tR, mult in riem.focal_list:   # tR >= _FOCAL_T_MIN, so tb < 1
         tb = 1.0 - tR
-        if tb >= 1.0 - 1e-9:
-            out.append((float(tb), mult, 0.0))
-            continue
-        if rows is None:
-            rows = _endpoint_rows(geom)
         lo = max(0.0, tb - _REFINE_WINDOW)
         hi = min(1.0 - 1e-6, tb + _REFINE_WINDOW)
         res = minimize_scalar(lambda t: _bfocal_singular_value(geom, t, rows),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
-        tb_refined = float(res.x)
-        sv = float(res.fun)
-        if sv > confirm_tol:
+        if res.fun > confirm_tol:
             raise ConstraintViolated(
                 f"no vanishing linearized solution confirms the focal parameter "
-                f"{tb:.6f} (endpoint singular value {sv:.3e})")
-        out.append((tb_refined, mult, sv))
-    focal = sorted((t, m) for t, m, _ in out)
-    return FocalReport(
-        focal_list=[(float(t), int(m)) for t, m in focal],
-        geometric_index=int(sum(m for _, m in focal)),
-        determinant_trace=riem.determinant_trace,
-    )
+                f"{tb:.6f} (endpoint singular value {res.fun:.3e})")
+        focal.append((float(res.x), mult))
+    return FocalReport(sorted(focal), int(sum(m for _, m in focal)), riem.determinant_trace)

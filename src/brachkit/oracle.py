@@ -150,10 +150,9 @@ class _PolylineObjective:
                     f"gradient check failed at dof {j}: analytic {g[j]:.3e} vs fd {fd:.3e}")
 
 
-def _h1_preconditioner(n_seg, m):
-    """Banded Cholesky factor data for the discrete H1 form on interior nodes."""
-    n_int = n_seg - 1
-    ab = np.zeros((2, n_int))
+def _h1_preconditioner(n_seg):
+    """The discrete H1 form (-1, 2, -1) / dt on interior nodes, as ``solveh_banded`` takes it."""
+    ab = np.zeros((2, n_seg - 1))
     ab[0, 1:] = -1.0
     ab[1, :] = 2.0
     return ab * n_seg  # scale by 1/dt
@@ -185,7 +184,7 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     x = init_nodes[1:-1].ravel().copy()
     obj.validate_gradient(x)
 
-    ab = _h1_preconditioner(n_seg, m)
+    ab = _h1_preconditioner(n_seg)
     energy = obj.energy(x)
     for it in range(max_iters):
         g = obj.gradient(x)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brachkit.dynamics import integrate_brachistochrone
-from brachkit.geometry import riemannian_metric_matrix
+from brachkit.geometry import SpacetimeModel, riemannian_metric_matrix
 from brachkit.models import ModelSpec, make_model
 
 
@@ -87,3 +87,47 @@ def cylinder_very_long_arc(models):
     u = unit_horizontal(model, [np.pi / 2, 0.0, 0.0], [0.0, 1.0, 0.0])
     return integrate_brachistochrone(model, k, np.array([np.pi / 2, 0.0, 0.0]), u,
                                      L / np.sqrt(k * k - 1.0))
+
+
+def _r_s3():
+    """The Einstein static universe R x S^3 (Hawking & Ellis 5.3) on the chart
+    (chi, theta, phi, t): g = dchi^2 + sin^2 chi (dtheta^2 + sin^2 theta dphi^2) - dt^2, with
+    its analytic Christoffels, in the band 0.1 <= chi, theta <= pi - 0.1, phi periodic."""
+    def metric(q):
+        chi, th = q[..., 0], q[..., 1]
+        g = np.zeros(q.shape[:-1] + (4, 4))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sin(chi) ** 2
+        g[..., 2, 2] = (np.sin(chi) * np.sin(th)) ** 2
+        g[..., 3, 3] = -1.0
+        return g
+
+    def christoffels(q):
+        chi, th = q[..., 0], q[..., 1]
+        G = np.zeros(q.shape[:-1] + (4, 4, 4))
+        G[..., 0, 1, 1] = -np.sin(chi) * np.cos(chi)
+        G[..., 0, 2, 2] = -np.sin(chi) * np.cos(chi) * np.sin(th) ** 2
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = G[..., 2, 0, 2] = G[..., 2, 2, 0] = 1.0 / np.tan(chi)
+        G[..., 1, 2, 2] = -np.sin(th) * np.cos(th)
+        G[..., 2, 1, 2] = G[..., 2, 2, 1] = 1.0 / np.tan(th)
+        return G
+
+    def band(q):
+        return np.all((0.1 <= q[..., :2]) & (q[..., :2] <= np.pi - 0.1), axis=-1)
+
+    return SpacetimeModel(name="r_s3", m=4, metric_components=metric,
+                          analytic_christoffels=christoffels, chart_domain=band,
+                          periods={2: 2.0 * np.pi})
+
+
+@pytest.fixture(scope="session")
+def r_s3_arcs():
+    """R x S^3 and its equatorial solutions from (pi/2, pi/2, 0, 0) along phi, k = sqrt(2),
+    of deformed arc length 4.5 and 7.0: their focal points, of multiplicity m - 2 = 2,
+    lie at pi / L (and 2 pi / L) from the observer end of the deformation."""
+    model = _r_s3()
+    k = np.sqrt(2.0)
+    p = np.array([np.pi / 2, np.pi / 2, 0.0, 0.0])
+    u = unit_horizontal(model, p, [0.0, 0.0, 1.0, 0.0])
+    return model, {L: integrate_brachistochrone(model, k, p, u, L / np.sqrt(k * k - 1.0))
+                   for L in (4.5, 7.0)}

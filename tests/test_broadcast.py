@@ -42,6 +42,7 @@ def test_geometry_broadcasts(models, name):
     cg = geo.conformal_geometry(model, STANDARD_LAUNCH[name]["k"])
     pts = node_batch(model, name, seed=1)
     k = STANDARD_LAUNCH[name]["k"]
+    v, w = np.random.default_rng(2).standard_normal((2, model.m))
     checks = {
         "connection_coeffs": lambda q: geo.connection_coeffs(model, q),
         "connection_coeffs_fd": lambda q: geo.connection_coeffs(fd_model, q),
@@ -52,6 +53,7 @@ def test_geometry_broadcasts(models, name):
         "conformal_factor": lambda q: geo.conformal_factor(model, q, k),
         "conformal_factor_gradient": lambda q: geo.conformal_factor_gradient(model, q, k),
         "nabla_y_matrix": lambda q: geo.nabla_y_matrix(model, q),
+        "killing_residual": lambda q: geo.killing_residual(model, q, v, w),
     }
     for label, fn in checks.items():
         batched = fn(pts)

@@ -13,7 +13,7 @@ from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
-                                make_admissible_variation)
+                                index_data, make_admissible_variation, restricted_index_report)
 
 from conftest import gram_schmidt, unit_horizontal
 
@@ -202,15 +202,48 @@ def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc
     assert rep2.focal_list[1][0] == pytest.approx(2 * np.pi / 7.0, abs=1e-6)
 
 
-def test_focal_scan_density_stability(models, cylinder_long_arc):
-    model = models["einstein_cylinder"]
-    cg = conformal_geometry(model, np.sqrt(2.0))
-    wrev = deform_D(model, cylinder_long_arc, n_out=400).reversed()
-    data = ConformalCurveData(cg, wrev)
-    a = focal_points(data, n_scan=500)
-    b = focal_points(data, n_scan=2000)
-    assert a.geometric_index == b.geometric_index == 1
-    assert abs(a.focal_list[0][0] - b.focal_list[0][0]) < 1e-8
+def test_focal_points_of_multiplicity_two_on_r_s3(r_s3_arcs):
+    # on R x S^3 two eigenvalues of W pass -1 together and det(J L) changes no sign: both
+    # sides count each focal point twice, and the geometric index is the Morse index
+    model, arcs = r_s3_arcs
+    for L, n_focal in ((4.5, 1), (7.0, 2)):
+        sol = arcs[L]
+        data = index_data(model, sol)
+        closed = np.pi / L * np.arange(1, n_focal + 1)
+        rep = focal_points(data)
+        assert [mu for _, mu in rep.focal_list] == [2] * n_focal, L
+        assert np.max(np.abs([t for t, _ in rep.focal_list] - closed)) < 1e-8, L
+        brep = bfocal_points(model, sol)
+        assert [mu for _, mu in brep.focal_list] == [2] * n_focal, L
+        assert np.max(np.abs(sorted(1.0 - t for t, _ in brep.focal_list) - closed)) < 1e-6, L
+        assert rep.geometric_index == brep.geometric_index == 2 * n_focal
+        assert restricted_index_report(data, 80) == (2 * n_focal,) * 3
+
+
+def test_focal_scan_refuses_a_counterclockwise_passage(models, cylinder_long_arc, monkeypatch):
+    # handed (X, -P), the scan sees every eigenvalue of W turn the other way round -1
+    import brachkit.jacobi as jacobi
+    basis = jacobi._jacobi_basis
+
+    def reflected(data):
+        m = data.confgeom.m
+        sign = np.append(np.tile(np.repeat([1.0, -1.0], m), m), 1.0)   # DJ of each row, not t
+        lane = basis(data)
+        return lambda t: lane(t) * sign
+
+    monkeypatch.setattr(jacobi, "_jacobi_basis", reflected)
+    with pytest.raises(ConstraintViolated, match="counterclockwise at t = 0.698"):
+        focal_points(index_data(models["einstein_cylinder"], cylinder_long_arc, 400))
+
+
+def test_focal_scan_density_stability(models, cylinder_long_arc, r_s3_arcs):
+    s3, arcs = r_s3_arcs
+    for data, mults in ((index_data(models["einstein_cylinder"], cylinder_long_arc, 400), [1]),
+                        (index_data(s3, arcs[7.0], 400), [2, 2])):
+        a = focal_points(data, n_scan=500)
+        b = focal_points(data, n_scan=2000)
+        assert [mu for _, mu in a.focal_list] == [mu for _, mu in b.focal_list] == mults
+        assert np.max(np.abs(np.subtract(a.focal_list, b.focal_list))) < 1e-8
 
 
 def test_map_L_at_zero_matches_dD(models, solutions):
@@ -550,9 +583,8 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
 
 
 def test_focal_scan_leaves_the_spline_to_its_cache(models, cylinder_long_arc):
-    # scipy's root finders leave the functions they are given in reference
-    # cycles: the focal scan reads the spline weakly, so it goes with its cache
-    # rather than at a full collection (the Jacobi lane leaves no cycle)
+    # the focal scan leaves no reference cycle: the spline goes with its cache,
+    # not at a full collection
     import gc
     import weakref
 

@@ -11,8 +11,8 @@ from scipy.integrate import solve_ivp
 
 import brachkit.bvp as bvp
 from brachkit.bvp import (ObserverWorldline, ShootingProblem, _integrate, _newton,
-                          _residual_vector, _solve_starts, _sphere_direction, _survey_starts,
-                          multistart_survey, shoot)
+                          _residual_vector, _solve_starts, _sphere_chart, _sphere_direction,
+                          _survey_starts, multistart_survey, shoot)
 from brachkit.cli import run_scenario
 from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _max_step,
                                brachistochrone_acceleration, initial_velocity,
@@ -455,7 +455,7 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
     """The damped Newton iteration with one shot per yield, as it was before the
     line-search trials were speculated; ``events`` collects what the line search met."""
     model, cfg = problem.model, problem.config
-    center = horizontal_unit(model, problem.p, guess[0])
+    chart = _sphere_chart(problem, horizontal_unit(model, problem.p, guess[0]))
     ndim = model.m - 1
 
     def launch(x, ctr):
@@ -470,14 +470,14 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
 
     x = np.zeros(ndim)
     x[-1] = float(guess[1])
-    r = residual((yield [launch(x, center)])[0])
+    r = residual((yield [launch(x, chart)])[0])
     for _ in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
         # a fresh Jacobian at every iterate
         dxs = cfg.fd_step * (1.0 + np.abs(x))
-        ends = yield [launch(x + dx * e, center) for dx, e in zip(dxs, np.eye(ndim))]
+        ends = yield [launch(x + dx * e, chart) for dx, e in zip(dxs, np.eye(ndim))]
         jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
         step = np.linalg.solve(jac, -r)
         turn = float(np.linalg.norm(step[:-1]))
@@ -491,7 +491,7 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
                 lam *= 0.5
                 continue
             try:
-                r_new = residual((yield [launch(x_new, center)])[0])
+                r_new = residual((yield [launch(x_new, chart)])[0])
             except (BrachkitError, ValueError):
                 events.add("failed shot")
                 lam *= 0.5
@@ -502,13 +502,13 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
         else:
             raise NoConvergence(f"line search stalled at residual {rn:.3e}")
         events.add("damped" if lam < 1.0 else "full")
-        center = _sphere_direction(problem, center, x_new[:-1])
+        chart = _sphere_chart(problem, _sphere_direction(problem, chart, x_new[:-1]))
         x = x_new.copy()
         x[:-1] = 0.0
         r = r_new
     else:
         raise NoConvergence(f"no convergence after {cfg.max_newton} iterations")
-    return center, float(x[-1])
+    return chart[0], float(x[-1])
 
 
 def _drive(newton, problem):
@@ -635,9 +635,9 @@ def test_newton_trials_turn_the_launch_at_most_45_degrees(cylinder_survey, monke
     prob, starts = cylinder_survey
     turns = []
 
-    def recording(problem, center, coeffs):
+    def recording(problem, chart, coeffs):
         turns.append(float(np.linalg.norm(coeffs)))
-        return _sphere_direction(problem, center, coeffs)
+        return _sphere_direction(problem, chart, coeffs)
 
     monkeypatch.setattr(bvp, "_sphere_direction", recording)
     results, _ = _solve_starts(prob, [starts[11], starts[17]])
@@ -735,8 +735,8 @@ def test_worldlines_compare_and_hash_by_identity(models):
 def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
     # one of these three starts fails and line-search trials raise
     # stored arrival exceptions: neither may tie frames, generators or
-    # solutions into reference cycles (the root finders of the index
-    # attachment's focal scan make scipy's own, ignored here)
+    # solutions into reference cycles, and the survey leaves no cyclic
+    # garbage of any other kind either
     import gc
     import os
     import types
@@ -765,10 +765,12 @@ def test_survey_leaves_no_brachkit_object_in_cyclic_garbage(models):
         del res
         gc.collect()
         left = [obj for obj in gc.garbage if ours(obj)]
+        others = len(gc.garbage) - len(left)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+    assert others == 0
 
 
 @pytest.mark.parametrize("solve", ["brachistochrone", "conformal_geodesic", "shoot",
