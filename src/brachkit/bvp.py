@@ -24,11 +24,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
 from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
                        integrate_brachistochrone, shot_endpoints, _launch_velocity)
+from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import BrachkitError, NoConvergence
 from .geometry import (SpacetimeModel, curve_distance, horizontal_unit, require_adapted_chart,
                        _coords, _frame_through, _horizontal_frame, _riemannian)

@@ -3,11 +3,11 @@ and quadrature helpers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, GridTooCoarse
 from .geometry import SpacetimeModel, connection_coeffs, _inner
@@ -61,11 +61,11 @@ class Curve:
     def m(self) -> int:
         return self.points.shape[1]
 
-    def point_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.points, axis=0)
+    def point_spline(self) -> _CubicSpline:
+        return _CubicSpline(self.grid, self.points)
 
-    def velocity_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.velocities, axis=0)
+    def velocity_spline(self) -> _CubicSpline:
+        return _CubicSpline(self.grid, self.velocities)
 
     def reversed(self) -> "Curve":
         """Direction reversal t -> 1 - t."""
@@ -102,35 +102,218 @@ class FieldAlongCurve:
                                derivatives=der)
 
 
+# ---------------------------------------------------------------------------
+# Cubic splines of node data
+
+class _Reduction:
+    """Odd-even cyclic reduction of a tridiagonal matrix (Buzbee, Golub & Nielson 1970),
+    made once and applied to any number of right-hand sides.
+
+    Row i has ``lower[i]`` left of the diagonal, ``diag[i]`` on it and ``upper[i]`` right
+    of it (``lower[0]`` and ``upper[-1]`` are not read).  Each level eliminates the odd
+    rows from the even ones; nothing is pivoted, so the matrix must be diagonally
+    dominant or symmetric positive definite.  A solve is elementwise across the columns
+    of its right-hand side: each column's solution is that of the column alone."""
+
+    def __init__(self, lower, diag, upper):
+        a, b, c = (np.array(x, dtype=float) for x in (lower, diag, upper))
+        a[0] = c[-1] = 0.0
+        self.levels = []   # per level: its rows' stride, the even rows' multipliers, the odd rows
+        stride = 1
+        while b.size > 1:
+            ne, no = (b.size + 1) // 2, b.size // 2
+            ao, bo, co = a[1::2], b[1::2], c[1::2]
+            al, ga = -a[2::2] / bo[:ne - 1], -c[0::2][:no] / bo   # even row j takes al[j - 1]
+            a, b, c = np.zeros(ne), b[0::2].copy(), np.zeros(ne)  # times odd row j - 1 and
+            b[1:] += al * co[:ne - 1]                               # ga[j] times odd row j
+            b[:no] += ga * ao
+            a[1:], c[:no] = al * ao[:ne - 1], ga * co
+            cols = tuple(x[:, None] for x in (al, ga, ao, co[:ne - 1], bo))
+            self.levels.append((stride,) + cols)
+            stride *= 2
+        self.last = b[0]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The solution for the right-hand sides r, shape (rows, columns).  A level's rows
+        are every stride-th row of one array, reduced in place and then solved in place."""
+        x = np.array(r, dtype=float)
+        for stride, al, ga, _, _, _ in self.levels:
+            even, odd = x[::2 * stride], x[stride::2 * stride]
+            even[1:] += al * odd[:al.shape[0]]
+            even[:ga.shape[0]] += ga * odd
+        x[0] /= self.last
+        for stride, _, _, ao, co, bo in reversed(self.levels):
+            even, odd = x[::2 * stride], x[stride::2 * stride]
+            odd -= ao * even[:bo.shape[0]]
+            odd[:co.shape[0]] -= co * even[1:]
+            odd /= bo
+        return x
+
+
+_REDUCTIONS = {}       # the reduced spline matrix of each grid (by its bytes), the latest few
+_REDUCTIONS_KEPT = 8
+
+
+def _spline_reduction(x: np.ndarray) -> _Reduction:
+    """The reduction of the slope equations at the interior nodes of grid x, the not-a-knot
+    rows folded into their neighbours: a diagonally dominant matrix that x alone fixes."""
+    key = x.tobytes()
+    red = _REDUCTIONS.get(key)
+    if red is None:
+        h = np.diff(x)
+        diag = 2.0 * (h[:-1] + h[1:])
+        diag[0], diag[-1] = x[2] - x[0], x[-1] - x[-3]
+        red = _Reduction(h[1:], diag, h[:-1])
+        if len(_REDUCTIONS) >= _REDUCTIONS_KEPT:
+            del _REDUCTIONS[next(iter(_REDUCTIONS))]
+        _REDUCTIONS[key] = red
+    return red
+
+
+class _Pieces:
+    """A piecewise polynomial in columns, each column on its own.
+
+    ``c[:, i]``, shape (degree + 1, columns), is the piece from ``knots[i]`` in powers of
+    t - knots[i], highest first.  The last row continues the last piece from the last
+    knot, so every knot, the last one included, reads its own row's constant term: the
+    node value, exactly.  A t outside the knots is read off the first or the last piece.
+    ``shape`` is the trailing shape of the values, whose columns are flattened."""
+
+    def __init__(self, knots: np.ndarray, c: np.ndarray, shape: tuple):
+        self.knots, self.c, self.shape = knots, c, shape
+        self._right = knots[1:]
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative at t, shape ``np.shape(t) + shape``."""
+        out = self.columns(t, nu)
+        return out.reshape(out.shape[:-1] + self.shape)
+
+    def columns(self, t, nu: int = 0, cols: slice | None = None) -> np.ndarray:
+        """The nu-th derivative (nu below the degree) of the columns ``cols`` (all by
+        default) at t, shape ``np.shape(t) + (columns,)``, in Horner steps elementwise: no
+        product mixes columns, so a column's value is that of its spline alone.  A t of
+        one point is read off a view of its piece's row, with no gather."""
+        t = np.asarray(t, dtype=float)
+        c = self.c if cols is None else self.c[:, :, cols]
+        if t.size == 1:
+            tt = t.item()
+            i = self._right.searchsorted(tt, side="right")
+            x, rows = tt - self.knots[i], c[:, i]
+        else:
+            i = self._right.searchsorted(t, side="right")
+            x = (t - self.knots[i])[..., None]
+            rows = c.take(i, axis=1) if cols is None else c[:, i]
+        deg = self.c.shape[0] - 1 - nu   # the derivative's degree
+        if nu:
+            rows = [rows[j] * math.perm(deg + nu - j, nu) for j in range(deg)] + [
+                rows[deg] * math.factorial(nu)]
+        out = rows[0] * x
+        for j in range(1, deg):
+            out += rows[j]
+            out *= x
+        out += rows[deg]
+        return out.reshape(t.shape + out.shape[-1:])
+
+    def at_knots(self, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative at each knot, read off the rows."""
+        vals = self.c[-1 - nu] * math.factorial(nu)
+        return vals.reshape(self.knots.shape + self.shape)
+
+    def antiderivative(self) -> "_Pieces":
+        """The antiderivative that vanishes at the first knot: at each knot, the sum of the
+        integrals of the pieces before it."""
+        deg = self.c.shape[0] - 1
+        c = np.empty((deg + 2,) + self.c.shape[1:])
+        c[:-1] = self.c / np.arange(deg + 1, 0, -1)[:, None, None]
+        h = np.diff(self.knots)[:, None]
+        piece = c[0, :-1].copy()
+        for j in range(1, deg + 1):
+            piece *= h
+            piece += c[j, :-1]
+        piece *= h
+        c[-1, 0] = 0.0
+        np.cumsum(piece, axis=0, out=c[-1, 1:])
+        return _Pieces(self.knots, c, self.shape)
+
+    def integrate(self, a, b) -> np.ndarray:
+        """The integral from a to b."""
+        anti = self.antiderivative()
+        return anti(b) - anti(a)
+
+
+class _CubicSpline(_Pieces):
+    """The not-a-knot cubic spline of node data (de Boor, *A Practical Guide to Splines*,
+    ch. IV): ``values`` along axis 0 at the nodes of ``grid``, any trailing shape.
+
+    The slopes at the nodes solve one tridiagonal system.  Folding each not-a-knot row
+    into its neighbour leaves a diagonally dominant system for the interior slopes,
+    solved by the grid's ``_Reduction``; the end slopes follow.  Every step is
+    elementwise across the columns.  Three nodes give the parabola through them; fewer
+    raise GridTooCoarse."""
+
+    def __init__(self, grid, values):
+        x = np.asarray(grid, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.size < 3:
+            raise GridTooCoarse("a cubic spline needs at least 3 nodes")
+        shape, y = y.shape[1:], y.reshape(x.size, -1)
+        h = np.diff(x)[:, None]
+        slope = np.diff(y, axis=0) / h
+        s = np.empty_like(y)
+        if x.size == 3:
+            s[1] = (h[1] * slope[0] + h[0] * slope[1]) / (x[2] - x[0])
+            s[0], s[2] = 2.0 * slope[0] - s[1], 2.0 * slope[1] - s[1]
+        else:
+            d, e = x[2] - x[0], x[-1] - x[-3]
+            r = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+            first = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
+            last = (h[-1] ** 2 * slope[-2] + (2.0 * e + h[-1]) * h[-2] * slope[-1]) / e
+            r[0] -= first
+            r[-1] -= last
+            s[1:-1] = _spline_reduction(x).solve(r)
+            s[0] = (first - d * s[1]) / h[1]
+            s[-1] = (last - e * s[-2]) / h[-2]
+        t = (s[:-1] + s[1:] - 2.0 * slope) / h
+        c = np.empty((4,) + y.shape)
+        c[0, :-1] = t / h
+        c[1, :-1] = (slope - s[:-1]) / h - t
+        c[0, -1] = c[0, -2]
+        c[1, -1] = c[1, -2] + 3.0 * c[0, -2] * h[-1]
+        c[2], c[3] = s, y
+        super().__init__(x, c, shape)
+
+
 class _NodeSpline:
     """Named per-node arrays as the columns of one cubic spline on their grid.
 
-    Each column's values and derivatives are bit-identical to those of a
-    spline of that quantity alone, except that the values at the last knot are
-    the node values: every other knot starts a cubic and reads its node value
-    exactly, the last one is the right end of the last cubic.
-    """
+    Each part's values and derivatives are bit-identical to those of a spline of that
+    part alone."""
 
     def __init__(self, grid: np.ndarray, parts: dict):
         self._layout = {}
         start = 0
         for name, arr in parts.items():
             width = arr[0].size
-            self._layout[name] = (slice(start, start + width), arr.shape[1:])
+            self._layout[name] = (start, start + width, arr.shape[1:])
             start += width
-        columns = np.hstack([arr.reshape(grid.size, -1) for arr in parts.values()])
-        self._spl = CubicSpline(grid, columns, axis=0)
-        self._end = (grid[-1], columns[-1].copy())  # a view would keep all columns alive
+        self._spl = _CubicSpline(grid, np.hstack([arr.reshape(grid.size, -1)
+                                                  for arr in parts.values()]))
+        self._spans = {}   # by tuple of names: the columns they span, each one's columns in them
 
-    def sample(self, t, nu: int = 0) -> dict:
-        """The arrays' nu-th derivatives at parameter(s) t, as views into one evaluation."""
-        vals = self._spl(t, nu)
-        if nu == 0:
-            end, at_end = self._end
-            vals[np.asarray(t) == end] = at_end
+    def sample(self, t, nu: int = 0, names: tuple | None = None) -> dict:
+        """The nu-th derivatives at parameter(s) t of the arrays ``names`` (all of them by
+        default), as views into one evaluation of the columns they span."""
+        if names not in self._spans:
+            layout = {name: self._layout[name] for name in names or self._layout}
+            lo = min(start for start, _, _ in layout.values())
+            hi = max(stop for _, stop, _ in layout.values())
+            self._spans[names] = (None if names is None else slice(lo, hi),
+                                  {name: (slice(start - lo, stop - lo), shape)
+                                   for name, (start, stop, shape) in layout.items()})
+        cols, layout = self._spans[names]
+        vals = self._spl.columns(t, nu, cols)
         lead = vals.shape[:-1]
-        return {name: vals[..., sl].reshape(lead + shape)
-                for name, (sl, shape) in self._layout.items()}
+        return {name: vals[..., sl].reshape(lead + shape) for name, (sl, shape) in layout.items()}
 
 
 def covariant_nodes(c: Curve, gamma: np.ndarray, f: FieldAlongCurve) -> np.ndarray:
@@ -138,11 +321,11 @@ def covariant_nodes(c: Curve, gamma: np.ndarray, f: FieldAlongCurve) -> np.ndarr
 
     ``gamma`` may be Lorentzian or conformal.  The stored exact values are
     returned when f carries them; otherwise the derivative of the nodal cubic
-    spline of f plus Gamma(c', f).
+    spline of f (its slopes at the nodes) plus Gamma(c', f).
     """
     if f.derivatives is not None:
         return f.derivatives
-    return (CubicSpline(c.grid, f.values, axis=0)(c.grid, 1)
+    return (_CubicSpline(c.grid, f.values).at_knots(1)
             + np.einsum("nabc,nb,nc->na", gamma, c.velocities, f.values))
 
 
@@ -179,13 +362,13 @@ def field_integral(model: SpacetimeModel, c: Curve, f: FieldAlongCurve,
 
 def grid_integral(grid: np.ndarray, vals: np.ndarray) -> float:
     """Spline quadrature of nodal samples (fourth-order accurate)."""
-    return float(CubicSpline(grid, vals).integrate(grid[0], grid[-1]))
+    return float(_CubicSpline(grid, vals).integrate(grid[0], grid[-1]))
 
 
 def cumulative_integral(grid: np.ndarray, vals: np.ndarray, t0: float | None = None) -> np.ndarray:
     """F(t_i) = int_{t0}^{t_i} of the nodal spline of vals, off its antiderivative; t0 = grid[0]."""
-    anti = CubicSpline(grid, vals).antiderivative()
-    return anti(grid) - anti(grid[0] if t0 is None else t0)
+    anti = _CubicSpline(grid, vals).antiderivative()
+    return anti.at_knots() - anti(grid[0] if t0 is None else t0)
 
 
 def sine_bumps(grid: np.ndarray, coeffs) -> tuple:

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
-from scipy.optimize import minimize_scalar
 
 from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution, ode_lanes
+from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
 from .geometry import (SpacetimeModel, _coords, _horizontal_frame, _inner, _require_horizontal,
@@ -94,11 +93,11 @@ def _clock_lane(rhs, x0, t0: float, t1: float, what: str):
 
 def _coeffs_at(spline: _NodeSpline, t) -> dict:
     """The linearized equation's coefficients at t, off ``SolutionGeometry.spline``: nabla Y
-    (``K``) and ``dK`` are Gamma[..., -1] and its derivative, contiguous as a product's bits
-    depend on layout; Y = e_last and <Y,Y> = g[..., -1, -1], a float at a scalar t."""
+    (``K``) and ``dK``, its derivative, contiguous as a product's bits depend on layout;
+    Y = e_last and <Y,Y> = g[..., -1, -1], a float at a scalar t."""
     d = spline.sample(t)
-    d["K"] = np.ascontiguousarray(d["gamma"][..., -1])
-    d["dK"] = np.ascontiguousarray(spline.sample(t, 1)["gamma"][..., -1])
+    d["K"] = np.ascontiguousarray(d["K"])
+    d["dK"] = np.ascontiguousarray(spline.sample(t, 1, ("K",))["K"])
     d["y"] = np.eye(d["g"].shape[-1])[-1]
     d["N"] = d["g"][..., -1, -1][()]
     return d
@@ -272,7 +271,7 @@ def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
         has P_a^-1 X_a symmetric with eigenvalues cot((theta - a) / 2), read as singular values:
         the package runs no eigenvalue driver of LAPACK, whose code would take more memory."""
         JD = lane(t)[..., :-1].reshape(t.shape + (m, 2 * m))
-        L = np.linalg.cholesky(spline.sample(t)["gt"])
+        L = np.linalg.cholesky(spline.sample(t, names=("gt",))["gt"])
         X, P = JD[..., :m] @ L, JD[..., m:] @ L
         a, far = 0.0, 0.0
         for cut in cuts:
@@ -370,6 +369,8 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     rank drop of the endpoint map of the linearized equation, read off one
     backward propagator (``_endpoint_rows``) per solution.
     """
+    from scipy.optimize import minimize_scalar   # here, so that only this refinement loads scipy
+
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical("focal analysis requires a critical curve")
     riem = focal_points(index_data(model, sol))

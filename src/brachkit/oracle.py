@@ -12,10 +12,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solveh_banded
 
-from .curves import Curve, cumulative_integral, sine_bumps
+from .curves import Curve, _CubicSpline, _Reduction, cumulative_integral, sine_bumps
 from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
 from .errors import OutsideUk, Stalled
@@ -150,12 +148,10 @@ class _PolylineObjective:
                     f"gradient check failed at dof {j}: analytic {g[j]:.3e} vs fd {fd:.3e}")
 
 
-def _h1_preconditioner(n_seg):
-    """The discrete H1 form (-1, 2, -1) / dt on interior nodes, as ``solveh_banded`` takes it."""
-    ab = np.zeros((2, n_seg - 1))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    return ab * n_seg  # scale by 1/dt
+def _h1_preconditioner(n_seg) -> _Reduction:
+    """The discrete H1 form (-1, 2, -1) / dt on interior nodes, reduced for its solves."""
+    off = np.full(n_seg - 1, -1.0 * n_seg)
+    return _Reduction(off, np.full(n_seg - 1, 2.0 * n_seg), off)
 
 
 def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: int,
@@ -184,14 +180,14 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     x = init_nodes[1:-1].ravel().copy()
     obj.validate_gradient(x)
 
-    ab = _h1_preconditioner(n_seg)
+    h1 = _h1_preconditioner(n_seg)
     energy = obj.energy(x)
     for it in range(max_iters):
         g = obj.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn < gtol:
             break
-        d = -solveh_banded(ab, g.reshape(n_seg - 1, m)).ravel()
+        d = -h1.solve(g.reshape(n_seg - 1, m)).ravel()
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g
@@ -216,9 +212,7 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     nodes = obj.nodes(x)
     # horizontal lift of the quotient polyline: reconstruct nodal velocities
     grid = np.linspace(0.0, 1.0, n_seg + 1)
-    spline = CubicSpline(grid, nodes, axis=0)
-    vels = spline(grid, 1)
-    vels = horizontal_part(model, nodes, vels)
+    vels = horizontal_part(model, nodes, _CubicSpline(grid, nodes).at_knots(1))
     poly = Curve(grid=grid, points=nodes, velocities=vels)
     raw = conformal_energy(model, k, poly)
     return DiscreteCandidate(polyline=poly, T_estimate=float(np.sqrt(2.0 * raw)),
@@ -272,13 +266,13 @@ def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution
         _riemannian(g), flat.velocities, flat.velocities), 0.0))
     ell = cumulative_integral(flat.grid, speeds)
     total = ell[-1]
-    t_of_ell = CubicSpline(ell, flat.grid)
+    t_of_ell = _CubicSpline(ell, flat.grid)
     new_grid = flat.grid
     t_src = t_of_ell(total * new_grid)
     t_src[0], t_src[-1] = 0.0, 1.0
     pspl = flat.point_spline()
     pts = pspl(t_src)
-    rate = total / CubicSpline(flat.grid, speeds)(t_src)
+    rate = total / _CubicSpline(flat.grid, speeds)(t_src)
     vels = pspl(t_src, 1) * rate[:, None]
     const_speed = Curve(grid=new_grid, points=pts, velocities=vels)
     return lift_G(model, sol.k, const_speed)

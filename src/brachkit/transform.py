@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # unused here; bench/spans.py wraps this binding
 
 from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covariant_nodes,
                      cumulative_integral, grid_integral)
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
+from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import ConstraintViolated, FlowEscape
 from .geometry import (SpacetimeModel, connection_coeffs, conservation_residuals,
                        curve_distance, isometry_defect, require_adapted_chart,

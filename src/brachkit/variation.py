@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
 
-from .curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_nodes, cumulative_integral,
-                     grid_integral, sine_bumps)
+from .curves import (Curve, FieldAlongCurve, _CubicSpline, _NodeSpline, covariant_nodes,
+                     cumulative_integral, grid_integral, sine_bumps)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
 from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NotCritical,
                      NotGeodesic, NotNormal, NotTangentToGamma)
@@ -71,7 +69,8 @@ class SolutionGeometry:
     """Per-node Lorentzian data along a solution curve, computed once.
 
     ``spline`` holds Gamma, g, sigma', RM1 and RM2, the coefficients of the linearized
-    equation (nabla Y = Gamma[..., -1], Y = e_last, <Y,Y> = g[..., -1, -1])."""
+    equation (Y = e_last, <Y,Y> = g[..., -1, -1]), and nabla Y = Gamma[..., -1] (``K``)
+    on its own, whose derivative is read alone."""
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution):
         self.model = model
@@ -96,7 +95,7 @@ class SolutionGeometry:
     def spline(self) -> _NodeSpline:
         return _NodeSpline(self.sol.sigma.grid, dict(gamma=self.gamma, g=self.g,
                                                      v=self.sol.sigma.velocities,
-                                                     RM1=self.RM1, RM2=self.RM2))
+                                                     RM1=self.RM1, RM2=self.RM2, K=self.K))
 
 
 @dataclass
@@ -319,6 +318,7 @@ class HessianMatrix:
     eps_eig: float
 
     def eigenvalues(self) -> np.ndarray:
+        from scipy.linalg import eigh
         return eigh(self.entries, eigvals_only=True)
 
 
@@ -408,7 +408,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
         at_nodes = data.spline.sample(nodes)
         frames_nodes = _frame_perp(at_nodes["g"], at_nodes["v"], drop_velocity)
         keep = frames_nodes.shape[1]
-        fr_spl = CubicSpline(nodes, frames_nodes.reshape(nodes.size, -1), axis=0)
+        fr_spl = _CubicSpline(nodes, frames_nodes.reshape(nodes.size, -1))
         frames_q = fr_spl(tq).reshape(nq, keep, m)
         dframes_q = fr_spl(tq, 1).reshape(nq, keep, m)
 
@@ -430,7 +430,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
         # Y-components reconstructed from the tangency condition, vanishing at
         # the event end: one antiderivative over all fields, read where needed
         lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
-        lam = CubicSpline(fine, lam_rate_f, axis=0).antiderivative()
+        lam = _CubicSpline(fine, lam_rate_f).antiderivative()
         lam_1 = lam(1.0)
         lam_q = (lam(tq) - lam_1).T[:, :, None]
         lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
@@ -449,6 +449,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     Hmat = Hmat + _boundary_2ff(data, V0s, V0s)
     Hmat = 0.5 * (Hmat + Hmat.T)
 
+    from scipy.linalg import eigh   # here, so that commands without a Hessian load no scipy
     evals = eigh(Hmat, eigvals_only=True)
     scale = float(np.max(np.abs(evals))) if evals.size else 1.0
     eps = 1e-6 * scale

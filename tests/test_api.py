@@ -34,8 +34,7 @@ def test_package_imports_resolve():
 
 
 # bench/spans.py wraps each of these modules' own ``solve_ivp`` binding by name
-_UNUSED_FOR_BENCH = {("bvp", "solve_ivp"), ("dynamics", "solve_ivp"), ("jacobi", "solve_ivp"),
-                     ("transform", "solve_ivp")}
+_UNUSED_FOR_BENCH = {("bvp", "solve_ivp"), ("jacobi", "solve_ivp"), ("transform", "solve_ivp")}
 
 
 def test_modules_use_every_name_they_import():

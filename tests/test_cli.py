@@ -319,3 +319,35 @@ def test_invalid_model_params_is_config_error(tmp_path, caplog):
         assert code == 2, params
         assert any("configuration error" in rec.getMessage() for rec in caplog.records), params
         assert not (tmp_path / "error.json").exists()
+
+
+def test_commands_load_no_scipy(tmp_path, models, solutions):
+    # a fresh interpreter imports the front end and runs solve, shoot, verify and
+    # oracle without loading any scipy module
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import brachkit
+    from brachkit.transform import deform_D
+
+    anchor = deform_D(models["static_well"], solutions["static_well"]).points[-1]
+    cfg = {"model": {"name": "static_well", "params": {"a": 1.0}}, "k": 2.0,
+           "p": [0.2, 0.0, 0.0], "gamma_anchor": anchor.tolist(),
+           "solve": {"u": [1.0, 0.2, 0.0], "T": 0.5},
+           "shoot": {"guess_u": [1.0, 0.2, 0.0], "guess_T": 0.5},
+           "verify": {"solution": "solution.json"},
+           "oracle": {"n_segments": 40}}
+    script = ("import json, sys\n"
+              "from brachkit.cli import run_scenario\n"
+              f"cfg = json.loads({json.dumps(json.dumps(cfg))})\n"
+              "for command in ('solve', 'shoot', 'verify', 'oracle'):\n"
+              f"    run_scenario(cfg, command, {str(tmp_path)!r})\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    src = str(Path(brachkit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+    for name in ("solution.json", "verify.json", "oracle.json"):
+        assert (tmp_path / name).is_file(), name

@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from brachkit.curves import (Curve, FieldAlongCurve, _NodeSpline, covariant_derivative_along,
-                             curve_from_csv, curve_from_json_dict, curve_to_csv,
-                             curve_to_json_dict, cumulative_integral, field_integral,
-                             resample_curve)
+from brachkit.curves import (Curve, FieldAlongCurve, _CubicSpline, _NodeSpline,
+                             covariant_derivative_along, curve_from_csv, curve_from_json_dict,
+                             curve_to_csv, curve_to_json_dict, cumulative_integral,
+                             field_integral, resample_curve)
 from brachkit.errors import GridMismatch, GridTooCoarse
 from brachkit.geometry import connection_coeffs
 
@@ -147,7 +147,7 @@ def test_node_spline_columns_equal_separate_splines():
     parts = dict(q=rng.standard_normal((401, 3)), g=rng.standard_normal((401, 3, 3)),
                  gamma=rng.standard_normal((401, 3, 3, 3)), N=rng.standard_normal(401))
     fused = _NodeSpline(grid, parts)
-    alone = {name: CubicSpline(grid, arr, axis=0) for name, arr in parts.items()}
+    alone = {name: _CubicSpline(grid, arr) for name, arr in parts.items()}
     ts = np.concatenate([grid[::7], rng.uniform(0.0, 1.0, 50)])
     for nu in (0, 1):
         batch = fused.sample(ts, nu)
@@ -162,6 +162,46 @@ def test_node_spline_columns_equal_separate_splines():
     for name, arr in parts.items():
         assert np.array_equal(fused.sample(grid[-1])[name], arr[-1]), name
         assert np.array_equal(fused.sample(grid[-1:])[name], arr[-1:]), name
+    # a read of some parts evaluates only their columns, bit-identical to the full read
+    for names in (("g",), ("gamma",), ("q", "N"), ("g", "gamma")):
+        for t in (ts, ts[3], ts[3:4]):
+            for nu in (0, 1, 2):
+                some, full = fused.sample(t, nu, names), fused.sample(t, nu)
+                assert list(some) == list(names)
+                for name in names:
+                    assert np.array_equal(some[name], full[name]), (names, name, nu)
+
+
+def test_cubic_spline_matches_scipy():
+    # the numpy not-a-knot spline agrees with scipy's CubicSpline to 1e-13 of each
+    # quantity's largest value: values, first and second derivatives, integrals,
+    # antiderivatives and the reads at the nodes, on non-uniform grids
+    rng = np.random.default_rng(11)
+    for n, width in ((3, 2), (4, 1), (5, 3), (6, 78), (9, 2), (64, 9), (401, 78), (801, 3)):
+        grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))])
+        grid /= grid[-1]
+        vals = rng.standard_normal((n, width))
+        ours, ref = _CubicSpline(grid, vals), CubicSpline(grid, vals, axis=0)
+        ts = np.concatenate([grid, rng.uniform(0.0, 1.0, 40)])
+
+        def close(got, want, what):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (n, width, what)
+
+        for nu in (0, 1, 2):
+            close(ours(ts, nu), ref(ts, nu), nu)
+            close(ours(0.37, nu), ref(0.37, nu), (nu, "scalar"))
+        close(ours.at_knots(), ref(grid), "nodes")
+        close(ours.at_knots(1), ref(grid, 1), "node slopes")
+        close(ours.antiderivative()(ts), ref.antiderivative()(ts), "antiderivative")
+        close(ours.integrate(grid[0], grid[-1]), ref.integrate(grid[0], grid[-1]), "integral")
+        close(_CubicSpline(grid, vals[:, 0]).integrate(0.1, 0.8),
+              ref.integrate(0.1, 0.8)[0], "integral of 1-D data")
+        assert np.array_equal(ours.at_knots(), vals)   # the node values, the last one included
+        assert np.array_equal(ours(grid), vals)
+    for n in (0, 1, 2):   # three nodes give their parabola, fewer nothing
+        with pytest.raises(GridTooCoarse):
+            _CubicSpline(np.linspace(0.0, 1.0, n), np.ones(n))
 
 
 def test_cumulative_integral_from_any_lower_limit():

@@ -319,3 +319,22 @@ def test_dynamics_solves_no_ode_with_solve_ivp(models, tmp_path, monkeypatch):
         assert (tmp_path / command).is_dir()
     w = integrate_conformal_geodesic(models["minkowski3"], np.sqrt(2.0), np.zeros(3), [1.0, 0, 0])
     assert np.allclose(w.points[-1], [1.0, 0.0, 0.0])
+
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    # the literal tableau equals every coefficient of scipy's DOP853, bit for bit
+    from scipy.integrate import DOP853
+
+    import brachkit.dynamics as dynamics
+
+    S = DOP853.n_stages
+    assert dynamics._S == S and len(dynamics._A) == S
+    for s in range(S):
+        assert dynamics._A[s].tobytes() == DOP853.A[s, :s].tobytes(), s
+    assert len(dynamics._A_EXTRA) == len(DOP853.A_EXTRA)
+    for s, row in enumerate(dynamics._A_EXTRA, start=S + 1):
+        assert row.tobytes() == DOP853.A_EXTRA[s - S - 1, :s].tobytes(), s
+    for mine, theirs in ((dynamics._B, DOP853.B), (dynamics._E5, DOP853.E5),
+                         (dynamics._E3, DOP853.E3), (dynamics._D, DOP853.D),
+                         (dynamics._E, np.stack([DOP853.E5, DOP853.E3]))):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()

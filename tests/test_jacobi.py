@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+from brachkit.curves import _CubicSpline
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
@@ -334,8 +335,7 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
     # the coefficients of the linearized equation, read off SolutionGeometry's
     # one spline, reproduce bit for bit a separate cubic spline of each
     # quantity: nabla Y as Gamma[..., -1] and its t-derivative, Y as the
-    # constant e_last and <Y,Y> as g[..., -1, -1]; at the last knot, where a
-    # spline's value is the right end of its last cubic, they are the node values
+    # constant e_last and <Y,Y> as g[..., -1, -1], the last knot included
     for name, sol in (("rotating_frame", solutions["rotating_frame"]),
                       ("minkowski4", solutions["minkowski4"]),
                       ("einstein_cylinder", cylinder_long_arc)):
@@ -344,27 +344,21 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
         grid = sol.sigma.grid
         arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y,
                       v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
-        separate = {key: CubicSpline(grid, arr, axis=0) for key, arr in arrays.items()}
-
-        def spline(key, t):
-            out = separate[key](t)
-            out[np.asarray(t) == grid[-1]] = arrays[key][-1]
-            return out
-
+        separate = {key: _CubicSpline(grid, arr) for key, arr in arrays.items()}
         ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
         for t in ts:
             d = _coeffs_at(geom.spline, t)
             for key in arrays:
-                assert np.array_equal(d[key], spline(key, t)), (name, key, t)
+                assert np.array_equal(d[key], separate[key](t)), (name, key, t)
             assert np.array_equal(d["dK"], separate["K"](t, 1)), (name, t)
         assert isinstance(d["N"], float)
         batch = geom.spline.sample(ts)
         for key in ("gamma", "g", "v", "RM1", "RM2"):
-            assert np.array_equal(batch[key], spline(key, ts)), (name, key)
-        assert np.array_equal(batch["gamma"][..., -1], spline("K", ts)), name
+            assert np.array_equal(batch[key], separate[key](ts)), (name, key)
+        assert np.array_equal(batch["gamma"][..., -1], separate["K"](ts)), name
         assert np.array_equal(geom.spline.sample(ts, 1)["gamma"][..., -1],
                               separate["K"](ts, 1)), name
-        assert np.array_equal(batch["g"][..., -1, -1], spline("N", ts)), name
+        assert np.array_equal(batch["g"][..., -1, -1], separate["N"](ts)), name
         assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
                               separate["y"](ts)), name
 
@@ -556,7 +550,7 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
     # given the curve data, the full Hessian and the focal scan only sample
     # its spline; a restricted mode builds its frame spline and the spline
     # whose antiderivative is lambda, nothing else
-    init = CubicSpline.__init__
+    init = _CubicSpline.__init__
     built = []
 
     def counting(self, *args, **kwargs):
@@ -568,7 +562,7 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
         cg = conformal_geometry(model, sol.k)
         wrev = deform_D(model, sol, n_out=400).reversed()
         data = ConformalCurveData(cg, wrev)
-        monkeypatch.setattr(CubicSpline, "__init__", counting)
+        monkeypatch.setattr(_CubicSpline, "__init__", counting)
         for mode, expected in (("full", 0), ("horizontal", 2), ("perpendicular", 2)):
             built.clear()
             assemble_hessian(data, mode, 20)

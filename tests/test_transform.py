@@ -231,17 +231,17 @@ def test_constrained_family_recovers_base(models, solutions):
 def test_index_attachment_builds_four_splines(models, cylinder_long_arc, monkeypatch):
     # deform_D samples one spline of (points, velocities) and integrates its
     # rate once; the geodesic check and the curve cache build one each
-    from scipy.interpolate import CubicSpline
     from brachkit.bvp import _attach_indices
+    from brachkit.curves import _CubicSpline
 
-    init = CubicSpline.__init__
+    init = _CubicSpline.__init__
     built = []
 
     def counting(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(CubicSpline, "__init__", counting)
+    monkeypatch.setattr(_CubicSpline, "__init__", counting)
     assert _attach_indices(models["einstein_cylinder"], cylinder_long_arc) == (1, 0, 1)
     assert len(built) == 4
 
