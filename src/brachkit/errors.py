@@ -73,6 +73,10 @@ class FrameDegenerate(BrachkitError):
     pass
 
 
+class NonFiniteHessian(BrachkitError):
+    """A discretized Hessian holds a NaN or infinite entry, so it has no eigenvalues."""
+
+
 class FocalEndpoint(BrachkitError):
     """Index computation aborted: the Hessian is degenerate (focal endpoint)."""
 

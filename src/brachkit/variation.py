@@ -24,8 +24,8 @@ import numpy as np
 from .curves import (Curve, FieldAlongCurve, _CubicSpline, _NodeSpline, covariant_nodes,
                      cumulative_integral, grid_integral, sine_bumps)
 from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
-from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NotCritical,
-                     NotGeodesic, NotNormal, NotTangentToGamma)
+from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NonFiniteHessian,
+                     NotCritical, NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        conformal_factor_gradient, conformal_geometry, connection_coeffs,
                        horizontal_part, riemannian_metric_matrix, _conformal_connection,
@@ -318,8 +318,15 @@ class HessianMatrix:
     eps_eig: float
 
     def eigenvalues(self) -> np.ndarray:
-        from scipy.linalg import eigh
-        return eigh(self.entries, eigvals_only=True)
+        return _eigenvalues(self.entries)
+
+
+def _eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.  LAPACK returns numbers for a matrix
+    with a NaN entry, so a non-finite entry raises ``NonFiniteHessian`` first."""
+    if not np.isfinite(H).all():
+        raise NonFiniteHessian("the discretized Hessian has a non-finite entry")
+    return np.linalg.eigvalsh(H)
 
 
 def _frame_perp(g: np.ndarray, vels: np.ndarray, drop_velocity: bool) -> np.ndarray:
@@ -449,8 +456,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     Hmat = Hmat + _boundary_2ff(data, V0s, V0s)
     Hmat = 0.5 * (Hmat + Hmat.T)
 
-    from scipy.linalg import eigh   # here, so that commands without a Hessian load no scipy
-    evals = eigh(Hmat, eigvals_only=True)
+    evals = _eigenvalues(Hmat)
     scale = float(np.max(np.abs(evals))) if evals.size else 1.0
     eps = 1e-6 * scale
     n_neg = int(np.sum(evals < -eps))

@@ -66,3 +66,26 @@ def test_no_module_calls_solve_ivp():
                 if name == "solve_ivp":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_only_dynamics_solve_ivp_imports_scipy():
+    # no command loads scipy: its one import in the package sits inside
+    # dynamics.solve_ivp, which nothing calls (bench/spans.py wraps the name)
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((where, alias.name) for alias in child.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and not child.level \
+                    and child.module.split(".")[0] == "scipy":
+                found.append((where, child.module))
+            visit(child, where)
+
+    for path in sorted(Path(brachkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == [("dynamics.solve_ivp", "scipy.integrate")]

@@ -322,8 +322,10 @@ def test_invalid_model_params_is_config_error(tmp_path, caplog):
 
 
 def test_commands_load_no_scipy(tmp_path, models, solutions):
-    # a fresh interpreter imports the front end and runs solve, shoot, verify and
-    # oracle without loading any scipy module
+    # a fresh interpreter imports the front end and runs all seven commands without
+    # loading any scipy module: solve, shoot, verify, oracle and a survey of three
+    # starts on static_well, then jacobi (whose one focal point is refined) and
+    # index on the cylinder's 4.5 arc
     import subprocess
     import sys
     from pathlib import Path
@@ -332,22 +334,35 @@ def test_commands_load_no_scipy(tmp_path, models, solutions):
     from brachkit.transform import deform_D
 
     anchor = deform_D(models["static_well"], solutions["static_well"]).points[-1]
-    cfg = {"model": {"name": "static_well", "params": {"a": 1.0}}, "k": 2.0,
-           "p": [0.2, 0.0, 0.0], "gamma_anchor": anchor.tolist(),
-           "solve": {"u": [1.0, 0.2, 0.0], "T": 0.5},
-           "shoot": {"guess_u": [1.0, 0.2, 0.0], "guess_T": 0.5},
-           "verify": {"solution": "solution.json"},
-           "oracle": {"n_segments": 40}}
+    well = {"model": {"name": "static_well", "params": {"a": 1.0}}, "k": 2.0,
+            "p": [0.2, 0.0, 0.0], "gamma_anchor": anchor.tolist(),
+            "solve": {"u": [1.0, 0.2, 0.0], "T": 0.5},
+            "shoot": {"guess_u": [1.0, 0.2, 0.0], "guess_T": 0.5},
+            "verify": {"solution": "solution.json"},
+            "oracle": {"n_segments": 40},
+            "survey": {"n_starts": 3, "T_bracket": [0.3, 2.0], "seed": 7, "n_basis": 20}}
+    arc = {"model": {"name": "einstein_cylinder"}, "k": float(np.sqrt(2.0)),
+           "p": [np.pi / 2, 0.0, 0.0], "solve": {"u": [0.0, 1.0, 0.0], "T": 4.5},
+           "jacobi": {"solution": "solution.json"},
+           "index": {"solution": "solution.json", "n_basis": 20}}
+    runs = [(well, ("solve", "shoot", "verify", "oracle", "survey"), tmp_path / "well"),
+            (arc, ("solve", "jacobi", "index"), tmp_path / "arc")]
     script = ("import json, sys\n"
               "from brachkit.cli import run_scenario\n"
-              f"cfg = json.loads({json.dumps(json.dumps(cfg))})\n"
-              "for command in ('solve', 'shoot', 'verify', 'oracle'):\n"
-              f"    run_scenario(cfg, command, {str(tmp_path)!r})\n"
+              f"runs = json.loads({json.dumps(json.dumps([(c, k, str(d)) for c, k, d in runs]))})\n"
+              "for cfg, commands, out_dir in runs:\n"
+              "    for command in commands:\n"
+              "        run_scenario(cfg, command, out_dir)\n"
               "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     src = str(Path(brachkit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == []
-    for name in ("solution.json", "verify.json", "oracle.json"):
-        assert (tmp_path / name).is_file(), name
+    for name in ("solution.json", "verify.json", "oracle.json", "survey.json"):
+        assert (tmp_path / "well" / name).is_file(), name
+    survey = json.loads((tmp_path / "well" / "survey.json").read_text())
+    assert survey["count"] >= 1 and "index_morse" in survey["solutions"][0]
+    focal = json.loads((tmp_path / "arc" / "focal.json").read_text())
+    assert focal["geometric_index"] == 1
+    assert json.loads((tmp_path / "arc" / "index.json").read_text())["indices"]["full"] == 1

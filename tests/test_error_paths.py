@@ -1,19 +1,24 @@
 """Error classes raised on purpose by the geometry and index machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
 from brachkit import geometry as geo
+from brachkit import variation
+from brachkit.cli import main
 from brachkit.curves import Curve
 from brachkit.dynamics import (IntegratorConfig, brachistochrone_rhs, initial_velocity,
                                integrate_brachistochrone, integrate_conformal_geodesic,
                                shot_endpoints)
 from brachkit.bvp import ObserverWorldline
 from brachkit.errors import (FlowEscape, FocalEndpoint, FrameDegenerate, InvalidParams,
-                             NotGeodesic, StencilOutOfChart, StepFailure)
+                             NonFiniteHessian, NotGeodesic, StencilOutOfChart, StepFailure)
 from brachkit.models import ModelSpec, make_model
 from brachkit.transform import flow_points
-from brachkit.variation import ConformalCurveData, assemble_hessian, restricted_index_report
+from brachkit.variation import (ConformalCurveData, HessianMatrix, assemble_hessian,
+                                restricted_index_report)
 
 
 def test_fd_connection_stencil_leaves_chart():
@@ -78,6 +83,32 @@ def test_restricted_index_report_focal_endpoint(models):
     assert abs(mid - np.pi) < 0.05
     with pytest.raises(FocalEndpoint, match="mode 'full'"):
         restricted_index_report(data, 20)
+
+
+def test_non_finite_hessian_has_no_index(tmp_path, monkeypatch):
+    # LAPACK returns eigenvalues for a matrix with a NaN entry; the eigensolve
+    # refuses it, and the index command exits 3 with error.json and no index.json
+    H = np.array([[np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(NonFiniteHessian):
+        HessianMatrix("P1", H, 0, 0, 0.0).eigenvalues()
+    cfg = {"model": {"name": "einstein_cylinder"}, "k": float(np.sqrt(2.0)),
+           "p": [np.pi / 2, 0.0, 0.0], "solve": {"u": [0.0, 1.0, 0.0], "T": 4.5},
+           "index": {"solution": "solution.json", "n_basis": 20}}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(["solve"] + argv) == 0
+    boundary = variation._boundary_2ff
+
+    def poisoned(*args):
+        out = boundary(*args)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(variation, "_boundary_2ff", poisoned)
+    assert main(["index"] + argv) == 3
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "NonFiniteHessian"
+    assert not (tmp_path / "index.json").exists()
 
 
 def _flat3(g_tt=lambda t: np.full(np.shape(t), -1.0), chart=None):

@@ -7,8 +7,8 @@ from brachkit.curves import _CubicSpline
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
-from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
-                             _endpoint_rows, bfocal_points,
+from brachkit.jacobi import (_REFINE_WINDOW, _bfocal_singular_value, _bjacobi_rhs,
+                             _bounded_minimum, _coeffs_at, _endpoint_rows, bfocal_points,
                              focal_points, gamma_jacobi_basis, integrate_bjacobi,
                              integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
@@ -361,6 +361,31 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
         assert np.array_equal(batch["g"][..., -1, -1], separate["N"](ts)), name
         assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
                               separate["y"](ts)), name
+
+
+def test_bounded_minimum_is_scipys_bit_for_bit(models, cylinder_long_arc):
+    # the port of scipy's bounded Brent returns its x, f(x) and evaluation count
+    # exactly: a smooth bowl, a minimum at a bound, a flat minimum, flat stretches
+    # above the minimum (ties between points), and the refinement of the focal
+    # parameter of the cylinder 4.5 arc
+    from scipy.optimize import minimize_scalar
+
+    geom = SolutionGeometry(models["einstein_cylinder"], cylinder_long_arc)
+    rows = _endpoint_rows(geom)
+    tb = 1.0 - np.pi / 4.5
+    cases = {
+        "bowl": (lambda t: (t - 0.3) ** 2 * (1.0 + t), 0.0, 1.0),
+        "bound": (np.exp, -1.0, 2.0),
+        "flat": (lambda t: max(abs(t - 0.5) - 0.2, 0.0), 0.0, 1.0),
+        "shoulders": (lambda t: min(abs(t - 0.6), 0.1), 0.0, 1.0),
+        "focal": (lambda t: _bfocal_singular_value(geom, t, rows),
+                  tb - _REFINE_WINDOW, tb + _REFINE_WINDOW),
+    }
+    for name, (f, lo, hi) in cases.items():
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
+        x, fx, nfev = _bounded_minimum(f, lo, hi)
+        assert (x, fx, nfev) == (ref.x, ref.fun, ref.nfev), name
+    assert ref.fun < 1e-4 and abs(x - tb) < 1e-4
 
 
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
