@@ -42,9 +42,6 @@ _FOCAL_T_MIN = 0.01     # the focal scan starts here, clear of the zero of J at 
 _MAX_TURN = np.pi / 4   # the focal scan divides an interval where an eigenvalue turns further
 _SECTIONS = 8           # ... into this many parts at a time
 _FOCAL_TOL = 1e-9       # passages this close in t are one focal point; so is one this short at 1
-_REFINE_WINDOW = 0.02   # half-width of the solution-side refinement of a focal parameter
-_REFINE_XATOL = 1e-8    # ... and its absolute tolerance in t
-_REFINE_MAXFUN = 500    # ... and its budget of evaluations
 
 
 @dataclass
@@ -362,78 +359,15 @@ def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):
     return float(svals[-1] / max(svals[0], 1e-300))
 
 
-def _bounded_minimum(f, a: float, b: float) -> tuple:
-    """(x, f(x), evaluations) for Brent's bounded minimisation of f on [a, b]: parabolic
-    steps where the fit through the best three points is acceptable, golden-section steps
-    otherwise, until |x - (a + b)/2| <= 2 tol - (b - a)/2, tol = sqrt(eps) |x| + xatol/3.
-    A port of scipy's ``_minimize_scalar_bounded``, step for step, so x, f(x) and the count
-    are its own bit for bit."""
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden = 0.5 * (3.0 - np.sqrt(5.0))
-    x = w = v = a + golden * (b - a)   # the best point, the second best, the previous w
-    fx = fw = fv = f(x)
-    nfev = 1
-    d = e = 0.0   # the last step and the one before it
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + _REFINE_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if not parabolic:
-            e = a - x if x >= xm else b - x
-            d = golden * e
-        step = max(abs(d), tol1)
-        u = x + step if d >= 0 else x - step
-        fu = f(u)
-        nfev += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + _REFINE_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= _REFINE_MAXFUN:
-            break
-    return x, fx, nfev
-
-
 def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
                   confirm_tol: float = 1e-4) -> FocalReport:
     """Focal parameters of a solution, via the deformed side plus a direct check.
 
     The Riemannian scan runs on the reversed deformation; parameters are pulled
-    back through t -> 1 - t, then each candidate is refined and confirmed by a
-    rank drop of the endpoint map of the linearized equation, read off one
-    backward propagator (``_endpoint_rows``) per solution.  The refinement minimises
-    the endpoint map's smallest relative singular value by Brent's bounded method
-    (``_bounded_minimum``, ported from scipy).
+    back through t -> 1 - t, and each is confirmed where the scan places it: the
+    endpoint map of the linearized equation, read off one backward propagator
+    (``_endpoint_rows``) per solution, must drop rank there, its smallest relative
+    singular value at most ``confirm_tol``.
     """
     if sol.residual_ode > _CRITICALITY_TOL * (1.0 + sol.T ** 2):
         raise NotCritical("focal analysis requires a critical curve")
@@ -444,12 +378,10 @@ def bfocal_points(model: SpacetimeModel, sol: BrachistochroneSolution,
     focal = []
     for tR, mult in riem.focal_list:   # tR >= _FOCAL_T_MIN, so tb < 1
         tb = 1.0 - tR
-        lo = max(0.0, tb - _REFINE_WINDOW)
-        hi = min(1.0 - 1e-6, tb + _REFINE_WINDOW)
-        t0, sv, _ = _bounded_minimum(lambda t: _bfocal_singular_value(geom, t, rows), lo, hi)
+        sv = _bfocal_singular_value(geom, tb, rows)
         if sv > confirm_tol:
             raise ConstraintViolated(
                 f"no vanishing linearized solution confirms the focal parameter "
                 f"{tb:.6f} (endpoint singular value {sv:.3e})")
-        focal.append((float(t0), mult))
+        focal.append((tb, mult))
     return FocalReport(sorted(focal), int(sum(m for _, m in focal)), riem.determinant_trace)

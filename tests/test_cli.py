@@ -324,8 +324,9 @@ def test_invalid_model_params_is_config_error(tmp_path, caplog):
 def test_commands_load_no_scipy(tmp_path, models, solutions):
     # a fresh interpreter imports the front end and runs all seven commands without
     # loading any scipy module: solve, shoot, verify, oracle and a survey of three
-    # starts on static_well, then jacobi (whose one focal point is refined) and
-    # index on the cylinder's 4.5 arc
+    # starts on static_well, then jacobi (whose one focal point is confirmed) and
+    # index on the cylinder's 4.5 arc.  The child runs with -B and writes no bytecode
+    # into the source tree
     import subprocess
     import sys
     from pathlib import Path
@@ -348,6 +349,7 @@ def test_commands_load_no_scipy(tmp_path, models, solutions):
     runs = [(well, ("solve", "shoot", "verify", "oracle", "survey"), tmp_path / "well"),
             (arc, ("solve", "jacobi", "index"), tmp_path / "arc")]
     script = ("import json, sys\n"
+              "assert sys.flags.dont_write_bytecode\n"
               "from brachkit.cli import run_scenario\n"
               f"runs = json.loads({json.dumps(json.dumps([(c, k, str(d)) for c, k, d in runs]))})\n"
               "for cfg, commands, out_dir in runs:\n"
@@ -355,7 +357,7 @@ def test_commands_load_no_scipy(tmp_path, models, solutions):
               "        run_scenario(cfg, command, out_dir)\n"
               "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     src = str(Path(brachkit.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -7,10 +7,9 @@ from brachkit.curves import _CubicSpline
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
-from brachkit.jacobi import (_REFINE_WINDOW, _bfocal_singular_value, _bjacobi_rhs,
-                             _bounded_minimum, _coeffs_at, _endpoint_rows, bfocal_points,
-                             focal_points, gamma_jacobi_basis, integrate_bjacobi,
-                             integrate_rjacobi)
+from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
+                             _endpoint_rows, bfocal_points, focal_points, gamma_jacobi_basis,
+                             integrate_bjacobi, integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
@@ -216,7 +215,7 @@ def test_focal_points_of_multiplicity_two_on_r_s3(r_s3_arcs):
         assert np.max(np.abs([t for t, _ in rep.focal_list] - closed)) < 1e-8, L
         brep = bfocal_points(model, sol)
         assert [mu for _, mu in brep.focal_list] == [2] * n_focal, L
-        assert np.max(np.abs(sorted(1.0 - t for t, _ in brep.focal_list) - closed)) < 1e-6, L
+        assert np.max(np.abs(sorted(1.0 - t for t, _ in brep.focal_list) - closed)) < 1e-9, L
         assert rep.geometric_index == brep.geometric_index == 2 * n_focal
         assert restricted_index_report(data, 80) == (2 * n_focal,) * 3
 
@@ -321,14 +320,16 @@ def test_bfocal_flat_empty(models):
     assert rep.geometric_index == 0
 
 
-def test_bfocal_cylinder_correspondence(models, cylinder_long_arc):
+def test_bfocal_cylinder_correspondence(models, cylinder_long_arc, cylinder_very_long_arc):
+    # each confirmed parameter is the closed form 1 - j pi / L on both arcs
     model = models["einstein_cylinder"]
-    rep = bfocal_points(model, cylinder_long_arc)
-    assert rep.geometric_index == 1
-    t_b, mult = rep.focal_list[0]
-    assert mult == 1
-    # matches the pulled-back Riemannian parameter
-    assert t_b == pytest.approx(1.0 - np.pi / 4.5, abs=1e-4)
+    for L, sol in ((4.5, cylinder_long_arc), (7.0, cylinder_very_long_arc)):
+        rep = bfocal_points(model, sol)
+        n_focal = int(L // np.pi)
+        assert rep.geometric_index == n_focal, L
+        assert [mu for _, mu in rep.focal_list] == [1] * n_focal, L
+        closed = 1.0 - np.pi / L * np.arange(n_focal, 0, -1)
+        assert np.max(np.abs([t for t, _ in rep.focal_list] - closed)) < 1e-9, L
 
 
 def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_long_arc):
@@ -363,36 +364,28 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
                               separate["y"](ts)), name
 
 
-def test_bounded_minimum_is_scipys_bit_for_bit(models, cylinder_long_arc):
-    # the port of scipy's bounded Brent returns its x, f(x) and evaluation count
-    # exactly: a smooth bowl, a minimum at a bound, a flat minimum, flat stretches
-    # above the minimum (ties between points), and the refinement of the focal
-    # parameter of the cylinder 4.5 arc
-    from scipy.optimize import minimize_scalar
-
-    geom = SolutionGeometry(models["einstein_cylinder"], cylinder_long_arc)
-    rows = _endpoint_rows(geom)
-    tb = 1.0 - np.pi / 4.5
-    cases = {
-        "bowl": (lambda t: (t - 0.3) ** 2 * (1.0 + t), 0.0, 1.0),
-        "bound": (np.exp, -1.0, 2.0),
-        "flat": (lambda t: max(abs(t - 0.5) - 0.2, 0.0), 0.0, 1.0),
-        "shoulders": (lambda t: min(abs(t - 0.6), 0.1), 0.0, 1.0),
-        "focal": (lambda t: _bfocal_singular_value(geom, t, rows),
-                  tb - _REFINE_WINDOW, tb + _REFINE_WINDOW),
-    }
-    for name, (f, lo, hi) in cases.items():
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
-        x, fx, nfev = _bounded_minimum(f, lo, hi)
-        assert (x, fx, nfev) == (ref.x, ref.fun, ref.nfev), name
-    assert ref.fun < 1e-4 and abs(x - tb) < 1e-4
-
-
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
     # no endpoint singular value reaches 1e-20: the Riemannian candidate is
     # refused rather than reported
     with pytest.raises(ConstraintViolated, match="no vanishing linearized solution"):
         bfocal_points(models["einstein_cylinder"], cylinder_long_arc, confirm_tol=1e-20)
+
+
+def test_bfocal_refuses_a_misplaced_candidate(models, cylinder_long_arc, monkeypatch):
+    # a scan parameter moved by 1e-3 is no focal point of the solution: the endpoint
+    # map keeps its rank there, and the candidate is refused rather than moved back
+    import brachkit.jacobi as jacobi
+
+    scan = jacobi.focal_points
+
+    def shifted(data):
+        rep = scan(data)
+        rep.focal_list = [(t + 1e-3, mu) for t, mu in rep.focal_list]
+        return rep
+
+    monkeypatch.setattr(jacobi, "focal_points", shifted)
+    with pytest.raises(ConstraintViolated, match="no vanishing linearized solution confirms"):
+        bfocal_points(models["einstein_cylinder"], cylinder_long_arc)
 
 
 def test_endpoint_rows_match_direct_integration(models, solutions):
