@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import resample_curve
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
                        integrate_brachistochrone, shot_endpoints, _launch_velocity)
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
@@ -358,7 +357,7 @@ def _attach_indices(model, sol, n_basis: int = 50):
     from .jacobi import focal_points
     from .variation import assemble_hessian, index_data
 
-    data = index_data(model, sol, 400)
+    data = index_data(model, sol)
     hm = assemble_hessian(data, "full", n_basis)
     rep = focal_points(data)
     return hm.n_negative, hm.n_zero, rep.geometric_index
@@ -367,6 +366,8 @@ def _attach_indices(model, sol, n_basis: int = 50):
 # Converged launches this close (max norm over the direction and T) are one
 # solution: Newton leaves them ~1e-10 apart, distinct solutions lie O(1) apart.
 _SAME_LAUNCH = 1e-8
+# Integrated curves this close (sup g_R distance over their shared nodes) are one solution.
+_SAME_CURVE = 1e-4
 
 
 def _survey_starts(m: int, n_starts: int, T_bracket, seed: int) -> list:
@@ -377,17 +378,20 @@ def _survey_starts(m: int, n_starts: int, T_bracket, seed: int) -> list:
 
 
 def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
-                      seed: int, dedup_threshold: float = 1e-4,
-                      attach_indices: bool = True, n_basis: int = 50) -> SurveyResult:
+                      seed: int, attach_indices: bool = True,
+                      n_basis: int = 50) -> SurveyResult:
     """Deterministic multi-start shooting over random directions and T values.
 
     All starts are shot in lockstep.  Individual failures are logged and
     skipped.  The converged launches inside the T bracket are walked in order
     of travel time: a launch within ``_SAME_LAUNCH`` of a kept one is a
     duplicate, and every other is integrated, its conservation checked, and
-    kept unless its curve lies within ``dedup_threshold`` of a kept curve (sup
-    g_R distance).  Kept solutions are annotated with their Morse and
-    geometric indices.  One INFO line sums up what became of the starts.
+    kept unless its curve lies within ``_SAME_CURVE`` of a kept curve (sup
+    g_R distance over the nodes, which every integrated curve shares).  Kept
+    solutions are annotated with their Morse and geometric indices; a solution
+    whose indices cannot be computed is kept with them set to None and the
+    failure's class in ``index_error``.  One INFO line sums up what became of
+    the starts and of the index attachments.
     """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     starts = _survey_starts(problem.model.m, n_starts, T_bracket, seed)
@@ -412,11 +416,11 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
             converged.append((idx, res))
 
     converged.sort(key=lambda c: c[1][1])
-    unique, kept = [], []  # kept: the launch (u, T) and resampled curve of each unique solution
+    unique, kept = [], []  # kept: the launch (u, T) of each unique solution
     n_duplicate = n_integrated = 0
     for idx, launch in converged:
         ut = np.append(*launch)
-        if any(np.max(np.abs(ut - other)) <= _SAME_LAUNCH for other, _ in kept):
+        if any(np.max(np.abs(ut - other)) <= _SAME_LAUNCH for other in kept):
             n_duplicate += 1
             continue
         n_integrated += 1
@@ -425,29 +429,39 @@ def multistart_survey(problem: ShootingProblem, n_starts: int, T_bracket,
         except (BrachkitError, ValueError) as exc:
             fail(idx, exc)
             continue
-        points = resample_curve(sol.sigma, 200).points
-        if all(curve_distance(problem.model, points, other) > dedup_threshold
-               for _, other in kept):
+        if all(curve_distance(problem.model, sol.sigma.points, other.sigma.points) > _SAME_CURVE
+               for other in unique):
             unique.append(sol)
-            kept.append((ut, points))
+            kept.append(ut)
         else:
             n_duplicate += 1
-    n_failures = sum(failed.values())
-    log.info("survey: starts=%d distinct=%d duplicate=%d outside_bracket=%d failed=%d (%s) "
-             "rounds=%d lane_shots=%d batched_calls=%d integrated=%d", n_starts, len(unique),
-             n_duplicate, n_outside, n_failures,
-             " ".join(f"{k}={v}" for k, v in sorted(failed.items())),
-             counts["rounds"], counts["lane_shots"], counts["batched_calls"], n_integrated)
 
-    records = []
+    records, index_failed = [], Counter()
     for sol in unique:
         rec = {"solution": sol, "T": sol.T,
                "residual_conservation_Y": sol.residual_conservation_Y,
                "residual_conservation_speed": sol.residual_conservation_speed}
         if attach_indices:
-            morse, n_zero, geometric = _attach_indices(problem.model, sol, n_basis)
+            try:
+                morse, n_zero, geometric = _attach_indices(problem.model, sol, n_basis)
+            except (BrachkitError, ValueError) as exc:
+                name = type(exc).__name__
+                index_failed[name] += 1
+                log.info("solution T=%.6g: no indices: %s: %s", sol.T, name, exc)
+                morse = n_zero = geometric = None
+                rec["index_error"] = name
             rec.update(index_morse=morse, index_geometric=geometric, n_zero=n_zero)
         records.append(rec)
+
+    def by_class(counter):
+        return " ".join(f"{k}={v}" for k, v in sorted(counter.items()))
+
+    n_failures = sum(failed.values())
+    log.info("survey: starts=%d distinct=%d duplicate=%d outside_bracket=%d failed=%d (%s) "
+             "rounds=%d lane_shots=%d batched_calls=%d integrated=%d index_failed=%d (%s)",
+             n_starts, len(unique), n_duplicate, n_outside, n_failures, by_class(failed),
+             counts["rounds"], counts["lane_shots"], counts["batched_calls"], n_integrated,
+             sum(index_failed.values()), by_class(index_failed))
 
     count = len(records)
     parity = count % 2

@@ -326,7 +326,7 @@ def _cmd_survey(cfg, out_dir: Path, seed) -> str:
             },
             "curve_ref": ref,
         }
-        for key in ("index_morse", "index_geometric", "n_zero"):
+        for key in ("index_morse", "index_geometric", "n_zero", "index_error"):
             if key in rec:
                 entry[key] = rec[key]
         sol_docs.append(entry)
@@ -364,7 +364,7 @@ def _cmd_index(cfg, out_dir: Path, seed) -> str:
     block = cfg["index"]
     model, _, sol = _load_solution(out_dir / block["solution"])
     n_basis = int(block.get("n_basis", 80))
-    hms = _restricted_hessians(index_data(model, sol, 400), n_basis)
+    hms = _restricted_hessians(index_data(model, sol), n_basis)
     triple = tuple(h.n_negative for h in hms)
     hm = hms[0]
     doc = {
@@ -427,10 +427,11 @@ def _cmd_oracle(cfg, out_dir: Path, seed) -> str:
         guess_dir = cand.polyline.velocities[0]
         prob = _shooting_problem(cfg, model)
         sol = shoot(prob, (guess_dir, float(block.get("guess_T", cand.T_estimate))))
-        w = deform_D(model, sol, n_out=cand.polyline.n_segments)
+        w = deform_D(model, sol)
         doc["shoot_T"] = sol.T
         doc["T_difference"] = abs(sol.T - cand.T_estimate)
-        doc["curve_distance"] = curve_distance(model, cand.polyline.points, w.points)
+        doc["curve_distance"] = curve_distance(model, cand.polyline.points,
+                                               w.point_spline()(cand.polyline.grid))
     name = cfg.get("out", {}).get("oracle", "oracle.json")
     _write(out_dir / name, dumps_canonical(doc))
     _write(out_dir / name.replace(".json", "_polyline.csv"), curve_to_csv(cand.polyline))

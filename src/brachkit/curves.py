@@ -224,7 +224,7 @@ class _Pieces:
         integrals of the pieces before it."""
         deg = self.c.shape[0] - 1
         c = np.empty((deg + 2,) + self.c.shape[1:])
-        c[:-1] = self.c / np.arange(deg + 1, 0, -1)[:, None, None]
+        np.divide(self.c, np.arange(deg + 1, 0, -1)[:, None, None], out=c[:-1])
         h = np.diff(self.knots)[:, None]
         piece = c[0, :-1].copy()
         for j in range(1, deg + 1):

@@ -243,8 +243,7 @@ def fd_variation_family(model: SpacetimeModel, sol: BrachistochroneSolution,
 
 
 def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution,
-                             coeffs, s: float,
-                             n_out: int | None = None) -> BrachistochroneSolution:
+                             coeffs, s: float) -> BrachistochroneSolution:
     """A constraint-exact curve through the solution, bent by a smooth bump.
 
     The deformed horizontal curve is perturbed in the chart, re-horizontalized,
@@ -254,7 +253,7 @@ def constrained_curve_family(model: SpacetimeModel, sol: BrachistochroneSolution
     variational formulas directly.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    w = deform_D(model, sol, n_out=n_out)
+    w = deform_D(model, sol)
     grid = w.grid
     eta, deta = sine_bumps(grid, coeffs)
     bent = Curve(grid=grid, points=w.points + s * eta, velocities=w.velocities + s * deta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (Curve, FieldAlongCurve, _NodeSpline, _require_hosted, covariant_nodes,
+from .curves import (Curve, FieldAlongCurve, _require_hosted, covariant_nodes,
                      cumulative_integral, grid_integral)
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
@@ -79,14 +79,14 @@ class CorrespondenceReport:
 
 
 def deform_D(model: SpacetimeModel, sol, k: float | None = None,
-             n_out: int | None = None, check: bool = True) -> Curve:
+             check: bool = True) -> Curve:
     """Slide a trial curve along the Y-flow into a horizontal curve.
 
     Accepts a BrachistochroneSolution or a bare constraint-satisfying Curve
     (then ``k`` must be given), whose conservation ``check`` holds to tol 1e-6
-    (``dynamics.conservation_failures``).  The output grid is upsampled so
-    downstream derivative reconstructions stay well below the residual
-    tolerances; NotHorizontal unless |<w',Y>| <= 1e-8 |w'|_R |Y|_R at every node.
+    (``dynamics.conservation_failures``).  Each node slides along its own Killing
+    orbit, so the result lives on the input curve's grid; NotHorizontal unless
+    |<w',Y>| <= 1e-8 |w'|_R |Y|_R at every node.
     """
     if isinstance(sol, BrachistochroneSolution):
         curve, k, T = sol.sigma, sol.k, sol.T
@@ -104,14 +104,9 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
         if failed:
             raise ConstraintViolated(f"input curve violates {' and '.join(failed)}")
 
-    if n_out is None:
-        n_out = max(curve.n_segments, min(2 * curve.n_segments, 800))
-    grid = np.linspace(0.0, 1.0, n_out + 1)
-    nodes = _NodeSpline(curve.grid, dict(q=curve.points, v=curve.velocities))
-    pts, vels = nodes.sample(grid).values()
-
+    pts, vels = curve.points, curve.velocities
     g = model.g(pts)
-    w = _slide(model, grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
+    w = _slide(model, curve.grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
     _require_horizontal(model.g(w.points), w.velocities, 1e-8, "deformed curve")
     return w
 
@@ -221,13 +216,11 @@ def correspondence_report(model: SpacetimeModel, sol: BrachistochroneSolution) -
     w = deform_D(model, sol)
     energy = conformal_energy(model, sol.k, w)
     back = lift_G(model, sol.k, w)
-    grid = sol.sigma.grid
     horiz = np.max(np.abs(_inner_y(model.g(w.points), w.velocities)))
     return CorrespondenceReport(
         geodesic_residual=geodesic_residual(model, sol.k, w),
         energy_value=energy,
         energy_vs_halfT2=abs(energy - 0.5 * sol.T ** 2),
-        roundtrip_error=curve_distance(model, sol.sigma.points,
-                                       back.sigma.point_spline()(grid)),
+        roundtrip_error=curve_distance(model, sol.sigma.points, back.sigma.points),
         horizontality=float(horiz),
     )

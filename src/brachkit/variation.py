@@ -201,8 +201,9 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
 class ConformalCurveData:
     """Per-node conformal data along a curve (metric, Christoffels, tidal matrix).
 
-    ``spline`` holds q, w', g~, Gamma~, ``Braw``, B, and the Lorentzian g and nabla Y
-    (``K``); the Hessian assembly and the Jacobi solves sample it."""
+    ``spline`` holds q, g~, Gamma~, ``Braw``, B, and w' next to the Lorentzian g and
+    nabla Y (``K``), the three that the restricted Hessian modes read on their own; the
+    Hessian assembly and the Jacobi solves sample it."""
 
     def __init__(self, confgeom: ConformalGeometry, w: Curve, check: bool = True):
         self.confgeom = confgeom
@@ -222,8 +223,8 @@ class ConformalCurveData:
         self.Braw = np.einsum("nabcd,nb,nc->nad", confgeom.curvature(pts), v, v)
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
-            q=pts, v=v, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
-            g=g, K=G[..., -1]))
+            q=pts, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
+            v=v, g=g, K=G[..., -1]))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
         return covariant_nodes(self.w, self.gamma, field)
@@ -430,29 +431,35 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
         rate_q = rate(at_q, frames_q)
         fine = np.linspace(0.0, 1.0, 4 * n_basis + 1)
         hat_vf, _ = hats(fine)
-        rate_f = rate(data.spline.sample(fine), fr_spl(fine).reshape(fine.size, keep, m))
-        # transverse parts hat_j E_a
+        rate_f = rate(data.spline.sample(fine, names=("v", "g", "K")),
+                      fr_spl(fine).reshape(fine.size, keep, m))
+
+        def y_components():
+            """Y-components from the tangency condition, vanishing at the event end, at the
+            Gauss points and the observer end: one antiderivative, freed on return."""
+            lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
+            lam = _CubicSpline(fine, lam_rate_f).antiderivative()
+            lam_1 = lam(1.0)
+            return (lam(tq) - lam_1).T[:, :, None], lam(0.0) - lam_1
+
+        lam_q, lam_0 = y_components()
+        lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
+        # transverse parts hat_j E_a, plus their Y-components
         E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
         Vs, dVs = (hv * E).reshape(-1, nq, m), (hs * E + hv * dE).reshape(-1, nq, m)
-        # Y-components reconstructed from the tangency condition, vanishing at
-        # the event end: one antiderivative over all fields, read where needed
-        lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
-        lam = _CubicSpline(fine, lam_rate_f).antiderivative()
-        lam_1 = lam(1.0)
-        lam_q = (lam(tq) - lam_1).T[:, :, None]
-        lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
-        Vs = Vs + lam_q * y
-        dVs = dVs + lam_rate_q * y
-        V0s = (lam(0.0) - lam_1)[:, None] * y
+        Vs += lam_q * y
+        dVs += lam_rate_q * y
+        V0s = lam_0[:, None] * y
 
     ndof = Vs.shape[0]
-    # covariant derivative along the curve at quadrature points
-    nVs = dVs + np.einsum("qac,dqc->dqa", np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"]), Vs)
+    # covariant derivative along the curve at quadrature points, summed into dVs's array
+    nVs = dVs
+    nVs += np.einsum("qac,dqc->dqa", np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"]), Vs)
     # Galerkin contraction sum_q wq X_a(q)^T M(q) X_b(q) as one matrix product
     Hmat = np.zeros((ndof, ndof))
     for X, M in ((nVs, at_q["gt"]), (Vs, at_q["B"])):
-        W = np.einsum("qij,bqj->bqi", M * wq[:, None, None], X)
-        Hmat += X.reshape(ndof, -1) @ W.reshape(ndof, -1).T
+        Hmat += X.reshape(ndof, -1) @ np.einsum("qij,bqj->bqi", M * wq[:, None, None],
+                                                X).reshape(ndof, -1).T
     Hmat = Hmat + _boundary_2ff(data, V0s, V0s)
     Hmat = 0.5 * (Hmat + Hmat.T)
 
@@ -480,13 +487,10 @@ def _restricted_hessians(data: ConformalCurveData, n_basis: int) -> tuple:
     return tuple(out)
 
 
-def index_data(model: SpacetimeModel, sol: BrachistochroneSolution,
-               n_out: int | None = None) -> ConformalCurveData:
-    """The curve cache on which the indices of ``sol`` are computed: its deformation,
-    on ``n_out`` segments (``deform_D``'s default if None), run from the observer line
-    to the event."""
-    return ConformalCurveData(conformal_geometry(model, sol.k),
-                              deform_D(model, sol, n_out=n_out).reversed())
+def index_data(model: SpacetimeModel, sol: BrachistochroneSolution) -> ConformalCurveData:
+    """The curve cache on which the indices of ``sol`` are computed: its deformation, on
+    the solution's own grid, run from the observer line to the event."""
+    return ConformalCurveData(conformal_geometry(model, sol.k), deform_D(model, sol).reversed())
 
 
 def restricted_index_report(data: ConformalCurveData, n_basis: int) -> tuple:

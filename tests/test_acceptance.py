@@ -90,7 +90,7 @@ def cylinder_fixtures(acceptance_models):
         u = unit_horizontal(model, [np.pi / 2, 0.0, 0.0], [0.0, 1.0, 0.0])
         sol = integrate_brachistochrone(model, k, np.array([np.pi / 2, 0.0, 0.0]), u,
                                         L / np.sqrt(k * k - 1.0))
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         out[L] = (sol, wrev, data)
     return model, cg, out
@@ -178,9 +178,9 @@ def test_acceptance_04_travel_time_differential(acceptance_models, launch_batter
             coeffs = 0.05 * rng.standard_normal((1, model.m))
             s0 = 0.06 + 0.02 * trial
             s = 1e-4
-            base = constrained_curve_family(model, sol, coeffs, s0, n_out=400)
-            plus = constrained_curve_family(model, sol, coeffs, s0 + s, n_out=400)
-            minus = constrained_curve_family(model, sol, coeffs, s0 - s, n_out=400)
+            base = constrained_curve_family(model, sol, coeffs, s0)
+            plus = constrained_curve_family(model, sol, coeffs, s0 + s)
+            minus = constrained_curve_family(model, sol, coeffs, s0 - s)
             zeta = _fd_field(model, base, plus, minus, s)
             rep = constraint_residual(model, base, zeta)
             dT_formula = -rep.C_zeta / base.k
@@ -218,9 +218,9 @@ def test_acceptance_05_hessian_fd(acceptance_models, launch_battery):
         for _ in range(n_fields):
             coeffs = 0.05 * rng.standard_normal((2, model.m))
             s = 3e-3
-            plus = constrained_curve_family(model, sol, coeffs, s, n_out=400)
-            minus = constrained_curve_family(model, sol, coeffs, -s, n_out=400)
-            base = constrained_curve_family(model, sol, coeffs, 0.0, n_out=400)
+            plus = constrained_curve_family(model, sol, coeffs, s)
+            minus = constrained_curve_family(model, sol, coeffs, -s)
+            base = constrained_curve_family(model, sol, coeffs, 0.0)
             zeta = _fd_field(model, sol, plus, minus, s)
             H = hessian_F_eval(geom, zeta, zeta, constraint_tol=1e-3)
             F = lambda T: -0.5 * T * T
@@ -242,7 +242,7 @@ def test_acceptance_06_second_variational_principle(acceptance_models, launch_ba
         sol = launches[0][4]
         geom = SolutionGeometry(model, sol)
         cg = conformal_geometry(model, sol.k)
-        w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
+        w = deform_D(model, sol, check=False)
         wrev = w.reversed()
         data = ConformalCurveData(cg, wrev)
         for _ in range(10):
@@ -277,7 +277,7 @@ def test_acceptance_07_morse_index_pair(acceptance_models, cylinder_fixtures):
     focal_flat = bfocal_points(flat, sol_flat)
     assert focal_flat.geometric_index == 0
     cgf = conformal_geometry(flat, k)
-    wrevf = deform_D(flat, sol_flat, n_out=400).reversed()
+    wrevf = deform_D(flat, sol_flat).reversed()
     for n_basis in (50, 100):
         hm = assemble_hessian(ConformalCurveData(cgf, wrevf), "full", n_basis)
         assert hm.n_negative == 0 and hm.n_zero == 0
@@ -333,7 +333,7 @@ def test_acceptance_09_jacobi_correspondence(acceptance_models):
     # singular value, within 0.02 of that parameter
     from scipy.optimize import minimize_scalar
     focal_b = bfocal_points(model, sol)
-    wrev = deform_D(model, sol, n_out=400).reversed()
+    wrev = deform_D(model, sol).reversed()
     focal_r = focal_points(ConformalCurveData(cg, wrev))
     assert len(focal_b.focal_list) == len(focal_r.focal_list) == 1
     geom = SolutionGeometry(model, sol)
@@ -369,9 +369,9 @@ def test_acceptance_10_oracle_equivalence(acceptance_models):
         sol = shoot(prob, (np.asarray(guess[0], float), guess[1]))
         dT = abs(cand.T_estimate - sol.T)
         assert dT < 1e-3 * (1.0 + sol.T), name
-        w = deform_D(model, sol, n_out=200)
+        w = deform_D(model, sol)
         dist = 0.0
-        for qa, qb in zip(cand.polyline.points, w.points):
+        for qa, qb in zip(cand.polyline.points, w.point_spline()(cand.polyline.grid)):
             d = model.wrap_difference(qb - qa)
             gr = riemannian_metric_matrix(model, qa)
             dist = max(dist, float(np.sqrt(max(d @ gr @ d, 0.0))))

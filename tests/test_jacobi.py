@@ -113,7 +113,7 @@ def test_rjacobi_killing_field_is_jacobi(models, solutions):
         model = models[name]
         sol = solutions[name]
         cg = conformal_geometry(model, sol.k)
-        w = deform_D(model, sol, n_out=400)
+        w = deform_D(model, sol)
         data = ConformalCurveData(cg, w)
         y0 = model.y(w.points[0])
         dy0 = data.Kt[0] @ w.velocities[0]
@@ -127,7 +127,7 @@ def test_gamma_jacobi_basis_count_and_conservation(models, solutions):
         model = models[name]
         sol = solutions[name]
         cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         basis = gamma_jacobi_basis(data)
         assert len(basis) == model.m
@@ -149,7 +149,7 @@ def test_gamma_jacobi_basis_flat_structure(models):
     k = np.sqrt(2.0)
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     cg = conformal_geometry(model, k)
-    wrev = deform_D(model, sol, n_out=400).reversed()
+    wrev = deform_D(model, sol).reversed()
     basis = gamma_jacobi_basis(ConformalCurveData(cg, wrev))
     # first field: constant multiple of Y; remaining fields vanish at 0 and
     # grow linearly
@@ -177,7 +177,7 @@ def test_focal_points_flat_empty(models):
     k = np.sqrt(2.0)
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     cg = conformal_geometry(model, k)
-    wrev = deform_D(model, sol, n_out=400).reversed()
+    wrev = deform_D(model, sol).reversed()
     rep = focal_points(ConformalCurveData(cg, wrev))
     assert rep.focal_list == []
     assert rep.geometric_index == 0
@@ -186,7 +186,7 @@ def test_focal_points_flat_empty(models):
 def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc):
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
-    wrev = deform_D(model, cylinder_long_arc, n_out=400).reversed()
+    wrev = deform_D(model, cylinder_long_arc).reversed()
     rep = focal_points(ConformalCurveData(cg, wrev))
     assert rep.geometric_index == 1
     assert len(rep.focal_list) == 1
@@ -194,7 +194,7 @@ def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc
     assert mult == 1
     assert t0 == pytest.approx(np.pi / 4.5, abs=1e-6)
 
-    wrev2 = deform_D(model, cylinder_very_long_arc, n_out=400).reversed()
+    wrev2 = deform_D(model, cylinder_very_long_arc).reversed()
     rep2 = focal_points(ConformalCurveData(cg, wrev2))
     assert rep2.geometric_index == 2
     assert [m for _, m in rep2.focal_list] == [1, 1]
@@ -233,13 +233,13 @@ def test_focal_scan_refuses_a_counterclockwise_passage(models, cylinder_long_arc
 
     monkeypatch.setattr(jacobi, "_jacobi_basis", reflected)
     with pytest.raises(ConstraintViolated, match="counterclockwise at t = 0.698"):
-        focal_points(index_data(models["einstein_cylinder"], cylinder_long_arc, 400))
+        focal_points(index_data(models["einstein_cylinder"], cylinder_long_arc))
 
 
 def test_focal_scan_density_stability(models, cylinder_long_arc, r_s3_arcs):
     s3, arcs = r_s3_arcs
-    for data, mults in ((index_data(models["einstein_cylinder"], cylinder_long_arc, 400), [1]),
-                        (index_data(s3, arcs[7.0], 400), [2, 2])):
+    for data, mults in ((index_data(models["einstein_cylinder"], cylinder_long_arc), [1]),
+                        (index_data(s3, arcs[7.0]), [2, 2])):
         a = focal_points(data, n_scan=500)
         b = focal_points(data, n_scan=2000)
         assert [mu for _, mu in a.focal_list] == [mu for _, mu in b.focal_list] == mults
@@ -457,7 +457,7 @@ def _deformed_curves(models, solutions, cylinder_long_arc, cylinder_very_long_ar
     for name, sol in cases:
         model = models[name]
         cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         yield name, cg, wrev, ConformalCurveData(cg, wrev)
 
 
@@ -558,7 +558,7 @@ def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc,
                       ("einstein_cylinder", cylinder_very_long_arc)):
         model = models[name]
         cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         calls.clear()
         focal_points(ConformalCurveData(cg, wrev))
         assert len(calls) == 1, name
@@ -578,7 +578,7 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
     for name in ("rotating_frame", "minkowski4"):
         model, sol = models[name], solutions[name]
         cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         monkeypatch.setattr(_CubicSpline, "__init__", counting)
         for mode, expected in (("full", 0), ("horizontal", 2), ("perpendicular", 2)):
@@ -602,7 +602,7 @@ def test_focal_scan_leaves_the_spline_to_its_cache(models, cylinder_long_arc):
 
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, cylinder_long_arc.k)
-    wrev = deform_D(model, cylinder_long_arc, n_out=400).reversed()
+    wrev = deform_D(model, cylinder_long_arc).reversed()
     gc.collect()
     gc.disable()
     try:

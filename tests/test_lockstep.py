@@ -17,8 +17,8 @@ from brachkit.cli import run_scenario
 from brachkit.dynamics import (IntegratorConfig, _launch_velocity, _max_step,
                                brachistochrone_acceleration, initial_velocity,
                                integrate_brachistochrone, ode_lanes, shot_endpoints)
-from brachkit.errors import (BrachkitError, ConfigError, NoConvergence, NotHorizontal, OutOfChart,
-                             StepFailure)
+from brachkit.errors import (BrachkitError, ConfigError, NoConvergence, NotGeodesic, NotHorizontal,
+                             OutOfChart, StepFailure)
 from brachkit.geometry import horizontal_unit
 from brachkit.transform import flow_points
 
@@ -722,6 +722,77 @@ def test_off_equator_survey_meets_the_closed_forms(models, p, anchor, n_starts):
     Ts = sorted(rec["T"] for rec in res.solutions)
     assert len(Ts) == 3
     assert np.max(np.abs(np.array(Ts) - [d, 2 * np.pi - d, 2 * np.pi + d])) < 1e-10
+
+
+def _index_pairs(doc):
+    return [(sol["index_morse"], sol["index_geometric"]) for sol in doc["solutions"]]
+
+
+def test_survey_keeps_the_solutions_whose_indices_fail(tmp_path, caplog, monkeypatch):
+    # one solution's index attachment raises: the survey still writes every
+    # solution, the others with their indices and that one with null indices and
+    # its error named; a failed attachment is not a failed start
+    attach = bvp._attach_indices
+
+    def failing_above_2pi(model, sol, n_basis):
+        if sol.T > 2 * np.pi:
+            raise NotGeodesic("forced")
+        return attach(model, sol, n_basis)
+
+    monkeypatch.setattr(bvp, "_attach_indices", failing_above_2pi)
+    cfg = {"model": {"name": "einstein_cylinder"}, "k": float(np.sqrt(2.0)),
+           "p": [np.pi / 2, 0.0, 0.0], "gamma_anchor": [np.pi / 2, np.pi / 2, 0.0],
+           "survey": {"n_starts": 48, "T_bracket": list(CYLINDER_BRACKET), "seed": 11,
+                      "n_basis": 40}}
+    with caplog.at_level(logging.INFO, logger="brachkit.bvp"):
+        run_scenario(cfg, "survey", tmp_path)
+    doc = json.loads((tmp_path / "survey.json").read_text())
+    assert doc["count"] == 3
+    assert _index_pairs(doc) == [(0, 0), (1, 1), (None, None)]
+    assert [sol.get("index_error") for sol in doc["solutions"]] == [None, None, "NotGeodesic"]
+    assert doc["solutions"][2]["n_zero"] is None
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:"))
+    starts, attachments = line.split(" index_failed=")
+    counts = {key: int(val) for key, val in re.findall(r"(\w+)=(\d+)", starts)}
+    assert (counts["distinct"] + counts["duplicate"] + counts["outside_bracket"]
+            + counts["failed"] == counts["starts"] == 48)
+    assert counts["failed"] == doc["n_failures"]
+    assert attachments == "1 (NotGeodesic=1)"
+    assert any("no indices: NotGeodesic" in r.getMessage() for r in caplog.records)
+
+
+def test_off_equator_cli_survey_exits_0_with_every_solution(tmp_path):
+    # the spline derivative of the T = 2 pi + d solution's deformation reads a geodesic
+    # residual above the gate of its index attachment: the survey keeps that solution
+    from brachkit.cli import main
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "model": {"name": "einstein_cylinder"}, "k": float(np.sqrt(2.0)),
+        "p": [0.6, 0.0, 0.0], "gamma_anchor": [2.4, 2.0, 0.0],
+        "survey": {"n_starts": 7, "T_bracket": [0.3, 9.0], "seed": 11, "n_basis": 40}}))
+    assert main(["survey", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "survey.json").read_text())
+    assert doc["count"] == 3
+    assert _index_pairs(doc)[:2] == [(0, 0), (1, 1)]
+    last = doc["solutions"][2]
+    assert last.get("index_error") == "NotGeodesic" or _index_pairs(doc)[2] == (2, 2)
+
+
+@pytest.mark.parametrize("dT, kept", [(1e-6, 1), (1e-2, 2)])
+def test_survey_tells_duplicates_by_their_curves(cylinder_survey, caplog, monkeypatch, dT, kept):
+    # two converged launches of one solution, further apart than _SAME_LAUNCH: both are
+    # integrated, and their curves decide whether the second one is a duplicate
+    prob, starts = cylinder_survey
+    (launch,), tally = _solve_starts(prob, [starts[21]])
+    u, T = launch
+    assert dT > bvp._SAME_LAUNCH
+    monkeypatch.setattr(bvp, "_solve_starts", lambda *args: ([(u, T), (u, T + dT)], tally))
+    with caplog.at_level(logging.INFO, logger="brachkit.bvp"):
+        res = multistart_survey(prob, 2, CYLINDER_BRACKET, seed=11, attach_indices=False)
+    assert len(res.solutions) == kept
+    counts = _survey_counts(caplog)
+    assert counts["integrated"] == 2
+    assert counts["duplicate"] == 2 - kept
 
 
 def test_worldlines_compare_and_hash_by_identity(models):

@@ -135,8 +135,8 @@ def test_dD_matches_finite_difference_of_D(models, solutions):
         derivs[i] = zeta_dots[i] + np.einsum("abc,b,c->a", G, v, zeta_vals[i])
     zeta = FieldAlongCurve(host=sol.sigma, values=zeta_vals, derivatives=derivs)
     X = dD_differential(model, sol, zeta, constraint_tol=1e-3)
-    wp = deform_D(model, fam[1], n_out=sol.sigma.n_segments, check=False)
-    wm = deform_D(model, fam[-1], n_out=sol.sigma.n_segments, check=False)
+    wp = deform_D(model, fam[1], check=False)
+    wm = deform_D(model, fam[-1], check=False)
     fd = (wp.points - wm.points) / (2 * s)
     rel = np.max(np.abs(X.values - fd)) / max(1.0, np.max(np.abs(fd)))
     assert rel < 1e-4
@@ -150,7 +150,7 @@ def test_dD_image_perpendicularity(models, solutions):
     sol = solutions["rotating_frame"]
     geom = SolutionGeometry(model, sol)
     zeta = make_admissible_variation(geom, rng=np.random.default_rng(2))
-    w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
+    w = deform_D(model, sol, check=False)
     X = dD_differential(model, sol, zeta)
     k = sol.k
 
@@ -228,9 +228,9 @@ def test_constrained_family_recovers_base(models, solutions):
     assert abs(back.T - sol.T) < 1e-9
 
 
-def test_index_attachment_builds_four_splines(models, cylinder_long_arc, monkeypatch):
-    # deform_D samples one spline of (points, velocities) and integrates its
-    # rate once; the geodesic check and the curve cache build one each
+def test_index_attachment_builds_three_splines(models, cylinder_long_arc, monkeypatch):
+    # deform_D integrates its rate once on the solution's own nodes; the
+    # geodesic check and the curve cache build one each
     from brachkit.bvp import _attach_indices
     from brachkit.curves import _CubicSpline
 
@@ -243,7 +243,20 @@ def test_index_attachment_builds_four_splines(models, cylinder_long_arc, monkeyp
 
     monkeypatch.setattr(_CubicSpline, "__init__", counting)
     assert _attach_indices(models["einstein_cylinder"], cylinder_long_arc) == (1, 0, 1)
-    assert len(built) == 4
+    assert len(built) == 3
+
+
+def test_deformation_lives_on_the_solution_grid(models, solutions):
+    # D slides each node along its own Killing orbit: no node is added, and the
+    # index cache runs on that same deformation, reversed
+    from brachkit.variation import index_data
+    model, sol = models["rotating_frame"], solutions["rotating_frame"]
+    w = deform_D(model, sol)
+    assert np.array_equal(w.grid, sol.sigma.grid)
+    rev = w.reversed()
+    data = index_data(model, sol)
+    for name in ("grid", "points", "velocities"):
+        assert np.array_equal(getattr(data.w, name), getattr(rev, name)), name
 
 
 def test_tangent_constraint_scan_evaluates_the_connection_once(solutions):

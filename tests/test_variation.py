@@ -262,7 +262,7 @@ def test_hessian_E_two_expressions_agree(models, solutions):
         geom = SolutionGeometry(model, sol)
         cg = conformal_geometry(model, sol.k)
         zeta = make_admissible_variation(geom, rng=np.random.default_rng(34))
-        w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
+        w = deform_D(model, sol, check=False)
         X = dD_differential(model, sol, zeta)
         lorentz = hessian_E_lorentzian(model, sol.k, w, X)
         wrev = w.reversed()
@@ -278,7 +278,7 @@ def test_second_variational_principle(models, solutions):
         model = models[name]
         geom = SolutionGeometry(model, sol)
         cg = conformal_geometry(model, sol.k)
-        w = deform_D(model, sol, n_out=sol.sigma.n_segments, check=False)
+        w = deform_D(model, sol, check=False)
         wrev = w.reversed()
         data = ConformalCurveData(cg, wrev)
         for _ in range(2):
@@ -367,7 +367,7 @@ def test_assemble_hessian_flat_positive(models):
     k = np.sqrt(2.0)
     sol = integrate_brachistochrone(model, k, np.zeros(3), [1.0, 0, 0], 1.0)
     cg = conformal_geometry(model, k)
-    wrev = deform_D(model, sol, n_out=400).reversed()
+    wrev = deform_D(model, sol).reversed()
     data = ConformalCurveData(cg, wrev)
     for mode in ("full", "horizontal", "perpendicular"):
         hm = assemble_hessian(data, mode, 40)
@@ -379,7 +379,7 @@ def test_assemble_hessian_cylinder_counts(models, cylinder_long_arc, cylinder_ve
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
     for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         hm50 = assemble_hessian(data, "full", 50)
         hm100 = assemble_hessian(data, "full", 100)
@@ -395,7 +395,7 @@ def test_restricted_index_report(models, cylinder_long_arc, cylinder_very_long_a
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
     for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         triple = restricted_index_report(data, 60)
         assert triple == (expected, expected, expected)
@@ -465,7 +465,7 @@ def test_assemble_hessian_full_matches_reference(models, cylinder_long_arc, solu
                       ("rotating_frame", solutions["rotating_frame"])):
         model = models[name]
         cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol, n_out=200).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         hm = assemble_hessian(data, "full", 6)
         ref = _reference_full_hessian(cg, wrev, data, 6)
@@ -478,7 +478,7 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
     model = models["einstein_cylinder"]
     cg = conformal_geometry(model, np.sqrt(2.0))
     for sol, expected in ((cylinder_long_arc, 1), (cylinder_very_long_arc, 2)):
-        wrev = deform_D(model, sol, n_out=400).reversed()
+        wrev = deform_D(model, sol).reversed()
         data = ConformalCurveData(cg, wrev)
         for mode in ("horizontal", "perpendicular"):
             for n_basis in (50, 100):
@@ -500,7 +500,7 @@ def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
         at_nodes.append(q.shape == w.points.shape and np.array_equal(q, w.points))
         return analytic(q)
 
-    w = deform_D(model, solutions["rotating_frame"], n_out=200).reversed()
+    w = deform_D(model, solutions["rotating_frame"]).reversed()
     model.analytic_christoffels = counting
     cg = conformal_geometry(model, solutions["rotating_frame"].k)
     for check, expected in ((False, 2), (True, 3)):
