@@ -98,6 +98,12 @@ def _canon(obj):
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2):
+            # "%.17g" writes the text of format(x, ".17g"), nan, inf and -0 included
+            rows = obj if obj.ndim == 2 else obj[None]
+            fmt = "[" + ",".join(["%.17g"] * rows.shape[1]) + "]"
+            text = ",".join(fmt % tuple(row) for row in rows.tolist())
+            return text if obj.ndim == 1 else "[" + text + "]"
         return _canon(obj.tolist())
     return json.dumps(obj)
 

@@ -419,11 +419,8 @@ def curve_from_csv(text: str) -> Curve:
 
 
 def curve_to_json_dict(c: Curve) -> dict:
-    return {
-        "grid": list(c.grid),
-        "points": [list(row) for row in c.points],
-        "velocities": [list(row) for row in c.velocities],
-    }
+    """The curve's arrays by name, for ``cli.dumps_canonical``."""
+    return {"grid": c.grid, "points": c.points, "velocities": c.velocities}
 
 
 def curve_from_json_dict(d: dict) -> Curve:

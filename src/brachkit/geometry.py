@@ -169,10 +169,14 @@ _CURVATURE_STEP = 2e-4
 
 def _curvature(model: SpacetimeModel, christoffels, q: np.ndarray) -> tuple:
     """(Gamma, R[..., a, b, c, d]): christoffels at q, and R from it and a fourth-order
-    difference of it."""
-    steps = _CURVATURE_STEP * np.eye(model.m)
+    difference of it.
+
+    The difference runs along the m - 1 axes other than the Killing one: in the adapted
+    chart g does not depend on the last coordinate (``require_adapted_chart``), so neither
+    do the Christoffels of g or of g~, and d_last Gamma = 0 without an evaluation."""
+    steps = _CURVATURE_STEP * np.eye(model.m)[:-1]
     _require_stencil(model, q, [s * e for e in steps for s in (1.0, -1.0, 2.0, -2.0)])
-    dG = np.empty(q.shape[:-1] + (model.m,) * 4)
+    dG = np.zeros(q.shape[:-1] + (model.m,) * 4)
     for c, e in enumerate(steps):
         d = dG[..., c, :, :, :]        # filled in place: two stencil values alive at a time
         np.subtract(christoffels(q + e), christoffels(q - e), out=d)
@@ -343,7 +347,7 @@ def _conformal_metric(g: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
 
 
 def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray):
-    """(g~, Christoffels of g~) for g~ = phi_k g_R at q, in closed form from g and Gamma there.
+    """The Christoffels of g~ = phi_k g_R at q, in closed form from g and Gamma there.
 
     g~ = phi_k g + psi w w^T with w = g Y, psi = 2 / (k^2 + <Y,Y>) and d psi = 2 d phi_k / k^2,
     so the lowered Gamma~_{d,bc} is phi_k Gamma_{d,bc} + (d_b phi_k S_dc + d_c phi_k S_db -
@@ -365,7 +369,7 @@ def _conformal_connection(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray)
     t = (np.swapaxes(hdw, -1, -2) - hdw)[..., None] * w[..., None, None, :]
     low += t + np.swapaxes(t, -1, -2)
     low += w[..., :, None, None] * (hdw + np.swapaxes(hdw, -1, -2))[..., None, :, :]
-    return gt, np.einsum("...ad,...dbc->...abc", np.linalg.inv(gt), low)
+    return np.einsum("...ad,...dbc->...abc", np.linalg.inv(gt), low)
 
 
 def nabla_y_matrix(model: SpacetimeModel, q) -> np.ndarray:
@@ -449,8 +453,12 @@ def _frame_through(g: np.ndarray, u: np.ndarray, frame: np.ndarray) -> np.ndarra
 
 def conservation_residuals(model: SpacetimeModel, points, velocities, k: float, T: float):
     """Per-node defects of the two conservation laws: (<v,Y> + kT, <v,v> + T^2)."""
-    g = model.g(points)
-    return _inner_y(g, velocities) + k * T, _inner(g, velocities, velocities) + T * T
+    return _conservation(model.g(points), _coords(velocities), k, T)
+
+
+def _conservation(g: np.ndarray, v: np.ndarray, k: float, T: float) -> tuple:
+    """``conservation_residuals`` from the metric g at the same points."""
+    return _inner_y(g, v) + k * T, _inner(g, v, v) + T * T
 
 
 def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
@@ -482,7 +490,7 @@ class ConformalGeometry:
 
     def christoffels(self, q) -> np.ndarray:
         G, q = connection_coeffs(self.model, q), _coords(q)    # connection_coeffs checks the chart
-        return _conformal_connection(self.model.g(q), G, self.k, q)[1]
+        return _conformal_connection(self.model.g(q), G, self.k, q)
 
     def curvature(self, q) -> np.ndarray:
         """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""

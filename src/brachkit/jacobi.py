@@ -9,7 +9,8 @@ whose last column is the clock t, read anywhere off the lane's continuous
 extension.  Focal points are where eigenvalues of a unitary W(t), built from the
 Lagrangian span of the m basis fields, pass through -1, as many as pass together.
 On the solution side they are confirmed through the adjoint of the linearized
-equation, integrated once backward from the event.
+equation, integrated once backward from the event; its coefficient matrix A(t) is
+read off a spline of A at the solution's nodes, built once per propagator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, FieldAlongCurve, _NodeSpline
+from .curves import Curve, FieldAlongCurve, _CubicSpline, _NodeSpline
 from .dynamics import BrachistochroneSolution, ode_lanes
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
@@ -325,17 +326,18 @@ def _endpoint_rows(geom: SolutionGeometry):
     F = [E g_R | 0 | 0] reads the g_R-components of V(1) along the horizontal
     frame E at sigma(1).  R solves the adjoint equation dR/dt = -R A(t)
     backward from R(1) = F, so R(t0) x(t0) = F x(1) for every augmented
-    solution x; no inversion is needed.
+    solution x; no inversion is needed.  A is built once, by ``_bjacobi_rhs`` on
+    the identity rows at all of the solution's nodes, and a stage reads it off the
+    cubic spline of those values.
     """
-    m, g1 = geom.model.m, geom.g[-1]
+    m, g1, grid = geom.model.m, geom.g[-1], geom.sol.sigma.grid
     F = np.zeros((m - 1, 2 * m + 1))
     F[:, :m] = _horizontal_frame(g1) @ _riemannian(g1)
-    rhs = _bjacobi_rhs(geom)
-    eye = np.eye(2 * m + 1)
+    A = _CubicSpline(grid, _bjacobi_rhs(geom)(grid, np.eye(2 * m + 1)).mT)
 
     def adjoint(t, flat):
         R = flat.reshape(len(flat), m - 1, 2 * m + 1)
-        return -(R @ rhs(t, eye).mT).reshape(len(flat), -1)
+        return -(R @ A(t)).reshape(len(flat), -1)
 
     lane = _clock_lane(adjoint, F.ravel(), 1.0, 0.0, "endpoint propagator integration")
     return lambda t: lane(1.0 - t)[:-1].reshape(m - 1, 2 * m + 1)

@@ -20,9 +20,9 @@ from .curves import (Curve, FieldAlongCurve, _require_hosted, covariant_nodes,
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import ConstraintViolated, FlowEscape
-from .geometry import (SpacetimeModel, connection_coeffs, conservation_residuals,
-                       curve_distance, isometry_defect, require_adapted_chart,
-                       _coords, _inner, _inner_y, _phi_k, _riemannian, _require_horizontal)
+from .geometry import (SpacetimeModel, connection_coeffs, curve_distance, isometry_defect,
+                       require_adapted_chart, _conservation, _coords, _inner, _inner_y, _phi_k,
+                       _riemannian, _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -94,18 +94,17 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
         raise ValueError("k is required when deforming a bare curve")
     else:
         curve, T = sol, None
+    pts, vels = curve.points, curve.velocities
+    g = model.g(pts)                   # for the check and the rate
     if check:
         if T is None:
-            T = -float(_inner_y(model.g(curve.points[0]), curve.velocities[0])) / k
+            T = -float(_inner_y(g[0], vels[0])) / k
             if T <= 0.0:
                 raise ConstraintViolated("curve has nonpositive inferred travel time")
-        r_y, r_v = conservation_residuals(model, curve.points, curve.velocities, k, T)
+        r_y, r_v = _conservation(g, vels, k, T)
         failed = conservation_failures(np.max(np.abs(r_y)), np.max(np.abs(r_v)), k, T, 1e-6)
         if failed:
             raise ConstraintViolated(f"input curve violates {' and '.join(failed)}")
-
-    pts, vels = curve.points, curve.velocities
-    g = model.g(pts)
     w = _slide(model, curve.grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
     _require_horizontal(model.g(w.points), w.velocities, 1e-8, "deformed curve")
     return w

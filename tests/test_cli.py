@@ -29,6 +29,20 @@ def test_canonical_floats_roundtrip():
     assert parsed["vals"] == vals
 
 
+def test_canonical_float_arrays_read_as_their_lists():
+    # the row-by-row "%.17g" of a 1-D or 2-D float array is the text of the
+    # recursive path through its lists of floats
+    from brachkit.cli import _canon
+
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, 5e-324, -1e308])
+    arrays = [special, special.reshape(2, 4), np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),
+              np.random.default_rng(5).standard_normal((401, 3))]
+    for arr in arrays:
+        assert _canon(arr) == _canon(arr.tolist()), arr.shape
+    assert _canon(special[None]) == ("[[nan,inf,-inf,-0,0,0.33333333333333331,"
+                                     "4.9406564584124654e-324,-1e+308]]")
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, {"typo_block": 1})
     with pytest.raises(Exception):

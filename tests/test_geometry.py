@@ -171,6 +171,37 @@ def test_curvature_first_bianchi(models):
             assert np.max(np.abs(t1 + t2 + t3)) < 1e-6
 
 
+def _all_axes_curvature(christoffels, q):
+    """(Gamma, R) of geometry._curvature's stencil taken along every axis, the Killing one
+    included, in the same order of operations."""
+    h = geo._CURVATURE_STEP
+    dG = np.stack([(8.0 * (christoffels(q + e) - christoffels(q - e))
+                    - (christoffels(q + 2.0 * e) - christoffels(q - 2.0 * e))) / (12.0 * h)
+                   for e in h * np.eye(q.shape[-1])], axis=-4)
+    G = christoffels(q)
+    R = np.einsum("...cadb->...abcd", dG) - np.einsum("...dacb->...abcd", dG)
+    R += np.einsum("...ace,...edb->...abcd", G, G)
+    R -= np.einsum("...ade,...ecb->...abcd", G, G)
+    return G, R
+
+
+def test_curvature_stencil_skips_the_killing_axis_bit_for_bit(models, r_s3_arcs):
+    # in the adapted chart the Christoffels of g and g~ do not depend on the last
+    # coordinate, so its differences are exactly 0 and skipping them changes no bit
+    model_s3, arcs = r_s3_arcs
+    cases = [(models[name], STANDARD_LAUNCH[name]["k"], np.asarray(STANDARD_LAUNCH[name]["p"]))
+             for name in models]
+    cases.append((model_s3, np.sqrt(2.0), arcs[4.5].sigma.points[::40]))
+    rng = np.random.default_rng(11)
+    for model, k, p in cases:
+        q = p + 0.05 * rng.standard_normal((7,) + p.shape[-1:]) if p.ndim == 1 else p
+        cg = geo.conformal_geometry(model, k)
+        for christoffels in (lambda x: geo.connection_coeffs(model, x), cg.christoffels):
+            G, R = geo._curvature(model, christoffels, q)
+            G_ref, R_ref = _all_axes_curvature(christoffels, q)
+            assert np.array_equal(G, G_ref) and np.array_equal(R, R_ref), model.name
+
+
 def test_riemannian_metric_sign_flip(models):
     model = models["minkowski3"]
     q = np.zeros(3)

@@ -409,6 +409,35 @@ def test_endpoint_rows_match_direct_integration(models, solutions):
                 assert err < 1e-9, (name, t0, err)
 
 
+def test_endpoint_rows_hold_on_arcs_whose_coefficients_vary(models, r_s3_arcs):
+    # the propagator reads A(t) off a spline of its values at the nodes, while
+    # integrate_bjacobi builds A at each stage: R(t0) x(t0) = F x(1) judges the
+    # interpolant where the coefficients vary along the arc, off the equators of
+    # the cylinder and of R x S^3 (along the fixture's arcs they are constant)
+    cyl, s3, k = models["einstein_cylinder"], r_s3_arcs[0], np.sqrt(2.0)
+    arcs = []
+    for model, p, u, T in ((cyl, [1.0, 0.0, 0.0], [0.3, 1.0, 0.0], 3.0),
+                           (s3, [1.2, 1.0, 0.0, 0.0], [0.3, 0.2, 1.0, 0.0], 3.0)):
+        p = np.array(p)
+        arcs.append((model, integrate_brachistochrone(model, k, p, unit_horizontal(model, p, u), T)))
+    for model, sol in arcs:
+        m = model.m
+        geom = SolutionGeometry(model, sol)
+        assert np.ptp(geom.g, axis=0).max() > 0.1, model.name   # the coefficients vary
+        rows = _endpoint_rows(geom)
+        q1 = sol.sigma.points[-1]
+        F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
+        for t0 in (0.0, 0.35, 0.7):
+            d = _coeffs_at(geom.spline, t0)
+            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
+            for dv in np.linalg.svd(row[None, :])[2][1:]:
+                jb = integrate_bjacobi(geom, np.zeros(m), dv, t0=t0)
+                direct = F @ jb.field.values[-1]
+                via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
+                err = np.max(np.abs(via_rows - direct)) / np.max(np.abs(direct))
+                assert err < 1e-8, (model.name, t0, err)
+
+
 def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
     # the probe's singular value equals the one of the endpoint map built from
     # one direct solve per admissible launch direction

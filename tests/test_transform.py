@@ -309,3 +309,25 @@ def test_dD_differential_evaluates_g_and_the_connection_once(solutions):
     ref = map_L(model, sol, 0.0, zeta)
     assert np.array_equal(dD.values, ref.values)
     assert np.array_equal(dD.host.points, ref.host.points)
+
+
+def test_deform_D_evaluates_the_metric_once_at_its_input_nodes(solutions):
+    # one evaluation of g at the input nodes serves the conservation check and the
+    # rate; the adapted-chart check of the flow (two) and the horizontality gate on
+    # the slid nodes make the only others
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    metric = model.metric_components
+    sol = solutions["rotating_frame"]
+    pts = sol.sigma.points
+    at_nodes = []
+
+    def counting(q):
+        at_nodes.append(q.shape == pts.shape and np.array_equal(q, pts))
+        return metric(q)
+
+    model.metric_components = counting
+    deform_D(model, sol)
+    assert sum(at_nodes) == 1
+    assert len(at_nodes) == 4

@@ -9,10 +9,11 @@ from brachkit.geometry import (_jacobian_fd, conformal_geometry, connection_coef
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import dD_differential, deform_D
-from brachkit.variation import (ConformalCurveData, SolutionGeometry, _frame_perp, assemble_hessian,
-                                constraint_residual, hessian_E_eval, hessian_E_lorentzian,
-                                hessian_F_eval, index_form, lagrange_multiplier_field,
-                                make_admissible_variation, restricted_index_report,
+from brachkit.variation import (ConformalCurveData, SolutionGeometry, _apply, _frame_perp,
+                                assemble_hessian, constraint_residual, hessian_E_eval,
+                                hessian_E_lorentzian, hessian_F_eval, index_form,
+                                lagrange_multiplier_field, make_admissible_variation,
+                                restricted_index_report,
                                 second_fundamental_form_gamma, travel_time_differential)
 
 from conftest import STANDARD_LAUNCH
@@ -486,10 +487,20 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
                 assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
 
 
+def test_galerkin_products_are_einsums_bit_for_bit():
+    # the multiply-adds of assemble_hessian sum as numpy's einsum does, so the
+    # index matrices keep their bits; mostly-zero fields as in the full mode
+    rng = np.random.default_rng(23)
+    for m in (2, 3, 4):
+        M = rng.standard_normal((40, m, m))
+        X = rng.standard_normal((3 * m, 40, m)) * (rng.random((3 * m, 40, m)) < 0.3)
+        assert np.array_equal(_apply(M, X), np.einsum("qac,dqc->dqa", M, X)), m
+
+
 def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
-    # one evaluation of g and Gamma at the nodes feeds Gamma~, the g and the
-    # nabla Y columns; the centre of ConformalGeometry.curvature's stencil and
-    # the geodesic check make the only others
+    # one evaluation of g and Gamma at the nodes feeds g~, the g and the nabla Y
+    # columns; the centre of the curvature stencil, which gives Gamma~, and the
+    # geodesic check make the only others; the stencil skips the Killing axis
     from brachkit.models import ModelSpec, make_model
 
     model = make_model(ModelSpec("rotating_frame"))
@@ -507,14 +518,15 @@ def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
         at_nodes.clear()
         data = ConformalCurveData(cg, w, check=check)
         assert sum(at_nodes) == expected, check
-        assert len(at_nodes) == expected + 4 * model.m    # and the curvature stencil
+        assert len(at_nodes) == expected + 4 * (model.m - 1)    # and the curvature stencil
     np.testing.assert_array_equal(data.spline.sample(w.grid)["K"],
                                   connection_coeffs(model, w.points)[..., -1])
 
 
 def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions):
     # Gamma at the nodes is both the cached connection and the centre of the
-    # curvature stencil: one evaluation there, and the 4m offsets of the stencil
+    # curvature stencil: one evaluation there, and the 4(m - 1) offsets of the
+    # stencil, which skips the Killing axis
     from brachkit.models import ModelSpec, make_model
 
     model = make_model(ModelSpec("rotating_frame"))
@@ -530,7 +542,7 @@ def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions)
     model.analytic_christoffels = counting
     geom = SolutionGeometry(model, sol)
     assert sum(at_nodes) == 1
-    assert len(at_nodes) == 1 + 4 * model.m
+    assert len(at_nodes) == 1 + 4 * (model.m - 1)
     np.testing.assert_array_equal(geom.gamma, analytic(pts))
 
 
