@@ -258,28 +258,39 @@ class _CubicSpline(_Pieces):
             raise GridTooCoarse("a cubic spline needs at least 3 nodes")
         shape, y = y.shape[1:], y.reshape(x.size, -1)
         h = np.diff(x)[:, None]
-        slope = np.diff(y, axis=0) / h
-        s = np.empty_like(y)
+        # c is filled in place, s in its row 2 and t in its row 1: besides c, at most
+        # three arrays as large as the values are alive (slope, r, and the solve's)
+        c = np.empty((4,) + y.shape)
+        s = c[2]
+        slope = np.diff(y, axis=0)
+        slope /= h
         if x.size == 3:
             s[1] = (h[1] * slope[0] + h[0] * slope[1]) / (x[2] - x[0])
             s[0], s[2] = 2.0 * slope[0] - s[1], 2.0 * slope[1] - s[1]
         else:
             d, e = x[2] - x[0], x[-1] - x[-3]
-            r = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+            r = h[1:] * slope[:-1]          # 3 (h[1:] slope[:-1] + h[:-1] slope[1:])
+            r += h[:-1] * slope[1:]
+            r *= 3.0
             first = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
             last = (h[-1] ** 2 * slope[-2] + (2.0 * e + h[-1]) * h[-2] * slope[-1]) / e
             r[0] -= first
             r[-1] -= last
             s[1:-1] = _spline_reduction(x).solve(r)
+            del r
             s[0] = (first - d * s[1]) / h[1]
             s[-1] = (last - e * s[-2]) / h[-2]
-        t = (s[:-1] + s[1:] - 2.0 * slope) / h
-        c = np.empty((4,) + y.shape)
-        c[0, :-1] = t / h
-        c[1, :-1] = (slope - s[:-1]) / h - t
+        t = c[1, :-1]                   # (s[:-1] + s[1:] - 2 slope) / h
+        np.add(s[:-1], s[1:], out=t)
+        t -= 2.0 * slope
+        t /= h
+        np.divide(t, h, out=c[0, :-1])
+        slope -= s[:-1]                 # c[1] = (slope - s[:-1]) / h - t
+        slope /= h
+        np.subtract(slope, t, out=t)
         c[0, -1] = c[0, -2]
         c[1, -1] = c[1, -2] + 3.0 * c[0, -2] * h[-1]
-        c[2], c[3] = s, y
+        c[3] = y
         super().__init__(x, c, shape)
 
 
@@ -396,10 +407,19 @@ def resample_curve(c: Curve, n_new: int) -> Curve:
 # Serialization
 
 def csv_rows(rows) -> list:
-    """Each row of a 2-D array as one CSV line of ``.17g`` numbers (round-trip exact)."""
+    """Each row of a 2-D array as one CSV line of ``.17g`` numbers (round-trip exact).
+
+    An array with a +0.0, whose bits are all zero, writes each one as "0", the text
+    of its ``.17g``, and formats only the other numbers: a Galerkin matrix is mostly
+    zeros."""
     rows = np.asarray(rows, dtype=float)
-    fmt = ",".join(["%.17g"] * rows.shape[-1])
-    return [fmt % tuple(row.tolist()) for row in rows]  # row by row: no list of all floats
+    formatted = rows.view(np.int64) != 0
+    if formatted.all():
+        fmt = ",".join(["%.17g"] * rows.shape[-1])
+        return [fmt % tuple(row) for row in rows.tolist()]
+    text = np.full(rows.shape, "0", dtype=object)
+    text[formatted] = ["%.17g" % x for x in rows[formatted].tolist()]
+    return [",".join(row) for row in text.tolist()]
 
 
 def curve_to_csv(c: Curve) -> str:

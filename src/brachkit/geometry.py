@@ -492,9 +492,10 @@ class ConformalGeometry:
         G, q = connection_coeffs(self.model, q), _coords(q)    # connection_coeffs checks the chart
         return _conformal_connection(self.model.g(q), G, self.k, q)
 
-    def curvature(self, q) -> np.ndarray:
-        """R[..., a, b, c, d] of phi_k * g_R, same index convention as curvature_tensor."""
-        return _curvature(self.model, self.christoffels, self.model.require_in_chart(q))[1]
+    def curvature(self, q) -> tuple:
+        """(Gamma~, R[..., a, b, c, d]) of phi_k * g_R at q, R in the index convention of
+        curvature_tensor: the Christoffels are the centre of R's stencil."""
+        return _curvature(self.model, self.christoffels, self.model.require_in_chart(q))
 
 
 def conformal_geometry(model: SpacetimeModel, k: float) -> ConformalGeometry:

@@ -205,7 +205,7 @@ def _rjacobi_lane(spline: _NodeSpline, X0: np.ndarray):
     def rhs(t, x):
         X = x.reshape(len(x), n, 2 * m)
         J, DJ = X[..., :m], X[..., m:]
-        d = spline.sample(t)
+        d = spline.sample(t, names=("gamma", "Braw", "v"))
         GvT = (d["v"][:, None, None, :] @ d["gamma"])[..., 0, :].mT   # J @ GvT = Gamma~(w', J)
         dDJ = J @ d["Braw"].mT - DJ @ GvT
         return np.concatenate([DJ - J @ GvT, dDJ], axis=-1).reshape(len(x), -1)

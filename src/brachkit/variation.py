@@ -29,7 +29,7 @@ from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NonFini
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        conformal_factor_gradient, conformal_geometry, connection_coeffs,
                        horizontal_part, riemannian_metric_matrix, _conformal_metric,
-                       _connection_and_curvature, _coords, _curvature, _frame_through,
+                       _connection_and_curvature, _coords, _frame_through,
                        _grad_phi_k, _gr_length, _horizontal, _horizontal_frame, _inner, _inner_y,
                        _jacobian_fd, _require_horizontal, _riemannian)
 from .transform import _constraint_scan, _require_admissible, deform_D, tangent_constraint_scan
@@ -201,9 +201,10 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
 class ConformalCurveData:
     """Per-node conformal data along a curve (metric, Christoffels, tidal matrix).
 
-    ``spline`` holds q, g~, Gamma~, ``Braw``, B, and w' next to the Lorentzian g and
-    nabla Y (``K``), the three that the restricted Hessian modes read on their own; the
-    Hessian assembly and the Jacobi solves sample it."""
+    ``spline`` holds q, g~ and B, then Gamma~, ``Braw`` and w', the three that the Jacobi
+    equation reads, then next to w' the Lorentzian g and nabla Y (``K``), the three that
+    the restricted Hessian modes read on their own; the Hessian assembly and the Jacobi
+    solves sample it."""
 
     def __init__(self, confgeom: ConformalGeometry, w: Curve, check: bool = True):
         self.confgeom = confgeom
@@ -218,15 +219,14 @@ class ConformalCurveData:
         pts, v = w.points, w.velocities
         g, G = model.g(pts), connection_coeffs(model, pts)   # gives g~, g and K
         self.gt = _conformal_metric(g, k, pts)
-        # Gamma~ is the centre of its curvature stencil
-        self.gamma, R = _curvature(model, confgeom.christoffels, pts)
+        self.gamma, R = confgeom.curvature(pts)          # Gamma~, the stencil's centre
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
         # (R(v,w)u)^a = R^a_{bcd} u^b v^c w^d; R~(w',J)w' -> R^a_{bcd} v^b v^c J^d
         self.Braw = np.einsum("nabcd,nb,nc->nad", R, v, v)
         del R                                              # freed before the spline is built
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
-            q=pts, gt=self.gt, gamma=self.gamma, Braw=self.Braw, B=self.B,
+            q=pts, gt=self.gt, B=self.B, gamma=self.gamma, Braw=self.Braw,
             v=v, g=g, K=G[..., -1]))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
@@ -360,23 +360,25 @@ def _quad_points(n_el: int):
 
 
 def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M(q) X_d(q) for the fields X, shape (ndof, nq, m), and matrices M, shape (nq, m, m):
-    einsum("qac,dqc->dqa", M, X) as elementwise multiply-adds, three to four times as
-    fast.  Each output component a is one (ndof, nq) array, summed over c as numpy's
-    einsum sums: the even c and the odd c apart, then the two sums, so the bits are
-    einsum's.  The result is a view with the components last."""
+    """M(q) X_d(q) for the fields X, shape (ndof, nq, m), and matrices M, shape (nq, m, m),
+    as einsum("qac,dqc->dqa", M, X) gives it, three to four times as fast: per component a,
+    elementwise multiply-adds over whole (ndof, nq) arrays, written into an array of X's
+    shape.  The terms are summed as numpy 2.4's einsum sums them, the even c and the odd c
+    apart and then the two sums, so there the bits are einsum's; another order would
+    differ from it by rounding only."""
     m = M.shape[-1]
-    Xc = np.moveaxis(X, -1, 0)
-    out = np.empty((m,) + X.shape[:-1])
-    for a, total in enumerate(out):
-        np.multiply(M[:, a, 0], Xc[0], out=total)
+    out = np.empty_like(X)
+    term, odd = np.empty(X.shape[:-1]), np.empty(X.shape[:-1])
+    for a in range(m):
+        total = out[..., a]
+        np.multiply(M[:, a, 0], X[..., 0], out=total)
         for c in range(2, m, 2):
-            total += M[:, a, c] * Xc[c]
-        odd = M[:, a, 1] * Xc[1]
+            total += np.multiply(M[:, a, c], X[..., c], out=term)
+        np.multiply(M[:, a, 1], X[..., 1], out=odd)
         for c in range(3, m, 2):
-            odd += M[:, a, c] * Xc[c]
+            odd += np.multiply(M[:, a, c], X[..., c], out=term)
         total += odd
-    return np.moveaxis(out, 0, -1)
+    return out
 
 
 def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
@@ -423,11 +425,13 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     hv, hs = (h[:, interior].T[:, None, :, None] for h in (hat_v, hat_s))
 
     # Basis fields at the quadrature points, shape (ndof, nq, m), interior nodes
-    # first (node-major); their values at the observer end go to V0s.
+    # first (node-major); their values at the observer end go to V0s.  The hat
+    # products are made in C order: a broadcast product is laid out node axis
+    # innermost, and every reshape of it, the Galerkin products' included, copied it.
     if boundary_conditions == "full":
         # nodal fields hat_j e_a, then the observer-end field hat_0 Y
         axes = np.eye(m)[:, None, :]
-        Vs, dVs = (hv * axes).reshape(-1, nq, m), (hs * axes).reshape(-1, nq, m)
+        Vs, dVs = (np.multiply(h, axes, order="C").reshape(-1, nq, m) for h in (hv, hs))
         V_y = hat_v[:, 0][:, None] * y
         dV_y = hat_s[:, 0][:, None] * y
         Vs = np.concatenate([Vs, V_y[None]])
@@ -469,7 +473,9 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
         lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
         # transverse parts hat_j E_a, plus their Y-components
         E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
-        Vs, dVs = (hv * E).reshape(-1, nq, m), (hs * E + hv * dE).reshape(-1, nq, m)
+        Vs, dVs = (np.multiply(h, E, order="C") for h in (hv, hs))
+        dVs += hv * dE
+        Vs, dVs = Vs.reshape(-1, nq, m), dVs.reshape(-1, nq, m)
         Vs += lam_q * y
         dVs += lam_rate_q * y
         V0s = lam_0[:, None] * y

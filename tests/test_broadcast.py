@@ -48,7 +48,7 @@ def test_geometry_broadcasts(models, name):
         "connection_coeffs_fd": lambda q: geo.connection_coeffs(fd_model, q),
         "curvature_tensor": lambda q: geo.curvature_tensor(model, q),
         "conformal_christoffels": cg.christoffels,
-        "conformal_curvature": cg.curvature,
+        "conformal_curvature": lambda q: cg.curvature(q)[1],
         "riemannian_metric_matrix": lambda q: geo.riemannian_metric_matrix(model, q),
         "conformal_factor": lambda q: geo.conformal_factor(model, q, k),
         "conformal_factor_gradient": lambda q: geo.conformal_factor_gradient(model, q, k),

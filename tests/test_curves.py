@@ -259,7 +259,9 @@ def test_csv_rows_are_the_per_number_format():
     from brachkit.curves import csv_rows
     special = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 1.0 / 3.0]
     rows = np.array([special, special[::-1], [0.0, -1e-300, 2.0 ** 0.5, -7.0, 1e16, 123.0, 0.1]])
-    assert csv_rows(rows) == [",".join(format(x, ".17g") for x in row) for row in rows]
+    # with and without a +0.0 (written unformatted), and mostly zeros
+    for arr in (rows, rows[:2], np.diag(special)):
+        assert csv_rows(arr) == [",".join(format(x, ".17g") for x in row) for row in arr]
     assert csv_rows(np.zeros((0, 3))) == []
     c = Curve(grid=np.linspace(0.0, 1.0, 7), points=rows.T.copy(), velocities=rows.T[::-1].copy())
     per_number = "t,q_1,q_2,q_3,v_1,v_2,v_3\n" + "".join(
