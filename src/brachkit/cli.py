@@ -102,7 +102,7 @@ def _canon(obj):
             # "%.17g" writes the text of format(x, ".17g"), nan, inf and -0 included
             rows = obj if obj.ndim == 2 else obj[None]
             fmt = "[" + ",".join(["%.17g"] * rows.shape[1]) + "]"
-            text = ",".join(fmt % tuple(row) for row in rows.tolist())
+            text = ",".join([fmt % tuple(row.tolist()) for row in rows])
             return text if obj.ndim == 1 else "[" + text + "]"
         return _canon(obj.tolist())
     return json.dumps(obj)

@@ -409,17 +409,21 @@ def resample_curve(c: Curve, n_new: int) -> Curve:
 def csv_rows(rows) -> list:
     """Each row of a 2-D array as one CSV line of ``.17g`` numbers (round-trip exact).
 
-    An array with a +0.0, whose bits are all zero, writes each one as "0", the text
-    of its ``.17g``, and formats only the other numbers: a Galerkin matrix is mostly
-    zeros."""
+    Row by row, so no list of all the numbers is alive.  A row that is mostly +0.0,
+    whose bits are all zero and whose text is "0", formats only its other numbers: a
+    Galerkin matrix is mostly zeros."""
     rows = np.asarray(rows, dtype=float)
-    formatted = rows.view(np.int64) != 0
-    if formatted.all():
-        fmt = ",".join(["%.17g"] * rows.shape[-1])
-        return [fmt % tuple(row) for row in rows.tolist()]
-    text = np.full(rows.shape, "0", dtype=object)
-    text[formatted] = ["%.17g" % x for x in rows[formatted].tolist()]
-    return [",".join(row) for row in text.tolist()]
+    fmt = ",".join(["%.17g"] * rows.shape[-1])
+    lines = []
+    for row, n in zip(rows, np.count_nonzero(rows.view(np.int64), axis=-1).tolist()):
+        if 2 * n > row.size:
+            lines.append(fmt % tuple(row.tolist()))
+            continue
+        nonzero, cells = np.flatnonzero(row.view(np.int64)), ["0"] * row.size
+        for j, x in zip(nonzero.tolist(), row[nonzero].tolist()):
+            cells[j] = "%.17g" % x
+        lines.append(",".join(cells))
+    return lines
 
 
 def curve_to_csv(c: Curve) -> str:

@@ -363,9 +363,9 @@ def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M(q) X_d(q) for the fields X, shape (ndof, nq, m), and matrices M, shape (nq, m, m),
     as einsum("qac,dqc->dqa", M, X) gives it, three to four times as fast: per component a,
     elementwise multiply-adds over whole (ndof, nq) arrays, written into an array of X's
-    shape.  The terms are summed as numpy 2.4's einsum sums them, the even c and the odd c
-    apart and then the two sums, so there the bits are einsum's; another order would
-    differ from it by rounding only."""
+    shape.  The even c and the odd c are summed apart and then added, which is the order
+    of numpy 2.4's einsum here, so with it the bits are einsum's; einsum in another order
+    differs from this by the rounding of the sum only, the bound the tests hold it to."""
     m = M.shape[-1]
     out = np.empty_like(X)
     term, odd = np.empty(X.shape[:-1]), np.empty(X.shape[:-1])
