@@ -638,14 +638,11 @@ def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
     return _lane_curve(np.linspace(0.0, 1.0, config.grid_n + 1), extensions, failures)
 
 
-def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution,
-                        refine: int = 2) -> dict:
-    """Recompute the two conservation residuals on a refined grid."""
-    n = sol.sigma.n_segments * refine
-    grid = np.linspace(0.0, 1.0, n + 1)
-    ps = sol.sigma.point_spline()
-    vs = sol.sigma.velocity_spline()
-    errs_y, errs_v = conservation_residuals(model, ps(grid), vs(grid), sol.k, sol.T)
+def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution) -> dict:
+    """The two conservation residuals at the solution's nodes, where its spline adds no
+    interpolation error: maxima (``sol.residual_conservation_*``) and L2 norms."""
+    grid, pts, vels = sol.sigma.grid, sol.sigma.points, sol.sigma.velocities
+    errs_y, errs_v = conservation_residuals(model, pts, vels, sol.k, sol.T)
     return {
         "residual_Y_max": float(np.max(np.abs(errs_y))),
         "residual_Y_l2": float(np.sqrt(grid_integral(grid, errs_y ** 2))),

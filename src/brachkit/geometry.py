@@ -461,6 +461,13 @@ def _conservation(g: np.ndarray, v: np.ndarray, k: float, T: float) -> tuple:
     return _inner_y(g, v) + k * T, _inner(g, v, v) + T * T
 
 
+def _linearized_conservation(g: np.ndarray, K: np.ndarray, v: np.ndarray, z, dz) -> tuple:
+    """(<dz,Y> - <z,nabla_v Y>, <dz,v>) per node, for a field z with covariant derivative dz
+    along a curve with velocity v, from g and nabla Y = K there: the derivative of
+    ``_conservation`` along z at fixed T (Y Killing), its second entry halved."""
+    return _inner_y(g, dz) - _inner(g, z, np.einsum("...ab,...b->...a", K, v)), _inner(g, dz, v)
+
+
 def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
     """Sup over nodes of the g_R length (at points_a) of the wrapped difference b - a."""
     d = model.wrap_difference(np.asarray(points_b) - np.asarray(points_a))

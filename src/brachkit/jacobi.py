@@ -24,8 +24,8 @@ from .dynamics import BrachistochroneSolution, ode_lanes
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
                      NotCritical, NotOrthogonalStart, StepFailure)
-from .geometry import (SpacetimeModel, _coords, _horizontal_frame, _inner, _require_horizontal,
-                       _riemannian)
+from .geometry import (SpacetimeModel, _coords, _horizontal_frame, _linearized_conservation,
+                       _require_horizontal, _riemannian)
 from .variation import _CRITICALITY_TOL, ConformalCurveData, SolutionGeometry, index_data
 
 __all__ = [
@@ -50,7 +50,6 @@ class JacobiFieldData:
     field: FieldAlongCurve
     derivative: FieldAlongCurve
     C_V: float
-    kind: str
     drift: float = 0.0   # conserved-quantity drift over the run
 
 
@@ -94,11 +93,10 @@ def _clock_lane(rhs, x0, t0: float, t1: float, what: str):
 def _coeffs_at(spline: _NodeSpline, t) -> dict:
     """The linearized equation's coefficients at t, off ``SolutionGeometry.spline``: nabla Y
     (``K``) and ``dK``, its derivative, contiguous as a product's bits depend on layout;
-    Y = e_last and <Y,Y> = g[..., -1, -1], a float at a scalar t."""
+    <Y,Y> = g[..., -1, -1] (``N``), a float at a scalar t."""
     d = spline.sample(t)
     d["K"] = np.ascontiguousarray(d["K"])
     d["dK"] = np.ascontiguousarray(spline.sample(t, 1, ("K",))["K"])
-    d["y"] = np.eye(d["g"].shape[-1])[-1]
     d["N"] = d["g"][..., -1, -1][()]
     return d
 
@@ -149,21 +147,16 @@ def _bjacobi_rhs(geom: SolutionGeometry):
     return rhs
 
 
-def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0,
-                      t1: float = 1.0) -> JacobiFieldData:
-    """Integrate the linearized travel-time equation along ``geom.sol`` from (V0, dV0).
-
-    ``dV0`` is the covariant derivative of the field at the start; the
-    admissibility constant is computed from the data, and the launch must
-    satisfy the linearized conservation condition.
-    """
+def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0) -> JacobiFieldData:
+    """Integrate the linearized travel-time equation along ``geom.sol`` from (V0, dV0) at t0
+    to 1 (dV0 covariant; the field is zero before t0).  The launch must have linearized laws
+    (C_V, T C_V / k); ``drift`` is the largest change of the first over the nodes."""
     sol = geom.sol
-    d0 = _coeffs_at(geom.spline, t0)
+    d0 = geom.spline.sample(t0, names=("g", "v", "K"))
     V0 = _coords(V0)
     dV0 = _coords(dV0)
-    g, y, v = d0["g"], d0["y"], d0["v"]
-    C_V = float(dV0 @ g @ y) - float(V0 @ g @ (d0["K"] @ v))
-    ic = -sol.T * C_V + sol.k * float(dV0 @ g @ v)
+    C_V, s0 = (float(x) for x in _linearized_conservation(d0["g"], d0["K"], d0["v"], V0, dV0))
+    ic = -sol.T * C_V + sol.k * s0
     scale = 1.0 + float(np.linalg.norm(V0)) + float(np.linalg.norm(dV0))
     if abs(ic) > 1e-6 * scale * (1.0 + sol.T):
         raise InitialConditionViolated(
@@ -172,25 +165,21 @@ def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0,
     m = geom.model.m
     rhs = _bjacobi_rhs(geom)
     lane = _clock_lane(lambda t, x: rhs(t, x[:, None])[:, 0], np.concatenate([V0, dV0, [C_V]]),
-                       t0, t1, "linearized integration")
+                       t0, 1.0, "linearized integration")
 
     grid = sol.sigma.grid
-    mask = (grid >= t0 - 1e-12) & (grid <= t1 + 1e-12)
-    ts = grid[mask]
+    mask = grid >= t0 - 1e-12
     vals = np.zeros((grid.size, m))
     ders = np.zeros((grid.size, m))
-    sampled = lane((ts - t0) / (t1 - t0))
+    sampled = lane((grid[mask] - t0) / (1.0 - t0))
     vals[mask] = sampled[:, :m]
     ders[mask] = sampled[:, m:2 * m]
-    # conserved-quantity drift
-    d = _coeffs_at(geom.spline, ts)
-    Kv = np.einsum("nab,nb->na", d["K"], d["v"])
-    c_here = _inner(d["g"], ders[mask], d["y"]) - _inner(d["g"], vals[mask], Kv)
-    drift = float(np.max(np.abs(c_here - C_V), initial=0.0))
+    c_here = _linearized_conservation(geom.g[mask], geom.K[mask], sol.sigma.velocities[mask],
+                                      vals[mask], ders[mask])[0]
     return JacobiFieldData(
         field=FieldAlongCurve(host=sol.sigma, values=vals),
         derivative=FieldAlongCurve(host=sol.sigma, values=ders),
-        C_V=C_V, kind="b_jacobi", drift=drift,
+        C_V=C_V, drift=float(np.max(np.abs(c_here - C_V), initial=0.0)),
     )
 
 
@@ -219,7 +208,7 @@ def _field_data(w: Curve, lane) -> list:
     sampled = lane(w.grid)[:, :-1].reshape(w.grid.size, -1, 2 * m)
     return [JacobiFieldData(field=FieldAlongCurve(host=w, values=sampled[:, i, :m]),
                             derivative=FieldAlongCurve(host=w, values=sampled[:, i, m:]),
-                            C_V=0.0, kind="riemannian_gamma") for i in range(sampled.shape[1])]
+                            C_V=0.0) for i in range(sampled.shape[1])]
 
 
 def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
@@ -343,20 +332,25 @@ def _endpoint_rows(geom: SolutionGeometry):
     return lambda t: lane(1.0 - t)[:-1].reshape(m - 1, 2 * m + 1)
 
 
-def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):
-    """Smallest relative singular value of the endpoint map at parameter t0.
+def _admissible_launches(geom: SolutionGeometry, t0: float) -> tuple:
+    """(dirs, C_V): m - 1 orthonormal rows dv spanning the launches (0, dv) at t0 that meet
+    the linearized laws (``geometry._linearized_conservation`` at z = 0, where they ask
+    <dv, k s' - T Y> = 0), and C_V = <dv, Y> for each."""
+    d = geom.spline.sample(t0, names=("g", "v"))
+    g, y = d["g"], np.eye(geom.model.m)[-1]
+    row = g @ (geom.sol.k * d["v"] - geom.sol.T * y)
+    dirs = np.linalg.svd(row[None, :])[2][1:]
+    return dirs, dirs @ (g @ y)
 
-    The launches (0, dv) with dv admissible, <dv, k s' - T Y> = 0, carry
-    C_V = <dv, Y>; ``rows`` is the propagator of ``_endpoint_rows``.
-    """
-    d = _coeffs_at(geom.spline, t0)
-    g, y, v = d["g"], d["y"], d["v"]
+
+def _bfocal_singular_value(geom: SolutionGeometry, t0, rows):
+    """Smallest relative singular value of the endpoint map at parameter t0, from the
+    ``_admissible_launches`` there to the frame components of V(1) through the propagator
+    ``rows`` of ``_endpoint_rows``: zero where t0 is focal."""
     m = geom.model.m
-    row = g @ (geom.sol.k * v - geom.sol.T * y)
-    _, _, Vt = np.linalg.svd(row[None, :])
-    dirs = Vt[1:]
+    dirs, C_V = _admissible_launches(geom, t0)
     R = rows(t0)
-    M = R[:, m:2 * m] @ dirs.T + np.outer(R[:, 2 * m], dirs @ (g @ y))
+    M = R[:, m:2 * m] @ dirs.T + np.outer(R[:, 2 * m], C_V)
     svals = np.linalg.svd(M, compute_uv=False)
     return float(svals[-1] / max(svals[0], 1e-300))
 

@@ -62,12 +62,10 @@ def psi_k(model: SpacetimeModel, k: float, q):
 
 def penalized_energy(model: SpacetimeModel, k: float, w: Curve,
                      pc: PenaltyConfig) -> float:
-    """Conformal energy plus the boundary barrier, by nodal quadrature."""
+    """Conformal energy plus the boundary barrier, by nodal quadrature.  Psi_k > 0 at every
+    node by then: ``conformal_energy`` raises OutsideUk wherever it is not."""
     energy = conformal_energy(model, k, w)
-    psis = psi_k(model, k, w.points)
-    if np.any(psis == 0.0):
-        raise OutsideUk("curve touches the admissible-region boundary")
-    barrier = pc.chi(1.0 / psis ** 2)
+    barrier = pc.chi(1.0 / psi_k(model, k, w.points) ** 2)
     if np.all(barrier == 0.0):
         return energy
     return energy + float(np.trapezoid(barrier, w.grid))

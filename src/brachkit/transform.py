@@ -21,8 +21,8 @@ from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_f
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import ConstraintViolated, FlowEscape
 from .geometry import (SpacetimeModel, connection_coeffs, curve_distance, isometry_defect,
-                       require_adapted_chart, _conservation, _coords, _inner, _inner_y, _phi_k,
-                       _riemannian, _require_horizontal)
+                       require_adapted_chart, _conservation, _coords, _inner, _inner_y,
+                       _linearized_conservation, _phi_k, _riemannian, _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -140,10 +140,9 @@ def _constraint_scan(sol: BrachistochroneSolution, g, G, zeta: FieldAlongCurve) 
     curve = sol.sigma
     _require_hosted(curve, zeta)
     nz = covariant_nodes(curve, G, zeta)
-    vels = curve.velocities
-    vals_y = _inner_y(g, nz) - _inner(g, zeta.values, np.einsum("nab,nb->na", G[..., -1], vels))
+    vals_y, vals_s = _linearized_conservation(g, G[..., -1], curve.velocities, zeta.values, nz)
     C = grid_integral(curve.grid, vals_y)
-    return C, vals_y - C, _inner(g, nz, vels) - sol.T * C / sol.k, nz
+    return C, vals_y - C, vals_s - sol.T * C / sol.k, nz
 
 
 def _require_admissible(scan: tuple, tol: float, scale: float) -> None:

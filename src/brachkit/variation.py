@@ -31,7 +31,7 @@ from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        horizontal_part, riemannian_metric_matrix, _conformal_metric,
                        _connection_and_curvature, _coords, _frame_through,
                        _grad_phi_k, _gr_length, _horizontal, _horizontal_frame, _inner, _inner_y,
-                       _jacobian_fd, _require_horizontal, _riemannian)
+                       _jacobian_fd, _linearized_conservation, _require_horizontal, _riemannian)
 from .transform import _constraint_scan, _require_admissible, deform_D, tangent_constraint_scan
 
 __all__ = [
@@ -70,7 +70,9 @@ class SolutionGeometry:
 
     ``spline`` holds Gamma, g, sigma', RM1 and RM2, the coefficients of the linearized
     equation (Y = e_last, <Y,Y> = g[..., -1, -1]), and nabla Y = Gamma[..., -1] (``K``)
-    on its own, whose derivative is read alone."""
+    on its own, whose derivative is read alone.  The second variation reads the tidal
+    matrices as forms by R's symmetries, <R(z, s') z, x> = <R(s', z) x, z>, as
+    ``ConformalCurveData`` reads ``Braw``: M_ss = sym(g RM1) and M_sy = sym(g RM2)."""
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution):
         self.model = model
@@ -81,14 +83,10 @@ class SolutionGeometry:
         self.gamma, R = _connection_and_curvature(model, pts)
         self.K = self.gamma[..., -1]                          # (nabla_v Y)^a = K[a,b] v^b
         self.N = self.g[..., -1, -1]                          # <Y,Y>
-        # <R(z, v) z, x> with (R(z,v)u)^a = R^a_{bcd} u^b z^c v^d:
-        # term = g_{ea} R^a_{bcd} z^b z^c v^d x^e -> quadratic form in z.
-        Rv = np.einsum("nabcd,nd->nabc", R, v)                # R^a_{bc.} v
-        gv, gy = np.einsum("nab,nb->na", self.g, v), self.g[..., :, -1]
-        self.M_ss = _sym(np.einsum("na,nabc->nbc", gv, Rv))   # <R(z, s') z, s'> = z^T M_ss z
-        self.M_sy = _sym(np.einsum("na,nabc->nbc", gy, Rv))   # <R(z, s') z, Y>  = z^T M_sy z
         self.RM1 = np.einsum("nabcd,nb,nc->nad", R, v, v)     # (R(s', V) s')^a = RM1[a, d] V^d
         self.RM2 = np.einsum("nabcd,nb,nc->nad", R, y, v)     # (R(s', V) Y)^a  = RM2[a, d] V^d
+        self.M_ss = _sym(self.g @ self.RM1)                   # <R(z, s') z, s'> = z^T M_ss z
+        self.M_sy = _sym(self.g @ self.RM2)                   # <R(z, s') z, Y>  = z^T M_sy z
         self.P = self.sol.k ** 2 + self.N
 
     @cached_property
@@ -201,7 +199,7 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
 class ConformalCurveData:
     """Per-node conformal data along a curve (metric, Christoffels, tidal matrix).
 
-    ``spline`` holds q, g~ and B, then Gamma~, ``Braw`` and w', the three that the Jacobi
+    ``spline`` holds g~ and B, then Gamma~, ``Braw`` and w', the three that the Jacobi
     equation reads, then next to w' the Lorentzian g and nabla Y (``K``), the three that
     the restricted Hessian modes read on their own; the Hessian assembly and the Jacobi
     solves sample it."""
@@ -226,7 +224,7 @@ class ConformalCurveData:
         del R                                              # freed before the spline is built
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
-            q=pts, gt=self.gt, B=self.B, gamma=self.gamma, Braw=self.Braw,
+            gt=self.gt, B=self.B, gamma=self.gamma, Braw=self.Braw,
             v=v, g=g, K=G[..., -1]))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
@@ -562,15 +560,11 @@ def make_admissible_variation(geom: SolutionGeometry, rng=None,
     nabla_Z = (nabla_ss + (-k * T * dN / geom.N ** 2)[:, None] * geom.y
                + (k * T / geom.N)[:, None] * Kv)
 
-    gv = np.einsum("nab,nb->na", geom.g, vels)
-    gy = geom.g[..., :, -1]
-    P0 = np.einsum("na,na->n", nz0, gy) - np.einsum("na,na->n", zeta0,
-                                                    np.einsum("nab,nb->na", geom.g, Kv))
-    Q0 = np.einsum("na,na->n", nz0, gv)
-    beta_P = (np.einsum("na,na->n", nabla_Z, gy)
-              - np.einsum("na,na->n", Z, np.einsum("nab,nb->na", geom.g, Kv)))
-    Zs = np.einsum("na,na->n", Z, gv)
-    nabla_Z_s = np.einsum("na,na->n", nabla_Z, gv)
+    # the linearized laws of the seed and of Z: a and b below make those of zeta0 + a Y + b Z
+    # equal C and T C / k (Z is horizontal, and a Y adds a' <Y,Y> to the first only)
+    P0, Q0 = _linearized_conservation(geom.g, geom.K, vels, zeta0, nz0)
+    beta_P, nabla_Z_s = _linearized_conservation(geom.g, geom.K, vels, Z, nabla_Z)
+    Zs = _inner(geom.g, Z, vels)
 
     alpha = -(k * T * beta_P / geom.N + nabla_Z_s) / Zs
     beta = (-Q0 - k * T * P0 / geom.N) / Zs

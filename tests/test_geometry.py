@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brachkit import geometry as geo
-from brachkit.curves import Curve
+from brachkit.curves import Curve, sine_bumps
 from brachkit.dynamics import geodesic_residual, initial_velocity, integrate_conformal_geodesic
 from brachkit.errors import (NotHorizontal, NotNormal, NotOrthogonalStart, OutOfChart, OutsideUk,
                              StencilOutOfChart)
@@ -455,3 +455,22 @@ def test_horizontality_gate_is_the_g_R_cosine(models, entry):
     call(models["static_well"], rtol / 10.0)
     with pytest.raises(error):
         call(models["static_well"], 10.0 * rtol)
+
+
+def test_linearized_conservation_is_the_derivative_of_the_laws(models, solutions):
+    # moving the nodes along a field z and the velocities along z' changes the two
+    # conservation residuals at the rate (c, 2 s) of the linearized pair, with
+    # nabla z = z' + Gamma(sigma', z) and nabla Y = Gamma[..., -1]
+    rng = np.random.default_rng(33)
+    for name in ("static_well", "rotating_frame", "minkowski4", "einstein_cylinder"):
+        model, sol = models[name], solutions[name]
+        pts, vels = sol.sigma.points, sol.sigma.velocities
+        z, dz = sine_bumps(sol.sigma.grid, 0.1 * rng.standard_normal((3, model.m)))
+        G = geo.connection_coeffs(model, pts)
+        nz = dz + np.einsum("nabc,nb,nc->na", G, vels, z)
+        c, s = geo._linearized_conservation(model.g(pts), G[..., -1], vels, z, nz)
+        h = 1e-5
+        plus, minus = (geo._conservation(model.g(pts + e * z), vels + e * dz, sol.k, sol.T)
+                       for e in (h, -h))
+        for fd, exact in zip(((p - m) / (2.0 * h) for p, m in zip(plus, minus)), (c, 2.0 * s)):
+            assert np.max(np.abs(fd - exact)) <= 1e-7 * (1.0 + np.max(np.abs(exact))), name

@@ -7,9 +7,9 @@ from brachkit.curves import _CubicSpline
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
-from brachkit.jacobi import (_bfocal_singular_value, _bjacobi_rhs, _coeffs_at,
-                             _endpoint_rows, bfocal_points, focal_points, gamma_jacobi_basis,
-                             integrate_bjacobi, integrate_rjacobi)
+from brachkit.jacobi import (_admissible_launches, _bfocal_singular_value, _bjacobi_rhs,
+                             _coeffs_at, _endpoint_rows, bfocal_points, focal_points,
+                             gamma_jacobi_basis, integrate_bjacobi, integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
@@ -74,12 +74,7 @@ def test_bjacobi_linearity(models, solutions):
     sol = solutions["rotating_frame"]
     rng = np.random.default_rng(40)
     geom = SolutionGeometry(model, sol)
-    d = _coeffs_at(geom.spline, 0.0)
-    g, y, v = d["g"], d["y"], d["v"]
-    # two admissible launches: dV in the kernel of the launch functional
-    row = g @ (sol.k * v - sol.T * y)
-    _, _, Vt = np.linalg.svd(row[None, :])
-    d1, d2 = Vt[1], Vt[2]
+    d1, d2 = _admissible_launches(geom, 0.0)[0]
     o1 = integrate_bjacobi(geom, np.zeros(3), d1)
     o2 = integrate_bjacobi(geom, np.zeros(3), d2)
     o12 = integrate_bjacobi(geom, np.zeros(3), d1 + 2.0 * d2)
@@ -262,10 +257,7 @@ def test_map_L_vanishing_start(models, solutions):
     grid = sol.sigma.grid
     t0 = float(grid[80])
     geom = SolutionGeometry(model, sol)
-    d = _coeffs_at(geom.spline, t0)
-    row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
-    _, _, Vt = np.linalg.svd(row[None, :])
-    jb = integrate_bjacobi(geom, np.zeros(3), Vt[1], t0=t0)
+    jb = integrate_bjacobi(geom, np.zeros(3), _admissible_launches(geom, t0)[0][0], t0=t0)
     out = map_L(model, sol, t0, jb.field, C_zeta=jb.C_V)
     assert np.max(np.abs(out.values[80])) < 1e-8 * (1 + np.max(np.abs(out.values)))
 
@@ -343,7 +335,7 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
         model = models[name]
         geom = SolutionGeometry(model, sol)
         grid = sol.sigma.grid
-        arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g, y=geom.y,
+        arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g,
                       v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
         separate = {key: _CubicSpline(grid, arr) for key, arr in arrays.items()}
         ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
@@ -361,7 +353,7 @@ def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_
                               separate["K"](ts, 1)), name
         assert np.array_equal(batch["g"][..., -1, -1], separate["N"](ts)), name
         assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
-                              separate["y"](ts)), name
+                              _CubicSpline(grid, geom.y)(ts)), name
 
 
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
@@ -399,9 +391,7 @@ def test_endpoint_rows_match_direct_integration(models, solutions):
         q1 = sol.sigma.points[-1]
         F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
         for t0 in (0.0, 0.3, 0.55, 0.8):
-            d = _coeffs_at(geom.spline, t0)
-            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
-            for dv in np.linalg.svd(row[None, :])[2][1:]:
+            for dv in _admissible_launches(geom, t0)[0]:
                 jb = integrate_bjacobi(geom, np.zeros(m), dv, t0=t0)
                 direct = F @ jb.field.values[-1]
                 via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
@@ -428,14 +418,31 @@ def test_endpoint_rows_hold_on_arcs_whose_coefficients_vary(models, r_s3_arcs):
         q1 = sol.sigma.points[-1]
         F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
         for t0 in (0.0, 0.35, 0.7):
-            d = _coeffs_at(geom.spline, t0)
-            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
-            for dv in np.linalg.svd(row[None, :])[2][1:]:
+            for dv in _admissible_launches(geom, t0)[0]:
                 jb = integrate_bjacobi(geom, np.zeros(m), dv, t0=t0)
                 direct = F @ jb.field.values[-1]
                 via_rows = rows(t0) @ np.concatenate([np.zeros(m), dv, [jb.C_V]])
                 err = np.max(np.abs(via_rows - direct)) / np.max(np.abs(direct))
                 assert err < 1e-8, (model.name, t0, err)
+
+
+def test_admissible_launches_span_the_launch_law(models, solutions):
+    # at a node, the m - 1 launches (0, dv) are orthonormal, meet the linearized laws with
+    # <dv, s'> = T C / k to roundoff, and carry C = <dv, Y>, all read at the node itself
+    from brachkit.geometry import _linearized_conservation
+
+    for name in ("static_well", "rotating_frame", "minkowski4", "einstein_cylinder"):
+        model, sol = models[name], solutions[name]
+        m, geom = model.m, SolutionGeometry(model, sol)
+        for i in (0, 137, sol.sigma.grid.size - 1):
+            dirs, C_V = _admissible_launches(geom, sol.sigma.grid[i])
+            assert dirs.shape == (m - 1, m), name
+            np.testing.assert_allclose(dirs @ dirs.T, np.eye(m - 1), rtol=0, atol=1e-14)
+            g, v = geom.g[i], sol.sigma.velocities[i]
+            c, s = _linearized_conservation(g, geom.K[i], v, np.zeros(m), dirs)
+            scale = np.max(np.abs(g)) * (1.0 + np.max(np.abs(v)))
+            assert np.max(np.abs(sol.T * c - sol.k * s)) <= 1e-14 * scale * (sol.T + sol.k), name
+            np.testing.assert_allclose(C_V, c, rtol=0, atol=1e-14 * scale)
 
 
 def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
@@ -449,10 +456,8 @@ def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
         q1 = sol.sigma.points[-1]
         F = horizontal_frame(model, q1) @ riemannian_metric_matrix(model, q1)
         for t0 in (0.1, 0.5, 0.9):
-            d = _coeffs_at(geom.spline, t0)
-            row = d["g"] @ (sol.k * d["v"] - sol.T * d["y"])
             M = np.array([F @ integrate_bjacobi(geom, np.zeros(m), dv, t0=t0).field.values[-1]
-                          for dv in np.linalg.svd(row[None, :])[2][1:]]).T
+                          for dv in _admissible_launches(geom, t0)[0]]).T
             svals = np.linalg.svd(M, compute_uv=False)
             direct = svals[-1] / svals[0]
             probe = _bfocal_singular_value(geom, t0, rows)

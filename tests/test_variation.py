@@ -5,7 +5,7 @@ from brachkit.curves import FieldAlongCurve
 from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
 from brachkit.errors import ConstraintViolated, NotNormal, NotTangentToGamma
 from brachkit.geometry import (_jacobian_fd, conformal_geometry, connection_coeffs,
-                               horizontal_frame, riemannian_metric_matrix)
+                               curvature_tensor, horizontal_frame, riemannian_metric_matrix)
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import dD_differential, deform_D
@@ -564,6 +564,23 @@ def test_solution_geometry_evaluates_the_connection_once_at_its_nodes(solutions)
     assert sum(at_nodes) == 1
     assert len(at_nodes) == 1 + 4 * (model.m - 1)
     np.testing.assert_array_equal(geom.gamma, analytic(pts))
+
+
+def test_tidal_forms_are_the_four_index_contraction(models, solutions, r_s3_arcs):
+    # M_ss = sym(g RM1) and M_sy = sym(g RM2) by the symmetries of R; the reference
+    # contracts R with s' and with g s' or g Y, <R(z, s') z, x> = z^T M z.  On the flat
+    # models R is the stencil's rounding, which has no symmetries, hence the 1 + |M|
+    s3, arcs = r_s3_arcs
+    cases = [(models[name], sol) for name, sol in solutions.items()] + [(s3, arcs[4.5])]
+    for model, sol in cases:
+        geom = SolutionGeometry(model, sol)
+        v = sol.sigma.velocities
+        Rv = np.einsum("nabcd,nd->nabc", curvature_tensor(model, sol.sigma.points), v)
+        gv = np.einsum("nab,nb->na", geom.g, v)
+        for M, x in ((geom.M_ss, gv), (geom.M_sy, geom.g[..., -1])):
+            ref = np.einsum("na,nabc->nbc", x, Rv)
+            ref = 0.5 * (ref + ref.swapaxes(-1, -2))
+            assert np.max(np.abs(M - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref))), model.name
 
 
 def test_quadratic_hessian_F_eval_checks_its_field_once(solutions):
