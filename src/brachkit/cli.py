@@ -52,13 +52,11 @@ _SHAPES = {"k": (), "T": (), "guess_T": (), "n_starts": (), "seed": (), "n_basis
            **{key: () for key in _TOL_KEYS}}
 # range each parsed number must lie in: key -> (test, wording)
 _RANGES = {
-    "k": (lambda x: x > 0.0, "positive"),
-    "T": (lambda x: x > 0.0, "positive"),
-    "guess_T": (lambda x: x > 0.0, "positive"),
-    "n_starts": (lambda x: x >= 1, "at least 1"),
-    "n_basis": (lambda x: x >= 2, "at least 2"),
+    **{key: (lambda x: x > 0.0, "positive")
+       for key in ("k", "T", "guess_T", "epsilon", "gtol", *_TOL_KEYS)},
+    **{key: (lambda x: x >= 1, "at least 1") for key in ("n_starts", "max_iters")},
+    **{key: (lambda x: x >= 2, "at least 2") for key in ("n_basis", "n_segments", "grid_n")},
     "T_bracket": (lambda x: 0.0 < x[0] < x[1], "two increasing positive times"),
-    **{key: (lambda x: x > 0.0, "positive") for key in _TOL_KEYS},
 }
 # counts that must be JSON integers, and flags that must be JSON booleans
 _INTEGERS = {"n_starts", "seed", "n_basis", "n_segments", "max_iters", "grid_n"}

@@ -368,8 +368,9 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
     a rejection, min-step failure) with an error norm over that lane alone, so
     it takes scipy's steps and agrees with its result to roundoff; and it is
     bit-identical whether it runs alone or in any batch, admitted at the start
-    or later.  When a batched evaluation raises, the lanes are evaluated one by
-    one; each lane that raises leaves with its exception and the others
+    or later.  When a batched evaluation raises, it is halved, and each half
+    that raises is halved again, until every lane that raises is evaluated
+    alone; such a lane leaves with its own exception and the others
     continue; so does a lane whose step size falls below scipy's minimum, with
     ``StepFailure``.  No step is longer than ``max_step``, which applies as
     scipy's ``solve_ivp`` applies it (to the initial step and to each step's
@@ -408,24 +409,29 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
         left.append(int(lane))
 
     def evaluate(L, Y):
-        """fun on the rows of L; a lane with a row that raises leaves L and the returned rows."""
+        """fun on the rows of L; a row that raises alone fails its lane and leaves L and the
+        returned rows."""
         if not L.lane.size:
             return Y
         try:
             return fun(Y, L.lane)
-        except (BrachkitError, ValueError):
-            pass
+        except (BrachkitError, ValueError) as exc:
+            raised = [(0, L.lane.size, exc.with_traceback(None))]  # no frame cycle
         out = np.empty_like(Y)
         ok = np.ones(L.lane.size, dtype=bool)
-        for j, lane in enumerate(L.lane):
-            try:
-                out[j] = fun(Y[j:j + 1], L.lane[j:j + 1])[0]
-            except (BrachkitError, ValueError) as exc:
-                fail(lane, exc.with_traceback(None))  # no frame cycle
-                ok[j] = False
-        kept = np.isin(L.lane, L.lane[~ok], invert=True)
-        L.keep(kept)
-        return out[kept]
+        while raised:  # the spans of rows that raised, the next one last
+            a, b, exc = raised.pop()
+            if b - a == 1:
+                fail(L.lane[a], exc)
+                ok[a] = False
+                continue
+            for lo, hi in (((a + b) // 2, b), (a, (a + b) // 2)):  # halves, the first next
+                try:
+                    out[lo:hi] = fun(Y[lo:hi], L.lane[lo:hi])
+                except (BrachkitError, ValueError) as exc:
+                    raised.append((lo, hi, exc.with_traceback(None)))
+        L.keep(ok)
+        return out[ok]
 
     def start(y):
         """Lanes for the initial states y, with scipy's initial step (select_initial_step)."""

@@ -164,6 +164,8 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     the curve-space H1 inner product (a tridiagonal solve), with Armijo
     backtracking; the stopping test is on the plain gradient norm.
     """
+    if n_seg < 2 or max_iters < 1:
+        raise ValueError(f"need n_seg >= 2 and max_iters >= 1, got {n_seg} and {max_iters}")
     p = _coords(p)
     x1 = _coords(gamma_anchor)
     m = model.m

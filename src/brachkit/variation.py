@@ -347,38 +347,6 @@ def _frame_perp(g: np.ndarray, vels: np.ndarray, drop_velocity: bool) -> np.ndar
     return E
 
 
-def _quad_points(n_el: int):
-    """Two-point Gauss nodes and weights on each element of a uniform mesh."""
-    h = 1.0 / n_el
-    left = np.arange(n_el) * h
-    off = 0.5 * h + np.array([-1.0, 1.0]) * (h / (2.0 * np.sqrt(3.0)))
-    tq = (left[:, None] + off[None, :]).ravel()
-    wq = np.full(tq.size, h / 2.0)
-    return tq, wq
-
-
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M(q) X_d(q) for the fields X, shape (ndof, nq, m), and matrices M, shape (nq, m, m),
-    as einsum("qac,dqc->dqa", M, X) gives it, three to four times as fast: per component a,
-    elementwise multiply-adds over whole (ndof, nq) arrays, written into an array of X's
-    shape.  The even c and the odd c are summed apart and then added, which is the order
-    of numpy 2.4's einsum here, so with it the bits are einsum's; einsum in another order
-    differs from this by the rounding of the sum only, the bound the tests hold it to."""
-    m = M.shape[-1]
-    out = np.empty_like(X)
-    term, odd = np.empty(X.shape[:-1]), np.empty(X.shape[:-1])
-    for a in range(m):
-        total = out[..., a]
-        np.multiply(M[:, a, 0], X[..., 0], out=total)
-        for c in range(2, m, 2):
-            total += np.multiply(M[:, a, c], X[..., c], out=term)
-        np.multiply(M[:, a, 1], X[..., 1], out=odd)
-        for c in range(3, m, 2):
-            odd += np.multiply(M[:, a, c], X[..., c], out=term)
-        total += odd
-    return out
-
-
 def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
                      n_basis: int) -> HessianMatrix:
     """Galerkin matrix of the energy Hessian on nodal P1 fields.
@@ -389,103 +357,81 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     * ``horizontal``: additionally tangent to the horizontal-curve manifold
       (the Y-component is reconstructed from that first-order condition);
     * ``perpendicular``: additionally pointwise orthogonal to the velocity.
+
+    A field hat D_a, D the chart axes (full mode) or the ``_frame_perp`` frames, has the
+    value hv D and the covariant derivative hs D + hv (D' + A D), A = Gamma~(w').  The
+    2r x 2r blocks of the two hats alive at each Gauss point, summed per element, make the
+    block-tridiagonal nodal matrix; its interior nodes (node-major) are the dofs, then
+    hat_0 Y in the full mode.  A restricted field adds hv rate Y to its derivative, and
+    its Y-component lambda Y to its value (lambda A Y to its derivative): that part, not
+    local, enters as Lam C^T + C Lam^T + Lam diag(s) Lam^T on (dof, Gauss point) arrays.
     """
     if boundary_conditions not in ("full", "horizontal", "perpendicular"):
         raise ValueError(f"unknown boundary condition set '{boundary_conditions}'")
     if n_basis < 2:
         raise ValueError(f"n_basis must be at least 2, got {n_basis}")
-    m = data.confgeom.m
-
-    tq, wq = _quad_points(n_basis)
-    nodes = np.linspace(0.0, 1.0, n_basis + 1)
+    m, n, h = data.confgeom.m, n_basis, 1.0 / n_basis
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    xi = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)      # the two Gauss points of [0, 1]
+    tq, wq = ((np.arange(n)[:, None] + xi) * h).ravel(), 0.5 * h
     # the cached node data, interpolated: no curvature at the quadrature points
     at_q = data.spline.sample(tq)
-    nq = tq.size
+    gt, B = at_q["gt"], at_q["B"]
+    A = np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"])  # nabla~_{w'} X = X' + A X
     y = np.eye(m)[-1]  # Y = e_last, constant along the curve: dY = 0
 
-    def hats(ts):
-        """Values and slopes of all nodal hats at the given parameters."""
-        idx = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, n_basis - 1)
-        h = 1.0 / n_basis
-        local = (ts - nodes[idx]) / h
-        vals = np.zeros((ts.size, n_basis + 1))
-        slopes = np.zeros((ts.size, n_basis + 1))
-        rows = np.arange(ts.size)
-        vals[rows, idx] = 1.0 - local
-        vals[rows, idx + 1] = local
-        slopes[rows, idx] = -1.0 / h
-        slopes[rows, idx + 1] = 1.0 / h
-        return vals, slopes
-
-    hat_v, hat_s = hats(tq)
-    interior = slice(1, n_basis)
-    # interior hats as (node, 1, nq, 1), to broadcast against (direction, nq, m)
-    hv, hs = (h[:, interior].T[:, None, :, None] for h in (hat_v, hat_s))
-
-    # Basis fields at the quadrature points, shape (ndof, nq, m), interior nodes
-    # first (node-major); their values at the observer end go to V0s.  The hat
-    # products are made in C order: a broadcast product is laid out node axis
-    # innermost, and every reshape of it, the Galerkin products' included, copied it.
     if boundary_conditions == "full":
-        # nodal fields hat_j e_a, then the observer-end field hat_0 Y
-        axes = np.eye(m)[:, None, :]
-        Vs, dVs = (np.multiply(h, axes, order="C").reshape(-1, nq, m) for h in (hv, hs))
-        V_y = hat_v[:, 0][:, None] * y
-        dV_y = hat_s[:, 0][:, None] * y
-        Vs = np.concatenate([Vs, V_y[None]])
-        dVs = np.concatenate([dVs, dV_y[None]])
-        V0s = np.zeros((Vs.shape[0], m))
-        V0s[-1] = y
+        D, dD = np.broadcast_to(np.eye(m), (tq.size, m, m)), 0.0
     else:
-        drop_velocity = boundary_conditions == "perpendicular"
         at_nodes = data.spline.sample(nodes)
-        frames_nodes = _frame_perp(at_nodes["g"], at_nodes["v"], drop_velocity)
-        keep = frames_nodes.shape[1]
-        fr_spl = _CubicSpline(nodes, frames_nodes.reshape(nodes.size, -1))
-        frames_q = fr_spl(tq).reshape(nq, keep, m)
-        dframes_q = fr_spl(tq, 1).reshape(nq, keep, m)
+        frames = _frame_perp(at_nodes["g"], at_nodes["v"], boundary_conditions == "perpendicular")
+        fr_spl = _CubicSpline(nodes, frames.reshape(nodes.size, -1))
+        D, dD = (fr_spl(tq, nu).reshape(tq.size, -1, m) for nu in (0, 1))
 
-        # Lorentzian 2 <E_a, nabla_w' Y> / <Y,Y> along the curve, for the
-        # first-order horizontality condition on the Y-component.
+        # Lorentzian 2 <D_a, nabla_w' Y> / <Y,Y> along the curve: hat D_a + lambda Y is
+        # horizontal to first order when lambda' = hat rate[a]
         def rate(at, frames):
             g = at["g"]
             Kv = np.einsum("qab,qb->qa", at["K"], at["v"])  # nabla_{w'} Y
             return 2.0 * np.einsum("qca,qab,qb->qc", frames, g, Kv) / g[:, -1, -1][:, None]
 
-        # rate for a field c(t) E_a(t): lambda' = c(t) * rate[a](t)
-        rate_q = rate(at_q, frames_q)
-        fine = np.linspace(0.0, 1.0, 4 * n_basis + 1)
-        hat_vf, _ = hats(fine)
+        dD = dD + rate(at_q, D)[..., None] * y
+        fine = np.linspace(0.0, 1.0, 4 * n + 1)
         rate_f = rate(data.spline.sample(fine, names=("v", "g", "K")),
-                      fr_spl(fine).reshape(fine.size, keep, m))
+                      fr_spl(fine).reshape(fine.size, -1, m))
+        hat_f = np.maximum(1.0 - np.abs(fine[:, None] - nodes[1:-1]) / h, 0.0)
+        # the Y-components, vanishing at the event end, at the Gauss points and the
+        # observer end, off one antiderivative
+        lam = _CubicSpline(fine, (hat_f[:, :, None] * rate_f[:, None]).reshape(fine.size, -1)
+                           ).antiderivative()
+        Lam, lam_0 = (lam(tq) - lam(1.0)).T, lam(0.0) - lam(1.0)
+        del lam, rate_f, hat_f
+    r = D.shape[1]
 
-        def y_components():
-            """Y-components from the tangency condition, vanishing at the event end, at the
-            Gauss points and the observer end: one antiderivative, freed on return."""
-            lam_rate_f = (hat_vf[:, interior, None] * rate_f[:, None, :]).reshape(fine.size, -1)
-            lam = _CubicSpline(fine, lam_rate_f).antiderivative()
-            lam_1 = lam(1.0)
-            return (lam(tq) - lam_1).T[:, :, None], lam(0.0) - lam_1
-
-        lam_q, lam_0 = y_components()
-        lam_rate_q = (hat_v[:, interior, None] * rate_q[:, None, :]).reshape(nq, -1).T[:, :, None]
-        # transverse parts hat_j E_a, plus their Y-components
-        E, dE = frames_q.transpose(1, 0, 2), dframes_q.transpose(1, 0, 2)
-        Vs, dVs = (np.multiply(h, E, order="C") for h in (hv, hs))
-        dVs += hv * dE
-        Vs, dVs = Vs.reshape(-1, nq, m), dVs.reshape(-1, nq, m)
-        Vs += lam_q * y
-        dVs += lam_rate_q * y
+    # the fields of the two hats alive at each Gauss point, (point, hat x direction, m)
+    hv = np.tile(np.stack([1.0 - xi, xi], axis=1), (n, 1))[:, :, None, None]
+    hs = np.array([-1.0, 1.0])[:, None, None] / h
+    F = (hv * D[:, None]).reshape(tq.size, 2 * r, m)
+    G = (hs * D[:, None] + hv * (dD + D @ A.mT)[:, None]).reshape(tq.size, 2 * r, m)
+    blocks = (wq * (G @ gt @ G.mT + F @ B @ F.mT)).reshape(n, 2, 2, r, 2, r).sum(axis=1)
+    nodal, e = np.zeros((n + 1, r, n + 1, r)), np.arange(n)
+    for i, j in np.ndindex(2, 2):
+        nodal[e + i, :, e + j] += blocks[:, i, :, j]
+    nodal = nodal.reshape((n + 1) * r, (n + 1) * r)
+    if boundary_conditions == "full":
+        dofs = np.r_[m:n * m, m - 1]   # interior nodes node-major, then hat_0 Y
+        Hmat, V0s = nodal[np.ix_(dofs, dofs)], np.outer(dofs == m - 1, y)
+    else:
+        Z = A[..., -1]                                      # A Y
+        c = (wq * (G @ (gt @ Z[..., None]) + F @ (B @ y)[..., None])).reshape(n, 2, 2, r)
+        C = np.zeros((n + 1, r, n, 2))      # c by node and direction, at the Gauss points
+        for i in (0, 1):
+            C[e + i, :, e] = c[:, :, i].swapaxes(1, 2)
+        C = C.reshape((n + 1) * r, tq.size)[r:n * r]
+        s = wq * (np.einsum("qa,qab,qb->q", Z, gt, Z) + B[:, -1, -1])
+        Hmat = nodal[r:n * r, r:n * r] + Lam @ C.T + C @ Lam.T + (Lam * s) @ Lam.T
         V0s = lam_0[:, None] * y
-
-    ndof = Vs.shape[0]
-    # covariant derivative along the curve at quadrature points, summed into dVs's array
-    nVs = dVs
-    nVs += _apply(np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"]), Vs)
-    # Galerkin contraction sum_q wq X_a(q)^T M(q) X_b(q) as one matrix product
-    Hmat = np.zeros((ndof, ndof))
-    for X, M in ((nVs, at_q["gt"]), (Vs, at_q["B"])):
-        Hmat += X.reshape(ndof, -1) @ _apply(M * wq[:, None, None], X).reshape(ndof, -1).T
+    del nodal
     Hmat = Hmat + _boundary_2ff(data, V0s, V0s)
     Hmat = 0.5 * (Hmat + Hmat.T)
 

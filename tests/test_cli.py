@@ -248,6 +248,45 @@ def test_out_of_range_number_is_config_error(tmp_path, caplog, command, override
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("oracle", {"oracle": {"n_segments": 0}}, "oracle.n_segments"),
+    ("oracle", {"oracle": {"n_segments": 1}}, "oracle.n_segments"),
+    ("oracle", {"oracle": {"n_segments": -5}}, "oracle.n_segments"),
+    ("oracle", {"oracle": {"epsilon": 0.0}}, "oracle.epsilon"),
+    ("oracle", {"oracle": {"epsilon": -1.0}}, "oracle.epsilon"),
+    ("oracle", {"oracle": {"gtol": -1.0}}, "oracle.gtol"),
+    ("oracle", {"oracle": {"max_iters": 0}}, "oracle.max_iters"),
+    ("solve", {"solve": {"u": [1.0, 0.0, 0.0], "T": 1.0}, "tolerances": {"grid_n": 1}},
+     "tolerances.grid_n"),
+], ids=["n_segments_0", "n_segments_1", "n_segments_negative", "epsilon_0",
+        "epsilon_negative", "gtol_negative", "max_iters_0", "grid_n_1"])
+def test_out_of_range_oracle_and_tolerance_values_exit_2(tmp_path, command, override, key):
+    # in a fresh interpreter, as a user runs it, so that a traceback would reach stderr
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import brachkit
+
+    path = write_config(tmp_path, override)
+    src = str(Path(brachkit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-B", "-m", "brachkit.cli", command, "--config",
+                          str(path), "--out-dir", str(tmp_path)], capture_output=True,
+                         text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "configuration error" in out.stderr and f"'{key}'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "error.json").exists()
+
+
+@pytest.mark.parametrize("n_seg, max_iters", [(1, 100), (0, 100), (20, 0)])
+def test_discrete_minimize_rejects_too_few_segments_or_iterations(models, n_seg, max_iters):
+    from brachkit.oracle import discrete_minimize
+    with pytest.raises(ValueError, match="n_seg >= 2 and max_iters >= 1"):
+        discrete_minimize(models["minkowski3"], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          float(np.sqrt(2.0)), n_seg, max_iters=max_iters)
+
+
 @pytest.mark.parametrize("content", [
     None,
     "t,q_1,q_2,q_3,v_1,v_2,v_3\n0.0,a,b,c,d,e,f\n",

@@ -9,7 +9,7 @@ from brachkit.geometry import (_jacobian_fd, conformal_geometry, connection_coef
 from brachkit.jacobi import integrate_rjacobi
 from brachkit.oracle import constrained_curve_family
 from brachkit.transform import dD_differential, deform_D
-from brachkit.variation import (ConformalCurveData, SolutionGeometry, _apply, _frame_perp,
+from brachkit.variation import (ConformalCurveData, SolutionGeometry, _frame_perp,
                                 assemble_hessian, constraint_residual, hessian_E_eval,
                                 hessian_E_lorentzian, hessian_F_eval, index_form,
                                 lagrange_multiplier_field, make_admissible_variation,
@@ -414,18 +414,24 @@ def test_multiplier_field_values(models, solutions):
         assert mults.mu[i] == pytest.approx(1.0 / (2.0 * P), rel=1e-14)
 
 
-def _reference_full_hessian(cg, w, data, n_basis):
-    """The full-mode Galerkin matrix, one basis pair and one Gauss point at a time."""
+def _reference_hessian(cg, w, data, mode, n_basis):
+    """The Galerkin matrix of ``mode``, one basis field and one Gauss point at a time, and
+    the Y-components of the restricted fields at the observer end."""
     from scipy.interpolate import CubicSpline
     model, m = cg.model, cg.m
     h = 1.0 / n_basis
+    nodes = np.linspace(0.0, 1.0, n_basis + 1)
     tq = np.array([(e + 0.5) * h + s * h / (2.0 * np.sqrt(3.0))
                    for e in range(n_basis) for s in (-1.0, 1.0)])
     wq = h / 2.0
-    gt = CubicSpline(w.grid, data.gt, axis=0)(tq)
-    gam = CubicSpline(w.grid, data.gamma, axis=0)(tq)
-    B = CubicSpline(w.grid, data.B, axis=0)(tq)
-    pts, vels = w.point_spline()(tq), w.velocity_spline()(tq)
+
+    def spline(nodal):
+        return CubicSpline(w.grid, nodal, axis=0)
+
+    gt, gam, B = (spline(nodal)(tq) for nodal in (data.gt, data.gamma, data.B))
+    pts, vel_spl = w.point_spline()(tq), w.velocity_spline()
+    vels = vel_spl(tq)
+    y = np.eye(m)[-1]
 
     def hat(j, t):
         return max(0.0, 1.0 - abs(t - j * h) / h)
@@ -433,45 +439,86 @@ def _reference_full_hessian(cg, w, data, n_basis):
     def hat_slope(j, t):
         return (1.0 / h if t < j * h else -1.0 / h) if abs(t - j * h) < h else 0.0
 
-    # (value, t-derivative) of each basis field at a point, and its value at t = 0
-    basis = [(lambda t, q, v, j=j, a=a: (hat(j, t) * np.eye(m)[a], hat_slope(j, t) * np.eye(m)[a]),
-              np.zeros(m)) for j in range(1, n_basis) for a in range(m)]
-    def jac_y(q):  # dY by central differences of Y: exactly zero in the adapted chart
-        return _jacobian_fd(model.y, q, model.fd_step)
+    # (value, t-derivative) of each basis field at a Gauss point, and its value at t = 0
+    if mode == "full":
+        basis = [(lambda i, t, j=j, a=a: (hat(j, t) * np.eye(m)[a],
+                                           hat_slope(j, t) * np.eye(m)[a]), np.zeros(m))
+                 for j in range(1, n_basis) for a in range(m)]
 
-    basis.append((lambda t, q, v: (hat(0, t) * model.y(q),
-                                   hat_slope(0, t) * model.y(q) + hat(0, t) * jac_y(q) @ v),
-                  model.y(w.points[0])))
-    n = len(basis)
-    H = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            total = 0.0
-            for i, t in enumerate(tq):
-                Va, dVa = basis[a][0](t, pts[i], vels[i])
-                Vb, dVb = basis[b][0](t, pts[i], vels[i])
-                nVa = dVa + np.einsum("abc,b,c->a", gam[i], vels[i], Va)
-                nVb = dVb + np.einsum("abc,b,c->a", gam[i], vels[i], Vb)
-                total += wq * (nVa @ gt[i] @ nVb + Va @ B[i] @ Vb)
-            H[a, b] = total
-    gt0, y0 = data.gt[0], np.eye(m)[-1]
-    ydot0 = y0 @ gt0 @ (data.Kt[0] @ w.velocities[0])
-    proj = np.array([V0 @ gt0 @ y0 for _, V0 in basis])
-    H += np.outer(proj, proj) * ydot0 / (y0 @ gt0 @ y0) ** 2
-    return 0.5 * (H + H.T)
+        def jac_y(q):  # dY by central differences of Y: exactly zero in the adapted chart
+            return _jacobian_fd(model.y, q, model.fd_step)
+
+        basis.append((lambda i, t: (hat(0, t) * model.y(pts[i]), hat_slope(0, t) * model.y(pts[i])
+                                    + hat(0, t) * jac_y(pts[i]) @ vels[i]),
+                      model.y(w.points[0])))
+    else:
+        # the frames of the mode at the element nodes, splined; the Lorentzian g and
+        # nabla Y off splines of their node values, as the Jacobi lanes read them
+        g_spl = spline(model.g(w.points))
+        K_spl = spline(connection_coeffs(model, w.points)[..., -1])
+        E = CubicSpline(nodes, _frame_perp(g_spl(nodes), vel_spl(nodes), mode == "perpendicular"),
+                        axis=0)
+
+        def rate(t):  # lambda' = hat(t) rate[a](t) keeps hat E_a + lambda Y horizontal
+            g, Kv = g_spl(t), K_spl(t) @ vel_spl(t)
+            return 2.0 * E(t) @ g @ Kv / g[-1, -1]
+
+        fine = np.linspace(0.0, 1.0, 4 * n_basis + 1)
+        basis = []
+        for j in range(1, n_basis):
+            for a in range(E(0.0).shape[0]):
+                lam = CubicSpline(fine, [hat(j, t) * rate(t)[a] for t in fine]).antiderivative()
+
+                def field(i, t, j=j, a=a, lam=lam):
+                    value = hat(j, t) * E(t)[a] + (lam(t) - lam(1.0)) * y
+                    return value, (hat_slope(j, t) * E(t)[a] + hat(j, t) * E(t, 1)[a]
+                                   + hat(j, t) * rate(t)[a] * y)
+                basis.append((field, (lam(0.0) - lam(1.0)) * y))
+    V, nV = np.zeros((len(basis), tq.size, m)), np.zeros((len(basis), tq.size, m))
+    for d, (field, _) in enumerate(basis):
+        for i, t in enumerate(tq):
+            V[d, i], dV = field(i, t)
+            nV[d, i] = dV + np.einsum("abc,b,c->a", gam[i], vels[i], V[d, i])
+    H = wq * (np.einsum("dqa,qab,eqb->de", nV, gt, nV) + np.einsum("dqa,qab,eqb->de", V, B, V))
+    gt0 = data.gt[0]
+    ydot0 = y @ gt0 @ (data.Kt[0] @ w.velocities[0])
+    proj = np.array([V0 @ gt0 @ y for _, V0 in basis])
+    H += np.outer(proj, proj) * ydot0 / (y @ gt0 @ y) ** 2
+    return 0.5 * (H + H.T), np.array([V0[-1] for _, V0 in basis])
+
+
+def _index_curves(models, cylinder_long_arc, solutions):
+    """(name, ConformalCurveData, conformal geometry) of the cylinder's 4.5 arc and of
+    the rotating_frame and static_well solutions, run from the observer line."""
+    for name, sol in (("einstein_cylinder", cylinder_long_arc),
+                      ("rotating_frame", solutions["rotating_frame"]),
+                      ("static_well", solutions["static_well"])):
+        model = models[name]
+        cg = conformal_geometry(model, sol.k)
+        yield name, ConformalCurveData(cg, deform_D(model, sol).reversed()), cg
 
 
 def test_assemble_hessian_full_matches_reference(models, cylinder_long_arc, solutions):
-    for name, sol in (("einstein_cylinder", cylinder_long_arc),
-                      ("rotating_frame", solutions["rotating_frame"])):
-        model = models[name]
-        cg = conformal_geometry(model, sol.k)
-        wrev = deform_D(model, sol).reversed()
-        data = ConformalCurveData(cg, wrev)
+    for name, data, cg in _index_curves(models, cylinder_long_arc, solutions):
         hm = assemble_hessian(data, "full", 6)
-        ref = _reference_full_hessian(cg, wrev, data, 6)
+        ref, _ = _reference_hessian(cg, data.w, data, "full", 6)
         assert hm.entries.shape == ref.shape == (16, 16)
         assert np.max(np.abs(hm.entries - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("mode", ["horizontal", "perpendicular"])
+def test_assemble_hessian_restricted_matches_reference(models, cylinder_long_arc, solutions,
+                                                       mode):
+    # the restricted Y-components vanish where <D_a, nabla_w' Y> does: on the cylinder,
+    # where nabla Y = 0, and on static_well, where nabla_w' Y lies along Y for a w'
+    # orthogonal to Y (rates of 1e-16); on rotating_frame they enter every entry
+    for name, data, cg in _index_curves(models, cylinder_long_arc, solutions):
+        hm = assemble_hessian(data, mode, 6)
+        ref, lam_0 = _reference_hessian(cg, data.w, data, mode, 6)
+        dofs = 5 * {"horizontal": 2, "perpendicular": 1}[mode]   # m = 3: 5 interior nodes
+        assert hm.entries.shape == ref.shape == (dofs, dofs)
+        assert np.max(np.abs(hm.entries - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        assert (np.max(np.abs(lam_0)) > 1e-3) == (name == "rotating_frame"), name
 
 
 def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
@@ -487,15 +534,21 @@ def test_assemble_hessian_restricted_cylinder_counts(models, cylinder_long_arc,
                 assert (hm.n_negative, hm.n_zero) == (expected, 0), (mode, n_basis)
 
 
-def test_galerkin_products_are_the_einsums():
-    # the multiply-adds of assemble_hessian against einsum, to the rounding of a sum in
-    # any order: 4 eps sum_c |M_ac X_c|; mostly-zero fields as in the full mode
-    rng = np.random.default_rng(23)
-    for m in (2, 3, 4):
-        M = rng.standard_normal((40, m, m))
-        X = rng.standard_normal((3 * m, 40, m)) * (rng.random((3 * m, 40, m)) < 0.3)
-        bound = 4.0 * np.finfo(float).eps * np.einsum("qac,dqc->dqa", np.abs(M), np.abs(X))
-        assert np.all(np.abs(_apply(M, X) - np.einsum("qac,dqc->dqa", M, X)) <= bound), m
+def test_assemble_hessian_full_keeps_no_field_arrays(models, cylinder_long_arc):
+    # element blocks and the nodal matrix: at n_basis 80 the full mode peaks at about
+    # 1.3 MB, where basis fields over all Gauss points, (dofs, points, m), took 4.2 MB
+    import tracemalloc
+    model = models["einstein_cylinder"]
+    data = ConformalCurveData(conformal_geometry(model, np.sqrt(2.0)),
+                              deform_D(model, cylinder_long_arc).reversed())
+    assemble_hessian(data, "full", 80)  # numpy's first uses of its routines, done once
+    tracemalloc.start()
+    try:
+        assemble_hessian(data, "full", 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_conformal_curve_data_counts_its_connection_evaluations(solutions):
