@@ -660,10 +660,13 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution) -> 
 def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
     """Largest g_R norm over the nodes of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'>;
     NotHorizontal unless |<w',Y>| <= 1e-6 |w'|_R |Y|_R at every node."""
+    return _geodesic_residual(model.g(w.points), connection_coeffs(model, w.points), k, w)
+
+
+def _geodesic_residual(g: np.ndarray, G: np.ndarray, k: float, w: Curve) -> float:
+    """``geodesic_residual`` from the metric g and the Christoffels G at the nodes of w."""
     pts, vels = w.points, w.velocities
-    g = model.g(pts)
     _require_horizontal(g, vels, 1e-6, "curve")
-    G = connection_coeffs(model, pts)
     d = covariant_nodes(w, G, FieldAlongCurve(host=w, values=_phi_k(g, k, pts)[:, None] * vels))
     d -= 0.5 * _grad_phi_k(g, G, k, pts) * _inner(g, vels, vels)[:, None]
     return float(np.max(_gr_length(g, d)))

@@ -2,15 +2,16 @@
 detection, and the correspondence between the two sides.
 
 A function of one curve takes the curve's cache (``SolutionGeometry`` or
-``ConformalCurveData``); ``bfocal_points`` builds both for its solution.  Both Jacobi
-equations run on stacked rows, one field per row, with their coefficients sampled
-from the one spline of the cache.  Each solve is one lane of ``dynamics.ode_lanes``
-whose last column is the clock t, read anywhere off the lane's continuous
-extension.  Focal points are where eigenvalues of a unitary W(t), built from the
-Lagrangian span of the m basis fields, pass through -1, as many as pass together.
-On the solution side they are confirmed through the adjoint of the linearized
-equation, integrated once backward from the event; its coefficient matrix A(t) is
-read off a spline of A at the solution's nodes, built once per propagator.
+``ConformalCurveData``); ``bfocal_points`` builds both for its solution.  Each Jacobi
+equation reaches its lanes by one path: a coefficient matrix built once at the curve's
+nodes and sampled off the one spline of the cache, A of the linearized travel-time
+equation (x' = A x) on the solution side and A = Gamma~(w', .) with ``Braw`` on the
+conformal side.  Both equations run on stacked rows, one field per row.  Each solve is
+one lane of ``dynamics.ode_lanes`` whose last column is the clock t, read anywhere off
+the lane's continuous extension.  Focal points are where eigenvalues of a unitary W(t),
+built from the Lagrangian span of the m basis fields, pass through -1, as many as pass
+together.  On the solution side they are confirmed through the adjoint of the
+linearized equation, R' = -R A, integrated once backward from the event on the same A.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, FieldAlongCurve, _CubicSpline, _NodeSpline
+from .curves import Curve, FieldAlongCurve, _NodeSpline
 from .dynamics import BrachistochroneSolution, ode_lanes
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import (ConstraintViolated, FrameDegenerate, InitialConditionViolated,
@@ -90,67 +91,13 @@ def _clock_lane(rhs, x0, t0: float, t1: float, what: str):
 # ---------------------------------------------------------------------------
 # Linearized travel-time equation along a solution
 
-def _coeffs_at(spline: _NodeSpline, t) -> dict:
-    """The linearized equation's coefficients at t, off ``SolutionGeometry.spline``: nabla Y
-    (``K``) and ``dK``, its derivative, contiguous as a product's bits depend on layout;
-    <Y,Y> = g[..., -1, -1] (``N``), a float at a scalar t."""
-    d = spline.sample(t)
-    d["K"] = np.ascontiguousarray(d["K"])
-    d["dK"] = np.ascontiguousarray(spline.sample(t, 1, ("K",))["K"])
-    d["N"] = d["g"][..., -1, -1][()]
-    return d
-
-
-def _bjacobi_rhs(geom: SolutionGeometry):
-    """The linearized equation on stacked augmented states.
-
-    ``rhs(t, X)`` takes parameters t of any shape and rows X of shape
-    ``t.shape + (r, 2m+1)``, r rows (V, DV, C_V) at each t.  The right-hand side
-    is homogeneous linear in the row and dC_V/dt = 0, so applied to the
-    identity rows it returns the transposed coefficient matrix A(t)^T.
-    """
-    k, T, m = geom.sol.k, geom.sol.T, geom.model.m
-    kk = k * k
-    spline = geom.spline
-
-    def rhs(t, X):
-        V, DV, C_V = X[..., :m], X[..., m:2 * m], X[..., 2 * m]
-        d = _coeffs_at(spline, t)
-        g, v, K = d["g"], d["v"][..., None, :], d["K"]   # v as a row
-        N = d["N"][..., None]           # one value per t, against one per row
-        P = kk + N
-        NP = N * P
-        GvT = (v[..., None, :, :] @ d["gamma"])[..., 0, :].mT   # V @ GvT = Gamma(s', V)
-        KT = K.mT
-        gy = g[..., :, -1:]             # g Y, a column
-        Kv = v @ KT                     # nabla_{s'} Y, a row
-        W = (Kv @ gy)[..., 0]
-        KV = V @ KT                     # nabla_V Y
-        dN = 2.0 * (KV @ gy)[..., 0]
-        dNP = dN * (N + P)
-        dT = -C_V / k
-        Vdot = DV - V @ GvT
-        # nabla_{s'} (nabla_V Y) along the curve
-        nsKV = V @ d["dK"].mT + Vdot @ KT + KV @ GvT
-        dW = (nsKV @ gy + KV @ (g @ Kv.mT))[..., 0]
-        R1V = V @ d["RM1"].mT           # R(s', V) s'
-        R2V = V @ d["RM2"].mT           # R(s', V) Y
-        L = ((2.0 * kk * (dW / NP - W * dNP / NP ** 2))[..., None] * v
-             + (2.0 * kk * (W / NP))[..., None] * DV
-             + (2.0 * k * (dT / N - T * dN / N ** 2))[..., None] * Kv
-             + (2.0 * k * T / N)[..., None] * (nsKV - R2V)
-             - (2.0 * k * T * (W / NP))[..., None] * KV)
-        L[..., -1] -= 2.0 * k * (dT * W / NP + T * dW / NP - T * W * dNP / NP ** 2)  # Y = e_last
-        dDV = R1V - L - DV @ GvT
-        return np.concatenate([Vdot, dDV, np.zeros(dDV.shape[:-1] + (1,))], axis=-1)
-
-    return rhs
-
-
 def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0) -> JacobiFieldData:
     """Integrate the linearized travel-time equation along ``geom.sol`` from (V0, dV0) at t0
-    to 1 (dV0 covariant; the field is zero before t0).  The launch must have linearized laws
-    (C_V, T C_V / k); ``drift`` is the largest change of the first over the nodes."""
+    to 1 (dV0 covariant; the field is zero before t0), its stages reading A off ``geom.spline``.
+    The launch must have linearized laws (C_V, T C_V / k); ``drift`` is the largest change of
+    the first over the nodes.  ValueError unless 0 <= t0 < 1."""
+    if not 0.0 <= t0 < 1.0:
+        raise ValueError(f"t0 must lie in [0, 1), got {t0}")
     sol = geom.sol
     d0 = geom.spline.sample(t0, names=("g", "v", "K"))
     V0 = _coords(V0)
@@ -162,10 +109,9 @@ def integrate_bjacobi(geom: SolutionGeometry, V0, dV0, t0: float = 0.0) -> Jacob
         raise InitialConditionViolated(
             f"launch data violates the linearized conservation condition: {ic:.3e}")
 
-    m = geom.model.m
-    rhs = _bjacobi_rhs(geom)
-    lane = _clock_lane(lambda t, x: rhs(t, x[:, None])[:, 0], np.concatenate([V0, dV0, [C_V]]),
-                       t0, 1.0, "linearized integration")
+    m, spline = geom.model.m, geom.spline
+    lane = _clock_lane(lambda t, x: (x[:, None] @ spline.sample(t, names=("A",))["A"].mT)[:, 0],
+                       np.concatenate([V0, dV0, [C_V]]), t0, 1.0, "linearized integration")
 
     grid = sol.sigma.grid
     mask = grid >= t0 - 1e-12
@@ -194,10 +140,10 @@ def _rjacobi_lane(spline: _NodeSpline, X0: np.ndarray):
     def rhs(t, x):
         X = x.reshape(len(x), n, 2 * m)
         J, DJ = X[..., :m], X[..., m:]
-        d = spline.sample(t, names=("gamma", "Braw", "v"))
-        GvT = (d["v"][:, None, None, :] @ d["gamma"])[..., 0, :].mT   # J @ GvT = Gamma~(w', J)
-        dDJ = J @ d["Braw"].mT - DJ @ GvT
-        return np.concatenate([DJ - J @ GvT, dDJ], axis=-1).reshape(len(x), -1)
+        d = spline.sample(t, names=("A", "Braw"))
+        AT = d["A"].mT                  # J @ AT = Gamma~(w', J)
+        dDJ = J @ d["Braw"].mT - DJ @ AT
+        return np.concatenate([DJ - J @ AT, dDJ], axis=-1).reshape(len(x), -1)
 
     return _clock_lane(rhs, X0.ravel(), 0.0, 1.0, "Jacobi integration")
 
@@ -220,7 +166,7 @@ def integrate_rjacobi(data: ConformalCurveData, J0, dJ0) -> JacobiFieldData:
 def _jacobi_basis(data: ConformalCurveData):
     """The one lane of all m basis fields, from a start orthogonal to the line."""
     w = data.w
-    _require_horizontal(data.spline.sample(w.grid[0])["g"], w.velocities[0], 1e-6,
+    _require_horizontal(data.spline.sample(w.grid[0], names=("g",))["g"], w.velocities[0], 1e-6,
                         "geodesic start", NotOrthogonalStart)
     m, gt0 = data.confgeom.m, data.gt[0]
     X0 = np.zeros((m, 2 * m))
@@ -250,7 +196,10 @@ def focal_points(data: ConformalCurveData, n_scan: int = 1000) -> FocalReport:
     g~ = L L^T, X = J L and P = DJ L span a Lagrangian subspace: W = (X - iP)^-1 (X + iP) is
     unitary, with -1 an eigenvalue where X is singular, as often as ker X is wide.  Each passes
     -1 clockwise (Duistermaat 1976).  ``determinant_trace`` is det(J L) at the scan nodes.
+    ValueError unless the scan has at least one interval (``n_scan`` >= 1).
     """
+    if n_scan < 1:
+        raise ValueError(f"n_scan must be at least 1, got {n_scan}")
     lane, spline, m = _jacobi_basis(data), data.spline, data.confgeom.m
     cuts = 2.0 * np.pi * np.arange(m + 1) / (m + 1)   # m eigenvalues leave one of them clear
     shifts = (np.arange(m) + np.arange(m)[:, None]) % m
@@ -315,18 +264,16 @@ def _endpoint_rows(geom: SolutionGeometry):
     F = [E g_R | 0 | 0] reads the g_R-components of V(1) along the horizontal
     frame E at sigma(1).  R solves the adjoint equation dR/dt = -R A(t)
     backward from R(1) = F, so R(t0) x(t0) = F x(1) for every augmented
-    solution x; no inversion is needed.  A is built once, by ``_bjacobi_rhs`` on
-    the identity rows at all of the solution's nodes, and a stage reads it off the
-    cubic spline of those values.
+    solution x; no inversion is needed.  A stage reads A off ``geom.spline``, as the
+    stages of ``integrate_bjacobi`` do.
     """
-    m, g1, grid = geom.model.m, geom.g[-1], geom.sol.sigma.grid
+    m, g1, spline = geom.model.m, geom.g[-1], geom.spline
     F = np.zeros((m - 1, 2 * m + 1))
     F[:, :m] = _horizontal_frame(g1) @ _riemannian(g1)
-    A = _CubicSpline(grid, _bjacobi_rhs(geom)(grid, np.eye(2 * m + 1)).mT)
 
     def adjoint(t, flat):
         R = flat.reshape(len(flat), m - 1, 2 * m + 1)
-        return -(R @ A(t)).reshape(len(flat), -1)
+        return -(R @ spline.sample(t, names=("A",))["A"]).reshape(len(flat), -1)
 
     lane = _clock_lane(adjoint, F.ravel(), 1.0, 0.0, "endpoint propagator integration")
     return lambda t: lane(1.0 - t)[:-1].reshape(m - 1, 2 * m + 1)

@@ -175,8 +175,10 @@ def map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
 
     The host of the result is the deformation of the solution re-anchored at
     parameter t0 (a constant Killing-flow shift of the full deformation);
-    values at parameters below t0 are zero-filled.
+    values at parameters below t0 are zero-filled.  ValueError unless 0 <= t0 <= 1.
     """
+    if not 0.0 <= t0 <= 1.0:
+        raise ValueError(f"t0 must lie in [0, 1], got {t0}")
     pts = sol.sigma.points
     g, G = model.g(pts), connection_coeffs(model, pts)
     if C_zeta is None:

@@ -23,12 +23,12 @@ import numpy as np
 
 from .curves import (Curve, FieldAlongCurve, _CubicSpline, _NodeSpline, covariant_nodes,
                      cumulative_integral, grid_integral, sine_bumps)
-from .dynamics import BrachistochroneSolution, brachistochrone_rhs, geodesic_residual
+from .dynamics import BrachistochroneSolution, _geodesic_residual, brachistochrone_rhs
 from .errors import (ConstraintViolated, FocalEndpoint, FrameDegenerate, NonFiniteHessian,
                      NotCritical, NotGeodesic, NotNormal, NotTangentToGamma)
 from .geometry import (ConformalGeometry, SpacetimeModel, conformal_factor,
                        conformal_factor_gradient, conformal_geometry, connection_coeffs,
-                       horizontal_part, riemannian_metric_matrix, _conformal_metric,
+                       horizontal_part, _conformal_metric,
                        _connection_and_curvature, _coords, _frame_through,
                        _grad_phi_k, _gr_length, _horizontal, _horizontal_frame, _inner, _inner_y,
                        _jacobian_fd, _linearized_conservation, _require_horizontal, _riemannian)
@@ -68,11 +68,11 @@ def _sym(M):
 class SolutionGeometry:
     """Per-node Lorentzian data along a solution curve, computed once.
 
-    ``spline`` holds Gamma, g, sigma', RM1 and RM2, the coefficients of the linearized
-    equation (Y = e_last, <Y,Y> = g[..., -1, -1]), and nabla Y = Gamma[..., -1] (``K``)
-    on its own, whose derivative is read alone.  The second variation reads the tidal
-    matrices as forms by R's symmetries, <R(z, s') z, x> = <R(s', z) x, z>, as
-    ``ConformalCurveData`` reads ``Braw``: M_ss = sym(g RM1) and M_sy = sym(g RM2)."""
+    ``spline`` holds A, the coefficient matrix of the linearized travel-time equation
+    (``_linearized_matrix``), then g, sigma' and nabla Y = Gamma[..., -1] (``K``), which
+    the launch conditions read.  Gamma, RM1 and RM2 stay node arrays.  The second variation
+    reads the tidal matrices as forms by R's symmetries, <R(z, s') z, x> = <R(s', z) x, z>,
+    as ``ConformalCurveData`` reads ``Braw``: M_ss = sym(g RM1) and M_sy = sym(g RM2)."""
 
     def __init__(self, model: SpacetimeModel, sol: BrachistochroneSolution):
         self.model = model
@@ -91,9 +91,48 @@ class SolutionGeometry:
 
     @cached_property
     def spline(self) -> _NodeSpline:
-        return _NodeSpline(self.sol.sigma.grid, dict(gamma=self.gamma, g=self.g,
-                                                     v=self.sol.sigma.velocities,
-                                                     RM1=self.RM1, RM2=self.RM2, K=self.K))
+        return _NodeSpline(self.sol.sigma.grid, dict(A=_linearized_matrix(self), g=self.g,
+                                                     v=self.sol.sigma.velocities, K=self.K))
+
+
+def _linearized_matrix(geom: SolutionGeometry) -> np.ndarray:
+    """A at the solution's nodes: the linearized travel-time equation is x' = A x on the
+    augmented states x = (V, DV, C_V), DV covariant, with C_V constant (A's last row is
+    zero).  The right-hand side is homogeneous linear in x, so on the identity rows it
+    gives A's columns.  d(nabla Y)/dt is the slope at the nodes of nabla Y's spline."""
+    k, T, m = geom.sol.k, geom.sol.T, geom.model.m
+    K = np.ascontiguousarray(geom.K)   # a product's bits depend on its factors' layout
+    dK = _CubicSpline(geom.sol.sigma.grid, K).at_knots(1)
+    kk = k * k
+    X = np.eye(2 * m + 1)
+    V, DV, C_V = X[:, :m], X[:, m:2 * m], X[:, 2 * m]
+    g, v = geom.g, geom.sol.sigma.velocities[:, None, :]   # v as a row
+    N = geom.N[:, None]             # one value per node, against one per row
+    P = kk + N
+    NP = N * P
+    GvT = (v[:, None] @ geom.gamma)[..., 0, :].mT   # V @ GvT = Gamma(s', V)
+    KT = K.mT
+    gy = g[..., :, -1:]             # g Y, a column
+    Kv = v @ KT                     # nabla_{s'} Y, a row
+    W = (Kv @ gy)[..., 0]
+    KV = V @ KT                     # nabla_V Y
+    dN = 2.0 * (KV @ gy)[..., 0]
+    dNP = dN * (N + P)
+    dT = -C_V / k
+    Vdot = DV - V @ GvT
+    # nabla_{s'} (nabla_V Y) along the curve
+    nsKV = V @ dK.mT + Vdot @ KT + KV @ GvT
+    dW = (nsKV @ gy + KV @ (g @ Kv.mT))[..., 0]
+    R1V = V @ geom.RM1.mT           # R(s', V) s'
+    R2V = V @ geom.RM2.mT           # R(s', V) Y
+    L = ((2.0 * kk * (dW / NP - W * dNP / NP ** 2))[..., None] * v
+         + (2.0 * kk * (W / NP))[..., None] * DV
+         + (2.0 * k * (dT / N - T * dN / N ** 2))[..., None] * Kv
+         + (2.0 * k * T / N)[..., None] * (nsKV - R2V)
+         - (2.0 * k * T * (W / NP))[..., None] * KV)
+    L[..., -1] -= 2.0 * k * (dT * W / NP + T * dW / NP - T * W * dNP / NP ** 2)  # Y = e_last
+    dDV = R1V - L - DV @ GvT
+    return np.concatenate([Vdot, dDV, np.zeros(dDV.shape[:-1] + (1,))], axis=-1).mT
 
 
 @dataclass
@@ -199,23 +238,22 @@ def hessian_F_eval(geom: SolutionGeometry, z1: FieldAlongCurve, z2: FieldAlongCu
 class ConformalCurveData:
     """Per-node conformal data along a curve (metric, Christoffels, tidal matrix).
 
-    ``spline`` holds g~ and B, then Gamma~, ``Braw`` and w', the three that the Jacobi
-    equation reads, then next to w' the Lorentzian g and nabla Y (``K``), the three that
-    the restricted Hessian modes read on their own; the Hessian assembly and the Jacobi
-    solves sample it."""
+    ``spline`` holds g~ and B, then A = Gamma~(w', .) and ``Braw``, the two that the Jacobi
+    equation reads, then w', the Lorentzian g and nabla Y (``K``), the three that the
+    restricted Hessian modes read on their own; the Hessian assembly and the Jacobi solves
+    sample it.  Gamma~ stays a node array."""
 
     def __init__(self, confgeom: ConformalGeometry, w: Curve, check: bool = True):
         self.confgeom = confgeom
         self.w = w
         model, k = confgeom.model, confgeom.k
-        if check:
-            res = geodesic_residual(model, k, w)
-            speed2 = max(float(w.velocities[0] @ riemannian_metric_matrix(model, w.points[0])
-                               @ w.velocities[0]), 1e-300)
-            if res > _GEODESIC_TOL * (1.0 + speed2):
-                raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
         pts, v = w.points, w.velocities
         g, G = model.g(pts), connection_coeffs(model, pts)   # gives g~, g and K
+        if check:
+            res = _geodesic_residual(g, G, k, w)
+            speed2 = max(float(v[0] @ _riemannian(g[0]) @ v[0]), 1e-300)
+            if res > _GEODESIC_TOL * (1.0 + speed2):
+                raise NotGeodesic(f"curve is not a conformal geodesic: residual {res:.2e}")
         self.gt = _conformal_metric(g, k, pts)
         self.gamma, R = confgeom.curvature(pts)          # Gamma~, the stencil's centre
         self.Kt = self.gamma[..., -1]                      # conformal nabla Y
@@ -224,7 +262,7 @@ class ConformalCurveData:
         del R                                              # freed before the spline is built
         self.B = _sym(self.gt @ self.Braw)                 # g~(R~(w',z)w', x) = z^T B x
         self.spline = _NodeSpline(w.grid, dict(
-            gt=self.gt, B=self.B, gamma=self.gamma, Braw=self.Braw,
+            gt=self.gt, B=self.B, A=np.einsum("nabc,nb->nac", self.gamma, v), Braw=self.Braw,
             v=v, g=g, K=G[..., -1]))
 
     def covariant_nodes(self, field: FieldAlongCurve) -> np.ndarray:
@@ -377,7 +415,7 @@ def assemble_hessian(data: ConformalCurveData, boundary_conditions: str,
     # the cached node data, interpolated: no curvature at the quadrature points
     at_q = data.spline.sample(tq)
     gt, B = at_q["gt"], at_q["B"]
-    A = np.einsum("qabc,qb->qac", at_q["gamma"], at_q["v"])  # nabla~_{w'} X = X' + A X
+    A = at_q["A"]      # nabla~_{w'} X = X' + A X
     y = np.eye(m)[-1]  # Y = e_last, constant along the curve: dY = 0
 
     if boundary_conditions == "full":

@@ -3,13 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from brachkit.curves import _CubicSpline
-from brachkit.dynamics import integrate_brachistochrone, integrate_conformal_geodesic
+from brachkit.curves import FieldAlongCurve, _CubicSpline
+from brachkit.dynamics import (brachistochrone_acceleration, integrate_brachistochrone,
+                               integrate_conformal_geodesic, ode_lanes)
 from brachkit.errors import ConstraintViolated, InitialConditionViolated, NotOrthogonalStart
 from brachkit.geometry import conformal_geometry, horizontal_frame, riemannian_metric_matrix
-from brachkit.jacobi import (_admissible_launches, _bfocal_singular_value, _bjacobi_rhs,
-                             _coeffs_at, _endpoint_rows, bfocal_points, focal_points,
-                             gamma_jacobi_basis, integrate_bjacobi, integrate_rjacobi)
+from brachkit.jacobi import (_admissible_launches, _bfocal_singular_value, _endpoint_rows,
+                             bfocal_points, focal_points, gamma_jacobi_basis, integrate_bjacobi,
+                             integrate_rjacobi)
 from brachkit.oracle import fd_variation_family
 from brachkit.transform import dD_differential, deform_D, map_L
 from brachkit.variation import (ConformalCurveData, SolutionGeometry, assemble_hessian,
@@ -80,6 +81,83 @@ def test_bjacobi_linearity(models, solutions):
     o12 = integrate_bjacobi(geom, np.zeros(3), d1 + 2.0 * d2)
     sup = np.max(np.abs(o12.field.values - o1.field.values - 2.0 * o2.field.values))
     assert sup < 1e-9 * max(1.0, np.max(np.abs(o12.field.values)))
+
+
+@pytest.mark.parametrize("call, t0", [("integrate_bjacobi", 1.0), ("integrate_bjacobi", 1.2),
+                                      ("integrate_bjacobi", -0.3), ("map_L", 1.5),
+                                      ("map_L", -0.5)])
+def test_a_start_off_the_curve_is_refused(models, solutions, call, t0):
+    # the linearized equation starts on [0, 1): from t0 = 1 or past it there is nothing to
+    # integrate, and below 0 its coefficients would be extrapolated past sigma(0); map_L
+    # anchors its slide on [0, 1]
+    model, sol = models["static_well"], solutions["static_well"]
+    zero = np.zeros(model.m)
+    with pytest.raises(ValueError, match="t0 must lie in"):
+        if call == "integrate_bjacobi":
+            integrate_bjacobi(SolutionGeometry(model, sol), zero, zero, t0=t0)
+        else:
+            map_L(model, sol, t0, FieldAlongCurve(host=sol.sigma,
+                                                  values=np.zeros_like(sol.sigma.points)))
+
+
+def _variational_reference(model, sol, dirs, C_V):
+    """V(1) of the launches (0, dv) at t = 0 with the C_V of each: the solution and its
+    variation integrated together, one ``ode_lanes`` lane per launch at rtol 1e-12.  The
+    variation's coefficients are taken at the lane's own state, by a 4th-order difference
+    of the acceleration along (V, V', dT = -C_V / k): no spline, no A."""
+    m, k, T, h = model.m, sol.k, sol.T, 1e-3
+
+    def fun(Y, lanes):
+        q, v, V, dV = (Y[:, i * m:(i + 1) * m] for i in range(4))
+        dT = -C_V[lanes] / k
+        size = np.sqrt(np.sum(V ** 2 + dV ** 2, axis=1) + dT ** 2)
+
+        def acc(e):
+            s = e * h / size
+            return brachistochrone_acceleration(model, k, T + s * dT, q + s[:, None] * V,
+                                                v + s[:, None] * dV)
+
+        ddV = (acc(-2) - 8.0 * acc(-1) + 8.0 * acc(1) - acc(2)) * (size / (12.0 * h))[:, None]
+        return np.concatenate([v, acc(0), dV, ddV], axis=1)
+
+    start = np.concatenate([sol.sigma.points[0], sol.sigma.velocities[0], np.zeros(m)])
+    ends, _, failures = ode_lanes(fun, [np.concatenate([start, dv]) for dv in dirs],
+                                  1e-12, 1e-14)
+    assert not failures
+    return ends[:, 2 * m:3 * m]
+
+
+def test_bjacobi_matches_a_one_lane_variational_reference(models, solutions, cylinder_long_arc,
+                                                          cylinder_very_long_arc):
+    # V(1) of each admissible launch at t = 0 against the solution and its variation
+    # integrated together, on equatorial cylinder arcs, an arc off the equator whose
+    # coefficients vary, and two standard solutions
+    cyl = models["einstein_cylinder"]
+    p = np.array([1.0, 0.0, 0.0])
+    off = integrate_brachistochrone(cyl, np.sqrt(2.0), p, unit_horizontal(cyl, p, [0.3, 1.0, 0.0]),
+                                    3.0)
+    for what, model, sol in (("cylinder 4.5", cyl, cylinder_long_arc),
+                             ("cylinder 7.0", cyl, cylinder_very_long_arc),
+                             ("off the equator", cyl, off),
+                             ("static_well", models["static_well"], solutions["static_well"]),
+                             ("rotating_frame", models["rotating_frame"],
+                              solutions["rotating_frame"])):
+        geom = SolutionGeometry(model, sol)
+        dirs, C_V = _admissible_launches(geom, 0.0)
+        ref = _variational_reference(model, sol, dirs, C_V)
+        got = np.array([integrate_bjacobi(geom, np.zeros(model.m), dv).field.values[-1]
+                        for dv in dirs])
+        err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert err.max() < 1e-9, (what, err)
+
+
+def test_linearized_matrix_keeps_C_V_constant(models, solutions):
+    # A's last row, the rate of C_V, is zero at every node
+    for name in ("static_well", "rotating_frame", "minkowski4", "einstein_cylinder"):
+        sol, n = solutions[name], 2 * models[name].m + 1
+        A = SolutionGeometry(models[name], sol).spline.sample(sol.sigma.grid, names=("A",))["A"]
+        assert A.shape == (sol.sigma.grid.size, n, n), name
+        assert np.all(A[:, -1] == 0.0), name
 
 
 def test_rjacobi_flat_linear(models):
@@ -195,6 +273,14 @@ def test_focal_points_cylinder(models, cylinder_long_arc, cylinder_very_long_arc
     assert [m for _, m in rep2.focal_list] == [1, 1]
     assert rep2.focal_list[0][0] == pytest.approx(np.pi / 7.0, abs=1e-6)
     assert rep2.focal_list[1][0] == pytest.approx(2 * np.pi / 7.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_scan", [0, -1])
+def test_focal_scan_needs_an_interval(models, cylinder_long_arc, n_scan):
+    # with n_scan = 0 the scan would read t = 1 alone and give index 0 on an arc of index 1
+    data = index_data(models["einstein_cylinder"], cylinder_long_arc)
+    with pytest.raises(ValueError, match="n_scan must be at least 1"):
+        focal_points(data, n_scan=n_scan)
 
 
 def test_focal_points_of_multiplicity_two_on_r_s3(r_s3_arcs):
@@ -324,38 +410,6 @@ def test_bfocal_cylinder_correspondence(models, cylinder_long_arc, cylinder_very
         assert np.max(np.abs([t for t, _ in rep.focal_list] - closed)) < 1e-9, L
 
 
-def test_bjacobi_cache_matches_per_quantity_splines(models, solutions, cylinder_long_arc):
-    # the coefficients of the linearized equation, read off SolutionGeometry's
-    # one spline, reproduce bit for bit a separate cubic spline of each
-    # quantity: nabla Y as Gamma[..., -1] and its t-derivative, Y as the
-    # constant e_last and <Y,Y> as g[..., -1, -1], the last knot included
-    for name, sol in (("rotating_frame", solutions["rotating_frame"]),
-                      ("minkowski4", solutions["minkowski4"]),
-                      ("einstein_cylinder", cylinder_long_arc)):
-        model = models[name]
-        geom = SolutionGeometry(model, sol)
-        grid = sol.sigma.grid
-        arrays = dict(gamma=geom.gamma, K=geom.K, g=geom.g,
-                      v=sol.sigma.velocities, N=geom.N, RM1=geom.RM1, RM2=geom.RM2)
-        separate = {key: _CubicSpline(grid, arr) for key, arr in arrays.items()}
-        ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [0.123456789, 0.987654321]])
-        for t in ts:
-            d = _coeffs_at(geom.spline, t)
-            for key in arrays:
-                assert np.array_equal(d[key], separate[key](t)), (name, key, t)
-            assert np.array_equal(d["dK"], separate["K"](t, 1)), (name, t)
-        assert isinstance(d["N"], float)
-        batch = geom.spline.sample(ts)
-        for key in ("gamma", "g", "v", "RM1", "RM2"):
-            assert np.array_equal(batch[key], separate[key](ts)), (name, key)
-        assert np.array_equal(batch["gamma"][..., -1], separate["K"](ts)), name
-        assert np.array_equal(geom.spline.sample(ts, 1)["gamma"][..., -1],
-                              separate["K"](ts, 1)), name
-        assert np.array_equal(batch["g"][..., -1, -1], separate["N"](ts)), name
-        assert np.array_equal(np.broadcast_to(np.eye(model.m)[-1], (ts.size, model.m)),
-                              _CubicSpline(grid, geom.y)(ts)), name
-
-
 def test_bfocal_unconfirmed_focal_parameter(models, cylinder_long_arc):
     # no endpoint singular value reaches 1e-20: the Riemannian candidate is
     # refused rather than reported
@@ -400,9 +454,9 @@ def test_endpoint_rows_match_direct_integration(models, solutions):
 
 
 def test_endpoint_rows_hold_on_arcs_whose_coefficients_vary(models, r_s3_arcs):
-    # the propagator reads A(t) off a spline of its values at the nodes, while
-    # integrate_bjacobi builds A at each stage: R(t0) x(t0) = F x(1) judges the
-    # interpolant where the coefficients vary along the arc, off the equators of
+    # both lanes read one A off the solution's spline, the propagator backward and
+    # integrate_bjacobi forward: R(t0) x(t0) = F x(1) judges the adjoint lane against
+    # the forward one where the coefficients vary along the arc, off the equators of
     # the cylinder and of R x S^3 (along the fixture's arcs they are constant)
     cyl, s3, k = models["einstein_cylinder"], r_s3_arcs[0], np.sqrt(2.0)
     arcs = []
@@ -462,26 +516,6 @@ def test_bfocal_probe_matches_direct_endpoint_map(models, solutions):
             direct = svals[-1] / svals[0]
             probe = _bfocal_singular_value(geom, t0, rows)
             assert probe == pytest.approx(direct, rel=1e-8), (name, t0)
-
-
-def test_bjacobi_rhs_broadcasts_over_rows(models, solutions):
-    rng = np.random.default_rng(7)
-    for name in ("static_well", "rotating_frame", "minkowski4"):
-        model, sol = models[name], solutions[name]
-        n = 2 * model.m + 1
-        rhs = _bjacobi_rhs(SolutionGeometry(model, sol))
-        X = rng.standard_normal((6, n))
-        for t in (0.0, 0.37, 1.0):
-            stacked = rhs(t, X)
-            assert stacked.shape == X.shape
-            assert np.all(stacked[:, -1] == 0.0)
-            for x, out in zip(X, stacked):
-                alone = rhs(t, x[None])[0]
-                assert np.max(np.abs(out - alone)) <= 1e-14 * np.max(np.abs(alone)), (name, t)
-            # on the identity rows it returns A^T, and A x = rhs(x)
-            A = rhs(t, np.eye(n)).T
-            ref = np.max(np.abs(stacked))
-            assert np.max(np.abs(X @ A.T - stacked)) <= 1e-14 * ref, (name, t)
 
 
 def _deformed_curves(models, solutions, cylinder_long_arc, cylinder_very_long_arc):
@@ -601,7 +635,8 @@ def test_focal_points_makes_one_solve(models, solutions, cylinder_very_long_arc,
 def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, monkeypatch):
     # given the curve data, the full Hessian and the focal scan only sample
     # its spline; a restricted mode builds its frame spline and the spline
-    # whose antiderivative is lambda, nothing else
+    # whose antiderivative is lambda, nothing else.  Given the solution's spline,
+    # both lanes of the linearized equation only sample it
     init = _CubicSpline.__init__
     built = []
 
@@ -623,7 +658,12 @@ def test_index_and_focal_scan_build_no_spline_of_node_data(models, solutions, mo
         focal_points(data)
         assert built == [], name
         built.clear()
-        SolutionGeometry(model, sol)   # its spline is built on first use
+        geom = SolutionGeometry(model, sol)   # its spline is built on first use
+        assert built == [], name
+        geom.spline                           # the first use builds it
+        built.clear()
+        _endpoint_rows(geom)
+        integrate_bjacobi(geom, np.zeros(model.m), _admissible_launches(geom, 0.0)[0][0])
         assert built == [], name
         monkeypatch.undo()
 
