@@ -10,10 +10,13 @@ one a flow parameter could absorb, drops out because E is g_R-orthogonal to Y.
 
 Newton's method is written as a generator that yields the shots it needs, so
 one loop (``_solve_starts``) can integrate the shots of every start of a
-survey in one running batch of lanes (``dynamics.shot_endpoints``): a start's
-next shots join as soon as its previous ones have arrived.  ``shoot`` is that
-loop with a single start; only its converged launch is integrated to a dense
-curve, and a survey integrates only the launches it may keep.
+survey in one running batch of lanes (``dynamics.ode_lanes``): a start's next
+shots join as soon as its previous ones have arrived.  ``shoot`` is that loop
+with a single start, and its curve is the lane of the shot whose arrival
+Newton accepted, read off the lane's continuous extension: the trials' shots
+keep their integrator stages, and only the accepted one pays for the dense
+output.  A survey keeps no stages; it integrates again only the converged
+launches it may keep.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (BrachistochroneSolution, IntegratorConfig, initial_velocity,
-                       integrate_brachistochrone, shot_endpoints, _launch_velocity)
+                       integrate_brachistochrone, _launch_velocity, _shot_lanes, _shot_solution)
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import BrachkitError, NoConvergence
 from .geometry import (SpacetimeModel, curve_distance, horizontal_unit, require_adapted_chart,
@@ -157,10 +160,13 @@ def _attempt(f, *args):
 def _newton(problem: ShootingProblem, guess):
     """Newton iteration on (direction, travel time), as a generator of shots.
 
-    Each ``yield`` hands out a list of launches ``(state, T)`` and is sent
-    back each launch's arrival point or the exception its integration raised.
-    The generator returns the converged (direction, T) once the arrival defect
-    drops below tolerance.
+    Each ``yield`` hands out a list of launches ``(state, T)``, with the
+    positions in it of the trials' nominal shots (the launches that can carry
+    a converged launch, as opposed to Jacobian launches), and is sent back
+    each launch's arrival point or the exception its integration raised.  The
+    generator returns ``((u, T), pos)`` once the arrival defect drops below
+    tolerance: the launch of the shot whose arrival it accepted, and that
+    shot's position in the last yield.
 
     The iterates are those of the sequential damped Newton method: every
     iteration solves with a fresh finite-difference Jacobian at its iterate,
@@ -222,10 +228,12 @@ def _newton(problem: ShootingProblem, guess):
     x = np.zeros(ndim)
     x[-1] = float(guess[1])
     first = launch(x, chart)
+    u = _sphere_direction(problem, chart, x[:-1])   # the direction first was launched in
     plan = _attempt(jacobian_launches, x, chart)
-    ends = yield ahead(first, plan)
+    ends = yield ahead(first, plan), [0]
     r = residual(ends[0])
     plan_ends = ends[1:]
+    pos = 0           # where the accepted shot was in the last yield
     damped = False
     for _ in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
@@ -241,7 +249,7 @@ def _newton(problem: ShootingProblem, guess):
             step *= _MAX_TURN / turn
         accepted = None
         for group in _DAMPED_GROUPS if damped else _FULL_GROUPS:
-            trials, launches = [], []
+            trials, launches, nominal = [], [], []
             for lam in group:
                 x_new = x + lam * step
                 if x_new[-1] <= 0.0:
@@ -253,8 +261,10 @@ def _newton(problem: ShootingProblem, guess):
                     if not isinstance(moved, Exception):
                         trial_plan = _attempt(jacobian_launches, *moved)
                 trials.append((lam, shot, moved, trial_plan, len(launches)))
+                if not isinstance(shot, Exception):
+                    nominal.append(len(launches))
                 launches += ahead(shot, trial_plan)
-            ends = (yield launches) if launches else []
+            ends = (yield launches, nominal) if launches else []
             for lam, shot, moved, trial_plan, pos in trials:
                 if isinstance(shot, Exception):
                     if isinstance(shot, (BrachkitError, ValueError)):
@@ -266,33 +276,40 @@ def _newton(problem: ShootingProblem, guess):
                     exc.__traceback__ = None  # it is kept in ends: no cycle through this frame
                     continue
                 if np.linalg.norm(r_new) < rn or lam < 0.26:
-                    accepted = lam, r_new, moved, trial_plan, ends[pos + 1:pos + ndim + 1]
+                    accepted = lam, r_new, moved, trial_plan, ends[pos + 1:pos + ndim + 1], pos
                     break
             if accepted is not None:
                 break
         else:
             raise NoConvergence(f"line search stalled at residual {rn:.3e}")
-        lam, r, moved, plan, plan_ends = accepted
+        lam, r, moved, plan, plan_ends, pos = accepted
         if isinstance(moved, Exception):
             raise moved
         x, chart = moved
+        u = chart[0]      # the accepted trial's direction, which the chart is now centred on
         damped = lam < 1.0
     else:
         raise NoConvergence(
             f"no convergence after {cfg.max_newton} iterations (residual {np.linalg.norm(r):.3e})")
-    return chart[0], float(x[-1])
+    return (u, float(max(x[-1], 1e-8))), pos
 
 
-def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
+def _solve_starts(problem: ShootingProblem, guesses, dense: bool = False) -> tuple:
     """Newton-solve every guess, all starts sharing one running batch of lanes.
 
     A start's Newton generator advances as soon as all the shots it yielded
     have arrived, and its next shots join the batch at the next step
-    boundary (``dynamics.shot_endpoints`` with ``admit``).  Returns
+    boundary (``dynamics.ode_lanes`` with ``admit``).  Returns
     ``(results, counts)``: ``results[i]`` is the converged launch ``(u, T)``
-    of start i or the exception that ended it, and no dense curve is
-    integrated; ``counts`` has ``rounds`` (the most yields of any start),
-    ``lane_shots`` and ``batched_calls`` (calls of the acceleration).
+    of start i or the exception that ended it; ``counts`` has ``rounds`` (the
+    most yields of any start), ``lane_shots`` and ``batched_calls`` (calls of
+    the acceleration).
+
+    Without ``dense`` no dense curve is integrated.  With it, the result of a
+    start that converged is its solution instead: the lane of the shot whose
+    arrival Newton accepted, read off that lane's continuous extension.  Only
+    the trials' nominal shots keep their stages while the batch runs, and the
+    dense output's stages are evaluated only for the accepted ones.
     """
     newtons = [_newton(problem, guess) for guess in guesses]
     results = [None] * len(newtons)
@@ -300,16 +317,22 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
     owner = []        # shot -> (start, position in its yield)
     arrivals = {}     # start -> the arrivals of its current yield, None until they land
     queued = []       # the launches of the shots not yet handed to the batch
+    first = {}        # start -> the number of the first shot of its current yield
+    nominal = []      # the trials' nominal shots, which can carry a converged launch
+    accepted = {}     # start -> the shot whose arrival its Newton accepted
 
     def advance(i, ends):
         try:
-            shots = newtons[i].send(ends)
+            shots, trials = newtons[i].send(ends)
         except StopIteration as stop:
-            results[i] = stop.value
+            results[i], pos = stop.value
+            accepted[i] = first[i] + pos
         except (BrachkitError, ValueError) as exc:
             results[i] = exc.with_traceback(None)  # no cycle through the frames of the start
         else:
             yields[i] += 1
+            first[i] = len(owner)
+            nominal.extend(first[i] + j for j in trials)
             arrivals[i] = [None] * len(shots)
             owner.extend((i, j) for j in range(len(shots)))
             queued.extend(shots)
@@ -327,12 +350,23 @@ def _solve_starts(problem: ShootingProblem, guesses) -> tuple:
                 advance(i, arrivals.pop(i))
         return take_queued()
 
+    def keeps(shots):
+        """The shots that keep their stages: the nominal ones while a start runs, then the
+        accepted ones."""
+        running = any(res is None for res in results)
+        return np.isin(shots, nominal if running else list(accepted.values()))
+
     for i in range(len(newtons)):
         advance(i, None)
     tally = {"batched_calls": 0}
     if queued:
-        shot_endpoints(problem.model, problem.k, *take_queued(), problem.config.integrator,
-                       admit=admit, tally=tally)
+        extensions, failures = _shot_lanes(problem.model, problem.k, *take_queued(),
+                                           problem.config.integrator, keeps if dense else False,
+                                           admit=admit, tally=tally)
+        if dense:
+            for i, shot in accepted.items():
+                results[i] = _attempt(_shot_solution, problem.model, problem.k, results[i][1],
+                                      problem.config.integrator, extensions, failures, shot)
     return results, dict(rounds=max(yields, default=0), lane_shots=len(owner), **tally)
 
 
@@ -346,11 +380,14 @@ def _integrate(problem: ShootingProblem, launch) -> BrachistochroneSolution:
 
 def shoot(problem: ShootingProblem, guess) -> BrachistochroneSolution:
     """Newton iteration on (direction, travel time) until the arrival defect
-    drops below tolerance; returns the fully sampled converged solution."""
-    (result,), _ = _solve_starts(problem, [guess])
+    drops below tolerance; returns the converged solution, the lane of the
+    shot Newton accepted sampled on the integrator's grid, its conservation
+    checked."""
+    (result,), _ = _solve_starts(problem, [guess], dense=True)
     if isinstance(result, Exception):
         raise result
-    return _integrate(problem, result)
+    result.check_conservation(problem.config.integrator.tol_cons)
+    return result
 
 
 def _attach_indices(model, sol, n_basis: int = 50):

@@ -22,7 +22,7 @@ from .curves import Curve, FieldAlongCurve, covariant_nodes, grid_integral
 from .errors import BrachkitError, ConstraintViolated, NotHorizontal, OutsideUk, StepFailure
 from .geometry import (SpacetimeModel, conformal_geometry, connection_coeffs,
                        conservation_residuals, require_adapted_chart, riemannian_metric_matrix,
-                       _coords, _gr_length, _grad_phi_k, _inner, _inner_y, _phi_k,
+                       _conservation, _coords, _gr_length, _grad_phi_k, _inner, _inner_y, _phi_k,
                        _require_horizontal)
 
 __all__ = [
@@ -322,17 +322,19 @@ class _Extension:
 
 
 def _extensions(S, ends, failures) -> list:
-    """Each lane's ``_Extension`` (None for a lane that failed) from ``S``, its accepted
-    steps in order with all 16 stages: the coefficients of each step's dense output, as
-    scipy's ``DOP853._dense_output_impl`` forms them."""
+    """Each lane's ``_Extension`` from ``S``, the accepted steps in order, with all 16 stages,
+    of the lanes that keep them (None for any other lane and for a lane that failed): the
+    coefficients of each step's dense output, as scipy's ``DOP853._dense_output_impl`` forms
+    them."""
     dy = S.y_new - S.y
     F = [dy, S.h * S.K[0] - dy, 2.0 * dy - S.h * (S.K[_S] + S.K[0])]
     F = np.stack(F + [S.h * _lincomb(d, S.K) for d in _D])
-    extensions = []
-    for lane, end in enumerate(ends):
-        i = S.lane == lane   # the lane's steps, in order
-        extensions.append(None if lane in failures else
-                          _Extension(np.append(S.t[i], 1.0), np.vstack([S.y[i], end]), F[:, i]))
+    extensions = [None] * len(ends)
+    for lane in dict.fromkeys(S.lane.tolist()):   # np.unique would import numpy.ma
+        if lane not in failures:
+            i = S.lane == lane   # the lane's steps, in order
+            extensions[lane] = _Extension(np.append(S.t[i], 1.0), np.vstack([S.y[i], ends[lane]]),
+                                          F[:, i])
     return extensions
 
 
@@ -342,7 +344,7 @@ class _Lanes:
 
     The stages ``K``, shape (stages, n, d), have the lane on axis 1."""
 
-    STATE = ("lane", "y", "f", "h_abs", "t", "rejected")  # carried from step to step
+    STATE = ("lane", "dense", "y", "f", "h_abs", "t", "rejected")  # carried from step to step
     STEP = ("lane", "t", "h", "y", "y_new", "K")  # an accepted step, for the extension
 
     def __init__(self, **arrays):
@@ -351,6 +353,13 @@ class _Lanes:
     def keep(self, mask):
         for key, val in vars(self).items():
             setattr(self, key, val[:, mask] if key == "K" else val[mask])
+
+    def record(self, accept) -> dict:
+        """``accept`` and the STEP arrays of the lanes that keep their stages (views when
+        every lane does): arrays that no later step changes in place."""
+        rows = slice(None) if self.dense.all() else self.dense
+        return {key: val[:, rows] if key == "K" else val[rows] for key, val in
+                [("accept", accept)] + [(key, getattr(self, key)) for key in self.STEP]}
 
     def join(self, other):
         """The lanes of both, carrying only their step-to-step state."""
@@ -376,13 +385,18 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
     scipy's ``solve_ivp`` applies it (to the initial step and to each step's
     start).
 
-    With ``dense``, each lane is read through its continuous extension
-    (``_Extension``): every accepted step keeps its stages, and once all
-    lanes have left, the 3 extra stages of DOP853's 7th-order dense output
-    (the ones scipy's dense output evaluates) are evaluated for all of them,
-    one batch per stage in which ``fun`` gets one row per step (a lane's
-    number on each of its rows).  A lane that raises in one of them fails
-    with its exception.  Without ``dense`` no step pays for them.
+    With ``dense``, lanes are read through their continuous extensions
+    (``_Extension``): every accepted step of a dense lane keeps its stages,
+    and once all lanes have left, the 3 extra stages of DOP853's 7th-order
+    dense output (the ones scipy's dense output evaluates) are evaluated for
+    the dense lanes, one batch per stage in which ``fun`` gets one row per
+    step (a lane's number on each of its rows).  A lane that raises in one
+    of them fails with its exception.  ``dense`` is True (every lane is
+    dense) or a callable that gets an array of lane numbers and returns
+    which of them are dense: it is asked when lanes are admitted, and again,
+    for the lanes that kept their stages, once all have left, so a caller
+    can keep stages for the lanes it may want and extend only the ones it
+    does.  No step of a lane that is not dense pays for the stages.
 
     With ``admit``, lanes join at step boundaries: whenever lanes have left
     (reached t = 1 or raised), ``admit(left)`` gets them as a dict lane ->
@@ -394,15 +408,18 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
     Returns ``(ends, steps, failures)`` over every lane admitted: the states
     at t = 1, shape ``(lanes, d)`` (NaN for a failed lane), the accepted steps
     per lane and a dict lane -> exception.  With ``dense``, ``ends`` is the
-    list of the lanes' extensions instead (None for a failed lane).
+    list of the lanes' extensions instead (None for a lane that failed or is
+    not dense).
     """
+    dense_lanes = dense if callable(dense) else (
+        lambda lanes: np.full(lanes.shape, bool(dense)))
     y0 = np.asarray(y0, dtype=float)
     dim = y0.shape[1]
     ends = np.empty((0, dim))
     steps = np.zeros(0, dtype=int)
     failures = {}
     left = []  # lanes that left since the last call of admit
-    trail = []  # with dense: the arrays of each step and the lanes it accepted
+    trail = []  # the arrays of each step of the dense lanes and which of them it accepted
 
     def fail(lane, exc):
         failures[int(lane)] = exc
@@ -439,7 +456,8 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
         first = steps.size
         ends = np.concatenate([ends, np.full_like(y, np.nan)])
         steps = np.concatenate([steps, np.zeros(len(y), dtype=int)])
-        N = _Lanes(lane=np.arange(first, steps.size), y=y.copy())
+        lanes = np.arange(first, steps.size)
+        N = _Lanes(lane=lanes, dense=np.asarray(dense_lanes(lanes), dtype=bool), y=y.copy())
         N.f = evaluate(N, N.y)
         N.scale = atol + np.abs(N.y) * rtol
         N.d1 = _rms(N.f / N.scale)
@@ -494,8 +512,8 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
         scale = atol + np.maximum(np.abs(L.y), np.abs(L.y_new)) * rtol
         L.err = _error_norm(L.K, L.h[:, 0], scale)
         accept = L.err < 1.0
-        if dense:  # the step's arrays, which no later step changes in place
-            trail.append(dict(accept=accept, **{key: getattr(L, key) for key in _Lanes.STEP}))
+        if L.dense.any():
+            trail.append(L.record(accept))
         # an err below 1e-300, 0 too, grows the step by _MAX_FACTOR, as an infinite fac would
         fac = _SAFETY * np.maximum(L.err, 1e-300) ** _ERR_EXP
         grow = np.minimum(fac, _MAX_FACTOR)
@@ -515,11 +533,11 @@ def ode_lanes(fun, y0, rtol: float, atol: float, admit=None, dense=False, max_st
             L.keep(~done)
     if not dense:
         return ends, steps, failures
-    if not trail:  # no lane took a step
+    if not trail:  # no dense lane took a step
         return [None] * len(ends), steps, failures
     S = _Lanes(**{key: np.concatenate([b[key] for b in trail], axis=1 if key == "K" else 0)
                   for key in trail[0]})
-    S.keep(S.accept & [lane not in failures for lane in S.lane.tolist()])
+    S.keep(S.accept & [lane not in failures for lane in S.lane.tolist()] & dense_lanes(S.lane))
     S.K = np.concatenate([S.K, np.empty((len(_A_EXTRA),) + S.y.shape)])
     for s, a in enumerate(_A_EXTRA, start=_S + 1):
         # S.K is looked up after the right side, as in the steps
@@ -576,29 +594,29 @@ def shot_endpoints(model: SpacetimeModel, k: float, states, T, config: Integrato
     return [failures.get(i, ends[i, :model.m]) for i in range(len(ends))]
 
 
-def _lane_curve(grid, extensions, failures) -> Curve:
-    """The only lane of a dense ``ode_lanes`` run read at ``grid``; raises that lane's
+def _lane_curve(grid, extensions, failures, lane=0) -> Curve:
+    """Lane ``lane`` of a dense ``ode_lanes`` run read at ``grid``; raises that lane's
     failure."""
-    if failures:
-        raise failures[0]
-    states = extensions[0](grid)
+    if lane in failures:
+        raise failures[lane]
+    states = extensions[lane](grid)
     m = states.shape[-1] // 2
     return Curve(grid=grid, points=states[:, :m].copy(), velocities=states[:, m:].copy())
 
 
-def _sampled_solution(model, k, T, sigma: Curve) -> BrachistochroneSolution:
+def _sampled_solution(model, k, T, sigma: Curve, g=None) -> BrachistochroneSolution:
     """A sampled trial curve with its conservation residuals and its equation residual
-    (the largest g_R norm at about 64 nodes)."""
-    r_y, r_v = conservation_residuals(model, sigma.points, sigma.velocities, k, T)
+    (the largest g_R norm at about 64 nodes); g is the metric at its nodes, if known."""
+    g = model.g(sigma.points) if g is None else g
+    r_y, r_v = _conservation(g, sigma.velocities, k, T)
     idx = np.arange(0, sigma.grid.size, max(1, sigma.grid.size // 64))
-    pts = sigma.points[idx]
     d = (sigma.velocity_spline().at_knots(1)[idx]
-         - brachistochrone_acceleration(model, k, T, pts, sigma.velocities[idx]))
+         - brachistochrone_acceleration(model, k, T, sigma.points[idx], sigma.velocities[idx]))
     return BrachistochroneSolution(
         sigma=sigma, T=T, k=k,
         residual_conservation_Y=float(np.max(np.abs(r_y))),
         residual_conservation_speed=float(np.max(np.abs(r_v))),
-        residual_ode=float(np.max(_gr_length(model.g(pts), d))),
+        residual_ode=float(np.max(_gr_length(g[idx], d))),
     )
 
 
@@ -618,9 +636,16 @@ def integrate_brachistochrone_from_velocity(model: SpacetimeModel, k: float, p, 
     """Same as integrate_brachistochrone but from an explicit launch velocity.  The curve
     is a shot's lane read off its extension, so its last point is that shot's arrival."""
     state0 = np.concatenate([model.require_in_chart(p), _coords(v0)])
-    grid = np.linspace(0.0, 1.0, config.grid_n + 1)
     extensions, failures = _shot_lanes(model, k, state0[None], [T], config, dense=True)
-    return _sampled_solution(model, k, T, _lane_curve(grid, extensions, failures))
+    return _shot_solution(model, k, T, config, extensions, failures)
+
+
+def _shot_solution(model: SpacetimeModel, k: float, T: float, config: IntegratorConfig,
+                   extensions, failures, shot=0) -> BrachistochroneSolution:
+    """Shot ``shot`` of a dense ``_shot_lanes`` run, read at the nodes of the config's
+    grid, with its residuals; raises that shot's failure."""
+    grid = np.linspace(0.0, 1.0, config.grid_n + 1)
+    return _sampled_solution(model, k, T, _lane_curve(grid, extensions, failures, shot))
 
 
 def integrate_conformal_geodesic(model: SpacetimeModel, k: float, q, v,
@@ -657,10 +682,12 @@ def conservation_report(model: SpacetimeModel, sol: BrachistochroneSolution) -> 
     }
 
 
-def geodesic_residual(model: SpacetimeModel, k: float, w: Curve) -> float:
+def geodesic_residual(model: SpacetimeModel, k: float, w: Curve, g=None) -> float:
     """Largest g_R norm over the nodes of nabla_w'(phi_k w') - 1/2 grad(phi_k) <w',w'>;
-    NotHorizontal unless |<w',Y>| <= 1e-6 |w'|_R |Y|_R at every node."""
-    return _geodesic_residual(model.g(w.points), connection_coeffs(model, w.points), k, w)
+    NotHorizontal unless |<w',Y>| <= 1e-6 |w'|_R |Y|_R at every node.  ``g`` is the metric
+    at the nodes of w, if the caller holds it."""
+    g = model.g(w.points) if g is None else g
+    return _geodesic_residual(g, connection_coeffs(model, w.points), k, w)
 
 
 def _geodesic_residual(g: np.ndarray, G: np.ndarray, k: float, w: Curve) -> float:

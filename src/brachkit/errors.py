@@ -93,6 +93,11 @@ class ZeroSeed(BrachkitError):
     pass
 
 
+class GradientMismatch(BrachkitError):
+    """An analytic gradient disagrees with differences of its function: the model's
+    Christoffel symbols contradict its metric."""
+
+
 class Stalled(BrachkitError):
     """Descent produced no progress within the iteration budget."""
 

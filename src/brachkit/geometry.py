@@ -325,9 +325,13 @@ def _phi_k(g: np.ndarray, k: float, q: np.ndarray) -> np.ndarray:
 
 
 def _phi_k_derivative(g: np.ndarray, G: np.ndarray, k: float, q: np.ndarray):
-    """(phi_k, d phi_k) at q: d phi_k = -k^2 d<Y,Y> / (k^2 + <Y,Y>)^2, d_c<Y,Y> = 2 Gamma_{m,mc}."""
-    dyy = 2.0 * np.einsum("...d,...dc->...c", g[..., -1, :], G[..., :, -1, :])
-    return _phi_k(g, k, q), (-k * k / (k * k + g[..., -1, -1]) ** 2)[..., None] * dyy
+    """(phi_k, d phi_k) at q: d phi_k = -k^2 d<Y,Y> / (k^2 + <Y,Y>)^2."""
+    return _phi_k(g, k, q), (-k * k / (k * k + g[..., -1, -1]) ** 2)[..., None] * _dyy(g, G)
+
+
+def _dyy(g: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """d_c <Y,Y> = 2 Gamma_{m,mc} (Y = e_last) from g and Gamma at the same points."""
+    return 2.0 * np.einsum("...d,...dc->...c", g[..., -1, :], G[..., :, -1, :])
 
 
 def conformal_factor_gradient(model: SpacetimeModel, q, k: float) -> np.ndarray:
@@ -470,8 +474,13 @@ def _linearized_conservation(g: np.ndarray, K: np.ndarray, v: np.ndarray, z, dz)
 
 def curve_distance(model: SpacetimeModel, points_a, points_b) -> float:
     """Sup over nodes of the g_R length (at points_a) of the wrapped difference b - a."""
+    return _curve_distance(model, model.g(points_a), points_a, points_b)
+
+
+def _curve_distance(model: SpacetimeModel, g: np.ndarray, points_a, points_b) -> float:
+    """``curve_distance`` from the metric g at points_a."""
     d = model.wrap_difference(np.asarray(points_b) - np.asarray(points_a))
-    return float(np.max(_gr_length(model.g(points_a), d)))
+    return float(np.max(_gr_length(g, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, _CubicSpline, _Reduction, cumulative_integral, sine_bumps
+from .curves import Curve, _CubicSpline, cumulative_integral, sine_bumps
 from .dynamics import (BrachistochroneSolution, IntegratorConfig,
                        integrate_brachistochrone)
-from .errors import OutsideUk, Stalled
-from .geometry import (SpacetimeModel, horizontal_part, horizontal_unit, _coords, _horizontal,
-                       _inner, _jacobian_fd, _phi_k, _riemannian)
+from .errors import GradientMismatch, OutsideUk, Stalled
+from .geometry import (SpacetimeModel, connection_coeffs, horizontal_part, horizontal_unit,
+                       _coords, _dyy, _horizontal, _inner, _phi_k, _phi_k_derivative,
+                       _riemannian)
 from .transform import conformal_energy, deform_D, lift_G
 
 __all__ = [
@@ -77,7 +78,10 @@ class _PolylineObjective:
     On a segment with midpoint q and velocity v the energy density is
     v^T M v with M = phi_k P^T g_R P, P the projection along Y.  Since the
     horizontal part h = P v is g-orthogonal to Y, this is phi_k <h, h> and
-    M v = phi_k g h.
+    M v = phi_k g h.  The gradient is read off g and Gamma: at fixed v,
+    d_c <h, h> = (d_c g)(h, h), as h is g-orthogonal to Y, and
+    d_c g_ab = Gamma_{a,cb} + Gamma_{b,ca}, so d_c <h, h> = 2 <h, Gamma(e_c, h)>;
+    d<Y,Y> = 2 Gamma_{m,m.} gives d phi_k and the barrier's d Psi_k.
     """
 
     def __init__(self, model, k, x0, x1, n_seg, pc: PenaltyConfig):
@@ -88,7 +92,6 @@ class _PolylineObjective:
         self.n = n_seg
         self.pc = pc
         self.dt = 1.0 / n_seg
-        self.fd = 1e-6
 
     def nodes(self, interior):
         return np.vstack([self.x0, interior.reshape(self.n - 1, self.model.m), self.x1])
@@ -103,6 +106,16 @@ class _PolylineObjective:
         h = _horizontal(g, v)
         return _phi_k(g, self.k, q) * _inner(g, h, h)
 
+    def _density_slopes(self, q, v):
+        """(d_q, d_v / 2) of ``_density`` at q and v: the q-gradient of phi_k <h, h> at
+        fixed v, and M v = phi_k g h."""
+        g, G = self.model.g(q), connection_coeffs(self.model, q)
+        h = _horizontal(g, v)
+        gh = np.einsum("nab,nb->na", g, h)
+        phi, dphi = _phi_k_derivative(g, G, self.k, q)
+        dhh = 2.0 * np.einsum("nd,ndcb,nb->nc", gh, G, h)   # d <h, h>
+        return dphi * _inner(g, h, h)[:, None] + phi[:, None] * dhh, phi[:, None] * gh
+
     def energy(self, interior) -> float:
         nodes, mid, v = self._segments(interior)
         psi = psi_k(self.model, self.k, nodes)
@@ -114,12 +127,10 @@ class _PolylineObjective:
 
     def gradient(self, interior) -> np.ndarray:
         nodes, mid, v = self._segments(interior)
-        model, k, fd = self.model, self.k, self.fd
+        model, k = self.model, self.k
         grad = np.zeros((self.n + 1, model.m))
-        g = model.g(mid)
-        Mv = _phi_k(g, k, mid)[:, None] * np.einsum("nab,nb->na", g, _horizontal(g, v))
-        # metric variation through the midpoint
-        dM = 0.25 * self.dt * _jacobian_fd(lambda q: self._density(q, v), mid, fd)
+        dq, Mv = self._density_slopes(mid, v)
+        dM = 0.25 * self.dt * dq   # the metric's variation through the midpoint
         grad[:-1] += dM - Mv
         grad[1:] += dM + Mv
         # barrier, on the interior nodes where it is switched on
@@ -127,29 +138,43 @@ class _PolylineObjective:
         psi = psi_k(model, k, inner)
         cp = self.pc.chi_prime(1.0 / psi ** 2)
         on = cp != 0.0
-        dpsi = _jacobian_fd(lambda q: psi_k(model, k, q), inner[on], fd)
-        grad[1:-1][on] += (self.dt * cp[on] * (-2.0 / psi[on] ** 3))[:, None] * dpsi
+        if on.any():
+            q = inner[on]
+            dpsi = _dyy(model.g(q), connection_coeffs(model, q))
+            grad[1:-1][on] += (self.dt * cp[on] * (-2.0 / psi[on] ** 3))[:, None] * dpsi
         return grad[1:-1].ravel()
 
     def validate_gradient(self, interior, n_checks: int = 6, tol: float = 1e-6):
+        """GradientMismatch unless the gradient's slope along ``n_checks`` random unit
+        directions matches central differences of the energy: a check of the model's
+        Christoffels, which the gradient reads, against its metric, which the energy
+        reads.  Each direction moves every node along every axis, so an axis whose
+        Christoffels are wrong cannot go unchecked."""
         g = self.gradient(interior)
         rng = np.random.default_rng(0)
-        idx = rng.choice(g.size, size=min(n_checks, g.size), replace=False)
         scale = 1.0 + float(np.max(np.abs(g)))
-        for j in idx:
-            e = np.zeros_like(interior)
-            h = 1e-6
-            e[j] = h
-            fd = (self.energy(interior + e) - self.energy(interior - e)) / (2.0 * h)
-            if abs(fd - g[j]) > tol * scale:
-                raise AssertionError(
-                    f"gradient check failed at dof {j}: analytic {g[j]:.3e} vs fd {fd:.3e}")
+        h = 1e-6
+        for _ in range(n_checks):
+            e = rng.standard_normal(g.size)
+            e /= np.linalg.norm(e)
+            fd = (self.energy(interior + h * e) - self.energy(interior - h * e)) / (2.0 * h)
+            if abs(fd - g @ e) > tol * scale:
+                raise GradientMismatch(
+                    f"gradient check failed: slope {g @ e:.3e} vs difference {fd:.3e}; "
+                    f"do the Christoffels of '{self.model.name}' belong to its metric?")
 
 
-def _h1_preconditioner(n_seg) -> _Reduction:
-    """The discrete H1 form (-1, 2, -1) / dt on interior nodes, reduced for its solves."""
-    off = np.full(n_seg - 1, -1.0 * n_seg)
-    return _Reduction(off, np.full(n_seg - 1, 2.0 * n_seg), off)
+def _h1_solve(r: np.ndarray) -> np.ndarray:
+    """The solution x of the discrete H1 form n tridiag(-1, 2, -1) x = r on the n - 1
+    interior nodes of n segments, for right-hand sides r of shape (n - 1, columns).
+
+    With x_0 = x_n = 0 the differences d_i = x_i - x_{i-1} satisfy
+    d_{i+1} = d_i - r_i / n, so x_i = (i C - sum_{k<i} S_k) / n for the cumulative sums
+    S_i = r_1 + ... + r_i and C = (S_1 + ... + S_{n-1}) / n, which x_n = 0 fixes."""
+    n = r.shape[0] + 1
+    S = np.cumsum(r, axis=0)
+    C = S.sum(axis=0) / n
+    return (np.arange(1, n)[:, None] * C - (np.cumsum(S, axis=0) - S)) / n
 
 
 def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: int,
@@ -161,7 +186,7 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     The Y-component of every segment velocity is projected out, which makes
     the objective a function on the quotient by the flow; the arrival node can
     therefore be pinned at the anchor.  Descent directions are gradients in
-    the curve-space H1 inner product (a tridiagonal solve), with Armijo
+    the curve-space H1 inner product (two cumulative sums), with Armijo
     backtracking; the stopping test is on the plain gradient norm.
     """
     if n_seg < 2 or max_iters < 1:
@@ -180,14 +205,13 @@ def discrete_minimize(model: SpacetimeModel, p, gamma_anchor, k: float, n_seg: i
     x = init_nodes[1:-1].ravel().copy()
     obj.validate_gradient(x)
 
-    h1 = _h1_preconditioner(n_seg)
     energy = obj.energy(x)
     for it in range(max_iters):
         g = obj.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn < gtol:
             break
-        d = -h1.solve(g.reshape(n_seg - 1, m)).ravel()
+        d = -_h1_solve(g.reshape(n_seg - 1, m)).ravel()
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g

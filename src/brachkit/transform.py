@@ -20,9 +20,10 @@ from .curves import (Curve, FieldAlongCurve, _require_hosted, covariant_nodes,
 from .dynamics import BrachistochroneSolution, _sampled_solution, conservation_failures
 from .dynamics import solve_ivp  # unused here; bench/spans.py wraps this binding
 from .errors import ConstraintViolated, FlowEscape
-from .geometry import (SpacetimeModel, connection_coeffs, curve_distance, isometry_defect,
-                       require_adapted_chart, _conservation, _coords, _inner, _inner_y,
-                       _linearized_conservation, _phi_k, _riemannian, _require_horizontal)
+from .geometry import (SpacetimeModel, connection_coeffs, isometry_defect,
+                       require_adapted_chart, _conservation, _coords, _curve_distance, _inner,
+                       _inner_y, _linearized_conservation, _phi_k, _riemannian,
+                       _require_horizontal)
 
 __all__ = [
     "CorrespondenceReport",
@@ -94,8 +95,14 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
         raise ValueError("k is required when deforming a bare curve")
     else:
         curve, T = sol, None
+    return _deform(model, curve, model.g(curve.points), k, T, check)
+
+
+def _deform(model: SpacetimeModel, curve: Curve, g, k: float, T, check: bool) -> Curve:
+    """``deform_D`` of ``curve`` from the metric g at its nodes, for the check, the rate and
+    the horizontality of the result: each node of the result is a Killing translate of
+    the curve's node, where the adapted chart's metric is the same."""
     pts, vels = curve.points, curve.velocities
-    g = model.g(pts)                   # for the check and the rate
     if check:
         if T is None:
             T = -float(_inner_y(g[0], vels[0])) / k
@@ -106,7 +113,7 @@ def deform_D(model: SpacetimeModel, sol, k: float | None = None,
         if failed:
             raise ConstraintViolated(f"input curve violates {' and '.join(failed)}")
     w = _slide(model, curve.grid, pts, vels, -_inner_y(g, vels) / g[:, -1, -1])
-    _require_horizontal(model.g(w.points), w.velocities, 1e-8, "deformed curve")
+    _require_horizontal(g, w.velocities, 1e-8, "deformed curve")
     return w
 
 
@@ -118,12 +125,18 @@ def lift_G(model: SpacetimeModel, k: float, w: Curve) -> BrachistochroneSolution
     constraints are reported, not enforced, so a non-geodesic input shows up as a
     large equation residual downstream.
     """
+    return _lift(model, k, w, model.g(w.points))
+
+
+def _lift(model: SpacetimeModel, k: float, w: Curve, g) -> BrachistochroneSolution:
+    """``lift_G`` of w from the metric g at its nodes, which the lift, node by node a
+    Killing translate of w, shares."""
     grid, pts, vels = w.grid, w.points, w.velocities
-    g = model.g(pts)
     _require_horizontal(g, vels, 1e-6, "lift input")
     speed0 = float(vels[0] @ _riemannian(g[0]) @ vels[0])
     T = float(np.sqrt(_phi_k(g, k, pts)[0] * speed0))
-    return _sampled_solution(model, k, T, _slide(model, grid, pts, vels, -k * T / g[:, -1, -1]))
+    return _sampled_solution(model, k, T, _slide(model, grid, pts, vels, -k * T / g[:, -1, -1]),
+                             g)
 
 
 def tangent_constraint_scan(model: SpacetimeModel, sol: BrachistochroneSolution,
@@ -204,23 +217,31 @@ def _map_L(model: SpacetimeModel, sol: BrachistochroneSolution, t0: float,
 
 def conformal_energy(model: SpacetimeModel, k: float, w: Curve) -> float:
     """E = 1/2 int phi_k g_R(w', w') dt by spline quadrature."""
-    g = model.g(w.points)
+    return _conformal_energy(model.g(w.points), k, w)
+
+
+def _conformal_energy(g, k: float, w: Curve) -> float:
+    """``conformal_energy`` from the metric g at the nodes of w."""
     vals = _phi_k(g, k, w.points) * _inner(_riemannian(g), w.velocities, w.velocities)
     return 0.5 * grid_integral(w.grid, vals)
 
 
 def correspondence_report(model: SpacetimeModel, sol: BrachistochroneSolution) -> CorrespondenceReport:
-    """Numerical content of the first variational principle at one solution."""
+    """Numerical content of the first variational principle at one solution.
+
+    The deformed curve and its lift are Killing translates of sigma, node by node, so
+    in the adapted chart the three share the metric at sigma's nodes, evaluated once."""
     from .dynamics import geodesic_residual
 
-    w = deform_D(model, sol)
-    energy = conformal_energy(model, sol.k, w)
-    back = lift_G(model, sol.k, w)
-    horiz = np.max(np.abs(_inner_y(model.g(w.points), w.velocities)))
+    g = model.g(sol.sigma.points)
+    w = _deform(model, sol.sigma, g, sol.k, sol.T, True)
+    energy = _conformal_energy(g, sol.k, w)
+    back = _lift(model, sol.k, w, g)
+    horiz = np.max(np.abs(_inner_y(g, w.velocities)))
     return CorrespondenceReport(
-        geodesic_residual=geodesic_residual(model, sol.k, w),
+        geodesic_residual=geodesic_residual(model, sol.k, w, g),
         energy_value=energy,
         energy_vs_halfT2=abs(energy - 0.5 * sol.T ** 2),
-        roundtrip_error=curve_distance(model, sol.sigma.points, back.sigma.points),
+        roundtrip_error=_curve_distance(model, g, sol.sigma.points, back.sigma.points),
         horizontality=float(horiz),
     )

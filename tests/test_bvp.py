@@ -3,10 +3,11 @@ import pytest
 
 from scipy.optimize import minimize_scalar
 
-from brachkit.bvp import (ObserverWorldline, ShootConfig, ShootingProblem, _residual_vector,
-                          multistart_survey, sample_initial_velocity, shoot)
+from brachkit.bvp import (ObserverWorldline, ShootConfig, ShootingProblem, _newton,
+                          _residual_vector, multistart_survey, sample_initial_velocity, shoot)
+from brachkit.dynamics import initial_velocity, shot_endpoints
 from brachkit.errors import NoConvergence, ZeroSeed
-from brachkit.geometry import horizontal_frame, riemannian_metric_matrix
+from brachkit.geometry import horizontal_frame, horizontal_unit, riemannian_metric_matrix
 from brachkit.transform import flow_points
 
 from conftest import STANDARD_LAUNCH
@@ -69,6 +70,34 @@ def test_shoot_endpoint_on_orbit(models):
     res = minimize_scalar(dist2, bounds=(0.0, 2.0 * sol.k * sol.T), method="bounded",
                           options={"xatol": 1e-12})
     assert np.sqrt(max(res.fun, 0.0)) < 1e-9
+
+
+def test_shoot_returns_the_launch_it_verified(models, solutions):
+    # a guess that is already converged: Newton accepts its first shot, launched in
+    # the g_R-normalized direction of the guess, which differs from the guess's unit
+    # direction in the last bit.  The curve starts with that shot's velocity and ends
+    # at its arrival, and the launch returned for it gives that velocity, bit for bit
+    # (the guess's unit direction came back, and its curve started 5.5e-17 off)
+    model, info = models["minkowski4"], STANDARD_LAUNCH["minkowski4"]
+    p, k = np.asarray(info["p"], dtype=float), info["k"]
+    prob = ShootingProblem(model, p, ObserverWorldline(solutions["minkowski4"].sigma.points[-1],
+                                                       model), k)
+    guess = (np.asarray(info["useed"], dtype=float), info["T"])
+    newton = _newton(prob, guess)
+    shots, trials = newton.send(None)
+    ends = shot_endpoints(model, k, np.array([st for st, _ in shots]), [T for _, T in shots],
+                          prob.config.integrator)
+    with pytest.raises(StopIteration) as stop:
+        newton.send(ends)
+    (u, T), pos = stop.value.value
+    assert trials == [pos] == [0]
+    velocity = shots[0][0][model.m:]
+    assert np.array_equal(initial_velocity(model, k, p, u, T), velocity)
+    assert not np.array_equal(horizontal_unit(model, p, guess[0]), u)
+    sol = shoot(prob, guess)
+    assert sol.T == T
+    assert np.array_equal(sol.sigma.velocities[0], velocity)
+    assert np.array_equal(sol.sigma.points[-1], ends[0])
 
 
 def _orbit_matched_residual(problem, q_end):

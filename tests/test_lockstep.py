@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import brachkit.bvp as bvp
+import brachkit.dynamics as dynamics
 from brachkit.bvp import (ObserverWorldline, ShootingProblem, _integrate, _newton,
                           _residual_vector, _solve_starts, _sphere_chart, _sphere_direction,
                           _survey_starts, multistart_survey, shoot)
@@ -353,25 +354,99 @@ def test_shoot_equals_its_lane_in_a_survey(models):
                           _integrate(prob, first).sigma.points)
 
 
-@pytest.mark.parametrize("name", ["static_well", "rotating_frame"])
-def test_shoot_curve_ends_at_its_converged_arrival(models, solutions, monkeypatch, name):
-    # the stored curve is the converged shot's lane sampled on the dense grid,
-    # so it ends where Newton converged, bit for bit
+def _standard_shoot(models, solutions, name):
+    """The shooting problem to the end of the model's standard solution, and a guess off it."""
     model, info = models[name], STANDARD_LAUNCH[name]
     p = np.asarray(info["p"], dtype=float)
     prob = ShootingProblem(model, p, ObserverWorldline(solutions[name].sigma.points[-1], model),
                            info["k"])
-    arrivals = []
+    return prob, (np.asarray(info["useed"]) + [0.05, -0.05, 0.0], 1.05 * info["T"])
+
+
+@pytest.mark.parametrize("name", ["static_well", "rotating_frame"])
+def test_shoot_curve_ends_at_its_converged_arrival(models, solutions, monkeypatch, name):
+    # the stored curve is the converged shot's lane sampled on the dense grid, not a
+    # second integration: it ends where Newton converged and is the curve that
+    # integrating the converged launch gives, bit for bit
+    prob, guess = _standard_shoot(models, solutions, name)
+    arrivals, integrated = [], []
 
     def recording(problem, q_end):
         arrivals.append(q_end)
         return _residual_vector(problem, q_end)
 
+    def counting(*args):
+        integrated.append(args)
+        return integrate_brachistochrone(*args)
+
     monkeypatch.setattr(bvp, "_residual_vector", recording)
-    sol = shoot(prob, (np.asarray(info["useed"]) + [0.05, -0.05, 0.0], 1.05 * info["T"]))
+    monkeypatch.setattr(bvp, "integrate_brachistochrone", counting)
+    sol = shoot(prob, guess)
+    assert integrated == []
     # the last residual Newton reads is the one it converges on
     assert np.array_equal(sol.sigma.points[-1], arrivals[-1])
     assert np.linalg.norm(_residual_vector(prob, sol.sigma.points[-1])) < prob.config.tol_bvp
+    (launch,), _ = _solve_starts(prob, [guess])
+    ref = _integrate(prob, launch)
+    assert sol.T == ref.T == launch[1]
+    for key in ("grid", "points", "velocities"):
+        assert np.array_equal(getattr(sol.sigma, key), getattr(ref.sigma, key)), key
+    assert (sol.residual_conservation_Y, sol.residual_conservation_speed, sol.residual_ode) == (
+        ref.residual_conservation_Y, ref.residual_conservation_speed, ref.residual_ode)
+
+
+def test_shoot_pays_for_one_dense_output(models, solutions, monkeypatch):
+    # the standard static_well shoot costs its Newton run and the 3 stages of one dense
+    # output: 395 calls, where a second, dense run of the converged launch made it 493
+    prob, guess = _standard_shoot(models, solutions, "static_well")
+    solve, counts = bvp._solve_starts, []
+
+    def counting(*args, **kwargs):
+        results, tally = solve(*args, **kwargs)
+        counts.append(tally["batched_calls"])
+        return results, tally
+
+    monkeypatch.setattr(bvp, "_solve_starts", counting)
+    shoot(prob, guess)
+    _, plain = solve(prob, [guess])
+    assert counts == [plain["batched_calls"] + 3] == [395]
+
+
+def test_shoot_keeps_stages_only_for_trial_shots(cylinder_survey):
+    # a damped start: two Jacobian launches ride with each of its trial shots.  Kept
+    # for every lane, the stages would take about as much memory as a dense run of all
+    # its launches does; kept for the trials' shots only, they take about a third
+    import tracemalloc
+
+    prob, starts = cylinder_survey
+    guess = starts[11]
+    launches, trials, ends = [], [], None
+    newton = _newton(prob, guess)
+    try:
+        while True:
+            shots, nominal = newton.send(ends)
+            trials += [len(launches) + j for j in nominal]
+            launches += shots
+            ends = shot_endpoints(prob.model, prob.k, np.array([st for st, _ in shots]),
+                                  [T for _, T in shots], prob.config.integrator)
+    except StopIteration:
+        pass
+    assert 0 < len(trials) < len(launches) / 2
+
+    def peak(f, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            f(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    states, Ts = np.array([st for st, _ in launches]), [T for _, T in launches]
+    cfg = prob.config.integrator
+    every_lane = (peak(dynamics._shot_lanes, prob.model, prob.k, states, Ts, cfg, dense=True)
+                  - peak(dynamics._shot_lanes, prob.model, prob.k, states, Ts, cfg))
+    trial_lanes = peak(_solve_starts, prob, [guess], dense=True) - peak(_solve_starts, prob, [guess])
+    assert 0 < trial_lanes < 0.5 * every_lane
 
 
 SURVEY = {
@@ -501,14 +576,15 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
 
     x = np.zeros(ndim)
     x[-1] = float(guess[1])
-    r = residual((yield [launch(x, chart)])[0])
+    r = residual((yield [launch(x, chart)], [0])[0])
+    u = _sphere_direction(problem, chart, x[:-1])
     for _ in range(cfg.max_newton):
         rn = float(np.linalg.norm(r))
         if rn < cfg.tol_bvp:
             break
         # a fresh Jacobian at every iterate
         dxs = cfg.fd_step * (1.0 + np.abs(x))
-        ends = yield [launch(x + dx * e, chart) for dx, e in zip(dxs, np.eye(ndim))]
+        ends = yield [launch(x + dx * e, chart) for dx, e in zip(dxs, np.eye(ndim))], []
         jac = np.column_stack([(residual(end) - r) / dx for end, dx in zip(ends, dxs)])
         step = np.linalg.solve(jac, -r)
         turn = float(np.linalg.norm(step[:-1]))
@@ -522,7 +598,7 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
                 lam *= 0.5
                 continue
             try:
-                r_new = residual((yield [launch(x_new, chart)])[0])
+                r_new = residual((yield [launch(x_new, chart)], [0])[0])
             except (BrachkitError, ValueError):
                 events.add("failed shot")
                 lam *= 0.5
@@ -534,25 +610,27 @@ def _sequential_newton(problem, guess, events, velocity=initial_velocity):
             raise NoConvergence(f"line search stalled at residual {rn:.3e}")
         events.add("damped" if lam < 1.0 else "full")
         chart = _sphere_chart(problem, _sphere_direction(problem, chart, x_new[:-1]))
+        u = chart[0]
         x = x_new.copy()
         x[:-1] = 0.0
         r = r_new
     else:
         raise NoConvergence(f"no convergence after {cfg.max_newton} iterations")
-    return chart[0], float(x[-1])
+    return (u, float(x[-1])), 0
 
 
 def _drive(newton, problem):
-    """Run a Newton generator, each yield one batch; (return value or exception, shots per yield)."""
+    """Run a Newton generator, each yield one batch; (the converged launch or the exception,
+    shots per yield)."""
     ends, sizes = None, []
     try:
         while True:
-            shots = newton.send(ends)
+            shots, _ = newton.send(ends)
             sizes.append(len(shots))
             ends = shot_endpoints(problem.model, problem.k, np.array([st for st, _ in shots]),
                                   [T for _, T in shots], problem.config.integrator)
     except StopIteration as stop:
-        return stop.value, sizes
+        return stop.value[0], sizes
     except (BrachkitError, ValueError) as exc:
         return exc, sizes
 

@@ -8,7 +8,7 @@ from brachkit.oracle import (PenaltyConfig, constrained_curve_family, discrete_m
                              fd_variation_family, penalized_energy)
 from brachkit.transform import conformal_energy
 
-from conftest import unit_horizontal
+from conftest import STANDARD_LAUNCH, unit_horizontal
 
 
 def spatial_segment(model, a, b, n=120):
@@ -192,7 +192,9 @@ def test_conformal_speeds_evaluate_g_once(solutions):
     assert calls_at(mid) == len(seen) == 1
     seen.clear()
     obj.gradient(interior)
-    assert calls_at(mid) == 1   # the others are the finite-difference stencil's
+    # the density's gradient is read off g and Gamma at the midpoints; Psi_k is read at the
+    # interior nodes, where the barrier is off
+    assert calls_at(mid) == calls_at(obj.nodes(interior)[1:-1]) == 1 and len(seen) == 2
 
     coeffs, s = np.array([[0.05, -0.03, 0.02]]), 1e-3
     eta, deta = sine_bumps(w.grid, coeffs)
@@ -200,4 +202,61 @@ def test_conformal_speeds_evaluate_g_once(solutions):
     flat = deform_D(model, bent, k=sol.k, check=False)
     seen.clear()
     constrained_curve_family(model, sol, coeffs, s)
-    assert calls_at(flat.points) == 2   # deform_D's horizontality check, the speeds
+    assert calls_at(flat.points) == 1   # the speeds: deform_D reads the bent curve's g
+
+
+@pytest.mark.parametrize("n_seg", [2, 3, 200])
+def test_h1_solve_matches_the_dense_solve(n_seg):
+    from brachkit.oracle import _h1_solve
+    rhs = np.random.default_rng(n_seg).standard_normal((n_seg - 1, 4))
+    form = n_seg * (2.0 * np.eye(n_seg - 1) - np.eye(n_seg - 1, k=1) - np.eye(n_seg - 1, k=-1))
+    ref = np.linalg.solve(form, rhs)
+    assert np.max(np.abs(_h1_solve(rhs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["minkowski3", "minkowski4", "einstein_cylinder", "static_well",
+                                  "rotating_frame"])
+def test_density_gradient_matches_differences(models, solutions, name):
+    # the density's gradient read off g and Gamma against central differences of the
+    # density (step 1e-6, as the gradient took them before): they differ by the
+    # differences' error, 3.8e-10 on the cylinder, 1.4e-10 on static_well and 7.9e-10 on
+    # rotating_frame relative to the largest entry, and not at all on the flat models
+    from brachkit.geometry import _jacobian_fd
+    from brachkit.oracle import _PolylineObjective
+    from brachkit.transform import deform_D
+
+    model, sol = models[name], solutions[name]
+    w = deform_D(model, sol)
+    obj = _PolylineObjective(model, sol.k, w.points[0], w.points[-1], 40, PenaltyConfig())
+    interior = w.point_spline()(np.linspace(0.0, 1.0, 41)[1:-1]).ravel()
+    _, mid, v = obj._segments(interior)
+    ref = _jacobian_fd(lambda q: obj._density(q, v), mid, 1e-6)
+    slope = obj._density_slopes(mid, v)[0]
+    assert np.max(np.abs(slope - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_christoffels_that_contradict_the_metric_fail_the_oracle(models, solutions, tmp_path,
+                                                                  monkeypatch):
+    # the gradient check compares the gradient, read off the model's Christoffels, with
+    # differences of the energy, read off its metric: with Christoffels scaled by 1.5 the
+    # oracle command fails with exit 3 and an error file, not with a traceback
+    import dataclasses
+    import json
+
+    import brachkit.cli as cli
+    from brachkit.transform import deform_D
+
+    model, info = models["static_well"], STANDARD_LAUNCH["static_well"]
+    christoffels = model.analytic_christoffels
+    wrong = dataclasses.replace(model, analytic_christoffels=lambda q: 1.5 * christoffels(q))
+    monkeypatch.setattr(cli, "_model_of", lambda cfg: wrong)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({
+        "model": {"name": "static_well", "params": info["params"]}, "k": info["k"],
+        "p": info["p"], "gamma_anchor": deform_D(model, solutions["static_well"]).points[-1].tolist(),
+        "oracle": {"n_segments": 40, "shoot_check": False}}))
+    assert cli.main(["oracle", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "GradientMismatch"
+    assert not (tmp_path / "oracle.json").exists()
+    monkeypatch.setattr(cli, "_model_of", lambda cfg: model)
+    assert cli.main(["oracle", "--config", str(path), "--out-dir", str(tmp_path)]) == 0

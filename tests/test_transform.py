@@ -312,9 +312,9 @@ def test_dD_differential_evaluates_g_and_the_connection_once(solutions):
 
 
 def test_deform_D_evaluates_the_metric_once_at_its_input_nodes(solutions):
-    # one evaluation of g at the input nodes serves the conservation check and the
-    # rate; the adapted-chart check of the flow (two) and the horizontality gate on
-    # the slid nodes make the only others
+    # one evaluation of g at the input nodes serves the conservation check, the rate
+    # and the horizontality gate on the slid nodes (Killing translates of the input's);
+    # the adapted-chart check of the flow (two) makes the only others
     from brachkit.models import ModelSpec, make_model
 
     model = make_model(ModelSpec("rotating_frame"))
@@ -330,4 +330,37 @@ def test_deform_D_evaluates_the_metric_once_at_its_input_nodes(solutions):
     model.metric_components = counting
     deform_D(model, sol)
     assert sum(at_nodes) == 1
-    assert len(at_nodes) == 4
+    assert len(at_nodes) == 3
+
+
+def test_correspondence_report_evaluates_the_metric_once_per_node_set(solutions):
+    # the deformed curve and the lift are Killing translates of sigma, so all three
+    # read g at sigma's nodes, once; the adapted-chart checks of the two flows (two
+    # each) and the equation residual at the lift's 64 sampled nodes make the others.
+    # Each curve read its own g before, 14 calls in all
+    from brachkit.models import ModelSpec, make_model
+
+    model = make_model(ModelSpec("rotating_frame"))
+    metric = model.metric_components
+    sol = solutions["rotating_frame"]
+    seen = []
+
+    def counting(q):
+        seen.append(np.array(q))
+        return metric(q)
+
+    model.metric_components = counting
+    rep = correspondence_report(model, sol)
+    assert len(seen) == 6
+    assert sum(q.shape == sol.sigma.points.shape for q in seen) == 5
+    assert sum(np.array_equal(q, sol.sigma.points) for q in seen) == 1
+    # the public routes, each curve with its own g, give the same numbers
+    from brachkit.dynamics import geodesic_residual
+    from brachkit.geometry import curve_distance
+
+    model.metric_components = metric
+    w = deform_D(model, sol)
+    assert rep.geodesic_residual == geodesic_residual(model, sol.k, w)
+    assert rep.energy_value == conformal_energy(model, sol.k, w)
+    assert rep.roundtrip_error == curve_distance(model, sol.sigma.points,
+                                                 lift_G(model, sol.k, w).sigma.points)
